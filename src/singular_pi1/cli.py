@@ -14,7 +14,8 @@ from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
 from .oracle import compare
-from .pi1 import pi1_closed_form, pi1_connected_singular, pi1_devissage
+from .pi1 import (pi1_closed_form, pi1_connected_singular, pi1_devissage,
+                  pi1_graph_of_groups)
 from .scheme import (build_patch, build_patch_complement, build_union,
                      devissage_order, free_rank, intersection, validate)
 from .schema import parse_scheme_config, pi1_result_to_json
@@ -53,7 +54,8 @@ def build_parser():
     p.add_argument("--route", choices=("auto", "connected", "devissage",
                                        "closed"), default="auto")
     p.add_argument("--form", choices=("i", "ii", "iii", "iv"), default="i",
-                   help="van Kampen form used while assembling")
+                   help="van Kampen form used by the devissage and "
+                        "connected routes")
     p.add_argument("--simplify", choices=("true", "false"), default="true",
                    help="emit the simplified (default) or raw presentation")
     p.add_argument("--degrees", default=None,
@@ -116,11 +118,13 @@ def _cmd_present(args, limits):
     cfg = _load(args, limits)
     route = args.route
     if route == "closed":
-        result = pi1_closed_form(cfg, limits=limits)
+        result = pi1_closed_form(cfg)
     elif route == "connected":
-        result = pi1_connected_singular(cfg, form=args.form, limits=limits)
+        result = pi1_connected_singular(cfg, form=args.form)
+    elif route == "devissage":
+        result = pi1_devissage(cfg, form=args.form)
     else:
-        result = pi1_devissage(cfg, form=args.form, limits=limits)
+        result = pi1_graph_of_groups(cfg)
     payload = pi1_result_to_json(result, simplified=args.simplify == "true")
     if args.degrees:
         degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
@@ -134,7 +138,7 @@ def _cmd_present(args, limits):
 
 def _cmd_verify(args, limits):
     cfg = _load(args, limits)
-    result = pi1_devissage(cfg, limits=limits)
+    result = pi1_graph_of_groups(cfg)
     reports = []
     hit_resource = False
     all_pass = True
@@ -221,6 +225,11 @@ def main(argv=None):
         return EXIT_INPUT
     except ResourceError as exc:
         _emit(args, {"error": {"kind": "resource", "message": str(exc)}})
+        return EXIT_RESOURCE
+    except RecursionError:
+        _emit(args, {"error": {"kind": "resource", "message":
+                               "recursion limit exceeded: the devissage "
+                               "route nests one level per singular piece"}})
         return EXIT_RESOURCE
 
 

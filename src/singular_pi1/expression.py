@@ -42,7 +42,7 @@ class FiberedCoproductNode:
 @dataclass
 class QuotientNode:
     child: object
-    pairs: list              # of (Word, Word)
+    pairs: list              # of (Word, Word), each imposing lhs = rhs
 
 
 @dataclass
@@ -84,13 +84,15 @@ def assign_ids(expr):
     return {id(node): i for i, node in enumerate(walk(expr))}
 
 
-_RULES = {
-    Atom: "etale-fundamental-group-of-normal-scheme",
-    FreeGroupNode: "finite-rank-discrete-free-group",
-    CoproductNode: "closure-under-coproducts",
-    FiberedCoproductNode: "closure-under-fibered-coproducts",
-    QuotientNode: "closure-under-quotients",
-    VKNode: "closure-under-fibered-coproducts-and-quotients",
+# per node type: its kind name and the closure rule that admits it
+_KINDS = {
+    Atom: ("atom", "etale-fundamental-group-of-normal-scheme"),
+    FreeGroupNode: ("free", "finite-rank-discrete-free-group"),
+    CoproductNode: ("coproduct", "closure-under-coproducts"),
+    FiberedCoproductNode: ("fibered_coproduct",
+                           "closure-under-fibered-coproducts"),
+    QuotientNode: ("quotient", "closure-under-quotients"),
+    VKNode: ("vk", "closure-under-fibered-coproducts-and-quotients"),
 }
 
 
@@ -99,19 +101,11 @@ def closure_witness(expr):
     trace = []
     ids = assign_ids(expr)
     for node in walk(expr):
-        rule = _RULES.get(type(node))
-        if rule is None:
+        if type(node) not in _KINDS:
             raise InputError(f"expression node outside the class: {node!r}")
-        trace.append({"node": ids[id(node)],
-                      "kind": _kind_name(node),
-                      "rule": rule})
+        kind, rule = _KINDS[type(node)]
+        trace.append({"node": ids[id(node)], "kind": kind, "rule": rule})
     return trace
-
-
-def _kind_name(node):
-    return {Atom: "atom", FreeGroupNode: "free", CoproductNode: "coproduct",
-            FiberedCoproductNode: "fibered_coproduct",
-            QuotientNode: "quotient", VKNode: "vk"}[type(node)]
 
 
 def _group_json(spec):

@@ -518,7 +518,3 @@ class GroupSpec:
         if self.kind == "presented":
             return f"Presented(order={self.order})"
         return "1"
-
-
-def element_orders(spec):
-    return [spec.element_order(el) for el in spec.elements]

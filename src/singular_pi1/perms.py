@@ -27,15 +27,6 @@ def identity(d):
     return tuple(range(d))
 
 
-def perm_order(p):
-    e = identity(len(p))
-    q, n = p, 1
-    while q != e:
-        q = compose(q, p)
-        n += 1
-    return n
-
-
 class PermTable:
     """Full multiplication/inverse tables for Sym(d)."""
 

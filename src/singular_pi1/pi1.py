@@ -1,35 +1,38 @@
 """Assembly of the fundamental-group presentation of a configuration.
 
-Three routes produce a ``Pi1Result``:
+``pi1_graph_of_groups``, the default route, presents the fundamental
+group of the graph of groups on the incidence graph (Serre, *Trees*,
+§I.5) in one pass over a spanning tree.  ``pi1_closed_form`` is its case
+with trivial singular and branch groups: the coproduct of the component
+groups with a free group of the cycle rank.  The paper's van Kampen
+route is kept as the reference it is checked against:
 
 * ``pi1_connected_singular`` handles a single singular piece: one glued
   group per component over that piece, amalgamated over the shared
   copy of the singular piece's group;
 * ``pi1_devissage`` handles the general case by splitting off the last
-  patch of a dévissage order and recursing on the two connected halves,
-  gluing them along the overlap pieces;
-* ``pi1_closed_form`` is the shortcut available when all singular and
-  branch groups are trivial: the coproduct of the component groups with
-  a free group whose rank is the cycle rank of the incidence graph.
+  patch of a dévissage order and recursing, one level per singular
+  piece, on the two connected halves, gluing them along the overlap.
 
+Each route validates once at its entry and simplifies once at the end.
 Results carry the raw lowered presentation, its simplification, an
 expression tree, the derivation trace, and the locations of every
-component group's generators inside the raw presentation (needed by the
-recursion and by anyone composing further).
+component group's generators inside the raw presentation.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InputError
 from .expression import (Atom, CoproductNode, FiberedCoproductNode,
-                         FreeGroupNode, VKLegRef, VKNode, closure_witness)
-from .limits import DEFAULT_LIMITS
+                         FreeGroupNode, QuotientNode, VKLegRef, VKNode,
+                         closure_witness)
 from .presentation import (free_presentation, free_product_with_maps,
                            quotient_by_relations, retag, tietze_simplify)
 from .scheme import (build_patch, build_patch_complement, check_order,
-                     devissage_order, ensure_valid, free_rank, intersection)
+                     devissage_order, ensure_valid, intersection,
+                     spanning_tree)
 from .vk import vk_assemble
-from .words import Word
+from .words import Word, rename
 
 
 @dataclass
@@ -51,9 +54,6 @@ class Pi1Result:
     derivation: list
     component_images: dict = field(default_factory=dict)
 
-    def witness(self):
-        return closure_witness(self.expression)
-
 
 def _branch_leg_pairs(branch):
     src = branch.group.canonical_presentation
@@ -61,12 +61,88 @@ def _branch_leg_pairs(branch):
             for g in src.generators]
 
 
-def pi1_connected_singular(cfg, form="i", limits=DEFAULT_LIMITS):
+def _simplified(result):
+    result.presentation = tietze_simplify(result.raw_presentation)
+    return result
+
+
+def pi1_graph_of_groups(cfg):
+    """The fundamental group of the graph of groups on the incidence graph.
+
+    Generators are those of every component's and singular piece's
+    group, and one stable letter ``t_b`` per branch off a spanning tree;
+    the relations are ``psi_b(a) = t_b phi_b(a) t_b^-1`` for every
+    branch ``b`` and generator ``a`` of its group, with ``t_b = 1`` on
+    the tree.
+    """
+    ensure_valid(cfg)
+    _, stable = spanning_tree(cfg)
+    rank = len(stable)
+    assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \
+        "stable letters disagree with the free rank"
+    vertices = [("component", c) for c in cfg.components] \
+        + [("singular", s) for s in cfg.singulars]
+    free = free_presentation(rank, prefix="f")
+    tags = [f"c{i + 1}" for i in range(cfg.n)] \
+        + [f"s{j + 1}" for j in range(cfg.m)] + ["free"]
+    prod, maps = free_product_with_maps(
+        [v.group.canonical_presentation for _, v in vertices] + [free], tags)
+    comp_maps = {c.id: maps[i] for i, c in enumerate(cfg.components)}
+    sing_maps = {s.id: maps[cfg.n + j] for j, s in enumerate(cfg.singulars)}
+    stable_letter = {b.id: Word.gen(maps[-1][f])
+                     for b, f in zip(stable, free.generators)}
+
+    pairs = []
+    for b in cfg.branches:
+        t = stable_letter.get(b.id, Word.identity())
+        for psi_word, phi_word in _branch_leg_pairs(b):
+            pairs.append((rename(psi_word, comp_maps[b.component]),
+                          t * rename(phi_word, sing_maps[b.singular])
+                          * t.inverse()))
+    raw = quotient_by_relations(prod, pairs)
+
+    children = [Atom(kind, v.id, v.group) for kind, v in vertices
+                if v.group.order > 1]
+    if rank > 0:
+        children.append(FreeGroupNode(rank))
+    if not children:
+        expr = FreeGroupNode(0)
+    elif len(children) == 1:
+        expr = children[0]
+    else:
+        expr = CoproductNode(children)
+    if pairs:
+        expr = QuotientNode(expr, pairs)
+    steps = [DerivationStep(
+        "graph-of-groups", expr,
+        {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
+         "stable_branches": [b.id for b in stable]})]
+    return _simplified(Pi1Result(expr, None, raw, steps, comp_maps))
+
+
+def pi1_closed_form(cfg):
+    """Coproduct of the component groups with a free group of the cycle
+    rank: the graph of groups when all singular and branch groups are
+    trivial, which this route requires."""
+    pieces = [("singular piece", s) for s in cfg.singulars] \
+        + [("branch", b) for b in cfg.branches]
+    for kind, piece in pieces:
+        if piece.group.order != 1:
+            raise InputError(f"{kind} {piece.id} has a non-trivial group; "
+                             "the closed form does not apply")
+    return pi1_graph_of_groups(cfg)
+
+
+def pi1_connected_singular(cfg, form="i"):
     """The fundamental group of a configuration with one singular piece."""
     ensure_valid(cfg)
     if cfg.m != 1:
         raise InputError(
             f"expected exactly one singular piece, found {cfg.m}")
+    return _simplified(_connected_singular(cfg, form))
+
+
+def _connected_singular(cfg, form):
     sing = cfg.singulars[0]
     sing_pres = sing.group.canonical_presentation
 
@@ -114,35 +190,42 @@ def pi1_connected_singular(cfg, form="i", limits=DEFAULT_LIMITS):
             "amalgamate-singular-copies", expr,
             {"singular": sing.id, "copies": cfg.n}))
 
-    return Pi1Result(expr, tietze_simplify(raw), raw, steps, images)
+    return Pi1Result(expr, None, raw, steps, images)
 
 
-def pi1_devissage(cfg, form="i", order=None, limits=DEFAULT_LIMITS):
+def pi1_devissage(cfg, form="i", order=None):
     """The fundamental group of any valid configuration, by recursion on
     the number of singular pieces."""
-    ensure_valid(cfg)
+    if cfg.m:
+        # both validate the configuration before looking at the order
+        order = devissage_order(cfg) if order is None \
+            else check_order(cfg, order)
+    else:
+        ensure_valid(cfg)
+    return _simplified(_devissage(cfg, form, order))
+
+
+def _devissage(cfg, form, order):
+    """``pi1_devissage`` of a valid configuration along a checked order,
+    unsimplified.  The complement's order is a prefix of a checked one
+    and needs no check of its own."""
     if cfg.m == 0:
         comp = cfg.components[0]
         raw, mapping = retag(comp.group.canonical_presentation, "c1")
         expr = Atom("component", comp.id, comp.group)
         steps = [DerivationStep("normal-component", expr,
                                 {"component": comp.id})]
-        return Pi1Result(expr, tietze_simplify(raw), raw, steps,
-                         {comp.id: mapping})
+        return Pi1Result(expr, None, raw, steps, {comp.id: mapping})
     if cfg.m == 1:
-        if order is not None:
-            check_order(cfg, order)
-        return pi1_connected_singular(cfg, form, limits)
+        return _connected_singular(cfg, form)
 
-    order = check_order(cfg, order) if order is not None \
-        else devissage_order(cfg)
     anchor = order[-1]
     patch = build_patch(cfg, anchor)
     complement = build_patch_complement(cfg, anchor)
     report = intersection(cfg, patch, complement)
 
-    left = pi1_devissage(patch, form, None, limits)
-    right = pi1_devissage(complement, form, tuple(order[:-1]), limits)
+    left = _devissage(patch, form, None)
+    right = _devissage(complement, form, order[:-1])
 
     leg_pairs = []
     leg_refs = []
@@ -175,52 +258,7 @@ def pi1_devissage(cfg, form="i", order=None, limits=DEFAULT_LIMITS):
          "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
          "form": form})
     steps = left.derivation + right.derivation + [step]
-    raw = asm.presentation
-    return Pi1Result(expr, tietze_simplify(raw), raw, steps, images)
-
-
-def pi1_closed_form(cfg, require_trivial_singulars=True,
-                    limits=DEFAULT_LIMITS):
-    """Coproduct of the component groups with a free group of the cycle
-    rank; valid when all singular and branch groups are trivial.
-
-    With ``require_trivial_singulars`` off the formula is applied
-    anyway, as an unchecked extrapolation.
-    """
-    ensure_valid(cfg)
-    if require_trivial_singulars:
-        for s in cfg.singulars:
-            if s.group.order != 1:
-                raise InputError(
-                    f"singular piece {s.id} has a non-trivial group; "
-                    "the closed form does not apply")
-        for b in cfg.branches:
-            if b.group.order != 1:
-                raise InputError(
-                    f"branch {b.id} has a non-trivial group; "
-                    "the closed form does not apply")
-    rank = free_rank(cfg)
-    parts = [c.group.canonical_presentation for c in cfg.components]
-    tags = [f"c{i + 1}" for i in range(len(parts))]
-    parts.append(free_presentation(rank, prefix="f"))
-    tags.append("free")
-    raw, maps = free_product_with_maps(parts, tags=tags)
-    images = {comp.id: dict(maps[i]) for i, comp in enumerate(cfg.components)}
-
-    children = [Atom("component", c.id, c.group)
-                for c in cfg.components if c.group.order > 1]
-    if rank > 0:
-        children.append(FreeGroupNode(rank))
-    if not children:
-        expr = FreeGroupNode(0)
-    elif len(children) == 1:
-        expr = children[0]
-    else:
-        expr = CoproductNode(children)
-    steps = [DerivationStep(
-        "closed-form-rank", expr,
-        {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank})]
-    return Pi1Result(expr, tietze_simplify(raw), raw, steps, images)
+    return Pi1Result(expr, None, asm.presentation, steps, images)
 
 
 def class_witness(result: Pi1Result):

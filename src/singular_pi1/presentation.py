@@ -38,9 +38,6 @@ class Presentation:
         self.generators = gens
         self.relators = tuple(rels)
 
-    def rank_if_free(self):
-        return len(self.generators) if not self.relators else None
-
     def key(self):
         """Canonical namespace-independent fingerprint (for caching)."""
         index = {g: i for i, g in enumerate(self.generators)}

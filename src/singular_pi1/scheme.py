@@ -14,6 +14,7 @@ vertices and one edge per branch.  Splitting happens along the patches
 ``j`` with the other singular pieces removed.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,12 +75,6 @@ class SchemeConfig:
                 return s
         raise InputError(f"unknown singular id: {sid!r}")
 
-    def branches_of_singular(self, sid):
-        return [b for b in self.branches if b.singular == sid]
-
-    def branches_of_component(self, cid):
-        return [b for b in self.branches if b.component == cid]
-
     def component_ids_meeting(self, sid):
         seen = []
         for b in self.branches:
@@ -121,19 +116,20 @@ def validate(cfg):
     branch_ids = [b.id for b in cfg.branches]
     for name, ids in (("component", comp_ids), ("singular", sing_ids),
                       ("branch", branch_ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
         if dupes:
             return _fail("unique-ids", f"duplicate {name} ids", dupes)
 
     if cfg.n < 1:
         return _fail("component-count", "at least one component is required")
 
-    comp_set, sing_set = set(comp_ids), set(sing_ids)
+    comp_group = {c.id: c.group for c in cfg.components}
+    sing_group = {s.id: s.group for s in cfg.singulars}
     for b in cfg.branches:
-        if b.component not in comp_set:
+        if b.component not in comp_group:
             return _fail("resolve", f"branch {b.id} references unknown "
                          f"component {b.component}", [b.id])
-        if b.singular not in sing_set:
+        if b.singular not in sing_group:
             return _fail("resolve", f"branch {b.id} references unknown "
                          f"singular piece {b.singular}", [b.id])
 
@@ -144,10 +140,10 @@ def validate(cfg):
         if b.phi.source != b.group:
             return _fail("branch-maps", f"branch {b.id}: phi does not start "
                          "at the branch group", [b.id])
-        if b.psi.target != cfg.component(b.component).group:
+        if b.psi.target != comp_group[b.component]:
             return _fail("branch-maps", f"branch {b.id}: psi does not land "
                          "in the component group", [b.id])
-        if b.phi.target != cfg.singular(b.singular).group:
+        if b.phi.target != sing_group[b.singular]:
             return _fail("branch-maps", f"branch {b.id}: phi does not land "
                          "in the singular group", [b.id])
 
@@ -172,11 +168,15 @@ def validate(cfg):
     return ValidationResult(True)
 
 
-def _connected(cfg):
-    nodes = [("c", c.id) for c in cfg.components]
-    nodes += [("s", s.id) for s in cfg.singulars]
-    index = {v: i for i, v in enumerate(nodes)}
-    parent = list(range(len(nodes)))
+def spanning_tree(cfg):
+    """Union-find over the incidence graph, branches in declared order.
+
+    Vertices are ``("c", id)`` for components and ``("s", id)`` for
+    singular pieces.  Returns ``(root, extra)``: each vertex's root, and
+    the branches off the spanning forest, each of which closes a cycle.
+    """
+    parent = {("c", c.id): ("c", c.id) for c in cfg.components}
+    parent.update({("s", s.id): ("s", s.id) for s in cfg.singulars})
 
     def find(x):
         while parent[x] != x:
@@ -184,17 +184,24 @@ def _connected(cfg):
             x = parent[x]
         return x
 
+    extra = []
     for b in cfg.branches:
-        a = find(index[("c", b.component)])
-        c = find(index[("s", b.singular)])
-        if a != c:
+        a = find(("c", b.component))
+        c = find(("s", b.singular))
+        if a == c:
+            extra.append(b)
+        else:
             parent[c] = a
-    roots = {find(i) for i in range(len(nodes))}
-    if len(roots) <= 1:
+    return {v: find(v) for v in parent}, extra
+
+
+def _connected(cfg):
+    root, _ = spanning_tree(cfg)
+    if len(set(root.values())) <= 1:
         return True, ()
-    main = find(index[nodes[0]])
-    isolated = [f"{kind}:{vid}" for (kind, vid), i in index.items()
-                if find(i) != main]
+    main = root[("c", cfg.components[0].id)]
+    isolated = [f"{kind}:{vid}" for (kind, vid), r in root.items()
+                if r != main]
     return False, tuple(isolated)
 
 
@@ -209,7 +216,6 @@ def ensure_valid(cfg):
 def build_patch(cfg, singular_id):
     """Components meeting the given singular piece, that piece alone, and
     its branches."""
-    ensure_valid(cfg)
     if cfg.m < 1:
         raise InputError("a regular configuration has no patches")
     sing = cfg.singular(singular_id)
@@ -223,7 +229,6 @@ def build_patch(cfg, singular_id):
 def build_patch_complement(cfg, singular_id):
     """All other singular pieces, the components meeting them, and their
     branches."""
-    ensure_valid(cfg)
     if cfg.m < 2:
         raise InputError("a complement needs at least two singular pieces")
     cfg.singular(singular_id)
@@ -238,11 +243,11 @@ def build_patch_complement(cfg, singular_id):
 
 def build_union(cfg, singular_ids):
     """The union of the patches of the given singular pieces."""
-    ensure_valid(cfg)
-    keep = list(singular_ids)
-    for sid in keep:
-        cfg.singular(sid)
-    keep_set = set(keep)
+    known = {s.id for s in cfg.singulars}
+    for sid in singular_ids:
+        if sid not in known:
+            raise InputError(f"unknown singular id: {sid!r}")
+    keep_set = set(singular_ids)
     sing = [s for s in cfg.singulars if s.id in keep_set]
     branches = [b for b in cfg.branches if b.singular in keep_set]
     keep_comps = {b.component for b in branches}
@@ -277,11 +282,7 @@ def devissage_order(cfg):
         remaining.remove(pick)
         order.append(pick)
         covered |= comps_of[pick]
-    for r in range(1, len(order) + 1):
-        prefix = build_union(cfg, order[:r])
-        ok, _ = _connected(prefix)
-        assert ok, "prefix union unexpectedly disconnected"
-    return tuple(order)
+    return _connected_prefixes(cfg, order)
 
 
 def check_order(cfg, order):
@@ -289,9 +290,12 @@ def check_order(cfg, order):
     ensure_valid(cfg)
     if sorted(order) != sorted(s.id for s in cfg.singulars):
         raise InputError("order must be a permutation of the singular ids")
+    return _connected_prefixes(cfg, order)
+
+
+def _connected_prefixes(cfg, order):
     for r in range(1, len(order) + 1):
-        prefix = build_union(cfg, list(order[:r]))
-        ok, _ = _connected(prefix)
+        ok, _ = _connected(build_union(cfg, order[:r]))
         if not ok:
             raise InputError(
                 f"prefix {list(order[:r])} of the given order is disconnected")
@@ -299,20 +303,8 @@ def check_order(cfg, order):
 
 
 @dataclass
-class PieceDescriptor:
-    """One connected piece of the overlap of a patch and its complement.
-
-    Each piece is dense open in exactly one component; its group is the
-    component's group and both attaching maps are the identity.
-    """
-    component_id: str
-    group: GroupSpec
-
-
-@dataclass
 class IntersectionReport:
     S: tuple                 # components in both sides
-    pieces: list             # one descriptor per element of S
     S1: tuple                # components of the patch
     S2: tuple                # components of the complement
     m_tilde_1: int           # branches over the split piece
@@ -340,12 +332,10 @@ def intersection(cfg, patch, complement):
     s2 = tuple(c.id for c in complement.components)
     s2_set = set(s2)
     overlap = tuple(cid for cid in s1 if cid in s2_set)
-    pieces = [PieceDescriptor(cid, cfg.component(cid).group)
-              for cid in overlap]
     m1 = len(patch.branches)
     m2 = cfg.m_tilde - m1
     assert m2 == len(complement.branches)
-    return IntersectionReport(overlap, pieces, s1, s2, m1, m2, len(overlap))
+    return IntersectionReport(overlap, s1, s2, m1, m2, len(overlap))
 
 
 def free_rank(cfg):
@@ -353,25 +343,6 @@ def free_rank(cfg):
     the incidence multigraph."""
     ensure_valid(cfg)
     rank = cfg.m_tilde - cfg.m - cfg.n + 1
-    # independent computation: edges minus spanning-tree edges
-    nodes = [("c", c.id) for c in cfg.components]
-    nodes += [("s", s.id) for s in cfg.singulars]
-    index = {v: i for i, v in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_edges = 0
-    for b in cfg.branches:
-        a = find(index[("c", b.component)])
-        c = find(index[("s", b.singular)])
-        if a != c:
-            parent[c] = a
-            tree_edges += 1
-    cycle_rank = cfg.m_tilde - tree_edges
-    assert cycle_rank == rank, "rank formula disagrees with cycle rank"
+    _, extra = spanning_tree(cfg)
+    assert len(extra) == rank, "rank formula disagrees with cycle rank"
     return rank

@@ -188,6 +188,43 @@ def chain_config():
          trivial_branch("qb", "B", "Q"), trivial_branch("qc", "C", "Q")])
 
 
+def family_config(family, n, nontrivial=True):
+    """A chain, star or theta dual graph with ``n`` singular pieces.
+
+    chain: components C0..Cn, piece Pi joins C(i-1) and Ci; star: a hub
+    and leaves L1..Ln, Pi joins the hub and Li; theta: every Pi joins A
+    and B.  Non-trivial: S3 components, C2 pieces and branches with
+    psi: g -> s1 and phi: g -> g.  Otherwise every group is trivial.
+    """
+    if family == "chain":
+        comps = [f"C{i}" for i in range(n + 1)]
+        ends = [(f"C{i - 1}", f"C{i}") for i in range(1, n + 1)]
+    elif family == "star":
+        comps = ["hub"] + [f"L{i}" for i in range(1, n + 1)]
+        ends = [("hub", f"L{i}") for i in range(1, n + 1)]
+    else:
+        comps = ["A", "B"]
+        ends = [("A", "B")] * n
+    if not nontrivial:
+        return SchemeConfig(
+            [Component(c, TRIV) for c in comps],
+            [Singular(f"P{i}", TRIV) for i in range(1, n + 1)],
+            [trivial_branch(f"P{i}.{k}", c, f"P{i}")
+             for i, pair in enumerate(ends, start=1)
+             for k, c in enumerate(pair)])
+    s3, c2 = GroupSpec.symmetric(3), GroupSpec.cyclic(2)
+    g = c2.canonical_presentation.generators[0]
+    s1 = s3.canonical_presentation.generators[0]
+    branches = [Branch(f"P{i}.{k}", c, f"P{i}", c2,
+                       Homo(c2, s3, {g: Word.gen(s1)}),
+                       Homo(c2, c2, {g: Word.gen(g)}))
+                for i, pair in enumerate(ends, start=1)
+                for k, c in enumerate(pair)]
+    return SchemeConfig([Component(c, s3) for c in comps],
+                        [Singular(f"P{i}", c2) for i in range(1, n + 1)],
+                        branches)
+
+
 def load_corpus():
     """All bundled configurations, keyed by file stem."""
     out = {}

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 from importlib import resources
 
 from singular_pi1.cli import main
@@ -93,6 +95,41 @@ class TestPresent:
         assert code == code2 == 0
         assert len(raw["presentation"]["generators"]) \
             >= len(simplified["presentation"]["generators"])
+
+    def test_default_route_is_graph_of_groups(self, capsys):
+        code, doc = run(capsys, "present", config_path("nontrivial-Z2"))
+        assert code == 0
+        assert [s["theorem"] for s in doc["derivation"]] \
+            == ["graph-of-groups"]
+        assert doc["derivation"][0]["inputs"]["stable_branches"] == ["bq"]
+        assert doc["expression"]["type"] == "quotient"
+
+    def test_deep_devissage_recursion_is_a_resource_error(self, tmp_path,
+                                                          capsys):
+        n = 300
+        triv = {"kind": "trivial"}
+        doc = {"components": [{"id": f"C{i}", "group": triv}
+                              for i in range(n + 1)],
+               "singulars": [{"id": f"P{i}", "group": triv}
+                             for i in range(1, n + 1)],
+               "branches": [{"id": f"b{i}.{k}", "component": f"C{i - k}",
+                             "singular": f"P{i}", "group": triv}
+                            for i in range(1, n + 1) for k in (0, 1)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        limit = sys.getrecursionlimit()
+        # room for about half the chain's nesting above this frame
+        sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+        try:
+            code, out = run(capsys, "present", str(path),
+                            "--route", "devissage")
+            default_code, _ = run(capsys, "present", str(path))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 4
+        assert out["error"]["kind"] == "resource"
+        assert "devissage" in out["error"]["message"]
+        assert default_code == 0
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"

@@ -4,11 +4,15 @@ from math import factorial
 import pytest
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
-                          SchemeConfig, Singular, Word, class_witness,
-                          count_homs, free_rank, pi1_closed_form,
-                          pi1_connected_singular, pi1_devissage)
-from singular_pi1.expression import Atom, CoproductNode, FreeGroupNode
-from support import (chain_config, nodal_config, random_trivial_config,
+                          Presentation, ResourceError, SchemeConfig,
+                          Singular, Word, class_witness, compare, count_homs,
+                          free_rank, pi1_closed_form, pi1_connected_singular,
+                          pi1_devissage, pi1_graph_of_groups)
+from singular_pi1.expression import (Atom, CoproductNode, FreeGroupNode,
+                                     QuotientNode)
+from singular_pi1.words import GeneratorSymbol
+from support import (chain_config, family_config, load_corpus, nodal_config,
+                     random_general_config, random_trivial_config,
                      theta_config, trivial_branch, TRIV)
 
 C2 = GroupSpec.cyclic(2)
@@ -141,10 +145,6 @@ class TestClosedForm:
     def test_rejects_nontrivial_singular_group(self):
         with pytest.raises(InputError):
             pi1_closed_form(nontrivial_Z_config())
-        # the unchecked escape hatch still runs
-        res = pi1_closed_form(nontrivial_Z_config(),
-                              require_trivial_singulars=False)
-        assert res.presentation is not None
 
     def test_agreement_of_routes_on_random_configs(self):
         rng = random.Random(23)
@@ -163,6 +163,78 @@ class TestClosedForm:
                                            d)
                 assert count_homs(closed.presentation, d) == expected
                 assert count_homs(dev.presentation, d) == expected
+
+
+def random_configs(seed, count):
+    """Alternately general and all-trivial-edge random configurations."""
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_general_config(rng) if i % 2 else \
+            random_trivial_config(rng)
+
+
+class TestGraphOfGroups:
+    def test_agrees_with_devissage_on_random_configs(self):
+        for cfg in random_configs(29, 120):
+            gog = pi1_graph_of_groups(cfg)
+            dev = pi1_devissage(cfg)
+            for d in (2, 3):
+                assert count_homs(gog.presentation, d) \
+                    == count_homs(dev.presentation, d)
+
+    def test_passes_the_oracle_on_random_configs(self):
+        checked = 0
+        for cfg in random_configs(31, 60):
+            try:
+                report = compare(cfg, 2, pi1_graph_of_groups(cfg))
+            except ResourceError:
+                continue
+            assert report.verdict
+            checked += 1
+        assert checked >= 30
+
+    def test_no_larger_than_devissage(self):
+        configs = list(load_corpus().values())
+        configs += [family_config(family, n, nontrivial)
+                    for family in ("chain", "star", "theta")
+                    for n in (2, 3, 4) for nontrivial in (True, False)]
+        for cfg in configs:
+            gog = pi1_graph_of_groups(cfg).presentation
+            dev = pi1_devissage(cfg).presentation
+            assert len(gog.generators) <= len(dev.generators)
+            assert len(gog.relators) <= len(dev.relators)
+
+    def test_stable_letters_sit_off_the_spanning_tree(self):
+        res = pi1_graph_of_groups(theta_config())
+        step, = res.derivation
+        assert step.rule == "graph-of-groups"
+        # p1, p2, q1 span the incidence graph; q2 closes the cycle
+        assert step.inputs == {"n": 2, "m": 2, "m_tilde": 4, "rank": 1,
+                               "stable_branches": ["q2"]}
+
+    def test_all_trivial_config_is_the_closed_form_presentation(self):
+        cfg = SchemeConfig(
+            [Component("A", C2), Component("B", TRIV)],
+            [Singular("P", TRIV)],
+            [trivial_branch("b1", "A", "P", comp_group=C2),
+             trivial_branch("b2", "A", "P", comp_group=C2),
+             trivial_branch("b3", "B", "P")])
+        res = pi1_graph_of_groups(cfg)
+        g, f1 = GeneratorSymbol("c1", "g"), GeneratorSymbol("free", "f1")
+        # the component groups' copies c1, c2, ... and the free letters
+        assert res.raw_presentation == Presentation([g, f1],
+                                                    [Word.gen(g, 2)])
+        assert isinstance(res.expression, CoproductNode)
+
+    def test_quotient_node_passes_class_witness(self):
+        res = pi1_graph_of_groups(nontrivial_Z_config())
+        assert isinstance(res.expression, QuotientNode)
+        assert len(res.expression.pairs) == 2
+        trace = class_witness(res)
+        assert trace[0] == {"node": 0, "kind": "quotient",
+                            "rule": "closure-under-quotients"}
+        assert [e["kind"] for e in trace] == \
+            ["quotient", "coproduct", "atom", "atom", "free"]
 
 
 class TestClassWitness:

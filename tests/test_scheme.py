@@ -159,7 +159,6 @@ class TestIntersection:
         assert report.S == ("B",)
         assert report.d == 1
         assert report.m_tilde_1 == 2 and report.m_tilde_2 == 2
-        assert [p.component_id for p in report.pieces] == ["B"]
 
     def test_theta_overlap_is_both_components(self):
         cfg = theta_config()
