@@ -12,11 +12,11 @@ from .expression import (Atom, CoproductNode, FiberedCoproductNode,
                          FreeGroupNode, QuotientNode, VKLegRef, VKNode,
                          closure_witness)
 from .groups import GroupSpec
-from .homcount import (count_homs, count_transitive_homs, evaluate_word,
-                       iter_homs, words_all_trivial)
+from .homcount import (count_homs, evaluate_word, iter_homs,
+                       transitive_counts, words_all_trivial)
 from .homomorphism import Homo, iter_homs_between, standard_hom
 from .limits import DEFAULT_LIMITS, Limits
-from .oracle import (DescentDatum, OracleReport, compare, connected_count,
+from .oracle import (DescentDatum, OracleReport, attach_connected, compare,
                      enumerate_descent_data, groupoid_cardinality,
                      iter_descent_data)
 from .pi1 import (DerivationStep, Pi1Result, class_witness,

@@ -13,7 +13,7 @@ import sys
 from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
-from .oracle import compare
+from .oracle import attach_connected, compare
 from .pi1 import (pi1_closed_form, pi1_connected_singular, pi1_devissage,
                   pi1_graph_of_groups)
 from .scheme import (build_patch, build_patch_complement, build_union,
@@ -114,7 +114,16 @@ def _cmd_validate(args, limits):
     return EXIT_OK if result.ok else EXIT_INPUT
 
 
+def _degrees(text):
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"--degrees takes comma-separated integers, "
+                         f"got {text!r}") from None
+
+
 def _cmd_present(args, limits):
+    degrees = _degrees(args.degrees) if args.degrees else []
     cfg = _load(args, limits)
     route = args.route
     if route == "closed":
@@ -127,7 +136,6 @@ def _cmd_present(args, limits):
         result = pi1_graph_of_groups(cfg)
     payload = pi1_result_to_json(result, simplified=args.simplify == "true")
     if args.degrees:
-        degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
         pres = result.presentation if args.simplify == "true" \
             else result.raw_presentation
         payload["hom_counts"] = {str(d): count_homs(pres, d, limits)
@@ -139,24 +147,25 @@ def _cmd_present(args, limits):
 def _cmd_verify(args, limits):
     cfg = _load(args, limits)
     result = pi1_graph_of_groups(cfg)
-    reports = []
-    hit_resource = False
-    all_pass = True
-    for d in range(2, args.degree_max + 1):
+    # the connected columns at degree d come from the plain ones at 1..d,
+    # so --connected also compares degree 1, without emitting it
+    reports, refusals = [], []
+    for d in range(1 if args.connected else 2, args.degree_max + 1):
         try:
-            report = compare(cfg, d, result, limits=limits,
-                             connected=args.connected)
+            reports.append(compare(cfg, d, result, limits=limits))
         except ResourceError as exc:
-            reports.append({"degree": d, "error": str(exc)})
-            hit_resource = True
-            continue
-        reports.append(report.to_json())
-        if not report.verdict:
-            all_pass = False
-        if args.connected and report.connected["verdict"] != "pass":
-            all_pass = False
-    _emit(args, {"reports": reports})
-    if hit_resource:
+            refusals.append({"degree": d, "error": str(exc)})
+    # a refusal at one degree is a refusal at every higher one, so the
+    # reports cover degrees first..k and the refusals k+1..D
+    if args.connected:
+        attach_connected(cfg, reports)
+    reports = [r for r in reports if r.degree > 1]
+    refusals = [r for r in refusals if r["degree"] > 1]
+    all_pass = all(r.verdict and (r.connected is None
+                                  or r.connected["verdict"] == "pass")
+                   for r in reports)
+    _emit(args, {"reports": [r.to_json() for r in reports] + refusals})
+    if refusals:
         return EXIT_RESOURCE
     return EXIT_OK if all_pass else EXIT_FAIL
 

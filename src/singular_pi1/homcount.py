@@ -22,7 +22,7 @@ cheap.
 """
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
@@ -306,39 +306,20 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
             yield emit(parts, free_choice)
 
 
-def count_transitive_homs(p, d, limits=DEFAULT_LIMITS):
-    """Count hom assignments whose images generate a transitive subgroup.
+def transitive_counts(counts):
+    """Transitive counts ``t_1..t_D`` from all-action counts ``h_1..h_D``.
 
-    Transitivity couples all generators, so the enumeration runs over
-    the full assignment space (with relator backtracking) and filters
-    with a union-find over the ``d`` points at each leaf.
+    Every finite action splits uniquely into orbits, which gives Hall's
+    exponential formula ``h_d = sum_{k=1..d} C(d-1, k-1) t_k h_{d-k}``
+    with ``h_0 = 1`` (M. Hall 1949).  Only ``+ - *`` are used, so the
+    counts may be integers or ``Fraction``s.
     """
-    _check_degree(p, d, limits)
-    if d == 0:
-        return 0
-    if d == 1:
-        return count_homs(p, d, limits)
-
-    total = 0
-    for asg in iter_homs(p, d, limits):
-        parent = list(range(d))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        classes = d
-        for perm in asg.values():
-            for i in range(d):
-                a, b = find(i), find(perm[i])
-                if a != b:
-                    parent[a] = b
-                    classes -= 1
-        if classes == 1:
-            total += 1
-    return total
+    h = [1] + list(counts)
+    t = [0]
+    for d in range(1, len(h)):
+        t.append(h[d] - sum(comb(d - 1, k - 1) * t[k] * h[d - k]
+                            for k in range(1, d)))
+    return t[1:]
 
 
 def evaluate_word(word, assignment, d):

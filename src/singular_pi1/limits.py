@@ -5,21 +5,17 @@ numbers.  The defaults keep all bundled computations in the seconds
 range; raise them at your own risk.
 """
 
-from dataclasses import dataclass
+import dataclasses
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Limits:
     order_bound: int = 5040      # largest allowed finite group order
     degree_bound: int = 5        # largest symmetric-group degree for counting
     ceiling: int = 10 ** 8       # largest admissible candidate-tuple count
 
     def replace(self, **kw):
-        data = {"order_bound": self.order_bound,
-                "degree_bound": self.degree_bound,
-                "ceiling": self.ceiling}
-        data.update(kw)
-        return Limits(**data)
+        return dataclasses.replace(self, **kw)
 
 
 DEFAULT_LIMITS = Limits()

@@ -256,6 +256,14 @@ def build_union(cfg, singular_ids):
                      role="union", anchor=None, source=cfg)
 
 
+def _patch_components(cfg):
+    """Singular id -> the set of components its patch contains."""
+    comps_of = {s.id: set() for s in cfg.singulars}
+    for b in cfg.branches:
+        comps_of[b.singular].add(b.component)
+    return comps_of
+
+
 def devissage_order(cfg):
     """A singular-piece order whose patch-union prefixes are connected.
 
@@ -266,8 +274,7 @@ def devissage_order(cfg):
     ensure_valid(cfg)
     if cfg.m < 1:
         raise InputError("a regular configuration admits no ordering")
-    comps_of = {s.id: set(cfg.component_ids_meeting(s.id))
-                for s in cfg.singulars}
+    comps_of = _patch_components(cfg)
     remaining = [s.id for s in cfg.singulars]
     order = [remaining.pop(0)]
     covered = set(comps_of[order[0]])
@@ -294,11 +301,16 @@ def check_order(cfg, order):
 
 
 def _connected_prefixes(cfg, order):
-    for r in range(1, len(order) + 1):
-        ok, _ = _connected(build_union(cfg, order[:r]))
-        if not ok:
+    """Every patch is a connected star, so a prefix of patches has a
+    connected union exactly when each patch meets a component of the
+    patches before it."""
+    comps_of = _patch_components(cfg)
+    covered = set()
+    for r, sid in enumerate(order, start=1):
+        if covered and not comps_of[sid] & covered:
             raise InputError(
                 f"prefix {list(order[:r])} of the given order is disconnected")
+        covered |= comps_of[sid]
     return tuple(order)
 
 

@@ -43,8 +43,9 @@ def brute_count_homs(p, d):
     return total
 
 
-def is_transitive(images, d):
-    parent = list(range(d))
+def count_classes(n_points, edges):
+    """Connected components of the graph on ``0..n_points-1``."""
+    parent = list(range(n_points))
 
     def find(x):
         while parent[x] != x:
@@ -52,14 +53,17 @@ def is_transitive(images, d):
             x = parent[x]
         return x
 
-    classes = d
-    for p in images:
-        for i in range(d):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[a] = b
-                classes -= 1
-    return classes == 1
+    classes = n_points
+    for x, y in edges:
+        a, b = find(x), find(y)
+        if a != b:
+            parent[a] = b
+            classes -= 1
+    return classes
+
+
+def is_transitive(images, d):
+    return count_classes(d, [(i, p[i]) for p in images for i in range(d)]) == 1
 
 
 def brute_count_transitive_homs(p, d):
@@ -85,6 +89,36 @@ def count_order_dividing(d, k):
             acc = compose(acc, p)
         if acc == ident:
             total += 1
+    return total
+
+
+def brute_connected_count(cfg, d):
+    """Rigid descent data whose glued total space is connected.
+
+    The total space has one fiber of ``d`` points per component and per
+    singular piece.  Each group action joins points within its fiber,
+    and each branch bijection ``lam`` joins point ``x`` of its
+    component's fiber to point ``lam[x]`` of its singular piece's fiber.
+    """
+    from singular_pi1 import iter_descent_data
+
+    pieces = [("c", c.id) for c in cfg.components] \
+        + [("s", s.id) for s in cfg.singulars]
+    offset = {piece: k * d for k, piece in enumerate(pieces)}
+    total = 0
+    for datum in iter_descent_data(cfg, d):
+        edges = []
+        for kind, actions in (("c", datum.component_actions),
+                              ("s", datum.singular_actions)):
+            for pid, images in actions.items():
+                off = offset[kind, pid]
+                edges += [(off + x, off + p[x]) for p in images
+                          for x in range(d)]
+        for b in cfg.branches:
+            lam = datum.branch_bijections[b.id]
+            coff, soff = offset["c", b.component], offset["s", b.singular]
+            edges += [(coff + x, soff + lam[x]) for x in range(d)]
+        total += count_classes(len(pieces) * d, edges) == 1
     return total
 
 

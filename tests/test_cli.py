@@ -131,6 +131,13 @@ class TestPresent:
         assert "devissage" in out["error"]["message"]
         assert default_code == 0
 
+    def test_malformed_degrees_is_an_input_error(self, capsys):
+        code, doc = run(capsys, "present", config_path("nodal"),
+                        "--degrees", "2,x")
+        assert code == 2
+        assert doc["error"]["kind"] == "input"
+        assert "'2,x'" in doc["error"]["message"]
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         code, _ = run(capsys, "present", config_path("nodal"),

@@ -1,14 +1,21 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from singular_pi1 import (Limits, Presentation, ResourceError, Word,
-                          count_homs, count_transitive_homs, free_presentation,
-                          iter_homs, sym)
+                          count_homs, free_presentation, iter_homs, sym,
+                          transitive_counts)
 from support import (brute_count_homs, brute_count_transitive_homs,
                      count_order_dividing, random_presentation)
 
 A = sym("a")
+
+
+def transitive_homs(p, d):
+    """Transitive homs into Sym(d), by Hall's formula over count_homs."""
+    return transitive_counts([count_homs(p, k) for k in range(1, d + 1)])[-1]
 
 
 def test_basic_counts():
@@ -19,12 +26,12 @@ def test_basic_counts():
 
 
 def test_transitive_counts():
-    assert count_transitive_homs(free_presentation(1), 2) == 1
-    assert count_transitive_homs(Presentation([], []), 2) == 0
+    assert transitive_homs(free_presentation(1), 2) == 1
+    assert transitive_homs(Presentation([], []), 2) == 0
     square = Presentation([A], [Word.gen(A, 2)])
     # oracle: filter the degree-2 enumeration for transitivity
     assert brute_count_transitive_homs(square, 2) == 1
-    assert count_transitive_homs(square, 2) == 1
+    assert transitive_homs(square, 2) == 1
 
 
 def test_transitive_matches_brute_force():
@@ -32,8 +39,17 @@ def test_transitive_matches_brute_force():
     for _ in range(10):
         p = random_presentation(rng, max_gens=3, max_relators=2, max_len=4)
         for d in (2, 3):
-            assert count_transitive_homs(p, d) \
-                == brute_count_transitive_homs(p, d)
+            assert transitive_homs(p, d) == brute_count_transitive_homs(p, d)
+
+
+def test_transitive_counts_on_integers_and_fractions():
+    # Z: h_d = d!, of which the (d-1)! d-cycles are transitive
+    homs = [factorial(d) for d in range(1, 6)]
+    expected = [factorial(d - 1) for d in range(1, 6)]
+    assert transitive_counts(homs) == expected
+    exact = transitive_counts([Fraction(h) for h in homs])
+    assert exact == expected
+    assert all(isinstance(t, Fraction) for t in exact)
 
 
 def test_iter_homs_yields_each_assignment_once():
@@ -69,8 +85,9 @@ def test_degenerate_degrees():
     p = Presentation([A], [Word.gen(A, 2)])
     assert count_homs(p, 0) == 1
     assert count_homs(p, 1) == 1
-    assert count_transitive_homs(p, 1) == 1
-    assert count_transitive_homs(p, 0) == 0
+    assert transitive_homs(p, 1) == 1
+    # the formula starts at degree 1: no counts in, none out
+    assert transitive_counts([]) == []
 
 
 def test_counts_match_brute_force_on_random_presentations():

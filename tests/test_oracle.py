@@ -1,17 +1,35 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from singular_pi1 import (Component, GroupSpec, Limits, ResourceError,
-                          SchemeConfig, Singular, compare, connected_count,
-                          count_homs, count_transitive_homs,
-                          enumerate_descent_data, groupoid_cardinality,
-                          iter_descent_data, pi1_devissage)
-from support import (chain_config, nodal_config, orbit_groupoid_cardinality,
+                          SchemeConfig, Singular, attach_connected, compare,
+                          count_homs, enumerate_descent_data,
+                          groupoid_cardinality, iter_descent_data,
+                          pi1_devissage, pi1_graph_of_groups,
+                          transitive_counts)
+from support import (brute_connected_count, chain_config, nodal_config,
+                     orbit_groupoid_cardinality, random_general_config,
                      theta_config, trivial_branch, TRIV)
 
 C2 = GroupSpec.cyclic(2)
+
+
+def connected_reports(cfg, d_max, result=None):
+    """Reports at degrees 1..d_max with their Hall-derived connected
+    columns."""
+    result = result or pi1_graph_of_groups(cfg)
+    return attach_connected(cfg, [compare(cfg, d, result)
+                                  for d in range(1, d_max + 1)])
+
+
+def connected_card_times_d_factorial(cfg, report):
+    d = report.degree
+    card = Fraction(report.connected["rigid_count"],
+                    factorial(d) ** (cfg.n + cfg.m))
+    return card * factorial(d)
 
 
 class TestRigidCounts:
@@ -102,26 +120,46 @@ class TestCompare:
 class TestConnectedCounts:
     def test_nodal_connected_matches_transitive_homs(self):
         cfg = nodal_config()
-        result = pi1_devissage(cfg)
-        for d in (2, 3):
-            conn = connected_count(cfg, d)
-            card = Fraction(conn, factorial(d) ** (cfg.n + cfg.m))
-            assert card * factorial(d) \
-                == count_transitive_homs(result.presentation, d)
+        for report in connected_reports(cfg, 3, pi1_devissage(cfg))[1:]:
+            assert report.connected["rigid_count"] \
+                == brute_connected_count(cfg, report.degree)
+            assert connected_card_times_d_factorial(cfg, report) \
+                == report.connected["transitive_homs"]
 
     def test_trivial_regular_scheme_has_no_connected_double_cover(self):
         cfg = SchemeConfig([Component("A", TRIV)], [], [])
-        assert connected_count(cfg, 2) == 0
+        assert brute_connected_count(cfg, 2) == 0
+        assert connected_reports(cfg, 2)[1].connected["rigid_count"] == 0
 
     def test_theta_connected_covers(self):
         cfg = theta_config()
-        result = pi1_devissage(cfg)
-        d = 2
-        conn = connected_count(cfg, d)
-        card = Fraction(conn, factorial(d) ** (cfg.n + cfg.m))
+        report = connected_reports(cfg, 2, pi1_devissage(cfg))[1]
+        assert report.connected["rigid_count"] == brute_connected_count(cfg, 2)
         # infinite cyclic group: one transitive action at each degree
-        assert count_transitive_homs(result.presentation, d) == 1
-        assert card * factorial(d) == 1
+        assert report.connected["transitive_homs"] == 1
+        assert connected_card_times_d_factorial(cfg, report) == 1
+
+    def test_chain_matches_enumeration(self):
+        cfg = chain_config()
+        for report in connected_reports(cfg, 3)[1:]:
+            assert report.connected["rigid_count"] \
+                == brute_connected_count(cfg, report.degree)
+            assert report.connected["verdict"] == "pass"
+
+    def test_random_general_configs_match_enumeration(self):
+        # at most four branches: the reference visits every rigid datum
+        rng = random.Random(31)
+        nontrivial = 0
+        for _ in range(12):
+            cfg = random_general_config(rng, max_components=2,
+                                        max_singulars=2, max_branches=4)
+            for report in connected_reports(cfg, 3)[1:]:
+                assert report.connected["rigid_count"] \
+                    == brute_connected_count(cfg, report.degree), \
+                    (cfg, report.degree)
+                assert report.connected["verdict"] == "pass"
+            nontrivial += any(b.group.order > 1 for b in cfg.branches)
+        assert nontrivial >= 3
 
 
 class TestDescentDatumInvariants:
@@ -208,9 +246,7 @@ def test_master_identity_with_permutation_and_presented_kinds():
                 standard_hom(h, h)),
          Branch("b2", "B", "P", h, standard_hom(h, s3),
                 standard_hom(h, h))])
-    result = pi1_devissage(cfg)
-    for d in (2, 3):
-        report = compare(cfg, d, result, connected=True)
+    for report in connected_reports(cfg, 3, pi1_devissage(cfg))[1:]:
         assert report.verdict
         assert report.connected["verdict"] == "pass"
 
@@ -239,6 +275,7 @@ def test_closed_form_route_also_passes_the_oracle():
 def test_transitive_counts_of_the_infinite_cyclic_group():
     # transitive actions of one free generator on d points are the
     # d-cycles: (d-1)! of them
-    result = pi1_devissage(nodal_config())
-    assert count_transitive_homs(result.presentation, 3) == 2
-    assert count_transitive_homs(result.presentation, 4) == 6
+    pres = pi1_devissage(nodal_config()).presentation
+    transitive = transitive_counts([count_homs(pres, d) for d in (1, 2, 3, 4)])
+    assert transitive[2] == 2
+    assert transitive[3] == 6

@@ -7,8 +7,8 @@ from singular_pi1 import (Component, GroupSpec, InputError, SchemeConfig,
                           build_union, check_order, devissage_order, free_rank,
                           intersection, validate)
 from singular_pi1.scheme import _connected
-from support import (chain_config, nodal_config, random_trivial_config,
-                     theta_config, trivial_branch, TRIV)
+from support import (chain_config, family_config, nodal_config,
+                     random_trivial_config, theta_config, trivial_branch, TRIV)
 
 
 def star_config():
@@ -148,6 +148,25 @@ class TestDevissageOrder:
                 prefix = build_union(cfg, order[:r])
                 ok, _ = _connected(prefix)
                 assert ok
+
+    def test_check_order_agrees_with_union_connectivity(self):
+        # the linear check against building every prefix union
+        rng = random.Random(23)
+        for _ in range(150):
+            cfg = family_config(rng.choice(("chain", "star", "theta")),
+                                rng.randint(1, 6), nontrivial=False)
+            order = [s.id for s in cfg.singulars]
+            rng.shuffle(order)
+            bad = next((r for r in range(1, len(order) + 1)
+                        if not _connected(build_union(cfg, order[:r]))[0]),
+                       None)
+            if bad is None:
+                assert check_order(cfg, order) == tuple(order)
+            else:
+                with pytest.raises(InputError) as err:
+                    check_order(cfg, order)
+                assert str(err.value) == (f"prefix {order[:bad]} of the "
+                                          "given order is disconnected")
 
 
 class TestIntersection:
