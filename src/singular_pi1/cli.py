@@ -34,7 +34,7 @@ def _common(sub):
     sub.add_argument("--bound-degree", type=int, default=None,
                      help="largest symmetric-group degree")
     sub.add_argument("--ceiling", type=int, default=None,
-                     help="largest admissible enumeration size")
+                     help="largest admissible estimated work")
     sub.add_argument("--output", default=None,
                      help="write JSON here instead of stdout")
 
@@ -233,12 +233,17 @@ def main(argv=None):
         _emit(args, {"error": {"kind": "input", "message": str(exc)}})
         return EXIT_INPUT
     except ResourceError as exc:
-        _emit(args, {"error": {"kind": "resource", "message": str(exc)}})
+        _emit(args, {"error": {"kind": "resource", "layer": exc.layer,
+                               "estimate": exc.estimate,
+                               "ceiling": exc.ceiling,
+                               "message": str(exc)}})
         return EXIT_RESOURCE
     except RecursionError:
-        _emit(args, {"error": {"kind": "resource", "message":
-                               "recursion limit exceeded: the devissage "
-                               "route nests one level per singular piece"}})
+        _emit(args, {"error": {"kind": "resource", "layer": "pi1",
+                               "estimate": None, "ceiling": None,
+                               "message": "recursion limit exceeded: the "
+                               "devissage route nests one level per "
+                               "singular piece"}})
         return EXIT_RESOURCE
 
 

@@ -10,11 +10,18 @@ class InputError(Error):
 
 
 class ResourceError(Error):
-    """A computation would exceed the configured search bounds."""
+    """A computation would exceed the configured search bounds.
 
-    def __init__(self, message, estimate=None):
+    ``layer`` names the part of the package that refused (``"homcount"``,
+    ``"oracle"``, ...); ``estimate`` is the work it estimated and
+    ``ceiling`` the bound that estimate exceeded, when there is one.
+    """
+
+    def __init__(self, message, estimate=None, ceiling=None, layer=None):
         super().__init__(message)
         self.estimate = estimate
+        self.ceiling = ceiling
+        self.layer = layer
 
 
 class SchemaError(Error):

@@ -42,7 +42,8 @@ def _closure(generators, bound):
                 if t not in seen:
                     if len(order) >= bound:
                         raise ResourceError(
-                            f"group closure exceeds order bound {bound}")
+                            f"group closure exceeds order bound {bound}",
+                            layer="groups")
                     seen[t] = len(order)
                     order.append(t)
                     nxt.append(t)
@@ -118,7 +119,7 @@ def _coset_closure(presentation, cap):
     if missing:
         raise ResourceError(
             "presented group has a relator-free generator and is infinite: "
-            + ", ".join(str(g) for g in missing))
+            + ", ".join(str(g) for g in missing), layer="groups")
 
     gen_index = {g: i for i, g in enumerate(gens)}
     words = [_expand_relator(r, gen_index) for r in presentation.relators]
@@ -141,7 +142,8 @@ def _coset_closure(presentation, cap):
         if len(table) >= cap:
             raise ResourceError(
                 f"coset closure exceeded {cap} cosets; "
-                "the presented group is too large or infinite")
+                "the presented group is too large or infinite",
+                layer="groups")
         table.append([None] * ncols)
         rep.append(len(table) - 1)
         return len(table) - 1
@@ -320,7 +322,8 @@ class GroupSpec:
             raise InputError(f"unknown group kind: {kind!r}")
         if self.order > bound:
             raise ResourceError(
-                f"group order {self.order} exceeds bound {bound}")
+                f"group order {self.order} exceeds bound {bound}",
+                layer="groups")
 
     # -- canonical presentation and elements -----------------------------
 

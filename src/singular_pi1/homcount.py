@@ -6,23 +6,47 @@ which every relator evaluates to the identity.  Two presentations are
 considered to describe the same group exactly when these counts agree
 at every tested degree.
 
-The search is exact but avoids the naive ``d!^(#generators)`` scan:
+The count is a sum over assignments of a product of relator
+constraints, computed exactly by bucket elimination over the relator
+graph (R. Dechter, *Bucket elimination*, 1999), whose cost grows with
+the width of that graph rather than with the number of generators
+(V. Dalmau and P. Jonsson 2004):
 
 * generators appearing in no relator contribute an exact ``d!`` factor;
-* the remaining generators split into connected components linked by
-  shared relators, and each component is counted independently;
-* inside a component a backtracking order is chosen so that a generator
-  whose value is forced by an already-assigned relator is solved rather
-  than enumerated, and every relator is checked as soon as its last
-  symbol receives a value.
+* the remaining generators split into components linked by shared
+  relators; each is counted independently, and its count is memoised
+  on a namespace-independent fingerprint;
+* a relator on a single generator filters that generator's domain, and
+  every other relator is a factor;
+* eliminating a generator enumerates its bucket, the assignments of
+  every generator that shares a factor with it, and passes the sums
+  over its values on as a table (a message) over the others.  A
+  generator that occurs once, with exponent +-1, in a relator whose
+  other generators are already bound is solved from it rather than
+  enumerated; when that relator is its only factor the message is
+  constantly 1 and nothing is enumerated at all;
+* each bucket is enumerated by a forward-checking search over integer
+  slots that checks every relator and looks up every incoming message
+  as soon as its generators are bound;
+* the elimination order is chosen greedily, by the size of the bucket
+  each step would enumerate plus the most its message could hold (a
+  cheap bucket whose message is wide makes every later bucket that
+  receives it wide), and is compared with the order that eliminates
+  every generator in one bucket, a plain forward-checking search of
+  the whole component; the cheaper is used.
 
-Component counts are memoised on a namespace-independent fingerprint,
-which makes repeated counting over copies of the same building blocks
-cheap.
+The estimate gated against the ceiling is the sum, over the buckets of
+every component, of the product of the domain sizes each enumerates.
+It is known before any counting starts.  ``iter_homs`` runs the same
+forward pass, keeping for every bucket the values of its eliminated
+generators that extend each assignment of its scope, and then assigns
+the buckets backward in reverse order, which never meets a dead end.
 """
 
 import itertools
-from math import comb, factorial
+from collections import Counter, deque
+from math import comb, prod
+from operator import itemgetter
 
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
@@ -76,136 +100,325 @@ def _split_components(n_gens, relators):
     return components, free_gens
 
 
-class _Plan:
-    """Backtracking schedule for one relator-connected component."""
-
-    __slots__ = ("order", "determined", "checks")
-
-    def __init__(self, gens, relators):
-        # relators re-indexed by assignment slot
-        remaining = list(gens)
-        slot_of = {}
-        order = []
-        used_as_solver = {}
-
-        def single_unknown(rel):
-            unknown = {s for s, _ in rel if s not in slot_of}
-            if len(unknown) != 1:
-                return None
-            g = unknown.pop()
-            occurrences = [(i, e) for i, (s, e) in enumerate(rel) if s == g]
-            if len(occurrences) == 1 and abs(occurrences[0][1]) == 1:
-                return g, occurrences[0]
-            return None
-
-        relator_pool = list(enumerate(relators))
-        while remaining:
-            picked = None
-            for ridx, rel in relator_pool:
-                if ridx in used_as_solver:
-                    continue
-                found = single_unknown(rel)
-                if found:
-                    g, (pos, exp) = found
-                    picked = (g, ridx, pos, exp)
-                    break
-            if picked is None:
-                # most-constrained generator first
-                def weight(g):
-                    return -sum(1 for _, rel in relator_pool
-                                if any(s == g for s, _ in rel))
-                g = min(remaining, key=lambda x: (weight(x), x))
-                slot = len(order)
-                slot_of[g] = slot
-                order.append(g)
-                remaining.remove(g)
-            else:
-                g, ridx, pos, exp = picked
-                slot = len(order)
-                slot_of[g] = slot
-                order.append(g)
-                remaining.remove(g)
-                used_as_solver[ridx] = (slot, pos, exp)
-
-        n = len(order)
-        self.order = tuple(order)
-        self.determined = {}
-        self.checks = [[] for _ in range(n)]
-        for ridx, rel in relator_pool:
-            slotted = tuple((slot_of[s], e) for s, e in rel)
-            depth = max(s for s, _ in slotted)
-            if ridx in used_as_solver:
-                slot, pos, exp = used_as_solver[ridx]
-                if slot == depth:
-                    self.determined[slot] = (slotted, pos, exp)
-                    continue
-                # solver slot is not the last one assigned; fall back to check
-            self.checks[depth].append(slotted)
+def _solvable(rel):
+    """``{generator: (position, exponent)}`` for the generators that
+    occur exactly once in ``rel``, with exponent +-1."""
+    seen = Counter(s for s, _ in rel)
+    return {s: (i, e) for i, (s, e) in enumerate(rel)
+            if seen[s] == 1 and abs(e) == 1}
 
 
-def _count_component(plan, T, collect=None):
-    """Count (or collect) valid assignments for one component."""
-    mul, inv, ident, size = T.mul, T.inv, T.identity, T.size
-    n = len(plan.order)
-    asg = [0] * n
-    determined = plan.determined
-    checks = plan.checks
-    out = 0
+def _value(rel, asg, T):
+    """The product of the letters of ``rel`` under ``asg[slot]``."""
+    mul, inv = T.mul, T.inv
+    acc = T.identity
+    for slot, e in rel:
+        p = asg[slot]
+        if e < 0:
+            p, e = inv[p], -e
+        for _ in range(e):
+            acc = mul[acc][p]
+    return acc
 
-    def solve(det):
-        rel, pos, exp = det
-        a = ident
-        for slot, e in rel[:pos]:
-            p = asg[slot]
-            if e < 0:
-                p, e = inv[p], -e
-            for _ in range(e):
-                a = mul[a][p]
-        b = ident
-        for slot, e in rel[pos + 1:]:
-            p = asg[slot]
-            if e < 0:
-                p, e = inv[p], -e
-            for _ in range(e):
-                b = mul[b][p]
-        val = mul[inv[a]][inv[b]]
-        return inv[val] if exp == -1 else val
 
-    def ok_at(depth):
-        for rel in checks[depth]:
-            acc = ident
-            for slot, e in rel:
-                p = asg[slot]
-                if e < 0:
-                    p, e = inv[p], -e
-                for _ in range(e):
-                    acc = mul[acc][p]
-            if acc != ident:
-                return False
-        return True
+def _solve(rel, pos, exp, asg, T):
+    """The value of the letter at ``pos`` that makes ``rel`` trivial,
+    given the values of all its other letters."""
+    inv = T.inv
+    val = T.mul[inv[_value(rel[:pos], asg, T)]][
+        inv[_value(rel[pos + 1:], asg, T)]]
+    return inv[val] if exp == -1 else val
 
-    def dfs(depth):
-        nonlocal out
-        if depth == n:
-            if collect is None:
-                out += 1
-            else:
-                collect.append(tuple(asg))
+
+def _schedule(free, rels, msgs, domains):
+    """Assignment order of the generators ``free`` of one bucket.
+
+    A generator that a relator determines from the generators before it
+    (it occurs there once, with exponent +-1, and is the relator's last
+    unassigned generator) is solved from that relator; otherwise the
+    generator in most factors comes next, the smaller domain first on
+    ties.  ``rels`` holds ``(scope, relator, solvable)`` triples and
+    ``msgs`` ``(scope, index)`` pairs.  Returns the order and
+    ``{solved generator: its relator's index in rels}``.
+    """
+    weight = Counter()
+    by_var = {v: [] for v in free}
+    for ri, (scope, _, _) in enumerate(rels):
+        weight.update(scope)
+        for v in scope:
+            by_var[v].append(ri)
+    for scope, _ in msgs:
+        weight.update(scope)
+    unknown = [len(scope) for scope, _, _ in rels]
+    ready = deque()
+    picks = iter(sorted(free, key=lambda v: (-weight[v], len(domains[v]),
+                                             v)))
+    slot, solver = {}, {}
+    while len(slot) < len(free):
+        v = None
+        while ready and v is None:
+            ri = ready.popleft()
+            if unknown[ri] == 1:
+                scope, _, solvable = rels[ri]
+                g = next(s for s in scope if s not in slot)
+                if g in solvable:
+                    v, solver[g] = g, ri
+        if v is None:
+            v = next(x for x in picks if x not in slot)
+        slot[v] = len(slot)
+        for ri in by_var[v]:
+            unknown[ri] -= 1
+            if unknown[ri] == 1:
+                ready.append(ri)
+    return tuple(slot), solver
+
+
+class _Bucket:
+    """One elimination step: the generators ``elim`` are summed out of
+    the factors that contain them, relators ``rels`` and messages
+    ``msgs``, which leaves a message over ``scope``.  ``order`` and
+    ``solver`` schedule the search of the bucket, which assigns ``elim``
+    and ``scope``; ``cost`` is the product of the domains it enumerates.
+
+    When the only factor is a relator from which the single generator
+    ``elim`` is solved, the message is constantly 1: nothing is
+    enumerated, ``order`` is None and the cost is 0.
+    """
+
+    __slots__ = ("elim", "scope", "rels", "msgs", "order", "solver", "cost",
+                 "search")
+
+    def __init__(self, elim, rels, msgs, domains, unary):
+        inside = set(elim)
+        self.rels = [f for f in rels if f[0] & inside]
+        self.msgs = [f for f in msgs if inside.intersection(f[0])]
+        scope = inside.union(*(sc for sc, _, _ in self.rels),
+                             *(sc for sc, _ in self.msgs))
+        self.scope = tuple(sorted(scope - inside))
+        self.search = None
+        x = elim[0]
+        if len(elim) == 1 and not self.msgs and len(self.rels) == 1 \
+                and x in self.rels[0][2] and not unary[x]:
+            self.elim, self.order, self.solver = elim, None, {x: 0}
+            self.cost = 0
             return
-        det = determined.get(depth)
-        candidates = (solve(det),) if det is not None else range(size)
-        for c in candidates:
-            asg[depth] = c
-            if ok_at(depth):
-                dfs(depth + 1)
+        self.order, self.solver = _schedule(scope, self.rels, self.msgs,
+                                            domains)
+        self.elim = tuple(v for v in self.order if v in inside)
+        self.cost = prod(len(domains[v]) for v in self.order
+                         if v not in self.solver)
 
-    if n == 0:
-        if collect is None:
-            return 1
-        collect.append(())
-        return 1
-    dfs(0)
-    return out
+
+class _Search:
+    """Forward-checking search of one bucket over integer slots.
+
+    Slot ``i`` holds ``order[i]``, taken from its domain or solved from
+    a relator.  At every depth the relators and messages whose last
+    generator was just assigned are checked.  ``out`` holds the slots of
+    the bucket's scope and ``elim`` those of its eliminated generators.
+    """
+
+    __slots__ = ("cands", "solve", "checks", "lookups", "out", "elim")
+
+    def __init__(self, bucket, domains, unary):
+        order = bucket.order
+        slot = {v: i for i, v in enumerate(order)}
+
+        def slotted(rel):
+            return tuple((slot[s], e) for s, e in rel)
+
+        self.cands, self.solve = [], []
+        self.checks = [[] for _ in order]
+        self.lookups = [[] for _ in order]
+        for depth, v in enumerate(order):
+            ri = bucket.solver.get(v)
+            if ri is None:
+                self.cands.append(domains[v])
+                self.solve.append(None)
+            else:
+                _, rel, solvable = bucket.rels[ri]
+                self.cands.append(None)
+                self.solve.append((slotted(rel),) + solvable[v])
+                # the domain filter of a solved generator is a check
+                self.checks[depth].extend(slotted(u) for u in unary[v])
+        for ri, (scope, rel, _) in enumerate(bucket.rels):
+            depth = max(slot[s] for s in scope)
+            if bucket.solver.get(order[depth]) != ri:
+                self.checks[depth].append(slotted(rel))
+        for scope, j in bucket.msgs:
+            slots = tuple(slot[v] for v in scope)
+            self.lookups[max(slots)].append((slots, j))
+        self.out = tuple(slot[v] for v in bucket.scope)
+        self.elim = tuple(slot[v] for v in bucket.elim)
+
+    def run(self, T, tables, asg, leaf):
+        """Call ``leaf(weight)`` for every consistent assignment, with
+        ``asg`` holding it; ``weight`` is the product of the messages."""
+        mul, inv, ident = T.mul, T.inv, T.identity
+        n = len(self.cands)
+        cands, solve, checks = self.cands, self.solve, self.checks
+        lookups = [[(itemgetter(*slots), tables[j]) for slots, j in looks]
+                   for looks in self.lookups]
+
+        def ok_at(depth):
+            for rel in checks[depth]:
+                acc = ident
+                for slot, e in rel:
+                    p = asg[slot]
+                    if e < 0:
+                        p, e = inv[p], -e
+                    for _ in range(e):
+                        acc = mul[acc][p]
+                if acc != ident:
+                    return False
+            return True
+
+        def dfs(depth, w):
+            if depth == n:
+                leaf(w)
+                return
+            det = solve[depth]
+            values = cands[depth] if det is None \
+                else (_solve(*det, asg, T),)
+            looks = lookups[depth]
+            for c in values:
+                asg[depth] = c
+                if not ok_at(depth):
+                    continue
+                v = w
+                for key, tab in looks:
+                    v *= tab.get(key(asg), 0)
+                    if not v:
+                        break
+                else:
+                    dfs(depth + 1, v)
+
+        dfs(0, 1)
+
+
+class _Elimination:
+    """Bucket-elimination schedule for one relator-connected component."""
+
+    __slots__ = ("n", "buckets", "estimate", "count")
+
+    def __init__(self, n, relators, T):
+        self.n = n
+        unary = [[] for _ in range(n)]
+        rels = []
+        for rel in relators:
+            scope = frozenset(s for s, _ in rel)
+            if len(scope) == 1:
+                unary[rel[0][0]].append(rel)
+            else:
+                rels.append((scope, rel, _solvable(rel)))
+        domains = [tuple(x for x in range(T.size)
+                         if all(_value(u, {v: x}, T) == T.identity
+                                for u in unary[v]))
+                   for v in range(n)]
+        one = _Bucket(tuple(range(n)), rels, [], domains, unary)
+
+        def size(v):
+            b = cand[v]
+            if b.order is None:
+                return 0, v
+            return b.cost + prod(len(domains[u]) for u in b.scope), v
+
+        msgs, greedy, cand = [], [], {}
+        remaining = set(range(n))
+        while remaining:
+            for v in remaining:
+                if v not in cand:
+                    cand[v] = _Bucket((v,), rels, msgs, domains, unary)
+            x = min(remaining, key=size)
+            b = cand.pop(x)
+            remaining.discard(x)
+            # only the buckets of the generators next to x change
+            for v in b.scope:
+                cand.pop(v, None)
+            rels = [f for f in rels if x not in f[0]]
+            msgs = [f for f in msgs if x not in f[0]]
+            if b.order is not None and b.scope:
+                msgs.append((b.scope, len(greedy)))
+            greedy.append(b)
+
+        cost = sum(b.cost for b in greedy)
+        self.buckets = [one] if one.cost <= cost else greedy
+        self.estimate = min(one.cost, cost)
+        for b in self.buckets:
+            if b.order is not None:
+                b.search = _Search(b, domains, unary)
+        self.count = None
+
+    def forward(self, T, collect=False):
+        """Tabulate every bucket in elimination order.
+
+        Returns ``(count, tables, extensions)``.  ``tables[i]`` is the
+        message of bucket ``i`` (an int when its scope is empty); in
+        collect mode ``extensions[i]`` maps each assignment of the
+        scope to the values of the eliminated generators that extend
+        it.
+        """
+        tables, extensions = [], []
+        count = 1
+        for b in self.buckets:
+            s = b.search
+            if s is None:
+                tables.append(None)
+                extensions.append(None)
+                continue
+            asg = [0] * len(b.order)
+            message, ext = {}, {}
+            get = message.get
+            key = itemgetter(*s.out) if s.out else (lambda _: ())
+            if collect:
+                values = itemgetter(*s.elim)
+
+                def leaf(w):
+                    k = key(asg)
+                    message[k] = get(k, 0) + w
+                    ext.setdefault(k, []).append(values(asg))
+            else:
+                def leaf(w):
+                    k = key(asg)
+                    message[k] = get(k, 0) + w
+            s.run(T, tables, asg, leaf)
+            if not s.out:
+                message = message.get((), 0)
+                count *= message
+            tables.append(message)
+            extensions.append(ext)
+            if not message:
+                return 0, tables, extensions
+        return count, tables, extensions
+
+    def assignments(self, T, extensions):
+        """Every valid assignment, as a tuple indexed by generator."""
+        values = [0] * self.n
+        out = []
+        buckets = self.buckets
+
+        def walk(i):
+            if i < 0:
+                out.append(tuple(values))
+                return
+            b = buckets[i]
+            if b.search is None:
+                x = b.elim[0]
+                _, rel, solvable = b.rels[b.solver[x]]
+                values[x] = _solve(rel, *solvable[x], values, T)
+                walk(i - 1)
+                return
+            key = itemgetter(*b.scope)(values) if b.scope else ()
+            for ext in extensions[i][key]:
+                if len(b.elim) == 1:
+                    values[b.elim[0]] = ext
+                else:
+                    for v, c in zip(b.elim, ext):
+                        values[v] = c
+                walk(i - 1)
+
+        walk(len(buckets) - 1)
+        return out
 
 
 def _component_key(gens, relators, d):
@@ -219,51 +432,43 @@ def _check_degree(p, d, limits):
         raise InputError(f"degree must be a non-negative integer, got {d!r}")
     if d > limits.degree_bound:
         raise ResourceError(
-            f"degree {d} exceeds the configured bound {limits.degree_bound}")
+            f"degree {d} exceeds the configured bound {limits.degree_bound}",
+            layer="homcount")
 
 
-def _prepare(p, d, limits):
-    """Split into components, build plans, and gate the search size.
-
-    The estimate counts only the slots the backtracking actually
-    enumerates; generators whose value is forced by a relator do not
-    enlarge the search space.
-    """
+def _plan(p, d, limits):
+    """Split into components, plan each, and gate the estimated work."""
     relators = _encode(p)
     components, free_gens = _split_components(len(p.generators), relators)
-    size = factorial(d)
-    plans = [_Plan(gens, rels) for gens, rels in components]
-    cost = 0
-    for plan in plans:
-        branching = 1
-        for depth in range(len(plan.order)):
-            if depth not in plan.determined:
-                branching *= size
-        cost += branching
+    T = table(d)
+    plans = []
+    for gens, rels in components:
+        key = _component_key(gens, rels, d)
+        plan = _component_cache.get(key)
+        if plan is None:
+            plan = _component_cache[key] = _Elimination(key[0], key[1], T)
+        plans.append(plan)
+    cost = sum(plan.estimate for plan in plans)
     if cost > limits.ceiling:
         raise ResourceError(
             f"hom search space {cost} exceeds ceiling {limits.ceiling}",
-            estimate=cost)
-    return components, plans, free_gens, size
+            estimate=cost, ceiling=limits.ceiling, layer="homcount")
+    return components, plans, free_gens, T
 
 
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(p, d, limits)
-    components, plans, free_gens, size = _prepare(p, d, limits)
-    T = table(d)
+    _, plans, free_gens, T = _plan(p, d, limits)
     total = 1
-    for (gens, rels), plan in zip(components, plans):
-        key = _component_key(gens, rels, d)
-        cached = _component_cache.get(key)
-        if cached is None:
-            cached = _count_component(plan, T)
-            _component_cache[key] = cached
-        total *= cached
+    for plan in plans:
+        if plan.count is None:
+            plan.count = plan.forward(T)[0]
+        total *= plan.count
         if total == 0:
             break
-    return total * size ** len(free_gens)
+    return total * T.size ** len(free_gens)
 
 
 def iter_homs(p, d, limits=DEFAULT_LIMITS):
@@ -273,36 +478,37 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
     before anything is yielded.
     """
     _check_degree(p, d, limits)
-    components, plans, free_gens, size = _prepare(p, d, limits)
-    T = table(d)
+    components, plans, free_gens, T = _plan(p, d, limits)
     perms = T.perms
     gen_list = p.generators
 
-    # assignment tuples are aligned with each component plan's order
-    collected = []
-    total = 1
-    for plan, (gens, rels) in zip(plans, components):
-        found = []
-        _count_component(plan, T, collect=found)
-        total *= len(found)
-        collected.append(found)
-    total *= size ** len(free_gens)
+    passes = []
+    total = T.size ** len(free_gens)
+    for plan in plans:
+        count, _, extensions = plan.forward(T, collect=True)
+        total *= count
+        passes.append(extensions)
     if total > limits.ceiling:
         raise ResourceError(
             f"{total} homomorphisms exceed ceiling {limits.ceiling}",
-            estimate=total)
+            estimate=total, ceiling=limits.ceiling, layer="homcount")
+    if total == 0:
+        return
+    collected = [plan.assignments(T, extensions)
+                 for plan, extensions in zip(plans, passes)]
 
     def emit(parts, free_choice):
         asg = {}
-        for plan, values in zip(plans, parts):
-            for g, v in zip(plan.order, values):
+        for (gens, _), values in zip(components, parts):
+            for g, v in zip(gens, values):
                 asg[gen_list[g]] = perms[v]
         for g, v in zip(free_gens, free_choice):
             asg[gen_list[g]] = perms[v]
         return asg
 
     for parts in itertools.product(*collected):
-        for free_choice in itertools.product(range(size), repeat=len(free_gens)):
+        for free_choice in itertools.product(range(T.size),
+                                             repeat=len(free_gens)):
             yield emit(parts, free_choice)
 
 

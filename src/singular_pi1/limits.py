@@ -12,7 +12,7 @@ import dataclasses
 class Limits:
     order_bound: int = 5040      # largest allowed finite group order
     degree_bound: int = 5        # largest symmetric-group degree for counting
-    ceiling: int = 10 ** 8       # largest admissible candidate-tuple count
+    ceiling: int = 10 ** 8       # largest admissible estimated work
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)

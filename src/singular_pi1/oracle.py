@@ -65,10 +65,12 @@ class _Setup:
     def __init__(self, cfg, d, limits):
         ensure_valid(cfg)
         if d < 1:
-            raise ResourceError("cover enumeration needs degree >= 1")
+            raise ResourceError("cover enumeration needs degree >= 1",
+                                layer="oracle")
         if d > limits.degree_bound:
             raise ResourceError(
-                f"degree {d} exceeds the configured bound {limits.degree_bound}")
+                f"degree {d} exceeds the configured bound {limits.degree_bound}",
+                layer="oracle")
         self.cfg = cfg
         self.d = d
         self.T = table(d)
@@ -78,13 +80,16 @@ class _Setup:
         for piece in list(cfg.components) + list(cfg.singulars):
             hom_sizes.append(count_homs(piece.group.canonical_presentation,
                                         d, limits))
-        estimate = size ** cfg.m_tilde
+        # every (rho, tau) pair is visited once, and each scans d!
+        # candidate intertwiners on every branch
+        estimate = cfg.m_tilde * size + 1
         for h in hom_sizes:
             estimate *= h
         if estimate > limits.ceiling:
             raise ResourceError(
                 f"descent enumeration estimate {estimate} exceeds ceiling "
-                f"{limits.ceiling}", estimate=estimate)
+                f"{limits.ceiling}", estimate=estimate,
+                ceiling=limits.ceiling, layer="oracle")
         self.estimate = estimate
 
         def assignments(spec):

@@ -9,6 +9,7 @@ word evaluation into plain list lookups.
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 
 def compose(p, q):
@@ -36,10 +37,13 @@ class PermTable:
         self.index = {p: i for i, p in enumerate(self.perms)}
         self.size = len(self.perms)
         self.identity = self.index[identity(d)]
+        # compose(p, q) == itemgetter(*p)(q) once d >= 2; below that
+        # itemgetter returns no tuple, and Sym(d) has one element
+        at = self.index.__getitem__
         self.mul = tuple(
-            tuple(self.index[compose(p, q)] for q in self.perms)
+            tuple(map(at, map(itemgetter(*p), self.perms)))
             for p in self.perms
-        )
+        ) if d > 1 else ((self.identity,),)
         self.inv = tuple(self.index[invert(p)] for p in self.perms)
 
     def power(self, i, e):

@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the library's counting machinery:
 they enumerate full assignment tuples with direct permutation algebra,
-so a bug in the backtracking engine cannot hide behind itself.
+so a bug in the counting engine cannot hide behind itself.
 """
 
 import itertools
@@ -89,6 +89,32 @@ def count_order_dividing(d, k):
             acc = compose(acc, p)
         if acc == ident:
             total += 1
+    return total
+
+
+def closed_family_homs(family, n, d):
+    """#Hom(pi_1, Sym(d)) of the non-trivial ``family_config(family, n)``.
+
+    For an involution x of Sym(d) let e(x) count the involutions b with
+    (xb)^3 = 1, i.e. the homs S3 -> Sym(d) sending s1 to x, and C(x) be
+    its centraliser.  Chain and star amalgamate n + 1 copies of S3 along
+    <s1>: sum_x e(x)^(n+1).  Theta amalgamates two copies and adds n - 1
+    stable letters centralising s1: sum_x e(x)^2 |C(x)|^(n-1).
+    """
+    perms = all_perms(d)
+    ident = identity(d)
+    invols = [x for x in perms if compose(x, x) == ident]
+    total = 0
+    for x in invols:
+        e = sum(1 for b in invols
+                if compose(compose(compose(x, b), compose(x, b)),
+                           compose(x, b)) == ident)
+        if family == "theta":
+            centraliser = sum(1 for c in perms
+                              if compose(x, c) == compose(c, x))
+            total += e * e * centraliser ** (n - 1)
+        else:
+            total += e ** (n + 1)
     return total
 
 
@@ -370,7 +396,7 @@ def random_presentation(rng, max_gens=4, max_relators=4, max_len=6):
     from singular_pi1 import Presentation, sym
 
     n = rng.randint(1, max_gens)
-    gens = [sym(ch) for ch in "abcd"[:n]]
+    gens = [sym(ch) for ch in "abcde"[:n]]
     relators = []
     for _ in range(rng.randint(0, max_relators)):
         length = rng.randint(1, max_len)

@@ -3,7 +3,9 @@ import json
 import sys
 from importlib import resources
 
+from singular_pi1 import scheme_config_to_json
 from singular_pi1.cli import main
+from support import closed_family_homs, family_config
 
 
 def config_path(name):
@@ -131,6 +133,25 @@ class TestPresent:
         assert "devissage" in out["error"]["message"]
         assert default_code == 0
 
+    def test_hom_count_refusal_names_layer_estimate_and_ceiling(self,
+                                                                capsys):
+        code, doc = run(capsys, "present", config_path("nontrivial-Z2"),
+                        "--degrees", "3", "--ceiling", "3")
+        assert code == 4
+        # C2 * Z: the four involutions of Sym(3) are enumerated for g
+        assert doc["error"] == {"kind": "resource", "layer": "homcount",
+                                "estimate": 4, "ceiling": 3,
+                                "message": "hom search space 4 exceeds "
+                                           "ceiling 3"}
+
+    def test_three_piece_chain_counts_at_degree_five(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config("chain", 3))))
+        code, doc = run(capsys, "present", str(path), "--degrees", "5")
+        assert code == 0
+        assert doc["hom_counts"] == {"5": closed_family_homs("chain", 3, 5)}
+
     def test_malformed_degrees_is_an_input_error(self, capsys):
         code, doc = run(capsys, "present", config_path("nodal"),
                         "--degrees", "2,x")
@@ -159,8 +180,9 @@ class TestVerify:
         assert code == 0
 
     def test_ceiling_produces_partial_results_and_exit_4(self, capsys):
+        # the oracle estimates 6 * d! + 1 intertwiner scans for star
         code, doc = run(capsys, "verify", config_path("star"),
-                        "--degree-max", "3", "--ceiling", "2000")
+                        "--degree-max", "3", "--ceiling", "20")
         assert code == 4
         reports = doc["reports"]
         assert reports[0]["verdict"] == "pass"      # degree 2 fits

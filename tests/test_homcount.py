@@ -5,10 +5,11 @@ from math import factorial
 import pytest
 
 from singular_pi1 import (Limits, Presentation, ResourceError, Word,
-                          count_homs, free_presentation, iter_homs, sym,
-                          transitive_counts)
+                          count_homs, free_presentation, iter_homs,
+                          pi1_graph_of_groups, sym, transitive_counts)
 from support import (brute_count_homs, brute_count_transitive_homs,
-                     count_order_dividing, random_presentation)
+                     closed_family_homs, count_order_dividing,
+                     eval_word_brute, family_config, random_presentation)
 
 A = sym("a")
 
@@ -73,6 +74,8 @@ def test_ceiling_enforced_with_estimate():
     with pytest.raises(ResourceError) as err:
         count_homs(p, 3, tight)
     assert err.value.estimate is not None and err.value.estimate > 10
+    assert err.value.ceiling == 10
+    assert err.value.layer == "homcount"
 
 
 def test_free_generators_do_not_hit_the_ceiling():
@@ -96,3 +99,48 @@ def test_counts_match_brute_force_on_random_presentations():
         p = random_presentation(rng, max_gens=3, max_relators=4, max_len=6)
         for d in (2, 3):
             assert count_homs(p, d) == brute_count_homs(p, d)
+    for _ in range(40):
+        p = random_presentation(rng, max_gens=5, max_relators=5, max_len=6)
+        for d in (2, 3):
+            assert count_homs(p, d) == brute_count_homs(p, d)
+
+
+def test_iter_homs_yields_exactly_the_homs():
+    rng = random.Random(8)
+    for _ in range(40):
+        p = random_presentation(rng, max_gens=5, max_relators=5, max_len=6)
+        for d in (2, 3):
+            homs = list(iter_homs(p, d))
+            distinct = {tuple(asg[g] for g in p.generators) for asg in homs}
+            assert len(distinct) == len(homs) == count_homs(p, d)
+            ident = tuple(range(d))
+            for asg in homs:
+                assert all(eval_word_brute(r, asg, d) == ident
+                           for r in p.relators)
+
+
+def test_sparse_relator_graph_is_eliminated_bucket_by_bucket():
+    # <a, b1, b2, t1, t2 | a^2, bi^2, (a bi)^3, ti = bi a>: the ti are
+    # solved from their one relator, the bi eliminated one at a time
+    a, bs, ts = sym("a"), [sym("b1"), sym("b2")], [sym("t1"), sym("t2")]
+    gen = Word.gen
+    relators = [gen(a, 2)]
+    for b, t in zip(bs, ts):
+        relators += [gen(b, 2), (gen(a) * gen(b)) ** 3,
+                     gen(t) * gen(a).inverse() * gen(b).inverse()]
+    p = Presentation([a] + bs + ts, relators)
+    for d in (2, 3):
+        homs = list(iter_homs(p, d))
+        assert len(homs) == count_homs(p, d) == brute_count_homs(p, d)
+        assert all(eval_word_brute(r, asg, d) == tuple(range(d))
+                   for asg in homs for r in relators)
+    # the single-bucket search would enumerate 26^3 images at degree 5
+    assert count_homs(p, 5, Limits(ceiling=26 ** 3 - 1)) \
+        == closed_family_homs("chain", 1, 5)
+
+
+@pytest.mark.parametrize("family", ["chain", "star", "theta"])
+def test_64_piece_families_match_the_closed_formula(family):
+    pres = pi1_graph_of_groups(family_config(family, 64)).presentation
+    for d in (3, 4, 5):
+        assert count_homs(pres, d) == closed_family_homs(family, 64, d)
