@@ -19,17 +19,16 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oracle import (DescentDatum, OracleReport, attach_connected, compare,
                      enumerate_descent_data, groupoid_cardinality,
                      iter_descent_data)
-from .pi1 import (DerivationStep, Pi1Result, class_witness,
-                  pi1_closed_form, pi1_connected_singular, pi1_devissage,
+from .pi1 import (DerivationStep, Pi1Result, class_witness, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, fibered_coproduct, free_presentation,
                            free_product, quotient_by_relations, retag,
                            tietze_simplify)
 from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
-                     Singular, SubConfig, ValidationResult, build_patch,
+                     Singular, ValidationResult, build_patch,
                      build_patch_complement, build_union, check_order,
-                     devissage_order, ensure_valid, free_rank, intersection,
-                     spanning_tree, validate)
+                     devissage_order, devissage_splits, ensure_valid,
+                     free_rank, spanning_tree, validate)
 from .schema import (parse_scheme_config, pi1_result_to_json,
                      presentation_to_json, parse_presentation,
                      scheme_config_to_json)

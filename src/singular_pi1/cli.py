@@ -14,10 +14,8 @@ from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
 from .oracle import attach_connected, compare
-from .pi1 import (pi1_closed_form, pi1_connected_singular, pi1_devissage,
-                  pi1_graph_of_groups)
-from .scheme import (build_patch, build_patch_complement, build_union,
-                     devissage_order, free_rank, intersection, validate)
+from .pi1 import pi1_devissage, pi1_graph_of_groups
+from .scheme import devissage_order, devissage_splits, free_rank, validate
 from .schema import parse_scheme_config, pi1_result_to_json
 
 EXIT_OK = 0
@@ -51,11 +49,9 @@ def build_parser():
 
     p = subs.add_parser("present", help="compute the fundamental group")
     _common(p)
-    p.add_argument("--route", choices=("auto", "connected", "devissage",
-                                       "closed"), default="auto")
+    p.add_argument("--route", choices=("auto", "devissage"), default="auto")
     p.add_argument("--form", choices=("i", "ii", "iii", "iv"), default="i",
-                   help="van Kampen form used by the devissage and "
-                        "connected routes")
+                   help="van Kampen form used by the devissage route")
     p.add_argument("--simplify", choices=("true", "false"), default="true",
                    help="emit the simplified (default) or raw presentation")
     p.add_argument("--degrees", default=None,
@@ -125,12 +121,7 @@ def _degrees(text):
 def _cmd_present(args, limits):
     degrees = _degrees(args.degrees) if args.degrees else []
     cfg = _load(args, limits)
-    route = args.route
-    if route == "closed":
-        result = pi1_closed_form(cfg)
-    elif route == "connected":
-        result = pi1_connected_singular(cfg, form=args.form)
-    elif route == "devissage":
+    if args.route == "devissage":
         result = pi1_devissage(cfg, form=args.form)
     else:
         result = pi1_graph_of_groups(cfg)
@@ -173,25 +164,18 @@ def _cmd_verify(args, limits):
 def _cmd_plan(args, limits):
     cfg = _load(args, limits)
     if cfg.m == 0:
-        _emit(args, {"error": "regular scheme, nothing to plan"})
-        return EXIT_INPUT
+        raise InputError("regular scheme, nothing to plan")
     order = devissage_order(cfg)
     splits = []
-    scope = cfg
-    for r in range(len(order), 1, -1):
-        prefix = list(order[:r])
-        anchor = order[r - 1]
-        scope = cfg if r == len(order) else build_union(cfg, prefix)
-        patch = build_patch(scope, anchor)
-        complement = build_patch_complement(scope, anchor)
-        report = intersection(scope, patch, complement)
+    for scope, prefix, patch, complement, report in \
+            devissage_splits(cfg, order):
         rank_total = free_rank(scope)
         rank_patch = free_rank(patch)
         rank_rest = free_rank(complement)
         row = report.to_json()
         row.update({
-            "scope": prefix,
-            "anchor": anchor,
+            "scope": list(prefix),
+            "anchor": prefix[-1],
             "rank_total": rank_total,
             "rank_patch": rank_patch,
             "rank_complement": rank_rest,
@@ -242,8 +226,8 @@ def main(argv=None):
         _emit(args, {"error": {"kind": "resource", "layer": "pi1",
                                "estimate": None, "ceiling": None,
                                "message": "recursion limit exceeded: the "
-                               "devissage route nests one level per "
-                               "singular piece"}})
+                               "devissage expression tree nests one level "
+                               "per singular piece"}})
         return EXIT_RESOURCE
 
 

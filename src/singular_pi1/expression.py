@@ -10,7 +10,6 @@ node.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InputError
 from .groups import GroupSpec
@@ -18,8 +17,8 @@ from .groups import GroupSpec
 
 @dataclass
 class Atom:
-    ref_kind: str            # "component" | "singular" | "spec"
-    ref_id: Optional[str]
+    ref_kind: str            # "component" | "singular"
+    ref_id: str
     spec: GroupSpec
 
 
@@ -118,11 +117,8 @@ def expression_to_json(expr, ids=None):
         ids = assign_ids(expr)
     node_id = ids[id(expr)]
     if isinstance(expr, Atom):
-        out = {"id": node_id, "type": "atom", "ref": expr.ref_kind,
-               "group": _group_json(expr.spec)}
-        if expr.ref_id is not None:
-            out["ref_id"] = expr.ref_id
-        return out
+        return {"id": node_id, "type": "atom", "ref": expr.ref_kind,
+                "group": _group_json(expr.spec), "ref_id": expr.ref_id}
     if isinstance(expr, FreeGroupNode):
         return {"id": node_id, "type": "free", "rank": expr.rank}
     if isinstance(expr, CoproductNode):

@@ -427,7 +427,7 @@ def _component_key(gens, relators, d):
     return (len(gens), rels, d)
 
 
-def _check_degree(p, d, limits):
+def _check_degree(d, limits):
     if not isinstance(d, int) or d < 0:
         raise InputError(f"degree must be a non-negative integer, got {d!r}")
     if d > limits.degree_bound:
@@ -459,7 +459,7 @@ def _plan(p, d, limits):
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
-    _check_degree(p, d, limits)
+    _check_degree(d, limits)
     _, plans, free_gens, T = _plan(p, d, limits)
     total = 1
     for plan in plans:
@@ -477,7 +477,7 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
     The total number of assignments is bounded against the ceiling
     before anything is yielded.
     """
-    _check_degree(p, d, limits)
+    _check_degree(d, limits)
     components, plans, free_gens, T = _plan(p, d, limits)
     perms = T.perms
     gen_list = p.generators

@@ -10,10 +10,14 @@ cardinality of covers is the rigid count divided by ``d!^(n+m)``.
 
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
-into Sym(d), exactly, as rationals.  The two sides share no code: the
-left side never sees a presentation of the result, the right side never
-sees a descent datum.  The connected columns follow from the plain ones
-at degrees ``1..d``: each side applies Hall's formula to its own numbers.
+into Sym(d), exactly, as rationals.  The left side never sees a
+presentation of the result and the right side never sees a descent
+datum, but they share the hom-counting engine: the left side counts and
+enumerates the actions of each component and singular group with
+``homcount.count_homs`` and ``iter_homs`` on the group's canonical
+presentation, and the right side counts the result's presentation with
+``count_homs``.  The connected columns follow from the plain ones at
+degrees ``1..d``: each side applies Hall's formula to its own numbers.
 """
 
 from dataclasses import dataclass

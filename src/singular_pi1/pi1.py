@@ -2,17 +2,16 @@
 
 ``pi1_graph_of_groups``, the default route, presents the fundamental
 group of the graph of groups on the incidence graph (Serre, *Trees*,
-§I.5) in one pass over a spanning tree.  ``pi1_closed_form`` is its case
-with trivial singular and branch groups: the coproduct of the component
+§I.5) in one pass over a spanning tree.  With trivial singular and
+branch groups this is the closed form: the coproduct of the component
 groups with a free group of the cycle rank.  The paper's van Kampen
-route is kept as the reference it is checked against:
-
-* ``pi1_connected_singular`` handles a single singular piece: one glued
-  group per component over that piece, amalgamated over the shared
-  copy of the singular piece's group;
-* ``pi1_devissage`` handles the general case by splitting off the last
-  patch of a dévissage order and recursing, one level per singular
-  piece, on the two connected halves, gluing them along the overlap.
+route, ``pi1_devissage``, is kept as the reference it is checked
+against.  It starts from the patch of the first piece of a dévissage
+order, one glued group per component over that piece amalgamated over
+the shared copy of the piece's group, and glues each later patch onto
+the result along their overlap, walking the splits of
+``scheme.devissage_splits``.  Its expression tree nests one van Kampen
+node per singular piece.
 
 Each route validates once at its entry and simplifies once at the end.
 Results carry the raw lowered presentation, its simplification, an
@@ -22,15 +21,13 @@ component group's generators inside the raw presentation.
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
 from .expression import (Atom, CoproductNode, FiberedCoproductNode,
                          FreeGroupNode, QuotientNode, VKLegRef, VKNode,
                          closure_witness)
 from .presentation import (free_presentation, free_product_with_maps,
                            quotient_by_relations, retag, tietze_simplify)
-from .scheme import (build_patch, build_patch_complement, check_order,
-                     devissage_order, ensure_valid, intersection,
-                     spanning_tree)
+from .scheme import (check_order, devissage_order, devissage_splits,
+                     ensure_valid, spanning_tree)
 from .vk import vk_assemble
 from .words import Word, rename
 
@@ -120,28 +117,6 @@ def pi1_graph_of_groups(cfg):
     return _simplified(Pi1Result(expr, None, raw, steps, comp_maps))
 
 
-def pi1_closed_form(cfg):
-    """Coproduct of the component groups with a free group of the cycle
-    rank: the graph of groups when all singular and branch groups are
-    trivial, which this route requires."""
-    pieces = [("singular piece", s) for s in cfg.singulars] \
-        + [("branch", b) for b in cfg.branches]
-    for kind, piece in pieces:
-        if piece.group.order != 1:
-            raise InputError(f"{kind} {piece.id} has a non-trivial group; "
-                             "the closed form does not apply")
-    return pi1_graph_of_groups(cfg)
-
-
-def pi1_connected_singular(cfg, form="i"):
-    """The fundamental group of a configuration with one singular piece."""
-    ensure_valid(cfg)
-    if cfg.m != 1:
-        raise InputError(
-            f"expected exactly one singular piece, found {cfg.m}")
-    return _simplified(_connected_singular(cfg, form))
-
-
 def _connected_singular(cfg, form):
     sing = cfg.singulars[0]
     sing_pres = sing.group.canonical_presentation
@@ -194,8 +169,8 @@ def _connected_singular(cfg, form):
 
 
 def pi1_devissage(cfg, form="i", order=None):
-    """The fundamental group of any valid configuration, by recursion on
-    the number of singular pieces."""
+    """The fundamental group of any valid configuration by dévissage
+    along ``order`` (by default ``devissage_order``)."""
     if cfg.m:
         # both validate the configuration before looking at the order
         order = devissage_order(cfg) if order is None \
@@ -207,8 +182,8 @@ def pi1_devissage(cfg, form="i", order=None):
 
 def _devissage(cfg, form, order):
     """``pi1_devissage`` of a valid configuration along a checked order,
-    unsimplified.  The complement's order is a prefix of a checked one
-    and needs no check of its own."""
+    unsimplified: the first piece's patch, then each later patch glued
+    onto the union of the patches before it."""
     if cfg.m == 0:
         comp = cfg.components[0]
         raw, mapping = retag(comp.group.canonical_presentation, "c1")
@@ -216,49 +191,47 @@ def _devissage(cfg, form, order):
         steps = [DerivationStep("normal-component", expr,
                                 {"component": comp.id})]
         return Pi1Result(expr, None, raw, steps, {comp.id: mapping})
-    if cfg.m == 1:
-        return _connected_singular(cfg, form)
 
-    anchor = order[-1]
-    patch = build_patch(cfg, anchor)
-    complement = build_patch_complement(cfg, anchor)
-    report = intersection(cfg, patch, complement)
+    splits = list(devissage_splits(cfg, order))
+    # the last split's complement is the first piece's patch
+    result = _connected_singular(splits[-1][3] if splits else cfg, form)
+    for scope, prefix, patch, complement, report in reversed(splits):
+        left = _connected_singular(patch, form)
+        leg_pairs = []
+        leg_refs = []
+        for cid in report.S:
+            group = scope.component(cid).group
+            gens = group.canonical_presentation.generators
+            pairs = [(Word.gen(left.component_images[cid][g]),
+                      Word.gen(result.component_images[cid][g]))
+                     for g in gens]
+            leg_pairs.append(pairs)
+            leg_refs.append(VKLegRef(group, "component", cid))
 
-    left = _devissage(patch, form, None)
-    right = _devissage(complement, form, order[:-1])
+        asm = vk_assemble(left.raw_presentation, result.raw_presentation,
+                          leg_pairs, form)
 
-    leg_pairs = []
-    leg_refs = []
-    for cid in report.S:
-        group = cfg.component(cid).group
-        gens = group.canonical_presentation.generators
-        pairs = [(Word.gen(left.component_images[cid][g]),
-                  Word.gen(right.component_images[cid][g]))
-                 for g in gens]
-        leg_pairs.append(pairs)
-        leg_refs.append(VKLegRef(group, "component", cid))
+        images = {}
+        for comp in complement.components:
+            images[comp.id] = {
+                g: asm.right_map[s]
+                for g, s in result.component_images[comp.id].items()}
+        for comp in patch.components:
+            # overlap components resolve to the patch-side copy
+            images[comp.id] = {
+                g: asm.left_map[s]
+                for g, s in left.component_images[comp.id].items()}
 
-    asm = vk_assemble(left.raw_presentation, right.raw_presentation,
-                      leg_pairs, form)
-
-    images = {}
-    for comp in complement.components:
-        images[comp.id] = {g: asm.right_map[s]
-                           for g, s in right.component_images[comp.id].items()}
-    for comp in patch.components:
-        # overlap components resolve to the patch-side copy
-        images[comp.id] = {g: asm.left_map[s]
-                           for g, s in left.component_images[comp.id].items()}
-
-    expr = VKNode(left.expression, right.expression, leg_refs)
-    step = DerivationStep(
-        "devissage-split", expr,
-        {"anchor": anchor, "order": list(order),
-         "overlap": list(report.S),
-         "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
-         "form": form})
-    steps = left.derivation + right.derivation + [step]
-    return Pi1Result(expr, None, asm.presentation, steps, images)
+        expr = VKNode(left.expression, result.expression, leg_refs)
+        step = DerivationStep(
+            "devissage-split", expr,
+            {"anchor": prefix[-1], "order": list(prefix),
+             "overlap": list(report.S),
+             "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
+             "form": form})
+        steps = left.derivation + result.derivation + [step]
+        result = Pi1Result(expr, None, asm.presentation, steps, images)
+    return result
 
 
 def class_witness(result: Pi1Result):

@@ -11,12 +11,12 @@ never recomputed.
 The incidence multigraph has the components and singular pieces as
 vertices and one edge per branch.  Splitting happens along the patches
 ``build_patch(cfg, j)``: the union of components meeting singular piece
-``j`` with the other singular pieces removed.
+``j`` with the other singular pieces removed.  ``devissage_splits`` is
+the one walk over the splits of a dévissage order.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import InputError
 from .groups import GroupSpec
@@ -81,14 +81,6 @@ class SchemeConfig:
             if b.singular == sid and b.component not in seen:
                 seen.append(b.component)
         return seen
-
-
-@dataclass
-class SubConfig(SchemeConfig):
-    """A sub-scheme produced by a patch/complement/union construction."""
-    role: str = "patch"
-    anchor: Optional[str] = None
-    source: Optional[SchemeConfig] = field(default=None, compare=False)
 
 
 @dataclass
@@ -222,8 +214,7 @@ def build_patch(cfg, singular_id):
     keep_comps = set(cfg.component_ids_meeting(singular_id))
     comps = [c for c in cfg.components if c.id in keep_comps]
     branches = [b for b in cfg.branches if b.singular == singular_id]
-    return SubConfig(comps, [sing], branches,
-                     role="patch", anchor=singular_id, source=cfg)
+    return SchemeConfig(comps, [sing], branches)
 
 
 def build_patch_complement(cfg, singular_id):
@@ -237,8 +228,7 @@ def build_patch_complement(cfg, singular_id):
     branches = [b for b in cfg.branches if b.singular in keep]
     keep_comps = {b.component for b in branches}
     comps = [c for c in cfg.components if c.id in keep_comps]
-    return SubConfig(comps, sing, branches,
-                     role="complement", anchor=singular_id, source=cfg)
+    return SchemeConfig(comps, sing, branches)
 
 
 def build_union(cfg, singular_ids):
@@ -252,8 +242,7 @@ def build_union(cfg, singular_ids):
     branches = [b for b in cfg.branches if b.singular in keep_set]
     keep_comps = {b.component for b in branches}
     comps = [c for c in cfg.components if c.id in keep_comps]
-    return SubConfig(comps, sing, branches,
-                     role="union", anchor=None, source=cfg)
+    return SchemeConfig(comps, sing, branches)
 
 
 def _patch_components(cfg):
@@ -329,25 +318,31 @@ class IntersectionReport:
                 "m_tilde_2": self.m_tilde_2}
 
 
-def intersection(cfg, patch, complement):
-    """Describe the overlap of a patch/complement pair of ``cfg``."""
-    if not isinstance(patch, SubConfig) or patch.role != "patch":
-        raise InputError("first argument must be a patch")
-    if not isinstance(complement, SubConfig) or complement.role != "complement":
-        raise InputError("second argument must be a complement")
-    if patch.anchor != complement.anchor:
-        raise InputError("patch and complement split at different pieces")
-    if patch.source is not complement.source:
-        raise InputError("patch and complement come from different "
-                         "configurations")
-    s1 = tuple(c.id for c in patch.components)
-    s2 = tuple(c.id for c in complement.components)
-    s2_set = set(s2)
-    overlap = tuple(cid for cid in s1 if cid in s2_set)
-    m1 = len(patch.branches)
-    m2 = cfg.m_tilde - m1
-    assert m2 == len(complement.branches)
-    return IntersectionReport(overlap, s1, s2, m1, m2, len(overlap))
+def devissage_splits(cfg, order):
+    """Walk the splits of a dévissage of ``cfg`` along ``order``, a
+    checked order of its singular pieces, last piece first.
+
+    Yields one ``(scope, prefix, patch, complement, report)`` per piece
+    after the first: ``scope`` is the union of the patches of ``prefix``
+    (the whole configuration at the first step), ``patch`` the patch of
+    the prefix's last piece within it, ``complement`` the rest, which is
+    the next step's scope, and ``report`` their overlap.
+    """
+    scope = cfg
+    for r in range(len(order), 1, -1):
+        anchor = order[r - 1]
+        patch = build_patch(scope, anchor)
+        complement = build_patch_complement(scope, anchor)
+        s1 = tuple(c.id for c in patch.components)
+        s2 = tuple(c.id for c in complement.components)
+        s2_set = set(s2)
+        overlap = tuple(cid for cid in s1 if cid in s2_set)
+        m1 = len(patch.branches)
+        m2 = scope.m_tilde - m1
+        assert m2 == len(complement.branches)
+        report = IntersectionReport(overlap, s1, s2, m1, m2, len(overlap))
+        yield scope, order[:r], patch, complement, report
+        scope = complement
 
 
 def free_rank(cfg):

@@ -12,10 +12,9 @@ from importlib import resources
 from math import factorial
 
 from singular_pi1 import (GroupSpec, VKData, compare, count_homs,
-                          devissage_order, free_rank, pi1_devissage,
-                          standard_hom, tietze_simplify, validate,
-                          verify_vk_forms, build_patch,
-                          build_patch_complement, build_union, intersection)
+                          devissage_order, devissage_splits, free_rank,
+                          pi1_devissage, standard_hom, tietze_simplify,
+                          validate, verify_vk_forms, build_union)
 from singular_pi1.cli import main as cli_main
 from support import load_corpus, random_presentation, random_trivial_config
 
@@ -35,7 +34,7 @@ def _report(criterion, detail, elapsed, budget):
 
 def test_criterion_1_nodal_curve(capsys):
     start = time.time()
-    code = cli_main(["present", config_path("nodal"), "--route", "closed"])
+    code = cli_main(["present", config_path("nodal")])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["expression"]["type"] == "free"
@@ -174,15 +173,10 @@ def test_criterion_6_rank_additivity(capsys):
     for name, cfg in corpus.items():
         if cfg.m < 2:
             continue
-        order = devissage_order(cfg)
-        for r in range(len(order), 1, -1):
-            scope = cfg if r == len(order) else build_union(cfg, order[:r])
-            anchor = order[r - 1]
-            patch = build_patch(scope, anchor)
-            complement = build_patch_complement(scope, anchor)
-            report = intersection(scope, patch, complement)
+        for scope, prefix, patch, complement, report in \
+                devissage_splits(cfg, devissage_order(cfg)):
             assert free_rank(scope) == free_rank(patch) \
-                + free_rank(complement) + report.d - 1, (name, anchor)
+                + free_rank(complement) + report.d - 1, (name, prefix[-1])
             splits += 1
     assert splits >= 4
     elapsed = time.time() - start

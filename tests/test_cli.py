@@ -62,7 +62,7 @@ class TestValidate:
 class TestPresent:
     def test_nodal_closed_route(self, capsys):
         code, doc = run(capsys, "present", config_path("nodal"),
-                        "--route", "closed", "--degrees", "2,3,4")
+                        "--degrees", "2,3,4")
         assert code == 0
         assert doc["expression"]["type"] == "free"
         assert doc["expression"]["rank"] == 1
@@ -78,17 +78,6 @@ class TestPresent:
                         "--route", "devissage", "--degrees", "2,3")
         assert code == 0
         assert doc["hom_counts"] == {"2": 2, "3": 6}
-
-    def test_closed_route_rejects_nontrivial_singular_groups(self, capsys):
-        code, doc = run(capsys, "present", config_path("nontrivial-Z"),
-                        "--route", "closed")
-        assert code == 2
-        assert doc["error"]["kind"] == "input"
-
-    def test_connected_route_requires_one_singular_piece(self, capsys):
-        code, doc = run(capsys, "present", config_path("theta"),
-                        "--route", "connected")
-        assert code == 2
 
     def test_raw_presentation_on_request(self, capsys):
         code, simplified = run(capsys, "present", config_path("nodal"))
@@ -204,7 +193,8 @@ class TestPlan:
     def test_regular_scheme_has_nothing_to_plan(self, capsys):
         code, doc = run(capsys, "plan", config_path("regular"))
         assert code == 2
-        assert doc["error"] == "regular scheme, nothing to plan"
+        assert doc["error"] == {"kind": "input",
+                                "message": "regular scheme, nothing to plan"}
 
     def test_chain_split(self, capsys):
         code, doc = run(capsys, "plan", config_path("chain"))

@@ -265,9 +265,9 @@ def test_master_identity_trivial_groups_forces_rank_formula():
 
 
 def test_closed_form_route_also_passes_the_oracle():
-    from singular_pi1 import pi1_closed_form
+    from singular_pi1 import pi1_graph_of_groups
     for cfg in (nodal_config(), theta_config(), chain_config()):
-        result = pi1_closed_form(cfg)
+        result = pi1_graph_of_groups(cfg)
         for d in (2, 3):
             assert compare(cfg, d, result).verdict
 

@@ -1,12 +1,11 @@
+import inspect
 import random
+import sys
 from math import factorial
 
-import pytest
-
-from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
-                          Presentation, ResourceError, SchemeConfig,
-                          Singular, Word, class_witness, compare, count_homs,
-                          free_rank, pi1_closed_form, pi1_connected_singular,
+from singular_pi1 import (Branch, Component, GroupSpec, Homo, Presentation,
+                          ResourceError, SchemeConfig, Singular, Word,
+                          class_witness, compare, count_homs, free_rank,
                           pi1_devissage, pi1_graph_of_groups)
 from singular_pi1.expression import (Atom, CoproductNode, FreeGroupNode,
                                      QuotientNode)
@@ -33,7 +32,7 @@ def nontrivial_Z_config():
 
 class TestConnectedSingular:
     def test_nodal_curve_is_infinite_cyclic(self):
-        res = pi1_connected_singular(nodal_config())
+        res = pi1_devissage(nodal_config())
         for d in (2, 3, 4):
             assert count_homs(res.presentation, d) == factorial(d)
         assert len(res.presentation.generators) == 1
@@ -42,7 +41,7 @@ class TestConnectedSingular:
     def test_single_branch_all_trivial_gives_trivial_group(self):
         cfg = SchemeConfig([Component("A", TRIV)], [Singular("P", TRIV)],
                            [trivial_branch("b", "A", "P")])
-        res = pi1_connected_singular(cfg)
+        res = pi1_devissage(cfg)
         for d in (2, 3):
             assert count_homs(res.presentation, d) == 1
 
@@ -51,17 +50,13 @@ class TestConnectedSingular:
             [Component("A", TRIV), Component("B", TRIV)],
             [Singular("P", TRIV)],
             [trivial_branch("b1", "A", "P"), trivial_branch("b2", "B", "P")])
-        res = pi1_connected_singular(cfg)
+        res = pi1_devissage(cfg)
         assert free_rank(cfg) == 0
         for d in (2, 3):
             assert count_homs(res.presentation, d) == 1
 
-    def test_requires_single_singular_piece(self):
-        with pytest.raises(InputError):
-            pi1_connected_singular(theta_config())
-
     def test_nontrivial_singular_group(self):
-        res = pi1_connected_singular(nontrivial_Z_config())
+        res = pi1_devissage(nontrivial_Z_config())
         # C2 x Z, computed by hand
         assert count_homs(res.presentation, 2) == 4
         assert count_homs(res.presentation, 3) == 12
@@ -78,7 +73,8 @@ class TestDevissage:
 
     def test_single_singular_delegates(self):
         a = pi1_devissage(nodal_config())
-        b = pi1_connected_singular(nodal_config())
+        assert [s.rule for s in a.derivation] == ["vk-connected-singular"]
+        b = pi1_graph_of_groups(nodal_config())
         for d in (2, 3):
             assert count_homs(a.presentation, d) \
                 == count_homs(b.presentation, d)
@@ -116,16 +112,31 @@ class TestDevissage:
         # each half of the split has two components, so four glue steps
         assert rules.count("vk-connected-singular") == 4
 
+    def test_deep_chain_needs_no_recursion(self):
+        # the CLI test of the same chain still exits 4: the expression
+        # tree and its JSON nest one level per piece
+        n = 300
+        cfg = family_config("chain", n, nontrivial=False)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
+        try:
+            res = pi1_devissage(cfg)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [s.rule for s in res.derivation].count("devissage-split") \
+            == n - 1
+        assert not res.presentation.generators
+
 
 class TestClosedForm:
     def test_nodal_is_free_of_rank_one(self):
-        res = pi1_closed_form(nodal_config())
+        res = pi1_graph_of_groups(nodal_config())
         assert isinstance(res.expression, FreeGroupNode)
         assert res.expression.rank == 1
 
     def test_regular_scheme_is_single_atom(self):
         cfg = SchemeConfig([Component("A", C2)], [], [])
-        res = pi1_closed_form(cfg)
+        res = pi1_graph_of_groups(cfg)
         assert isinstance(res.expression, Atom)
 
     def test_semistable_chain_of_c2(self):
@@ -134,17 +145,13 @@ class TestClosedForm:
             [Singular("P", TRIV)],
             [trivial_branch("b1", "A", "P", comp_group=C2),
              trivial_branch("b2", "B", "P", comp_group=C2)])
-        res = pi1_closed_form(cfg)
+        res = pi1_graph_of_groups(cfg)
         assert isinstance(res.expression, CoproductNode)
         dev = pi1_devissage(cfg)
         for d in (2, 3):
             expected = count_homs(C2.canonical_presentation, d) ** 2
             assert count_homs(res.presentation, d) == expected
             assert count_homs(dev.presentation, d) == expected
-
-    def test_rejects_nontrivial_singular_group(self):
-        with pytest.raises(InputError):
-            pi1_closed_form(nontrivial_Z_config())
 
     def test_agreement_of_routes_on_random_configs(self):
         rng = random.Random(23)
@@ -153,7 +160,7 @@ class TestClosedForm:
             cfg = random_trivial_config(rng, max_components=3,
                                         max_singulars=3, max_branches=5)
             tried += 1
-            closed = pi1_closed_form(cfg)
+            closed = pi1_graph_of_groups(cfg)
             dev = pi1_devissage(cfg)
             rank = free_rank(cfg)
             for d in (2, 3):
@@ -245,7 +252,7 @@ class TestClassWitness:
                           "rule": "etale-fundamental-group-of-normal-scheme"}]
 
     def test_nodal_closed_form_is_free_rule(self):
-        trace = class_witness(pi1_closed_form(nodal_config()))
+        trace = class_witness(pi1_graph_of_groups(nodal_config()))
         assert trace[0]["rule"] == "finite-rank-discrete-free-group"
 
     def test_devissage_trace_nests_closure_steps(self):

@@ -4,11 +4,12 @@ import pytest
 
 from singular_pi1 import (Component, GroupSpec, InputError, SchemeConfig,
                           Singular, build_patch, build_patch_complement,
-                          build_union, check_order, devissage_order, free_rank,
-                          intersection, validate)
+                          build_union, check_order, devissage_order,
+                          devissage_splits, free_rank, validate)
 from singular_pi1.scheme import _connected
-from support import (chain_config, family_config, nodal_config,
-                     random_trivial_config, theta_config, trivial_branch, TRIV)
+from support import (chain_config, family_config, load_corpus, nodal_config,
+                     random_general_config, random_trivial_config,
+                     theta_config, trivial_branch, TRIV)
 
 
 def star_config():
@@ -168,29 +169,51 @@ class TestDevissageOrder:
                 assert str(err.value) == (f"prefix {order[:bad]} of the "
                                           "given order is disconnected")
 
+    def test_split_scopes_are_prefix_unions(self):
+        def ids(cfg):
+            return ([c.id for c in cfg.components],
+                    [s.id for s in cfg.singulars],
+                    [b.id for b in cfg.branches])
+
+        rng = random.Random(37)
+        cases = [(cfg, devissage_order(cfg))
+                 for cfg in load_corpus().values() if cfg.m]
+        cases += [(cfg, devissage_order(cfg))
+                  for cfg in (random_general_config(rng) for _ in range(30))
+                  if cfg.m]
+        for _ in range(40):
+            cfg = family_config(rng.choice(("chain", "star", "theta")),
+                                rng.randint(1, 6), nontrivial=False)
+            order = [s.id for s in cfg.singulars]
+            rng.shuffle(order)
+            try:
+                cases.append((cfg, check_order(cfg, order)))
+            except InputError:
+                pass
+        for cfg, order in cases:
+            steps = list(devissage_splits(cfg, order))
+            assert [step[1] for step in steps] \
+                == [order[:r] for r in range(len(order), 1, -1)]
+            for scope, prefix, patch, comp, _ in steps:
+                assert ids(scope) == ids(build_union(cfg, prefix))
+                assert ids(patch) == ids(build_union(cfg, prefix[-1:]))
+                assert ids(comp) == ids(build_union(cfg, prefix[:-1]))
+
 
 class TestIntersection:
     def test_chain_overlap_is_middle_component(self):
-        cfg = chain_config()
-        patch = build_patch(cfg, "P")
-        comp = build_patch_complement(cfg, "P")
-        report = intersection(cfg, patch, comp)
+        # the one split of the order (Q, P) is at P
+        (_, _, patch, comp, report), = devissage_splits(chain_config(),
+                                                        ("Q", "P"))
+        assert [c.id for c in patch.components] == ["A", "B"]
+        assert [c.id for c in comp.components] == ["B", "C"]
         assert report.S == ("B",)
         assert report.d == 1
         assert report.m_tilde_1 == 2 and report.m_tilde_2 == 2
 
     def test_theta_overlap_is_both_components(self):
-        cfg = theta_config()
-        report = intersection(cfg, build_patch(cfg, "P"),
-                              build_patch_complement(cfg, "P"))
+        (*_, report), = devissage_splits(theta_config(), ("Q", "P"))
         assert report.S == ("A", "B") and report.d == 2
-
-    def test_mismatched_provenance_rejected(self):
-        cfg = theta_config()
-        patch = build_patch(cfg, "P")
-        other = build_patch_complement(cfg, "Q")
-        with pytest.raises(InputError):
-            intersection(cfg, patch, other)
 
 
 class TestFreeRank:
@@ -210,13 +233,7 @@ class TestFreeRank:
 
     def test_rank_additivity_across_splits(self):
         for cfg in (chain_config(), theta_config(), star_config()):
-            order = devissage_order(cfg)
-            scope = cfg
-            for r in range(len(order), 1, -1):
-                prefix = list(order[:r])
-                scope = cfg if r == len(order) else build_union(cfg, prefix)
-                patch = build_patch(scope, order[r - 1])
-                comp = build_patch_complement(scope, order[r - 1])
-                report = intersection(scope, patch, comp)
+            for scope, _, patch, comp, report in \
+                    devissage_splits(cfg, devissage_order(cfg)):
                 assert free_rank(scope) == free_rank(patch) \
                     + free_rank(comp) + report.d - 1
