@@ -83,21 +83,14 @@ def _limits_from(args):
     return limits
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _load(args, limits):
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError("$", f"cannot read {args.path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     return parse_scheme_config(doc, limits)
@@ -106,8 +99,7 @@ def _load(args, limits):
 def _cmd_validate(args, limits):
     cfg = _load(args, limits)
     result = validate(cfg)
-    _emit(args, result.to_json())
-    return EXIT_OK if result.ok else EXIT_INPUT
+    return EXIT_OK if result.ok else EXIT_INPUT, result.to_json()
 
 
 def _degrees(text):
@@ -127,12 +119,12 @@ def _cmd_present(args, limits):
         result = pi1_graph_of_groups(cfg)
     payload = pi1_result_to_json(result, simplified=args.simplify == "true")
     if args.degrees:
-        pres = result.presentation if args.simplify == "true" \
-            else result.raw_presentation
-        payload["hom_counts"] = {str(d): count_homs(pres, d, limits)
-                                 for d in degrees}
-    _emit(args, payload)
-    return EXIT_OK
+        # counting simplifies first, so the raw presentation would give
+        # the same counts at the cost of a second Tietze pass
+        payload["hom_counts"] = {
+            str(d): count_homs(result.presentation, d, limits)
+            for d in degrees}
+    return EXIT_OK, payload
 
 
 def _cmd_verify(args, limits):
@@ -155,10 +147,10 @@ def _cmd_verify(args, limits):
     all_pass = all(r.verdict and (r.connected is None
                                   or r.connected["verdict"] == "pass")
                    for r in reports)
-    _emit(args, {"reports": [r.to_json() for r in reports] + refusals})
+    payload = {"reports": [r.to_json() for r in reports] + refusals}
     if refusals:
-        return EXIT_RESOURCE
-    return EXIT_OK if all_pass else EXIT_FAIL
+        return EXIT_RESOURCE, payload
+    return EXIT_OK if all_pass else EXIT_FAIL, payload
 
 
 def _cmd_plan(args, limits):
@@ -183,16 +175,14 @@ def _cmd_plan(args, limits):
                              + report.d - 1,
         })
         splits.append(row)
-    _emit(args, {"order": list(order), "splits": splits})
-    return EXIT_OK
+    return EXIT_OK, {"order": list(order), "splits": splits}
 
 
 def _cmd_rank(args, limits):
     cfg = _load(args, limits)
     rank = free_rank(cfg)
-    _emit(args, {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde,
-                 "rank": rank, "cycle_rank": rank})
-    return EXIT_OK
+    return EXIT_OK, {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde,
+                     "rank": rank, "cycle_rank": rank}
 
 
 _COMMANDS = {
@@ -204,31 +194,48 @@ _COMMANDS = {
 }
 
 
+def _run(args):
+    """Exit code and JSON text of one command, or of its error."""
+    try:
+        code, payload = _COMMANDS[args.command](args, _limits_from(args))
+        # deep results can exhaust the recursion limit here too
+        return code, json.dumps(payload, indent=2)
+    except SchemaError as exc:
+        code, payload = EXIT_SCHEMA, {"error": {
+            "kind": "schema", "path": exc.path, "message": exc.message}}
+    except InputError as exc:
+        code, payload = EXIT_INPUT, {"error": {"kind": "input",
+                                               "message": str(exc)}}
+    except ResourceError as exc:
+        code, payload = EXIT_RESOURCE, {"error": {
+            "kind": "resource", "layer": exc.layer,
+            "estimate": exc.estimate, "ceiling": exc.ceiling,
+            "message": str(exc)}}
+    except RecursionError:
+        code, payload = EXIT_RESOURCE, {"error": {
+            "kind": "resource", "layer": "pi1", "estimate": None,
+            "ceiling": None, "message": "recursion limit exceeded: the "
+            "devissage expression tree nests one level per singular "
+            "piece"}}
+    return code, json.dumps(payload, indent=2)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    limits = _limits_from(args)
+    code, text = _run(args)
+    if not args.output:
+        print(text)
+        return code
     try:
-        return _COMMANDS[args.command](args, limits)
-    except SchemaError as exc:
-        _emit(args, {"error": {"kind": "schema", "path": exc.path,
-                               "message": exc.message}})
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        # the error object goes to stdout: the output file is unusable
+        print(json.dumps({"error": {
+            "kind": "schema", "path": "--output",
+            "message": f"cannot write {args.output}: {exc}"}}, indent=2))
         return EXIT_SCHEMA
-    except InputError as exc:
-        _emit(args, {"error": {"kind": "input", "message": str(exc)}})
-        return EXIT_INPUT
-    except ResourceError as exc:
-        _emit(args, {"error": {"kind": "resource", "layer": exc.layer,
-                               "estimate": exc.estimate,
-                               "ceiling": exc.ceiling,
-                               "message": str(exc)}})
-        return EXIT_RESOURCE
-    except RecursionError:
-        _emit(args, {"error": {"kind": "resource", "layer": "pi1",
-                               "estimate": None, "ceiling": None,
-                               "message": "recursion limit exceeded: the "
-                               "devissage expression tree nests one level "
-                               "per singular piece"}})
-        return EXIT_RESOURCE
+    return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ which every relator evaluates to the identity.  Two presentations are
 considered to describe the same group exactly when these counts agree
 at every tested degree.
 
-The count is a sum over assignments of a product of relator
+The presentation is Tietze-simplified first
+(``presentation.tietze_eliminations``), which preserves every count,
+so no relator left determines one of its generators from the others.
+The count is then a sum over assignments of a product of relator
 constraints, computed exactly by bucket elimination over the relator
 graph (R. Dechter, *Bucket elimination*, 1999), whose cost grows with
 the width of that graph rather than with the number of generators
@@ -20,11 +23,7 @@ the width of that graph rather than with the number of generators
   every other relator is a factor;
 * eliminating a generator enumerates its bucket, the assignments of
   every generator that shares a factor with it, and passes the sums
-  over its values on as a table (a message) over the others.  A
-  generator that occurs once, with exponent +-1, in a relator whose
-  other generators are already bound is solved from it rather than
-  enumerated; when that relator is its only factor the message is
-  constantly 1 and nothing is enumerated at all;
+  over its values on as a table (a message) over the others;
 * each bucket is enumerated by a forward-checking search over integer
   slots that checks every relator and looks up every incoming message
   as soon as its generators are bound;
@@ -36,21 +35,24 @@ the width of that graph rather than with the number of generators
   the whole component; the cheaper is used.
 
 The estimate gated against the ceiling is the sum, over the buckets of
-every component, of the product of the domain sizes each enumerates.
-It is known before any counting starts.  ``iter_homs`` runs the same
-forward pass, keeping for every bucket the values of its eliminated
-generators that extend each assignment of its scope, and then assigns
-the buckets backward in reverse order, which never meets a dead end.
+every component of the simplified presentation, of the product of the
+domain sizes each enumerates.  It is known before any counting starts.
+``iter_homs`` runs the same forward pass, keeping for every bucket the
+values of its eliminated generators that extend each assignment of its
+scope, then assigns the buckets backward in reverse order, which never
+meets a dead end, and last evaluates the words of the generators that
+Tietze eliminated.
 """
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from math import comb, prod
 from operator import itemgetter
 
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
 from .perms import table
+from .presentation import tietze_eliminations
 
 _component_cache = {}
 
@@ -100,14 +102,6 @@ def _split_components(n_gens, relators):
     return components, free_gens
 
 
-def _solvable(rel):
-    """``{generator: (position, exponent)}`` for the generators that
-    occur exactly once in ``rel``, with exponent +-1."""
-    seen = Counter(s for s, _ in rel)
-    return {s: (i, e) for i, (s, e) in enumerate(rel)
-            if seen[s] == 1 and abs(e) == 1}
-
-
 def _value(rel, asg, T):
     """The product of the letters of ``rel`` under ``asg[slot]``."""
     mul, inv = T.mul, T.inv
@@ -121,130 +115,60 @@ def _value(rel, asg, T):
     return acc
 
 
-def _solve(rel, pos, exp, asg, T):
-    """The value of the letter at ``pos`` that makes ``rel`` trivial,
-    given the values of all its other letters."""
-    inv = T.inv
-    val = T.mul[inv[_value(rel[:pos], asg, T)]][
-        inv[_value(rel[pos + 1:], asg, T)]]
-    return inv[val] if exp == -1 else val
-
-
 def _schedule(free, rels, msgs, domains):
-    """Assignment order of the generators ``free`` of one bucket.
-
-    A generator that a relator determines from the generators before it
-    (it occurs there once, with exponent +-1, and is the relator's last
-    unassigned generator) is solved from that relator; otherwise the
-    generator in most factors comes next, the smaller domain first on
-    ties.  ``rels`` holds ``(scope, relator, solvable)`` triples and
-    ``msgs`` ``(scope, index)`` pairs.  Returns the order and
-    ``{solved generator: its relator's index in rels}``.
-    """
+    """Assignment order of the generators ``free`` of one bucket: the
+    generator in most factors first, the smaller domain first on ties.
+    ``rels`` and ``msgs`` hold ``(scope, relator or index)`` pairs."""
     weight = Counter()
-    by_var = {v: [] for v in free}
-    for ri, (scope, _, _) in enumerate(rels):
+    for scope, _ in rels + msgs:
         weight.update(scope)
-        for v in scope:
-            by_var[v].append(ri)
-    for scope, _ in msgs:
-        weight.update(scope)
-    unknown = [len(scope) for scope, _, _ in rels]
-    ready = deque()
-    picks = iter(sorted(free, key=lambda v: (-weight[v], len(domains[v]),
+    return tuple(sorted(free, key=lambda v: (-weight[v], len(domains[v]),
                                              v)))
-    slot, solver = {}, {}
-    while len(slot) < len(free):
-        v = None
-        while ready and v is None:
-            ri = ready.popleft()
-            if unknown[ri] == 1:
-                scope, _, solvable = rels[ri]
-                g = next(s for s in scope if s not in slot)
-                if g in solvable:
-                    v, solver[g] = g, ri
-        if v is None:
-            v = next(x for x in picks if x not in slot)
-        slot[v] = len(slot)
-        for ri in by_var[v]:
-            unknown[ri] -= 1
-            if unknown[ri] == 1:
-                ready.append(ri)
-    return tuple(slot), solver
 
 
 class _Bucket:
     """One elimination step: the generators ``elim`` are summed out of
     the factors that contain them, relators ``rels`` and messages
-    ``msgs``, which leaves a message over ``scope``.  ``order`` and
-    ``solver`` schedule the search of the bucket, which assigns ``elim``
-    and ``scope``; ``cost`` is the product of the domains it enumerates.
-
-    When the only factor is a relator from which the single generator
-    ``elim`` is solved, the message is constantly 1: nothing is
-    enumerated, ``order`` is None and the cost is 0.
+    ``msgs``, which leaves a message over ``scope``.  ``order`` is the
+    assignment order of the bucket's search over ``elim`` and ``scope``;
+    ``cost`` is the product of the domains it enumerates.
     """
 
-    __slots__ = ("elim", "scope", "rels", "msgs", "order", "solver", "cost",
-                 "search")
+    __slots__ = ("elim", "scope", "rels", "msgs", "order", "cost", "search")
 
-    def __init__(self, elim, rels, msgs, domains, unary):
+    def __init__(self, elim, rels, msgs, domains):
         inside = set(elim)
         self.rels = [f for f in rels if f[0] & inside]
         self.msgs = [f for f in msgs if inside.intersection(f[0])]
-        scope = inside.union(*(sc for sc, _, _ in self.rels),
+        scope = inside.union(*(sc for sc, _ in self.rels),
                              *(sc for sc, _ in self.msgs))
         self.scope = tuple(sorted(scope - inside))
         self.search = None
-        x = elim[0]
-        if len(elim) == 1 and not self.msgs and len(self.rels) == 1 \
-                and x in self.rels[0][2] and not unary[x]:
-            self.elim, self.order, self.solver = elim, None, {x: 0}
-            self.cost = 0
-            return
-        self.order, self.solver = _schedule(scope, self.rels, self.msgs,
-                                            domains)
+        self.order = _schedule(scope, self.rels, self.msgs, domains)
         self.elim = tuple(v for v in self.order if v in inside)
-        self.cost = prod(len(domains[v]) for v in self.order
-                         if v not in self.solver)
+        self.cost = prod(len(domains[v]) for v in self.order)
 
 
 class _Search:
     """Forward-checking search of one bucket over integer slots.
 
-    Slot ``i`` holds ``order[i]``, taken from its domain or solved from
-    a relator.  At every depth the relators and messages whose last
-    generator was just assigned are checked.  ``out`` holds the slots of
-    the bucket's scope and ``elim`` those of its eliminated generators.
+    Slot ``i`` holds ``order[i]``, taken from its domain.  At every
+    depth the relators and messages whose last generator was just
+    assigned are checked.  ``out`` holds the slots of the bucket's scope
+    and ``elim`` those of its eliminated generators.
     """
 
-    __slots__ = ("cands", "solve", "checks", "lookups", "out", "elim")
+    __slots__ = ("cands", "checks", "lookups", "out", "elim")
 
-    def __init__(self, bucket, domains, unary):
+    def __init__(self, bucket, domains):
         order = bucket.order
         slot = {v: i for i, v in enumerate(order)}
-
-        def slotted(rel):
-            return tuple((slot[s], e) for s, e in rel)
-
-        self.cands, self.solve = [], []
+        self.cands = [domains[v] for v in order]
         self.checks = [[] for _ in order]
         self.lookups = [[] for _ in order]
-        for depth, v in enumerate(order):
-            ri = bucket.solver.get(v)
-            if ri is None:
-                self.cands.append(domains[v])
-                self.solve.append(None)
-            else:
-                _, rel, solvable = bucket.rels[ri]
-                self.cands.append(None)
-                self.solve.append((slotted(rel),) + solvable[v])
-                # the domain filter of a solved generator is a check
-                self.checks[depth].extend(slotted(u) for u in unary[v])
-        for ri, (scope, rel, _) in enumerate(bucket.rels):
-            depth = max(slot[s] for s in scope)
-            if bucket.solver.get(order[depth]) != ri:
-                self.checks[depth].append(slotted(rel))
+        for scope, rel in bucket.rels:
+            self.checks[max(slot[s] for s in scope)].append(
+                tuple((slot[s], e) for s, e in rel))
         for scope, j in bucket.msgs:
             slots = tuple(slot[v] for v in scope)
             self.lookups[max(slots)].append((slots, j))
@@ -256,7 +180,7 @@ class _Search:
         ``asg`` holding it; ``weight`` is the product of the messages."""
         mul, inv, ident = T.mul, T.inv, T.identity
         n = len(self.cands)
-        cands, solve, checks = self.cands, self.solve, self.checks
+        cands, checks = self.cands, self.checks
         lookups = [[(itemgetter(*slots), tables[j]) for slots, j in looks]
                    for looks in self.lookups]
 
@@ -277,11 +201,8 @@ class _Search:
             if depth == n:
                 leaf(w)
                 return
-            det = solve[depth]
-            values = cands[depth] if det is None \
-                else (_solve(*det, asg, T),)
             looks = lookups[depth]
-            for c in values:
+            for c in cands[depth]:
                 asg[depth] = c
                 if not ok_at(depth):
                     continue
@@ -310,17 +231,15 @@ class _Elimination:
             if len(scope) == 1:
                 unary[rel[0][0]].append(rel)
             else:
-                rels.append((scope, rel, _solvable(rel)))
+                rels.append((scope, rel))
         domains = [tuple(x for x in range(T.size)
                          if all(_value(u, {v: x}, T) == T.identity
                                 for u in unary[v]))
                    for v in range(n)]
-        one = _Bucket(tuple(range(n)), rels, [], domains, unary)
+        one = _Bucket(tuple(range(n)), rels, [], domains)
 
         def size(v):
             b = cand[v]
-            if b.order is None:
-                return 0, v
             return b.cost + prod(len(domains[u]) for u in b.scope), v
 
         msgs, greedy, cand = [], [], {}
@@ -328,7 +247,7 @@ class _Elimination:
         while remaining:
             for v in remaining:
                 if v not in cand:
-                    cand[v] = _Bucket((v,), rels, msgs, domains, unary)
+                    cand[v] = _Bucket((v,), rels, msgs, domains)
             x = min(remaining, key=size)
             b = cand.pop(x)
             remaining.discard(x)
@@ -337,7 +256,7 @@ class _Elimination:
                 cand.pop(v, None)
             rels = [f for f in rels if x not in f[0]]
             msgs = [f for f in msgs if x not in f[0]]
-            if b.order is not None and b.scope:
+            if b.scope:
                 msgs.append((b.scope, len(greedy)))
             greedy.append(b)
 
@@ -345,8 +264,7 @@ class _Elimination:
         self.buckets = [one] if one.cost <= cost else greedy
         self.estimate = min(one.cost, cost)
         for b in self.buckets:
-            if b.order is not None:
-                b.search = _Search(b, domains, unary)
+            b.search = _Search(b, domains)
         self.count = None
 
     def forward(self, T, collect=False):
@@ -362,10 +280,6 @@ class _Elimination:
         count = 1
         for b in self.buckets:
             s = b.search
-            if s is None:
-                tables.append(None)
-                extensions.append(None)
-                continue
             asg = [0] * len(b.order)
             message, ext = {}, {}
             get = message.get
@@ -391,7 +305,7 @@ class _Elimination:
                 return 0, tables, extensions
         return count, tables, extensions
 
-    def assignments(self, T, extensions):
+    def assignments(self, extensions):
         """Every valid assignment, as a tuple indexed by generator."""
         values = [0] * self.n
         out = []
@@ -402,12 +316,6 @@ class _Elimination:
                 out.append(tuple(values))
                 return
             b = buckets[i]
-            if b.search is None:
-                x = b.elim[0]
-                _, rel, solvable = b.rels[b.solver[x]]
-                values[x] = _solve(rel, *solvable[x], values, T)
-                walk(i - 1)
-                return
             key = itemgetter(*b.scope)(values) if b.scope else ()
             for ext in extensions[i][key]:
                 if len(b.elim) == 1:
@@ -437,7 +345,9 @@ def _check_degree(d, limits):
 
 
 def _plan(p, d, limits):
-    """Split into components, plan each, and gate the estimated work."""
+    """Simplify ``p``, split it into components, plan each, and gate the
+    estimated work."""
+    p, eliminations = tietze_eliminations(p)
     relators = _encode(p)
     components, free_gens = _split_components(len(p.generators), relators)
     T = table(d)
@@ -453,14 +363,14 @@ def _plan(p, d, limits):
         raise ResourceError(
             f"hom search space {cost} exceeds ceiling {limits.ceiling}",
             estimate=cost, ceiling=limits.ceiling, layer="homcount")
-    return components, plans, free_gens, T
+    return p, eliminations, components, plans, free_gens, T
 
 
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(d, limits)
-    _, plans, free_gens, T = _plan(p, d, limits)
+    *_, plans, free_gens, T = _plan(p, d, limits)
     total = 1
     for plan in plans:
         if plan.count is None:
@@ -478,7 +388,7 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
     before anything is yielded.
     """
     _check_degree(d, limits)
-    components, plans, free_gens, T = _plan(p, d, limits)
+    p, eliminations, components, plans, free_gens, T = _plan(p, d, limits)
     perms = T.perms
     gen_list = p.generators
 
@@ -494,7 +404,7 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
             estimate=total, ceiling=limits.ceiling, layer="homcount")
     if total == 0:
         return
-    collected = [plan.assignments(T, extensions)
+    collected = [plan.assignments(extensions)
                  for plan, extensions in zip(plans, passes)]
 
     def emit(parts, free_choice):
@@ -504,6 +414,8 @@ def iter_homs(p, d, limits=DEFAULT_LIMITS):
                 asg[gen_list[g]] = perms[v]
         for g, v in zip(free_gens, free_choice):
             asg[gen_list[g]] = perms[v]
+        for g, word in reversed(eliminations):
+            asg[g] = evaluate_word(word, asg, d)
         return asg
 
     for parts in itertools.product(*collected):

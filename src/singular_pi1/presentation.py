@@ -166,7 +166,7 @@ def _eliminable_syllable(relator):
     return None
 
 
-def tietze_simplify(p):
+def tietze_eliminations(p):
     """Apply hom-count-preserving cleanup moves until none applies.
 
     Moves: free/cyclic reduction (done by the constructor), deletion of
@@ -174,9 +174,15 @@ def tietze_simplify(p):
     some relator expresses as a word in the others.  Generators not
     subject to elimination are kept even when unused; removing them
     would change hom counts.
+
+    Returns the simplified presentation and the ``(generator, word)``
+    pairs eliminated, in elimination order.  Each word is over the
+    generators left at its step, so evaluating the words in reverse
+    order extends a map of the simplified generators to all of ``p``'s.
     """
     gens = list(p.generators)
     relators = list(p.relators)
+    eliminations = []
     while True:
         # drop trivial relators and cyclic duplicates
         seen = set()
@@ -202,8 +208,14 @@ def tietze_simplify(p):
             relators = [substitute(other, mapping).cyclically_reduced()
                         for j, other in enumerate(relators) if j != idx]
             gens.remove(target)
+            eliminations.append((target, repl))
             eliminated = True
             break
         if not eliminated:
             break
-    return Presentation(tuple(gens), tuple(relators))
+    return Presentation(tuple(gens), tuple(relators)), eliminations
+
+
+def tietze_simplify(p):
+    """The presentation of ``tietze_eliminations(p)``."""
+    return tietze_eliminations(p)[0]

@@ -1,8 +1,9 @@
 """Shared helpers: independent brute-force oracles and config builders.
 
 The oracles here deliberately avoid the library's counting machinery:
-they enumerate full assignment tuples with direct permutation algebra,
-so a bug in the counting engine cannot hide behind itself.
+they enumerate full assignment tuples with direct permutation algebra
+(``search_count_homs`` prunes, but never simplifies or eliminates), so
+a bug in the counting engine cannot hide behind itself.
 """
 
 import itertools
@@ -41,6 +42,43 @@ def brute_count_homs(p, d):
         if all(eval_word_brute(r, asg, d) == ident for r in p.relators):
             total += 1
     return total
+
+
+def search_count_homs(p, d):
+    """``brute_count_homs`` by depth-first search over the generators in
+    declared order, over an integer multiplication table: each relator
+    is checked as soon as its last generator is bound."""
+    perms = all_perms(d)
+    index = {x: i for i, x in enumerate(perms)}
+    mul = [[index[compose(x, y)] for y in perms] for x in perms]
+    inv = [index[invert(x)] for x in perms]
+    one = index[identity(d)]
+    depth = {g: i for i, g in enumerate(p.generators)}
+    checks = [[] for _ in p.generators]
+    for r in p.relators:
+        letters = [(depth[s], e) for s, e in r.letters]
+        checks[max(i for i, _ in letters)].append(letters)
+    asg = [0] * len(p.generators)
+
+    def holds(letters):
+        acc = one
+        for i, e in letters:
+            x = asg[i] if e > 0 else inv[asg[i]]
+            for _ in range(abs(e)):
+                acc = mul[acc][x]
+        return acc == one
+
+    def walk(i):
+        if i == len(asg):
+            return 1
+        total = 0
+        for x in range(len(perms)):
+            asg[i] = x
+            if all(holds(r) for r in checks[i]):
+                total += walk(i + 1)
+        return total
+
+    return walk(0)
 
 
 def count_classes(n_points, edges):

@@ -16,7 +16,8 @@ from singular_pi1 import (GroupSpec, VKData, compare, count_homs,
                           pi1_devissage, standard_hom, tietze_simplify,
                           validate, verify_vk_forms, build_union)
 from singular_pi1.cli import main as cli_main
-from support import load_corpus, random_presentation, random_trivial_config
+from support import (brute_count_homs, load_corpus, random_presentation,
+                     random_trivial_config, search_count_homs)
 
 GRID_GROUPS = [GroupSpec.trivial(), GroupSpec.cyclic(2), GroupSpec.cyclic(3),
                GroupSpec.symmetric(3)]
@@ -192,7 +193,10 @@ def test_criterion_7_simplification_soundness(capsys):
         p = random_presentation(rng, max_gens=4, max_relators=4, max_len=6)
         q = tietze_simplify(p)
         for d in (2, 3, 4):
-            assert count_homs(q, d) == count_homs(p, d), \
+            # count_homs simplifies too: the reference must not; the full
+            # scan of four generators at degree 4 alone takes about 40 s
+            reference = brute_count_homs if d < 4 else search_count_homs
+            assert count_homs(q, d) == reference(p, d), \
                 f"presentation {i} changed its degree-{d} count"
     elapsed = time.time() - start
     with capsys.disabled():

@@ -34,6 +34,14 @@ class TestValidate:
         code, doc = run(capsys, "validate", "/nonexistent/x.json")
         assert code == 3
 
+    def test_non_utf8_file_is_schema_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"components": []}'.encode("utf-16-le"))
+        code, doc = run(capsys, "validate", str(bad))
+        assert code == 3
+        assert doc["error"]["kind"] == "schema"
+        assert doc["error"]["path"] == "$"
+
     def test_disconnected_config_names_isolated_vertex(self, tmp_path, capsys):
         doc = {
             "components": [{"id": "A", "group": {"kind": "trivial"}},
@@ -154,6 +162,16 @@ class TestPresent:
                       "--output", str(target))
         assert code == 0
         assert json.loads(target.read_text())["presentation"]
+
+    def test_unwritable_output_is_a_schema_error_on_stdout(self, tmp_path,
+                                                           capsys):
+        target = tmp_path / "missing" / "out.json"
+        for path in (config_path("nodal"), str(tmp_path / "absent.json")):
+            code, doc = run(capsys, "present", path, "--output", str(target))
+            assert code == 3
+            assert doc["error"]["kind"] == "schema"
+            assert doc["error"]["path"] == "--output"
+        assert not target.exists()
 
 
 class TestVerify:

@@ -4,12 +4,13 @@ from math import factorial
 
 import pytest
 
-from singular_pi1 import (Limits, Presentation, ResourceError, Word,
-                          count_homs, free_presentation, iter_homs,
+from singular_pi1 import (GroupSpec, Limits, Presentation, ResourceError,
+                          Word, count_homs, free_presentation, iter_homs,
                           pi1_graph_of_groups, sym, transitive_counts)
 from support import (brute_count_homs, brute_count_transitive_homs,
                      closed_family_homs, count_order_dividing,
-                     eval_word_brute, family_config, random_presentation)
+                     eval_word_brute, family_config, load_corpus,
+                     random_presentation, search_count_homs)
 
 A = sym("a")
 
@@ -105,12 +106,28 @@ def test_counts_match_brute_force_on_random_presentations():
             assert count_homs(p, d) == brute_count_homs(p, d)
 
 
+def test_search_reference_matches_the_full_scan():
+    rng = random.Random(9)
+    for _ in range(20):
+        p = random_presentation(rng, max_gens=4, max_relators=4, max_len=6)
+        for d in (2, 3):
+            assert search_count_homs(p, d) == brute_count_homs(p, d)
+
+
 def test_iter_homs_yields_exactly_the_homs():
+    # Tietze eliminates g from <g | g> and both x and y from
+    # <x, y | x^2, x y^-1>; iter_homs must still assign them
+    x, y = sym("x"), sym("y")
+    fixed = [GroupSpec.cyclic(1).canonical_presentation,
+             Presentation([x, y], [Word.gen(x, 2),
+                                   Word.gen(x) * Word.gen(y, -1)])]
     rng = random.Random(8)
-    for _ in range(40):
-        p = random_presentation(rng, max_gens=5, max_relators=5, max_len=6)
+    randoms = [random_presentation(rng, max_gens=5, max_relators=5,
+                                   max_len=6) for _ in range(40)]
+    for p in fixed + randoms:
         for d in (2, 3):
             homs = list(iter_homs(p, d))
+            assert all(set(asg) == set(p.generators) for asg in homs)
             distinct = {tuple(asg[g] for g in p.generators) for asg in homs}
             assert len(distinct) == len(homs) == count_homs(p, d)
             ident = tuple(range(d))
@@ -119,9 +136,34 @@ def test_iter_homs_yields_exactly_the_homs():
                            for r in p.relators)
 
 
+def _estimate(p, d):
+    """The homcount estimate of ``p`` at degree ``d`` (0 when nothing is
+    enumerated)."""
+    try:
+        count_homs(p, d, Limits(ceiling=0))
+    except ResourceError as err:
+        return err.estimate
+    return 0
+
+
+def test_raw_and_simplified_presentations_have_one_estimate():
+    configs = list(load_corpus().values()) + [
+        family_config(family, n)
+        for family in ("chain", "star", "theta") for n in (2, 3)]
+    for cfg in configs:
+        res = pi1_graph_of_groups(cfg)
+        assert _estimate(res.raw_presentation, 3) \
+            == _estimate(res.presentation, 3)
+    res = pi1_graph_of_groups(family_config("theta", 64))
+    assert _estimate(res.raw_presentation, 5) \
+        == _estimate(res.presentation, 5)
+    assert count_homs(res.raw_presentation, 5) \
+        == closed_family_homs("theta", 64, 5)
+
+
 def test_sparse_relator_graph_is_eliminated_bucket_by_bucket():
-    # <a, b1, b2, t1, t2 | a^2, bi^2, (a bi)^3, ti = bi a>: the ti are
-    # solved from their one relator, the bi eliminated one at a time
+    # <a, b1, b2, t1, t2 | a^2, bi^2, (a bi)^3, ti = bi a>: Tietze
+    # eliminates the ti, and the bi are eliminated one bucket at a time
     a, bs, ts = sym("a"), [sym("b1"), sym("b2")], [sym("t1"), sym("t2")]
     gen = Word.gen
     relators = [gen(a, 2)]

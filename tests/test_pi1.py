@@ -102,8 +102,7 @@ class TestDevissage:
                     nontrivial_Z_config()):
             res = pi1_devissage(cfg)
             for d in (2, 3):
-                assert count_homs(res.presentation, d) \
-                    == count_homs(res.raw_presentation, d)
+                assert compare(cfg, d, res).verdict
 
     def test_derivation_records_split(self):
         res = pi1_devissage(theta_config())
