@@ -91,7 +91,9 @@ def _load(args, limits):
         raise SchemaError("$", f"cannot read {args.path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError("$", f"not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the digit limit, or nesting
+        # deeper than the parser's recursion limit
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     return parse_scheme_config(doc, limits)
 

@@ -285,7 +285,7 @@ class GroupSpec:
     def permutation(cls, degree, generators, limits=DEFAULT_LIMITS):
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
-            if sorted(g) != list(range(degree)):
+            if len(g) != degree or sorted(g) != list(range(degree)):
                 raise InputError(f"not a permutation of 0..{degree - 1}: {g}")
         if not gens:
             raise InputError("permutation kind needs at least one generator")
@@ -309,6 +309,11 @@ class GroupSpec:
             order = 1
             for i in range(2, self._degree + 1):
                 order *= i
+                if order > bound:
+                    # a large degree would never finish multiplying
+                    raise ResourceError(
+                        f"group order {self._degree}! exceeds bound {bound}",
+                        layer="groups")
             self.order = order
         elif kind == "permutation":
             self._elements_cache = _closure(list(self._perm_generators), bound)

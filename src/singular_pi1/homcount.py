@@ -449,31 +449,3 @@ def evaluate_word(word, assignment, d):
         i = index[assignment[s]]
         acc = T.mul[acc][T.power(i, e)]
     return T.perms[acc]
-
-
-def words_all_trivial(p, words, degrees, limits=DEFAULT_LIMITS):
-    """Check that each word evaluates to the identity under every hom of
-    ``p`` into Sym(d) for the given degrees.
-
-    Words that are freely trivial, or cyclically equal to a declared
-    relator or its inverse, are accepted without enumeration.
-    """
-    from .words import cyclic_key
-
-    relator_keys = {cyclic_key(r) for r in p.relators}
-    pending = []
-    for w in words:
-        if w.is_identity():
-            continue
-        if cyclic_key(w) in relator_keys:
-            continue
-        pending.append(w)
-    if not pending:
-        return True
-    for d in degrees:
-        ident = tuple(range(d))
-        for asg in iter_homs(p, d, limits):
-            for w in pending:
-                if evaluate_word(w, asg, d) != ident:
-                    return False
-    return True

@@ -1,44 +1,30 @@
-"""Homomorphisms given by generator images.
+"""Homomorphisms between concrete groups, given by generator images.
 
-A ``Homo`` maps the generators of its source (a ``GroupSpec`` or a
-``Presentation``) to words over the generators of its target.  Validity
-means every source relator maps to the identity; this is decided by
-evaluation when the target is concrete (a ``GroupSpec``) and recorded
-as a proof obligation when the target is a bare presentation, where the
-word problem is out of reach.  Obligations can be discharged
-semantically at chosen degrees via ``check_obligations``.
+A ``Homo`` maps the canonical generators of its source ``GroupSpec`` to
+words over the canonical generators of its target ``GroupSpec``.  It is
+checked on construction: every source generator has exactly one image,
+every image uses declared target generators only, and every source
+relator evaluates to the identity of the target.
 """
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 from .errors import InputError
 from .groups import GroupSpec
-from .homcount import words_all_trivial
-from .limits import DEFAULT_LIMITS
-from .presentation import Presentation
 from .words import Word, substitute
-
-
-def _presentation_of(side):
-    if isinstance(side, GroupSpec):
-        return side.canonical_presentation
-    if isinstance(side, Presentation):
-        return side
-    raise InputError(f"expected a GroupSpec or Presentation, got {side!r}")
 
 
 @dataclass
 class Homo:
-    source: Union[GroupSpec, Presentation]
-    target: Union[GroupSpec, Presentation]
+    source: GroupSpec
+    target: GroupSpec
     images: dict
-    obligations: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self):
-        src = _presentation_of(self.source)
-        dst = _presentation_of(self.target)
+        for side in (self.source, self.target):
+            if not isinstance(side, GroupSpec):
+                raise InputError(f"expected a GroupSpec, got {side!r}")
+        src = self.source.canonical_presentation
         given = set(self.images)
         declared = set(src.generators)
         if given != declared:
@@ -50,7 +36,7 @@ class Homo:
             if extra:
                 detail.append(f"images for undeclared {sorted(map(str, extra))}")
             raise InputError("invalid homomorphism: " + "; ".join(detail))
-        dst_gens = set(dst.generators)
+        dst_gens = set(self.target.canonical_presentation.generators)
         for g, w in self.images.items():
             if not isinstance(w, Word):
                 raise InputError(f"image of {g} is not a Word")
@@ -59,98 +45,15 @@ class Homo:
                 raise InputError(
                     f"image of {g} uses undeclared target generators: "
                     f"{sorted(map(str, bad))}")
-        obligations = []
         for r in src.relators:
-            image = substitute(r, self.images)
-            if isinstance(self.target, GroupSpec):
-                value = self.target.evaluate(image)
-                if value != self.target.identity_element:
-                    raise InputError(
-                        f"invalid homomorphism: relator {r} maps to a "
-                        f"non-trivial element")
-            else:
-                if not image.is_identity():
-                    obligations.append(image)
-        self.obligations = tuple(obligations)
+            value = self.target.evaluate(substitute(r, self.images))
+            if value != self.target.identity_element:
+                raise InputError(
+                    f"invalid homomorphism: relator {r} maps to a "
+                    f"non-trivial element")
 
     @classmethod
     def trivial(cls, source, target):
-        src = _presentation_of(source)
-        return cls(source, target, {g: Word.identity() for g in src.generators})
-
-    @classmethod
-    def identity(cls, spec):
-        src = _presentation_of(spec)
-        return cls(spec, spec, {g: Word.gen(g) for g in src.generators})
-
-    @classmethod
-    def from_elements(cls, source, target, element_images):
-        """Build a Homo from images given as target group elements."""
-        if not isinstance(target, GroupSpec):
-            raise InputError("from_elements needs a GroupSpec target")
-        images = {g: target.element_word(el)
-                  for g, el in element_images.items()}
-        return cls(source, target, images)
-
-    def apply(self, word):
-        return substitute(word, self.images)
-
-    def then(self, other):
-        """Composition ``other after self``; targets must be compatible."""
-        if _presentation_of(self.target) != _presentation_of(other.source):
-            raise InputError("composition endpoints do not match")
-        images = {g: other.apply(w) for g, w in self.images.items()}
-        return Homo(self.source, other.target, images)
-
-    def check_obligations(self, degrees, limits=DEFAULT_LIMITS):
-        """Discharge presentation-target validity at the given degrees."""
-        if isinstance(self.target, GroupSpec):
-            return True
-        dst = _presentation_of(self.target)
-        return words_all_trivial(dst, self.obligations, degrees, limits)
-
-
-def iter_homs_between(source: GroupSpec, target: GroupSpec):
-    """All homomorphisms between two concrete groups, by brute force."""
-    src = source.canonical_presentation
-    gens = src.generators
-    for images in itertools.product(target.elements, repeat=len(gens)):
-        mapping = dict(zip(gens, images))
-        ok = True
-        for r in src.relators:
-            acc = target.identity_element
-            for s, e in r.letters:
-                el = mapping[s]
-                if e < 0:
-                    el, e = target.invert_element(el), -e
-                for _ in range(e):
-                    acc = target.multiply(acc, el)
-            if acc != target.identity_element:
-                ok = False
-                break
-        if ok:
-            yield Homo.from_elements(source, target,
-                                     dict(zip(gens, images)))
-
-
-def standard_hom(source: GroupSpec, target: GroupSpec):
-    """A deterministic pick among all homomorphisms source -> target.
-
-    Prefers images of large order (so the map is as non-trivial as the
-    groups allow), breaking ties by element position.  The trivial map
-    is the fallback when nothing else exists.
-    """
-    src = source.canonical_presentation
-    gens = src.generators
-    element_pos = {el: i for i, el in enumerate(target.elements)}
-    best = None
-    best_score = None
-    for h in iter_homs_between(source, target):
-        els = [target.evaluate(h.images[g]) for g in gens]
-        score = (sum(target.element_order(el) for el in els),
-                 tuple(-element_pos[el] for el in els))
-        if best is None or score > best_score:
-            best, best_score = h, score
-    if best is None:
-        raise InputError("no homomorphism exists (unreachable: trivial map)")
-    return best
+        return cls(source, target,
+                   {g: Word.identity()
+                    for g in source.canonical_presentation.generators})

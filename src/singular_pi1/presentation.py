@@ -6,9 +6,10 @@ presentation with no relators denotes the free group on its generators.
 
 The combination operations (free products, quotients by relations,
 fibred coproducts) are the algebraic backbone of the whole package.
-Internally each gets a ``*_with_maps`` variant that also returns the
-symbol renamings, which the higher layers need to keep track of where a
-generator of an ingredient ended up inside an assembly.
+Free products and fibred coproducts return the symbol renamings with
+the result (``*_with_maps``), which the higher layers need to keep
+track of where a generator of an ingredient ended up inside an
+assembly.
 """
 
 from .errors import InputError
@@ -96,12 +97,6 @@ def free_product_with_maps(parts, tags=None):
     return Presentation(gens, rels), maps
 
 
-def free_product(p1, p2):
-    """Free product of two presentations; hom counts multiply."""
-    prod, _ = free_product_with_maps([p1, p2])
-    return prod
-
-
 def quotient_by_relations(p, pairs):
     """Impose ``lhs = rhs`` for each pair of words over ``p``'s generators."""
     declared = set(p.generators)
@@ -125,26 +120,6 @@ def fibered_coproduct_with_maps(p1, p2, amalgam_pairs):
     prod, (m1, m2) = free_product_with_maps([p1, p2])
     pairs = [(rename(w1, m1), rename(w2, m2)) for w1, w2 in amalgam_pairs]
     return quotient_by_relations(prod, pairs), m1, m2
-
-
-def fibered_coproduct(p1, p2, amalgam, psi, phi):
-    """Fibred coproduct of ``p1`` and ``p2`` over the group ``amalgam``.
-
-    ``psi`` and ``phi`` are homomorphisms from ``amalgam`` into ``p1``
-    and ``p2`` respectively, given on the amalgam's generators.
-    """
-    src = amalgam.canonical_presentation
-    if psi.source is not amalgam and psi.source != amalgam:
-        raise InputError("psi does not start at the amalgamating group")
-    if phi.source is not amalgam and phi.source != amalgam:
-        raise InputError("phi does not start at the amalgamating group")
-    if psi.target != p1:
-        raise InputError("psi does not land in the first factor")
-    if phi.target != p2:
-        raise InputError("phi does not land in the second factor")
-    pairs = [(psi.images[g], phi.images[g]) for g in src.generators]
-    result, _, _ = fibered_coproduct_with_maps(p1, p2, pairs)
-    return result
 
 
 def _eliminable_syllable(relator):

@@ -231,20 +231,6 @@ def build_patch_complement(cfg, singular_id):
     return SchemeConfig(comps, sing, branches)
 
 
-def build_union(cfg, singular_ids):
-    """The union of the patches of the given singular pieces."""
-    known = {s.id for s in cfg.singulars}
-    for sid in singular_ids:
-        if sid not in known:
-            raise InputError(f"unknown singular id: {sid!r}")
-    keep_set = set(singular_ids)
-    sing = [s for s in cfg.singulars if s.id in keep_set]
-    branches = [b for b in cfg.branches if b.singular in keep_set]
-    keep_comps = {b.component for b in branches}
-    comps = [c for c in cfg.components if c.id in keep_comps]
-    return SchemeConfig(comps, sing, branches)
-
-
 def _patch_components(cfg):
     """Singular id -> the set of components its patch contains."""
     comps_of = {s.id: set() for s in cfg.singulars}

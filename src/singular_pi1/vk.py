@@ -15,18 +15,14 @@ iv  the amalgam of all ``s`` leg pushouts over the shared copy of
     ``pi``, joined with the shifts and copy-shift relations on the
     ``pi_prime`` images.
 
-All four must have equal hom counts at every degree; ``verify_vk_forms``
-checks that and also builds the explicit mutually inverse generator
-maps between forms i and ii.
+All four must have equal hom counts at every degree.  The tests check
+that, together with the explicit mutually inverse generator maps
+between forms i and ii (``check_vk_forms`` in ``tests/support.py``).
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .groups import GroupSpec
-from .homcount import count_homs, words_all_trivial
-from .homomorphism import Homo
-from .limits import DEFAULT_LIMITS
 from .presentation import (Presentation, fibered_coproduct_with_maps,
                            free_product_with_maps, quotient_by_relations)
 from .words import GeneratorSymbol, Word, rename
@@ -59,56 +55,18 @@ def copy_shift(i, j, s):
 
 
 @dataclass
-class VKData:
-    """Input of the van Kampen assembly on concrete groups."""
-    pi: GroupSpec
-    pi_prime: GroupSpec
-    legs: list  # of (GroupSpec, Homo into pi, Homo into pi_prime)
-
-    def __post_init__(self):
-        if len(self.legs) < 1:
-            raise InputError("VKData needs at least one leg")
-        for idx, (group, psi, phi) in enumerate(self.legs):
-            if psi.source != group:
-                raise InputError(f"leg {idx}: psi does not start at the leg group")
-            if phi.source != group:
-                raise InputError(f"leg {idx}: phi does not start at the leg group")
-            if psi.target != self.pi:
-                raise InputError(f"leg {idx}: psi does not land in pi")
-            if phi.target != self.pi_prime:
-                raise InputError(f"leg {idx}: phi does not land in pi_prime")
-
-    def leg_pairs(self):
-        out = []
-        for group, psi, phi in self.legs:
-            src = group.canonical_presentation
-            out.append([(psi.images[g], phi.images[g]) for g in src.generators])
-        return out
-
-
-@dataclass
 class VKAssembly:
     """An assembled presentation plus the locations of its ingredients."""
-    form: str
     presentation: Presentation
     left_map: dict                      # pi generators -> symbols
     right_map: dict                     # pi_prime generators -> symbols (copy 1)
     shift_symbols: dict                 # j -> symbol of v_j, j = 2..s
     right_copy_maps: list = field(default_factory=list)  # form ii: one per copy
 
-    def shift_word(self, j):
-        if j == 1:
-            return Word.identity()
-        return Word.gen(self.shift_symbols[j])
-
     def conjugated_by_shift(self, i, word):
         """``u_1i^-1 * word * u_1i`` inside the assembled presentation."""
-        v = self.shift_word(i)
+        v = Word.gen(self.shift_symbols[i]) if i > 1 else Word.identity()
         return v.inverse() * word * v
-
-
-def _mapped_shift(i, j, s, shift_map):
-    return rename(copy_shift(i, j, s), shift_map)
 
 
 def vk_assemble(left, right, leg_pairs, form="i"):
@@ -128,7 +86,7 @@ def vk_assemble(left, right, leg_pairs, form="i"):
     if form == "i":
         prod, (m_left, m_right, m_shift) = free_product_with_maps(
             [left, right, shifts], tags=("L", "R", "S"))
-        asm = VKAssembly(form, prod, m_left, m_right,
+        asm = VKAssembly(prod, m_left, m_right,
                          {j: m_shift[GeneratorSymbol("", f"v{j}")]
                           for j in range(2, s + 1)})
         pairs = []
@@ -150,7 +108,7 @@ def vk_assemble(left, right, leg_pairs, form="i"):
         pairs = []
         for i in range(1, s + 1):
             for j in range(1, s + 1):
-                u = _mapped_shift(i, j, s, m_shift)
+                u = rename(copy_shift(i, j, s), m_shift)
                 for y in right.generators:
                     lhs = u.inverse() * Word.gen(m_copies[i - 1][y]) * u
                     rhs = Word.gen(m_copies[j - 1][y])
@@ -159,10 +117,9 @@ def vk_assemble(left, right, leg_pairs, form="i"):
             for pw, fw in pairs_i:
                 pairs.append((rename(pw, m_left),
                               rename(fw, m_copies[i - 1])))
-        asm = VKAssembly(form, quotient_by_relations(prod, pairs),
-                         m_left, m_copies[0], shift_syms,
-                         right_copy_maps=list(m_copies))
-        return asm
+        return VKAssembly(quotient_by_relations(prod, pairs),
+                          m_left, m_copies[0], shift_syms,
+                          right_copy_maps=list(m_copies))
 
     if form == "iii":
         glued, m1_left, m1_right = fibered_coproduct_with_maps(
@@ -171,7 +128,7 @@ def vk_assemble(left, right, leg_pairs, form="i"):
             [glued, shifts], tags=("G", "S"))
         left_map = {x: m_glued[m1_left[x]] for x in left.generators}
         right_map = {y: m_glued[m1_right[y]] for y in right.generators}
-        asm = VKAssembly(form, prod, left_map, right_map,
+        asm = VKAssembly(prod, left_map, right_map,
                          {j: m_shift[GeneratorSymbol("", f"v{j}")]
                           for j in range(2, s + 1)})
         pairs = []
@@ -210,124 +167,12 @@ def vk_assemble(left, right, leg_pairs, form="i"):
             pairs.append((Word.gen(left_in(1, x)), Word.gen(left_in(i, x))))
     for i in range(1, s + 1):
         for j in range(1, s + 1):
-            u = _mapped_shift(i, j, s, m_shift)
+            u = rename(copy_shift(i, j, s), m_shift)
             for y in right.generators:
                 lhs = u.inverse() * Word.gen(right_in(i, y)) * u
                 rhs = Word.gen(right_in(j, y))
                 pairs.append((lhs, rhs))
-    asm = VKAssembly("iv", quotient_by_relations(prod, pairs),
-                     {x: left_in(1, x) for x in left.generators},
-                     {y: right_in(1, y) for y in right.generators},
-                     shift_syms)
-    return asm
-
-
-def vk_build(data: VKData, form="i"):
-    """The glued group of a ``VKData``, in the requested form."""
-    left = data.pi.canonical_presentation
-    right = data.pi_prime.canonical_presentation
-    return vk_assemble(left, right, data.leg_pairs(), form).presentation
-
-
-@dataclass
-class FormsReport:
-    """Hom counts per form per degree, plus the generator-map check."""
-    counts: dict
-    maps_checked: bool
-
-    @property
-    def all_equal(self):
-        per_degree = {}
-        for form, by_degree in self.counts.items():
-            for d, c in by_degree.items():
-                per_degree.setdefault(d, set()).add(c)
-        return all(len(v) == 1 for v in per_degree.values())
-
-    def to_json(self):
-        out = {form: {str(d): c for d, c in by_degree.items()}
-               for form, by_degree in self.counts.items()}
-        out["maps_checked"] = self.maps_checked
-        return out
-
-
-def _mutually_inverse_maps(a1: VKAssembly, a2: VKAssembly, left, right, s,
-                           degrees, limits):
-    """Build and check the explicit generator maps between forms i and ii."""
-    images_12 = {}
-    for x in left.generators:
-        images_12[a1.left_map[x]] = Word.gen(a2.left_map[x])
-    for y in right.generators:
-        images_12[a1.right_map[y]] = Word.gen(a2.right_copy_maps[0][y])
-    for j in range(2, s + 1):
-        images_12[a1.shift_symbols[j]] = Word.gen(a2.shift_symbols[j])
-    f12 = Homo(a1.presentation, a2.presentation, images_12)
-
-    images_21 = {}
-    for x in left.generators:
-        images_21[a2.left_map[x]] = Word.gen(a1.left_map[x])
-    for i in range(1, s + 1):
-        for y in right.generators:
-            images_21[a2.right_copy_maps[i - 1][y]] = a1.conjugated_by_shift(
-                i, Word.gen(a1.right_map[y]))
-    for j in range(2, s + 1):
-        images_21[a2.shift_symbols[j]] = Word.gen(a1.shift_symbols[j])
-    f21 = Homo(a2.presentation, a1.presentation, images_21)
-
-    if not f12.check_obligations(degrees, limits):
-        return False
-    if not f21.check_obligations(degrees, limits):
-        return False
-
-    round1 = f12.then(f21)
-    back = [Word.gen(g).inverse() * round1.images[g]
-            for g in a1.presentation.generators]
-    if not words_all_trivial(a1.presentation, back, degrees, limits):
-        return False
-    round2 = f21.then(f12)
-    back = [Word.gen(g).inverse() * round2.images[g]
-            for g in a2.presentation.generators]
-    return words_all_trivial(a2.presentation, back, degrees, limits)
-
-
-def verify_vk_forms(data: VKData, degrees, limits=DEFAULT_LIMITS):
-    """Check the four forms agree at every degree and the form i/ii maps
-    are mutually inverse; returns the counts per form."""
-    left = data.pi.canonical_presentation
-    right = data.pi_prime.canonical_presentation
-    leg_pairs = data.leg_pairs()
-    counts = {}
-    assemblies = {}
-    for form in FORMS:
-        asm = vk_assemble(left, right, leg_pairs, form)
-        assemblies[form] = asm
-        counts[form] = {d: count_homs(asm.presentation, d, limits)
-                        for d in degrees}
-    maps_ok = _mutually_inverse_maps(assemblies["i"], assemblies["ii"],
-                                     left, right, len(leg_pairs),
-                                     degrees, limits)
-    return FormsReport(counts, maps_ok)
-
-
-def verify_copy_collapse(pi_prime: GroupSpec, s, degrees,
-                         limits=DEFAULT_LIMITS):
-    """Check the two forms of the coproduct with the shift group.
-
-    Form i is ``pi_prime`` joined with the free shift group; form ii
-    takes ``s`` conjugation-identified copies instead.  Both counts are
-    computed independently and the explicit generator maps are checked
-    to be mutually inverse.
-    """
-    if s < 1:
-        raise InputError("the number of copies must be at least 1")
-    trivial = GroupSpec.trivial()
-    left = trivial.canonical_presentation
-    right = pi_prime.canonical_presentation
-    leg_pairs = [[] for _ in range(s)]
-    a1 = vk_assemble(left, right, leg_pairs, "i")
-    a2 = vk_assemble(left, right, leg_pairs, "ii")
-    counts = {
-        "i": {d: count_homs(a1.presentation, d, limits) for d in degrees},
-        "ii": {d: count_homs(a2.presentation, d, limits) for d in degrees},
-    }
-    maps_ok = _mutually_inverse_maps(a1, a2, left, right, s, degrees, limits)
-    return FormsReport(counts, maps_ok)
+    return VKAssembly(quotient_by_relations(prod, pairs),
+                      {x: left_in(1, x) for x in left.generators},
+                      {y: right_in(1, y) for y in right.generators},
+                      shift_syms)

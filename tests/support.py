@@ -1,9 +1,12 @@
-"""Shared helpers: independent brute-force oracles and config builders.
+"""Shared helpers: independent brute-force oracles, test references and
+config builders.
 
 The oracles here deliberately avoid the library's counting machinery:
 they enumerate full assignment tuples with direct permutation algebra
 (``search_count_homs`` prunes, but never simplifies or eliminates), so
-a bug in the counting engine cannot hide behind itself.
+a bug in the counting engine cannot hide behind itself.  The van Kampen
+forms check (``check_vk_forms``) tests the assembly, not the counter,
+and counts with ``count_homs``.
 """
 
 import itertools
@@ -12,9 +15,12 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial
 
-from singular_pi1 import (Branch, Component, GroupSpec, Homo, SchemeConfig,
-                          Singular, Word, parse_scheme_config)
+from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
+                          Presentation, SchemeConfig, Singular, Word,
+                          count_homs, parse_scheme_config, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
+from singular_pi1.vk import FORMS
+from singular_pi1.words import substitute
 
 
 def all_perms(d):
@@ -186,6 +192,87 @@ def brute_connected_count(cfg, d):
     return total
 
 
+# -- homomorphisms between concrete groups ------------------------------
+
+def iter_homs_between(source, target):
+    """All homomorphisms between two concrete groups, by brute force."""
+    gens = source.canonical_presentation.generators
+    for elements in itertools.product(target.elements, repeat=len(gens)):
+        images = {g: target.element_word(el) for g, el in zip(gens, elements)}
+        try:
+            hom = Homo(source, target, images)
+        except InputError:
+            continue
+        yield hom
+
+
+def standard_hom(source, target):
+    """A deterministic pick among all homomorphisms source -> target.
+
+    Prefers images of large order (so the map is as non-trivial as the
+    groups allow), breaking ties by element position.  The trivial map
+    always exists, so there is always a pick.
+    """
+    gens = source.canonical_presentation.generators
+    element_pos = {el: i for i, el in enumerate(target.elements)}
+
+    def score(hom):
+        els = [target.evaluate(hom.images[g]) for g in gens]
+        return (sum(target.element_order(el) for el in els),
+                tuple(-element_pos[el] for el in els))
+
+    return max(iter_homs_between(source, target), key=score)
+
+
+# -- the van Kampen forms ------------------------------------------------
+
+def leg_pairs(group, psi, phi):
+    """The ``(psi word, phi word)`` images of the generators of ``group``."""
+    return [(psi.images[g], phi.images[g])
+            for g in group.canonical_presentation.generators]
+
+
+def words_trivial(p, words, degrees):
+    """Whether every word is trivial under every hom of ``p`` into Sym(d)
+    at each degree: exactly when adding the words as relators keeps the
+    count."""
+    quotient = Presentation(p.generators, p.relators + tuple(words))
+    return all(count_homs(quotient, d) == count_homs(p, d) for d in degrees)
+
+
+def check_vk_forms(left, right, legs, degrees, forms=FORMS):
+    """Hom counts ``{form: {d: count}}`` of the van Kampen assembly of
+    ``left`` and ``right`` along ``legs`` in each of ``forms``, and a flag:
+    the forms agree at every degree, and the explicit generator maps
+    between forms i and ii are mutually inverse homomorphisms."""
+    asm = {f: vk_assemble(left, right, legs, f) for f in {*forms, "i", "ii"}}
+    counts = {f: {d: count_homs(asm[f].presentation, d) for d in degrees}
+              for f in forms}
+    a1, a2 = asm["i"], asm["ii"]
+    to_2 = {a1.left_map[x]: Word.gen(a2.left_map[x]) for x in left.generators}
+    to_1 = {a2.left_map[x]: Word.gen(a1.left_map[x]) for x in left.generators}
+    for y in right.generators:
+        to_2[a1.right_map[y]] = Word.gen(a2.right_copy_maps[0][y])
+        for i, copy in enumerate(a2.right_copy_maps, start=1):
+            to_1[copy[y]] = a1.conjugated_by_shift(i, Word.gen(a1.right_map[y]))
+    for j in range(2, len(legs) + 1):
+        to_2[a1.shift_symbols[j]] = Word.gen(a2.shift_symbols[j])
+        to_1[a2.shift_symbols[j]] = Word.gen(a1.shift_symbols[j])
+
+    def inverse_homs(a, b, there, back):
+        """``there`` maps a's relators to b's identity, and ``back``
+        undoes it on a's generators."""
+        relators = [substitute(r, there) for r in a.presentation.relators]
+        round_trip = [Word.gen(g).inverse() * substitute(there[g], back)
+                      for g in a.presentation.generators]
+        return (words_trivial(b.presentation, relators, degrees)
+                and words_trivial(a.presentation, round_trip, degrees))
+
+    agree = len({tuple(c.values()) for c in counts.values()}) == 1
+    return counts, (agree and inverse_homs(a1, a2, to_2, to_1)
+                    and inverse_homs(a2, a1, to_1, to_2))
+
+
 # -- explicit orbit enumeration for the groupoid cardinality ------------
 
 def _datum_key(datum):
@@ -323,6 +410,15 @@ def family_config(family, n, nontrivial=True):
                         branches)
 
 
+def build_union(cfg, singular_ids):
+    """The union of the patches of the given singular pieces."""
+    branches = [b for b in cfg.branches if b.singular in singular_ids]
+    comps = {b.component for b in branches}
+    return SchemeConfig([c for c in cfg.components if c.id in comps],
+                        [s for s in cfg.singulars if s.id in singular_ids],
+                        branches)
+
+
 def load_corpus():
     """All bundled configurations, keyed by file stem."""
     out = {}
@@ -390,8 +486,6 @@ def random_general_config(rng, max_components=3, max_singulars=3,
                           max_branches=6):
     """A random valid configuration with possibly non-trivial singular
     and branch groups and non-trivial attaching maps."""
-    from singular_pi1 import standard_hom
-
     comp_groups = [GroupSpec.trivial(), GroupSpec.cyclic(2),
                    GroupSpec.cyclic(3), GroupSpec.symmetric(3)]
     sing_groups = [GroupSpec.trivial(), GroupSpec.cyclic(2)]
@@ -431,7 +525,7 @@ def random_general_config(rng, max_components=3, max_singulars=3,
 
 
 def random_presentation(rng, max_gens=4, max_relators=4, max_len=6):
-    from singular_pi1 import Presentation, sym
+    from singular_pi1 import sym
 
     n = rng.randint(1, max_gens)
     gens = [sym(ch) for ch in "abcde"[:n]]

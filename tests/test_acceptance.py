@@ -11,13 +11,13 @@ import time
 from importlib import resources
 from math import factorial
 
-from singular_pi1 import (GroupSpec, VKData, compare, count_homs,
-                          devissage_order, devissage_splits, free_rank,
-                          pi1_devissage, standard_hom, tietze_simplify,
-                          validate, verify_vk_forms, build_union)
+from singular_pi1 import (GroupSpec, compare, count_homs, devissage_order,
+                          devissage_splits, free_rank, pi1_devissage,
+                          tietze_simplify, validate)
 from singular_pi1.cli import main as cli_main
-from support import (brute_count_homs, load_corpus, random_presentation,
-                     random_trivial_config, search_count_homs)
+from support import (brute_count_homs, build_union, check_vk_forms, leg_pairs,
+                     load_corpus, random_presentation, random_trivial_config,
+                     search_count_homs, standard_hom)
 
 GRID_GROUPS = [GroupSpec.trivial(), GroupSpec.cyclic(2), GroupSpec.cyclic(3),
                GroupSpec.symmetric(3)]
@@ -117,15 +117,14 @@ def test_criterion_4_vk_form_equivalences(capsys):
     for pi in GRID_GROUPS:
         for pi_prime in GRID_GROUPS:
             for pi_double in GRID_GROUPS:
-                psi = standard_hom(pi_double, pi)
-                phi = standard_hom(pi_double, pi_prime)
+                leg = leg_pairs(pi_double, standard_hom(pi_double, pi),
+                                standard_hom(pi_double, pi_prime))
                 for s in (1, 2, 3):
-                    data = VKData(pi, pi_prime, [(pi_double, psi, phi)] * s)
-                    report = verify_vk_forms(data, [2, 3])
-                    assert report.all_equal, \
-                        f"forms disagree for {pi},{pi_prime},{pi_double},s={s}"
-                    assert report.maps_checked, \
-                        f"maps fail for {pi},{pi_prime},{pi_double},s={s}"
+                    counts, ok = check_vk_forms(
+                        pi.canonical_presentation,
+                        pi_prime.canonical_presentation, [leg] * s, [2, 3])
+                    assert ok, (f"forms disagree or maps fail for {pi},"
+                                f"{pi_prime},{pi_double},s={s}: {counts}")
                     cells += 1
     elapsed = time.time() - start
     with capsys.disabled():

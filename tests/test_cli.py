@@ -1,7 +1,10 @@
 import inspect
 import json
 import sys
+import time
 from importlib import resources
+
+import pytest
 
 from singular_pi1 import scheme_config_to_json
 from singular_pi1.cli import main
@@ -41,6 +44,17 @@ class TestValidate:
         assert code == 3
         assert doc["error"]["kind"] == "schema"
         assert doc["error"]["path"] == "$"
+
+    @pytest.mark.parametrize("text", [
+        '{"components": [{"id": "A", "group": {"kind": "cyclic", "order": '
+        + "9" * 5000 + '}}]}',               # over the int digit limit
+        "[" * 200000 + "]" * 200000,         # past the parser's recursion
+    ], ids=["long-integer", "deep-nesting"])
+    def test_unparsable_json_is_schema_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, doc = run(capsys, "validate", str(bad))
+        assert code == 3 and doc["error"]["path"] == "$"
 
     def test_disconnected_config_names_isolated_vertex(self, tmp_path, capsys):
         doc = {
@@ -253,6 +267,23 @@ class TestGlobalBounds:
                         "--bound-order", "100")
         assert code == 4
         assert out["error"]["kind"] == "resource"
+
+    @pytest.mark.parametrize("group, code, layer", [
+        # 1800! has more digits than an int may print
+        ({"kind": "symmetric", "degree": 1800}, 4, "groups"),
+        ({"kind": "symmetric", "degree": 10 ** 30}, 4, "groups"),
+        ({"kind": "permutation", "degree": 10 ** 12, "generators": [[0]]},
+         3, None),
+    ], ids=["symmetric-1800", "symmetric-1e30", "permutation-1e12"])
+    def test_huge_group_sizes_are_refused_at_once(self, tmp_path, capsys,
+                                                  group, code, layer):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"components": [{"id": "A",
+                                                    "group": group}]}))
+        start = time.perf_counter()
+        got, out = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (got, out["error"].get("layer")) == (code, layer)
 
 
 def test_corpus_validates_and_verifies_at_degree_two(capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 from singular_pi1 import (GroupSpec, Homo, InputError, Word, free_presentation,
-                          iter_homs_between, standard_hom, sym)
+                          sym)
+from support import iter_homs_between, standard_hom, words_trivial
 
 
 def test_relator_images_are_checked_on_construction():
@@ -19,34 +20,27 @@ def test_relator_images_are_checked_on_construction():
 def test_structural_validation():
     c2 = GroupSpec.cyclic(2)
     g = c2.canonical_presentation.generators[0]
+    with pytest.raises(InputError):
+        Homo(c2, c2, {})                       # missing image
+    with pytest.raises(InputError):
+        Homo(c2, c2, {g: Word.gen(sym("zz"))})  # undeclared target symbol
+    # a bare presentation is neither a source nor a target
     free = free_presentation(1)
     with pytest.raises(InputError):
-        Homo(c2, free, {})                       # missing image
+        Homo(c2, free, {g: Word.gen(free.generators[0])})
     with pytest.raises(InputError):
-        Homo(c2, free, {g: Word.gen(sym("zz"))})  # undeclared target symbol
+        Homo(c2.canonical_presentation, c2, {g: Word.identity()})
 
 
-def test_identity_and_composition():
-    s3 = GroupSpec.symmetric(3)
-    ident = Homo.identity(s3)
-    comp = ident.then(ident)
-    for g in s3.canonical_presentation.generators:
-        assert comp.images[g] == Word.gen(g)
-
-
-def test_obligations_recorded_for_presentation_targets():
-    c2 = GroupSpec.cyclic(2)
-    g = c2.canonical_presentation.generators[0]
+def test_relator_images_trivial_by_count():
+    # g -> x sends the relator g^2 of C2 to x^2 in the free group <x>:
+    # every element of Sym(2) squares to the identity, so degree 2 cannot
+    # see that x^2 is non-trivial; degree 3 can
     free = free_presentation(1)
     x = free.generators[0]
-    h = Homo(c2, free, {g: Word.gen(x)})
-    assert h.obligations  # g^2 is not freely trivial in a free group
-    # every element of Sym(2) squares to the identity, so degree 2 cannot
-    # see the failure; degree 3 can
-    assert h.check_obligations([2])
-    assert not h.check_obligations([3])
-    h2 = Homo(c2, free, {g: Word.identity()})
-    assert not h2.obligations
+    assert words_trivial(free, [Word.gen(x, 2)], [2])
+    assert not words_trivial(free, [Word.gen(x, 2)], [3])
+    assert words_trivial(free, [Word.identity()], [2, 3])
 
 
 def test_iter_homs_between_counts():

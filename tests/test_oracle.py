@@ -231,7 +231,8 @@ def test_master_identity_on_random_general_configs():
 
 
 def test_master_identity_with_permutation_and_presented_kinds():
-    from singular_pi1 import (Branch, Presentation, Word, standard_hom, sym)
+    from singular_pi1 import Branch, Presentation, Word, sym
+    from support import standard_hom
 
     klein = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
     a, b = sym("a"), sym("b")

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singular_pi1 import (GroupSpec, Homo, InputError, Presentation, Word,
-                          count_homs, fibered_coproduct, free_presentation,
-                          free_product, quotient_by_relations, sym,
-                          tietze_simplify)
+from singular_pi1 import (GroupSpec, InputError, Presentation, Word,
+                          count_homs, free_presentation,
+                          quotient_by_relations, sym, tietze_simplify)
+from singular_pi1.presentation import (fibered_coproduct_with_maps,
+                                       free_product_with_maps)
 from support import (brute_count_homs, count_order_dividing,
                      random_presentation)
 
@@ -20,19 +21,19 @@ def c2_presentation():
 
 class TestFreeProduct:
     def test_free_times_free(self):
-        prod = free_product(free_presentation(1), free_presentation(1))
+        prod, _ = free_product_with_maps([free_presentation(1)] * 2)
         assert count_homs(prod, 3) == 36
 
     def test_trivial_factor_is_identity_up_to_renaming(self):
         p = Presentation([A, B], [Word.gen(A, 2), Word.gen(B, 3)])
-        prod = free_product(Presentation([], []), p)
+        prod, _ = free_product_with_maps([Presentation([], []), p])
         assert prod.key() == p.key()
 
     def test_c2_star_c2_at_degree_two(self):
         # oracle: pairs of square-trivial elements of Sym(2)
         expected = count_order_dividing(2, 2) ** 2
         assert expected == 4
-        prod = free_product(c2_presentation(), c2_presentation())
+        prod, _ = free_product_with_maps([c2_presentation()] * 2)
         assert count_homs(prod, 2) == expected
 
 
@@ -64,30 +65,20 @@ class TestQuotientByRelations:
 
 class TestFiberedCoproduct:
     def test_trivial_amalgam_is_plain_free_product(self):
-        triv = GroupSpec.trivial()
         p = c2_presentation()
-        out = fibered_coproduct(p, p, triv, Homo.trivial(triv, p),
-                                Homo.trivial(triv, p))
-        assert count_homs(out, 2) == count_homs(free_product(p, p), 2)
+        out, _, _ = fibered_coproduct_with_maps(p, p, [])
+        prod, _ = free_product_with_maps([p, p])
+        assert count_homs(out, 2) == count_homs(prod, 2)
 
     def test_identifying_two_copies_of_c2(self):
         c2 = GroupSpec.cyclic(2)
         p = c2.canonical_presentation
-        ident = Homo(c2, p, {p.generators[0]: Word.gen(p.generators[0])})
-        out = fibered_coproduct(p, p, c2, ident, ident)
+        g = Word.gen(p.generators[0])
+        out, _, _ = fibered_coproduct_with_maps(p, p, [(g, g)])
         # oracle: filter pairs from C2 * C2 by the identification
         expected = sum(1 for a in range(2) for b in range(2) if a == b)
         assert expected == 2
         assert count_homs(out, 2) == expected
-
-    def test_mismatched_homo_rejected(self):
-        c2 = GroupSpec.cyclic(2)
-        p = c2.canonical_presentation
-        other = free_presentation(1)
-        bad = Homo(c2, other,
-                   {p.generators[0]: Word.gen(other.generators[0])})
-        with pytest.raises(InputError):
-            fibered_coproduct(p, p, c2, bad, bad)
 
 
 class TestTietzeSimplify:
@@ -135,7 +126,7 @@ presentations = st.integers(0, 10_000).map(
 @settings(max_examples=30, deadline=None)
 @given(presentations, presentations, st.sampled_from([2, 3, 4]))
 def test_free_product_hom_counts_multiply(p1, p2, d):
-    assert count_homs(free_product(p1, p2), d) \
+    assert count_homs(free_product_with_maps([p1, p2])[0], d) \
         == count_homs(p1, d) * count_homs(p2, d)
 
 

@@ -4,12 +4,13 @@ import pytest
 
 from singular_pi1 import (Component, GroupSpec, InputError, SchemeConfig,
                           Singular, build_patch, build_patch_complement,
-                          build_union, check_order, devissage_order,
-                          devissage_splits, free_rank, validate)
+                          check_order, devissage_order, devissage_splits,
+                          free_rank, validate)
 from singular_pi1.scheme import _connected
-from support import (chain_config, family_config, load_corpus, nodal_config,
-                     random_general_config, random_trivial_config,
-                     theta_config, trivial_branch, TRIV)
+from support import (build_union, chain_config, family_config, load_corpus,
+                     nodal_config, random_general_config,
+                     random_trivial_config, theta_config, trivial_branch,
+                     TRIV)
 
 
 def star_config():

@@ -3,10 +3,10 @@ from math import factorial
 
 import pytest
 
-from singular_pi1 import (GroupSpec, Homo, InputError, VKData, copy_shift,
-                          count_homs, shift_free_group, standard_hom,
-                          verify_copy_collapse, verify_vk_forms, vk_build)
+from singular_pi1 import (GroupSpec, InputError, copy_shift, count_homs,
+                          shift_free_group, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
+from support import check_vk_forms, leg_pairs, standard_hom
 
 TRIV = GroupSpec.trivial()
 C2 = GroupSpec.cyclic(2)
@@ -15,8 +15,20 @@ S3 = GroupSpec.symmetric(3)
 
 
 def trivial_data(pi, pi_prime, s):
-    leg = (TRIV, Homo.trivial(TRIV, pi), Homo.trivial(TRIV, pi_prime))
-    return VKData(pi, pi_prime, [leg] * s)
+    """The two sides and ``s`` legs of a trivial group."""
+    return pi.canonical_presentation, pi_prime.canonical_presentation, [[]] * s
+
+
+def copy_collapse(pi_prime, s, degrees):
+    """Forms i and ii of ``pi_prime`` joined with the ``s``-copy shifts."""
+    return check_vk_forms(*trivial_data(TRIV, pi_prime, s), degrees,
+                          ("i", "ii"))
+
+
+def c2_legs(s):
+    psi = standard_hom(C2, C2)
+    return C2.canonical_presentation, C2.canonical_presentation, \
+        [leg_pairs(C2, psi, psi)] * s
 
 
 class TestShiftGroup:
@@ -69,23 +81,23 @@ class TestVKBuild:
     def test_single_leg_collapses_to_amalgam(self):
         data = trivial_data(TRIV, TRIV, 1)
         for form in ("i", "ii", "iii", "iv"):
-            assert count_homs(vk_build(data, form), 3) == 1
+            assert count_homs(vk_assemble(*data, form).presentation, 3) == 1
 
     def test_all_trivial_three_legs_gives_free_two(self):
         data = trivial_data(TRIV, TRIV, 3)
         for form in ("i", "ii", "iii", "iv"):
-            assert count_homs(vk_build(data, form), 2) == 4
+            assert count_homs(vk_assemble(*data, form).presentation, 2) == 4
 
     def test_c2_against_trivial(self):
         data = trivial_data(C2, TRIV, 2)
-        p = vk_build(data, "i")
+        p = vk_assemble(*data).presentation
         assert count_homs(p, 3) == 4 * 6
 
     def test_trivial_leg_maps_product_formula(self):
         # with trivial legs the count is the plain product with the shifts
         for pi, prime, s in [(C2, C3, 2), (S3, C2, 3), (C3, C3, 1)]:
             data = trivial_data(pi, prime, s)
-            p = vk_build(data, "i")
+            p = vk_assemble(*data).presentation
             for d in (2, 3):
                 expected = (count_homs(pi.canonical_presentation, d)
                             * count_homs(prime.canonical_presentation, d)
@@ -93,65 +105,51 @@ class TestVKBuild:
                 assert count_homs(p, d) == expected
 
     def test_invalid_leg_endpoints_rejected(self):
-        leg = (TRIV, Homo.trivial(TRIV, C2), Homo.trivial(TRIV, TRIV))
         with pytest.raises(InputError):
-            VKData(TRIV, TRIV, [leg])
-        with pytest.raises(InputError):
-            VKData(C2, TRIV, [])
+            vk_assemble(*trivial_data(C2, TRIV, 0))
 
 
 class TestVerifyForms:
     def test_all_trivial_counts_are_factorials(self):
-        report = verify_vk_forms(trivial_data(TRIV, TRIV, 2), [2, 3])
-        assert report.all_equal and report.maps_checked
-        assert report.counts["i"][3] == 6
+        counts, ok = check_vk_forms(*trivial_data(TRIV, TRIV, 2), [2, 3])
+        assert ok
+        assert counts["i"][3] == 6
 
     def test_degenerate_single_leg(self):
-        report = verify_vk_forms(trivial_data(C2, C2, 1), [2, 3])
-        assert report.all_equal and report.maps_checked
+        assert check_vk_forms(*trivial_data(C2, C2, 1), [2, 3])[1]
 
     def test_nontrivial_legs(self):
-        psi = standard_hom(C2, C2)
-        data = VKData(C2, C2, [(C2, psi, psi)] * 2)
-        report = verify_vk_forms(data, [2, 3])
-        assert report.all_equal and report.maps_checked
-        assert report.counts["i"][3] == 12  # computed by hand: C2 x Z
-
-    def test_report_serialization_shape(self):
-        report = verify_vk_forms(trivial_data(TRIV, C2, 2), [2])
-        doc = report.to_json()
-        assert set(doc) == {"i", "ii", "iii", "iv", "maps_checked"}
-        assert doc["maps_checked"] is True
+        counts, ok = check_vk_forms(*c2_legs(2), [2, 3])
+        assert ok
+        assert counts["i"][3] == 12  # computed by hand: C2 x Z
 
 
 class TestCopyCollapse:
     def test_trivial_group_both_sides_free(self):
-        report = verify_copy_collapse(TRIV, 2, [2, 3])
-        assert report.all_equal and report.maps_checked
-        assert report.counts["i"][3] == 6
+        counts, ok = copy_collapse(TRIV, 2, [2, 3])
+        assert ok
+        assert counts["i"][3] == 6
 
     def test_c2_two_copies(self):
-        report = verify_copy_collapse(C2, 2, [2, 3])
-        assert report.all_equal and report.maps_checked
+        counts, ok = copy_collapse(C2, 2, [2, 3])
+        assert ok
         # independent formula: count(pi') * d! at each degree
         for d in (2, 3):
             expected = count_homs(C2.canonical_presentation, d) * factorial(d)
-            assert report.counts["i"][d] == expected
-            assert report.counts["ii"][d] == expected
+            assert counts["i"][d] == expected
+            assert counts["ii"][d] == expected
 
     def test_c3_three_copies(self):
-        report = verify_copy_collapse(C3, 3, [2, 3])
-        assert report.all_equal and report.maps_checked
+        counts, ok = copy_collapse(C3, 3, [2, 3])
+        assert ok
         for d in (2, 3):
             expected = (count_homs(C3.canonical_presentation, d)
                         * factorial(d) ** 2)
-            assert report.counts["i"][d] == expected
+            assert counts["i"][d] == expected
 
     def test_degree_four_spot_checks(self):
-        report = verify_copy_collapse(C2, 2, [4])
-        assert report.all_equal and report.maps_checked
+        counts, ok = copy_collapse(C2, 2, [4])
+        assert ok
         # order-dividing-2 elements of Sym(4) times the shift images
-        assert report.counts["i"][4] == 10 * 24
-        psi = standard_hom(C2, C2)
-        forms = verify_vk_forms(VKData(C2, C2, [(C2, psi, psi)] * 2), [4])
-        assert forms.all_equal and forms.maps_checked
+        assert counts["i"][4] == 10 * 24
+        assert check_vk_forms(*c2_legs(2), [4])[1]
