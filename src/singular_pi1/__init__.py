@@ -3,11 +3,13 @@
 The package computes a finite presentation of the fundamental group of
 a scheme described combinatorially (components of the normalisation,
 connected pieces of the singular locus, branches with their attaching
-maps) and certifies every presentation against an oracle that
-enumerates finite covers as descent data.  The oracle never sees the
-computed presentation, but it is not yet independent of the hom
-counter: it finds each piece's actions on the fiber with ``count_homs``
-and ``iter_homs``, the counter behind the other side of the identity.
+maps) and certifies every presentation against an oracle that counts
+finite covers as descent data, summed over the conjugacy classes of
+the pieces' actions and contracted over the incidence graph.  The
+oracle never sees the computed presentation, but it is not yet
+independent of the hom counter: it finds each piece's actions on the
+fiber with ``iter_homs``, the counter behind the other side of the
+identity.
 """
 
 from .errors import Error, InputError, ResourceError, SchemaError
@@ -18,9 +20,8 @@ from .groups import GroupSpec
 from .homcount import count_homs, evaluate_word, iter_homs, transitive_counts
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS, Limits
-from .oracle import (DescentDatum, OracleReport, attach_connected, compare,
-                     enumerate_descent_data, groupoid_cardinality,
-                     iter_descent_data)
+from .oracle import (IncidenceGraph, OracleReport, attach_connected,
+                     compare, enumerate_descent_data, groupoid_cardinality)
 from .pi1 import (DerivationStep, Pi1Result, class_witness, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, free_presentation,

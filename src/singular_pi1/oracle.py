@@ -1,29 +1,44 @@
-"""Ground truth by exhaustive enumeration of rigidified covers.
+"""Ground truth by counting rigidified covers, contracted over classes.
 
-A degree-``d`` cover of a configuration is enumerated as a descent
-datum: one action of each component group and of each singular group on
-the fiber ``{0..d-1}``, plus one bijection of fibers per branch that is
+A degree-``d`` cover of a configuration is a descent datum: one action
+of each component group and of each singular group on the fiber
+``{0..d-1}``, plus one bijection of fibers per branch that is
 equivariant for the branch group acting through its two attaching maps.
 All fibers are identified with ``{0..d-1}`` (rigidification), so the
 relabeling group ``Sym(d)^(n+m)`` acts on the data and the groupoid
 cardinality of covers is the rigid count divided by ``d!^(n+m)``.
 
+The rigid count is a sum over the piece actions of a product over the
+branches: branch ``b`` contributes its number of intertwiners ``lam``
+with ``lam . rho(psi(a)) = tau(phi(a)) . lam``.  That number does not
+change when one fiber is relabeled, so each piece ranges over the
+Sym(d)-conjugacy classes of its actions (the isomorphism classes of
+``d``-point G-sets), weighted by the class size, and each branch is one
+table over (component class, singular class), scanned once per pair of
+representatives.  The sum is then a factor graph on the incidence graph,
+pieces as variables and branches as pairwise factors, contracted by
+variable elimination (Dechter 1999): the singular pieces first, then the
+components in a greedy order.  The ``--ceiling`` gate estimates that
+work: the actions sorted into classes, the pair scans, and the table of
+every elimination step.
+
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
 into Sym(d), exactly, as rationals.  The left side never sees a
 presentation of the result and the right side never sees a descent
-datum, but they share the hom-counting engine: the left side counts and
-enumerates the actions of each component and singular group with
-``homcount.count_homs`` and ``iter_homs`` on the group's canonical
-presentation, and the right side counts the result's presentation with
-``count_homs``.  The connected columns follow from the plain ones at
-degrees ``1..d``: each side applies Hall's formula to its own numbers.
+datum, but they share the hom-counting engine: ``_action_classes``, the
+one source of the piece actions, enumerates them with
+``homcount.iter_homs`` on the group's canonical presentation, and the
+right side counts the result's presentation with ``count_homs``.  The
+connected columns follow from the plain ones at degrees ``1..d``: each
+side applies Hall's formula to its own numbers.
 """
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 from .errors import ResourceError
@@ -32,13 +47,7 @@ from .limits import DEFAULT_LIMITS
 from .perms import table
 from .scheme import ensure_valid
 
-
-@dataclass
-class DescentDatum:
-    degree: int
-    component_actions: dict      # component id -> tuple of permutations
-    singular_actions: dict       # singular id -> tuple of permutations
-    branch_bijections: dict      # branch id -> permutation
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -63,144 +72,194 @@ class OracleReport:
         return out
 
 
-class _Setup:
-    """Precomputed enumeration data for one (configuration, degree)."""
+class IncidenceGraph:
+    """A validated configuration as the oracle reads it: variables
+    ``0..n-1`` are the components and ``n..n+m-1`` the singular pieces;
+    each branch is ``(component var, singular var, psi words, phi
+    words)``, its maps written as ``(generator slot, exponent)`` words
+    over the canonical generators of the two pieces' groups.
 
-    def __init__(self, cfg, d, limits):
+    The oracle's functions take a configuration or its graph; ``verify``
+    builds the graph once, so the configuration is validated once for
+    all the degrees it compares.
+    """
+
+    def __init__(self, cfg):
         ensure_valid(cfg)
-        if d < 1:
-            raise ResourceError("cover enumeration needs degree >= 1",
-                                layer="oracle")
-        if d > limits.degree_bound:
-            raise ResourceError(
-                f"degree {d} exceeds the configured bound {limits.degree_bound}",
-                layer="oracle")
-        self.cfg = cfg
-        self.d = d
-        self.T = table(d)
-        size = self.T.size
-
-        hom_sizes = []
-        for piece in list(cfg.components) + list(cfg.singulars):
-            hom_sizes.append(count_homs(piece.group.canonical_presentation,
-                                        d, limits))
-        # every (rho, tau) pair is visited once, and each scans d!
-        # candidate intertwiners on every branch
-        estimate = cfg.m_tilde * size + 1
-        for h in hom_sizes:
-            estimate *= h
-        if estimate > limits.ceiling:
-            raise ResourceError(
-                f"descent enumeration estimate {estimate} exceeds ceiling "
-                f"{limits.ceiling}", estimate=estimate,
-                ceiling=limits.ceiling, layer="oracle")
-        self.estimate = estimate
-
-        def assignments(spec):
-            pres = spec.canonical_presentation
-            gens = pres.generators
-            out = []
-            for asg in iter_homs(pres, d, limits):
-                out.append(tuple(self.T.index[asg[g]] for g in gens))
-            return out
-
-        cache = {}
-
-        def cached_assignments(spec):
-            key = spec.descriptor()
-            if key not in cache:
-                cache[key] = assignments(spec)
-            return cache[key]
-
-        self.comp_ids = [c.id for c in cfg.components]
-        self.sing_ids = [s.id for s in cfg.singulars]
-        self.comp_index = {cid: i for i, cid in enumerate(self.comp_ids)}
-        self.sing_index = {sid: i for i, sid in enumerate(self.sing_ids)}
-        self.comp_lists = [cached_assignments(c.group) for c in cfg.components]
-        self.sing_lists = [cached_assignments(s.group) for s in cfg.singulars]
-        self.comp_gens = [c.group.canonical_presentation.generators
-                          for c in cfg.components]
-        self.sing_gens = [s.group.canonical_presentation.generators
-                          for s in cfg.singulars]
-
+        pieces = list(cfg.components) + list(cfg.singulars)
+        self.n, self.m = cfg.n, cfg.m
+        self.groups = [p.group for p in pieces]
+        var = {("c", c.id): k for k, c in enumerate(cfg.components)}
+        var.update({("s", s.id): cfg.n + k
+                    for k, s in enumerate(cfg.singulars)})
         self.branches = []
         for b in cfg.branches:
-            ci = self.comp_index[b.component]
-            si = self.sing_index[b.singular]
-            comp_slot = {g: k for k, g in enumerate(self.comp_gens[ci])}
-            sing_slot = {g: k for k, g in enumerate(self.sing_gens[si])}
-            src = b.group.canonical_presentation
-            psi_words = [tuple((comp_slot[s], e) for s, e in
-                               b.psi.images[g].letters)
-                         for g in src.generators]
-            phi_words = [tuple((sing_slot[s], e) for s, e in
-                               b.phi.images[g].letters)
-                         for g in src.generators]
-            self.branches.append((b.id, ci, si, psi_words, phi_words))
+            c, s = var["c", b.component], var["s", b.singular]
+            gens = b.group.canonical_presentation.generators
+            self.branches.append((c, s, _encode(b.psi, gens, self.groups[c]),
+                                  _encode(b.phi, gens, self.groups[s])))
 
-    def eval_word(self, encoded, assignment):
-        T = self.T
-        acc = T.identity
-        for slot, e in encoded:
-            p = assignment[slot]
-            if e < 0:
-                p, e = T.inv[p], -e
-            for _ in range(e):
-                acc = T.mul[acc][p]
-        return acc
 
-    def intertwiners(self, psi_words, phi_words, rho, tau):
-        """Bijections lam with lam . rho(psi(a)) = tau(phi(a)) . lam."""
-        T = self.T
-        ps = [self.eval_word(w, rho) for w in psi_words]
-        qs = [self.eval_word(w, tau) for w in phi_words]
-        out = []
-        for lam in range(T.size):
-            if all(T.mul[p][lam] == T.mul[lam][q] for p, q in zip(ps, qs)):
-                out.append(lam)
-        return out
+def _encode(hom, gens, target):
+    slot = {g: k for k, g in
+            enumerate(target.canonical_presentation.generators)}
+    return [tuple((slot[x], e) for x, e in hom.images[g].letters)
+            for g in gens]
+
+
+def _action_classes(group, d, limits):
+    """The Sym(d)-conjugacy classes of the actions of ``group`` on
+    ``{0..d-1}``, as ``(representative, class size)`` pairs; a
+    representative lists the images of the canonical generators as
+    indices into ``table(d)``.
+
+    The classes are the orbits of ``iter_homs`` under conjugation, each
+    walked with two generators of Sym(d), a transposition and a d-cycle,
+    so every action is visited a bounded number of times.
+    """
+    T = table(d)
+    pres = group.canonical_presentation
+    actions = [tuple(T.index[asg[g]] for g in pres.generators)
+               for asg in iter_homs(pres, d, limits)]
+    movers = [T.index[tuple(range(1, d)) + (0,)],
+              T.index[(1, 0) + tuple(range(2, d)) if d > 1 else (0,)]]
+    mul, inv = T.mul, T.inv
+    seen, classes = set(), []
+    for rep in actions:
+        if rep in seen:
+            continue
+        orbit, frontier = {rep}, [rep]
+        while frontier:
+            x = frontier.pop()
+            for g in movers:
+                y = tuple(mul[mul[inv[g]][p]][g] for p in x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        classes.append((rep, len(orbit)))
+    return classes
+
+
+def _evaluate(T, word, images):
+    acc = T.identity
+    for slot, e in word:
+        acc = T.mul[acc][T.power(images[slot], e)]
+    return acc
+
+
+def _branch_table(T, psi_words, phi_words, comp_classes, sing_classes):
+    """Intertwiner counts of one branch, keyed by (component class,
+    singular class): the ``lam`` in Sym(d) with
+    ``lam . rho(psi(a)) = tau(phi(a)) . lam`` for every generator ``a``
+    of the branch group, at the two representatives."""
+    mul = T.mul
+    out = {}
+    for i, (rho, _) in enumerate(comp_classes):
+        ps = [mul[_evaluate(T, w, rho)] for w in psi_words]
+        for j, (tau, _) in enumerate(sing_classes):
+            qs = [_evaluate(T, w, tau) for w in phi_words]
+            out[i, j] = sum(
+                1 for lam in range(T.size)
+                if all(p[lam] == mul[lam][q] for p, q in zip(ps, qs)))
+    return out
+
+
+def _elimination_order(graph, domains):
+    """The singular pieces, then the components, each next one the
+    component whose elimination builds the smallest table; and the total
+    size of the tables the steps enumerate."""
+    nbrs = [set() for _ in domains]
+    for c, s, _, _ in graph.branches:
+        nbrs[c].add(s)
+        nbrs[s].add(c)
+
+    def size(v):
+        return domains[v] * prod(domains[u] for u in nbrs[v])
+
+    order, work = [], 0
+
+    def eliminate(v):
+        nonlocal work
+        work += size(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+        order.append(v)
+
+    for v in range(graph.n, len(domains)):
+        eliminate(v)
+    left = list(range(graph.n))
+    while left:
+        v = min(left, key=size)
+        left.remove(v)
+        eliminate(v)
+    return order, work
+
+
+def _contract(domains, factors, order):
+    """Sum over all assignments of the product of the factors, each a
+    ``(scope, table)`` pair, eliminating the variables in ``order``."""
+    for v in order:
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = sorted({u for f_scope, _ in touching for u in f_scope} - {v})
+        out = {}
+        for asg in product(*(range(domains[u]) for u in scope)):
+            env = dict(zip(scope, asg))
+            total = 0
+            for x in range(domains[v]):
+                env[v] = x
+                term = 1
+                for f_scope, f_table in touching:
+                    term *= f_table[tuple(env[u] for u in f_scope)]
+                    if not term:
+                        break
+                total += term
+            out[asg] = total
+        factors.append((tuple(scope), out))
+    return prod(f_table[()] for _, f_table in factors)
 
 
 def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
-    """Exact number of rigidified degree-``d`` descent data."""
-    st = _Setup(cfg, d, limits)
-    total = 0
-    for rho in product(*st.comp_lists):
-        for tau in product(*st.sing_lists):
-            prod_count = 1
-            for _, ci, si, psi_w, phi_w in st.branches:
-                prod_count *= len(st.intertwiners(psi_w, phi_w,
-                                                  rho[ci], tau[si]))
-                if prod_count == 0:
-                    break
-            total += prod_count
-    return total
-
-
-def iter_descent_data(cfg, d, limits=DEFAULT_LIMITS):
-    """Stream every rigidified descent datum as a ``DescentDatum``."""
-    st = _Setup(cfg, d, limits)
-    perms = st.T.perms
-    for rho in product(*st.comp_lists):
-        for tau in product(*st.sing_lists):
-            lam_lists = []
-            for _, ci, si, psi_w, phi_w in st.branches:
-                lams = st.intertwiners(psi_w, phi_w, rho[ci], tau[si])
-                if not lams:
-                    lam_lists = None
-                    break
-                lam_lists.append(lams)
-            if lam_lists is None:
-                continue
-            for choice in product(*lam_lists):
-                yield DescentDatum(
-                    d,
-                    {cid: tuple(perms[i] for i in rho[k])
-                     for k, cid in enumerate(st.comp_ids)},
-                    {sid: tuple(perms[i] for i in tau[k])
-                     for k, sid in enumerate(st.sing_ids)},
-                    {st.branches[k][0]: perms[choice[k]]
-                     for k in range(len(st.branches))})
+    """Exact number of rigidified degree-``d`` descent data of ``cfg``, a
+    configuration or its ``IncidenceGraph``."""
+    graph = cfg if isinstance(cfg, IncidenceGraph) else IncidenceGraph(cfg)
+    if d < 1:
+        raise ResourceError("cover enumeration needs degree >= 1",
+                            layer="oracle")
+    if d > limits.degree_bound:
+        raise ResourceError(
+            f"degree {d} exceeds the configured bound {limits.degree_bound}",
+            layer="oracle")
+    T = table(d)
+    by_group = {}
+    for g in graph.groups:
+        if g.descriptor() not in by_group:
+            by_group[g.descriptor()] = _action_classes(g, d, limits)
+    classes = [by_group[g.descriptor()] for g in graph.groups]
+    domains = [len(cl) for cl in classes]
+    order, elimination = _elimination_order(graph, domains)
+    # every action is sorted into its class once, every branch scans d!
+    # candidates per pair of representatives, and every elimination step
+    # enumerates its table
+    estimate = (sum(size for cl in by_group.values() for _, size in cl)
+                + T.size * sum(domains[c] * domains[s]
+                               for c, s, _, _ in graph.branches)
+                + elimination)
+    log.debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
+              d, domains, estimate, limits.ceiling)
+    if estimate > limits.ceiling:
+        raise ResourceError(
+            f"cover contraction estimate {estimate} exceeds ceiling "
+            f"{limits.ceiling}", estimate=estimate,
+            ceiling=limits.ceiling, layer="oracle")
+    factors = [((v,), {(i,): size for i, (_, size) in enumerate(cl)})
+               for v, cl in enumerate(classes)]
+    for c, s, psi_words, phi_words in graph.branches:
+        factors.append(((c, s), _branch_table(T, psi_words, phi_words,
+                                              classes[c], classes[s])))
+    return _contract(domains, factors, order)
 
 
 def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
@@ -211,7 +270,8 @@ def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
 
 
 def compare(cfg, d, result, limits=DEFAULT_LIMITS):
-    """Compare the oracle against a computed presentation at one degree."""
+    """Compare the oracle against a computed presentation at one degree;
+    ``cfg`` is a configuration or its ``IncidenceGraph``."""
     rigid = enumerate_descent_data(cfg, d, limits)
     n_pieces = cfg.n + cfg.m
     card = Fraction(rigid, factorial(d) ** n_pieces)

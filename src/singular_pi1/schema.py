@@ -124,7 +124,9 @@ def parse_group(doc, path, limits=DEFAULT_LIMITS):
         for i, perm in enumerate(gens_doc):
             p = f"{path}.generators[{i}]"
             _expect(perm, list, p, "a permutation as a list of images")
-            if len(perm) != degree or sorted(perm) != list(range(degree)):
+            if len(perm) != degree \
+                    or not all(isinstance(x, int) for x in perm) \
+                    or sorted(perm) != list(range(degree)):
                 raise SchemaError(p, f"not a permutation of 0..{degree - 1}")
             gens.append(tuple(perm))
         try:

@@ -4,13 +4,17 @@ config builders.
 The oracles here deliberately avoid the library's counting machinery:
 they enumerate full assignment tuples with direct permutation algebra
 (``search_count_homs`` prunes, but never simplifies or eliminates), so
-a bug in the counting engine cannot hide behind itself.  The van Kampen
-forms check (``check_vk_forms``) tests the assembly, not the counter,
-and counts with ``count_homs``.
+a bug in the counting engine cannot hide behind itself.  The same holds
+for the descent-data reference (``iter_descent_data``,
+``descent_count``): it visits every tuple of piece actions, where the
+library's oracle sums over conjugacy classes and eliminates variables.
+The van Kampen forms check (``check_vk_forms``) tests the assembly, not
+the counter, and counts with ``count_homs``.
 """
 
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial
@@ -162,6 +166,102 @@ def closed_family_homs(family, n, d):
     return total
 
 
+# -- the descent-data reference: every rigidified datum, one by one ------
+
+@dataclass
+class DescentDatum:
+    degree: int
+    component_actions: dict      # component id -> tuple of permutations
+    singular_actions: dict       # singular id -> tuple of permutations
+    branch_bijections: dict      # branch id -> permutation
+
+
+def group_actions(group, d):
+    """Every action of ``group`` on ``0..d-1``: the tuples of images of
+    its canonical generators that kill every relator, by brute force."""
+    pres = group.canonical_presentation
+    ident = identity(d)
+    out = []
+    for images in itertools.product(all_perms(d),
+                                    repeat=len(pres.generators)):
+        asg = dict(zip(pres.generators, images))
+        if all(eval_word_brute(r, asg, d) == ident for r in pres.relators):
+            out.append(images)
+    return out
+
+
+class _Descent:
+    """The actions of every piece and the intertwiners of every branch of
+    one configuration at degree ``d``."""
+
+    def __init__(self, cfg, d):
+        self.d = d
+        self.comp_ids = [c.id for c in cfg.components]
+        self.sing_ids = [s.id for s in cfg.singulars]
+        self.comp_actions = [group_actions(c.group, d)
+                             for c in cfg.components]
+        self.sing_actions = [group_actions(s.group, d)
+                             for s in cfg.singulars]
+        comp = {c.id: (k, c.group) for k, c in enumerate(cfg.components)}
+        sing = {s.id: (k, s.group) for k, s in enumerate(cfg.singulars)}
+        self.branches = []
+        for b in cfg.branches:
+            ci, comp_group = comp[b.component]
+            si, sing_group = sing[b.singular]
+            self.branches.append((b.id, ci, si, comp_group, sing_group,
+                                  leg_pairs(b.group, b.psi, b.phi)))
+        self._memo = {}
+
+    def intertwiners(self, k, rho, tau):
+        """The ``lam`` with ``lam . rho(psi(a)) = tau(phi(a)) . lam`` for
+        every generator ``a`` of branch ``k``'s group."""
+        key = (k, rho, tau)
+        if key not in self._memo:
+            _, _, _, comp_group, sing_group, legs = self.branches[k]
+            d = self.d
+            rho_asg = dict(zip(comp_group.canonical_presentation.generators,
+                               rho))
+            tau_asg = dict(zip(sing_group.canonical_presentation.generators,
+                               tau))
+            pairs = [(eval_word_brute(psi, rho_asg, d),
+                      eval_word_brute(phi, tau_asg, d)) for psi, phi in legs]
+            self._memo[key] = [lam for lam in all_perms(d)
+                               if all(compose(p, lam) == compose(lam, q)
+                                      for p, q in pairs)]
+        return self._memo[key]
+
+    def tuples(self):
+        """Every ``(rho, tau)`` tuple of piece actions, with the
+        intertwiner lists of the branches."""
+        for rho in itertools.product(*self.comp_actions):
+            for tau in itertools.product(*self.sing_actions):
+                yield rho, tau, [self.intertwiners(k, rho[ci], tau[si])
+                                 for k, (_, ci, si, *_) in
+                                 enumerate(self.branches)]
+
+
+def descent_count(cfg, d):
+    """The rigid count as a product loop: over every tuple of piece
+    actions, the product of the branches' intertwiner counts."""
+    total = 0
+    for _, _, lams in _Descent(cfg, d).tuples():
+        term = 1
+        for options in lams:
+            term *= len(options)
+        total += term
+    return total
+
+
+def iter_descent_data(cfg, d):
+    """Stream every rigidified descent datum as a ``DescentDatum``."""
+    ref = _Descent(cfg, d)
+    for rho, tau, lams in ref.tuples():
+        for choice in itertools.product(*lams):
+            yield DescentDatum(
+                d, dict(zip(ref.comp_ids, rho)), dict(zip(ref.sing_ids, tau)),
+                {b[0]: lam for b, lam in zip(ref.branches, choice)})
+
+
 def brute_connected_count(cfg, d):
     """Rigid descent data whose glued total space is connected.
 
@@ -170,8 +270,6 @@ def brute_connected_count(cfg, d):
     and each branch bijection ``lam`` joins point ``x`` of its
     component's fiber to point ``lam[x]`` of its singular piece's fiber.
     """
-    from singular_pi1 import iter_descent_data
-
     pieces = [("c", c.id) for c in cfg.components] \
         + [("s", s.id) for s in cfg.singulars]
     offset = {piece: k * d for k, piece in enumerate(pieces)}
@@ -288,8 +386,6 @@ def orbit_groupoid_cardinality(cfg, d):
     isomorphism classes and the stabilizer of a representative is its
     automorphism group.
     """
-    from singular_pi1 import iter_descent_data
-
     data = {}
     for datum in iter_descent_data(cfg, d):
         data[_datum_key(datum)] = datum

@@ -56,6 +56,17 @@ class TestValidate:
         code, doc = run(capsys, "validate", str(bad))
         assert code == 3 and doc["error"]["path"] == "$"
 
+    def test_non_integer_permutation_entry_is_schema_error(self, tmp_path,
+                                                          capsys):
+        group = {"kind": "permutation", "degree": 2, "generators": [[0, "a"]]}
+        path = tmp_path / "perm.json"
+        path.write_text(json.dumps({"components": [{"id": "A",
+                                                    "group": group}]}))
+        code, doc = run(capsys, "validate", str(path))
+        assert code == 3
+        assert doc["error"]["kind"] == "schema"
+        assert doc["error"]["path"] == "$.components[0].group.generators[0]"
+
     def test_disconnected_config_names_isolated_vertex(self, tmp_path, capsys):
         doc = {
             "components": [{"id": "A", "group": {"kind": "trivial"}},
@@ -201,13 +212,39 @@ class TestVerify:
         assert code == 0
 
     def test_ceiling_produces_partial_results_and_exit_4(self, capsys):
-        # the oracle estimates 6 * d! + 1 intertwiner scans for star
+        # the oracle estimates one action, 6 * d! pair scans and 7
+        # elimination steps for the all-trivial star: 20 at degree 2, 44
+        # at degree 3
         code, doc = run(capsys, "verify", config_path("star"),
                         "--degree-max", "3", "--ceiling", "20")
         assert code == 4
         reports = doc["reports"]
         assert reports[0]["verdict"] == "pass"      # degree 2 fits
         assert "error" in reports[1]                # degree 3 does not
+
+    def test_one_validation_by_the_oracle_per_run(self, capsys,
+                                                  monkeypatch):
+        import singular_pi1.oracle as oracle
+        calls, real = [], oracle.ensure_valid
+        monkeypatch.setattr(oracle, "ensure_valid",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        code, _ = run(capsys, "verify", config_path("star"), "--degree-max",
+                      "5", "--connected", "--ceiling", str(10 ** 16))
+        assert code == 0
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("family", ["chain", "star", "theta"])
+    def test_eight_piece_families_pass_to_degree_five(self, tmp_path, capsys,
+                                                      family):
+        # under the default ceiling
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config(family, 8))))
+        code, doc = run(capsys, "verify", str(path), "--degree-max", "5",
+                        "--connected")
+        assert code == 0
+        assert [(r["verdict"], r["connected"]["verdict"])
+                for r in doc["reports"]] == [("pass", "pass")] * 4
 
     def test_connected_flag(self, capsys):
         code, doc = run(capsys, "verify", config_path("nontrivial-Z"),

@@ -7,12 +7,13 @@ import pytest
 from singular_pi1 import (Component, GroupSpec, Limits, ResourceError,
                           SchemeConfig, Singular, attach_connected, compare,
                           count_homs, enumerate_descent_data,
-                          groupoid_cardinality, iter_descent_data,
-                          pi1_devissage, pi1_graph_of_groups,
-                          transitive_counts)
-from support import (brute_connected_count, chain_config, nodal_config,
-                     orbit_groupoid_cardinality, random_general_config,
-                     theta_config, trivial_branch, TRIV)
+                          groupoid_cardinality, pi1_devissage,
+                          pi1_graph_of_groups, transitive_counts)
+from support import (brute_connected_count, chain_config, descent_count,
+                     family_config, iter_descent_data, load_corpus,
+                     nodal_config, orbit_groupoid_cardinality,
+                     random_general_config, theta_config, trivial_branch,
+                     TRIV)
 
 C2 = GroupSpec.cyclic(2)
 
@@ -55,6 +56,49 @@ class TestRigidCounts:
         for datum in iter_descent_data(cfg, 2):
             assert set(datum.branch_bijections) == {"p1", "p2", "q1", "q2"}
             break
+
+
+class TestContractionMatchesProductLoop:
+    """The contracted count against the reference product loop, which
+    visits every tuple of piece actions."""
+
+    def test_random_general_configs(self):
+        rng = random.Random(7)
+        nontrivial = 0
+        for _ in range(25):
+            cfg = random_general_config(rng)
+            for d in (2, 3):
+                assert enumerate_descent_data(cfg, d) \
+                    == descent_count(cfg, d), (cfg, d)
+            nontrivial += any(b.group.order > 1 for b in cfg.branches)
+        assert nontrivial >= 5
+
+    @pytest.mark.parametrize("family", ["chain", "star", "theta"])
+    def test_families_at_two_pieces(self, family):
+        cfg = family_config(family, 2)
+        assert enumerate_descent_data(cfg, 3) == descent_count(cfg, 3)
+
+    @pytest.mark.parametrize("n, d", [(2, 4), (4, 3)])
+    def test_theta(self, n, d):
+        cfg = family_config("theta", n)
+        assert enumerate_descent_data(cfg, d) == descent_count(cfg, d)
+
+    def test_nontrivial_z2(self):
+        cfg = load_corpus()["nontrivial-Z2"]
+        for d in (1, 2, 3, 4):
+            assert enumerate_descent_data(cfg, d) == descent_count(cfg, d)
+
+
+def test_action_classes_are_the_g_set_classes():
+    # d-point G-sets up to isomorphism: 5 points are a sum of the
+    # trivial (1 point), sign (2) and natural (3) S3-sets in 5 ways, and
+    # an involution of 5 points has 0, 1 or 2 transpositions
+    from singular_pi1.oracle import _action_classes
+    for group, homs, classes in ((GroupSpec.symmetric(3), 146, 5),
+                                 (C2, 26, 3), (TRIV, 1, 1)):
+        found = _action_classes(group, 5, Limits())
+        assert len(found) == classes
+        assert sum(size for _, size in found) == homs
 
 
 class TestGroupoidCardinality:
@@ -201,7 +245,9 @@ class TestResourceGuards:
         tight = Limits(ceiling=4)
         with pytest.raises(ResourceError) as err:
             enumerate_descent_data(theta_config(), 3, tight)
-        assert err.value.estimate is not None
+        assert err.value.layer == "oracle"
+        assert err.value.ceiling == 4
+        assert err.value.estimate is not None and err.value.estimate > 4
 
     def test_degree_bound(self):
         with pytest.raises(ResourceError):
