@@ -74,12 +74,16 @@ def build_parser():
 
 def _limits_from(args):
     limits = DEFAULT_LIMITS
-    if args.bound_order is not None:
-        limits = limits.replace(order_bound=args.bound_order)
-    if args.bound_degree is not None:
-        limits = limits.replace(degree_bound=args.bound_degree)
-    if args.ceiling is not None:
-        limits = limits.replace(ceiling=args.ceiling)
+    for flag, field, value in (("--bound-order", "order_bound",
+                                args.bound_order),
+                               ("--bound-degree", "degree_bound",
+                                args.bound_degree),
+                               ("--ceiling", "ceiling", args.ceiling)):
+        if value is None:
+            continue
+        if value < 0:
+            raise InputError(f"{flag} must be non-negative, got {value}")
+        limits = limits.replace(**{field: value})
     return limits
 
 
@@ -121,8 +125,8 @@ def _cmd_present(args, limits):
         result = pi1_graph_of_groups(cfg)
     payload = pi1_result_to_json(result, simplified=args.simplify == "true")
     if args.degrees:
-        # counting simplifies first, so the raw presentation would give
-        # the same counts at the cost of a second Tietze pass
+        # counting simplifies whatever it is given, so the raw
+        # presentation counts alike; the simplified one is smaller
         payload["hom_counts"] = {
             str(d): count_homs(result.presentation, d, limits)
             for d in degrees}
@@ -130,6 +134,11 @@ def _cmd_present(args, limits):
 
 
 def _cmd_verify(args, limits):
+    if args.degree_max < 2:
+        # the reports start at degree 2: a lower bound would compare
+        # nothing and pass
+        raise InputError(f"--degree-max must be at least 2, "
+                         f"got {args.degree_max}")
     cfg = _load(args, limits)
     result = pi1_graph_of_groups(cfg)
     graph = IncidenceGraph(cfg)

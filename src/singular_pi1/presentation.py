@@ -12,6 +12,9 @@ track of where a generator of an ingredient ended up inside an
 assembly.
 """
 
+import heapq
+from collections import Counter, defaultdict
+
 from .errors import InputError
 from .words import (GeneratorSymbol, Word, check_symbol, check_tag,
                     cyclic_key, rename, retag_symbol, substitute)
@@ -125,19 +128,17 @@ def fibered_coproduct_with_maps(p1, p2, amalgam_pairs):
 def _eliminable_syllable(relator):
     """Find a syllable ``(sym, ±1)`` whose symbol occurs once in the relator.
 
-    Returns ``(symbol, replacement word)`` such that the relator is
-    equivalent to ``symbol = replacement``, or ``None``.
+    Returns ``(symbol, replacement word)`` for the first such syllable,
+    so that the relator is equivalent to ``symbol = replacement``, or
+    ``None``.
     """
     letters = relator.letters
+    counts = Counter(s for s, _ in letters)
     for pos, (s, e) in enumerate(letters):
-        if abs(e) != 1:
-            continue
-        if any(s2 == s for p2, (s2, _) in enumerate(letters) if p2 != pos):
-            continue
-        # rotate so the syllable sits first: relator ~ s^e * w
-        w = Word(letters[pos + 1:] + letters[:pos])
-        repl = w.inverse() if e == 1 else w
-        return s, repl
+        if abs(e) == 1 and counts[s] == 1:
+            # rotate so the syllable sits first: relator ~ s^e * w
+            w = Word(letters[pos + 1:] + letters[:pos])
+            return s, (w.inverse() if e == 1 else w)
     return None
 
 
@@ -150,45 +151,77 @@ def tietze_eliminations(p):
     subject to elimination are kept even when unused; removing them
     would change hom counts.
 
+    The order is fixed: of relators equal up to rotation and inversion
+    the first in list order is kept, and each step eliminates through
+    the first eliminable relator in list order, at its first eliminable
+    syllable.  Relators keep their list positions, and three indexes
+    stand in for rescanning the list (G. Havas, P. E. Kenne, J. S.
+    Richardson and E. F. Robertson, "A Tietze transformation program",
+    1984): generator to the positions it occurs in, so a step rewrites
+    only those relators; cyclic key to position, so a rewritten relator
+    finds the one it duplicates; and a heap of positions, checked when
+    popped, for the next eliminable relator.  A step thus costs time
+    linear in the syllables of the relators it rewrites, plus a
+    logarithm per heap entry, except that a relator's cyclic key is
+    quadratic in its syllable count.  A generator occurring in k
+    relators still costs k rewrites each time a step renames it.
+
     Returns the simplified presentation and the ``(generator, word)``
     pairs eliminated, in elimination order.  Each word is over the
     generators left at its step, so evaluating the words in reverse
     order extends a map of the simplified generators to all of ``p``'s.
     """
-    gens = list(p.generators)
-    relators = list(p.relators)
-    eliminations = []
-    while True:
-        # drop trivial relators and cyclic duplicates
-        seen = set()
-        kept = []
-        for r in relators:
-            r = r.cyclically_reduced()
-            if r.is_identity():
-                continue
-            k = cyclic_key(r)
-            if k in seen:
-                continue
-            seen.add(k)
-            kept.append(r)
-        relators = kept
+    relators = list(p.relators)       # None once a relator is dropped
+    keys = [None] * len(relators)
+    first = {}                        # cyclic key -> position holding it
+    where = defaultdict(set)          # generator -> positions using it
 
-        eliminated = False
-        for idx, r in enumerate(relators):
-            found = _eliminable_syllable(r)
-            if found is None:
-                continue
-            target, repl = found
-            mapping = {target: repl}
-            relators = [substitute(other, mapping).cyclically_reduced()
-                        for j, other in enumerate(relators) if j != idx]
-            gens.remove(target)
-            eliminations.append((target, repl))
-            eliminated = True
-            break
-        if not eliminated:
-            break
-    return Presentation(tuple(gens), tuple(relators)), eliminations
+    def keep(j, r):
+        """Store ``r`` at ``j`` unless an earlier relator equals it;
+        drop a later one that does."""
+        if r.is_identity():
+            relators[j] = None
+            return
+        k = cyclic_key(r)
+        i = first.get(k)
+        if i is not None:
+            if i < j:
+                relators[j] = None
+                return
+            drop(i)
+        relators[j], keys[j], first[k] = r, k, j
+        for s in r.symbols():
+            where[s].add(j)
+        heapq.heappush(candidates, j)
+
+    def drop(j):
+        del first[keys[j]]
+        for s in relators[j].symbols():
+            where[s].discard(j)
+        relators[j] = None
+
+    candidates = []
+    for j, r in enumerate(p.relators):
+        keep(j, r)
+    eliminations = []
+    while candidates:
+        idx = heapq.heappop(candidates)
+        found = relators[idx] and _eliminable_syllable(relators[idx])
+        if not found:
+            continue
+        target, repl = found
+        drop(idx)
+        # a rewritten relator lacks target and every relator left to
+        # rewrite has it, so keep() never meets one of the latter
+        for j in where.pop(target):
+            old = relators[j]
+            drop(j)
+            keep(j, substitute(old, {target: repl}).cyclically_reduced())
+        eliminations.append((target, repl))
+    gone = {g for g, _ in eliminations}
+    return Presentation(tuple(g for g in p.generators if g not in gone),
+                        tuple(r for r in relators if r is not None)), \
+        eliminations
 
 
 def tietze_simplify(p):

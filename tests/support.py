@@ -9,7 +9,9 @@ for the descent-data reference (``iter_descent_data``,
 ``descent_count``): it visits every tuple of piece actions, where the
 library's oracle sums over conjugacy classes and eliminates variables.
 The van Kampen forms check (``check_vk_forms``) tests the assembly, not
-the counter, and counts with ``count_homs``.
+the counter, and counts with ``count_homs``.  ``tietze_reference`` is
+the plain restart-from-the-first-relator Tietze loop that the library's
+indexed pass must reproduce exactly.
 """
 
 import itertools
@@ -24,7 +26,59 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           count_homs, parse_scheme_config, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
 from singular_pi1.vk import FORMS
-from singular_pi1.words import substitute
+from singular_pi1.words import cyclic_key, substitute
+
+
+def _reference_syllable(relator):
+    letters = relator.letters
+    for pos, (s, e) in enumerate(letters):
+        if abs(e) != 1:
+            continue
+        if any(s2 == s for p2, (s2, _) in enumerate(letters) if p2 != pos):
+            continue
+        w = Word(letters[pos + 1:] + letters[:pos])
+        repl = w.inverse() if e == 1 else w
+        return s, repl
+    return None
+
+
+def tietze_reference(p):
+    """``presentation.tietze_eliminations`` as a plain loop: after each
+    elimination, drop trivial and duplicate relators from the whole list
+    and search for the next eliminable relator from the first."""
+    gens = list(p.generators)
+    relators = list(p.relators)
+    eliminations = []
+    while True:
+        seen = set()
+        kept = []
+        for r in relators:
+            r = r.cyclically_reduced()
+            if r.is_identity():
+                continue
+            k = cyclic_key(r)
+            if k in seen:
+                continue
+            seen.add(k)
+            kept.append(r)
+        relators = kept
+
+        eliminated = False
+        for idx, r in enumerate(relators):
+            found = _reference_syllable(r)
+            if found is None:
+                continue
+            target, repl = found
+            mapping = {target: repl}
+            relators = [substitute(other, mapping).cyclically_reduced()
+                        for j, other in enumerate(relators) if j != idx]
+            gens.remove(target)
+            eliminations.append((target, repl))
+            eliminated = True
+            break
+        if not eliminated:
+            break
+    return Presentation(tuple(gens), tuple(relators)), eliminations
 
 
 def all_perms(d):

@@ -112,6 +112,18 @@ class TestPresent:
         assert code == 0
         assert doc["hom_counts"] == {"2": 2, "3": 6}
 
+    @pytest.mark.parametrize("form", ["ii", "iv"])
+    def test_six_piece_theta_devissage_counts(self, tmp_path, capsys, form):
+        # the raw presentation has thousands of relators in form iv
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config("theta", 6))))
+        code, doc = run(capsys, "present", str(path), "--route", "devissage",
+                        "--form", form, "--degrees", "2,3")
+        assert code == 0
+        assert doc["hom_counts"] == {str(d): closed_family_homs("theta", 6, d)
+                                     for d in (2, 3)}
+
     def test_raw_presentation_on_request(self, capsys):
         code, simplified = run(capsys, "present", config_path("nodal"))
         code2, raw = run(capsys, "present", config_path("nodal"),
@@ -293,6 +305,24 @@ class TestGlobalBounds:
                         "--degrees", "3", "--bound-degree", "2")
         assert code == 4
         assert doc["error"]["kind"] == "resource"
+
+    @pytest.mark.parametrize("flag", ["--ceiling", "--bound-degree",
+                                      "--bound-order"])
+    def test_negative_bound_is_an_input_error(self, capsys, flag):
+        code, doc = run(capsys, "verify", config_path("theta"), flag, "-5")
+        assert code == 2
+        assert doc["error"] == {"kind": "input", "message":
+                                f"{flag} must be non-negative, got -5"}
+
+    @pytest.mark.parametrize("argv", [("--degree-max", "0"),
+                                      ("--degree-max", "-3", "--connected")],
+                             ids=["zero", "negative-connected"])
+    def test_degree_max_below_two_is_an_input_error(self, capsys, argv):
+        # the reports start at degree 2, so it would compare nothing
+        code, doc = run(capsys, "verify", config_path("theta"), *argv)
+        assert code == 2
+        assert doc["error"]["kind"] == "input"
+        assert "--degree-max must be at least 2" in doc["error"]["message"]
 
     def test_order_bound_flag_rejects_large_groups(self, tmp_path, capsys):
         doc = {"components": [{"id": "A",

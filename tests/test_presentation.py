@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singular_pi1 import (GroupSpec, InputError, Presentation, Word,
-                          count_homs, free_presentation,
-                          quotient_by_relations, sym, tietze_simplify)
+                          count_homs, free_presentation, pi1_devissage,
+                          pi1_graph_of_groups, quotient_by_relations, sym,
+                          tietze_simplify)
 from singular_pi1.presentation import (fibered_coproduct_with_maps,
-                                       free_product_with_maps)
-from support import (brute_count_homs, count_order_dividing,
-                     random_presentation)
+                                       free_product_with_maps,
+                                       tietze_eliminations)
+from singular_pi1.vk import FORMS
+from support import (brute_count_homs, count_order_dividing, family_config,
+                     load_corpus, random_presentation, tietze_reference)
 
 A, B = sym("a"), sym("b")
 
@@ -116,6 +119,54 @@ class TestTietzeSimplify:
             out = tietze_simplify(p)
             for d in (2, 3):
                 assert count_homs(out, d) == brute_count_homs(p, d)
+
+
+def _random_presentations(count):
+    rng = random.Random(2024)
+    return [random_presentation(rng, max_gens=5, max_relators=7, max_len=8)
+            for _ in range(count)]
+
+
+def _family_configs(sizes):
+    return [family_config(family, n)
+            for family in ("chain", "star", "theta") for n in sizes]
+
+
+def _graph_of_groups_raw():
+    configs = list(load_corpus().values()) + _family_configs(range(2, 17))
+    return [pi1_graph_of_groups(cfg).raw_presentation for cfg in configs]
+
+
+def _devissage_raw():
+    configs = list(load_corpus().values()) + _family_configs((2, 3))
+    return [pi1_devissage(cfg, form=form).raw_presentation
+            for cfg in configs for form in FORMS]
+
+
+class TestTietzeMatchesReference:
+    """The indexed pass returns what the restart-from-the-first-relator
+    loop returns: the same presentation and the same eliminations, in
+    the same order."""
+
+    def check(self, presentations):
+        for p in presentations:
+            assert tietze_eliminations(p) == tietze_reference(p), p
+
+    def test_random_presentations(self):
+        self.check(_random_presentations(1000))
+
+    def test_graph_of_groups_raw_presentations(self):
+        self.check(_graph_of_groups_raw())
+
+    def test_devissage_raw_presentations(self):
+        self.check(_devissage_raw())
+
+    def test_simplify_is_idempotent(self):
+        # count_homs simplifies again what present already simplified
+        for p in (_random_presentations(200) + _graph_of_groups_raw()
+                  + _devissage_raw()):
+            once = tietze_simplify(p)
+            assert tietze_simplify(once) == once
 
 
 presentations = st.integers(0, 10_000).map(

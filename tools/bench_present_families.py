@@ -1,0 +1,71 @@
+"""Time ``present`` on large scaled families.
+
+Run from the repository root:
+
+    python3 tools/bench_present_families.py --label after
+
+Rows (the non-trivial S3/C2 variant, seed 1, written by
+``perfbench/families.py``):
+
+* the default route on chain, star and theta at N = 64, 128, 256, and on
+  the chain at N = 1024;
+* ``--route devissage --form iv`` on theta at N = 6 and 8.
+
+One CLI call per row runs in a fresh interpreter under the default
+flags, with the runner of ``bench_verify_families.py``.  Each row
+records the wall time of that interpreter and the exit code; a row
+still running after the runner's timeout is recorded with exit null.
+
+The rows are stored under ``--label`` in ``--output`` (default
+``BENCH_present_families.json`` at the root), next to the rows of other
+labels already in the file, so one file holds a before/after pair.
+"""
+
+import argparse
+import json
+import os
+import platform
+import tempfile
+from pathlib import Path
+
+from bench_verify_families import ROOT, SEED, families, run_cli
+
+ROWS = [(family, n, ()) for n in (64, 128, 256)
+        for family in families.FAMILIES] \
+    + [("chain", 1024, ())] \
+    + [("theta", n, ("--route", "devissage", "--form", "iv"))
+       for n in (6, 8)]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True,
+                        help="key the rows are stored under")
+    parser.add_argument("--output", default=str(ROOT /
+                                                "BENCH_present_families.json"))
+    args = parser.parse_args()
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, n, flags in ROWS:
+            path = families.write_config(Path(tmp), family, "nontrivial",
+                                         n, SEED)
+            run = run_cli("present", path, flags)
+            row = {"family": family, "n": n, "flags": list(flags),
+                   "exit": run["exit"], "wall_s": run["wall_s"]}
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+
+    out = Path(args.output)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["command"] = ["present", "CONFIG", "FLAGS"]
+    doc["configs"] = f"perfbench/families.py, nontrivial, seed {SEED}"
+    doc.setdefault("runs", {})[args.label] = {
+        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
+                   f"Python {platform.python_version()}",
+        "rows": rows}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

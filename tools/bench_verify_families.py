@@ -48,21 +48,32 @@ ESTIMATE = re.compile(r"estimate (\d+)")
 LOGGED = re.compile(r"oracle degree (\d+):.* estimate (\d+)")
 
 
-def run_row(path):
+def run_cli(command, path, flags):
+    """One CLI call in a fresh interpreter: its exit code (None when it
+    timed out), wall seconds, standard output and standard error."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [sys.executable, "-c", CHILD, "verify", str(path), *FLAGS]
+    argv = [sys.executable, "-c", CHILD, command, str(path), *flags]
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"exit": None, "wall_s": round(time.perf_counter() - start, 3),
-                "verdicts": [], "refused_degrees": [], "estimate": None}
-    wall = time.perf_counter() - start
-    estimates = {int(d): int(e) for d, e in LOGGED.findall(proc.stderr)}
+                "stdout": "", "stderr": ""}
+    return {"exit": proc.returncode,
+            "wall_s": round(time.perf_counter() - start, 3),
+            "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+def run_row(path):
+    run = run_cli("verify", path, FLAGS)
+    if run["exit"] is None:
+        return {"exit": None, "wall_s": run["wall_s"], "verdicts": [],
+                "refused_degrees": [], "estimate": None}
+    estimates = {int(d): int(e) for d, e in LOGGED.findall(run["stderr"])}
     verdicts, refused = [], []
     try:
-        reports = json.loads(proc.stdout).get("reports", [])
+        reports = json.loads(run["stdout"]).get("reports", [])
     except ValueError:
         reports = []
     for r in reports:
@@ -76,7 +87,7 @@ def run_row(path):
             if "connected" in r:
                 verdicts.append(r["connected"]["verdict"])
     top = max(estimates) if estimates else None
-    return {"exit": proc.returncode, "wall_s": round(wall, 3),
+    return {"exit": run["exit"], "wall_s": run["wall_s"],
             "verdicts": sorted(set(verdicts)), "refused_degrees": refused,
             "estimate": estimates[top] if estimates else None,
             "estimate_degree": top}
