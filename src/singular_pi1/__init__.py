@@ -6,10 +6,9 @@ connected pieces of the singular locus, branches with their attaching
 maps) and certifies every presentation against an oracle that counts
 finite covers as descent data, summed over the conjugacy classes of
 the pieces' actions and contracted over the incidence graph.  The
-oracle never sees the computed presentation, but it is not yet
-independent of the hom counter: it finds each piece's actions on the
-fiber with ``iter_homs``, the counter behind the other side of the
-identity.
+oracle never sees the computed presentation and shares no counting code
+with the hom counter behind the other side of the identity: it finds
+each piece's actions on the fiber with its own search.
 """
 
 from .errors import Error, InputError, ResourceError, SchemaError
@@ -17,7 +16,7 @@ from .expression import (Atom, CoproductNode, FiberedCoproductNode,
                          FreeGroupNode, QuotientNode, VKLegRef, VKNode,
                          closure_witness)
 from .groups import GroupSpec
-from .homcount import count_homs, evaluate_word, iter_homs, transitive_counts
+from .homcount import count_homs, transitive_counts
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import (IncidenceGraph, OracleReport, attach_connected,

@@ -1,4 +1,4 @@
-"""Exact counting and enumeration of maps into symmetric groups.
+"""Exact counting of maps into symmetric groups.
 
 ``count_homs(p, d)`` is the semantic evaluator of the package: the
 number of assignments of ``p``'s generators to elements of Sym(d) under
@@ -37,14 +37,8 @@ the width of that graph rather than with the number of generators
 The estimate gated against the ceiling is the sum, over the buckets of
 every component of the simplified presentation, of the product of the
 domain sizes each enumerates.  It is known before any counting starts.
-``iter_homs`` runs the same forward pass, keeping for every bucket the
-values of its eliminated generators that extend each assignment of its
-scope, then assigns the buckets backward in reverse order, which never
-meets a dead end, and last evaluates the words of the generators that
-Tietze eliminated.
 """
 
-import itertools
 from collections import Counter
 from math import comb, prod
 from operator import itemgetter
@@ -52,7 +46,7 @@ from operator import itemgetter
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
 from .perms import table
-from .presentation import tietze_eliminations
+from .presentation import tietze_simplify
 
 _component_cache = {}
 
@@ -134,7 +128,7 @@ class _Bucket:
     ``cost`` is the product of the domains it enumerates.
     """
 
-    __slots__ = ("elim", "scope", "rels", "msgs", "order", "cost", "search")
+    __slots__ = ("scope", "rels", "msgs", "order", "cost", "search")
 
     def __init__(self, elim, rels, msgs, domains):
         inside = set(elim)
@@ -145,7 +139,6 @@ class _Bucket:
         self.scope = tuple(sorted(scope - inside))
         self.search = None
         self.order = _schedule(scope, self.rels, self.msgs, domains)
-        self.elim = tuple(v for v in self.order if v in inside)
         self.cost = prod(len(domains[v]) for v in self.order)
 
 
@@ -154,11 +147,10 @@ class _Search:
 
     Slot ``i`` holds ``order[i]``, taken from its domain.  At every
     depth the relators and messages whose last generator was just
-    assigned are checked.  ``out`` holds the slots of the bucket's scope
-    and ``elim`` those of its eliminated generators.
+    assigned are checked.  ``out`` holds the slots of the bucket's scope.
     """
 
-    __slots__ = ("cands", "checks", "lookups", "out", "elim")
+    __slots__ = ("cands", "checks", "lookups", "out")
 
     def __init__(self, bucket, domains):
         order = bucket.order
@@ -173,7 +165,6 @@ class _Search:
             slots = tuple(slot[v] for v in scope)
             self.lookups[max(slots)].append((slots, j))
         self.out = tuple(slot[v] for v in bucket.scope)
-        self.elim = tuple(slot[v] for v in bucket.elim)
 
     def run(self, T, tables, asg, leaf):
         """Call ``leaf(weight)`` for every consistent assignment, with
@@ -220,10 +211,9 @@ class _Search:
 class _Elimination:
     """Bucket-elimination schedule for one relator-connected component."""
 
-    __slots__ = ("n", "buckets", "estimate", "count")
+    __slots__ = ("buckets", "estimate", "count")
 
     def __init__(self, n, relators, T):
-        self.n = n
         unary = [[] for _ in range(n)]
         rels = []
         for rel in relators:
@@ -267,66 +257,31 @@ class _Elimination:
             b.search = _Search(b, domains)
         self.count = None
 
-    def forward(self, T, collect=False):
-        """Tabulate every bucket in elimination order.
-
-        Returns ``(count, tables, extensions)``.  ``tables[i]`` is the
-        message of bucket ``i`` (an int when its scope is empty); in
-        collect mode ``extensions[i]`` maps each assignment of the
-        scope to the values of the eliminated generators that extend
-        it.
-        """
-        tables, extensions = [], []
+    def forward(self, T):
+        """Tabulate every bucket in elimination order and return the
+        count.  Each bucket's message is a table over its scope (an int
+        when the scope is empty)."""
+        tables = []
         count = 1
         for b in self.buckets:
             s = b.search
             asg = [0] * len(b.order)
-            message, ext = {}, {}
+            message = {}
             get = message.get
             key = itemgetter(*s.out) if s.out else (lambda _: ())
-            if collect:
-                values = itemgetter(*s.elim)
 
-                def leaf(w):
-                    k = key(asg)
-                    message[k] = get(k, 0) + w
-                    ext.setdefault(k, []).append(values(asg))
-            else:
-                def leaf(w):
-                    k = key(asg)
-                    message[k] = get(k, 0) + w
+            def leaf(w):
+                k = key(asg)
+                message[k] = get(k, 0) + w
+
             s.run(T, tables, asg, leaf)
             if not s.out:
                 message = message.get((), 0)
                 count *= message
             tables.append(message)
-            extensions.append(ext)
             if not message:
-                return 0, tables, extensions
-        return count, tables, extensions
-
-    def assignments(self, extensions):
-        """Every valid assignment, as a tuple indexed by generator."""
-        values = [0] * self.n
-        out = []
-        buckets = self.buckets
-
-        def walk(i):
-            if i < 0:
-                out.append(tuple(values))
-                return
-            b = buckets[i]
-            key = itemgetter(*b.scope)(values) if b.scope else ()
-            for ext in extensions[i][key]:
-                if len(b.elim) == 1:
-                    values[b.elim[0]] = ext
-                else:
-                    for v, c in zip(b.elim, ext):
-                        values[v] = c
-                walk(i - 1)
-
-        walk(len(buckets) - 1)
-        return out
+                return 0
+        return count
 
 
 def _component_key(gens, relators, d):
@@ -347,7 +302,7 @@ def _check_degree(d, limits):
 def _plan(p, d, limits):
     """Simplify ``p``, split it into components, plan each, and gate the
     estimated work."""
-    p, eliminations = tietze_eliminations(p)
+    p = tietze_simplify(p)
     relators = _encode(p)
     components, free_gens = _split_components(len(p.generators), relators)
     T = table(d)
@@ -363,65 +318,22 @@ def _plan(p, d, limits):
         raise ResourceError(
             f"hom search space {cost} exceeds ceiling {limits.ceiling}",
             estimate=cost, ceiling=limits.ceiling, layer="homcount")
-    return p, eliminations, components, plans, free_gens, T
+    return plans, free_gens, T
 
 
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(d, limits)
-    *_, plans, free_gens, T = _plan(p, d, limits)
+    plans, free_gens, T = _plan(p, d, limits)
     total = 1
     for plan in plans:
         if plan.count is None:
-            plan.count = plan.forward(T)[0]
+            plan.count = plan.forward(T)
         total *= plan.count
         if total == 0:
             break
     return total * T.size ** len(free_gens)
-
-
-def iter_homs(p, d, limits=DEFAULT_LIMITS):
-    """Yield every valid assignment as a dict ``symbol -> permutation``.
-
-    The total number of assignments is bounded against the ceiling
-    before anything is yielded.
-    """
-    _check_degree(d, limits)
-    p, eliminations, components, plans, free_gens, T = _plan(p, d, limits)
-    perms = T.perms
-    gen_list = p.generators
-
-    passes = []
-    total = T.size ** len(free_gens)
-    for plan in plans:
-        count, _, extensions = plan.forward(T, collect=True)
-        total *= count
-        passes.append(extensions)
-    if total > limits.ceiling:
-        raise ResourceError(
-            f"{total} homomorphisms exceed ceiling {limits.ceiling}",
-            estimate=total, ceiling=limits.ceiling, layer="homcount")
-    if total == 0:
-        return
-    collected = [plan.assignments(extensions)
-                 for plan, extensions in zip(plans, passes)]
-
-    def emit(parts, free_choice):
-        asg = {}
-        for (gens, _), values in zip(components, parts):
-            for g, v in zip(gens, values):
-                asg[gen_list[g]] = perms[v]
-        for g, v in zip(free_gens, free_choice):
-            asg[gen_list[g]] = perms[v]
-        for g, word in reversed(eliminations):
-            asg[g] = evaluate_word(word, asg, d)
-        return asg
-
-    for parts in itertools.product(*collected):
-        for free_choice in itertools.product(range(T.size),
-                                             repeat=len(free_gens)):
-            yield emit(parts, free_choice)
 
 
 def transitive_counts(counts):
@@ -439,13 +351,3 @@ def transitive_counts(counts):
                             for k in range(1, d)))
     return t[1:]
 
-
-def evaluate_word(word, assignment, d):
-    """Evaluate a word under ``symbol -> permutation`` images."""
-    T = table(d)
-    acc = T.identity
-    index = T.index
-    for s, e in word.letters:
-        i = index[assignment[s]]
-        acc = T.mul[acc][T.power(i, e)]
-    return T.perms[acc]

@@ -20,18 +20,18 @@ pieces as variables and branches as pairwise factors, contracted by
 variable elimination (Dechter 1999): the singular pieces first, then the
 components in a greedy order.  The ``--ceiling`` gate estimates that
 work: the actions sorted into classes, the pair scans, and the table of
-every elimination step.
+every elimination step.  The actions themselves come from the oracle's
+own search over the group's canonical presentation (``_actions``),
+gated by the candidates it tries.
 
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
-into Sym(d), exactly, as rationals.  The left side never sees a
-presentation of the result and the right side never sees a descent
-datum, but they share the hom-counting engine: ``_action_classes``, the
-one source of the piece actions, enumerates them with
-``homcount.iter_homs`` on the group's canonical presentation, and the
-right side counts the result's presentation with ``count_homs``.  The
-connected columns follow from the plain ones at degrees ``1..d``: each
-side applies Hall's formula to its own numbers.
+into Sym(d), exactly, as rationals.  The two sides are independent: the
+left side never sees a presentation of the result and shares no
+counting code with the right side, which counts the result's
+presentation with ``homcount.count_homs``.  The connected columns
+follow from the plain ones at degrees ``1..d``: each side applies
+Hall's formula to its own numbers.
 """
 
 import logging
@@ -39,10 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ResourceError
-from .homcount import count_homs, iter_homs, transitive_counts
+from .homcount import count_homs, transitive_counts
 from .limits import DEFAULT_LIMITS
 from .perms import table
 from .scheme import ensure_valid
@@ -107,20 +108,67 @@ def _encode(hom, gens, target):
             for g in gens]
 
 
+def _actions(group, d, limits=DEFAULT_LIMITS):
+    """Every action of ``group`` on ``{0..d-1}``: the images of its
+    canonical generators, as indices into ``table(d)``, under which
+    every relator is the identity.
+
+    The generators are assigned in order and the partial actions kept
+    level by level.  A relator on one generator filters that generator's
+    candidates once; every other relator is checked as soon as its last
+    generator is assigned, and its verdict memoised on the images of the
+    generators it contains (most relators contain two).  Each level's
+    candidates, the partial actions times the domain, count towards the
+    work gated against the ceiling.
+    """
+    T = table(d)
+    pres = group.canonical_presentation
+    slot = {g: k for k, g in enumerate(pres.generators)}
+    unary = [[] for _ in slot]
+    checks = [[] for _ in slot]
+    for r in pres.relators:
+        word = tuple((slot[s], e) for s, e in r.letters)
+        scope = sorted({k for k, _ in word})
+        if len(scope) == 1:
+            unary[scope[0]].append(word)
+        else:
+            checks[scope[-1]].append((itemgetter(*scope), word, {}))
+    ident = T.identity
+
+    def holds(check, a):
+        key, word, memo = check
+        images = key(a)
+        if images not in memo:
+            memo[images] = _evaluate(T, word, a) == ident
+        return memo[images]
+
+    partial, work = [()], 0
+    for k in range(len(slot)):
+        domain = [x for x in range(T.size)
+                  if all(_evaluate(T, w, {k: x}) == ident for w in unary[k])]
+        work += len(partial) * len(domain)
+        if work > limits.ceiling:
+            raise ResourceError(
+                f"action search estimate {work} exceeds ceiling "
+                f"{limits.ceiling}", estimate=work, ceiling=limits.ceiling,
+                layer="oracle")
+        partial = [a for a in (b + (x,) for b in partial for x in domain)
+                   if all(holds(check, a) for check in checks[k])]
+    return partial
+
+
 def _action_classes(group, d, limits):
     """The Sym(d)-conjugacy classes of the actions of ``group`` on
     ``{0..d-1}``, as ``(representative, class size)`` pairs; a
     representative lists the images of the canonical generators as
     indices into ``table(d)``.
 
-    The classes are the orbits of ``iter_homs`` under conjugation, each
+    The classes are the orbits of ``_actions`` under conjugation, each
     walked with two generators of Sym(d), a transposition and a d-cycle,
     so every action is visited a bounded number of times.
     """
     T = table(d)
-    pres = group.canonical_presentation
-    actions = [tuple(T.index[asg[g]] for g in pres.generators)
-               for asg in iter_homs(pres, d, limits)]
+    actions = _actions(group, d, limits)
     movers = [T.index[tuple(range(1, d)) + (0,)],
               T.index[(1, 0) + tuple(range(2, d)) if d > 1 else (0,)]]
     mul, inv = T.mul, T.inv
@@ -142,9 +190,14 @@ def _action_classes(group, d, limits):
 
 
 def _evaluate(T, word, images):
+    mul, inv = T.mul, T.inv
     acc = T.identity
     for slot, e in word:
-        acc = T.mul[acc][T.power(images[slot], e)]
+        p = images[slot]
+        if e < 0:
+            p, e = inv[p], -e
+        for _ in range(e):
+            acc = mul[acc][p]
     return acc
 
 

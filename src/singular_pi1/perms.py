@@ -46,15 +46,6 @@ class PermTable:
         ) if d > 1 else ((self.identity,),)
         self.inv = tuple(self.index[invert(p)] for p in self.perms)
 
-    def power(self, i, e):
-        if e < 0:
-            i, e = self.inv[i], -e
-        acc = self.identity
-        row_mul = self.mul
-        for _ in range(e):
-            acc = row_mul[acc][i]
-        return acc
-
 
 @lru_cache(maxsize=None)
 def table(d):

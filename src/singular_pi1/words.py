@@ -101,10 +101,7 @@ class Word:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        w = Word.identity()
-        for _ in range(n):
-            w = w * self
-        return w
+        return Word(self.letters * n)
 
     def symbols(self):
         return {s for s, _ in self.letters}
@@ -116,15 +113,21 @@ class Word:
         return not self.letters
 
     def cyclically_reduced(self):
-        """Conjugate away matching first/last syllables."""
+        """Conjugate away matching first/last syllables.
+
+        Inside a freely reduced word the first syllable that does not
+        cancel against the last one ends the reduction: its merged
+        syllable and the middle differ at both ends.
+        """
         letters = self.letters
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0]:
-            s, e1 = letters[0]
-            _, e2 = letters[-1]
-            e = e1 + e2
-            middle = letters[1:-1]
-            letters = free_reduce((((s, e),) + middle) if e else middle)
-        return Word(letters)
+        i, j = 0, len(letters) - 1
+        while i < j and letters[i][0] == letters[j][0]:
+            s, e1 = letters[i]
+            e = e1 + letters[j][1]
+            if e:
+                return Word(((s, e),) + letters[i + 1:j])
+            i, j = i + 1, j - 1
+        return Word(letters[i:j + 1])
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters

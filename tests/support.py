@@ -11,7 +11,9 @@ library's oracle sums over conjugacy classes and eliminates variables.
 The van Kampen forms check (``check_vk_forms``) tests the assembly, not
 the counter, and counts with ``count_homs``.  ``tietze_reference`` is
 the plain restart-from-the-first-relator Tietze loop that the library's
-indexed pass must reproduce exactly.
+indexed pass must reproduce exactly; ``power_reference`` and
+``cyclically_reduced_reference`` are the syllable-by-syllable loops
+that ``Word.__pow__`` and ``Word.cyclically_reduced`` must reproduce.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           count_homs, parse_scheme_config, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
 from singular_pi1.vk import FORMS
-from singular_pi1.words import cyclic_key, substitute
+from singular_pi1.words import cyclic_key, free_reduce, substitute
 
 
 def _reference_syllable(relator):
@@ -79,6 +81,28 @@ def tietze_reference(p):
         if not eliminated:
             break
     return Presentation(tuple(gens), tuple(relators)), eliminations
+
+
+def power_reference(word, n):
+    """``Word.__pow__`` as a loop of ``n`` multiplications."""
+    if n < 0:
+        return power_reference(word.inverse(), -n)
+    out = Word.identity()
+    for _ in range(n):
+        out = out * word
+    return out
+
+
+def cyclically_reduced_reference(word):
+    """``Word.cyclically_reduced`` as a loop that peels one matching
+    pair of end syllables at a time and freely reduces what is left."""
+    letters = word.letters
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0]:
+        s, e1 = letters[0]
+        e = e1 + letters[-1][1]
+        middle = letters[1:-1]
+        letters = free_reduce((((s, e),) + middle) if e else middle)
+    return Word(letters)
 
 
 def all_perms(d):

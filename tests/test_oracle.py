@@ -10,8 +10,8 @@ from singular_pi1 import (Component, GroupSpec, Limits, ResourceError,
                           groupoid_cardinality, pi1_devissage,
                           pi1_graph_of_groups, transitive_counts)
 from support import (brute_connected_count, chain_config, descent_count,
-                     family_config, iter_descent_data, load_corpus,
-                     nodal_config, orbit_groupoid_cardinality,
+                     family_config, group_actions, iter_descent_data,
+                     load_corpus, nodal_config, orbit_groupoid_cardinality,
                      random_general_config, theta_config, trivial_branch,
                      TRIV)
 
@@ -89,12 +89,44 @@ class TestContractionMatchesProductLoop:
             assert enumerate_descent_data(cfg, d) == descent_count(cfg, d)
 
 
+KLEIN = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+def presented_s3():
+    from singular_pi1 import Presentation, Word, sym
+    a, b = sym("a"), sym("b")
+    return GroupSpec.presented(Presentation(
+        [a, b], [Word.gen(a, 2), Word.gen(b, 3),
+                 (Word.gen(a) * Word.gen(b)) ** 2]))
+
+
+@pytest.mark.parametrize("group", [
+    TRIV, C2, GroupSpec.cyclic(3), GroupSpec.symmetric(3), KLEIN,
+    presented_s3()], ids=["trivial", "C2", "C3", "S3", "Klein", "presented"])
+def test_action_search_finds_exactly_the_actions(group):
+    from singular_pi1.oracle import _actions
+    from singular_pi1.perms import table
+    for d in (1, 2, 3, 4):
+        perms = table(d).perms
+        found = _actions(group, d)
+        assert len(set(found)) == len(found)
+        assert {tuple(perms[x] for x in a) for a in found} \
+            == set(group_actions(group, d)), d
+
+
 def test_action_classes_are_the_g_set_classes():
     # d-point G-sets up to isomorphism: 5 points are a sum of the
     # trivial (1 point), sign (2) and natural (3) S3-sets in 5 ways, and
-    # an involution of 5 points has 0, 1 or 2 transpositions
+    # an involution of 5 points has 0, 1 or 2 transpositions.  S4 has
+    # transitive sets of 1, 2, 3, 4 points (one each, the 4-point one
+    # being the natural action), which make 6 sums of 5; the Klein group
+    # has five transitive sets of at most 4 points, 1 + 3 of size 2 and
+    # 1 of size 4, which make 11
     from singular_pi1.oracle import _action_classes
     for group, homs, classes in ((GroupSpec.symmetric(3), 146, 5),
+                                 (presented_s3(), 146, 5),
+                                 (GroupSpec.symmetric(4), 266, 6),
+                                 (KLEIN, 196, 11),
                                  (C2, 26, 3), (TRIV, 1, 1)):
         found = _action_classes(group, 5, Limits())
         assert len(found) == classes
@@ -249,6 +281,17 @@ class TestResourceGuards:
         assert err.value.ceiling == 4
         assert err.value.estimate is not None and err.value.estimate > 4
 
+    def test_action_search_is_gated(self):
+        # both S3 generators have 10 candidates at degree 4, so the
+        # action search's second level alone tries 100 pairs
+        with pytest.raises(ResourceError) as err:
+            enumerate_descent_data(family_config("chain", 2), 4,
+                                   Limits(ceiling=30))
+        assert err.value.layer == "oracle"
+        assert err.value.ceiling == 30
+        assert err.value.estimate > 30
+        assert f"estimate {err.value.estimate} " in str(err.value)
+
     def test_degree_bound(self):
         with pytest.raises(ResourceError):
             enumerate_descent_data(nodal_config(), 7)
@@ -277,14 +320,10 @@ def test_master_identity_on_random_general_configs():
 
 
 def test_master_identity_with_permutation_and_presented_kinds():
-    from singular_pi1 import Branch, Presentation, Word, sym
+    from singular_pi1 import Branch
     from support import standard_hom
 
-    klein = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
-    a, b = sym("a"), sym("b")
-    s3 = GroupSpec.presented(Presentation(
-        [a, b], [Word.gen(a, 2), Word.gen(b, 3),
-                 (Word.gen(a) * Word.gen(b)) ** 2]))
+    klein, s3 = KLEIN, presented_s3()
     h = GroupSpec.cyclic(2)
     cfg = SchemeConfig(
         [Component("A", klein), Component("B", s3)],

@@ -32,6 +32,31 @@ def test_the_data_model_and_assembly_do_not_import_the_hom_counter():
     assert "homomorphism" not in imported_modules("vk")
 
 
+def test_the_oracle_shares_no_counting_code_with_the_hom_counter():
+    # the master identity compares two independent counts: the oracle
+    # may call count_homs only for the right-hand side, in ``compare``,
+    # and otherwise only Hall's formula, in ``attach_connected``
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) in ("homcount",
+                                              "singular_pi1.homcount"):
+            imported.update(alias.name for alias in node.names)
+        else:
+            assert not any(alias.name.endswith("homcount")
+                           for alias in node.names)
+    assert imported == {"count_homs", "transitive_counts"}
+    used = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in imported:
+                used.setdefault(node.id, set()).add(getattr(top, "name", None))
+    assert used == {"count_homs": {"compare"},
+                    "transitive_counts": {"attach_connected"}}
+
+
 def test_readme_library_entry_points_run():
     section = README.read_text(encoding="utf-8").split(
         "## Library entry points", 1)[1]

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singular_pi1 import InputError, Word, sym
 from singular_pi1.words import cyclic_key, free_reduce, substitute
+from support import cyclically_reduced_reference, power_reference
 
 A, B, C = sym("a"), sym("b"), sym("c")
 
@@ -38,6 +41,23 @@ def test_cyclic_reduction_wraps_syllables():
     # a w a^-1 drops the conjugation
     word = w((A, 1), (B, 2), (A, -1))
     assert word.cyclically_reduced().letters == ((B, 2),)
+
+
+def test_power_and_cyclic_reduction_match_the_syllable_loops():
+    rng = random.Random(11)
+    for _ in range(500):
+        # palindromic cores make long cancelling ends
+        core = [(rng.choice((A, B, C)), rng.choice((-2, -1, 1, 2)))
+                for _ in range(rng.randint(0, 6))]
+        ends = [(s, -e) for s, e in reversed(core)] if rng.random() < 0.5 \
+            else core[::-1]
+        middle = [(rng.choice((A, B, C)), rng.choice((-1, 1)))
+                  for _ in range(rng.randint(0, 3))]
+        word = Word(tuple(core + middle + ends))
+        assert word.cyclically_reduced().letters \
+            == cyclically_reduced_reference(word).letters
+        n = rng.randint(-4, 4)
+        assert (word ** n).letters == power_reference(word, n).letters
 
 
 def test_cyclic_key_identifies_rotations_and_inverses():
