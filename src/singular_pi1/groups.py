@@ -429,14 +429,6 @@ class GroupSpec:
             return c
         return invert(a)
 
-    def element_order(self, a):
-        e = self.identity_element
-        x, n = a, 1
-        while x != e:
-            x = self.multiply(x, a)
-            n += 1
-        return n
-
     @cached_property
     def _element_letters(self):
         """For presented groups: a defining letter sequence per element."""
@@ -456,29 +448,6 @@ class GroupSpec:
                             nxt.append(t)
             queue = nxt
         return [letters[i] for i in range(self.order)]
-
-    @cached_property
-    def _element_words(self):
-        """A word over canonical generators for every element (BFS)."""
-        pres = self.canonical_presentation
-        syms = pres.generators
-        gens = self.generator_elements
-        words = {self.identity_element: Word.identity()}
-        queue = [self.identity_element]
-        while queue:
-            nxt = []
-            for el in queue:
-                for g, s in zip(gens, syms):
-                    for target, exp in ((self.multiply(el, g), 1),
-                                        (self.multiply(el, self.invert_element(g)), -1)):
-                        if target not in words:
-                            words[target] = words[el] * Word.gen(s, exp)
-                            nxt.append(target)
-            queue = nxt
-        return words
-
-    def element_word(self, el):
-        return self._element_words[el]
 
     def evaluate(self, word):
         """Evaluate a word over canonical generators to a group element."""

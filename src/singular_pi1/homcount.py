@@ -21,6 +21,10 @@ the width of that graph rather than with the number of generators
   on a namespace-independent fingerprint;
 * a relator on a single generator filters that generator's domain, and
   every other relator is a factor;
+* Sym(d) acts on a component's solutions by conjugation, and every
+  domain is a union of conjugacy classes, so one generator of each
+  component, its hub, ranges over the class representatives in its
+  domain only, each weighted by its class size;
 * eliminating a generator enumerates its bucket, the assignments of
   every generator that shares a factor with it, and passes the sums
   over its values on as a table (a message) over the others;
@@ -36,7 +40,8 @@ the width of that graph rather than with the number of generators
 
 The estimate gated against the ceiling is the sum, over the buckets of
 every component of the simplified presentation, of the product of the
-domain sizes each enumerates.  It is known before any counting starts.
+domain sizes each enumerates, the hub's domain counting its classes.  It
+is known before any counting starts.
 """
 
 from collections import Counter
@@ -209,9 +214,19 @@ class _Search:
 
 
 class _Elimination:
-    """Bucket-elimination schedule for one relator-connected component."""
+    """Bucket-elimination schedule for one relator-connected component.
 
-    __slots__ = ("buckets", "estimate", "count")
+    Sym(d) acts on the component's solutions by conjugating every
+    generator at once, and a unary relator holds on all of a conjugacy
+    class or on none of it, so every domain is a union of classes.  One
+    generator, the hub, therefore ranges over the class representatives
+    in its domain only, and a weight message over the hub multiplies
+    each representative by its class size.  The hub is the generator in
+    the most relators on two or more generators, the larger domain
+    first on ties, so that fixing it constrains the most.
+    """
+
+    __slots__ = ("buckets", "estimate", "count", "weights")
 
     def __init__(self, n, relators, T):
         unary = [[] for _ in range(n)]
@@ -219,20 +234,32 @@ class _Elimination:
         for rel in relators:
             scope = frozenset(s for s, _ in rel)
             if len(scope) == 1:
-                unary[rel[0][0]].append(rel)
+                unary[rel[0][0]].append(tuple(e for _, e in rel))
             else:
                 rels.append((scope, rel))
-        domains = [tuple(x for x in range(T.size)
-                         if all(_value(u, {v: x}, T) == T.identity
-                                for u in unary[v]))
-                   for v in range(n)]
-        one = _Bucket(tuple(range(n)), rels, [], domains)
+        # generators with the same unary relators share one domain
+        filtered, domains = {}, []
+        for exponents in map(tuple, unary):
+            if exponents not in filtered:
+                filtered[exponents] = tuple(
+                    x for x in range(T.size)
+                    if all(_value([(0, e) for e in w], (x,), T)
+                           == T.identity for w in exponents))
+            domains.append(filtered[exponents])
+
+        links = Counter(v for scope, _ in rels for v in scope)
+        hub = max(range(n), key=lambda v: (links[v], len(domains[v]), -v))
+        inside = set(domains[hub])
+        self.weights = {x: size for x, size in T.classes if x in inside}
+        domains[hub] = tuple(sorted(self.weights))
+        msgs = [((hub,), 0)]
+        one = _Bucket(tuple(range(n)), rels, msgs, domains)
 
         def size(v):
             b = cand[v]
             return b.cost + prod(len(domains[u]) for u in b.scope), v
 
-        msgs, greedy, cand = [], [], {}
+        greedy, cand = [], {}
         remaining = set(range(n))
         while remaining:
             for v in remaining:
@@ -246,9 +273,9 @@ class _Elimination:
                 cand.pop(v, None)
             rels = [f for f in rels if x not in f[0]]
             msgs = [f for f in msgs if x not in f[0]]
+            greedy.append(b)
             if b.scope:
                 msgs.append((b.scope, len(greedy)))
-            greedy.append(b)
 
         cost = sum(b.cost for b in greedy)
         self.buckets = [one] if one.cost <= cost else greedy
@@ -260,8 +287,8 @@ class _Elimination:
     def forward(self, T):
         """Tabulate every bucket in elimination order and return the
         count.  Each bucket's message is a table over its scope (an int
-        when the scope is empty)."""
-        tables = []
+        when the scope is empty); table 0 is the hub's weights."""
+        tables = [self.weights]
         count = 1
         for b in self.buckets:
             s = b.search

@@ -14,15 +14,22 @@ with ``lam . rho(psi(a)) = tau(phi(a)) . lam``.  That number does not
 change when one fiber is relabeled, so each piece ranges over the
 Sym(d)-conjugacy classes of its actions (the isomorphism classes of
 ``d``-point G-sets), weighted by the class size, and each branch is one
-table over (component class, singular class), scanned once per pair of
-representatives.  The sum is then a factor graph on the incidence graph,
-pieces as variables and branches as pairwise factors, contracted by
-variable elimination (Dechter 1999): the singular pieces first, then the
-components in a greedy order.  The ``--ceiling`` gate estimates that
-work: the actions sorted into classes, the pair scans, and the table of
-every elimination step.  The actions themselves come from the oracle's
-own search over the group's canonical presentation (``_actions``),
-gated by the candidates it tries.
+table over (component class, singular class).  The intertwiners of a
+branch are the isomorphisms between the two actions of the branch group,
+through ``psi`` on the component's representative and through ``phi``
+on the singular piece's, so a table entry is the number of automorphisms
+of either action when their canonical forms agree and 0 otherwise
+(``_canonical_form``); no bijection is ever tried.  Branches with the
+same groups and maps share one table.  The sum is then a factor graph on
+the incidence graph, pieces as variables and branches as pairwise
+factors, contracted by variable elimination (Dechter 1999): the singular
+pieces first, then the components in a greedy order.  The ``--ceiling``
+gate estimates that work: the actions sorted into classes, ``d * d``
+labelling steps per representative of every distinct restriction, the
+comparisons of every distinct table, and the table of every elimination
+step.  The actions themselves come from the oracle's own search over the
+group's canonical presentation (``_actions``), gated by the candidates
+it tries.  ``perms`` supplies only the arithmetic of Sym(d).
 
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
@@ -37,7 +44,7 @@ Hall's formula to its own numbers.
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import Optional
@@ -104,8 +111,8 @@ class IncidenceGraph:
 def _encode(hom, gens, target):
     slot = {g: k for k, g in
             enumerate(target.canonical_presentation.generators)}
-    return [tuple((slot[x], e) for x, e in hom.images[g].letters)
-            for g in gens]
+    return tuple(tuple((slot[x], e) for x, e in hom.images[g].letters)
+                 for g in gens)
 
 
 def _actions(group, d, limits=DEFAULT_LIMITS):
@@ -201,21 +208,67 @@ def _evaluate(T, word, images):
     return acc
 
 
-def _branch_table(T, psi_words, phi_words, comp_classes, sing_classes):
+def _canonical_form(gens, d):
+    """Canonical form of ``{0..d-1}`` under the permutations ``gens``
+    (tuples), and the number of its automorphisms: the bijections that
+    commute with every one of them.
+
+    Each orbit is labelled by a breadth-first walk from each of its
+    points in turn, and keeps the least labelling; the form is the
+    sorted list of the orbits' labellings.  An automorphism of an orbit
+    is fixed by where it sends one point, so an orbit has as many as it
+    has start points that reach the least labelling; ``m`` orbits of one
+    type have that number to the ``m`` times ``m!``.
+    """
+    def labelled(start):
+        label, order = {start: 0}, [start]
+        for x in order:
+            for g in gens:
+                if g[x] not in label:
+                    label[g[x]] = len(order)
+                    order.append(g[x])
+        return tuple(tuple(label[g[x]] for x in order) for g in gens), order
+
+    seen, orbits = set(), []
+    for x in range(d):
+        if x in seen:
+            continue
+        best, orbit = labelled(x)
+        seen.update(orbit)
+        hits = 1
+        for y in orbit[1:]:
+            form = labelled(y)[0]
+            if form < best:
+                best, hits = form, 1
+            elif form == best:
+                hits += 1
+        orbits.append((best, hits))
+    orbits.sort()
+    aut = 1
+    for _, same in groupby(orbits):
+        same = list(same)
+        aut *= same[0][1] ** len(same) * factorial(len(same))
+    return tuple(form for form, _ in orbits), aut
+
+
+def _restrict(T, words, classes):
+    """The canonical form and automorphism count of the branch group's
+    action through ``words`` at each class representative."""
+    return [_canonical_form([T.perms[_evaluate(T, w, rep)] for w in words],
+                            T.degree)
+            for rep, _ in classes]
+
+
+def _branch_table(comp_forms, sing_forms):
     """Intertwiner counts of one branch, keyed by (component class,
     singular class): the ``lam`` in Sym(d) with
     ``lam . rho(psi(a)) = tau(phi(a)) . lam`` for every generator ``a``
-    of the branch group, at the two representatives."""
-    mul = T.mul
-    out = {}
-    for i, (rho, _) in enumerate(comp_classes):
-        ps = [mul[_evaluate(T, w, rho)] for w in psi_words]
-        for j, (tau, _) in enumerate(sing_classes):
-            qs = [_evaluate(T, w, tau) for w in phi_words]
-            out[i, j] = sum(
-                1 for lam in range(T.size)
-                if all(p[lam] == mul[lam][q] for p, q in zip(ps, qs)))
-    return out
+    of the branch group.  They are the isomorphisms between the branch
+    group's two actions, as many as either has automorphisms when the
+    canonical forms agree and none otherwise."""
+    return {(i, j): aut if form == other else 0
+            for i, (form, aut) in enumerate(comp_forms)
+            for j, (other, _) in enumerate(sing_forms)}
 
 
 def _elimination_order(graph, domains):
@@ -293,12 +346,20 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
     classes = [by_group[g.descriptor()] for g in graph.groups]
     domains = [len(cl) for cl in classes]
     order, elimination = _elimination_order(graph, domains)
-    # every action is sorted into its class once, every branch scans d!
-    # candidates per pair of representatives, and every elimination step
-    # enumerates its table
+    # identical branches share their restrictions and their table
+    keys = [((graph.groups[c].descriptor(), psi_words),
+             (graph.groups[s].descriptor(), phi_words))
+            for c, s, psi_words, phi_words in graph.branches]
+    distinct = dict(zip(keys, graph.branches))
+    sides = dict.fromkeys(side for key in distinct for side in key)
+    # every action is sorted into its class once, every restriction
+    # labels each orbit of each representative from each of its points,
+    # every distinct table compares each pair of forms once, and every
+    # elimination step enumerates its table
     estimate = (sum(size for cl in by_group.values() for _, size in cl)
-                + T.size * sum(domains[c] * domains[s]
-                               for c, s, _, _ in graph.branches)
+                + d * d * sum(len(by_group[g]) for g, _ in sides)
+                + sum(domains[c] * domains[s]
+                      for c, s, _, _ in distinct.values())
                 + elimination)
     log.debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
               d, domains, estimate, limits.ceiling)
@@ -307,11 +368,14 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
             f"cover contraction estimate {estimate} exceeds ceiling "
             f"{limits.ceiling}", estimate=estimate,
             ceiling=limits.ceiling, layer="oracle")
+    forms = {(g, words): _restrict(T, words, by_group[g])
+             for g, words in sides}
+    tables = {key: _branch_table(forms[key[0]], forms[key[1]])
+              for key in distinct}
     factors = [((v,), {(i,): size for i, (_, size) in enumerate(cl)})
                for v, cl in enumerate(classes)]
-    for c, s, psi_words, phi_words in graph.branches:
-        factors.append(((c, s), _branch_table(T, psi_words, phi_words,
-                                              classes[c], classes[s])))
+    factors += [((c, s), tables[key])
+                for key, (c, s, _, _) in zip(keys, graph.branches)]
     return _contract(domains, factors, order)
 
 

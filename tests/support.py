@@ -7,7 +7,9 @@ they enumerate full assignment tuples with direct permutation algebra
 a bug in the counting engine cannot hide behind itself.  The same holds
 for the descent-data reference (``iter_descent_data``,
 ``descent_count``): it visits every tuple of piece actions, where the
-library's oracle sums over conjugacy classes and eliminates variables.
+library's oracle sums over conjugacy classes and eliminates variables,
+and ``branch_table_scan`` counts a branch's intertwiners by scanning
+Sym(d), where the oracle compares canonical forms.
 The van Kampen forms check (``check_vk_forms``) tests the assembly, not
 the counter, and counts with ``count_homs``.  ``tietze_reference`` is
 the plain restart-from-the-first-relator Tietze loop that the library's
@@ -330,6 +332,36 @@ def descent_count(cfg, d):
     return total
 
 
+def branch_table_scan(T, psi_words, phi_words, comp_classes, sing_classes):
+    """The oracle's branch table by a scan of Sym(d): for each pair of
+    representatives, the number of ``lam`` with
+    ``lam . rho(psi(a)) = tau(phi(a)) . lam`` for every generator ``a``
+    of the branch group.  A word is ``(slot, exponent)`` pairs over a
+    representative, which lists generator images as indices into
+    ``T.perms``."""
+    d = T.degree
+
+    def value(word, rep):
+        acc = identity(d)
+        for slot, e in word:
+            p = T.perms[rep[slot]]
+            if e < 0:
+                p, e = invert(p), -e
+            for _ in range(e):
+                acc = compose(acc, p)
+        return acc
+
+    out = {}
+    for i, (rho, _) in enumerate(comp_classes):
+        ps = [value(w, rho) for w in psi_words]
+        for j, (tau, _) in enumerate(sing_classes):
+            qs = [value(w, tau) for w in phi_words]
+            out[i, j] = sum(1 for lam in all_perms(d)
+                            if all(compose(p, lam) == compose(lam, q)
+                                   for p, q in zip(ps, qs)))
+    return out
+
+
 def iter_descent_data(cfg, d):
     """Stream every rigidified descent datum as a ``DescentDatum``."""
     ref = _Descent(cfg, d)
@@ -370,11 +402,42 @@ def brute_connected_count(cfg, d):
 
 # -- homomorphisms between concrete groups ------------------------------
 
+def element_words(group):
+    """A word over ``group``'s canonical generators for every element,
+    by breadth-first search from the identity."""
+    syms = group.canonical_presentation.generators
+    gens = group.generator_elements
+    words = {group.identity_element: Word.identity()}
+    queue = [group.identity_element]
+    while queue:
+        nxt = []
+        for el in queue:
+            for g, s in zip(gens, syms):
+                for target, exp in ((group.multiply(el, g), 1),
+                                    (group.multiply(
+                                        el, group.invert_element(g)), -1)):
+                    if target not in words:
+                        words[target] = words[el] * Word.gen(s, exp)
+                        nxt.append(target)
+        queue = nxt
+    return words
+
+
+def element_order(group, a):
+    e = group.identity_element
+    x, n = a, 1
+    while x != e:
+        x = group.multiply(x, a)
+        n += 1
+    return n
+
+
 def iter_homs_between(source, target):
     """All homomorphisms between two concrete groups, by brute force."""
     gens = source.canonical_presentation.generators
+    words = element_words(target)
     for elements in itertools.product(target.elements, repeat=len(gens)):
-        images = {g: target.element_word(el) for g, el in zip(gens, elements)}
+        images = {g: words[el] for g, el in zip(gens, elements)}
         try:
             hom = Homo(source, target, images)
         except InputError:
@@ -394,7 +457,7 @@ def standard_hom(source, target):
 
     def score(hom):
         els = [target.evaluate(hom.images[g]) for g in gens]
-        return (sum(target.element_order(el) for el in els),
+        return (sum(element_order(target, el) for el in els),
                 tuple(-element_pos[el] for el in els))
 
     return max(iter_homs_between(source, target), key=score)

@@ -170,13 +170,14 @@ class TestPresent:
     def test_hom_count_refusal_names_layer_estimate_and_ceiling(self,
                                                                 capsys):
         code, doc = run(capsys, "present", config_path("nontrivial-Z2"),
-                        "--degrees", "3", "--ceiling", "3")
+                        "--degrees", "3", "--ceiling", "1")
         assert code == 4
-        # C2 * Z: the four involutions of Sym(3) are enumerated for g
+        # C2 * Z: g ranges over the two conjugacy classes of involutions
+        # of Sym(3), the identity's and the transpositions'
         assert doc["error"] == {"kind": "resource", "layer": "homcount",
-                                "estimate": 4, "ceiling": 3,
-                                "message": "hom search space 4 exceeds "
-                                           "ceiling 3"}
+                                "estimate": 2, "ceiling": 1,
+                                "message": "hom search space 2 exceeds "
+                                           "ceiling 1"}
 
     def test_three_piece_chain_counts_at_degree_five(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
@@ -224,11 +225,12 @@ class TestVerify:
         assert code == 0
 
     def test_ceiling_produces_partial_results_and_exit_4(self, capsys):
-        # the oracle estimates one action, 6 * d! pair scans and 7
-        # elimination steps for the all-trivial star: 20 at degree 2, 44
-        # at degree 3
+        # the oracle estimates one action, one restriction labelled in
+        # d * d steps, one comparison and 7 elimination steps for the
+        # all-trivial star, whose six branches are identical: 13 at
+        # degree 2, 18 at degree 3
         code, doc = run(capsys, "verify", config_path("star"),
-                        "--degree-max", "3", "--ceiling", "20")
+                        "--degree-max", "3", "--ceiling", "15")
         assert code == 4
         reports = doc["reports"]
         assert reports[0]["verdict"] == "pass"      # degree 2 fits

@@ -133,6 +133,45 @@ def test_action_classes_are_the_g_set_classes():
         assert sum(size for _, size in found) == homs
 
 
+@pytest.mark.parametrize("group", [
+    TRIV, C2, GroupSpec.cyclic(3), KLEIN, GroupSpec.symmetric(3)],
+    ids=["trivial", "C2", "C3", "Klein", "S3"])
+def test_branch_tables_match_the_intertwiner_scan(group):
+    # random actions and random conjugates of them, with the trivial
+    # action (non-faithful, and non-transitive for d > 1) on each side,
+    # restricted through the identity and through random words
+    from singular_pi1.oracle import _actions, _branch_table, _restrict
+    from singular_pi1.perms import table
+    from support import branch_table_scan
+    rng = random.Random(repr(group))
+    n = len(group.canonical_presentation.generators)
+    ident = tuple(((k, 1),) for k in range(n))
+    nonzero = 0
+    for d in (2, 3, 4, 5):
+        T = table(d)
+        mul, inv = T.mul, T.inv
+        actions = _actions(group, d)
+        comp = rng.sample(actions, min(6, len(actions)))
+        comp.append((T.identity,) * n)
+        sing = []
+        for a in comp:
+            g = rng.randrange(T.size)
+            sing.append(tuple(mul[mul[inv[g]][x]][g] for x in a))
+        sing += rng.sample(actions, min(3, len(actions)))
+        rng.shuffle(sing)
+        comp, sing = [(a, 1) for a in comp], [(a, 1) for a in sing]
+        words = tuple(
+            tuple((rng.randrange(n), rng.choice((-2, -1, 1, 2)))
+                  for _ in range(rng.randint(0, 3)))
+            for _ in range(n))
+        for psi, phi in ((ident, ident), (words, ident), (ident, words)):
+            got = _branch_table(_restrict(T, psi, comp),
+                                _restrict(T, phi, sing))
+            assert got == branch_table_scan(T, psi, phi, comp, sing), d
+            nonzero += sum(1 for v in got.values() if v)
+    assert nonzero >= 8
+
+
 class TestGroupoidCardinality:
     def test_nodal(self):
         assert groupoid_cardinality(nodal_config(), 2) == 1

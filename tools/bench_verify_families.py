@@ -1,20 +1,24 @@
-"""Time ``verify --degree-max 5 --connected`` on the scaled families.
+"""Time ``verify --degree-max D --connected`` on the scaled families.
 
 Run from the repository root:
 
     python3 tools/bench_verify_families.py --label after
+    python3 tools/bench_verify_families.py --label after-d7 --degree-max 7
 
 For chain, star and theta at N = 8, 16, 32, 64 (the non-trivial S3/C2
 variant, seed 1, written by ``perfbench/families.py``), one CLI call per
-row runs in a fresh interpreter under the default ceiling.  Each row
+row runs in a fresh interpreter.  ``--degree-max`` defaults to 5, the
+default degree bound, and runs under the default ceiling; above 5 the
+call also passes ``--bound-degree D --ceiling 10^11``.  Each row
 records the wall time of that interpreter, the exit code, the verdicts
 and the cover oracle's estimate at the highest degree.  The estimate is
 read from a refusal's message, or else from the oracle's debug log line,
 which the child interpreter routes to its standard error.
 
 The rows are stored under ``--label`` in ``--output`` (default
-``BENCH_verify_families.json`` at the root), next to the rows of other
-labels already in the file, so one file holds a before/after pair.
+``BENCH_verify_families.json`` at the root), with the command they ran,
+next to the rows of other labels already in the file, so one file holds
+a before/after pair.
 """
 
 import argparse
@@ -34,7 +38,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import families  # noqa: E402
 
 SIZES = (8, 16, 32, 64)
-FLAGS = ("--degree-max", "5", "--connected")
 SEED = 1
 TIMEOUT_S = 600   # a row still running then is recorded with exit null
 CHILD = """
@@ -65,8 +68,16 @@ def run_cli(command, path, flags):
             "stdout": proc.stdout, "stderr": proc.stderr}
 
 
-def run_row(path):
-    run = run_cli("verify", path, FLAGS)
+def flags(degree):
+    """The ``verify`` flags of a run to ``degree``."""
+    out = ("--degree-max", str(degree), "--connected")
+    if degree > 5:
+        out += ("--bound-degree", str(degree), "--ceiling", str(10 ** 11))
+    return out
+
+
+def run_row(path, flags):
+    run = run_cli("verify", path, flags)
     if run["exit"] is None:
         return {"exit": None, "wall_s": run["wall_s"], "verdicts": [],
                 "refused_degrees": [], "estimate": None}
@@ -99,7 +110,10 @@ def main():
                         help="key the rows are stored under")
     parser.add_argument("--output", default=str(ROOT /
                                                 "BENCH_verify_families.json"))
+    parser.add_argument("--degree-max", type=int, default=5,
+                        help="highest degree verified (default 5)")
     args = parser.parse_args()
+    argv = flags(args.degree_max)
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,15 +121,15 @@ def main():
             for family in families.FAMILIES:
                 path = families.write_config(Path(tmp), family, "nontrivial",
                                              n, SEED)
-                row = {"family": family, "n": n, **run_row(path)}
+                row = {"family": family, "n": n, **run_row(path, argv)}
                 print(json.dumps(row), flush=True)
                 rows.append(row)
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["command"] = ["verify", "CONFIG", *FLAGS]
     doc["configs"] = f"perfbench/families.py, nontrivial, seed {SEED}"
     doc.setdefault("runs", {})[args.label] = {
+        "command": ["verify", "CONFIG", *argv],
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"Python {platform.python_version()}",
         "rows": rows}
