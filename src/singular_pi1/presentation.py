@@ -125,21 +125,26 @@ def fibered_coproduct_with_maps(p1, p2, amalgam_pairs):
     return quotient_by_relations(prod, pairs), m1, m2
 
 
-def _eliminable_syllable(relator):
+def _eliminable_syllable(relator, where):
     """Find a syllable ``(sym, ±1)`` whose symbol occurs once in the relator.
 
-    Returns ``(symbol, replacement word)`` for the first such syllable,
-    so that the relator is equivalent to ``symbol = replacement``, or
-    ``None``.
+    Of those syllables, takes the one whose symbol occurs in the fewest
+    relators (``len(where[sym])``), the first on ties.  Returns
+    ``(symbol, replacement word)``, so that the relator is equivalent to
+    ``symbol = replacement``, or ``None``.
     """
     letters = relator.letters
     counts = Counter(s for s, _ in letters)
-    for pos, (s, e) in enumerate(letters):
-        if abs(e) == 1 and counts[s] == 1:
-            # rotate so the syllable sits first: relator ~ s^e * w
-            w = Word(letters[pos + 1:] + letters[:pos])
-            return s, (w.inverse() if e == 1 else w)
-    return None
+    eliminable = [pos for pos, (s, e) in enumerate(letters)
+                  if abs(e) == 1 and counts[s] == 1]
+    if not eliminable:
+        return None
+    # min() keeps the first of equal counts
+    pos = min(eliminable, key=lambda i: len(where[letters[i][0]]))
+    s, e = letters[pos]
+    # rotate so the syllable sits first: relator ~ s^e * w
+    w = Word(letters[pos + 1:] + letters[:pos])
+    return s, (w.inverse() if e == 1 else w)
 
 
 def tietze_eliminations(p):
@@ -153,18 +158,23 @@ def tietze_eliminations(p):
 
     The order is fixed: of relators equal up to rotation and inversion
     the first in list order is kept, and each step eliminates through
-    the first eliminable relator in list order, at its first eliminable
-    syllable.  Relators keep their list positions, and three indexes
-    stand in for rescanning the list (G. Havas, P. E. Kenne, J. S.
-    Richardson and E. F. Robertson, "A Tietze transformation program",
-    1984): generator to the positions it occurs in, so a step rewrites
-    only those relators; cyclic key to position, so a rewritten relator
-    finds the one it duplicates; and a heap of positions, checked when
-    popped, for the next eliminable relator.  A step thus costs time
-    linear in the syllables of the relators it rewrites, plus a
-    logarithm per heap entry, except that a relator's cyclic key is
-    quadratic in its syllable count.  A generator occurring in k
-    relators still costs k rewrites each time a step renames it.
+    the first eliminable relator in list order, at the eliminable
+    syllable whose generator occurs in the fewest relators, the first
+    such syllable on ties.  Relators keep their list positions, and
+    three indexes stand in for rescanning the list (G. Havas, P. E.
+    Kenne, J. S. Richardson and E. F. Robertson, "A Tietze
+    transformation program", 1984): generator to the positions it
+    occurs in, so a step rewrites only those relators; cyclic key to
+    position, so a rewritten relator finds the one it duplicates; and a
+    heap of positions, checked when popped, for the next eliminable
+    relator.  A step thus costs time linear in the syllables of the
+    relators it rewrites, plus a logarithm per heap entry, except that
+    a relator's cyclic key is quadratic in its syllable count.  A step
+    rewrites every relator that uses the generator it eliminates;
+    choosing the least used one keeps a hub generator, shared by the
+    relators of many pieces, from being renamed piece by piece, so the
+    rewrites on chain, star and theta dual graphs grow linearly with
+    the number of pieces.
 
     Returns the simplified presentation and the ``(generator, word)``
     pairs eliminated, in elimination order.  Each word is over the
@@ -206,7 +216,7 @@ def tietze_eliminations(p):
     eliminations = []
     while candidates:
         idx = heapq.heappop(candidates)
-        found = relators[idx] and _eliminable_syllable(relators[idx])
+        found = relators[idx] and _eliminable_syllable(relators[idx], where)
         if not found:
             continue
         target, repl = found

@@ -155,14 +155,14 @@ def group_to_json(spec):
     return out
 
 
-def _parse_hom(doc, path, source, target):
-    """A generator-image map for a branch attaching homomorphism."""
+def _parse_images(doc, path, source, target):
+    """The generator images of a branch attaching homomorphism."""
     src = source.canonical_presentation
     if doc is None:
         if source.order != 1:
             raise SchemaError(path, "map may only be omitted when the "
                               "branch group is trivial")
-        return Homo.trivial(source, target)
+        return {g: Word.identity() for g in src.generators}
     _expect(doc, dict, path, "a map of generator names to words")
     images = {}
     declared = {g.name: g for g in src.generators}
@@ -181,8 +181,7 @@ def _parse_hom(doc, path, source, target):
             raise SchemaError(f"{path}.{g.name}",
                               "image uses symbols outside the target group: "
                               + ", ".join(sorted(map(str, bad))))
-    # relator-triviality is semantic, not schema: let InputError escape
-    return Homo(source, target, images)
+    return images
 
 
 def _hom_to_json(hom):
@@ -200,12 +199,34 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
                                 default=[]), list,
                            "$.branches", "a list of branches")
 
+    # Equal group JSON gives one GroupSpec and equal maps one Homo.  The
+    # group key is the exact JSON value, since GroupSpec equality ignores
+    # generator names; the groups are held to the end of the parse, so
+    # their ids identify them in the map key.
+    groups, homs = {}, {}
+
+    def group_at(doc, path):
+        key = repr(doc)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = parse_group(doc, path, limits)
+        return group
+
+    def hom_at(doc, path, source, target):
+        images = _parse_images(doc, path, source, target)
+        key = (id(source), id(target), tuple(images.items()))
+        hom = homs.get(key)
+        if hom is None:
+            # relator-triviality is semantic, not schema: InputError escapes
+            hom = homs[key] = Homo(source, target, images)
+        return hom
+
     components = []
     for i, c in enumerate(comps_doc):
         path = f"$.components[{i}]"
         _expect(c, dict, path, "a component object")
         cid = _expect(_get(c, "id", path), str, f"{path}.id", "an id string")
-        group = parse_group(_get(c, "group", path), f"{path}.group", limits)
+        group = group_at(_get(c, "group", path), f"{path}.group")
         components.append(Component(cid, group))
 
     singulars = []
@@ -213,7 +234,7 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
         path = f"$.singulars[{i}]"
         _expect(s, dict, path, "a singular-piece object")
         sid = _expect(_get(s, "id", path), str, f"{path}.id", "an id string")
-        group = parse_group(_get(s, "group", path), f"{path}.group", limits)
+        group = group_at(_get(s, "group", path), f"{path}.group")
         singulars.append(Singular(sid, group))
 
     comp_by_id = {c.id: c for c in components}
@@ -228,17 +249,17 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
                        f"{path}.component", "a component id")
         sing = _expect(_get(b, "singular", path), str,
                        f"{path}.singular", "a singular id")
-        group = parse_group(_get(b, "group", path), f"{path}.group", limits)
+        group = group_at(_get(b, "group", path), f"{path}.group")
         if comp not in comp_by_id:
             raise SchemaError(f"{path}.component",
                               f"unknown component id {comp!r}")
         if sing not in sing_by_id:
             raise SchemaError(f"{path}.singular",
                               f"unknown singular id {sing!r}")
-        psi = _parse_hom(_get(b, "psi", path, required=False), f"{path}.psi",
-                         group, comp_by_id[comp].group)
-        phi = _parse_hom(_get(b, "phi", path, required=False), f"{path}.phi",
-                         group, sing_by_id[sing].group)
+        psi = hom_at(_get(b, "psi", path, required=False), f"{path}.psi",
+                     group, comp_by_id[comp].group)
+        phi = hom_at(_get(b, "phi", path, required=False), f"{path}.phi",
+                     group, sing_by_id[sing].group)
         branches.append(Branch(bid, comp, sing, group, psi, phi))
 
     return SchemeConfig(components, singulars, branches)

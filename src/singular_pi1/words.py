@@ -164,18 +164,18 @@ def rename(word, symbol_map):
     return Word(tuple((symbol_map.get(s, s), e) for s, e in word.letters))
 
 
-def syllable_rotations(word):
-    """All rotations of the syllable sequence (for cyclic comparison)."""
-    letters = word.letters
-    n = len(letters)
-    if n == 0:
-        return [()]
-    return [letters[i:] + letters[:i] for i in range(n)]
+def _least_rotation(letters):
+    if not letters:
+        return letters
+    return min(letters[i:] + letters[:i] for i in range(len(letters)))
 
 
 def cyclic_key(word):
-    """Canonical key identifying a cyclic word up to rotation and inversion."""
-    w = word.cyclically_reduced()
-    candidates = syllable_rotations(w)
-    candidates += syllable_rotations(w.inverse().cyclically_reduced())
-    return min(candidates)
+    """Canonical key identifying a cyclic word up to rotation and inversion.
+
+    The inverse of a cyclically reduced word is cyclically reduced, so
+    its syllables are built directly, without another ``Word``.
+    """
+    letters = word.cyclically_reduced().letters
+    inverse = tuple((s, -e) for s, e in reversed(letters))
+    return min(_least_rotation(letters), _least_rotation(inverse))

@@ -15,7 +15,9 @@ the counter, and counts with ``count_homs``.  ``tietze_reference`` is
 the plain restart-from-the-first-relator Tietze loop that the library's
 indexed pass must reproduce exactly; ``power_reference`` and
 ``cyclically_reduced_reference`` are the syllable-by-syllable loops
-that ``Word.__pow__`` and ``Word.cyclically_reduced`` must reproduce.
+that ``Word.__pow__`` and ``Word.cyclically_reduced`` must reproduce,
+and ``cyclic_key_reference`` is the rotation list that ``cyclic_key``
+must reproduce.
 """
 
 import itertools
@@ -33,23 +35,33 @@ from singular_pi1.vk import FORMS
 from singular_pi1.words import cyclic_key, free_reduce, substitute
 
 
-def _reference_syllable(relator):
+def _reference_syllable(relator, relators):
+    """The eliminable syllable of ``relator`` whose symbol occurs in the
+    fewest of ``relators``, the first on ties."""
     letters = relator.letters
+    best = None
     for pos, (s, e) in enumerate(letters):
         if abs(e) != 1:
             continue
         if any(s2 == s for p2, (s2, _) in enumerate(letters) if p2 != pos):
             continue
-        w = Word(letters[pos + 1:] + letters[:pos])
-        repl = w.inverse() if e == 1 else w
-        return s, repl
-    return None
+        uses = sum(1 for r in relators if s in r.symbols())
+        if best is None or uses < best[0]:
+            best = uses, pos
+    if best is None:
+        return None
+    pos = best[1]
+    s, e = letters[pos]
+    w = Word(letters[pos + 1:] + letters[:pos])
+    repl = w.inverse() if e == 1 else w
+    return s, repl
 
 
 def tietze_reference(p):
     """``presentation.tietze_eliminations`` as a plain loop: after each
     elimination, drop trivial and duplicate relators from the whole list
-    and search for the next eliminable relator from the first."""
+    and search for the next eliminable relator from the first; eliminate
+    at its syllable whose generator occurs in the fewest relators."""
     gens = list(p.generators)
     relators = list(p.relators)
     eliminations = []
@@ -69,7 +81,7 @@ def tietze_reference(p):
 
         eliminated = False
         for idx, r in enumerate(relators):
-            found = _reference_syllable(r)
+            found = _reference_syllable(r, relators)
             if found is None:
                 continue
             target, repl = found
@@ -93,6 +105,19 @@ def power_reference(word, n):
     for _ in range(n):
         out = out * word
     return out
+
+
+def cyclic_key_reference(word):
+    """``words.cyclic_key`` as the least of all syllable rotations of the
+    cyclically reduced word and of its inverse, both built as ``Word``s."""
+    def rotations(w):
+        letters = w.letters
+        if not letters:
+            return [()]
+        return [letters[i:] + letters[:i] for i in range(len(letters))]
+
+    w = word.cyclically_reduced()
+    return min(rotations(w) + rotations(w.inverse().cyclically_reduced()))
 
 
 def cyclically_reduced_reference(word):

@@ -169,6 +169,32 @@ class TestTietzeMatchesReference:
             assert tietze_simplify(once) == once
 
 
+@pytest.mark.parametrize("family", ["chain", "star", "theta"])
+def test_tietze_rewrites_grow_linearly(family, monkeypatch):
+    """Each step rewrites only relators that use its generator, and the
+    generator chosen is the least used one of its relator, so a hub
+    generator is not renamed piece by piece."""
+    import singular_pi1.presentation as presentation
+
+    calls = 0
+    substitute = presentation.substitute
+
+    def counting(word, mapping):
+        nonlocal calls
+        calls += 1
+        return substitute(word, mapping)
+
+    monkeypatch.setattr(presentation, "substitute", counting)
+    rewrites = {}
+    for n in (64, 128):
+        raw = pi1_graph_of_groups(family_config(family, n)).raw_presentation
+        calls = 0
+        tietze_eliminations(raw)
+        rewrites[n] = calls
+        assert calls <= 6 * n, (n, calls)
+    assert rewrites[128] <= 2.2 * rewrites[64], rewrites
+
+
 presentations = st.integers(0, 10_000).map(
     lambda seed: random_presentation(random.Random(seed), max_gens=2,
                                      max_relators=2, max_len=4))

@@ -7,6 +7,7 @@ from singular_pi1 import (InputError, Presentation, SchemaError, Word,
                           pi1_devissage, pi1_result_to_json,
                           presentation_to_json, scheme_config_to_json, sym,
                           validate)
+from singular_pi1.cli import main
 from singular_pi1.schema import parse_group, group_to_json, parse_word, word_to_json
 from support import load_corpus
 
@@ -135,6 +136,75 @@ class TestSchemeConfig:
         with pytest.raises(SchemaError) as err:
             parse_scheme_config(doc)
         assert err.value.path == "$.branches[0].psi.g"
+
+
+def presented_c2(name):
+    return {"kind": "presented", "generators": [name],
+            "relators": [[[name, 2]]]}
+
+
+def two_c2_doc():
+    """Components on presented C2s that differ only in generator name,
+    joined through one C2 piece by branches with equal group JSON."""
+    c2 = {"kind": "cyclic", "order": 2}
+    return {
+        "components": [{"id": "A", "group": presented_c2("a")},
+                       {"id": "B", "group": presented_c2("b")}],
+        "singulars": [{"id": "P", "group": dict(c2)}],
+        "branches": [
+            {"id": "pa", "component": "A", "singular": "P",
+             "group": dict(c2), "psi": {"g": [["a", 1]]},
+             "phi": {"g": [["g", 1]]}},
+            {"id": "pb", "component": "B", "singular": "P",
+             "group": dict(c2), "psi": {"g": [["b", 1]]},
+             "phi": {"g": [["g", 1]]}},
+        ],
+    }
+
+
+class TestInterning:
+    """Equal group JSON is parsed once per configuration, equal maps are
+    checked once, and every error keeps the path of its own occurrence."""
+
+    def run(self, tmp_path, capsys, doc, *argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main([argv[0], str(path), *argv[1:]])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_groups_equal_up_to_names_stay_apart(self, tmp_path, capsys):
+        cfg = parse_scheme_config(two_c2_doc())
+        a, b = (c.group for c in cfg.components)
+        assert a == b and a is not b
+        assert self.run(tmp_path, capsys, two_c2_doc(), "present")[0] == 0
+        code, doc = self.run(tmp_path, capsys, two_c2_doc(), "verify",
+                             "--degree-max", "3")
+        assert code == 0, doc
+
+    def test_equal_json_shares_one_instance(self):
+        doc = two_c2_doc()
+        doc["components"][1]["group"] = presented_c2("a")
+        doc["branches"][1]["psi"] = {"g": [["a", 1]]}
+        cfg = parse_scheme_config(doc)
+        (a, b), (pa, pb) = cfg.components, cfg.branches
+        assert a.group is b.group
+        assert pa.group is pb.group is cfg.singulars[0].group
+        assert pa.psi is pb.psi and pa.phi is pb.phi
+
+    def test_later_malformed_word_keeps_its_path(self, tmp_path, capsys):
+        doc = two_c2_doc()
+        doc["components"][1]["group"] = presented_c2("a")
+        doc["branches"][1]["psi"] = {"g": [["a", 0]]}
+        code, out = self.run(tmp_path, capsys, doc, "present")
+        assert code == 3
+        assert out["error"]["path"] == "$.branches[1].psi.g[0][1]"
+
+    def test_later_non_homomorphism_exits_2(self, tmp_path, capsys):
+        doc = two_c2_doc()
+        doc["singulars"][0]["group"] = {"kind": "cyclic", "order": 3}
+        doc["branches"][0]["phi"] = {"g": []}
+        code, out = self.run(tmp_path, capsys, doc, "present")
+        assert code == 2, out
 
 
 class TestResultSerialization:

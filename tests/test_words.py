@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from singular_pi1 import InputError, Word, sym
 from singular_pi1.words import cyclic_key, free_reduce, substitute
-from support import cyclically_reduced_reference, power_reference
+from support import (cyclic_key_reference, cyclically_reduced_reference,
+                     power_reference)
 
 A, B, C = sym("a"), sym("b"), sym("c")
 
@@ -43,9 +44,9 @@ def test_cyclic_reduction_wraps_syllables():
     assert word.cyclically_reduced().letters == ((B, 2),)
 
 
-def test_power_and_cyclic_reduction_match_the_syllable_loops():
-    rng = random.Random(11)
-    for _ in range(500):
+def _cancelling_words(seed, count=500):
+    rng = random.Random(seed)
+    for _ in range(count):
         # palindromic cores make long cancelling ends
         core = [(rng.choice((A, B, C)), rng.choice((-2, -1, 1, 2)))
                 for _ in range(rng.randint(0, 6))]
@@ -53,11 +54,20 @@ def test_power_and_cyclic_reduction_match_the_syllable_loops():
             else core[::-1]
         middle = [(rng.choice((A, B, C)), rng.choice((-1, 1)))
                   for _ in range(rng.randint(0, 3))]
-        word = Word(tuple(core + middle + ends))
+        yield rng, Word(tuple(core + middle + ends))
+
+
+def test_power_and_cyclic_reduction_match_the_syllable_loops():
+    for rng, word in _cancelling_words(11):
         assert word.cyclically_reduced().letters \
             == cyclically_reduced_reference(word).letters
         n = rng.randint(-4, 4)
         assert (word ** n).letters == power_reference(word, n).letters
+
+
+def test_cyclic_key_matches_the_rotation_list():
+    for _, word in _cancelling_words(12):
+        assert cyclic_key(word) == cyclic_key_reference(word)
 
 
 def test_cyclic_key_identifies_rotations_and_inverses():

@@ -7,8 +7,8 @@ Run from the repository root:
 Rows (the non-trivial S3/C2 variant, seed 1, written by
 ``perfbench/families.py``):
 
-* the default route on chain, star and theta at N = 64, 128, 256, and on
-  the chain at N = 1024;
+* the default route on chain, star and theta at N = 64, 128, 256 and
+  1024;
 * ``--route devissage --form iv`` on theta at N = 6 and 8.
 
 One CLI call per row runs in a fresh interpreter under the default
@@ -30,9 +30,8 @@ from pathlib import Path
 
 from bench_verify_families import ROOT, SEED, families, run_cli
 
-ROWS = [(family, n, ()) for n in (64, 128, 256)
+ROWS = [(family, n, ()) for n in (64, 128, 256, 1024)
         for family in families.FAMILIES] \
-    + [("chain", 1024, ())] \
     + [("theta", n, ("--route", "devissage", "--form", "iv"))
        for n in (6, 8)]
 
