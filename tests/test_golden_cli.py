@@ -1,0 +1,141 @@
+"""Pinned CLI output: the exit code and the sha256 of the standard output
+of every call in a fixed set, held in ``golden_cli.json``.
+
+The configurations are the bundled corpus, the chain, star and theta of
+``support.family_config`` with 2 and 3 singular pieces (non-trivial and
+trivial), three valid configurations with dotted generator names or a
+word symbol with a leading dot (read as the name after it), and
+hand-made invalid ones that reach each name and word error of the
+parser.  Every call runs ``cli.main`` in this process.
+
+To write the file for an intended change of output:
+
+    PYTHONPATH=src:tests python tests/test_golden_cli.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+from singular_pi1 import scheme_config_to_json
+from singular_pi1.cli import main
+from support import family_config
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+C2 = {"kind": "cyclic", "order": 2}
+C3 = {"kind": "cyclic", "order": 3}
+TRIVIAL = {"kind": "trivial"}
+KLEIN = {"kind": "presented", "generators": ["p.a", "q.a"],
+         "relators": [[["p.a", 2]], [["q.a", 2]],
+                      [["p.a", 1], ["q.a", 1], ["p.a", -1], ["q.a", -1]]]}
+
+
+def _one_branch(component, branch, psi=None):
+    """Component ``A`` and trivial piece ``P`` joined by two branches;
+    the first has group ``branch`` and map ``psi`` into ``component``."""
+    first = {"id": "b1", "component": "A", "singular": "P",
+             "group": branch}
+    if psi is not None:
+        first["psi"] = psi
+        first["phi"] = {name: [] for name in psi}
+    return {"components": [{"id": "A", "group": component}],
+            "singulars": [{"id": "P", "group": TRIVIAL}],
+            "branches": [first,
+                         {"id": "b2", "component": "A", "singular": "P",
+                          "group": TRIVIAL}]}
+
+
+def _presented(generators, relators):
+    return _one_branch({"kind": "presented", "generators": generators,
+                        "relators": relators}, TRIVIAL)
+
+
+VALID_EXTRA = {
+    "dotted-component": _one_branch(KLEIN, TRIVIAL),
+    "dotted-target": _one_branch(KLEIN, C2, {"g": [["p.a", 1]]}),
+    "leading-dot-symbol": _one_branch(C2, C2, {"g": [[".g", 1]]}),
+}
+
+INVALID = {
+    "malformed-name": _presented(["1a"], [[["1a", 2]]]),
+    "bad-namespace-segment": _presented(["a-b.c"], [[["a-b.c", 2]]]),
+    "malformed-word-symbol": _one_branch(C2, C2, {"g": [["9x", 1]]}),
+    "bad-word-namespace": _one_branch(C2, C2, {"g": [["a-b.g", 1]]}),
+    "undeclared-relator-symbol": _presented(["a"], [[["a", 2]], [["z", 1]]]),
+    "duplicate-generator": _presented(["a", "a"], [[["a", 2]]]),
+    "unknown-branch-generator": _one_branch(C2, C2, {"h": [["g", 1]]}),
+    "image-outside-target": _one_branch(C2, C2, {"g": [["z", 1]]}),
+    "missing-image": _one_branch(C2, C2, {}),
+    "non-homomorphism": _one_branch(C3, C2, {"g": [["g", 1]]}),
+}
+
+VALID_CALLS = (
+    [["present"] + route + ["--simplify", simplify]
+     for route in [[]] + [["--route", "devissage", "--form", form]
+                          for form in ("i", "ii", "iii", "iv")]
+     for simplify in ("true", "false")]
+    + [["present", "--degrees", "2,3,4"],
+       ["verify", "--degree-max", "3", "--connected"],
+       ["plan"], ["rank"], ["validate"]])
+
+INVALID_CALLS = [["validate"], ["present"]]
+
+
+def configs():
+    """Every configuration of the set as ``(name, JSON document, calls)``."""
+    out = []
+    root = resources.files("singular_pi1") / "configs"
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            out.append((f"corpus/{entry.name[:-5]}",
+                        json.loads(entry.read_text(encoding="utf-8")),
+                        VALID_CALLS))
+    for family in ("chain", "star", "theta"):
+        for nontrivial in (True, False):
+            for n in (2, 3):
+                kind = "nontrivial" if nontrivial else "trivial"
+                doc = scheme_config_to_json(family_config(family, n,
+                                                          nontrivial))
+                out.append((f"{family}-{kind}-{n}", doc, VALID_CALLS))
+    out += [(name, doc, VALID_CALLS) for name, doc in VALID_EXTRA.items()]
+    out += [(name, doc, INVALID_CALLS) for name, doc in INVALID.items()]
+    return out
+
+
+def outputs(directory):
+    """``{call id: [exit code, sha256 of stdout]}`` for the whole set."""
+    out = {}
+    for name, doc, calls in configs():
+        path = Path(directory) / (name.replace("/", "-") + ".json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for call in calls:
+            argv = [call[0], str(path)] + call[1:]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            out[" ".join([name] + call)] = [code, digest]
+    return out
+
+
+def test_cli_output_matches_the_pinned_set(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = outputs(tmp_path)
+    assert sorted(got) == sorted(golden)
+    changed = [call for call in golden if got[call] != golden[call]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_cli.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(outputs(tmp), indent=1, sort_keys=True)
+                          + "\n", encoding="utf-8")
