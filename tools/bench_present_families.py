@@ -9,7 +9,8 @@ Rows (the non-trivial S3/C2 variant, seed 1, written by
 
 * the default route on chain, star and theta at N = 64, 128, 256 and
   1024;
-* ``--route devissage --form iv`` on theta at N = 6 and 8.
+* ``--route devissage --form iv`` on theta at N = 6 and 8;
+* ``--route devissage`` (form i) on chain at N = 64 and 128.
 
 One CLI call per row runs in a fresh interpreter under the default
 flags, with the runner of ``bench_verify_families.py``.  Each row
@@ -33,7 +34,8 @@ from bench_verify_families import ROOT, SEED, families, run_cli
 ROWS = [(family, n, ()) for n in (64, 128, 256, 1024)
         for family in families.FAMILIES] \
     + [("theta", n, ("--route", "devissage", "--form", "iv"))
-       for n in (6, 8)]
+       for n in (6, 8)] \
+    + [("chain", n, ("--route", "devissage")) for n in (64, 128)]
 
 
 def main():
