@@ -24,7 +24,7 @@ from .oracle import (IncidenceGraph, OracleReport, attach_connected,
 from .pi1 import (DerivationStep, Pi1Result, class_witness, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, free_presentation,
-                           quotient_by_relations, retag, tietze_simplify)
+                           quotient_by_relations, tietze_simplify)
 from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
                      Singular, ValidationResult, build_patch,
                      build_patch_complement, check_order,
@@ -34,6 +34,5 @@ from .schema import (parse_scheme_config, pi1_result_to_json,
                      presentation_to_json, parse_presentation,
                      scheme_config_to_json)
 from .vk import copy_shift, shift_free_group, vk_assemble
-from .words import GeneratorSymbol, Word, sym
 
 __version__ = "0.1.0"

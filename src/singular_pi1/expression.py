@@ -41,7 +41,7 @@ class FiberedCoproductNode:
 @dataclass
 class QuotientNode:
     child: object
-    pairs: list              # of (Word, Word), each imposing lhs = rhs
+    pairs: list              # of (word, word) over the child, each lhs = rhs
 
 
 @dataclass

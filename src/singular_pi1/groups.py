@@ -24,7 +24,7 @@ from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
 from .perms import compose, identity, invert
 from .presentation import Presentation
-from .words import GeneratorSymbol, Word
+from .words import cyclically_reduce, inverse, power, reduce
 
 
 def _closure(generators, bound):
@@ -54,10 +54,9 @@ def _closure(generators, bound):
 def _cayley_presentation(elements, gen_elements, gen_names):
     """Spanning-tree presentation of a finite group on given generators."""
     index = {el: i for i, el in enumerate(elements)}
-    syms = [GeneratorSymbol("", n) for n in gen_names]
     d = len(elements[0]) if elements else 0
     start = identity(d)
-    words = {index[start]: Word.identity()}
+    words = {index[start]: ()}
     queue = [index[start]]
     relators = []
     seen_rel = set()
@@ -65,32 +64,29 @@ def _cayley_presentation(elements, gen_elements, gen_names):
         nxt = []
         for i in queue:
             el = elements[i]
-            for g, s in zip(gen_elements, syms):
+            for k, g in enumerate(gen_elements):
                 j = index[compose(el, g)]
                 if j not in words:
-                    words[j] = words[i] * Word.gen(s)
+                    words[j] = reduce(words[i] + ((k, 1),))
                     nxt.append(j)
         queue = nxt
     for i, el in enumerate(elements):
-        for g, s in zip(gen_elements, syms):
+        for k, g in enumerate(gen_elements):
             j = index[compose(el, g)]
-            step = words[i] * Word.gen(s) * words[j].inverse()
-            r = step.cyclically_reduced()
-            if r.is_identity():
+            r = cyclically_reduce(
+                reduce(words[i] + ((k, 1),) + inverse(words[j])))
+            if not r or r in seen_rel:
                 continue
-            if r.letters in seen_rel:
-                continue
-            seen_rel.add(r.letters)
+            seen_rel.add(r)
             relators.append(r)
-    return Presentation(syms, relators)
+    return Presentation._trusted(gen_names, relators)
 
 
-def _expand_relator(word, gen_index):
+def _expand_relator(word):
     """Relator as a flat sequence of signed 1-based generator numbers."""
     out = []
-    for s, e in word.letters:
-        g = gen_index[s] + 1
-        step = g if e > 0 else -g
+    for g, e in word:
+        step = g + 1 if e > 0 else -g - 1
         out.extend([step] * abs(e))
     return tuple(out)
 
@@ -112,17 +108,14 @@ def _coset_closure(presentation, cap):
     n_gens = len(gens)
     if n_gens == 0:
         return 1, [[]]
-    used = set()
-    for r in presentation.relators:
-        used.update(r.symbols())
-    missing = [g for g in gens if g not in used]
+    used = {g for r in presentation.relators for g, _ in r}
+    missing = [name for g, name in enumerate(gens) if g not in used]
     if missing:
         raise ResourceError(
             "presented group has a relator-free generator and is infinite: "
-            + ", ".join(str(g) for g in missing), layer="groups")
+            + ", ".join(missing), layer="groups")
 
-    gen_index = {g: i for i, g in enumerate(gens)}
-    words = [_expand_relator(r, gen_index) for r in presentation.relators]
+    words = [_expand_relator(r) for r in presentation.relators]
     ncols = 2 * n_gens
 
     def col(letter):
@@ -336,25 +329,17 @@ class GroupSpec:
     def canonical_presentation(self):
         kind = self.kind
         if kind == "trivial":
-            return Presentation([], [])
+            return Presentation._trusted((), ())
         if kind == "cyclic":
-            g = GeneratorSymbol("", "g")
-            return Presentation([g], [Word.gen(g, self._order_k)])
+            return Presentation._trusted(("g",), (((0, self._order_k),),))
         if kind == "symmetric":
-            k = self._degree
-            if k <= 1:
-                return Presentation([], [])
-            syms = [GeneratorSymbol("", f"s{i}") for i in range(1, k)]
-            rels = []
-            for i, s in enumerate(syms):
-                rels.append(Word.gen(s, 2))
-            for i in range(len(syms) - 1):
-                braid = (Word.gen(syms[i]) * Word.gen(syms[i + 1])) ** 3
-                rels.append(braid)
-            for i in range(len(syms)):
-                for j in range(i + 2, len(syms)):
-                    rels.append((Word.gen(syms[i]) * Word.gen(syms[j])) ** 2)
-            return Presentation(syms, rels)
+            n = max(self._degree - 1, 0)
+            rels = [((i, 2),) for i in range(n)]
+            rels += [power(((i, 1), (i + 1, 1)), 3) for i in range(n - 1)]
+            rels += [power(((i, 1), (j, 1)), 2)
+                     for i in range(n) for j in range(i + 2, n)]
+            return Presentation._trusted(
+                [f"s{i}" for i in range(1, n + 1)], rels)
         if kind == "permutation":
             names = [f"g{i + 1}" for i in range(len(self._perm_generators))]
             return _cayley_presentation(self.elements,
@@ -451,14 +436,12 @@ class GroupSpec:
 
     def evaluate(self, word):
         """Evaluate a word over canonical generators to a group element."""
-        images = dict(zip(self.canonical_presentation.generators,
-                          self.generator_elements))
+        images = self.generator_elements
         acc = self.identity_element
-        for s, e in word.letters:
-            try:
-                g = images[s]
-            except KeyError:
-                raise InputError(f"unknown generator {s} for {self}") from None
+        for s, e in word:
+            if not 0 <= s < len(images):
+                raise InputError(f"unknown generator {s} for {self}")
+            g = images[s]
             if e < 0:
                 g, e = self.invert_element(g), -e
             for _ in range(e):

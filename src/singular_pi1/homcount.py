@@ -56,13 +56,6 @@ from .presentation import tietze_simplify
 _component_cache = {}
 
 
-def _encode(p):
-    index = {g: i for i, g in enumerate(p.generators)}
-    relators = tuple(tuple((index[s], e) for s, e in r.letters)
-                     for r in p.relators)
-    return relators
-
-
 def _split_components(n_gens, relators):
     """Group generators linked through shared relators.
 
@@ -330,8 +323,7 @@ def _plan(p, d, limits):
     """Simplify ``p``, split it into components, plan each, and gate the
     estimated work."""
     p = tietze_simplify(p)
-    relators = _encode(p)
-    components, free_gens = _split_components(len(p.generators), relators)
+    components, free_gens = _split_components(len(p.generators), p.relators)
     T = table(d)
     plans = []
     for gens, rels in components:

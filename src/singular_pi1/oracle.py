@@ -84,8 +84,8 @@ class IncidenceGraph:
     """A validated configuration as the oracle reads it: variables
     ``0..n-1`` are the components and ``n..n+m-1`` the singular pieces;
     each branch is ``(component var, singular var, psi words, phi
-    words)``, its maps written as ``(generator slot, exponent)`` words
-    over the canonical generators of the two pieces' groups.
+    words)``, the images of its maps, words over the canonical
+    generators of the two pieces' groups.
 
     The oracle's functions take a configuration or its graph; ``verify``
     builds the graph once, so the configuration is validated once for
@@ -100,19 +100,9 @@ class IncidenceGraph:
         var = {("c", c.id): k for k, c in enumerate(cfg.components)}
         var.update({("s", s.id): cfg.n + k
                     for k, s in enumerate(cfg.singulars)})
-        self.branches = []
-        for b in cfg.branches:
-            c, s = var["c", b.component], var["s", b.singular]
-            gens = b.group.canonical_presentation.generators
-            self.branches.append((c, s, _encode(b.psi, gens, self.groups[c]),
-                                  _encode(b.phi, gens, self.groups[s])))
-
-
-def _encode(hom, gens, target):
-    slot = {g: k for k, g in
-            enumerate(target.canonical_presentation.generators)}
-    return tuple(tuple((slot[x], e) for x, e in hom.images[g].letters)
-                 for g in gens)
+        self.branches = [(var["c", b.component], var["s", b.singular],
+                          b.psi.images, b.phi.images)
+                         for b in cfg.branches]
 
 
 def _actions(group, d, limits=DEFAULT_LIMITS):
@@ -130,11 +120,9 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
     """
     T = table(d)
     pres = group.canonical_presentation
-    slot = {g: k for k, g in enumerate(pres.generators)}
-    unary = [[] for _ in slot]
-    checks = [[] for _ in slot]
-    for r in pres.relators:
-        word = tuple((slot[s], e) for s, e in r.letters)
+    unary = [[] for _ in pres.generators]
+    checks = [[] for _ in pres.generators]
+    for word in pres.relators:
         scope = sorted({k for k, _ in word})
         if len(scope) == 1:
             unary[scope[0]].append(word)
@@ -150,7 +138,7 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
         return memo[images]
 
     partial, work = [()], 0
-    for k in range(len(slot)):
+    for k in range(len(pres.generators)):
         domain = [x for x in range(T.size)
                   if all(_evaluate(T, w, {k: x}) == ident for w in unary[k])]
         work += len(partial) * len(domain)

@@ -15,8 +15,9 @@ node per singular piece.
 
 Each route validates once at its entry and simplifies once at the end.
 Results carry the raw lowered presentation, its simplification, an
-expression tree, the derivation trace, and the locations of every
-component group's generators inside the raw presentation.
+expression tree, the derivation trace, and the location of every
+component group's generators inside the raw presentation: the offset
+of the block they occupy, as the free products that build it return.
 """
 
 from dataclasses import dataclass, field
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field
 from .expression import (Atom, CoproductNode, FiberedCoproductNode,
                          FreeGroupNode, QuotientNode, VKLegRef, VKNode,
                          closure_witness)
-from .presentation import (free_presentation, free_product_with_maps,
-                           quotient_by_relations, retag, tietze_simplify)
+from .presentation import (free_presentation, free_product,
+                           quotient_by_relations, tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
                      ensure_valid, spanning_tree)
 from .vk import vk_assemble
-from .words import Word, rename
+from .words import inverse, reduce, shift
 
 
 @dataclass
@@ -49,13 +50,12 @@ class Pi1Result:
     presentation: object           # tietze-simplified lowering
     raw_presentation: object       # lowering before simplification
     derivation: list
+    # component id -> offset of its generators in raw_presentation
     component_images: dict = field(default_factory=dict)
 
 
 def _branch_leg_pairs(branch):
-    src = branch.group.canonical_presentation
-    return [(branch.psi.images[g], branch.phi.images[g])
-            for g in src.generators]
+    return list(zip(branch.psi.images, branch.phi.images))
 
 
 def _simplified(result):
@@ -82,20 +82,21 @@ def pi1_graph_of_groups(cfg):
     free = free_presentation(rank, prefix="f")
     tags = [f"c{i + 1}" for i in range(cfg.n)] \
         + [f"s{j + 1}" for j in range(cfg.m)] + ["free"]
-    prod, maps = free_product_with_maps(
+    prod, offsets = free_product(
         [v.group.canonical_presentation for _, v in vertices] + [free], tags)
-    comp_maps = {c.id: maps[i] for i, c in enumerate(cfg.components)}
-    sing_maps = {s.id: maps[cfg.n + j] for j, s in enumerate(cfg.singulars)}
-    stable_letter = {b.id: Word.gen(maps[-1][f])
-                     for b, f in zip(stable, free.generators)}
+    comp_offsets = {c.id: offsets[i] for i, c in enumerate(cfg.components)}
+    sing_offsets = {s.id: offsets[cfg.n + j]
+                    for j, s in enumerate(cfg.singulars)}
+    stable_letter = {b.id: ((offsets[-1] + k, 1),)
+                     for k, b in enumerate(stable)}
 
     pairs = []
     for b in cfg.branches:
-        t = stable_letter.get(b.id, Word.identity())
+        t = stable_letter.get(b.id, ())
         for psi_word, phi_word in _branch_leg_pairs(b):
-            pairs.append((rename(psi_word, comp_maps[b.component]),
-                          t * rename(phi_word, sing_maps[b.singular])
-                          * t.inverse()))
+            pairs.append((shift(psi_word, comp_offsets[b.component]),
+                          reduce(t + shift(phi_word, sing_offsets[b.singular])
+                                 + inverse(t))))
     raw = quotient_by_relations(prod, pairs)
 
     children = [Atom(kind, v.id, v.group) for kind, v in vertices
@@ -114,7 +115,7 @@ def pi1_graph_of_groups(cfg):
         "graph-of-groups", expr,
         {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
          "stable_branches": [b.id for b in stable]})]
-    return _simplified(Pi1Result(expr, None, raw, steps, comp_maps))
+    return _simplified(Pi1Result(expr, None, raw, steps, comp_offsets))
 
 
 def _connected_singular(cfg, form):
@@ -142,23 +143,17 @@ def _connected_singular(cfg, form):
     if cfg.n == 1:
         asm = assemblies[0]
         raw = asm.presentation
-        images = {cfg.components[0].id: dict(asm.left_map)}
+        images = {cfg.components[0].id: asm.left_offset}
         expr = vknodes[0]
     else:
-        prod, maps = free_product_with_maps(
-            [a.presentation for a in assemblies])
-        pairs = []
-        first = assemblies[0]
-        for y in sing_pres.generators:
-            anchor = Word.gen(maps[0][first.right_map[y]])
-            for i in range(1, cfg.n):
-                other = Word.gen(maps[i][assemblies[i].right_map[y]])
-                pairs.append((anchor, other))
+        prod, offsets = free_product([a.presentation for a in assemblies])
+        rights = [o + a.right_offset for o, a in zip(offsets, assemblies)]
+        pairs = [(((rights[0] + y, 1),), ((rights[i] + y, 1),))
+                 for y in range(len(sing_pres.generators))
+                 for i in range(1, cfg.n)]
         raw = quotient_by_relations(prod, pairs)
-        images = {}
-        for i, comp in enumerate(cfg.components):
-            asm = assemblies[i]
-            images[comp.id] = {g: maps[i][s] for g, s in asm.left_map.items()}
+        images = {comp.id: o + a.left_offset for comp, o, a
+                  in zip(cfg.components, offsets, assemblies)}
         expr = FiberedCoproductNode(Atom("singular", sing.id, sing.group),
                                     vknodes)
         steps.append(DerivationStep(
@@ -186,11 +181,12 @@ def _devissage(cfg, form, order):
     onto the union of the patches before it."""
     if cfg.m == 0:
         comp = cfg.components[0]
-        raw, mapping = retag(comp.group.canonical_presentation, "c1")
+        raw, (offset,) = free_product([comp.group.canonical_presentation],
+                                      ["c1"])
         expr = Atom("component", comp.id, comp.group)
         steps = [DerivationStep("normal-component", expr,
                                 {"component": comp.id})]
-        return Pi1Result(expr, None, raw, steps, {comp.id: mapping})
+        return Pi1Result(expr, None, raw, steps, {comp.id: offset})
 
     splits = list(devissage_splits(cfg, order))
     # the last split's complement is the first piece's patch
@@ -201,11 +197,11 @@ def _devissage(cfg, form, order):
         leg_refs = []
         for cid in report.S:
             group = scope.component(cid).group
-            gens = group.canonical_presentation.generators
-            pairs = [(Word.gen(left.component_images[cid][g]),
-                      Word.gen(result.component_images[cid][g]))
-                     for g in gens]
-            leg_pairs.append(pairs)
+            lo = left.component_images[cid]
+            ro = result.component_images[cid]
+            leg_pairs.append([(((lo + g, 1),), ((ro + g, 1),)) for g in
+                              range(len(group.canonical_presentation
+                                        .generators))])
             leg_refs.append(VKLegRef(group, "component", cid))
 
         asm = vk_assemble(left.raw_presentation, result.raw_presentation,
@@ -213,14 +209,11 @@ def _devissage(cfg, form, order):
 
         images = {}
         for comp in complement.components:
-            images[comp.id] = {
-                g: asm.right_map[s]
-                for g, s in result.component_images[comp.id].items()}
+            images[comp.id] = \
+                asm.right_offset + result.component_images[comp.id]
         for comp in patch.components:
             # overlap components resolve to the patch-side copy
-            images[comp.id] = {
-                g: asm.left_map[s]
-                for g, s in left.component_images[comp.id].items()}
+            images[comp.id] = asm.left_offset + left.component_images[comp.id]
 
         expr = VKNode(left.expression, result.expression, leg_refs)
         step = DerivationStep(

@@ -1,53 +1,72 @@
 """Finite presentations and the constructions that combine them.
 
-A presentation is an ordered generator list plus a list of relators.
-Relators are stored cyclically reduced; empty relators are dropped.  A
+A presentation is a tuple of generator names plus a tuple of relators,
+words over the generator indices ``0..n-1`` (see ``words``).  Relators
+are stored cyclically reduced; empty relators are dropped.  A
 presentation with no relators denotes the free group on its generators.
 
 The combination operations (free products, quotients by relations,
 fibred coproducts) are the algebraic backbone of the whole package.
-Free products and fibred coproducts return the symbol renamings with
-the result (``*_with_maps``), which the higher layers need to keep
-track of where a generator of an ingredient ended up inside an
-assembly.
+A free product places each factor's generators in one block and returns
+the offset of each block: generator ``i`` of a factor is generator
+``offset + i`` of the product, named ``tag.name``.  The higher layers
+keep track of where an ingredient ended up inside an assembly by these
+offsets.
+
+Names are checked where they enter: by the public constructor, and by
+the JSON parser.  The constructions here start from checked
+presentations and build through ``Presentation._trusted``, which checks
+nothing.
 """
 
 import heapq
 from collections import Counter, defaultdict
 
 from .errors import InputError
-from .words import (GeneratorSymbol, Word, check_symbol, check_tag,
-                    cyclic_key, rename, retag_symbol, substitute)
+from .words import (check_name, check_tag, cyclic_key, cyclically_reduce,
+                    inverse, reduce, render, shift, substitute)
 
 
 class Presentation:
     __slots__ = ("generators", "relators")
 
     def __init__(self, generators, relators=()):
-        gens = tuple(check_symbol(g) for g in generators)
+        gens = []
+        for g in generators:
+            if not isinstance(g, str):
+                raise InputError(f"not a generator symbol: {g!r}")
+            gens.append(check_name(g))
         if len(set(gens)) != len(gens):
             raise InputError("duplicate generator symbols in presentation")
-        declared = set(gens)
+        n = len(gens)
         rels = []
         for r in relators:
-            if not isinstance(r, Word):
-                r = Word(tuple(r))
-            bad = r.symbols() - declared
+            r = tuple(r)
+            bad = {g for g, _ in r
+                   if not (type(g) is int and 0 <= g < n)}
             if bad:
                 raise InputError(
-                    f"relator uses undeclared generators: {sorted(map(str, bad))}")
-            r = r.cyclically_reduced()
-            if not r.is_identity():
-                rels.append(r)
-        self.generators = gens
-        self.relators = tuple(rels)
+                    f"relator uses undeclared generators: "
+                    f"{sorted(map(str, bad))}")
+            if not all(type(e) is int and e for _, e in r):
+                raise InputError(
+                    f"relator exponents must be non-zero integers: {r}")
+            rels.append(reduce(r))
+        self.generators = tuple(gens)
+        self.relators = cyclic_relators(rels)
+
+    @classmethod
+    def _trusted(cls, generators, relators):
+        """A presentation of checked parts: distinct checked names, and
+        cyclically reduced non-trivial relators over their indices."""
+        p = cls.__new__(cls)
+        p.generators = tuple(generators)
+        p.relators = tuple(relators)
+        return p
 
     def key(self):
-        """Canonical namespace-independent fingerprint (for caching)."""
-        index = {g: i for i, g in enumerate(self.generators)}
-        rels = sorted(tuple((index[s], e) for s, e in r.letters)
-                      for r in self.relators)
-        return (len(self.generators), tuple(rels))
+        """Canonical name-independent fingerprint (for caching)."""
+        return (len(self.generators), tuple(sorted(self.relators)))
 
     def __eq__(self, other):
         return (isinstance(other, Presentation)
@@ -58,93 +77,91 @@ class Presentation:
         return hash((self.generators, self.relators))
 
     def __repr__(self):
-        gens = ", ".join(g.qualified() for g in self.generators)
-        rels = ", ".join(repr(r) for r in self.relators)
+        gens = ", ".join(self.generators)
+        rels = ", ".join(render(r, self.generators) for r in self.relators)
         return f"<{gens} | {rels}>"
 
 
-def free_presentation(rank, prefix="x", namespace=""):
+def cyclic_relators(words):
+    """The cyclic reductions of the freely reduced ``words``, without
+    the trivial ones."""
+    return tuple(r for r in map(cyclically_reduce, words) if r)
+
+
+def free_presentation(rank, prefix="x"):
     """The free group of the given rank on ``prefix1 .. prefixN``."""
     if rank < 0:
         raise InputError("rank must be non-negative")
-    gens = [GeneratorSymbol(namespace, f"{prefix}{i + 1}") for i in range(rank)]
-    return Presentation(gens, ())
+    return Presentation([f"{prefix}{i + 1}" for i in range(rank)], ())
 
 
-def retag(p, tag):
-    """Copy ``p`` into the fresh namespace ``tag``; return (copy, symbol map)."""
-    check_tag(tag)
-    mapping = {g: retag_symbol(g, tag) for g in p.generators}
-    gens = tuple(mapping[g] for g in p.generators)
-    rels = tuple(rename(r, mapping) for r in p.relators)
-    return Presentation(gens, rels), mapping
-
-
-def free_product_with_maps(parts, tags=None):
+def free_product(parts, tags=None):
     """Free product of several presentations on disjoint namespaced copies.
 
-    Returns the product and one symbol map per ingredient.
+    Returns the product and the offset of each factor's generators.
     """
     if tags is None:
         tags = [f"c{i + 1}" for i in range(len(parts))]
     if len(tags) != len(parts) or len(set(tags)) != len(tags):
         raise InputError("one distinct namespace tag per factor is required")
-    gens, rels, maps = [], [], []
+    gens, rels, offsets = [], [], []
     for p, tag in zip(parts, tags):
-        copy, mapping = retag(p, tag)
-        gens.extend(copy.generators)
-        rels.extend(copy.relators)
-        maps.append(mapping)
-    # fresh tags make collisions impossible; a failure here is a bug
-    assert len(set(gens)) == len(gens), "namespace collision after re-tagging"
-    return Presentation(gens, rels), maps
+        check_tag(tag)
+        offset = len(gens)
+        offsets.append(offset)
+        gens.extend(f"{tag}.{g}" for g in p.generators)
+        rels.extend(shift(r, offset) for r in p.relators)
+    return Presentation._trusted(gens, rels), offsets
 
 
 def quotient_by_relations(p, pairs):
     """Impose ``lhs = rhs`` for each pair of words over ``p``'s generators."""
-    declared = set(p.generators)
+    n = len(p.generators)
     new_relators = []
     for lhs, rhs in pairs:
-        bad = (lhs.symbols() | rhs.symbols()) - declared
+        bad = {g for g, _ in lhs + rhs if not 0 <= g < n}
         if bad:
             raise InputError(
-                f"relation uses undeclared generators: {sorted(map(str, bad))}")
-        new_relators.append(lhs * rhs.inverse())
-    return Presentation(p.generators, p.relators + tuple(new_relators))
+                f"relation uses undeclared generators: {sorted(bad)}")
+        new_relators.append(reduce(lhs + inverse(rhs)))
+    return Presentation._trusted(p.generators,
+                                 p.relators + cyclic_relators(new_relators))
 
 
-def fibered_coproduct_with_maps(p1, p2, amalgam_pairs):
+def fibered_coproduct(p1, p2, amalgam_pairs):
     """Free product of ``p1`` and ``p2`` glued along a list of word pairs.
 
     ``amalgam_pairs`` holds ``(word over p1, word over p2)`` images of a
     generating set of the amalgamating group; imposing the relation on
     generators suffices to impose it on the subgroup they generate.
+    Returns the result and the offsets of ``p1`` and ``p2`` in it.
     """
-    prod, (m1, m2) = free_product_with_maps([p1, p2])
-    pairs = [(rename(w1, m1), rename(w2, m2)) for w1, w2 in amalgam_pairs]
-    return quotient_by_relations(prod, pairs), m1, m2
+    prod, (o1, o2) = free_product([p1, p2])
+    pairs = [(shift(w1, o1), shift(w2, o2)) for w1, w2 in amalgam_pairs]
+    return quotient_by_relations(prod, pairs), (o1, o2)
 
 
 def _eliminable_syllable(relator, where):
-    """Find a syllable ``(sym, ±1)`` whose symbol occurs once in the relator.
+    """Find a syllable ``(g, ±1)`` whose generator occurs once in the
+    relator.
 
-    Of those syllables, takes the one whose symbol occurs in the fewest
-    relators (``len(where[sym])``), the first on ties.  Returns
-    ``(symbol, replacement word)``, so that the relator is equivalent to
-    ``symbol = replacement``, or ``None``.
+    Of those syllables, takes the one whose generator occurs in the
+    fewest relators (``len(where[g])``), the first on ties.  Returns
+    ``(generator, replacement word)``, so that the relator is equivalent
+    to ``generator = replacement``, or ``None``.
     """
-    letters = relator.letters
-    counts = Counter(s for s, _ in letters)
-    eliminable = [pos for pos, (s, e) in enumerate(letters)
-                  if abs(e) == 1 and counts[s] == 1]
+    counts = Counter(g for g, _ in relator)
+    eliminable = [pos for pos, (g, e) in enumerate(relator)
+                  if abs(e) == 1 and counts[g] == 1]
     if not eliminable:
         return None
     # min() keeps the first of equal counts
-    pos = min(eliminable, key=lambda i: len(where[letters[i][0]]))
-    s, e = letters[pos]
-    # rotate so the syllable sits first: relator ~ s^e * w
-    w = Word(letters[pos + 1:] + letters[:pos])
-    return s, (w.inverse() if e == 1 else w)
+    pos = min(eliminable, key=lambda i: len(where[relator[i][0]]))
+    g, e = relator[pos]
+    # rotate so the syllable sits first: relator ~ g^e * w; w is freely
+    # reduced, since the relator is cyclically reduced
+    w = relator[pos + 1:] + relator[:pos]
+    return g, (inverse(w) if e == 1 else w)
 
 
 def tietze_eliminations(p):
@@ -176,10 +193,12 @@ def tietze_eliminations(p):
     rewrites on chain, star and theta dual graphs grow linearly with
     the number of pieces.
 
-    Returns the simplified presentation and the ``(generator, word)``
-    pairs eliminated, in elimination order.  Each word is over the
-    generators left at its step, so evaluating the words in reverse
-    order extends a map of the simplified generators to all of ``p``'s.
+    Returns the simplified presentation, whose generators are the
+    survivors renumbered in order, and the ``(generator, word)`` pairs
+    eliminated, in elimination order, over ``p``'s generator indices.
+    Each word is over the generators left at its step, so evaluating the
+    words in reverse order extends a map of the surviving generators to
+    all of ``p``'s.
     """
     relators = list(p.relators)       # None once a relator is dropped
     keys = [None] * len(relators)
@@ -189,7 +208,7 @@ def tietze_eliminations(p):
     def keep(j, r):
         """Store ``r`` at ``j`` unless an earlier relator equals it;
         drop a later one that does."""
-        if r.is_identity():
+        if not r:
             relators[j] = None
             return
         k = cyclic_key(r)
@@ -200,14 +219,14 @@ def tietze_eliminations(p):
                 return
             drop(i)
         relators[j], keys[j], first[k] = r, k, j
-        for s in r.symbols():
-            where[s].add(j)
+        for g, _ in r:
+            where[g].add(j)
         heapq.heappush(candidates, j)
 
     def drop(j):
         del first[keys[j]]
-        for s in relators[j].symbols():
-            where[s].discard(j)
+        for g, _ in relators[j]:
+            where[g].discard(j)
         relators[j] = None
 
     candidates = []
@@ -226,12 +245,17 @@ def tietze_eliminations(p):
         for j in where.pop(target):
             old = relators[j]
             drop(j)
-            keep(j, substitute(old, {target: repl}).cyclically_reduced())
+            keep(j, cyclically_reduce(substitute(old, {target: repl})))
         eliminations.append((target, repl))
+    rels = [r for r in relators if r is not None]
+    if not eliminations:
+        return Presentation._trusted(p.generators, rels), eliminations
     gone = {g for g, _ in eliminations}
-    return Presentation(tuple(g for g in p.generators if g not in gone),
-                        tuple(r for r in relators if r is not None)), \
-        eliminations
+    kept = [g for g in range(len(p.generators)) if g not in gone]
+    number = {g: i for i, g in enumerate(kept)}
+    return Presentation._trusted(
+        [p.generators[g] for g in kept],
+        [tuple((number[g], e) for g, e in r) for r in rels]), eliminations
 
 
 def tietze_simplify(p):

@@ -14,8 +14,13 @@ with GROUP one of ``{"kind": "trivial"}``, ``{"kind": "cyclic",
 ``{"kind": "presented", "generators": [...], "relators": [...]}``.
 Words are arrays of ``[symbol, exponent]`` pairs over the target
 group's canonical generator names; ``psi`` maps into the branch's
-component group, ``phi`` into its singular group.  Both may be omitted
-when the branch group is trivial.
+component group, ``phi`` into its singular group, each keyed by the
+full names of the branch group's canonical generators.  Both may be
+omitted when the branch group is trivial.
+
+Generator names are checked here, once, as they are read; inside the
+package a word is a tuple of ``(generator index, exponent)`` pairs, and
+names are rendered again only when JSON is written.
 
 Structural problems raise ``SchemaError`` with a JSON-path location;
 semantic problems (a map that is not a homomorphism, a group over the
@@ -26,9 +31,9 @@ from .errors import InputError, SchemaError
 from .groups import GroupSpec
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS
-from .presentation import Presentation
+from .presentation import Presentation, cyclic_relators
 from .scheme import Branch, Component, SchemeConfig, Singular
-from .words import Word, sym
+from .words import check_name, reduce
 
 
 def _expect(value, types, path, what):
@@ -46,6 +51,7 @@ def _get(doc, key, path, required=True, default=None):
 
 
 def parse_word(doc, path):
+    """A freely reduced word over the checked names it spells."""
     _expect(doc, list, path, "a word as a list of [symbol, exponent] pairs")
     letters = []
     for i, pair in enumerate(doc):
@@ -59,15 +65,20 @@ def parse_word(doc, path):
         if exp == 0:
             raise SchemaError(f"{p}[1]", "exponent must be non-zero")
         try:
-            symbol = sym(name)
+            name = check_name(name)
         except InputError as exc:
             raise SchemaError(f"{p}[0]", str(exc)) from None
-        letters.append((symbol, exp))
-    return Word(tuple(letters))
+        letters.append((name, exp))
+    return reduce(letters)
 
 
-def word_to_json(word):
-    return [[s.qualified(), e] for s, e in word.letters]
+def _indexed(word, index):
+    """A word over names as a word over their indices in ``index``."""
+    return tuple((index[name], e) for name, e in word)
+
+
+def word_to_json(word, names):
+    return [[names[g], e] for g, e in word]
 
 
 def parse_presentation(doc, path):
@@ -78,22 +89,28 @@ def parse_presentation(doc, path):
     for i, name in enumerate(gen_doc):
         _expect(name, str, f"{path}.generators[{i}]", "a generator name")
         try:
-            gens.append(sym(name))
+            gens.append(check_name(name))
         except InputError as exc:
             raise SchemaError(f"{path}.generators[{i}]", str(exc)) from None
     rel_doc = _get(doc, "relators", path, required=False, default=[])
     _expect(rel_doc, list, f"{path}.relators", "a list of words")
     relators = [parse_word(r, f"{path}.relators[{i}]")
                 for i, r in enumerate(rel_doc)]
-    try:
-        return Presentation(gens, relators)
-    except InputError as exc:
-        raise SchemaError(path, str(exc)) from None
+    index = {g: i for i, g in enumerate(gens)}
+    if len(index) != len(gens):
+        raise SchemaError(path, "duplicate generator symbols in presentation")
+    for r in relators:
+        bad = {name for name, _ in r} - index.keys()
+        if bad:
+            raise SchemaError(
+                path, f"relator uses undeclared generators: {sorted(bad)}")
+    return Presentation._trusted(
+        gens, cyclic_relators(_indexed(r, index) for r in relators))
 
 
 def presentation_to_json(p):
-    return {"generators": [g.qualified() for g in p.generators],
-            "relators": [word_to_json(r) for r in p.relators]}
+    return {"generators": list(p.generators),
+            "relators": [word_to_json(r, p.generators) for r in p.relators]}
 
 
 def parse_group(doc, path, limits=DEFAULT_LIMITS):
@@ -156,36 +173,39 @@ def group_to_json(spec):
 
 
 def _parse_images(doc, path, source, target):
-    """The generator images of a branch attaching homomorphism."""
-    src = source.canonical_presentation
+    """The generator images of a branch attaching homomorphism, one word
+    over the target's generators per source generator, in order."""
+    declared = source.canonical_presentation.generators
     if doc is None:
         if source.order != 1:
             raise SchemaError(path, "map may only be omitted when the "
                               "branch group is trivial")
-        return {g: Word.identity() for g in src.generators}
+        return ((),) * len(declared)
     _expect(doc, dict, path, "a map of generator names to words")
     images = {}
-    declared = {g.name: g for g in src.generators}
     for name, word_doc in doc.items():
         if name not in declared:
             raise SchemaError(f"{path}.{name}",
                               f"unknown branch-group generator {name!r}")
-        images[declared[name]] = parse_word(word_doc, f"{path}.{name}")
+        images[name] = parse_word(word_doc, f"{path}.{name}")
     missing = set(declared) - set(doc)
     if missing:
         raise SchemaError(path, f"missing images for {sorted(missing)}")
-    target_gens = set(target.canonical_presentation.generators)
-    for g, w in images.items():
-        bad = w.symbols() - target_gens
+    index = {g: i for i, g in enumerate(target.canonical_presentation
+                                        .generators)}
+    for name, w in images.items():
+        bad = {s for s, _ in w} - index.keys()
         if bad:
-            raise SchemaError(f"{path}.{g.name}",
+            raise SchemaError(f"{path}.{name}",
                               "image uses symbols outside the target group: "
-                              + ", ".join(sorted(map(str, bad))))
-    return images
+                              + ", ".join(sorted(bad)))
+    return tuple(_indexed(images[g], index) for g in declared)
 
 
 def _hom_to_json(hom):
-    return {g.name: word_to_json(w) for g, w in hom.images.items()}
+    names = hom.target.canonical_presentation.generators
+    return {g: word_to_json(w, names) for g, w in
+            zip(hom.source.canonical_presentation.generators, hom.images)}
 
 
 def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
@@ -214,7 +234,7 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
 
     def hom_at(doc, path, source, target):
         images = _parse_images(doc, path, source, target)
-        key = (id(source), id(target), tuple(images.items()))
+        key = (id(source), id(target), images)
         hom = homs.get(key)
         if hom is None:
             # relator-triviality is semantic, not schema: InputError escapes

@@ -23,9 +23,9 @@ between forms i and ii (``check_vk_forms`` in ``tests/support.py``).
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .presentation import (Presentation, fibered_coproduct_with_maps,
-                           free_product_with_maps, quotient_by_relations)
-from .words import GeneratorSymbol, Word, rename
+from .presentation import (Presentation, fibered_coproduct, free_product,
+                           quotient_by_relations)
+from .words import inverse, reduce, shift
 
 FORMS = ("i", "ii", "iii", "iv")
 
@@ -34,39 +34,58 @@ def shift_free_group(s):
     """Free group of copy shifts ``v2 .. vs`` (the first shift is trivial)."""
     if s < 1:
         raise InputError("the number of legs must be at least 1")
-    return Presentation(
-        [GeneratorSymbol("", f"v{j}") for j in range(2, s + 1)], ())
+    return Presentation._trusted([f"v{j}" for j in range(2, s + 1)], ())
 
 
 def copy_shift(i, j, s):
     """The word moving markers from copy ``i`` to copy ``j``.
 
-    Equals ``v_i^-1 * v_j`` with ``v_1`` the identity; satisfies the
-    shift identities ``u_ii = e`` and ``u_ij u_jk = u_ik``.
+    Equals ``v_i^-1 * v_j`` with ``v_1`` the identity, over the
+    generators of ``shift_free_group(s)`` (``v_j`` is generator
+    ``j - 2``); satisfies the shift identities ``u_ii = e`` and
+    ``u_ij u_jk = u_ik``.
     """
     if not (1 <= i <= s and 1 <= j <= s):
         raise InputError(f"copy index out of range for s={s}: ({i}, {j})")
-    w = Word.identity()
+    w = ()
     if i != 1:
-        w = w * Word.gen(GeneratorSymbol("", f"v{i}"), -1)
+        w += ((i - 2, -1),)
     if j != 1:
-        w = w * Word.gen(GeneratorSymbol("", f"v{j}"))
-    return w
+        w += ((j - 2, 1),)
+    return reduce(w)
 
 
 @dataclass
 class VKAssembly:
-    """An assembled presentation plus the locations of its ingredients."""
+    """An assembled presentation plus the offsets of its ingredients:
+    generator ``x`` of ``pi`` is ``left_offset + x``, generator ``y`` of
+    copy 1 of ``pi_prime`` is ``right_offset + y``, and ``v_j`` is
+    ``shift_offset + j - 2``."""
     presentation: Presentation
-    left_map: dict                      # pi generators -> symbols
-    right_map: dict                     # pi_prime generators -> symbols (copy 1)
-    shift_symbols: dict                 # j -> symbol of v_j, j = 2..s
-    right_copy_maps: list = field(default_factory=list)  # form ii: one per copy
+    left_offset: int
+    right_offset: int
+    shift_offset: int
+    right_copy_offsets: list = field(default_factory=list)  # form ii
 
     def conjugated_by_shift(self, i, word):
         """``u_1i^-1 * word * u_1i`` inside the assembled presentation."""
-        v = Word.gen(self.shift_symbols[i]) if i > 1 else Word.identity()
-        return v.inverse() * word * v
+        if i == 1:
+            return word
+        v = ((self.shift_offset + i - 2, 1),)
+        return reduce(inverse(v) + word + v)
+
+
+def _copy_relations(s, right, copy_offsets, shift_offset):
+    """``u_ij^-1 [y]_i u_ij = [y]_j`` for every pair of copies of
+    ``right`` and each of its generators ``y``."""
+    pairs = []
+    for i in range(1, s + 1):
+        for j in range(1, s + 1):
+            u = shift(copy_shift(i, j, s), shift_offset)
+            for y in range(len(right.generators)):
+                lhs = reduce(inverse(u) + ((copy_offsets[i - 1] + y, 1),) + u)
+                pairs.append((lhs, ((copy_offsets[j - 1] + y, 1),)))
+    return pairs
 
 
 def vk_assemble(left, right, leg_pairs, form="i"):
@@ -83,96 +102,52 @@ def vk_assemble(left, right, leg_pairs, form="i"):
         raise InputError("at least one leg is required")
     shifts = shift_free_group(s)
 
-    if form == "i":
-        prod, (m_left, m_right, m_shift) = free_product_with_maps(
-            [left, right, shifts], tags=("L", "R", "S"))
-        asm = VKAssembly(prod, m_left, m_right,
-                         {j: m_shift[GeneratorSymbol("", f"v{j}")]
-                          for j in range(2, s + 1)})
-        pairs = []
-        for i, pairs_i in enumerate(leg_pairs, start=1):
-            for pw, fw in pairs_i:
-                lhs = rename(pw, m_left)
-                rhs = asm.conjugated_by_shift(i, rename(fw, m_right))
-                pairs.append((lhs, rhs))
+    if form in ("i", "iii"):
+        if form == "i":
+            prod, (o_left, o_right, o_shift) = free_product(
+                [left, right, shifts], tags=("L", "R", "S"))
+        else:
+            glued, (g_left, g_right) = fibered_coproduct(
+                left, right, leg_pairs[0])
+            prod, (o_glued, o_shift) = free_product(
+                [glued, shifts], tags=("G", "S"))
+            o_left, o_right = o_glued + g_left, o_glued + g_right
+        asm = VKAssembly(prod, o_left, o_right, o_shift)
+        # form iii imposed the first leg's relations in the amalgam
+        pairs = [(shift(pw, o_left),
+                  asm.conjugated_by_shift(i, shift(fw, o_right)))
+                 for i, pairs_i in enumerate(leg_pairs, start=1)
+                 if form == "i" or i > 1
+                 for pw, fw in pairs_i]
         asm.presentation = quotient_by_relations(prod, pairs)
         return asm
 
     if form == "ii":
         parts = [left] + [right] * s + [shifts]
         tags = ["L"] + [f"R{i}" for i in range(1, s + 1)] + ["S"]
-        prod, maps = free_product_with_maps(parts, tags=tags)
-        m_left, m_copies, m_shift = maps[0], maps[1:-1], maps[-1]
-        shift_syms = {j: m_shift[GeneratorSymbol("", f"v{j}")]
-                      for j in range(2, s + 1)}
-        pairs = []
-        for i in range(1, s + 1):
-            for j in range(1, s + 1):
-                u = rename(copy_shift(i, j, s), m_shift)
-                for y in right.generators:
-                    lhs = u.inverse() * Word.gen(m_copies[i - 1][y]) * u
-                    rhs = Word.gen(m_copies[j - 1][y])
-                    pairs.append((lhs, rhs))
+        prod, offsets = free_product(parts, tags=tags)
+        o_left, o_copies, o_shift = offsets[0], offsets[1:-1], offsets[-1]
+        pairs = _copy_relations(s, right, o_copies, o_shift)
         for i, pairs_i in enumerate(leg_pairs, start=1):
             for pw, fw in pairs_i:
-                pairs.append((rename(pw, m_left),
-                              rename(fw, m_copies[i - 1])))
+                pairs.append((shift(pw, o_left), shift(fw, o_copies[i - 1])))
         return VKAssembly(quotient_by_relations(prod, pairs),
-                          m_left, m_copies[0], shift_syms,
-                          right_copy_maps=list(m_copies))
-
-    if form == "iii":
-        glued, m1_left, m1_right = fibered_coproduct_with_maps(
-            left, right, leg_pairs[0])
-        prod, (m_glued, m_shift) = free_product_with_maps(
-            [glued, shifts], tags=("G", "S"))
-        left_map = {x: m_glued[m1_left[x]] for x in left.generators}
-        right_map = {y: m_glued[m1_right[y]] for y in right.generators}
-        asm = VKAssembly(prod, left_map, right_map,
-                         {j: m_shift[GeneratorSymbol("", f"v{j}")]
-                          for j in range(2, s + 1)})
-        pairs = []
-        for i, pairs_i in enumerate(leg_pairs, start=1):
-            if i == 1:
-                continue
-            for pw, fw in pairs_i:
-                lhs = rename(pw, left_map)
-                rhs = asm.conjugated_by_shift(i, rename(fw, right_map))
-                pairs.append((lhs, rhs))
-        asm.presentation = quotient_by_relations(prod, pairs)
-        return asm
+                          o_left, o_copies[0], o_shift,
+                          right_copy_offsets=list(o_copies))
 
     # form iv: amalgamate the s leg pushouts over the shared copy of pi
-    pushouts = []
-    for pairs_i in leg_pairs:
-        glued, mi_left, mi_right = fibered_coproduct_with_maps(
-            left, right, pairs_i)
-        pushouts.append((glued, mi_left, mi_right))
-    parts = [g for g, _, _ in pushouts] + [shifts]
+    pushouts = [fibered_coproduct(left, right, pairs_i)
+                for pairs_i in leg_pairs]
+    parts = [g for g, _ in pushouts] + [shifts]
     tags = [f"G{i}" for i in range(1, s + 1)] + ["S"]
-    prod, maps = free_product_with_maps(parts, tags=tags)
-    m_parts, m_shift = maps[:-1], maps[-1]
-    shift_syms = {j: m_shift[GeneratorSymbol("", f"v{j}")]
-                  for j in range(2, s + 1)}
+    prod, offsets = free_product(parts, tags=tags)
+    o_parts, o_shift = offsets[:-1], offsets[-1]
+    o_lefts = [o + g_left for o, (_, (g_left, _)) in zip(o_parts, pushouts)]
+    o_rights = [o + g_right
+                for o, (_, (_, g_right)) in zip(o_parts, pushouts)]
 
-    def left_in(i, x):
-        return m_parts[i - 1][pushouts[i - 1][1][x]]
-
-    def right_in(i, y):
-        return m_parts[i - 1][pushouts[i - 1][2][y]]
-
-    pairs = []
-    for i in range(2, s + 1):
-        for x in left.generators:
-            pairs.append((Word.gen(left_in(1, x)), Word.gen(left_in(i, x))))
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            u = rename(copy_shift(i, j, s), m_shift)
-            for y in right.generators:
-                lhs = u.inverse() * Word.gen(right_in(i, y)) * u
-                rhs = Word.gen(right_in(j, y))
-                pairs.append((lhs, rhs))
+    pairs = [(((o_lefts[0] + x, 1),), ((o_lefts[i] + x, 1),))
+             for i in range(1, s) for x in range(len(left.generators))]
+    pairs += _copy_relations(s, right, o_rights, o_shift)
     return VKAssembly(quotient_by_relations(prod, pairs),
-                      {x: left_in(1, x) for x in left.generators},
-                      {y: right_in(1, y) for y in right.generators},
-                      shift_syms)
+                      o_lefts[0], o_rights[0], o_shift)

@@ -1,15 +1,17 @@
-"""Generator symbols and freely reduced words.
+"""Freely reduced words over integer generators, and generator names.
 
-A generator symbol is a ``(namespace, name)`` pair.  Namespaces are
-dot-separated tags allocated by the constructions that copy
-presentations into larger ones; user-declared generators live in the
-empty namespace.  A word is a sequence of ``(symbol, exponent)``
-syllables kept in freely reduced form: exponents are non-zero and
-adjacent syllables carry distinct symbols.
+A word is a tuple of ``(generator, exponent)`` syllables, a generator
+being an index into the generator names of a presentation.  Words are
+kept freely reduced: exponents are non-zero and adjacent syllables carry
+distinct generators.  The functions below take and return such tuples.
+
+A generator name is ``"name"`` or ``"ns.name"`` with a dotted namespace;
+the constructions that copy a presentation into a larger one prefix one
+namespace tag per copy.  Names are checked once, where they enter the
+package (``check_name``), and are only rendered after that.
 """
 
 import re
-from typing import NamedTuple
 
 from .errors import InputError
 
@@ -17,27 +19,18 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TAG_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
-class GeneratorSymbol(NamedTuple):
-    namespace: str
-    name: str
-
-    def qualified(self):
-        return self.name if not self.namespace else f"{self.namespace}.{self.name}"
-
-    def __str__(self):
-        return self.qualified()
-
-
-def check_symbol(s):
-    if not isinstance(s, GeneratorSymbol):
-        raise InputError(f"not a generator symbol: {s!r}")
-    if not _NAME_RE.match(s.name):
-        raise InputError(f"malformed generator name: {s.name!r}")
-    if s.namespace:
-        for seg in s.namespace.split("."):
+def check_name(text):
+    """Check a generator name and return it; a leading dot before a name
+    with no namespace is dropped."""
+    ns, _, name = text.rpartition(".")
+    if not _NAME_RE.match(name):
+        raise InputError(f"malformed generator name: {name!r}")
+    if ns:
+        for seg in ns.split("."):
             if not _TAG_RE.match(seg):
                 raise InputError(f"malformed namespace segment: {seg!r}")
-    return s
+        return text
+    return name
 
 
 def check_tag(tag):
@@ -46,136 +39,87 @@ def check_tag(tag):
     return tag
 
 
-def sym(text):
-    """Parse ``"ns.name"`` (namespace may be empty or dotted)."""
-    if "." in text:
-        ns, name = text.rsplit(".", 1)
-    else:
-        ns, name = "", text
-    return check_symbol(GeneratorSymbol(ns, name))
-
-
-def retag_symbol(s, tag):
-    ns = tag if not s.namespace else f"{tag}.{s.namespace}"
-    return GeneratorSymbol(ns, s.name)
-
-
-def free_reduce(pairs):
-    """Merge adjacent equal symbols and drop zero exponents."""
+def reduce(syllables):
+    """Merge adjacent equal generators and drop zero exponents."""
     out = []
-    for s, e in pairs:
+    for g, e in syllables:
         if e == 0:
             continue
-        if out and out[-1][0] == s:
+        if out and out[-1][0] == g:
             e2 = out[-1][1] + e
             out.pop()
             if e2:
-                out.append((s, e2))
+                out.append((g, e2))
         else:
-            out.append((s, e))
+            out.append((g, e))
     return tuple(out)
 
 
-class Word:
-    """A freely reduced word in some set of generator symbols."""
+def inverse(word):
+    return tuple((g, -e) for g, e in reversed(word))
 
-    __slots__ = ("letters",)
 
-    def __init__(self, letters=()):
-        self.letters = free_reduce(letters)
+def power(word, n):
+    if n < 0:
+        word, n = inverse(word), -n
+    return reduce(word * n)
 
-    @classmethod
-    def identity(cls):
-        return cls(())
 
-    @classmethod
-    def gen(cls, symbol, exponent=1):
-        return cls(((symbol, exponent),))
+def cyclically_reduce(word):
+    """Conjugate away matching first/last syllables.
 
-    def __mul__(self, other):
-        return Word(self.letters + other.letters)
-
-    def inverse(self):
-        return Word(tuple((s, -e) for s, e in reversed(self.letters)))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word(self.letters * n)
-
-    def symbols(self):
-        return {s for s, _ in self.letters}
-
-    def length(self):
-        return sum(abs(e) for _, e in self.letters)
-
-    def is_identity(self):
-        return not self.letters
-
-    def cyclically_reduced(self):
-        """Conjugate away matching first/last syllables.
-
-        Inside a freely reduced word the first syllable that does not
-        cancel against the last one ends the reduction: its merged
-        syllable and the middle differ at both ends.
-        """
-        letters = self.letters
-        i, j = 0, len(letters) - 1
-        while i < j and letters[i][0] == letters[j][0]:
-            s, e1 = letters[i]
-            e = e1 + letters[j][1]
-            if e:
-                return Word(((s, e),) + letters[i + 1:j])
-            i, j = i + 1, j - 1
-        return Word(letters[i:j + 1])
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        if not self.letters:
-            return "e"
-        parts = []
-        for s, e in self.letters:
-            parts.append(s.qualified() if e == 1 else f"{s.qualified()}^{e}")
-        return "*".join(parts)
+    Inside a freely reduced word the first syllable that does not
+    cancel against the last one ends the reduction: its merged
+    syllable and the middle differ at both ends.
+    """
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0]:
+        g, e1 = word[i]
+        e = e1 + word[j][1]
+        if e:
+            return ((g, e),) + word[i + 1:j]
+        i, j = i + 1, j - 1
+    return word[i:j + 1]
 
 
 def substitute(word, mapping):
-    """Rewrite ``word`` sending each mapped symbol to a replacement word.
+    """Rewrite ``word`` sending each generator in ``mapping`` to its word.
 
-    Unmapped symbols are kept as themselves.
+    Generators not in ``mapping`` are kept as themselves.
     """
     out = []
-    for s, e in word.letters:
-        repl = mapping.get(s)
+    for g, e in word:
+        repl = mapping.get(g)
         if repl is None:
-            out.append((s, e))
+            out.append((g, e))
         else:
-            out.extend((repl ** e).letters)
-    return Word(tuple(out))
+            out.extend(power(repl, e))
+    return reduce(out)
 
 
-def rename(word, symbol_map):
-    """Rewrite ``word`` through a symbol-to-symbol dictionary."""
-    return Word(tuple((symbol_map.get(s, s), e) for s, e in word.letters))
+def shift(word, offset):
+    """``word`` with every generator moved up by ``offset``."""
+    return tuple((g + offset, e) for g, e in word)
 
 
-def _least_rotation(letters):
-    if not letters:
-        return letters
-    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+def render(word, names):
+    """``word`` as text over ``names``, ``e`` for the identity."""
+    if not word:
+        return "e"
+    return "*".join(names[g] if e == 1 else f"{names[g]}^{e}"
+                    for g, e in word)
+
+
+def _least_rotation(word):
+    if not word:
+        return word
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 def cyclic_key(word):
     """Canonical key identifying a cyclic word up to rotation and inversion.
 
-    The inverse of a cyclically reduced word is cyclically reduced, so
-    its syllables are built directly, without another ``Word``.
+    The inverse of a cyclically reduced word is cyclically reduced.
     """
-    letters = word.cyclically_reduced().letters
-    inverse = tuple((s, -e) for s, e in reversed(letters))
-    return min(_least_rotation(letters), _least_rotation(inverse))
+    word = cyclically_reduce(word)
+    return min(_least_rotation(word), _least_rotation(inverse(word)))

@@ -15,9 +15,10 @@ the counter, and counts with ``count_homs``.  ``tietze_reference`` is
 the plain restart-from-the-first-relator Tietze loop that the library's
 indexed pass must reproduce exactly; ``power_reference`` and
 ``cyclically_reduced_reference`` are the syllable-by-syllable loops
-that ``Word.__pow__`` and ``Word.cyclically_reduced`` must reproduce,
+that ``words.power`` and ``words.cyclically_reduce`` must reproduce,
 and ``cyclic_key_reference`` is the rotation list that ``cyclic_key``
-must reproduce.
+must reproduce.  Words are tuples of ``(generator index, exponent)``
+syllables, as in the package.
 """
 
 import itertools
@@ -28,32 +29,32 @@ from importlib import resources
 from math import factorial
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
-                          Presentation, SchemeConfig, Singular, Word,
-                          count_homs, parse_scheme_config, vk_assemble)
+                          Presentation, SchemeConfig, Singular, count_homs,
+                          parse_scheme_config, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
 from singular_pi1.vk import FORMS
-from singular_pi1.words import cyclic_key, free_reduce, substitute
+from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
+                                reduce, substitute)
 
 
 def _reference_syllable(relator, relators):
-    """The eliminable syllable of ``relator`` whose symbol occurs in the
-    fewest of ``relators``, the first on ties."""
-    letters = relator.letters
+    """The eliminable syllable of ``relator`` whose generator occurs in
+    the fewest of ``relators``, the first on ties."""
     best = None
-    for pos, (s, e) in enumerate(letters):
+    for pos, (s, e) in enumerate(relator):
         if abs(e) != 1:
             continue
-        if any(s2 == s for p2, (s2, _) in enumerate(letters) if p2 != pos):
+        if any(s2 == s for p2, (s2, _) in enumerate(relator) if p2 != pos):
             continue
-        uses = sum(1 for r in relators if s in r.symbols())
+        uses = sum(1 for r in relators if any(g == s for g, _ in r))
         if best is None or uses < best[0]:
             best = uses, pos
     if best is None:
         return None
     pos = best[1]
-    s, e = letters[pos]
-    w = Word(letters[pos + 1:] + letters[:pos])
-    repl = w.inverse() if e == 1 else w
+    s, e = relator[pos]
+    w = reduce(relator[pos + 1:] + relator[:pos])
+    repl = inverse(w) if e == 1 else w
     return s, repl
 
 
@@ -61,16 +62,17 @@ def tietze_reference(p):
     """``presentation.tietze_eliminations`` as a plain loop: after each
     elimination, drop trivial and duplicate relators from the whole list
     and search for the next eliminable relator from the first; eliminate
-    at its syllable whose generator occurs in the fewest relators."""
-    gens = list(p.generators)
+    at its syllable whose generator occurs in the fewest relators.  The
+    survivors are renumbered in order at the end."""
+    gens = list(range(len(p.generators)))
     relators = list(p.relators)
     eliminations = []
     while True:
         seen = set()
         kept = []
         for r in relators:
-            r = r.cyclically_reduced()
-            if r.is_identity():
+            r = cyclically_reduce(r)
+            if not r:
                 continue
             k = cyclic_key(r)
             if k in seen:
@@ -86,7 +88,7 @@ def tietze_reference(p):
                 continue
             target, repl = found
             mapping = {target: repl}
-            relators = [substitute(other, mapping).cyclically_reduced()
+            relators = [cyclically_reduce(substitute(other, mapping))
                         for j, other in enumerate(relators) if j != idx]
             gens.remove(target)
             eliminations.append((target, repl))
@@ -94,42 +96,44 @@ def tietze_reference(p):
             break
         if not eliminated:
             break
-    return Presentation(tuple(gens), tuple(relators)), eliminations
+    number = {g: i for i, g in enumerate(gens)}
+    return Presentation([p.generators[g] for g in gens],
+                        [tuple((number[g], e) for g, e in r)
+                         for r in relators]), eliminations
 
 
 def power_reference(word, n):
-    """``Word.__pow__`` as a loop of ``n`` multiplications."""
+    """``words.power`` as a loop of ``n`` multiplications."""
     if n < 0:
-        return power_reference(word.inverse(), -n)
-    out = Word.identity()
+        return power_reference(inverse(word), -n)
+    out = ()
     for _ in range(n):
-        out = out * word
+        out = reduce(out + word)
     return out
 
 
 def cyclic_key_reference(word):
     """``words.cyclic_key`` as the least of all syllable rotations of the
-    cyclically reduced word and of its inverse, both built as ``Word``s."""
+    cyclically reduced word and of its inverse, each cyclically reduced
+    on its own."""
     def rotations(w):
-        letters = w.letters
-        if not letters:
+        if not w:
             return [()]
-        return [letters[i:] + letters[:i] for i in range(len(letters))]
+        return [w[i:] + w[:i] for i in range(len(w))]
 
-    w = word.cyclically_reduced()
-    return min(rotations(w) + rotations(w.inverse().cyclically_reduced()))
+    w = cyclically_reduce(word)
+    return min(rotations(w) + rotations(cyclically_reduce(inverse(w))))
 
 
 def cyclically_reduced_reference(word):
-    """``Word.cyclically_reduced`` as a loop that peels one matching
+    """``words.cyclically_reduce`` as a loop that peels one matching
     pair of end syllables at a time and freely reduces what is left."""
-    letters = word.letters
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0]:
-        s, e1 = letters[0]
-        e = e1 + letters[-1][1]
-        middle = letters[1:-1]
-        letters = free_reduce((((s, e),) + middle) if e else middle)
-    return Word(letters)
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        s, e1 = word[0]
+        e = e1 + word[-1][1]
+        middle = word[1:-1]
+        word = reduce((((s, e),) + middle) if e else middle)
+    return word
 
 
 def all_perms(d):
@@ -137,8 +141,9 @@ def all_perms(d):
 
 
 def eval_word_brute(word, assignment, d):
+    """``word`` under ``assignment[generator]``, by permutation algebra."""
     acc = identity(d)
-    for s, e in word.letters:
+    for s, e in word:
         p = assignment[s]
         if e < 0:
             p, e = invert(p), -e
@@ -153,8 +158,7 @@ def brute_count_homs(p, d):
     ident = identity(d)
     total = 0
     for images in itertools.product(perms, repeat=len(p.generators)):
-        asg = dict(zip(p.generators, images))
-        if all(eval_word_brute(r, asg, d) == ident for r in p.relators):
+        if all(eval_word_brute(r, images, d) == ident for r in p.relators):
             total += 1
     return total
 
@@ -168,11 +172,9 @@ def search_count_homs(p, d):
     mul = [[index[compose(x, y)] for y in perms] for x in perms]
     inv = [index[invert(x)] for x in perms]
     one = index[identity(d)]
-    depth = {g: i for i, g in enumerate(p.generators)}
     checks = [[] for _ in p.generators]
     for r in p.relators:
-        letters = [(depth[s], e) for s, e in r.letters]
-        checks[max(i for i, _ in letters)].append(letters)
+        checks[max(i for i, _ in r)].append(r)
     asg = [0] * len(p.generators)
 
     def holds(letters):
@@ -224,8 +226,8 @@ def brute_count_transitive_homs(p, d):
     ident = identity(d)
     total = 0
     for images in itertools.product(perms, repeat=len(p.generators)):
-        asg = dict(zip(p.generators, images))
-        if not all(eval_word_brute(r, asg, d) == ident for r in p.relators):
+        if not all(eval_word_brute(r, images, d) == ident
+                   for r in p.relators):
             continue
         if is_transitive(images, d):
             total += 1
@@ -289,8 +291,8 @@ def group_actions(group, d):
     out = []
     for images in itertools.product(all_perms(d),
                                     repeat=len(pres.generators)):
-        asg = dict(zip(pres.generators, images))
-        if all(eval_word_brute(r, asg, d) == ident for r in pres.relators):
+        if all(eval_word_brute(r, images, d) == ident
+               for r in pres.relators):
             out.append(images)
     return out
 
@@ -324,12 +326,8 @@ class _Descent:
         if key not in self._memo:
             _, _, _, comp_group, sing_group, legs = self.branches[k]
             d = self.d
-            rho_asg = dict(zip(comp_group.canonical_presentation.generators,
-                               rho))
-            tau_asg = dict(zip(sing_group.canonical_presentation.generators,
-                               tau))
-            pairs = [(eval_word_brute(psi, rho_asg, d),
-                      eval_word_brute(phi, tau_asg, d)) for psi, phi in legs]
+            pairs = [(eval_word_brute(psi, rho, d),
+                      eval_word_brute(phi, tau, d)) for psi, phi in legs]
             self._memo[key] = [lam for lam in all_perms(d)
                                if all(compose(p, lam) == compose(lam, q)
                                       for p, q in pairs)]
@@ -430,19 +428,18 @@ def brute_connected_count(cfg, d):
 def element_words(group):
     """A word over ``group``'s canonical generators for every element,
     by breadth-first search from the identity."""
-    syms = group.canonical_presentation.generators
     gens = group.generator_elements
-    words = {group.identity_element: Word.identity()}
+    words = {group.identity_element: ()}
     queue = [group.identity_element]
     while queue:
         nxt = []
         for el in queue:
-            for g, s in zip(gens, syms):
+            for s, g in enumerate(gens):
                 for target, exp in ((group.multiply(el, g), 1),
                                     (group.multiply(
                                         el, group.invert_element(g)), -1)):
                     if target not in words:
-                        words[target] = words[el] * Word.gen(s, exp)
+                        words[target] = reduce(words[el] + ((s, exp),))
                         nxt.append(target)
         queue = nxt
     return words
@@ -462,7 +459,7 @@ def iter_homs_between(source, target):
     gens = source.canonical_presentation.generators
     words = element_words(target)
     for elements in itertools.product(target.elements, repeat=len(gens)):
-        images = {g: words[el] for g, el in zip(gens, elements)}
+        images = tuple(words[el] for el in elements)
         try:
             hom = Homo(source, target, images)
         except InputError:
@@ -477,11 +474,10 @@ def standard_hom(source, target):
     groups allow), breaking ties by element position.  The trivial map
     always exists, so there is always a pick.
     """
-    gens = source.canonical_presentation.generators
     element_pos = {el: i for i, el in enumerate(target.elements)}
 
     def score(hom):
-        els = [target.evaluate(hom.images[g]) for g in gens]
+        els = [target.evaluate(w) for w in hom.images]
         return (sum(element_order(target, el) for el in els),
                 tuple(-element_pos[el] for el in els))
 
@@ -492,8 +488,8 @@ def standard_hom(source, target):
 
 def leg_pairs(group, psi, phi):
     """The ``(psi word, phi word)`` images of the generators of ``group``."""
-    return [(psi.images[g], phi.images[g])
-            for g in group.canonical_presentation.generators]
+    assert len(psi.images) == len(group.canonical_presentation.generators)
+    return list(zip(psi.images, phi.images))
 
 
 def words_trivial(p, words, degrees):
@@ -513,22 +509,31 @@ def check_vk_forms(left, right, legs, degrees, forms=FORMS):
     counts = {f: {d: count_homs(asm[f].presentation, d) for d in degrees}
               for f in forms}
     a1, a2 = asm["i"], asm["ii"]
-    to_2 = {a1.left_map[x]: Word.gen(a2.left_map[x]) for x in left.generators}
-    to_1 = {a2.left_map[x]: Word.gen(a1.left_map[x]) for x in left.generators}
-    for y in right.generators:
-        to_2[a1.right_map[y]] = Word.gen(a2.right_copy_maps[0][y])
-        for i, copy in enumerate(a2.right_copy_maps, start=1):
-            to_1[copy[y]] = a1.conjugated_by_shift(i, Word.gen(a1.right_map[y]))
-    for j in range(2, len(legs) + 1):
-        to_2[a1.shift_symbols[j]] = Word.gen(a2.shift_symbols[j])
-        to_1[a2.shift_symbols[j]] = Word.gen(a1.shift_symbols[j])
+
+    def gen(g):
+        return ((g, 1),)
+
+    to_2 = {a1.left_offset + x: gen(a2.left_offset + x)
+            for x in range(len(left.generators))}
+    to_1 = {a2.left_offset + x: gen(a1.left_offset + x)
+            for x in range(len(left.generators))}
+    for y in range(len(right.generators)):
+        to_2[a1.right_offset + y] = gen(a2.right_copy_offsets[0] + y)
+        for i, copy in enumerate(a2.right_copy_offsets, start=1):
+            to_1[copy + y] = a1.conjugated_by_shift(
+                i, gen(a1.right_offset + y))
+    for j in range(len(legs) - 1):
+        to_2[a1.shift_offset + j] = gen(a2.shift_offset + j)
+        to_1[a2.shift_offset + j] = gen(a1.shift_offset + j)
 
     def inverse_homs(a, b, there, back):
         """``there`` maps a's relators to b's identity, and ``back``
         undoes it on a's generators."""
+        # every generator is mapped: substitute keeps an unmapped one
+        assert sorted(there) == list(range(len(a.presentation.generators)))
         relators = [substitute(r, there) for r in a.presentation.relators]
-        round_trip = [Word.gen(g).inverse() * substitute(there[g], back)
-                      for g in a.presentation.generators]
+        round_trip = [reduce(((g, -1),) + substitute(there[g], back))
+                      for g in range(len(a.presentation.generators))]
         return (words_trivial(b.presentation, relators, degrees)
                 and words_trivial(a.presentation, round_trip, degrees))
 
@@ -660,11 +665,9 @@ def family_config(family, n, nontrivial=True):
              for i, pair in enumerate(ends, start=1)
              for k, c in enumerate(pair)])
     s3, c2 = GroupSpec.symmetric(3), GroupSpec.cyclic(2)
-    g = c2.canonical_presentation.generators[0]
-    s1 = s3.canonical_presentation.generators[0]
+    first = (((0, 1),),)          # g -> the first generator of the target
     branches = [Branch(f"P{i}.{k}", c, f"P{i}", c2,
-                       Homo(c2, s3, {g: Word.gen(s1)}),
-                       Homo(c2, c2, {g: Word.gen(g)}))
+                       Homo(c2, s3, first), Homo(c2, c2, first))
                 for i, pair in enumerate(ends, start=1)
                 for k, c in enumerate(pair)]
     return SchemeConfig([Component(c, s3) for c in comps],
@@ -787,14 +790,10 @@ def random_general_config(rng, max_components=3, max_singulars=3,
 
 
 def random_presentation(rng, max_gens=4, max_relators=4, max_len=6):
-    from singular_pi1 import sym
-
     n = rng.randint(1, max_gens)
-    gens = [sym(ch) for ch in "abcde"[:n]]
     relators = []
     for _ in range(rng.randint(0, max_relators)):
         length = rng.randint(1, max_len)
-        letters = [(rng.choice(gens), rng.choice((1, -1)))
-                   for _ in range(length)]
-        relators.append(Word(tuple(letters)))
-    return Presentation(gens, relators)
+        relators.append([(rng.choice(range(n)), rng.choice((1, -1)))
+                         for _ in range(length)])
+    return Presentation("abcde"[:n], relators)

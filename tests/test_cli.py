@@ -21,6 +21,20 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def names_in(doc):
+    """The generator names a configuration's JSON spells: the symbols of
+    its words and the generators of its presented groups."""
+    if isinstance(doc, list):
+        if len(doc) == 2 and isinstance(doc[0], str) \
+                and isinstance(doc[1], int):
+            return 1
+        return sum(map(names_in, doc))
+    if isinstance(doc, dict):
+        own = len(doc["generators"]) if doc.get("kind") == "presented" else 0
+        return own + sum(map(names_in, doc.values()))
+    return 0
+
+
 class TestValidate:
     def test_nodal_ok(self, capsys):
         code, doc = run(capsys, "validate", config_path("nodal"))
@@ -166,6 +180,33 @@ class TestPresent:
         assert out["error"]["kind"] == "resource"
         assert "devissage" in out["error"]["message"]
         assert default_code == 0
+
+    def test_generator_names_are_checked_once(self, tmp_path, capsys,
+                                              monkeypatch):
+        """Names are checked where the JSON is read, and not again on the
+        presentations the glue steps build."""
+        import singular_pi1.words as words
+
+        check_name, calls = words.check_name, 0
+
+        def counting(text):
+            nonlocal calls
+            calls += 1
+            return check_name(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("singular_pi1") \
+                    and getattr(module, "check_name", None) is check_name:
+                monkeypatch.setattr(module, "check_name", counting)
+        for n in (8, 16):
+            doc = scheme_config_to_json(family_config("chain", n))
+            path = tmp_path / f"chain{n}.json"
+            path.write_text(json.dumps(doc))
+            calls = 0
+            code, _ = run(capsys, "present", str(path),
+                          "--route", "devissage")
+            assert code == 0
+            assert 0 < calls <= names_in(doc), (n, calls)
 
     def test_hom_count_refusal_names_layer_estimate_and_ceiling(self,
                                                                 capsys):

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from singular_pi1 import (GroupSpec, InputError, Presentation, ResourceError,
-                          Word, count_homs, sym)
+                          count_homs)
 from singular_pi1.perms import compose, identity
 from support import element_order, element_words
 
-A, B = sym("a"), sym("b")
+A, B = 0, 1          # the generators of Presentation(["a", "b"], ...)
+AB = ((A, 1), (B, 1))
 
 
 def brute_multiplicative_maps(spec, d):
@@ -49,27 +50,22 @@ def test_orders():
 
 
 def test_presented_orders_by_coset_closure():
-    klein = Presentation([A, B], [Word.gen(A, 2), Word.gen(B, 2),
-                                  (Word.gen(A) * Word.gen(B)) ** 2])
+    klein = Presentation(["a", "b"], [((A, 2),), ((B, 2),), AB * 2])
     assert GroupSpec.presented(klein).order == 4
-    s3 = Presentation([A, B], [Word.gen(A, 2), Word.gen(B, 3),
-                               (Word.gen(A) * Word.gen(B)) ** 2])
+    s3 = Presentation(["a", "b"], [((A, 2),), ((B, 3),), AB * 2])
     assert GroupSpec.presented(s3).order == 6
-    q8 = Presentation([A, B], [Word.gen(A, 4),
-                               Word.gen(A, 2) * Word.gen(B, -2),
-                               Word.gen(B, -1) * Word.gen(A) * Word.gen(B)
-                               * Word.gen(A)])
+    q8 = Presentation(["a", "b"], [((A, 4),), ((A, 2), (B, -2)),
+                                   ((B, -1), (A, 1), (B, 1), (A, 1))])
     assert GroupSpec.presented(q8).order == 8
-    assert GroupSpec.presented(Presentation([A], [Word.gen(A, 7)])).order == 7
+    assert GroupSpec.presented(Presentation(["a"], [((A, 7),)])).order == 7
     assert GroupSpec.presented(Presentation([], [])).order == 1
 
 
 def test_infinite_presented_groups_rejected():
     with pytest.raises(ResourceError):
-        GroupSpec.presented(Presentation([A], []))
+        GroupSpec.presented(Presentation(["a"], []))
     with pytest.raises(ResourceError):
-        GroupSpec.presented(Presentation([A, B],
-                                         [Word.gen(A) * Word.gen(B)]))
+        GroupSpec.presented(Presentation(["a", "b"], [AB]))
 
 
 def test_order_bound_enforced():
@@ -94,8 +90,7 @@ def test_canonical_presentations_count_like_the_group():
 def test_element_words_evaluate_back():
     for spec in (GroupSpec.cyclic(4), GroupSpec.symmetric(3),
                  GroupSpec.presented(Presentation(
-                     [A, B], [Word.gen(A, 2), Word.gen(B, 3),
-                              (Word.gen(A) * Word.gen(B)) ** 2]))):
+                     ["a", "b"], [((A, 2),), ((B, 3),), AB * 2]))):
         words = element_words(spec)
         for el in spec.elements:
             assert spec.evaluate(words[el]) == el
@@ -111,8 +106,7 @@ def test_element_orders_and_inverses():
 
 def test_presented_multiplication_is_a_group():
     s3 = GroupSpec.presented(Presentation(
-        [A, B], [Word.gen(A, 2), Word.gen(B, 3),
-                 (Word.gen(A) * Word.gen(B)) ** 2]))
+        ["a", "b"], [((A, 2),), ((B, 3),), AB * 2]))
     els = s3.elements
     for x in els:
         assert s3.multiply(x, s3.identity_element) == x

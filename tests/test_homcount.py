@@ -4,15 +4,15 @@ from math import factorial
 
 import pytest
 
-from singular_pi1 import (Limits, Presentation, ResourceError, Word,
-                          count_homs, free_presentation, pi1_graph_of_groups,
-                          sym, transitive_counts)
+from singular_pi1 import (Limits, Presentation, ResourceError, count_homs,
+                          free_presentation, pi1_graph_of_groups,
+                          transitive_counts)
 from support import (brute_count_homs, brute_count_transitive_homs,
                      closed_family_homs, count_order_dividing,
                      family_config, load_corpus, random_presentation,
                      search_count_homs)
 
-A = sym("a")
+A = 0                # the generator of Presentation(["a"], ...)
 
 
 def transitive_homs(p, d):
@@ -23,14 +23,14 @@ def transitive_homs(p, d):
 def test_basic_counts():
     assert count_homs(free_presentation(1), 3) == 6
     assert count_homs(Presentation([], []), 4) == 1
-    square = Presentation([A], [Word.gen(A, 2)])
+    square = Presentation(["a"], [((A, 2),)])
     assert count_homs(square, 4) == count_order_dividing(4, 2) == 10
 
 
 def test_transitive_counts():
     assert transitive_homs(free_presentation(1), 2) == 1
     assert transitive_homs(Presentation([], []), 2) == 0
-    square = Presentation([A], [Word.gen(A, 2)])
+    square = Presentation(["a"], [((A, 2),)])
     # oracle: filter the degree-2 enumeration for transitivity
     assert brute_count_transitive_homs(square, 2) == 1
     assert transitive_homs(square, 2) == 1
@@ -64,8 +64,7 @@ def test_degree_bound_enforced():
 
 def test_ceiling_enforced_with_estimate():
     tight = Limits(ceiling=10)
-    p = Presentation([sym("a"), sym("b")],
-                     [(Word.gen(sym("a")) * Word.gen(sym("b"))) ** 2])
+    p = Presentation(["a", "b"], [((0, 1), (1, 1)) * 2])
     with pytest.raises(ResourceError) as err:
         count_homs(p, 3, tight)
     assert err.value.estimate is not None and err.value.estimate > 10
@@ -80,7 +79,7 @@ def test_free_generators_do_not_hit_the_ceiling():
 
 
 def test_degenerate_degrees():
-    p = Presentation([A], [Word.gen(A, 2)])
+    p = Presentation(["a"], [((A, 2),)])
     assert count_homs(p, 0) == 1
     assert count_homs(p, 1) == 1
     assert transitive_homs(p, 1) == 1
@@ -136,13 +135,12 @@ def test_raw_and_simplified_presentations_have_one_estimate():
 def test_sparse_relator_graph_is_eliminated_bucket_by_bucket():
     # <a, b1, b2, t1, t2 | a^2, bi^2, (a bi)^3, ti = bi a>: Tietze
     # eliminates the ti, and the bi are eliminated one bucket at a time
-    a, bs, ts = sym("a"), [sym("b1"), sym("b2")], [sym("t1"), sym("t2")]
-    gen = Word.gen
-    relators = [gen(a, 2)]
+    a, bs, ts = 0, [1, 2], [3, 4]
+    relators = [((a, 2),)]
     for b, t in zip(bs, ts):
-        relators += [gen(b, 2), (gen(a) * gen(b)) ** 3,
-                     gen(t) * gen(a).inverse() * gen(b).inverse()]
-    p = Presentation([a] + bs + ts, relators)
+        relators += [((b, 2),), ((a, 1), (b, 1)) * 3,
+                     ((t, 1), (a, -1), (b, -1))]
+    p = Presentation(["a", "b1", "b2", "t1", "t2"], relators)
     for d in (2, 3):
         assert count_homs(p, d) == brute_count_homs(p, d)
     # the single-bucket search would enumerate 26^3 images at degree 5

@@ -93,11 +93,9 @@ KLEIN = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
 
 
 def presented_s3():
-    from singular_pi1 import Presentation, Word, sym
-    a, b = sym("a"), sym("b")
+    from singular_pi1 import Presentation
     return GroupSpec.presented(Presentation(
-        [a, b], [Word.gen(a, 2), Word.gen(b, 3),
-                 (Word.gen(a) * Word.gen(b)) ** 2]))
+        ["a", "b"], [((0, 2),), ((1, 3),), ((0, 1), (1, 1)) * 2]))
 
 
 @pytest.mark.parametrize("group", [
@@ -185,10 +183,9 @@ class TestGroupoidCardinality:
 
     def test_orbit_stabilizer_identity_small_cases(self):
         # explicit orbit enumeration under the relabeling action
-        from singular_pi1 import Branch, Homo, Word
+        from singular_pi1 import Branch, Homo
 
-        g = C2.canonical_presentation.generators[0]
-        ident = Homo(C2, C2, {g: Word.gen(g)})
+        ident = Homo(C2, C2, (((0, 1),),))
         nontrivial = SchemeConfig(
             [Component("A", C2)], [Singular("P", C2)],
             [Branch("b1", "A", "P", C2, ident, ident),
@@ -279,11 +276,10 @@ class TestConnectedCounts:
 
 class TestDescentDatumInvariants:
     def test_actions_respect_relators_and_branches_are_equivariant(self):
-        from singular_pi1 import Branch, Homo, Word
+        from singular_pi1 import Branch, Homo
         from singular_pi1.perms import compose, identity, invert
 
-        g = C2.canonical_presentation.generators[0]
-        ident = Homo(C2, C2, {g: Word.gen(g)})
+        ident = Homo(C2, C2, (((0, 1),),))
         cfg = SchemeConfig(
             [Component("A", C2)], [Singular("P", C2)],
             [Branch("b1", "A", "P", C2, ident, ident),

@@ -4,12 +4,11 @@ import sys
 from math import factorial
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, Presentation,
-                          ResourceError, SchemeConfig, Singular, Word,
+                          ResourceError, SchemeConfig, Singular,
                           class_witness, compare, count_homs, free_rank,
                           pi1_devissage, pi1_graph_of_groups)
 from singular_pi1.expression import (Atom, CoproductNode, FreeGroupNode,
                                      QuotientNode)
-from singular_pi1.words import GeneratorSymbol
 from support import (chain_config, family_config, load_corpus, nodal_config,
                      random_general_config, random_trivial_config,
                      theta_config, trivial_branch, TRIV)
@@ -18,8 +17,8 @@ C2 = GroupSpec.cyclic(2)
 
 
 def ident_hom(spec):
-    p = spec.canonical_presentation
-    return Homo(spec, spec, {g: Word.gen(g) for g in p.generators})
+    n = len(spec.canonical_presentation.generators)
+    return Homo(spec, spec, tuple(((g, 1),) for g in range(n)))
 
 
 def nontrivial_Z_config():
@@ -226,10 +225,10 @@ class TestGraphOfGroups:
              trivial_branch("b2", "A", "P", comp_group=C2),
              trivial_branch("b3", "B", "P")])
         res = pi1_graph_of_groups(cfg)
-        g, f1 = GeneratorSymbol("c1", "g"), GeneratorSymbol("free", "f1")
         # the component groups' copies c1, c2, ... and the free letters
-        assert res.raw_presentation == Presentation([g, f1],
-                                                    [Word.gen(g, 2)])
+        assert res.raw_presentation == Presentation(["c1.g", "free.f1"],
+                                                    [((0, 2),)])
+        assert res.component_images == {"A": 0, "B": 1}
         assert isinstance(res.expression, CoproductNode)
 
     def test_quotient_node_passes_class_witness(self):

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from singular_pi1 import (InputError, Presentation, SchemaError, Word,
+from singular_pi1 import (InputError, Presentation, SchemaError,
                           parse_presentation, parse_scheme_config,
                           pi1_devissage, pi1_result_to_json,
-                          presentation_to_json, scheme_config_to_json, sym,
+                          presentation_to_json, scheme_config_to_json,
                           validate)
 from singular_pi1.cli import main
 from singular_pi1.schema import parse_group, group_to_json, parse_word, word_to_json
@@ -27,8 +27,11 @@ def minimal_doc():
 
 class TestWords:
     def test_round_trip(self):
-        w = Word(((sym("c1.g"), 2), (sym("h"), -1)))
-        assert parse_word(word_to_json(w), "$").letters == w.letters
+        names = ("c1.g", "h")
+        w = ((0, 2), (1, -1))
+        # the parser reads a word over the names it spells
+        assert parse_word(word_to_json(w, names), "$") \
+            == (("c1.g", 2), ("h", -1))
 
     def test_bad_exponent(self):
         with pytest.raises(SchemaError) as err:
@@ -70,9 +73,7 @@ class TestGroups:
 
 class TestPresentations:
     def test_round_trip(self):
-        p = Presentation([sym("a"), sym("b")],
-                         [Word.gen(sym("a"), 2),
-                          Word.gen(sym("a")) * Word.gen(sym("b"), -3)])
+        p = Presentation(["a", "b"], [((0, 2),), ((0, 1), (1, -3))])
         doc = presentation_to_json(p)
         assert parse_presentation(doc, "$") == p
 
@@ -205,6 +206,53 @@ class TestInterning:
         doc["branches"][0]["phi"] = {"g": []}
         code, out = self.run(tmp_path, capsys, doc, "present")
         assert code == 2, out
+
+
+def klein_branch_doc(keys):
+    """A C2 component and a C2 piece joined by two branches whose group
+    is the Klein group presented on ``p.a`` and ``q.a``; both maps send
+    the first generator to ``g`` and the second to the identity, keyed
+    by ``keys``."""
+    klein = {"kind": "presented", "generators": ["p.a", "q.a"],
+             "relators": [[["p.a", 2]], [["q.a", 2]],
+                          [["p.a", 1], ["q.a", 1], ["p.a", -1], ["q.a", -1]]]}
+    c2 = {"kind": "cyclic", "order": 2}
+    maps = dict(zip(keys, ([["g", 1]], [])))
+    return {"components": [{"id": "A", "group": c2}],
+            "singulars": [{"id": "P", "group": c2}],
+            "branches": [{"id": bid, "component": "A", "singular": "P",
+                          "group": klein, "psi": maps, "phi": maps}
+                         for bid in ("b1", "b2")]}
+
+
+class TestDottedBranchGenerators:
+    """Branch maps are keyed by the full names of the branch group's
+    generators, so two generators that share a last segment each get
+    their own image."""
+
+    def run(self, tmp_path, capsys, doc, *argv):
+        return TestInterning.run(self, tmp_path, capsys, doc, *argv)
+
+    def test_full_names_present_and_verify(self, tmp_path, capsys):
+        doc = klein_branch_doc(("p.a", "q.a"))
+        assert self.run(tmp_path, capsys, doc, "present")[0] == 0
+        code, out = self.run(tmp_path, capsys, doc, "verify",
+                             "--degree-max", "3")
+        assert code == 0, out
+        assert all(r["verdict"] == "pass" for r in out["reports"])
+
+    def test_full_names_are_written_back(self):
+        doc = klein_branch_doc(("p.a", "q.a"))
+        out = scheme_config_to_json(parse_scheme_config(doc))
+        assert out["branches"][0]["psi"] == {"p.a": [["g", 1]], "q.a": []}
+
+    def test_last_segment_key_is_refused(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys,
+                             klein_branch_doc(("a", "q.a")), "present")
+        assert code == 3
+        assert out["error"]["path"] == "$.branches[0].psi.a"
+        assert out["error"]["message"] \
+            == "unknown branch-group generator 'a'"
 
 
 class TestResultSerialization:

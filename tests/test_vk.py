@@ -6,6 +6,7 @@ import pytest
 from singular_pi1 import (GroupSpec, InputError, copy_shift, count_homs,
                           shift_free_group, vk_assemble)
 from singular_pi1.perms import compose, identity, invert
+from singular_pi1.words import render
 from support import check_vk_forms, leg_pairs, standard_hom
 
 TRIV = GroupSpec.trivial()
@@ -40,8 +41,8 @@ class TestShiftGroup:
 
     def test_shift_word_lookup(self):
         w = copy_shift(1, 3, 3)
-        assert repr(w) == "v3"
-        assert copy_shift(2, 2, 3).is_identity()
+        assert render(w, shift_free_group(3).generators) == "v3"
+        assert copy_shift(2, 2, 3) == ()
         with pytest.raises(InputError):
             copy_shift(0, 1, 3)
         with pytest.raises(InputError):
@@ -51,17 +52,16 @@ class TestShiftGroup:
         # u_ii = e and u_ij u_jk = u_ik hold identically in the free group
         rng = random.Random(0)
         s, d = 4, 4
-        perms = {}
-        from singular_pi1.words import GeneratorSymbol
+        perms = []                  # v_j is generator j - 2
         for j in range(2, s + 1):
             p = list(range(d))
             rng.shuffle(p)
-            perms[GeneratorSymbol("", f"v{j}")] = tuple(p)
+            perms.append(tuple(p))
 
         def ev(word):
             acc = identity(d)
-            for sym_, e in word.letters:
-                p = perms[sym_]
+            for g, e in word:
+                p = perms[g]
                 if e < 0:
                     p, e = invert(p), -e
                 for _ in range(e):
