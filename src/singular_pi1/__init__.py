@@ -12,9 +12,7 @@ each piece's actions on the fiber with its own search.
 """
 
 from .errors import Error, InputError, ResourceError, SchemaError
-from .expression import (Atom, CoproductNode, FiberedCoproductNode,
-                         FreeGroupNode, QuotientNode, VKLegRef, VKNode,
-                         closure_witness)
+from .expression import closure_witness
 from .groups import GroupSpec
 from .homcount import count_homs, transitive_counts
 from .homomorphism import Homo

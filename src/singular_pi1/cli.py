@@ -210,7 +210,6 @@ def _run(args):
     """Exit code and JSON text of one command, or of its error."""
     try:
         code, payload = _COMMANDS[args.command](args, _limits_from(args))
-        # deep results can exhaust the recursion limit here too
         return code, json.dumps(payload, indent=2)
     except SchemaError as exc:
         code, payload = EXIT_SCHEMA, {"error": {
@@ -226,9 +225,8 @@ def _run(args):
     except RecursionError:
         code, payload = EXIT_RESOURCE, {"error": {
             "kind": "resource", "layer": "pi1", "estimate": None,
-            "ceiling": None, "message": "recursion limit exceeded: the "
-            "devissage expression tree nests one level per singular "
-            "piece"}}
+            "ceiling": None, "message": "Python's recursion limit was "
+            "exceeded"}}
     return code, json.dumps(payload, indent=2)
 
 

@@ -10,21 +10,21 @@ against.  It starts from the patch of the first piece of a dévissage
 order, one glued group per component over that piece amalgamated over
 the shared copy of the piece's group, and glues each later patch onto
 the result along their overlap, walking the splits of
-``scheme.devissage_splits``.  Its expression tree nests one van Kampen
-node per singular piece.
+``scheme.devissage_splits``.  Its expression has one van Kampen node
+per singular piece.
 
 Each route validates once at its entry and simplifies once at the end.
-Results carry the raw lowered presentation, its simplification, an
-expression tree, the derivation trace, and the location of every
-component group's generators inside the raw presentation: the offset
-of the block they occupy, as the free products that build it return.
+Results carry the raw lowered presentation, its simplification, the
+expression's node table, the derivation trace, and the location of
+every component group's generators inside the raw presentation: the
+offset of the block they occupy, as the free products that build it
+return.  The dévissage appends to one node table and one derivation
+list as it goes; a part of the result is known by its root node id.
 """
 
 from dataclasses import dataclass, field
 
-from .expression import (Atom, CoproductNode, FiberedCoproductNode,
-                         FreeGroupNode, QuotientNode, VKLegRef, VKNode,
-                         closure_witness)
+from .expression import add_node, closure_witness, piece
 from .presentation import (free_presentation, free_product,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
@@ -36,17 +36,17 @@ from .words import inverse, reduce, shift
 @dataclass
 class DerivationStep:
     rule: str
-    node: object             # expression node this step produced
+    node: int                # id of the expression node this step produced
     inputs: dict
 
-    def to_json(self, ids):
-        return {"theorem": self.rule, "node": ids.get(id(self.node)),
+    def to_json(self):
+        return {"theorem": self.rule, "node": self.node,
                 "inputs": self.inputs}
 
 
 @dataclass
 class Pi1Result:
-    expression: object
+    expression: list               # node table, see ``expression``
     presentation: object           # tietze-simplified lowering
     raw_presentation: object       # lowering before simplification
     derivation: list
@@ -99,40 +99,46 @@ def pi1_graph_of_groups(cfg):
                                  + inverse(t))))
     raw = quotient_by_relations(prod, pairs)
 
-    children = [Atom(kind, v.id, v.group) for kind, v in vertices
-                if v.group.order > 1]
+    nodes = []
+    children = [add_node(nodes, "atom", **piece(kind, v.id, v.group))
+                for kind, v in vertices if v.group.order > 1]
     if rank > 0:
-        children.append(FreeGroupNode(rank))
+        children.append(add_node(nodes, "free", rank=rank))
     if not children:
-        expr = FreeGroupNode(0)
+        root = add_node(nodes, "free", rank=0)
     elif len(children) == 1:
-        expr = children[0]
+        root = children[0]
     else:
-        expr = CoproductNode(children)
+        root = add_node(nodes, "coproduct", children=children)
     if pairs:
-        expr = QuotientNode(expr, pairs)
+        root = add_node(nodes, "quotient", child=root, relations=len(pairs))
     steps = [DerivationStep(
-        "graph-of-groups", expr,
+        "graph-of-groups", root,
         {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
          "stable_branches": [b.id for b in stable]})]
-    return _simplified(Pi1Result(expr, None, raw, steps, comp_offsets))
+    return _simplified(Pi1Result(nodes, None, raw, steps, comp_offsets))
 
 
-def _connected_singular(cfg, form):
+def _connected_singular(cfg, form, nodes, steps):
+    """The patch of the only singular piece of ``cfg``: the root of its
+    expression in ``nodes``, its raw presentation and component images."""
     sing = cfg.singulars[0]
     sing_pres = sing.group.canonical_presentation
 
     assemblies = []
     vknodes = []
-    steps = []
     for comp in cfg.components:
         branches = [b for b in cfg.branches if b.component == comp.id]
         leg_pairs = [_branch_leg_pairs(b) for b in branches]
         asm = vk_assemble(comp.group.canonical_presentation, sing_pres,
                           leg_pairs, form)
-        node = VKNode(Atom("component", comp.id, comp.group),
-                      Atom("singular", sing.id, sing.group),
-                      [VKLegRef(b.group, "branch", b.id) for b in branches])
+        pi = add_node(nodes, "atom",
+                      **piece("component", comp.id, comp.group))
+        pi_prime = add_node(nodes, "atom",
+                            **piece("singular", sing.id, sing.group))
+        node = add_node(nodes, "vk", pi=pi, pi_prime=pi_prime,
+                        legs=[piece("branch", b.id, b.group)
+                              for b in branches])
         assemblies.append(asm)
         vknodes.append(node)
         steps.append(DerivationStep(
@@ -144,7 +150,7 @@ def _connected_singular(cfg, form):
         asm = assemblies[0]
         raw = asm.presentation
         images = {cfg.components[0].id: asm.left_offset}
-        expr = vknodes[0]
+        root = vknodes[0]
     else:
         prod, offsets = free_product([a.presentation for a in assemblies])
         rights = [o + a.right_offset for o, a in zip(offsets, assemblies)]
@@ -154,13 +160,14 @@ def _connected_singular(cfg, form):
         raw = quotient_by_relations(prod, pairs)
         images = {comp.id: o + a.left_offset for comp, o, a
                   in zip(cfg.components, offsets, assemblies)}
-        expr = FiberedCoproductNode(Atom("singular", sing.id, sing.group),
-                                    vknodes)
+        root = add_node(nodes, "fibered_coproduct",
+                        base=piece("singular", sing.id, sing.group),
+                        legs=vknodes)
         steps.append(DerivationStep(
-            "amalgamate-singular-copies", expr,
+            "amalgamate-singular-copies", root,
             {"singular": sing.id, "copies": cfg.n}))
 
-    return Pi1Result(expr, None, raw, steps, images)
+    return root, raw, images
 
 
 def pi1_devissage(cfg, form="i", order=None):
@@ -172,61 +179,65 @@ def pi1_devissage(cfg, form="i", order=None):
             else check_order(cfg, order)
     else:
         ensure_valid(cfg)
-    return _simplified(_devissage(cfg, form, order))
+    nodes, steps = [], []
+    _, raw, images = _devissage(cfg, form, order, nodes, steps)
+    return _simplified(Pi1Result(nodes, None, raw, steps, images))
 
 
-def _devissage(cfg, form, order):
+def _devissage(cfg, form, order, nodes, steps):
     """``pi1_devissage`` of a valid configuration along a checked order,
-    unsimplified: the first piece's patch, then each later patch glued
-    onto the union of the patches before it."""
+    unsimplified, as ``_connected_singular`` returns it: the first
+    piece's patch, then each later patch glued onto the union of the
+    patches before it.  The derivation thus names the first piece in
+    its first step and each later one as the anchor of its split."""
     if cfg.m == 0:
         comp = cfg.components[0]
         raw, (offset,) = free_product([comp.group.canonical_presentation],
                                       ["c1"])
-        expr = Atom("component", comp.id, comp.group)
-        steps = [DerivationStep("normal-component", expr,
-                                {"component": comp.id})]
-        return Pi1Result(expr, None, raw, steps, {comp.id: offset})
+        root = add_node(nodes, "atom",
+                        **piece("component", comp.id, comp.group))
+        steps.append(DerivationStep("normal-component", root,
+                                    {"component": comp.id}))
+        return root, raw, {comp.id: offset}
 
     splits = list(devissage_splits(cfg, order))
     # the last split's complement is the first piece's patch
-    result = _connected_singular(splits[-1][3] if splits else cfg, form)
+    root, raw, images = _connected_singular(
+        splits[-1][3] if splits else cfg, form, nodes, steps)
     for scope, prefix, patch, complement, report in reversed(splits):
-        left = _connected_singular(patch, form)
+        left, left_raw, left_images = _connected_singular(patch, form,
+                                                          nodes, steps)
         leg_pairs = []
         leg_refs = []
         for cid in report.S:
             group = scope.component(cid).group
-            lo = left.component_images[cid]
-            ro = result.component_images[cid]
+            lo = left_images[cid]
+            ro = images[cid]
             leg_pairs.append([(((lo + g, 1),), ((ro + g, 1),)) for g in
                               range(len(group.canonical_presentation
                                         .generators))])
-            leg_refs.append(VKLegRef(group, "component", cid))
+            leg_refs.append(piece("component", cid, group))
 
-        asm = vk_assemble(left.raw_presentation, result.raw_presentation,
-                          leg_pairs, form)
+        asm = vk_assemble(left_raw, raw, leg_pairs, form)
 
-        images = {}
+        glued = {}
         for comp in complement.components:
-            images[comp.id] = \
-                asm.right_offset + result.component_images[comp.id]
+            glued[comp.id] = asm.right_offset + images[comp.id]
         for comp in patch.components:
             # overlap components resolve to the patch-side copy
-            images[comp.id] = asm.left_offset + left.component_images[comp.id]
+            glued[comp.id] = asm.left_offset + left_images[comp.id]
 
-        expr = VKNode(left.expression, result.expression, leg_refs)
-        step = DerivationStep(
-            "devissage-split", expr,
-            {"anchor": prefix[-1], "order": list(prefix),
-             "overlap": list(report.S),
+        root = add_node(nodes, "vk", pi=left, pi_prime=root, legs=leg_refs)
+        steps.append(DerivationStep(
+            "devissage-split", root,
+            {"anchor": prefix[-1], "overlap": list(report.S),
              "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
-             "form": form})
-        steps = left.derivation + result.derivation + [step]
-        result = Pi1Result(expr, None, asm.presentation, steps, images)
-    return result
+             "form": form}))
+        raw, images = asm.presentation, glued
+    return root, raw, images
 
 
 def class_witness(result: Pi1Result):
-    """Replay which closure rule admits each node of the result's tree."""
+    """Replay which closure rule admits each node of the result's
+    expression."""
     return closure_witness(result.expression)

@@ -300,13 +300,29 @@ def scheme_config_to_json(cfg):
     }
 
 
-def pi1_result_to_json(result, simplified=True):
-    from .expression import assign_ids, expression_to_json
+def _piece_to_json(fields):
+    return {**fields, "group": group_to_json(fields["group"])}
 
-    ids = assign_ids(result.expression)
+
+def expression_to_json(nodes):
+    """An expression's node table, its groups written out, and its root."""
+    out = []
+    for node in nodes:
+        if node["type"] == "atom":
+            node = _piece_to_json(node)
+        elif node["type"] == "fibered_coproduct":
+            node = {**node, "base": _piece_to_json(node["base"])}
+        elif node["type"] == "vk":
+            node = {**node, "legs": [_piece_to_json(leg)
+                                     for leg in node["legs"]]}
+        out.append(node)
+    return {"nodes": out, "root": len(nodes) - 1}
+
+
+def pi1_result_to_json(result, simplified=True):
     pres = result.presentation if simplified else result.raw_presentation
     return {
-        "expression": expression_to_json(result.expression, ids),
+        "expression": expression_to_json(result.expression),
         "presentation": presentation_to_json(pres),
-        "derivation": [step.to_json(ids) for step in result.derivation],
+        "derivation": [step.to_json() for step in result.derivation],
     }

@@ -20,17 +20,15 @@ _TAG_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 def check_name(text):
-    """Check a generator name and return it; a leading dot before a name
-    with no namespace is dropped."""
-    ns, _, name = text.rpartition(".")
+    """Check a generator name and return it."""
+    ns, dot, name = text.rpartition(".")
     if not _NAME_RE.match(name):
         raise InputError(f"malformed generator name: {name!r}")
-    if ns:
+    if dot:
         for seg in ns.split("."):
             if not _TAG_RE.match(seg):
                 raise InputError(f"malformed namespace segment: {seg!r}")
-        return text
-    return name
+    return text
 
 
 def check_tag(tag):

@@ -38,8 +38,9 @@ def test_criterion_1_nodal_curve(capsys):
     code = cli_main(["present", config_path("nodal")])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["expression"]["type"] == "free"
-    assert out["expression"]["rank"] == 1
+    expression = out["expression"]
+    assert expression["nodes"][expression["root"]] \
+        == {"type": "free", "rank": 1}
 
     corpus = load_corpus()
     result = pi1_devissage(corpus["nodal"])

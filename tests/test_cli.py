@@ -21,6 +21,11 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def root_of(doc):
+    """The root node of a ``present`` output's expression."""
+    return doc["expression"]["nodes"][doc["expression"]["root"]]
+
+
 def names_in(doc):
     """The generator names a configuration's JSON spells: the symbols of
     its words and the generators of its presented groups."""
@@ -111,14 +116,13 @@ class TestPresent:
         code, doc = run(capsys, "present", config_path("nodal"),
                         "--degrees", "2,3,4")
         assert code == 0
-        assert doc["expression"]["type"] == "free"
-        assert doc["expression"]["rank"] == 1
+        assert root_of(doc) == {"type": "free", "rank": 1}
         assert doc["hom_counts"] == {"2": 2, "3": 6, "4": 24}
 
     def test_regular_is_single_atom(self, capsys):
         code, doc = run(capsys, "present", config_path("regular"))
         assert code == 0
-        assert doc["expression"]["type"] == "atom"
+        assert root_of(doc)["type"] == "atom"
 
     def test_theta_devissage_counts(self, capsys):
         code, doc = run(capsys, "present", config_path("theta"),
@@ -152,34 +156,30 @@ class TestPresent:
         assert [s["theorem"] for s in doc["derivation"]] \
             == ["graph-of-groups"]
         assert doc["derivation"][0]["inputs"]["stable_branches"] == ["bq"]
-        assert doc["expression"]["type"] == "quotient"
+        assert root_of(doc)["type"] == "quotient"
 
-    def test_deep_devissage_recursion_is_a_resource_error(self, tmp_path,
-                                                          capsys):
+    def test_deep_devissage_needs_no_recursion_and_prints_linear_output(
+            self, tmp_path, capsys):
         n = 300
-        triv = {"kind": "trivial"}
-        doc = {"components": [{"id": f"C{i}", "group": triv}
-                              for i in range(n + 1)],
-               "singulars": [{"id": f"P{i}", "group": triv}
-                             for i in range(1, n + 1)],
-               "branches": [{"id": f"b{i}.{k}", "component": f"C{i - k}",
-                             "singular": f"P{i}", "group": triv}
-                            for i in range(1, n + 1) for k in (0, 1)]}
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps(doc))
+        paths = []
+        for pieces in (n, 2 * n):
+            path = tmp_path / f"chain-{pieces}.json"
+            path.write_text(json.dumps(scheme_config_to_json(
+                family_config("chain", pieces, nontrivial=False))))
+            paths.append(str(path))
         limit = sys.getrecursionlimit()
-        # room for about half the chain's nesting above this frame
+        # room for about half the smaller chain's pieces above this frame
         sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)
         try:
-            code, out = run(capsys, "present", str(path),
-                            "--route", "devissage")
-            default_code, _ = run(capsys, "present", str(path))
+            codes, sizes = [], []
+            for path in paths:
+                codes.append(main(["present", path, "--route", "devissage"]))
+                sizes.append(len(capsys.readouterr().out.encode()))
+            codes.append(main(["present", paths[1]]))
         finally:
             sys.setrecursionlimit(limit)
-        assert code == 4
-        assert out["error"]["kind"] == "resource"
-        assert "devissage" in out["error"]["message"]
-        assert default_code == 0
+        assert codes == [0, 0, 0]
+        assert sizes[1] <= 2.2 * sizes[0]
 
     def test_generator_names_are_checked_once(self, tmp_path, capsys,
                                               monkeypatch):
@@ -332,6 +332,20 @@ class TestPlan:
         assert code == 0
         assert len(doc["splits"]) == 2
         assert all(s["additivity_ok"] for s in doc["splits"])
+
+    def test_devissage_derivation_spells_the_planned_order(self, capsys):
+        for name in ("nodal", "chain", "theta", "star", "semistable-C2",
+                     "nontrivial-Z", "nontrivial-Z2"):
+            code, plan = run(capsys, "plan", config_path(name))
+            code2, doc = run(capsys, "present", config_path(name),
+                             "--route", "devissage")
+            assert code == code2 == 0
+            # the first patch's piece, then the anchor of each split
+            steps = doc["derivation"]
+            order = [steps[0]["inputs"]["singular"]] \
+                + [s["inputs"]["anchor"] for s in steps
+                   if s["theorem"] == "devissage-split"]
+            assert order == plan["order"], name
 
 
 class TestRank:

@@ -3,8 +3,7 @@ of every call in a fixed set, held in ``golden_cli.json``.
 
 The configurations are the bundled corpus, the chain, star and theta of
 ``support.family_config`` with 2 and 3 singular pieces (non-trivial and
-trivial), three valid configurations with dotted generator names or a
-word symbol with a leading dot (read as the name after it), and
+trivial), two valid configurations with dotted generator names, and
 hand-made invalid ones that reach each name and word error of the
 parser.  Every call runs ``cli.main`` in this process.
 
@@ -58,7 +57,6 @@ def _presented(generators, relators):
 VALID_EXTRA = {
     "dotted-component": _one_branch(KLEIN, TRIVIAL),
     "dotted-target": _one_branch(KLEIN, C2, {"g": [["p.a", 1]]}),
-    "leading-dot-symbol": _one_branch(C2, C2, {"g": [[".g", 1]]}),
 }
 
 INVALID = {
@@ -66,6 +64,7 @@ INVALID = {
     "bad-namespace-segment": _presented(["a-b.c"], [[["a-b.c", 2]]]),
     "malformed-word-symbol": _one_branch(C2, C2, {"g": [["9x", 1]]}),
     "bad-word-namespace": _one_branch(C2, C2, {"g": [["a-b.g", 1]]}),
+    "leading-dot-symbol": _one_branch(C2, C2, {"g": [[".g", 1]]}),
     "undeclared-relator-symbol": _presented(["a"], [[["a", 2]], [["z", 1]]]),
     "duplicate-generator": _presented(["a", "a"], [[["a", 2]]]),
     "unknown-branch-generator": _one_branch(C2, C2, {"h": [["g", 1]]}),

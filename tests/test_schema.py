@@ -255,6 +255,26 @@ class TestDottedBranchGenerators:
             == "unknown branch-group generator 'a'"
 
 
+def check_node_table(doc):
+    """The expression of a ``present`` output is a table whose nodes name
+    only earlier nodes, whose root is its last node and whose every other
+    node is some node's child; derivation steps name nodes of it."""
+    nodes, root = doc["expression"]["nodes"], doc["expression"]["root"]
+    assert root == len(nodes) - 1
+    used = set()
+    for i, node in enumerate(nodes):
+        children = [node[key] for key in ("child", "pi", "pi_prime")
+                    if key in node] + node.get("children", [])
+        if node["type"] == "fibered_coproduct":
+            children += node["legs"]
+        assert all(isinstance(c, int) and 0 <= c < i for c in children), \
+            (i, node)
+        used.update(children)
+    assert used == set(range(root))
+    for step in doc["derivation"]:
+        assert 0 <= step["node"] < len(nodes)
+
+
 class TestResultSerialization:
     def test_nodal_result_shape(self):
         cfg = parse_scheme_config(minimal_doc())
@@ -266,20 +286,17 @@ class TestResultSerialization:
         # presentation block re-parses to the same presentation
         assert parse_presentation(doc["presentation"], "$") \
             == result.presentation
-        # derivation references nodes in the expression tree
-        ids = {doc["expression"]["id"]}
+        check_node_table(doc)
 
-        def collect(node):
-            for key in ("children", "legs"):
-                for child in node.get(key, []):
-                    if isinstance(child, dict) and "id" in child:
-                        ids.add(child["id"])
-                        collect(child)
-            for key in ("pi", "pi_prime", "child"):
-                if key in node and isinstance(node[key], dict):
-                    ids.add(node[key]["id"])
-                    collect(node[key])
-
-        collect(doc["expression"])
-        for step in doc["derivation"]:
-            assert step["node"] in ids
+    @pytest.mark.parametrize("route", [
+        [], *(["--route", "devissage", "--form", form]
+              for form in ("i", "ii", "iii", "iv"))])
+    def test_corpus_expressions_are_node_tables(self, tmp_path, capsys,
+                                                route):
+        for name, cfg in load_corpus().items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(scheme_config_to_json(cfg)))
+            code = main(["present", str(path)] + route)
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0, (name, doc)
+            check_node_table(doc)

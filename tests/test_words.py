@@ -87,8 +87,8 @@ def test_substitute_replaces_with_powers():
 def test_symbol_parsing_round_trip():
     assert check_name("c1.F.v2") == "c1.F.v2"
     assert check_name("g") == "g"
-    # a leading dot before a name without namespace is dropped
-    assert check_name(".g") == "g"
+    with pytest.raises(InputError, match="malformed namespace segment"):
+        check_name(".g")
     with pytest.raises(InputError, match="malformed generator name"):
         check_name("bad name")
     with pytest.raises(InputError, match="malformed namespace segment"):

@@ -4,18 +4,20 @@ Run from the repository root:
 
     python3 tools/bench_present_families.py --label after
 
-Rows (the non-trivial S3/C2 variant, seed 1, written by
-``perfbench/families.py``):
+Rows (seed 1, written by ``perfbench/families.py``; the variant is
+the non-trivial S3/C2 one unless named):
 
 * the default route on chain, star and theta at N = 64, 128, 256 and
   1024;
 * ``--route devissage --form iv`` on theta at N = 6 and 8;
-* ``--route devissage`` (form i) on chain at N = 64 and 128.
+* ``--route devissage`` (form i) on chain at N = 64 and 128;
+* ``--route devissage`` on the trivial chain at N = 1000 and 2000.
 
 One CLI call per row runs in a fresh interpreter under the default
 flags, with the runner of ``bench_verify_families.py``.  Each row
-records the wall time of that interpreter and the exit code; a row
-still running after the runner's timeout is recorded with exit null.
+records its variant, the wall time of that interpreter, the exit code
+and the bytes written to stdout; a row still running after the
+runner's timeout is recorded with exit null.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_present_families.json`` at the root), next to the rows of other
@@ -31,11 +33,14 @@ from pathlib import Path
 
 from bench_verify_families import ROOT, SEED, families, run_cli
 
-ROWS = [(family, n, ()) for n in (64, 128, 256, 1024)
+ROWS = [("nontrivial", family, n, ()) for n in (64, 128, 256, 1024)
         for family in families.FAMILIES] \
-    + [("theta", n, ("--route", "devissage", "--form", "iv"))
+    + [("nontrivial", "theta", n, ("--route", "devissage", "--form", "iv"))
        for n in (6, 8)] \
-    + [("chain", n, ("--route", "devissage")) for n in (64, 128)]
+    + [("nontrivial", "chain", n, ("--route", "devissage"))
+       for n in (64, 128)] \
+    + [("trivial", "chain", n, ("--route", "devissage"))
+       for n in (1000, 2000)]
 
 
 def main():
@@ -48,19 +53,21 @@ def main():
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for family, n, flags in ROWS:
-            path = families.write_config(Path(tmp), family, "nontrivial",
-                                         n, SEED)
+        for variant, family, n, flags in ROWS:
+            path = families.write_config(Path(tmp), family, variant, n, SEED)
             run = run_cli("present", path, flags)
-            row = {"family": family, "n": n, "flags": list(flags),
-                   "exit": run["exit"], "wall_s": run["wall_s"]}
+            row = {"variant": variant, "family": family, "n": n,
+                   "flags": list(flags), "exit": run["exit"],
+                   "wall_s": run["wall_s"],
+                   "stdout_bytes": len(run["stdout"].encode())}
             print(json.dumps(row), flush=True)
             rows.append(row)
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["command"] = ["present", "CONFIG", "FLAGS"]
-    doc["configs"] = f"perfbench/families.py, nontrivial, seed {SEED}"
+    doc["configs"] = f"perfbench/families.py, seed {SEED}, the row's " \
+        "variant (nontrivial where a row names none)"
     doc.setdefault("runs", {})[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"Python {platform.python_version()}",
