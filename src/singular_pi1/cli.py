@@ -2,13 +2,15 @@
 
 Commands: ``validate``, ``present``, ``verify``, ``plan``, ``rank``.
 All output is JSON on stdout (or ``--output``).  Exit codes: 0 success,
-1 a verification verdict failed, 2 semantic precondition violated,
-3 schema or I/O problem, 4 a resource bound was exceeded.
+1 a verification verdict failed, 2 semantic precondition violated or a
+bad command line, 3 schema or I/O problem, 4 a resource bound exceeded.
 """
 
-import argparse
 import json
+import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
@@ -23,53 +25,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SCHEMA = 3
 EXIT_RESOURCE = 4
-
-
-def _common(sub):
-    sub.add_argument("path", help="configuration JSON file")
-    sub.add_argument("--bound-order", type=int, default=None,
-                     help="largest allowed finite group order")
-    sub.add_argument("--bound-degree", type=int, default=None,
-                     help="largest symmetric-group degree")
-    sub.add_argument("--ceiling", type=int, default=None,
-                     help="largest admissible estimated work")
-    sub.add_argument("--output", default=None,
-                     help="write JSON here instead of stdout")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="singular-pi1",
-        description="Fundamental-group presentations of singular schemes "
-                    "from dual-graph gluing data, with oracle verification.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check a configuration")
-    _common(p)
-
-    p = subs.add_parser("present", help="compute the fundamental group")
-    _common(p)
-    p.add_argument("--route", choices=("auto", "devissage"), default="auto")
-    p.add_argument("--form", choices=("i", "ii", "iii", "iv"), default="i",
-                   help="van Kampen form used by the devissage route")
-    p.add_argument("--simplify", choices=("true", "false"), default="true",
-                   help="emit the simplified (default) or raw presentation")
-    p.add_argument("--degrees", default=None,
-                   help="comma-separated degrees to append hom counts for")
-
-    p = subs.add_parser("verify", help="compare against the cover oracle")
-    _common(p)
-    p.add_argument("--degree-max", type=int, default=3)
-    p.add_argument("--connected", action="store_true",
-                   help="also compare connected covers against transitive "
-                        "hom counts")
-
-    p = subs.add_parser("plan", help="show the dévissage plan")
-    _common(p)
-
-    p = subs.add_parser("rank", help="show the free-rank arithmetic")
-    _common(p)
-    return parser
 
 
 def _limits_from(args):
@@ -197,19 +152,114 @@ def _cmd_rank(args, limits):
                      "rank": rank, "cycle_rank": rank}
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "present": _cmd_present,
-    "verify": _cmd_verify,
-    "plan": _cmd_plan,
-    "rank": _cmd_rank,
+# every command takes a path and these flags; a flag maps to its kind (int,
+# str, a tuple of choices, or bool for a switch), its default and its help
+_EVERY_COMMAND = {
+    "--bound-order": (int, None, "largest allowed finite group order"),
+    "--bound-degree": (int, None, "largest symmetric-group degree"),
+    "--ceiling": (int, None, "largest admissible estimated work"),
+    "--output": (str, None, "write JSON here instead of stdout"),
+    "--help": (bool, None, "show this help (also -h)"),
 }
+# command: (its function, its help, its own flags)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a configuration", {}),
+    "present": (_cmd_present, "compute the fundamental group", {
+        "--route": (("auto", "devissage"), "auto", "assembly route"),
+        "--form": (("i", "ii", "iii", "iv"), "i", "van Kampen form"),
+        "--simplify": (("true", "false"), "true", "simplify the output"),
+        "--degrees": (str, None, "comma-separated degrees to count homs at"),
+    }),
+    "verify": (_cmd_verify, "compare against the cover oracle", {
+        "--degree-max": (int, 3, "highest degree compared"),
+        "--connected": (bool, False, "also compare connected covers"),
+    }),
+    "plan": (_cmd_plan, "show the dévissage plan", {}),
+    "rank": (_cmd_rank, "show the free-rank arithmetic", {}),
+}
+
+
+class Usage(Exception):
+    """``args``: 0 and the ``-h`` text, or 2 and a command line error."""
+
+
+def _usage(commands):
+    return f"usage: singular-pi1 {'|'.join(commands)} PATH [flags]"
+
+
+def _help(commands):
+    """Each command with its own flags, then the flags of every command."""
+    lines = [_usage(commands), ""]
+    for name, about, flags in [(c, *_COMMANDS[c][1:]) for c in commands] \
+            + [("flags:", "", _EVERY_COMMAND)]:
+        lines.append(f"  {name:<30}{about}".rstrip())
+        for flag, (kind, default, text) in flags.items():
+            value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) \
+                else "" if kind is bool else kind.__name__.upper()
+            default = f" (default {default})" if default else ""
+            lines.append(f"    {flag + ' ' + value:<28}{text}{default}")
+    return "\n".join(lines)
+
+
+def _resolve(token, names):
+    """``(flag, its =value or None)``, or None for a path or a value."""
+    name, eq, value = token.partition("=")
+    name = "--help" if name == "-h" else name
+    hits = [name] if name in names else [
+        n for n in names if name[:2] == "--" != name and n.startswith(name)]
+    if len(hits) > 1:
+        raise ValueError(f"{name} is ambiguous: {', '.join(hits)}")
+    if not hits and (token[:1] != "-" or token == "-" or " " in token
+                     or re.fullmatch(r"-\d*\.?\d+", token)):
+        return None
+    return (hits[0] if hits else name), (value if eq else None)
+
+
+def parse_args(argv):
+    """``command``, ``path`` and one attribute per flag (the last value of
+    a repeated one) from ``argv``, or ``Usage`` for ``-h`` or an error."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        if _resolve(command, ["--help"]) == ("--help", None):
+            raise Usage(EXIT_OK, _help(_COMMANDS))
+        raise Usage(EXIT_INPUT, f"{_usage(_COMMANDS)}\nsingular-pi1: error: "
+                    "the first argument must be a command")
+    flags = {**_EVERY_COMMAND, **_COMMANDS[command][2]}
+    args = {flag[2:].replace("-", "_"): default
+            for flag, (_, default, _) in flags.items() if flag != "--help"}
+    paths, unknown = [], []
+    try:
+        it = iter([(token, _resolve(token, flags)) for token in argv[1:]])
+        for token, hit in it:
+            flag, value = hit or (None, None)
+            kind = flags.get(flag, (None,))[0]
+            if kind is None:
+                (unknown if hit else paths).append(token)
+                continue
+            if flag == "--help" and value is None:
+                raise Usage(EXIT_OK, _help([command]))
+            if kind is not bool and value is None:
+                value, hit = next(it, (None, True))
+                if hit is not None:
+                    raise ValueError(f"{flag} needs a value")
+            if kind is bool and value is not None or \
+                    isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"{flag} cannot take {value!r}")
+            args[flag[2:].replace("-", "_")] = True if kind is bool \
+                else int(value) if kind is int else value
+        if len(paths) != 1 or unknown:
+            raise ValueError("unrecognized arguments: " + " ".join(
+                unknown + paths[1:]) if paths else "a path is required")
+    except ValueError as exc:
+        raise Usage(EXIT_INPUT, f"{_usage([command])}\nsingular-pi1: "
+                    f"error: {exc}") from None
+    return SimpleNamespace(command=command, path=paths[0], **args)
 
 
 def _run(args):
     """Exit code and JSON text of one command, or of its error."""
     try:
-        code, payload = _COMMANDS[args.command](args, _limits_from(args))
+        code, payload = _COMMANDS[args.command][0](args, _limits_from(args))
         return code, json.dumps(payload, indent=2)
     except SchemaError as exc:
         code, payload = EXIT_SCHEMA, {"error": {
@@ -231,19 +281,29 @@ def _run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    code, text = _run(args)
-    if not args.output:
-        print(text)
-        return code
+    stream = sys.stdout
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        # the error object goes to stdout: the output file is unusable
-        print(json.dumps({"error": {
-            "kind": "schema", "path": "--output",
-            "message": f"cannot write {args.output}: {exc}"}}, indent=2))
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
+    except Usage as exc:
+        code, text = exc.args
+        stream = sys.stderr if code else stream
+    else:
+        code, text = _run(args)
+        try:
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+                return code
+        except OSError as exc:
+            # the error object goes to stdout: the output file is unusable
+            code, text = EXIT_SCHEMA, json.dumps({"error": {
+                "kind": "schema", "path": "--output",
+                "message": f"cannot write {args.output}: {exc}"}}, indent=2)
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: let the interpreter's flush at exit go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return EXIT_SCHEMA
     return code
 

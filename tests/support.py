@@ -17,10 +17,12 @@ indexed pass must reproduce exactly; ``power_reference`` and
 ``cyclically_reduced_reference`` are the syllable-by-syllable loops
 that ``words.power`` and ``words.cyclically_reduce`` must reproduce,
 and ``cyclic_key_reference`` is the rotation list that ``cyclic_key``
-must reproduce.  Words are tuples of ``(generator index, exponent)``
-syllables, as in the package.
+must reproduce.  ``argparse_reference`` is the ``argparse`` parser whose
+outcomes ``cli.parse_args`` must reproduce.  Words are tuples of
+``(generator index, exponent)`` syllables, as in the package.
 """
 
+import argparse
 import itertools
 import json
 from dataclasses import dataclass
@@ -797,3 +799,54 @@ def random_presentation(rng, max_gens=4, max_relators=4, max_len=6):
         relators.append([(rng.choice(range(n)), rng.choice((1, -1)))
                          for _ in range(length)])
     return Presentation("abcde"[:n], relators)
+
+
+# -- the command line ----------------------------------------------------
+
+def _reference_common(sub):
+    sub.add_argument("path", help="configuration JSON file")
+    sub.add_argument("--bound-order", type=int, default=None,
+                     help="largest allowed finite group order")
+    sub.add_argument("--bound-degree", type=int, default=None,
+                     help="largest symmetric-group degree")
+    sub.add_argument("--ceiling", type=int, default=None,
+                     help="largest admissible estimated work")
+    sub.add_argument("--output", default=None,
+                     help="write JSON here instead of stdout")
+
+
+def argparse_reference():
+    """The argparse parser the CLI used before its flag table, kept
+    unchanged as the reference that ``cli.parse_args`` must agree with."""
+    parser = argparse.ArgumentParser(
+        prog="singular-pi1",
+        description="Fundamental-group presentations of singular schemes "
+                    "from dual-graph gluing data, with oracle verification.")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("validate", help="check a configuration")
+    _reference_common(p)
+
+    p = subs.add_parser("present", help="compute the fundamental group")
+    _reference_common(p)
+    p.add_argument("--route", choices=("auto", "devissage"), default="auto")
+    p.add_argument("--form", choices=("i", "ii", "iii", "iv"), default="i",
+                   help="van Kampen form used by the devissage route")
+    p.add_argument("--simplify", choices=("true", "false"), default="true",
+                   help="emit the simplified (default) or raw presentation")
+    p.add_argument("--degrees", default=None,
+                   help="comma-separated degrees to append hom counts for")
+
+    p = subs.add_parser("verify", help="compare against the cover oracle")
+    _reference_common(p)
+    p.add_argument("--degree-max", type=int, default=3)
+    p.add_argument("--connected", action="store_true",
+                   help="also compare connected covers against transitive "
+                        "hom counts")
+
+    p = subs.add_parser("plan", help="show the dévissage plan")
+    _reference_common(p)
+
+    p = subs.add_parser("rank", help="show the free-rank arithmetic")
+    _reference_common(p)
+    return parser

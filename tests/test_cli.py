@@ -1,14 +1,24 @@
+import contextlib
 import inspect
+import io
 import json
+import os
+import random
+import re
+import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from singular_pi1 import scheme_config_to_json
+import singular_pi1
+from singular_pi1 import cli, scheme_config_to_json
 from singular_pi1.cli import main
-from support import closed_family_homs, family_config
+from support import argparse_reference, closed_family_homs, family_config
+
+SRC = Path(singular_pi1.__file__).resolve().parent.parent
 
 
 def config_path(name):
@@ -419,3 +429,157 @@ def test_corpus_validates_and_verifies_at_degree_two(capsys):
                         "--degree-max", "2")
         assert code == 0, name
         assert all(r["verdict"] == "pass" for r in doc["reports"]), name
+
+
+# -- argv ------------------------------------------------------------------
+
+P = "c.json"
+EVERY = ("--bound-order", "--bound-degree", "--ceiling", "--output")
+OWN = {"validate": (), "plan": (), "rank": (),
+       "present": ("--route", "--form", "--simplify", "--degrees"),
+       "verify": ("--degree-max", "--connected")}
+CHOICES = ("auto", "devissage", "i", "ii", "iii", "iv", "true", "false")
+
+ARGVS = [
+    *[[command, P] for command in OWN],
+    # every flag of every command, spelled out and with "="
+    *[[command, P, "--bound-order", "7", "--bound-degree", "4",
+       "--ceiling", "100", "--output", "o.json"] for command in OWN],
+    *[[command, "--bound-order=7", "--bound-degree=4", "--ceiling=100",
+       "--output=o.json", P] for command in OWN],
+    ["present", P, "--route", "devissage", "--form", "iii", "--simplify",
+     "false", "--degrees", "2,3"],
+    ["present", "--route=auto", "--form=iv", P, "--simplify=true",
+     "--degrees=2"],
+    ["verify", P, "--degree-max", "5", "--connected"],
+    ["verify", "--connected", "--degree-max=4", P],
+    ["validate", P, "--output="],
+    # unique prefixes, and an ambiguous one
+    ["present", P, "--deg", "2,3"], ["verify", P, "--deg", "4"],
+    ["verify", P, "--conn"], ["validate", P, "--c", "5"],
+    ["present", P, "--r", "devissage", "--f", "ii", "--s", "false"],
+    ["rank", P, "--bound-o", "3", "--o", "x.json", "--he"],
+    ["validate", P, "--b", "3"], ["verify", P, "--c", "3"],
+    ["validate", "-h", "--b", "3"],
+    # the path before, between and after the flags
+    ["verify", "--degree-max", "4", P, "--connected"],
+    ["verify", "--connected", "--degree-max", "4", P],
+    # a repeated flag keeps its last value
+    ["present", P, "--form", "ii", "--form", "iv"],
+    ["verify", P, "--degree-max", "3", "--degree-max=5", "--connected",
+     "--connected"],
+    # negative numbers are values
+    ["verify", P, "--bound-order", "-1"], ["verify", P, "--degree-max", "-3"],
+    ["validate", P, "--ceiling=-5"], ["validate", "-1"],
+    ["validate", "-2.5", "--output", "-1"],
+    ["verify", P, "--bound-degree", "-2.5"],
+    # usage errors
+    ["present", P, "--route", "bad"], ["present", P, "--simplify", "yes"],
+    ["verify", P, "--degree-max", "three"], ["validate", P, "--ceiling", ""],
+    ["validate", P, "--bound-order"], ["validate", P, "--output", "--c", "3"],
+    ["validate"], ["verify", "--connected"], ["validate", P, "extra.json"],
+    ["validate", P, "--degree-max", "3"], ["plan", P, "--route", "auto"],
+    ["verify", P, "--connected=yes"], ["validate", P, "--nope"],
+    ["validate", "--nope"], ["verify", "--route", "auto"],
+    ["validate", P, "-x"], ["bogus", P], [], ["--output", "o", "rank", P],
+    # help, with or without a command, wins over what follows it
+    ["-h"], ["--help"], ["--he"], ["-h", "bogus"], ["validate", "-h"],
+    ["present", P, "--help"], ["verify", "--he", "--degree-max", "x"],
+    ["rank", P, "--bogus", "-h"], ["plan", "a", "b", "-h"],
+    ["verify", P, "--degree-max", "x", "-h"], ["--help=x"],
+    ["validate", "--help=x", "-h"], ["bogus", "-h"],
+]
+
+# argv where the flag table deliberately differs from argparse:
+# "--" is no end-of-flags marker, "-h" does not bundle with other
+# short flags, only a first argument can ask for help before the command,
+# and a flag spelled "--=value" is unknown rather than ambiguous
+DIFFERENT = [["validate", "--", "-x.json"], ["validate", P, "-hh"],
+             ["validate", "-hx", "-h"], ["--bogus", "-h"],
+             ["validate", "--=x", "-h"]]
+
+TOKENS = [*OWN, "bogus", *EVERY, *[f for own in OWN.values() for f in own],
+          "--deg", "--conn", "--b", "--c", "--bound-o", "--r", "--s", "--f",
+          "--o", "--d", "--h", "--he", "-h", "--help", "--help=x", "-x",
+          "--nope", "--route=auto", "--route=x", "--deg=2,3",
+          "--degree-max=4", "--connected=1", "--bound-order=-1", "--c=5",
+          "--output=", "--b=3", "x.json", "y.json", "3", "-1", "-2.5", "abc",
+          *CHOICES, "2,3", "", "-", "-1x", "- x", "-a b"]
+
+
+def outcome(parse, argv):
+    """``("ok", attributes)`` of a parsed argv, or ``("exit", code)``."""
+    try:
+        return "ok", vars(parse(list(argv)))
+    except cli.Usage as exc:
+        return "exit", exc.args[0]
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def reference(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return outcome(argparse_reference().parse_args, argv)
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_fixed_argv_matches_argparse(self, argv):
+        assert outcome(cli.parse_args, argv) == reference(argv)
+
+    def test_random_argv_matches_argparse(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            argv = rng.choices(TOKENS, k=rng.randint(0, 5))
+            argv.insert(rng.randint(0, len(argv)), P)
+            argv.insert(0, rng.choice(list(OWN)))
+            assert outcome(cli.parse_args, argv) == reference(argv), argv
+
+    @pytest.mark.parametrize("argv", DIFFERENT, ids=" ".join)
+    def test_listed_differences_from_argparse(self, argv):
+        assert outcome(cli.parse_args, argv) != reference(argv)
+
+    def test_help_names_every_command_flag_and_choice(self, capsys):
+        assert main(["-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: singular-pi1 ") and err == ""
+        for name in [*OWN, *EVERY, *OWN["present"], *OWN["verify"],
+                     "-h", "--help", *CHOICES]:
+            assert re.search(rf"(?<![\w-]){name}(?![\w-])", out), name
+
+    def test_command_help_lists_its_own_flags_only(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--degree-max" in out and "--bound-order" in out
+        assert "--route" not in out and "present" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["present", P, "--route", "bad"], ["verify", P, "--degree-max", "x"],
+        ["validate", P, "--output"], ["validate"], ["validate", P, P],
+        ["validate", P, "--connected"], ["bogus"], []])
+    def test_usage_error_exits_2_with_nothing_on_stdout(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: singular-pi1 ")
+        assert error.startswith("singular-pi1: error: ")
+
+
+def test_closed_stdout_exits_3_without_a_traceback(tmp_path):
+    # about 240 KB of output, far more than a pipe holds, so the write
+    # after the reader has gone fails every time
+    path = tmp_path / "chain64.json"
+    path.write_text(json.dumps(scheme_config_to_json(
+        family_config("chain", 64))))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "singular_pi1.cli", "present", str(path),
+         "--route", "devissage"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert err == b""
