@@ -1,24 +1,24 @@
 """Concrete finite groups used as vertex, singular and branch groups.
 
-A ``GroupSpec`` wraps one of five kinds: trivial, cyclic, symmetric,
+A ``GroupSpec`` is one of five kinds: trivial, cyclic, symmetric,
 permutation (given generating permutations) or presented (given a
-finite presentation).  Every kind certifies its order by exhaustive
-closure at construction time, capped by ``Limits.order_bound``, and
-derives a canonical presentation:
+finite presentation).  Each constructor certifies the order, capped by
+``Limits.order_bound``, and computes once a canonical presentation and
+one permutation per canonical generator, so every group element is a
+permutation:
 
-* trivial/cyclic/symmetric carry the obvious presentations;
+* trivial/cyclic/symmetric carry the obvious presentations and act by
+  the k-cycle and the adjacent transpositions;
 * a permutation group gets the spanning-tree presentation read off its
   Cayley graph, which presents the group on the given generators;
-* a presented group keeps the user's presentation, and its elements are
-  realised as the cosets of the trivial subgroup via a bounded
-  coset-table closure.
+* a presented group keeps the user's presentation and acts on its own
+  elements, the cosets of the trivial subgroup, by the table of a
+  bounded coset-table closure (Todd–Coxeter).
 
 The canonical presentation is what the assembly layer splices into
-larger presentations; the concrete elements are what homomorphism
-validation and the cover oracle evaluate against.
+larger presentations; the generator permutations are what homomorphism
+validation evaluates relators against.
 """
-
-from functools import cached_property
 
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
@@ -242,37 +242,71 @@ def _coset_closure(presentation, cap):
     return len(live), action
 
 
-class GroupSpec:
-    """A finite concrete group plus its canonical presentation."""
+def _check_order(order, bound):
+    if order > bound:
+        raise ResourceError(f"group order {order} exceeds bound {bound}",
+                            layer="groups")
 
-    def __init__(self, kind, *, order_k=None, degree=None,
-                 perm_generators=None, presentation=None,
-                 limits=DEFAULT_LIMITS):
+
+_REPR = {"trivial": "1", "cyclic": "C{0}", "symmetric": "S{0}",
+         "permutation": "Perm(deg={0}, order={order})",
+         "presented": "Presented(order={order})"}
+
+
+class GroupSpec:
+    """A finite concrete group: its canonical presentation and the
+    permutations its canonical generators act by.
+
+    ``params`` identifies the group within its ``kind``;
+    ``generator_elements[i]`` is the permutation of ``0..degree-1`` that
+    canonical generator ``i`` acts by, and the map is faithful, so words
+    evaluate by composing permutations.
+    """
+
+    def __init__(self, kind, params, presentation, generator_elements,
+                 degree, order):
         self.kind = kind
-        self._order_k = order_k
-        self._degree = degree
-        self._perm_generators = perm_generators
-        self._presentation = presentation
-        self._limits = limits
-        self._realize(limits)
+        self.params = params
+        self.canonical_presentation = presentation
+        self.generator_elements = tuple(generator_elements)
+        self.identity_element = identity(degree)
+        self.order = order
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def trivial(cls):
-        return cls("trivial")
+        return cls("trivial", (), Presentation._trusted((), ()), (), 0, 1)
 
     @classmethod
     def cyclic(cls, k, limits=DEFAULT_LIMITS):
         if k < 1:
             raise InputError("cyclic group order must be >= 1")
-        return cls("cyclic", order_k=k, limits=limits)
+        _check_order(k, limits.order_bound)
+        return cls("cyclic", (k,), Presentation._trusted(("g",), (((0, k),),)),
+                   [tuple((i + 1) % k for i in range(k))], k, k)
 
     @classmethod
     def symmetric(cls, k, limits=DEFAULT_LIMITS):
         if k < 0:
             raise InputError("symmetric group degree must be >= 0")
-        return cls("symmetric", degree=k, limits=limits)
+        bound = limits.order_bound
+        order = 1
+        for i in range(2, k + 1):
+            order *= i
+            if order > bound:
+                # a large degree would never finish multiplying
+                raise ResourceError(f"group order {k}! exceeds bound {bound}",
+                                    layer="groups")
+        n = max(k - 1, 0)
+        rels = [((i, 2),) for i in range(n)]
+        rels += [power(((i, 1), (i + 1, 1)), 3) for i in range(n - 1)]
+        rels += [power(((i, 1), (j, 1)), 2)
+                 for i in range(n) for j in range(i + 2, n)]
+        swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k))
+                 for i in range(n)]
+        return cls("symmetric", (k,), Presentation._trusted(
+            [f"s{i}" for i in range(1, n + 1)], rels), swaps, k, order)
 
     @classmethod
     def permutation(cls, degree, generators, limits=DEFAULT_LIMITS):
@@ -282,157 +316,25 @@ class GroupSpec:
                 raise InputError(f"not a permutation of 0..{degree - 1}: {g}")
         if not gens:
             raise InputError("permutation kind needs at least one generator")
-        return cls("permutation", degree=degree, perm_generators=gens,
-                   limits=limits)
+        closure = _closure(gens, limits.order_bound)
+        names = [f"g{i + 1}" for i in range(len(gens))]
+        return cls("permutation", (degree, gens),
+                   _cayley_presentation(closure, gens, names), gens,
+                   degree, len(closure))
 
     @classmethod
     def presented(cls, presentation, limits=DEFAULT_LIMITS):
-        return cls("presented", presentation=presentation, limits=limits)
-
-    # -- realisation ----------------------------------------------------
-
-    def _realize(self, limits):
+        """The group acts on its own elements, the cosets of the trivial
+        subgroup that the coset closure numbers."""
         bound = limits.order_bound
-        kind = self.kind
-        if kind == "trivial":
-            self.order = 1
-        elif kind == "cyclic":
-            self.order = self._order_k
-        elif kind == "symmetric":
-            order = 1
-            for i in range(2, self._degree + 1):
-                order *= i
-                if order > bound:
-                    # a large degree would never finish multiplying
-                    raise ResourceError(
-                        f"group order {self._degree}! exceeds bound {bound}",
-                        layer="groups")
-            self.order = order
-        elif kind == "permutation":
-            self._elements_cache = _closure(list(self._perm_generators), bound)
-            self.order = len(self._elements_cache)
-        elif kind == "presented":
-            cap = max(10000, 8 * bound)
-            order, action = _coset_closure(self._presentation, cap)
-            self._coset_action = action
-            self.order = order
-        else:
-            raise InputError(f"unknown group kind: {kind!r}")
-        if self.order > bound:
-            raise ResourceError(
-                f"group order {self.order} exceeds bound {bound}",
-                layer="groups")
+        order, action = _coset_closure(presentation, max(10000, 8 * bound))
+        _check_order(order, bound)
+        gens = [tuple(row[2 * i] for row in action)
+                for i in range(len(presentation.generators))]
+        return cls("presented", (presentation.key(),), presentation, gens,
+                   order, order)
 
-    # -- canonical presentation and elements -----------------------------
-
-    @cached_property
-    def canonical_presentation(self):
-        kind = self.kind
-        if kind == "trivial":
-            return Presentation._trusted((), ())
-        if kind == "cyclic":
-            return Presentation._trusted(("g",), (((0, self._order_k),),))
-        if kind == "symmetric":
-            n = max(self._degree - 1, 0)
-            rels = [((i, 2),) for i in range(n)]
-            rels += [power(((i, 1), (i + 1, 1)), 3) for i in range(n - 1)]
-            rels += [power(((i, 1), (j, 1)), 2)
-                     for i in range(n) for j in range(i + 2, n)]
-            return Presentation._trusted(
-                [f"s{i}" for i in range(1, n + 1)], rels)
-        if kind == "permutation":
-            names = [f"g{i + 1}" for i in range(len(self._perm_generators))]
-            return _cayley_presentation(self.elements,
-                                        list(self._perm_generators), names)
-        return self._presentation
-
-    @cached_property
-    def elements(self):
-        kind = self.kind
-        if kind == "trivial":
-            return (identity(0),)
-        if kind == "cyclic":
-            k = self._order_k
-            cyc = tuple((i + 1) % k for i in range(k))
-            return _closure([cyc], self._limits.order_bound)
-        if kind == "symmetric":
-            k = self._degree
-            if k <= 1:
-                return (identity(k),)
-            gens = [self._adjacent_transposition(i) for i in range(k - 1)]
-            return _closure(gens, self._limits.order_bound)
-        if kind == "permutation":
-            return self._elements_cache
-        return tuple(range(self.order))
-
-    def _adjacent_transposition(self, i):
-        k = self._degree
-        p = list(range(k))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        return tuple(p)
-
-    @cached_property
-    def generator_elements(self):
-        """Elements matching the canonical presentation's generators."""
-        kind = self.kind
-        if kind == "trivial":
-            return ()
-        if kind == "cyclic":
-            k = self._order_k
-            return (tuple((i + 1) % k for i in range(k)),)
-        if kind == "symmetric":
-            if self._degree <= 1:
-                return ()
-            return tuple(self._adjacent_transposition(i)
-                         for i in range(self._degree - 1))
-        if kind == "permutation":
-            return tuple(self._perm_generators)
-        return tuple(self._coset_action[0][2 * i]
-                     for i in range(len(self._presentation.generators)))
-
-    @property
-    def identity_element(self):
-        if self.kind == "presented":
-            return 0
-        return self.elements[0]
-
-    def multiply(self, a, b):
-        if self.kind == "presented":
-            c = a
-            for letter in self._element_letters[b]:
-                cc = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-                c = self._coset_action[c][cc]
-            return c
-        return compose(a, b)
-
-    def invert_element(self, a):
-        if self.kind == "presented":
-            c = 0
-            for letter in reversed(self._element_letters[a]):
-                cc = 2 * (letter - 1) + 1 if letter > 0 else 2 * (-letter - 1)
-                c = self._coset_action[c][cc]
-            return c
-        return invert(a)
-
-    @cached_property
-    def _element_letters(self):
-        """For presented groups: a defining letter sequence per element."""
-        assert self.kind == "presented"
-        n_gens = len(self._presentation.generators)
-        letters = {0: ()}
-        queue = [0]
-        while queue:
-            nxt = []
-            for c in queue:
-                for i in range(n_gens):
-                    for sign, cc in ((1, 2 * i), (-1, 2 * i + 1)):
-                        t = self._coset_action[c][cc]
-                        if t not in letters:
-                            step = (i + 1) * sign
-                            letters[t] = letters[c] + (step,)
-                            nxt.append(t)
-            queue = nxt
-        return [letters[i] for i in range(self.order)]
+    # -- evaluation -------------------------------------------------------
 
     def evaluate(self, word):
         """Evaluate a word over canonical generators to a group element."""
@@ -441,25 +343,15 @@ class GroupSpec:
         for s, e in word:
             if not 0 <= s < len(images):
                 raise InputError(f"unknown generator {s} for {self}")
-            g = images[s]
-            if e < 0:
-                g, e = self.invert_element(g), -e
-            for _ in range(e):
-                acc = self.multiply(acc, g)
+            g = images[s] if e > 0 else invert(images[s])
+            for _ in range(abs(e)):
+                acc = compose(acc, g)
         return acc
 
     # -- identity ---------------------------------------------------------
 
     def descriptor(self):
-        if self.kind == "cyclic":
-            return ("cyclic", self._order_k)
-        if self.kind == "symmetric":
-            return ("symmetric", self._degree)
-        if self.kind == "permutation":
-            return ("permutation", self._degree, self._perm_generators)
-        if self.kind == "presented":
-            return ("presented", self._presentation.key())
-        return ("trivial",)
+        return (self.kind,) + self.params
 
     def __eq__(self, other):
         return (isinstance(other, GroupSpec)
@@ -469,12 +361,4 @@ class GroupSpec:
         return hash(self.descriptor())
 
     def __repr__(self):
-        if self.kind == "cyclic":
-            return f"C{self._order_k}"
-        if self.kind == "symmetric":
-            return f"S{self._degree}"
-        if self.kind == "permutation":
-            return f"Perm(deg={self._degree}, order={self.order})"
-        if self.kind == "presented":
-            return f"Presented(order={self.order})"
-        return "1"
+        return _REPR[self.kind].format(*self.params, order=self.order)

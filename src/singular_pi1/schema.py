@@ -161,12 +161,13 @@ def group_to_json(spec):
     if kind == "trivial":
         return {"kind": "trivial"}
     if kind == "cyclic":
-        return {"kind": "cyclic", "order": spec.order}
+        return {"kind": "cyclic", "order": spec.params[0]}
     if kind == "symmetric":
-        return {"kind": "symmetric", "degree": spec._degree}
+        return {"kind": "symmetric", "degree": spec.params[0]}
     if kind == "permutation":
-        return {"kind": "permutation", "degree": spec._degree,
-                "generators": [list(g) for g in spec._perm_generators]}
+        degree, gens = spec.params
+        return {"kind": "permutation", "degree": degree,
+                "generators": [list(g) for g in gens]}
     out = presentation_to_json(spec.canonical_presentation)
     out["kind"] = "presented"
     return out

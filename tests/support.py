@@ -33,6 +33,7 @@ from math import factorial
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
                           parse_scheme_config, vk_assemble)
+from singular_pi1.groups import _closure
 from singular_pi1.perms import compose, identity, invert
 from singular_pi1.vk import FORMS
 from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
@@ -427,6 +428,15 @@ def brute_connected_count(cfg, d):
 
 # -- homomorphisms between concrete groups ------------------------------
 
+def group_elements(group):
+    """Every element of ``group``, as the closure of its generator
+    permutations from the identity, in breadth-first order."""
+    gens = group.generator_elements
+    if not gens:
+        return (group.identity_element,)
+    return _closure(gens, group.order)
+
+
 def element_words(group):
     """A word over ``group``'s canonical generators for every element,
     by breadth-first search from the identity."""
@@ -437,9 +447,8 @@ def element_words(group):
         nxt = []
         for el in queue:
             for s, g in enumerate(gens):
-                for target, exp in ((group.multiply(el, g), 1),
-                                    (group.multiply(
-                                        el, group.invert_element(g)), -1)):
+                for target, exp in ((compose(el, g), 1),
+                                    (compose(el, invert(g)), -1)):
                     if target not in words:
                         words[target] = reduce(words[el] + ((s, exp),))
                         nxt.append(target)
@@ -451,7 +460,7 @@ def element_order(group, a):
     e = group.identity_element
     x, n = a, 1
     while x != e:
-        x = group.multiply(x, a)
+        x = compose(x, a)
         n += 1
     return n
 
@@ -460,7 +469,8 @@ def iter_homs_between(source, target):
     """All homomorphisms between two concrete groups, by brute force."""
     gens = source.canonical_presentation.generators
     words = element_words(target)
-    for elements in itertools.product(target.elements, repeat=len(gens)):
+    for elements in itertools.product(group_elements(target),
+                                      repeat=len(gens)):
         images = tuple(words[el] for el in elements)
         try:
             hom = Homo(source, target, images)
@@ -476,7 +486,7 @@ def standard_hom(source, target):
     groups allow), breaking ties by element position.  The trivial map
     always exists, so there is always a pick.
     """
-    element_pos = {el: i for i, el in enumerate(target.elements)}
+    element_pos = {el: i for i, el in enumerate(group_elements(target))}
 
     def score(hom):
         els = [target.evaluate(w) for w in hom.images]

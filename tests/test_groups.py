@@ -4,8 +4,8 @@ import pytest
 
 from singular_pi1 import (GroupSpec, InputError, Presentation, ResourceError,
                           count_homs)
-from singular_pi1.perms import compose, identity
-from support import element_order, element_words
+from singular_pi1.perms import compose, identity, invert
+from support import element_order, element_words, group_elements
 
 A, B = 0, 1          # the generators of Presentation(["a", "b"], ...)
 AB = ((A, 1), (B, 1))
@@ -25,7 +25,7 @@ def brute_multiplicative_maps(spec, d):
             nxt = []
             for el in frontier:
                 for g, im in zip(gens, images):
-                    t = spec.multiply(el, g)
+                    t = compose(el, g)
                     timg = compose(table[el], im)
                     if t in table:
                         if table[t] != timg:
@@ -87,37 +87,86 @@ def test_canonical_presentations_count_like_the_group():
                 == brute_multiplicative_maps(spec, d), spec
 
 
+def presented_cases():
+    return {"S3": Presentation(["a", "b"], [((A, 2),), ((B, 3),), AB * 2]),
+            "Klein": Presentation(["a", "b"],
+                                  [((A, 2),), ((B, 2),), AB * 2]),
+            "Q8": Presentation(["a", "b"],
+                               [((A, 4),), ((A, 2), (B, -2)),
+                                ((B, -1), (A, 1), (B, 1), (A, 1))]),
+            "C7": Presentation(["a"], [((A, 7),)])}
+
+
+def every_kind():
+    flips = [tuple(2 * i + (1 - x) if j == i else 2 * j + x
+                   for j in range(4) for x in (0, 1)) for i in range(4)]
+    return [GroupSpec.trivial(), GroupSpec.cyclic(1), GroupSpec.cyclic(4),
+            GroupSpec.symmetric(0), GroupSpec.symmetric(1),
+            GroupSpec.symmetric(3), GroupSpec.permutation(8, flips)] \
+        + [GroupSpec.presented(p) for p in presented_cases().values()]
+
+
+def check_acts_as_the_group(spec):
+    assert len(group_elements(spec)) == spec.order, spec
+    for r in spec.canonical_presentation.relators:
+        assert spec.evaluate(r) == spec.identity_element, spec
+    for d in (2, 3):
+        assert count_homs(spec.canonical_presentation, d) \
+            == brute_multiplicative_maps(spec, d), (spec, d)
+
+
+def test_every_kind_acts_by_permutations_as_the_group():
+    cases = every_kind()
+    assert [s.order for s in cases] == [1, 1, 4, 1, 1, 6, 16, 6, 4, 8, 7]
+    for spec in cases:
+        check_acts_as_the_group(spec)
+
+
+def test_presented_groups_with_identity_generators_are_caught():
+    for pres in presented_cases().values():
+        spec = GroupSpec.presented(pres)
+        spec.generator_elements = (spec.identity_element,) \
+            * len(spec.generator_elements)
+        with pytest.raises(AssertionError):
+            check_acts_as_the_group(spec)
+
+
+def test_descriptor_is_kind_and_params():
+    s3 = presented_cases()["S3"]
+    assert GroupSpec.trivial().descriptor() == ("trivial",)
+    assert GroupSpec.cyclic(4).descriptor() == ("cyclic", 4)
+    assert GroupSpec.symmetric(3).descriptor() == ("symmetric", 3)
+    assert GroupSpec.permutation(2, [(1, 0)]).descriptor() \
+        == ("permutation", 2, ((1, 0),))
+    assert GroupSpec.presented(s3).descriptor() == ("presented", s3.key())
+
+
 def test_element_words_evaluate_back():
     for spec in (GroupSpec.cyclic(4), GroupSpec.symmetric(3),
-                 GroupSpec.presented(Presentation(
-                     ["a", "b"], [((A, 2),), ((B, 3),), AB * 2]))):
+                 GroupSpec.presented(presented_cases()["S3"])):
         words = element_words(spec)
-        for el in spec.elements:
+        for el in group_elements(spec):
             assert spec.evaluate(words[el]) == el
 
 
 def test_element_orders_and_inverses():
     s3 = GroupSpec.symmetric(3)
-    orders = sorted(element_order(s3, el) for el in s3.elements)
+    orders = sorted(element_order(s3, el) for el in group_elements(s3))
     assert orders == [1, 2, 2, 2, 3, 3]
-    for el in s3.elements:
-        assert s3.multiply(el, s3.invert_element(el)) == s3.identity_element
+    for el in group_elements(s3):
+        assert compose(el, invert(el)) == s3.identity_element
 
 
-def test_presented_multiplication_is_a_group():
-    s3 = GroupSpec.presented(Presentation(
-        ["a", "b"], [((A, 2),), ((B, 3),), AB * 2]))
-    els = s3.elements
+def test_presented_elements_are_closed_under_products_and_inverses():
+    q8 = GroupSpec.presented(presented_cases()["Q8"])
+    els = set(group_elements(q8))
+    assert q8.identity_element in els
+    orders = sorted(element_order(q8, x) for x in els)
+    assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
     for x in els:
-        assert s3.multiply(x, s3.identity_element) == x
-        assert s3.multiply(s3.identity_element, x) == x
-        assert s3.multiply(x, s3.invert_element(x)) == s3.identity_element
-    # associativity spot check
-    for x in els:
+        assert invert(x) in els
         for y in els:
-            for z in els[:3]:
-                assert s3.multiply(s3.multiply(x, y), z) \
-                    == s3.multiply(x, s3.multiply(y, z))
+            assert compose(x, y) in els
 
 
 def test_invalid_specs_rejected():

@@ -1,6 +1,7 @@
 import pytest
 
-from singular_pi1 import GroupSpec, Homo, InputError, free_presentation
+from singular_pi1 import (GroupSpec, Homo, InputError, Presentation,
+                          free_presentation)
 from support import (element_order, iter_homs_between, standard_hom,
                      words_trivial)
 
@@ -13,6 +14,17 @@ def test_relator_images_are_checked_on_construction():
         Homo(c2, c3, (((0, 1),),))
     # the trivial map is fine
     Homo.trivial(c2, c3)
+
+
+def test_relator_images_into_presented_groups_are_checked():
+    s3 = GroupSpec.presented(Presentation(
+        ["a", "b"], [((0, 2),), ((1, 3),), ((0, 1), (1, 1)) * 2]))
+    c3 = GroupSpec.cyclic(3)
+    # a has order 2, so g -> a breaks g^3; g -> b keeps it
+    with pytest.raises(InputError, match=r"relator g\^3 maps to a non-trivial"):
+        Homo(c3, s3, (((0, 1),),))
+    Homo(c3, s3, (((1, 1),),))
+    assert len(list(iter_homs_between(c3, s3))) == 3
 
 
 def test_structural_validation():
