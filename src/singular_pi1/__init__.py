@@ -19,7 +19,7 @@ from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import (IncidenceGraph, OracleReport, attach_connected,
                      compare, enumerate_descent_data, groupoid_cardinality)
-from .pi1 import (DerivationStep, Pi1Result, class_witness, pi1_devissage,
+from .pi1 import (DerivationStep, Pi1Result, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, free_presentation,
                            quotient_by_relations, tietze_simplify)

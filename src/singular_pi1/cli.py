@@ -245,8 +245,14 @@ def parse_args(argv):
             if kind is bool and value is not None or \
                     isinstance(kind, tuple) and value not in kind:
                 raise ValueError(f"{flag} cannot take {value!r}")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{flag} cannot take {value!r}") from None
             args[flag[2:].replace("-", "_")] = True if kind is bool \
-                else int(value) if kind is int else value
+                else value
         if len(paths) != 1 or unknown:
             raise ValueError("unrecognized arguments: " + " ".join(
                 unknown + paths[1:]) if paths else "a path is required")

@@ -24,7 +24,7 @@ list as it goes; a part of the result is known by its root node id.
 
 from dataclasses import dataclass, field
 
-from .expression import add_node, closure_witness, piece
+from .expression import add_node, piece
 from .presentation import (free_presentation, free_product,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
@@ -221,11 +221,12 @@ def _devissage(cfg, form, order, nodes, steps):
         asm = vk_assemble(left_raw, raw, leg_pairs, form)
 
         glued = {}
-        for comp in complement.components:
-            glued[comp.id] = asm.right_offset + images[comp.id]
         for comp in patch.components:
-            # overlap components resolve to the patch-side copy
             glued[comp.id] = asm.left_offset + left_images[comp.id]
+        for comp in complement.components:
+            # overlap components resolve to the accumulated copy, so no
+            # shift letter conjugates them at the next split
+            glued[comp.id] = asm.right_offset + images[comp.id]
 
         root = add_node(nodes, "vk", pi=left, pi_prime=root, legs=leg_refs)
         steps.append(DerivationStep(
@@ -235,9 +236,3 @@ def _devissage(cfg, form, order, nodes, steps):
              "form": form}))
         raw, images = asm.presentation, glued
     return root, raw, images
-
-
-def class_witness(result: Pi1Result):
-    """Replay which closure rule admits each node of the result's
-    expression."""
-    return closure_witness(result.expression)

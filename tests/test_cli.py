@@ -567,6 +567,17 @@ class TestArgv:
         assert error.startswith("singular-pi1: error: ")
 
 
+    @pytest.mark.parametrize("flag", ["--bound-order", "--bound-degree",
+                                      "--ceiling", "--degree-max"])
+    def test_non_integer_value_names_its_flag(self, capsys, flag):
+        assert main(["verify", P, flag, "abc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] \
+            == f"singular-pi1: error: {flag} cannot take 'abc'"
+        assert "invalid literal" not in err
+
+
 def test_closed_stdout_exits_3_without_a_traceback(tmp_path):
     # about 240 KB of output, far more than a pipe holds, so the write
     # after the reader has gone fails every time

@@ -5,7 +5,7 @@ from math import factorial
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, Presentation,
                           ResourceError, SchemeConfig, Singular,
-                          class_witness, compare, count_homs, free_rank,
+                          closure_witness, compare, count_homs, free_rank,
                           pi1_devissage, pi1_graph_of_groups)
 from support import (chain_config, family_config, load_corpus, nodal_config,
                      random_general_config, random_trivial_config,
@@ -128,6 +128,17 @@ class TestDevissage:
             == n - 1
         assert not res.presentation.generators
 
+    def test_theta_relators_stay_short(self):
+        # overlap components resolve to the accumulated copy, so shift
+        # letters do not pile up on them from one split to the next
+        for n in (16, 64):
+            res = pi1_devissage(family_config("theta", n))
+            assert max(len(r) for r in res.presentation.relators) == 12
+        cfg = family_config("theta", 16)
+        for d in (2, 3):
+            assert count_homs(pi1_devissage(cfg).presentation, d) \
+                == count_homs(pi1_graph_of_groups(cfg).presentation, d)
+
 
 class TestClosedForm:
     def test_nodal_is_free_of_rank_one(self):
@@ -237,7 +248,7 @@ class TestGraphOfGroups:
         res = pi1_graph_of_groups(nontrivial_Z_config())
         assert root_of(res) == {"type": "quotient", "child": 3,
                                 "relations": 2}
-        trace = class_witness(res)
+        trace = closure_witness(res.expression)
         assert trace[-1] == {"node": 4, "kind": "quotient",
                              "rule": "closure-under-quotients"}
         assert [e["kind"] for e in trace] == \
@@ -247,16 +258,17 @@ class TestGraphOfGroups:
 class TestClassWitness:
     def test_atom_rule(self):
         cfg = SchemeConfig([Component("A", C2)], [], [])
-        trace = class_witness(pi1_devissage(cfg))
+        trace = closure_witness(pi1_devissage(cfg).expression)
         assert trace == [{"node": 0, "kind": "atom",
                           "rule": "etale-fundamental-group-of-normal-scheme"}]
 
     def test_nodal_closed_form_is_free_rule(self):
-        trace = class_witness(pi1_graph_of_groups(nodal_config()))
+        trace = closure_witness(
+            pi1_graph_of_groups(nodal_config()).expression)
         assert trace[0]["rule"] == "finite-rank-discrete-free-group"
 
     def test_devissage_trace_nests_closure_steps(self):
-        trace = class_witness(pi1_devissage(theta_config()))
+        trace = closure_witness(pi1_devissage(theta_config()).expression)
         rules = {entry["rule"] for entry in trace}
         assert "closure-under-fibered-coproducts-and-quotients" in rules
         assert len(trace) >= 3

@@ -10,7 +10,8 @@ the non-trivial S3/C2 one unless named):
 * the default route on chain, star and theta at N = 64, 128, 256 and
   1024;
 * ``--route devissage --form iv`` on theta at N = 6 and 8;
-* ``--route devissage`` (form i) on chain at N = 64 and 128;
+* ``--route devissage`` (form i) on chain at N = 64 and 128, and on
+  theta and star at N = 64, 128 and 256;
 * ``--route devissage`` on the trivial chain at N = 1000 and 2000.
 
 One CLI call per row runs in a fresh interpreter under the default
@@ -39,6 +40,8 @@ ROWS = [("nontrivial", family, n, ()) for n in (64, 128, 256, 1024)
        for n in (6, 8)] \
     + [("nontrivial", "chain", n, ("--route", "devissage"))
        for n in (64, 128)] \
+    + [("nontrivial", family, n, ("--route", "devissage"))
+       for family in ("theta", "star") for n in (64, 128, 256)] \
     + [("trivial", "chain", n, ("--route", "devissage"))
        for n in (1000, 2000)]
 
