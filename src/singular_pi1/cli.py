@@ -6,6 +6,7 @@ All output is JSON on stdout (or ``--output``).  Exit codes: 0 success,
 bad command line, 3 schema or I/O problem, 4 a resource bound exceeded.
 """
 
+import gc
 import json
 import os
 import re
@@ -287,6 +288,22 @@ def _run(args):
 
 
 def main(argv=None):
+    """Run one command line and return its exit code.
+
+    The objects of the import are frozen for the call, so the
+    collector's passes visit only what the call allocates; a host that
+    froze objects itself keeps its freeze, and the call runs without."""
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _main(argv):
     stream = sys.stdout
     try:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))

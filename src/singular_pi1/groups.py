@@ -344,8 +344,14 @@ class GroupSpec:
             if not 0 <= s < len(images):
                 raise InputError(f"unknown generator {s} for {self}")
             g = images[s] if e > 0 else invert(images[s])
-            for _ in range(abs(e)):
-                acc = compose(acc, g)
+            # acc g^|e| by repeated squaring: the powers of g commute
+            n = abs(e)
+            while n:
+                if n & 1:
+                    acc = compose(acc, g)
+                n >>= 1
+                if n:
+                    g = compose(g, g)
         return acc
 
     # -- identity ---------------------------------------------------------

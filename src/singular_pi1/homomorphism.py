@@ -8,32 +8,26 @@ uses declared target generators only, and every source relator
 evaluates to the identity of the target.
 """
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .groups import GroupSpec
 from .words import reduce, render, substitute
 
 
-@dataclass
 class Homo:
-    source: GroupSpec
-    target: GroupSpec
-    images: tuple
-
-    def __post_init__(self):
-        for side in (self.source, self.target):
+    def __init__(self, source, target, images):
+        self.source, self.target = source, target
+        for side in (source, target):
             if not isinstance(side, GroupSpec):
                 raise InputError(f"expected a GroupSpec, got {side!r}")
-        names = self.source.canonical_presentation.generators
-        images = tuple(self.images)
+        names = source.canonical_presentation.generators
+        images = tuple(images)
         if len(images) != len(names):
             detail = (f"missing images for {sorted(names[len(images):])}"
                       if len(images) < len(names) else
                       f"images for undeclared "
                       f"{list(range(len(names), len(images)))}")
             raise InputError("invalid homomorphism: " + detail)
-        n_dst = len(self.target.canonical_presentation.generators)
+        n_dst = len(target.canonical_presentation.generators)
         for name, w in zip(names, images):
             if not isinstance(w, tuple):
                 raise InputError(f"image of {name} is not a word")
@@ -44,9 +38,9 @@ class Homo:
                     f"{sorted(bad)}")
         self.images = tuple(map(reduce, images))
         by_generator = dict(enumerate(self.images))
-        for r in self.source.canonical_presentation.relators:
-            value = self.target.evaluate(substitute(r, by_generator))
-            if value != self.target.identity_element:
+        for r in source.canonical_presentation.relators:
+            value = target.evaluate(substitute(r, by_generator))
+            if value != target.identity_element:
                 raise InputError(
                     f"invalid homomorphism: relator {render(r, names)} "
                     f"maps to a non-trivial element")

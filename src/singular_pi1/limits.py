@@ -5,17 +5,19 @@ numbers.  The defaults keep all bundled computations in the seconds
 range; raise them at your own risk.
 """
 
-import dataclasses
+from collections import namedtuple
 
 
-@dataclasses.dataclass(frozen=True)
-class Limits:
-    order_bound: int = 5040      # largest allowed finite group order
-    degree_bound: int = 5        # largest symmetric-group degree for counting
-    ceiling: int = 10 ** 8       # largest admissible estimated work
+class Limits(namedtuple("Limits", "order_bound degree_bound ceiling",
+                        defaults=(5040, 5, 10 ** 8))):
+    """Three bounds, frozen, compared and hashed by value: the largest
+    allowed finite group order, the largest symmetric-group degree for
+    counting, and the largest admissible estimated work."""
+
+    __slots__ = ()
 
     def replace(self, **kw):
-        return dataclasses.replace(self, **kw)
+        return self._replace(**kw)
 
 
 DEFAULT_LIMITS = Limits()

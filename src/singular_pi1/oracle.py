@@ -41,13 +41,11 @@ follow from the plain ones at degrees ``1..d``: each side applies
 Hall's formula to its own numbers.
 """
 
-import logging
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from itertools import groupby, product
 from math import factorial, prod
 from operator import itemgetter
-from typing import Optional
 
 from .errors import ResourceError
 from .homcount import count_homs, transitive_counts
@@ -55,17 +53,25 @@ from .limits import DEFAULT_LIMITS
 from .perms import table
 from .scheme import ensure_valid
 
-log = logging.getLogger(__name__)
+
+def _debug(message, *args):
+    """Log at DEBUG, through ``logging`` only if the host imported it: a
+    host that configures logging has, and an unconfigured one drops the
+    record, so the CLI need not pay for the import."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(message, *args)
 
 
-@dataclass
 class OracleReport:
-    degree: int
-    rigid_count: int
-    groupoid_cardinality: Fraction
-    presentation_count: int
-    verdict: bool
-    connected: Optional[dict] = None
+    def __init__(self, degree, rigid_count, groupoid_cardinality,
+                 presentation_count, verdict, connected=None):
+        self.degree = degree
+        self.rigid_count = rigid_count
+        self.groupoid_cardinality = groupoid_cardinality   # a Fraction
+        self.presentation_count = presentation_count
+        self.verdict = verdict
+        self.connected = connected   # a dict once attach_connected ran
 
     def to_json(self):
         out = {"degree": self.degree,
@@ -349,8 +355,8 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
                 + sum(domains[c] * domains[s]
                       for c, s, _, _ in distinct.values())
                 + elimination)
-    log.debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
-              d, domains, estimate, limits.ceiling)
+    _debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
+           d, domains, estimate, limits.ceiling)
     if estimate > limits.ceiling:
         raise ResourceError(
             f"cover contraction estimate {estimate} exceeds ceiling "

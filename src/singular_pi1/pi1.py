@@ -22,8 +22,6 @@ return.  The dévissage appends to one node table and one derivation
 list as it goes; a part of the result is known by its root node id.
 """
 
-from dataclasses import dataclass, field
-
 from .expression import add_node, piece
 from .presentation import (free_presentation, free_product,
                            quotient_by_relations, tietze_simplify)
@@ -33,25 +31,27 @@ from .vk import vk_assemble
 from .words import inverse, reduce, shift
 
 
-@dataclass
 class DerivationStep:
-    rule: str
-    node: int                # id of the expression node this step produced
-    inputs: dict
+    def __init__(self, rule, node, inputs):
+        self.rule = rule
+        self.node = node         # id of the expression node this step produced
+        self.inputs = inputs
 
     def to_json(self):
         return {"theorem": self.rule, "node": self.node,
                 "inputs": self.inputs}
 
 
-@dataclass
 class Pi1Result:
-    expression: list               # node table, see ``expression``
-    presentation: object           # tietze-simplified lowering
-    raw_presentation: object       # lowering before simplification
-    derivation: list
-    # component id -> offset of its generators in raw_presentation
-    component_images: dict = field(default_factory=dict)
+    def __init__(self, expression, presentation, raw_presentation,
+                 derivation, component_images=None):
+        self.expression = expression   # node table, see ``expression``
+        self.presentation = presentation   # tietze-simplified lowering
+        self.raw_presentation = raw_presentation   # before simplification
+        self.derivation = derivation
+        # component id -> offset of its generators in raw_presentation
+        self.component_images = {} if component_images is None \
+            else component_images
 
 
 def _branch_leg_pairs(branch):

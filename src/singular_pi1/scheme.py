@@ -16,40 +16,32 @@ the one walk over the splits of a dévissage order.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InputError
-from .groups import GroupSpec
-from .homomorphism import Homo
 
 
-@dataclass
 class Component:
-    id: str
-    group: GroupSpec
+    def __init__(self, id, group):
+        self.id, self.group = id, group
 
 
-@dataclass
 class Singular:
-    id: str
-    group: GroupSpec
+    def __init__(self, id, group):
+        self.id, self.group = id, group
 
 
-@dataclass
 class Branch:
-    id: str
-    component: str
-    singular: str
-    group: GroupSpec
-    psi: Homo   # into the component's group
-    phi: Homo   # into the singular piece's group
+    def __init__(self, id, component, singular, group, psi, phi):
+        self.id, self.component, self.singular = id, component, singular
+        self.group = group
+        self.psi = psi   # Homo into the component's group
+        self.phi = phi   # Homo into the singular piece's group
 
 
-@dataclass
 class SchemeConfig:
-    components: list
-    singulars: list
-    branches: list
+    def __init__(self, components, singulars, branches):
+        self.components, self.singulars = components, singulars
+        self.branches = branches
 
     @property
     def n(self):
@@ -83,12 +75,10 @@ class SchemeConfig:
         return seen
 
 
-@dataclass
 class ValidationResult:
-    ok: bool
-    invariant: str = ""
-    message: str = ""
-    ids: tuple = ()
+    def __init__(self, ok, invariant="", message="", ids=()):
+        self.ok, self.invariant = ok, invariant
+        self.message, self.ids = message, ids
 
     def to_json(self):
         if self.ok:
@@ -289,14 +279,14 @@ def _connected_prefixes(cfg, order):
     return tuple(order)
 
 
-@dataclass
 class IntersectionReport:
-    S: tuple                 # components in both sides
-    S1: tuple                # components of the patch
-    S2: tuple                # components of the complement
-    m_tilde_1: int           # branches over the split piece
-    m_tilde_2: int           # branches over the rest
-    d: int                   # number of overlap pieces
+    def __init__(self, S, S1, S2, m_tilde_1, m_tilde_2, d):
+        self.S = S                   # components in both sides
+        self.S1 = S1                 # components of the patch
+        self.S2 = S2                 # components of the complement
+        self.m_tilde_1 = m_tilde_1   # branches over the split piece
+        self.m_tilde_2 = m_tilde_2   # branches over the rest
+        self.d = d                   # number of overlap pieces
 
     def to_json(self):
         return {"S": list(self.S), "S1": list(self.S1), "S2": list(self.S2),

@@ -20,8 +20,6 @@ that, together with the explicit mutually inverse generator maps
 between forms i and ii (``check_vk_forms`` in ``tests/support.py``).
 """
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 from .presentation import (Presentation, fibered_coproduct, free_product,
                            quotient_by_relations)
@@ -55,17 +53,20 @@ def copy_shift(i, j, s):
     return reduce(w)
 
 
-@dataclass
 class VKAssembly:
     """An assembled presentation plus the offsets of its ingredients:
     generator ``x`` of ``pi`` is ``left_offset + x``, generator ``y`` of
     copy 1 of ``pi_prime`` is ``right_offset + y``, and ``v_j`` is
     ``shift_offset + j - 2``."""
-    presentation: Presentation
-    left_offset: int
-    right_offset: int
-    shift_offset: int
-    right_copy_offsets: list = field(default_factory=list)  # form ii
+
+    def __init__(self, presentation, left_offset, right_offset,
+                 shift_offset, right_copy_offsets=None):
+        self.presentation = presentation
+        self.left_offset = left_offset
+        self.right_offset = right_offset
+        self.shift_offset = shift_offset
+        self.right_copy_offsets = [] if right_copy_offsets is None \
+            else right_copy_offsets   # form ii
 
     def conjugated_by_shift(self, i, word):
         """``u_1i^-1 * word * u_1i`` inside the assembled presentation."""

@@ -16,10 +16,12 @@ the plain restart-from-the-first-relator Tietze loop that the library's
 indexed pass must reproduce exactly; ``power_reference`` and
 ``cyclically_reduced_reference`` are the syllable-by-syllable loops
 that ``words.power`` and ``words.cyclically_reduce`` must reproduce,
-and ``cyclic_key_reference`` is the rotation list that ``cyclic_key``
-must reproduce.  ``argparse_reference`` is the ``argparse`` parser whose
-outcomes ``cli.parse_args`` must reproduce.  Words are tuples of
-``(generator index, exponent)`` syllables, as in the package.
+``cyclic_key_reference`` is the rotation list that ``cyclic_key``
+must reproduce, and ``evaluate_reference`` is the letter-by-letter
+loop that ``GroupSpec.evaluate`` must reproduce.  ``argparse_reference``
+is the ``argparse`` parser whose outcomes ``cli.parse_args`` must
+reproduce.  Words are tuples of ``(generator index, exponent)``
+syllables, as in the package.
 """
 
 import argparse
@@ -113,6 +115,17 @@ def power_reference(word, n):
     for _ in range(n):
         out = reduce(out + word)
     return out
+
+
+def evaluate_reference(group, word):
+    """``GroupSpec.evaluate`` as one composition per unit of exponent."""
+    images = group.generator_elements
+    acc = group.identity_element
+    for s, e in word:
+        g = images[s] if e > 0 else invert(images[s])
+        for _ in range(abs(e)):
+            acc = compose(acc, g)
+    return acc
 
 
 def cyclic_key_reference(word):

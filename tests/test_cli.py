@@ -1,13 +1,16 @@
 import contextlib
+import gc
 import inspect
 import io
 import json
+import logging
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -594,3 +597,95 @@ def test_closed_stdout_exits_3_without_a_traceback(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 3
     assert err == b""
+
+
+class TestCollector:
+    """``main`` freezes what the import allocated for the length of the
+    call and leaves no freeze behind, however the call ends."""
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        """The freeze count inside each call, seen by ``_run``."""
+        seen, run_ = [], cli._run
+
+        def spy(args):
+            seen.append(gc.get_freeze_count())
+            return run_(args)
+        monkeypatch.setattr(cli, "_run", spy)
+        return seen
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "nodal"], 0),
+        (["verify", "nodal", "--degree-max", "1"], 2),
+        (["validate", "missing"], 3),
+        (["verify", "nodal", "--ceiling", "0"], 4),
+    ])
+    def test_each_exit_code_unfreezes(self, capsys, freezes, argv, code):
+        argv[1] = config_path(argv[1])
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == code
+        assert freezes[0] > 0 and gc.get_freeze_count() == 0
+
+    def test_a_usage_error_unfreezes(self, capsys):
+        assert main(["validate"]) == 2
+        assert gc.get_freeze_count() == 0
+
+    def test_a_closed_stdout_unfreezes(self, monkeypatch, freezes):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            monkeypatch.setattr(sys, "stdout", Closed())
+            assert main(["validate", config_path("nodal")]) == 3
+        finally:
+            os.close(fd)
+        assert freezes[0] > 0 and gc.get_freeze_count() == 0
+
+    def test_an_escaping_exception_unfreezes(self, monkeypatch):
+        def fail(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "_run", fail)
+        with pytest.raises(KeyboardInterrupt):
+            main(["validate", config_path("nodal")])
+        assert gc.get_freeze_count() == 0
+
+    def test_a_host_freeze_is_left_alone(self, capsys, freezes):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["validate", config_path("nodal")]) == 0
+            assert freezes == [frozen] and gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_a_cycle_dropped_before_the_call_is_collected_after_it(
+            self, capsys, freezes):
+        class Node:
+            pass
+
+        node = Node()
+        node.cycle = node
+        ref = weakref.ref(node)
+        # no automatic pass may take the cycle before the freeze does
+        gc.disable()
+        try:
+            del node
+            assert main(["validate", config_path("nodal")]) == 0
+        finally:
+            gc.enable()
+        assert freezes[0] > 0 and ref() is not None
+        gc.collect()
+        assert ref() is None
+
+
+def test_verify_logs_the_oracle_estimate_at_debug(capsys, caplog):
+    caplog.set_level(logging.DEBUG, logger="singular_pi1.oracle")
+    assert main(["verify", config_path("nodal"), "--degree-max", "2"]) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "singular_pi1.oracle"] == [
+        "oracle degree 2: classes [1, 1], estimate 8, ceiling 100000000"]

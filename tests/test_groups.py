@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from singular_pi1 import (GroupSpec, InputError, Presentation, ResourceError,
-                          count_homs)
+from singular_pi1 import (GroupSpec, Homo, InputError, Presentation,
+                          ResourceError, count_homs)
 from singular_pi1.perms import compose, identity, invert
-from support import element_order, element_words, group_elements
+from support import (element_order, element_words, evaluate_reference,
+                     group_elements)
 
 A, B = 0, 1          # the generators of Presentation(["a", "b"], ...)
 AB = ((A, 1), (B, 1))
@@ -140,6 +142,28 @@ def test_element_words_evaluate_back():
         words = element_words(spec)
         for el in group_elements(spec):
             assert spec.evaluate(words[el]) == el
+
+
+def test_evaluate_matches_the_letter_by_letter_loop():
+    rng = random.Random(17)
+    for spec in every_kind() + [GroupSpec.cyclic(9), GroupSpec.symmetric(4)]:
+        n = len(spec.generator_elements)
+        for _ in range(40):
+            # exponents of either sign, up to three times the order
+            word = tuple((rng.randrange(n), rng.choice((-1, 1))
+                          * rng.randint(0, 3 * spec.order + 2))
+                         for _ in range(rng.randint(0, 6) if n else 0))
+            assert spec.evaluate(word) == evaluate_reference(spec, word), \
+                (spec, word)
+
+
+def test_large_powers_evaluate_by_squaring():
+    c = GroupSpec.cyclic(5040)
+    a = c.generator_elements[0]
+    assert c.evaluate(((0, 5040),)) == c.identity_element
+    assert c.evaluate(((0, 5041),)) == a
+    assert c.evaluate(((0, -1),)) == c.evaluate(((0, 5039),)) == invert(a)
+    assert Homo(c, c, [((0, 1),)]).images == (((0, 1),),)
 
 
 def test_element_orders_and_inverses():

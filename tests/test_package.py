@@ -1,11 +1,21 @@
-"""The package's shape: which modules may import which, and the library
-entry points README documents."""
+"""The package's shape: which modules may import which, what importing
+the CLI loads, the library entry points README documents, and the one
+value record, ``Limits``."""
 
 import ast
+import copy
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
+
+import pytest
+
+from singular_pi1 import DEFAULT_LIMITS, Limits
 
 PACKAGE = Path(resources.files("singular_pi1"))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,6 +65,35 @@ def test_the_oracle_shares_no_counting_code_with_the_hom_counter():
                 used.setdefault(node.id, set()).add(getattr(top, "name", None))
     assert used == {"count_homs": {"compare"},
                     "transitive_counts": {"attach_connected"}}
+
+
+def test_the_cli_import_leaves_out_dataclasses_inspect_and_logging():
+    # each costs every CLI call its import; compared with what the bare
+    # interpreter already holds, as a host may have imported them
+    script = ("import json, sys; bare = set(sys.modules); "
+              "import singular_pi1.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - bare)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    added = json.loads(subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, check=True).stdout)
+    assert "singular_pi1.cli" in added
+    assert not {"dataclasses", "inspect", "logging"} & set(added)
+
+
+def test_limits_are_a_frozen_value():
+    tight = Limits(ceiling=10)
+    assert tight == Limits(5040, 5, 10) == DEFAULT_LIMITS.replace(ceiling=10)
+    assert tight != DEFAULT_LIMITS and hash(tight) == hash(Limits(ceiling=10))
+    assert tight.replace(order_bound=7) == Limits(7, 5, 10)
+    assert tight == Limits(ceiling=10)            # replace copies
+    assert pickle.loads(pickle.dumps(tight)) == copy.copy(tight) == tight
+    assert repr(tight) == "Limits(order_bound=5040, degree_bound=5, " \
+        "ceiling=10)"
+    with pytest.raises(AttributeError):
+        tight.ceiling = 0
+    with pytest.raises(ValueError):
+        tight.replace(bound=1)
 
 
 def test_readme_library_entry_points_run():
