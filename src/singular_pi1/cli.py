@@ -19,7 +19,7 @@ from .limits import DEFAULT_LIMITS
 from .oracle import IncidenceGraph, attach_connected, compare
 from .pi1 import pi1_devissage, pi1_graph_of_groups
 from .scheme import devissage_order, devissage_splits, free_rank, validate
-from .schema import parse_scheme_config, pi1_result_to_json
+from .schema import json_text, parse_scheme_config, pi1_result_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -267,7 +267,7 @@ def _run(args):
     """Exit code and JSON text of one command, or of its error."""
     try:
         code, payload = _COMMANDS[args.command][0](args, _limits_from(args))
-        return code, json.dumps(payload, indent=2)
+        return code, json_text(payload)
     except SchemaError as exc:
         code, payload = EXIT_SCHEMA, {"error": {
             "kind": "schema", "path": exc.path, "message": exc.message}}
@@ -284,7 +284,7 @@ def _run(args):
             "kind": "resource", "layer": "pi1", "estimate": None,
             "ceiling": None, "message": "Python's recursion limit was "
             "exceeded"}}
-    return code, json.dumps(payload, indent=2)
+    return code, json_text(payload)
 
 
 def main(argv=None):
@@ -319,9 +319,9 @@ def _main(argv):
                 return code
         except OSError as exc:
             # the error object goes to stdout: the output file is unusable
-            code, text = EXIT_SCHEMA, json.dumps({"error": {
+            code, text = EXIT_SCHEMA, json_text({"error": {
                 "kind": "schema", "path": "--output",
-                "message": f"cannot write {args.output}: {exc}"}}, indent=2)
+                "message": f"cannot write {args.output}: {exc}"}})
     try:
         print(text, file=stream, flush=True)
     except BrokenPipeError:

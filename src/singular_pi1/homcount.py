@@ -45,6 +45,7 @@ is known before any counting starts.
 """
 
 from collections import Counter
+from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
 
@@ -59,8 +60,9 @@ _component_cache = {}
 def _split_components(n_gens, relators):
     """Group generators linked through shared relators.
 
-    Returns ``(components, free_gens)`` where each component is a pair
-    ``(gen index tuple, relator tuple)``.
+    Returns ``(components, free)`` where each component is a pair
+    ``(gen index tuple, relator tuple)`` and ``free`` is the number of
+    generators in no relator.
     """
     parent = list(range(n_gens))
 
@@ -90,8 +92,7 @@ def _split_components(n_gens, relators):
         gen_set = set(gens)
         rels = tuple(r for r in relators if r and r[0][0] in gen_set)
         components.append((gens, rels))
-    free_gens = tuple(g for g in range(n_gens) if g not in in_relator)
-    return components, free_gens
+    return components, n_gens - len(in_relator)
 
 
 def _value(rel, asg, T):
@@ -304,10 +305,10 @@ class _Elimination:
         return count
 
 
-def _component_key(gens, relators, d):
+def _component_key(gens, relators):
     slot = {g: i for i, g in enumerate(gens)}
     rels = tuple(sorted(tuple((slot[s], e) for s, e in r) for r in relators))
-    return (len(gens), rels, d)
+    return (len(gens), rels)
 
 
 def _check_degree(d, limits):
@@ -319,32 +320,42 @@ def _check_degree(d, limits):
             layer="homcount")
 
 
+@lru_cache(maxsize=1)
+def _components(p):
+    """The degree-free part of a count: the keys of the components of
+    ``p`` simplified, and the number of its generators in no relator.
+    ``present --degrees`` and ``verify`` count one presentation at each
+    degree in turn, so the last one is kept."""
+    p = tietze_simplify(p)
+    components, free = _split_components(len(p.generators), p.relators)
+    keys = tuple(_component_key(gens, rels) for gens, rels in components)
+    return keys, free
+
+
 def _plan(p, d, limits):
     """Simplify ``p``, split it into components, plan each, and gate the
     estimated work."""
-    p = tietze_simplify(p)
-    components, free_gens = _split_components(len(p.generators), p.relators)
+    keys, free = _components(p)
     T = table(d)
     plans = []
-    for gens, rels in components:
-        key = _component_key(gens, rels, d)
-        plan = _component_cache.get(key)
+    for key in keys:
+        plan = _component_cache.get((key, d))
         if plan is None:
-            plan = _component_cache[key] = _Elimination(key[0], key[1], T)
+            plan = _component_cache[key, d] = _Elimination(*key, T)
         plans.append(plan)
     cost = sum(plan.estimate for plan in plans)
     if cost > limits.ceiling:
         raise ResourceError(
             f"hom search space {cost} exceeds ceiling {limits.ceiling}",
             estimate=cost, ceiling=limits.ceiling, layer="homcount")
-    return plans, free_gens, T
+    return plans, free, T
 
 
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(d, limits)
-    plans, free_gens, T = _plan(p, d, limits)
+    plans, free, T = _plan(p, d, limits)
     total = 1
     for plan in plans:
         if plan.count is None:
@@ -352,7 +363,7 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
         total *= plan.count
         if total == 0:
             break
-    return total * T.size ** len(free_gens)
+    return total * T.size ** free
 
 
 def transitive_counts(counts):

@@ -150,9 +150,15 @@ def _eliminable_syllable(relator, where):
     ``(generator, replacement word)``, so that the relator is equivalent
     to ``generator = replacement``, or ``None``.
     """
-    counts = Counter(g for g, _ in relator)
-    eliminable = [pos for pos, (g, e) in enumerate(relator)
-                  if abs(e) == 1 and counts[g] == 1]
+    gens = [g for g, _ in relator]
+    if len(set(gens)) == len(gens):
+        # no generator repeats: every syllable of exponent ±1 qualifies
+        eliminable = [pos for pos, (_, e) in enumerate(relator)
+                      if e == 1 or e == -1]
+    else:
+        counts = Counter(gens)
+        eliminable = [pos for pos, (g, e) in enumerate(relator)
+                      if abs(e) == 1 and counts[g] == 1]
     if not eliminable:
         return None
     # min() keeps the first of equal counts
@@ -186,7 +192,8 @@ def tietze_eliminations(p):
     heap of positions, checked when popped, for the next eliminable
     relator.  A step thus costs time linear in the syllables of the
     relators it rewrites, plus a logarithm per heap entry, except that
-    a relator's cyclic key is quadratic in its syllable count.  A step
+    a relator's cyclic key costs its syllable count times the number of
+    times its least syllable occurs (``words.cyclic_key``).  A step
     rewrites every relator that uses the generator it eliminates;
     choosing the least used one keeps a hub generator, shared by the
     relators of many pieces, from being renamed piece by piece, so the

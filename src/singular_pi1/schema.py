@@ -27,6 +27,8 @@ semantic problems (a map that is not a homomorphism, a group over the
 order bound) raise ``InputError``/``ResourceError``.
 """
 
+from json.encoder import encode_basestring_ascii as _quote
+
 from .errors import InputError, SchemaError
 from .groups import GroupSpec
 from .homomorphism import Homo
@@ -327,3 +329,80 @@ def pi1_result_to_json(result, simplified=True):
         "presentation": presentation_to_json(pres),
         "derivation": [step.to_json() for step in result.derivation],
     }
+
+
+def json_text(value):
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, byte for
+    byte.
+
+    ``value`` is made of dicts with str keys, lists, str, int, bool and
+    None; anything else raises ``TypeError``.  Strings go through the C
+    function ``json.dumps`` quotes them with.  With ``indent`` set the
+    stdlib runs its pure-Python encoder, a chain of generators, which
+    this writer, appending to one list, outruns.  Every int is written
+    exactly, also one over the interpreter's digit limit for ``str``,
+    where ``json.dumps`` raises ``ValueError``.
+    """
+    out = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, newline, put):
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(_int_text(value))
+    elif isinstance(value, list):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
+        for x in value:
+            put(sep)
+            _write(x, inner, put)
+            sep = comma
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for k, x in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep)
+            put(_quote(k))
+            put(": ")
+            _write(x, inner, put)
+            sep = comma
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+
+_CHUNK_DIGITS = 500     # under 640, the least digit limit Python allows
+
+
+def _int_text(n):
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        # over the digit limit: convert in chunks, each under any limit
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, r = divmod(n, 10 ** _CHUNK_DIGITS)
+        chunks.append(r)
+    return sign + str(chunks.pop()) + "".join(
+        f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))

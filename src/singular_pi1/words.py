@@ -108,16 +108,24 @@ def render(word, names):
                     for g, e in word)
 
 
-def _least_rotation(word):
-    if not word:
-        return word
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 def cyclic_key(word):
-    """Canonical key identifying a cyclic word up to rotation and inversion.
+    """Canonical key identifying a cyclic word up to rotation and inversion:
+    the least rotation of the cyclically reduced word or of its inverse.
 
-    The inverse of a cyclically reduced word is cyclically reduced.
+    The inverse of a cyclically reduced word is cyclically reduced.  A
+    least rotation starts at a least syllable, so only the rotations
+    that start at the least syllable of either side are built, and of
+    one side only when its least syllable is strictly smaller.
     """
     word = cyclically_reduce(word)
-    return min(_least_rotation(word), _least_rotation(inverse(word)))
+    if len(word) == 1:
+        (g, e), = word
+        return ((g, -abs(e)),)
+    if not word:
+        return word
+    inv = inverse(word)
+    m, m_inv = min(word), min(inv)
+    sides = (word,) if m < m_inv else (inv,) if m_inv < m else (word, inv)
+    m = min(m, m_inv)
+    return min(w[i:] + w[:i] for w in sides
+               for i, x in enumerate(w) if x == m)

@@ -241,6 +241,41 @@ class TestPresent:
         assert code == 0
         assert doc["hom_counts"] == {"5": closed_family_homs("chain", 3, 5)}
 
+    def test_a_count_over_the_digit_limit_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(scheme_config_to_json(
+            family_config("theta", 2100, nontrivial=False))))
+        limit = sys.get_int_max_str_digits()
+        code = main(["present", str(path), "--degrees", "5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            count = json.loads(out)["hom_counts"]["5"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert count == 120 ** 2099
+
+    def test_counts_at_several_degrees_simplify_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import singular_pi1.homcount as homcount
+        import singular_pi1.presentation as presentation
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config("chain", 3))))
+        calls, real = [], presentation.tietze_eliminations
+        monkeypatch.setattr(presentation, "tietze_eliminations",
+                            lambda p: calls.append(p) or real(p))
+        homcount._components.cache_clear()
+        code, doc = run(capsys, "present", str(path),
+                        "--degrees", "2,3,4,5")
+        assert code == 0
+        # once for the output, once for the counts
+        assert len(calls) == 2
+        assert doc["hom_counts"] == {str(d): closed_family_homs("chain", 3, d)
+                                     for d in (2, 3, 4, 5)}
+
     def test_malformed_degrees_is_an_input_error(self, capsys):
         code, doc = run(capsys, "present", config_path("nodal"),
                         "--degrees", "2,x")

@@ -1,4 +1,8 @@
 import json
+import random
+import sys
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -8,7 +12,8 @@ from singular_pi1 import (InputError, Presentation, SchemaError,
                           presentation_to_json, scheme_config_to_json,
                           validate)
 from singular_pi1.cli import main
-from singular_pi1.schema import parse_group, group_to_json, parse_word, word_to_json
+from singular_pi1.schema import (group_to_json, json_text, parse_group,
+                                 parse_word, word_to_json)
 from support import load_corpus
 
 
@@ -300,3 +305,66 @@ class TestResultSerialization:
             doc = json.loads(capsys.readouterr().out)
             assert code == 0, (name, doc)
             check_node_table(doc)
+
+
+# quotes, backslashes, control characters, non-ASCII text, an astral
+# character and lone surrogates
+CHARS = list("ab Z09_.") + ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                             "\u00e9", "\u20ac", "\U0001d11e", "\ud800",
+                             "\udfff"]
+
+
+def random_text(rng):
+    return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def random_value(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, rng.randint(-10 ** 30, 10 ** 30)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([[], {}, ""])
+    size = rng.randint(0, 4)
+    if kind == 4:
+        return [random_value(rng, depth + 1) for _ in range(size)]
+    return {random_text(rng): random_value(rng, depth + 1)
+            for _ in range(size)}
+
+
+class TestJsonText:
+    def test_matches_indented_dumps_on_random_values(self):
+        rng = random.Random(18)
+        for _ in range(400):
+            value = random_value(rng)
+            assert json_text(value) == json.dumps(value, indent=2)
+
+    def test_a_refusal_with_a_null_estimate(self, capsys):
+        # degree 6 is over the default degree bound: no estimate is made
+        path = resources.files("singular_pi1") / "configs" / "chain.json"
+        code = main(["present", str(path), "--degrees", "6"])
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code == 4
+        assert doc["error"]["estimate"] is None
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_an_int_over_the_digit_limit_is_exact(self):
+        value = [-(7 ** 6000), {"n": 10 ** 5000}]
+        limit = sys.get_int_max_str_digits()
+        text = json_text(value)
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == json.dumps(value, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {1: "a"},
+                                       [{"a": {("t",): 0}}]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)

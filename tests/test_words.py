@@ -70,6 +70,33 @@ def test_cyclic_key_matches_the_rotation_list():
         assert cyclic_key(word) == cyclic_key_reference(word)
 
 
+def commutator(x, y):
+    return w((x, 1), (y, 1), (x, -1), (y, -1))
+
+
+@pytest.mark.parametrize("word", [
+    # periodic words: every least syllable starts an equal rotation
+    *(power(w((A, 1), (B, 1)), k) for k in (1, 2, 5)),
+    *(power(commutator(A, B), k) for k in (1, 2, 4)),
+    power(w((A, 1), (B, -1), (C, 2)), 3),
+    # a least syllable that recurs, with different rotations after it
+    w((A, 1), (B, 1), (A, 1), (C, 1)),
+    w((A, 1), (C, 1), (A, 1), (B, 1), (A, 1), (B, -1)),
+    w((A, -1), (B, 2), (A, -1), (B, 1)),
+    # one syllable, with each sign
+    *(w((g, e)) for g in (A, C) for e in (-3, -1, 1, 2)),
+    # the least syllables of a word and its inverse tie
+    w((A, -1), (B, 1), (A, 1), (C, 1)),
+    w((A, -1), (B, 1), (A, 1), (B, -1)),
+    w((A, 1), (B, 1), (A, -1), (B, 2)),
+    w((A, -2), (B, 1), (A, 2), (B, -1)),
+])
+def test_cyclic_key_on_words_where_least_syllables_tie(word):
+    for rotation in (word[i:] + word[:i] for i in range(len(word))):
+        assert cyclic_key(rotation) == cyclic_key_reference(rotation)
+        assert cyclic_key(inverse(rotation)) == cyclic_key_reference(word)
+
+
 def test_cyclic_key_identifies_rotations_and_inverses():
     u = w((A, 1), (B, 1), (A, -1), (C, 1))
     rotated = w((C, 1), (A, 1), (B, 1), (A, -1))
