@@ -24,8 +24,7 @@ from .pi1 import (DerivationStep, Pi1Result, pi1_devissage,
 from .presentation import (Presentation, free_presentation,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
-                     Singular, ValidationResult, build_patch,
-                     build_patch_complement, check_order,
+                     Singular, ValidationResult, build_patch, check_order,
                      devissage_order, devissage_splits, ensure_valid,
                      free_rank, spanning_tree, validate)
 from .schema import (parse_scheme_config, pi1_result_to_json,

@@ -127,11 +127,16 @@ def _cmd_plan(args, limits):
         raise InputError("regular scheme, nothing to plan")
     order = devissage_order(cfg)
     splits = []
-    for scope, prefix, patch, complement, report in \
-            devissage_splits(cfg, order):
-        rank_total = free_rank(scope)
-        rank_patch = free_rank(patch)
-        rank_rest = free_rank(complement)
+    for prefix, _, report in devissage_splits(cfg, order):
+        if report is None:
+            continue
+        # every prefix is connected, so each part's rank is its
+        # m_tilde - m - n + 1 and the three add up by inclusion-exclusion
+        r, s1, s2 = len(prefix), len(report.S1), len(report.S2)
+        m1, m2 = report.m_tilde_1, report.m_tilde_2
+        rank_total = m1 + m2 - r - (s1 + s2 - report.d) + 1
+        rank_patch = m1 - 1 - s1 + 1
+        rank_rest = m2 - (r - 1) - s2 + 1
         row = report.to_json()
         row.update({
             "scope": list(prefix),
@@ -143,14 +148,14 @@ def _cmd_plan(args, limits):
                              + report.d - 1,
         })
         splits.append(row)
-    return EXIT_OK, {"order": list(order), "splits": splits}
+    # the rows read last piece first
+    return EXIT_OK, {"order": list(order), "splits": splits[::-1]}
 
 
 def _cmd_rank(args, limits):
     cfg = _load(args, limits)
-    rank = free_rank(cfg)
     return EXIT_OK, {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde,
-                     "rank": rank, "cycle_rank": rank}
+                     "rank": free_rank(cfg)}
 
 
 # every command takes a path and these flags; a flag maps to its kind (int,

@@ -9,11 +9,12 @@ route, ``pi1_devissage``, is kept as the reference it is checked
 against.  It starts from the patch of the first piece of a dévissage
 order, one glued group per component over that piece amalgamated over
 the shared copy of the piece's group, and glues each later patch onto
-the result along their overlap, walking the splits of
+the result along their overlap, in one forward walk of
 ``scheme.devissage_splits``.  Its expression has one van Kampen node
 per singular piece.
 
-Each route validates once at its entry and simplifies once at the end.
+Each route validates once at its entry and simplifies once at the end;
+the dévissage's walk validates none of its patches again.
 Results carry the raw lowered presentation, its simplification, the
 expression's node table, the derivation trace, and the location of
 every component group's generators inside the raw presentation: the
@@ -200,33 +201,31 @@ def _devissage(cfg, form, order, nodes, steps):
                                     {"component": comp.id}))
         return root, raw, {comp.id: offset}
 
-    splits = list(devissage_splits(cfg, order))
-    # the last split's complement is the first piece's patch
-    root, raw, images = _connected_singular(
-        splits[-1][3] if splits else cfg, form, nodes, steps)
-    for scope, prefix, patch, complement, report in reversed(splits):
+    for prefix, patch, report in devissage_splits(cfg, order):
         left, left_raw, left_images = _connected_singular(patch, form,
                                                           nodes, steps)
+        if report is None:
+            root, raw, images = left, left_raw, left_images
+            continue
+        groups = {c.id: c.group for c in patch.components}
         leg_pairs = []
         leg_refs = []
         for cid in report.S:
-            group = scope.component(cid).group
             lo = left_images[cid]
             ro = images[cid]
             leg_pairs.append([(((lo + g, 1),), ((ro + g, 1),)) for g in
-                              range(len(group.canonical_presentation
+                              range(len(groups[cid].canonical_presentation
                                         .generators))])
-            leg_refs.append(piece("component", cid, group))
+            leg_refs.append(piece("component", cid, groups[cid]))
 
         asm = vk_assemble(left_raw, raw, leg_pairs, form)
 
-        glued = {}
-        for comp in patch.components:
-            glued[comp.id] = asm.left_offset + left_images[comp.id]
-        for comp in complement.components:
+        glued = {cid: asm.left_offset + offset
+                 for cid, offset in left_images.items()}
+        for cid, offset in images.items():
             # overlap components resolve to the accumulated copy, so no
             # shift letter conjugates them at the next split
-            glued[comp.id] = asm.right_offset + images[comp.id]
+            glued[cid] = asm.right_offset + offset
 
         root = add_node(nodes, "vk", pi=left, pi_prime=root, legs=leg_refs)
         steps.append(DerivationStep(

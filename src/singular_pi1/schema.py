@@ -39,7 +39,9 @@ from .words import check_name, reduce
 
 
 def _expect(value, types, path, what):
-    if not isinstance(value, types):
+    # JSON true and false are never what the schema wants, though bool
+    # subclasses int
+    if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(path, f"expected {what}")
     return value
 
@@ -144,7 +146,7 @@ def parse_group(doc, path, limits=DEFAULT_LIMITS):
             p = f"{path}.generators[{i}]"
             _expect(perm, list, p, "a permutation as a list of images")
             if len(perm) != degree \
-                    or not all(isinstance(x, int) for x in perm) \
+                    or not all(type(x) is int for x in perm) \
                     or sorted(perm) != list(range(degree)):
                 raise SchemaError(p, f"not a permutation of 0..{degree - 1}")
             gens.append(tuple(perm))

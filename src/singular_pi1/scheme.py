@@ -12,7 +12,11 @@ The incidence multigraph has the components and singular pieces as
 vertices and one edge per branch.  Splitting happens along the patches
 ``build_patch(cfg, j)``: the union of components meeting singular piece
 ``j`` with the other singular pieces removed.  ``devissage_splits`` is
-the one walk over the splits of a dévissage order.
+the one walk over a dévissage order: first piece first, it gives each
+patch and its overlap with the union of the patches before it, from one
+grouping of the branches by piece and one set of covered components.
+A configuration is validated where it enters (``devissage_order``,
+``check_order``); the walk builds nothing but the patches.
 """
 
 from collections import Counter
@@ -55,24 +59,11 @@ class SchemeConfig:
     def m_tilde(self):
         return len(self.branches)
 
-    def component(self, cid):
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise InputError(f"unknown component id: {cid!r}")
-
     def singular(self, sid):
         for s in self.singulars:
             if s.id == sid:
                 return s
         raise InputError(f"unknown singular id: {sid!r}")
-
-    def component_ids_meeting(self, sid):
-        seen = []
-        for b in self.branches:
-            if b.singular == sid and b.component not in seen:
-                seen.append(b.component)
-        return seen
 
 
 class ValidationResult:
@@ -201,32 +192,21 @@ def build_patch(cfg, singular_id):
     if cfg.m < 1:
         raise InputError("a regular configuration has no patches")
     sing = cfg.singular(singular_id)
-    keep_comps = set(cfg.component_ids_meeting(singular_id))
-    comps = [c for c in cfg.components if c.id in keep_comps]
-    branches = [b for b in cfg.branches if b.singular == singular_id]
+    comps, branches = _patch_components(cfg)[singular_id]
     return SchemeConfig(comps, [sing], branches)
 
 
-def build_patch_complement(cfg, singular_id):
-    """All other singular pieces, the components meeting them, and their
-    branches."""
-    if cfg.m < 2:
-        raise InputError("a complement needs at least two singular pieces")
-    cfg.singular(singular_id)
-    sing = [s for s in cfg.singulars if s.id != singular_id]
-    keep = {s.id for s in sing}
-    branches = [b for b in cfg.branches if b.singular in keep]
-    keep_comps = {b.component for b in branches}
-    comps = [c for c in cfg.components if c.id in keep_comps]
-    return SchemeConfig(comps, sing, branches)
-
-
 def _patch_components(cfg):
-    """Singular id -> the set of components its patch contains."""
-    comps_of = {s.id: set() for s in cfg.singulars}
+    """Singular id -> the components and the branches of its patch, each
+    in declaration order."""
+    position = {c.id: k for k, c in enumerate(cfg.components)}
+    meets = {s.id: set() for s in cfg.singulars}
+    over = {s.id: [] for s in cfg.singulars}
     for b in cfg.branches:
-        comps_of[b.singular].add(b.component)
-    return comps_of
+        meets[b.singular].add(position[b.component])
+        over[b.singular].append(b)
+    return {sid: ([cfg.components[k] for k in sorted(meets[sid])], over[sid])
+            for sid in meets}
 
 
 def devissage_order(cfg):
@@ -239,22 +219,22 @@ def devissage_order(cfg):
     ensure_valid(cfg)
     if cfg.m < 1:
         raise InputError("a regular configuration admits no ordering")
-    comps_of = _patch_components(cfg)
+    patches = _patch_components(cfg)
     remaining = [s.id for s in cfg.singulars]
     order = [remaining.pop(0)]
-    covered = set(comps_of[order[0]])
+    covered = set(patches[order[0]][0])
     while remaining:
         pick = None
         for sid in remaining:
-            if comps_of[sid] & covered:
+            if not covered.isdisjoint(patches[sid][0]):
                 pick = sid
                 break
         if pick is None:
             raise InputError("incidence graph is disconnected")
         remaining.remove(pick)
         order.append(pick)
-        covered |= comps_of[pick]
-    return _connected_prefixes(cfg, order)
+        covered.update(patches[pick][0])
+    return _connected_prefixes(patches, order)
 
 
 def check_order(cfg, order):
@@ -262,20 +242,20 @@ def check_order(cfg, order):
     ensure_valid(cfg)
     if sorted(order) != sorted(s.id for s in cfg.singulars):
         raise InputError("order must be a permutation of the singular ids")
-    return _connected_prefixes(cfg, order)
+    return _connected_prefixes(_patch_components(cfg), order)
 
 
-def _connected_prefixes(cfg, order):
+def _connected_prefixes(patches, order):
     """Every patch is a connected star, so a prefix of patches has a
     connected union exactly when each patch meets a component of the
     patches before it."""
-    comps_of = _patch_components(cfg)
     covered = set()
     for r, sid in enumerate(order, start=1):
-        if covered and not comps_of[sid] & covered:
+        comps = patches[sid][0]
+        if covered and covered.isdisjoint(comps):
             raise InputError(
                 f"prefix {list(order[:r])} of the given order is disconnected")
-        covered |= comps_of[sid]
+        covered.update(comps)
     return tuple(order)
 
 
@@ -283,9 +263,9 @@ class IntersectionReport:
     def __init__(self, S, S1, S2, m_tilde_1, m_tilde_2, d):
         self.S = S                   # components in both sides
         self.S1 = S1                 # components of the patch
-        self.S2 = S2                 # components of the complement
+        self.S2 = S2                 # components of the patches before it
         self.m_tilde_1 = m_tilde_1   # branches over the split piece
-        self.m_tilde_2 = m_tilde_2   # branches over the rest
+        self.m_tilde_2 = m_tilde_2   # branches over the pieces before it
         self.d = d                   # number of overlap pieces
 
     def to_json(self):
@@ -295,30 +275,31 @@ class IntersectionReport:
 
 
 def devissage_splits(cfg, order):
-    """Walk the splits of a dévissage of ``cfg`` along ``order``, a
-    checked order of its singular pieces, last piece first.
+    """Walk a dévissage of ``cfg`` along ``order``, a checked order of its
+    singular pieces, first piece first.
 
-    Yields one ``(scope, prefix, patch, complement, report)`` per piece
-    after the first: ``scope`` is the union of the patches of ``prefix``
-    (the whole configuration at the first step), ``patch`` the patch of
-    the prefix's last piece within it, ``complement`` the rest, which is
-    the next step's scope, and ``report`` their overlap.
+    Yields one ``(prefix, patch, report)`` per piece: ``patch`` is the
+    patch of the prefix's last piece, and ``report`` its overlap with the
+    union of the patches of the pieces before it, or ``None`` for the
+    first piece.  Component ids come in declaration order.
     """
-    scope = cfg
-    for r in range(len(order), 1, -1):
-        anchor = order[r - 1]
-        patch = build_patch(scope, anchor)
-        complement = build_patch_complement(scope, anchor)
-        s1 = tuple(c.id for c in patch.components)
-        s2 = tuple(c.id for c in complement.components)
-        s2_set = set(s2)
-        overlap = tuple(cid for cid in s1 if cid in s2_set)
-        m1 = len(patch.branches)
-        m2 = scope.m_tilde - m1
-        assert m2 == len(complement.branches)
-        report = IntersectionReport(overlap, s1, s2, m1, m2, len(overlap))
-        yield scope, order[:r], patch, complement, report
-        scope = complement
+    patches = _patch_components(cfg)
+    singular = {s.id: s for s in cfg.singulars}
+    covered = set()
+    m_tilde = 0   # branches over the pieces before
+    for r, sid in enumerate(order, start=1):
+        comps, branches = patches[sid]
+        report = None
+        if covered:
+            overlap = tuple(c.id for c in comps if c in covered)
+            report = IntersectionReport(
+                overlap, tuple(c.id for c in comps),
+                tuple(c.id for c in cfg.components if c in covered),
+                len(branches), m_tilde, len(overlap))
+        yield order[:r], SchemeConfig(comps, [singular[sid]], branches), \
+            report
+        covered.update(comps)
+        m_tilde += len(branches)
 
 
 def free_rank(cfg):

@@ -709,6 +709,28 @@ def build_union(cfg, singular_ids):
                         branches)
 
 
+def split_unions(cfg, prefix, patch, report):
+    """The scope and the complement of one split of
+    ``devissage_splits(cfg, ...)``, built as the unions of the patches of
+    ``prefix`` and of ``prefix[:-1]``, after checking the step's patch
+    and report against them."""
+    scope = build_union(cfg, prefix)
+    rest = build_union(cfg, prefix[:-1])
+
+    def ids(part):
+        return tuple(c.id for c in part.components)
+
+    alone = build_union(cfg, prefix[-1:])
+    assert (patch.components, patch.singulars, patch.branches) \
+        == (alone.components, alone.singulars, alone.branches)
+    assert report.S1 == ids(patch) and report.S2 == ids(rest)
+    assert report.S == tuple(c for c in ids(patch) if c in ids(rest))
+    assert report.d == len(report.S)
+    assert (report.m_tilde_1, report.m_tilde_2) \
+        == (len(patch.branches), len(rest.branches))
+    return scope, rest
+
+
 def load_corpus():
     """All bundled configurations, keyed by file stem."""
     out = {}

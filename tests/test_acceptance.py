@@ -17,7 +17,7 @@ from singular_pi1 import (GroupSpec, compare, count_homs, devissage_order,
 from singular_pi1.cli import main as cli_main
 from support import (brute_count_homs, build_union, check_vk_forms, leg_pairs,
                      load_corpus, random_presentation, random_trivial_config,
-                     search_count_homs, standard_hom)
+                     search_count_homs, split_unions, standard_hom)
 
 GRID_GROUPS = [GroupSpec.trivial(), GroupSpec.cyclic(2), GroupSpec.cyclic(3),
                GroupSpec.symmetric(3)]
@@ -172,8 +172,11 @@ def test_criterion_6_rank_additivity(capsys):
     for name, cfg in corpus.items():
         if cfg.m < 2:
             continue
-        for scope, prefix, patch, complement, report in \
+        for prefix, patch, report in \
                 devissage_splits(cfg, devissage_order(cfg)):
+            if report is None:
+                continue
+            scope, complement = split_unions(cfg, prefix, patch, report)
             assert free_rank(scope) == free_rank(patch) \
                 + free_rank(complement) + report.d - 1, (name, prefix[-1])
             splits += 1

@@ -336,6 +336,23 @@ class TestVerify:
         assert code == 0
         assert len(calls) <= 1
 
+    @pytest.mark.parametrize("argv", [("plan",),
+                                      ("present", "--route", "devissage")])
+    def test_one_validation_per_devissage_call(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        # the walk reads the checked configuration: no split or part of
+        # it is validated again
+        import singular_pi1.scheme as scheme
+        calls, real = [], scheme.validate
+        monkeypatch.setattr(scheme, "validate",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config("chain", 32))))
+        code, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("family", ["chain", "star", "theta"])
     def test_eight_piece_families_pass_to_degree_five(self, tmp_path, capsys,
                                                       family):
@@ -400,8 +417,7 @@ class TestRank:
     def test_theta(self, capsys):
         code, doc = run(capsys, "rank", config_path("theta"))
         assert code == 0
-        assert doc == {"n": 2, "m": 2, "m_tilde": 4, "rank": 1,
-                       "cycle_rank": 1}
+        assert doc == {"n": 2, "m": 2, "m_tilde": 4, "rank": 1}
 
 
 class TestGlobalBounds:

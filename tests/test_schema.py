@@ -168,6 +168,68 @@ def two_c2_doc():
     }
 
 
+def boolean_doc():
+    """A nodal curve on a cyclic component whose branch group is a
+    permutation group, with every integer the tests below replace by a
+    JSON boolean."""
+    return {
+        "components": [{"id": "A", "group": {"kind": "cyclic",
+                                             "order": 2}}],
+        "singulars": [{"id": "P", "group": {"kind": "trivial"}}],
+        "branches": [
+            {"id": f"b{i}", "component": "A", "singular": "P",
+             "group": {"kind": "permutation", "degree": 2,
+                       "generators": [[1, 0]]},
+             "psi": {"g1": [["g", 1]]}, "phi": {"g1": []}}
+            for i in (1, 2)],
+    }
+
+
+class TestBooleansAreNotIntegers:
+    """bool subclasses int, but JSON true and false are no order, degree,
+    permutation entry or exponent."""
+
+    @pytest.mark.parametrize("where, path", [
+        (("components", 0, "group", "order"), "$.components[0].group.order"),
+        (("branches", 1, "group", "degree"), "$.branches[1].group.degree"),
+        (("branches", 0, "group", "generators", 0, 0),
+         "$.branches[0].group.generators[0]"),
+        (("branches", 0, "psi", "g1", 0, 1), "$.branches[0].psi.g1[0][1]"),
+    ])
+    def test_true_is_a_schema_error(self, tmp_path, capsys, where, path):
+        doc = boolean_doc()
+        assert main_exit(tmp_path, capsys, doc)[0] == 0
+        place = doc
+        for key in where[:-1]:
+            place = place[key]
+        place[where[-1]] = True
+        code, out = main_exit(tmp_path, capsys, doc)
+        assert code == 3, out
+        assert out["error"]["path"] == path
+
+    def test_every_boolean_at_once(self, tmp_path, capsys):
+        # the parser once read this config as C2 with a permutation group
+        # generated by [true, false]
+        doc = boolean_doc()
+        doc["components"][0]["group"]["order"] = True
+        for b in doc["branches"]:
+            b["group"]["generators"] = [[True, False]]
+            b["psi"]["g1"][0][1] = True
+        code, out = main_exit(tmp_path, capsys, doc)
+        assert code == 3
+        assert out["error"]["path"] == "$.components[0].group.order"
+        with pytest.raises(SchemaError) as err:
+            parse_group({"kind": "symmetric", "degree": False}, "$.g")
+        assert err.value.path == "$.g.degree"
+
+
+def main_exit(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["present", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
 class TestInterning:
     """Equal group JSON is parsed once per configuration, equal maps are
     checked once, and every error keeps the path of its own occurrence."""

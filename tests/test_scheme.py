@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+import singular_pi1.scheme as scheme
 from singular_pi1 import (Component, GroupSpec, InputError, SchemeConfig,
-                          Singular, build_patch, build_patch_complement,
-                          check_order, devissage_order, devissage_splits,
-                          free_rank, validate)
+                          Singular, build_patch, check_order,
+                          devissage_order, devissage_splits, free_rank,
+                          validate)
 from singular_pi1.scheme import _connected
 from support import (build_union, chain_config, family_config, load_corpus,
                      nodal_config, random_general_config,
-                     random_trivial_config, theta_config, trivial_branch,
-                     TRIV)
+                     random_trivial_config, split_unions, theta_config,
+                     trivial_branch, TRIV)
 
 
 def star_config():
@@ -93,30 +94,28 @@ class TestPatches:
         assert [s.id for s in patch.singulars] == ["P"]
         assert len(patch.branches) == 2
 
-    def test_chain_complement_mirrors_patch(self):
-        cfg = chain_config()
-        comp = build_patch_complement(cfg, "P")
-        assert [s.id for s in comp.singulars] == ["Q"]
-        assert [c.id for c in comp.components] == ["B", "C"]
-        assert len(comp.branches) == 2
+    def test_walk_patches_partition_branches_and_pieces(self, monkeypatch):
+        # the walk builds one patch per piece and no other configuration
+        built = []
 
-    def test_patch_and_complement_partition_branches(self):
-        for cfg in (chain_config(), theta_config(), star_config()):
-            for s in cfg.singulars:
-                if cfg.m < 2:
-                    continue
-                patch = build_patch(cfg, s.id)
-                comp = build_patch_complement(cfg, s.id)
-                patch_b = {b.id for b in patch.branches}
-                comp_b = {b.id for b in comp.branches}
-                assert patch_b | comp_b == {b.id for b in cfg.branches}
-                assert not (patch_b & comp_b)
-                assert {x.id for x in patch.singulars}.isdisjoint(
-                    {x.id for x in comp.singulars})
+        class Counted(SchemeConfig):
+            def __init__(self, *parts):
+                built.append(self)
+                super().__init__(*parts)
 
-    def test_complement_requires_two_singulars(self):
-        with pytest.raises(InputError):
-            build_patch_complement(nodal_config(), "P")
+        monkeypatch.setattr(scheme, "SchemeConfig", Counted)
+        for cfg in (chain_config(), theta_config(), star_config(),
+                    family_config("theta", 5), *load_corpus().values()):
+            if cfg.m < 1:
+                continue
+            built.clear()
+            patches = [patch for _, patch, _ in
+                       devissage_splits(cfg, devissage_order(cfg))]
+            assert built == patches
+            assert sorted(b.id for p in patches for b in p.branches) \
+                == sorted(b.id for b in cfg.branches)
+            assert sorted(s.id for p in patches for s in p.singulars) \
+                == sorted(s.id for s in cfg.singulars)
 
     def test_unknown_id(self):
         with pytest.raises(InputError):
@@ -193,28 +192,40 @@ class TestDevissageOrder:
                 pass
         for cfg, order in cases:
             steps = list(devissage_splits(cfg, order))
-            assert [step[1] for step in steps] \
-                == [order[:r] for r in range(len(order), 1, -1)]
-            for scope, prefix, patch, comp, _ in steps:
-                assert ids(scope) == ids(build_union(cfg, prefix))
+            assert [step[0] for step in steps] \
+                == [order[:r] for r in range(1, len(order) + 1)]
+            for prefix, patch, report in steps:
                 assert ids(patch) == ids(build_union(cfg, prefix[-1:]))
-                assert ids(comp) == ids(build_union(cfg, prefix[:-1]))
+                assert (report is None) == (len(prefix) == 1)
+                if report is not None:
+                    scope, comp = split_unions(cfg, prefix, patch, report)
+                    assert free_rank(scope) == free_rank(patch) \
+                        + free_rank(comp) + report.d - 1
 
 
 class TestIntersection:
     def test_chain_overlap_is_middle_component(self):
         # the one split of the order (Q, P) is at P
-        (_, _, patch, comp, report), = devissage_splits(chain_config(),
-                                                        ("Q", "P"))
+        cfg = chain_config()
+        (_, _, first), (prefix, patch, report) = \
+            devissage_splits(cfg, ("Q", "P"))
+        assert first is None and prefix == ("Q", "P")
+        scope, comp = split_unions(cfg, prefix, patch, report)
         assert [c.id for c in patch.components] == ["A", "B"]
         assert [c.id for c in comp.components] == ["B", "C"]
         assert report.S == ("B",)
         assert report.d == 1
         assert report.m_tilde_1 == 2 and report.m_tilde_2 == 2
+        assert free_rank(scope) == free_rank(patch) + free_rank(comp) \
+            + report.d - 1
 
     def test_theta_overlap_is_both_components(self):
-        (*_, report), = devissage_splits(theta_config(), ("Q", "P"))
+        cfg = theta_config()
+        _, (prefix, patch, report) = devissage_splits(cfg, ("Q", "P"))
+        scope, comp = split_unions(cfg, prefix, patch, report)
         assert report.S == ("A", "B") and report.d == 2
+        assert free_rank(scope) == free_rank(patch) + free_rank(comp) \
+            + report.d - 1
 
 
 class TestFreeRank:
@@ -234,7 +245,10 @@ class TestFreeRank:
 
     def test_rank_additivity_across_splits(self):
         for cfg in (chain_config(), theta_config(), star_config()):
-            for scope, _, patch, comp, report in \
+            for prefix, patch, report in \
                     devissage_splits(cfg, devissage_order(cfg)):
+                if report is None:
+                    continue
+                scope, comp = split_unions(cfg, prefix, patch, report)
                 assert free_rank(scope) == free_rank(patch) \
                     + free_rank(comp) + report.d - 1

@@ -1,4 +1,4 @@
-"""Time ``present`` on large scaled families.
+"""Time ``present`` and ``plan`` on large scaled families.
 
 Run from the repository root:
 
@@ -7,18 +7,22 @@ Run from the repository root:
 Rows (seed 1, written by ``perfbench/families.py``; the variant is
 the non-trivial S3/C2 one unless named):
 
-* the default route on chain, star and theta at N = 64, 128, 256 and
-  1024;
-* ``--route devissage --form iv`` on theta at N = 6 and 8;
-* ``--route devissage`` (form i) on chain at N = 64 and 128, and on
-  theta and star at N = 64, 128 and 256;
-* ``--route devissage`` on the trivial chain at N = 1000 and 2000.
+* ``present`` by the default route on chain, star and theta at N = 64,
+  128, 256 and 1024;
+* ``present --route devissage --form iv`` on theta at N = 6 and 8;
+* ``present --route devissage`` (form i) on chain at N = 64 and 128, and
+  on theta and star at N = 64, 128 and 256;
+* ``present --route devissage`` on the trivial chain at N = 1000 and
+  2000;
+* ``plan`` on chain, star and theta at N = 256 and 1024.
 
 One CLI call per row runs in a fresh interpreter under the default
 flags, with the runner of ``bench_verify_families.py``.  Each row
-records its variant, the wall time of that interpreter, the exit code
-and the bytes written to stdout; a row still running after the
-runner's timeout is recorded with exit null.
+records its command, variant and flags, the wall time of that
+interpreter, the exit code, and the size and SHA-256 digest of what it
+wrote to stdout; a row still running after the runner's timeout is
+recorded with exit null.  (Rows of labels recorded before the command
+and the digest were added ran ``present`` and have no digest.)
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_present_families.json`` at the root), next to the rows of other
@@ -26,6 +30,7 @@ labels already in the file, so one file holds a before/after pair.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,16 +39,18 @@ from pathlib import Path
 
 from bench_verify_families import ROOT, SEED, families, run_cli
 
-ROWS = [("nontrivial", family, n, ()) for n in (64, 128, 256, 1024)
-        for family in families.FAMILIES] \
-    + [("nontrivial", "theta", n, ("--route", "devissage", "--form", "iv"))
-       for n in (6, 8)] \
-    + [("nontrivial", "chain", n, ("--route", "devissage"))
+ROWS = [("present", "nontrivial", family, n, ())
+        for n in (64, 128, 256, 1024) for family in families.FAMILIES] \
+    + [("present", "nontrivial", "theta", n,
+        ("--route", "devissage", "--form", "iv")) for n in (6, 8)] \
+    + [("present", "nontrivial", "chain", n, ("--route", "devissage"))
        for n in (64, 128)] \
-    + [("nontrivial", family, n, ("--route", "devissage"))
+    + [("present", "nontrivial", family, n, ("--route", "devissage"))
        for family in ("theta", "star") for n in (64, 128, 256)] \
-    + [("trivial", "chain", n, ("--route", "devissage"))
-       for n in (1000, 2000)]
+    + [("present", "trivial", "chain", n, ("--route", "devissage"))
+       for n in (1000, 2000)] \
+    + [("plan", "nontrivial", family, n, ())
+       for n in (256, 1024) for family in families.FAMILIES]
 
 
 def main():
@@ -56,19 +63,20 @@ def main():
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for variant, family, n, flags in ROWS:
+        for command, variant, family, n, flags in ROWS:
             path = families.write_config(Path(tmp), family, variant, n, SEED)
-            run = run_cli("present", path, flags)
-            row = {"variant": variant, "family": family, "n": n,
-                   "flags": list(flags), "exit": run["exit"],
-                   "wall_s": run["wall_s"],
-                   "stdout_bytes": len(run["stdout"].encode())}
+            run = run_cli(command, path, flags)
+            stdout = run["stdout"].encode()
+            row = {"command": command, "variant": variant, "family": family,
+                   "n": n, "flags": list(flags), "exit": run["exit"],
+                   "wall_s": run["wall_s"], "stdout_bytes": len(stdout),
+                   "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
             print(json.dumps(row), flush=True)
             rows.append(row)
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["command"] = ["present", "CONFIG", "FLAGS"]
+    doc["command"] = ["COMMAND", "CONFIG", "FLAGS"]
     doc["configs"] = f"perfbench/families.py, seed {SEED}, the row's " \
         "variant (nontrivial where a row names none)"
     doc.setdefault("runs", {})[args.label] = {
