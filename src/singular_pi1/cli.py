@@ -17,7 +17,7 @@ from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
 from .oracle import IncidenceGraph, attach_connected, compare
-from .pi1 import pi1_devissage, pi1_graph_of_groups
+from .pi1 import _graph_of_groups, pi1_devissage, pi1_graph_of_groups
 from .scheme import devissage_order, devissage_splits, free_rank, validate
 from .schema import json_text, parse_scheme_config, pi1_result_to_json
 
@@ -96,8 +96,10 @@ def _cmd_verify(args, limits):
         raise InputError(f"--degree-max must be at least 2, "
                          f"got {args.degree_max}")
     cfg = _load(args, limits)
-    result = pi1_graph_of_groups(cfg)
+    # the oracle's graph validates the configuration, for the
+    # presentation too
     graph = IncidenceGraph(cfg)
+    result = _graph_of_groups(cfg)
     # the connected columns at degree d come from the plain ones at 1..d,
     # so --connected also compares degree 1, without emitting it
     reports, refusals = [], []
@@ -127,27 +129,30 @@ def _cmd_plan(args, limits):
         raise InputError("regular scheme, nothing to plan")
     order = devissage_order(cfg)
     splits = []
-    for prefix, _, report in devissage_splits(cfg, order):
-        if report is None:
-            continue
-        # every prefix is connected, so each part's rank is its
-        # m_tilde - m - n + 1 and the three add up by inclusion-exclusion
-        r, s1, s2 = len(prefix), len(report.S1), len(report.S2)
-        m1, m2 = report.m_tilde_1, report.m_tilde_2
-        rank_total = m1 + m2 - r - (s1 + s2 - report.d) + 1
-        rank_patch = m1 - 1 - s1 + 1
-        rank_rest = m2 - (r - 1) - s2 + 1
-        row = report.to_json()
-        row.update({
-            "scope": list(prefix),
-            "anchor": prefix[-1],
-            "rank_total": rank_total,
-            "rank_patch": rank_patch,
-            "rank_complement": rank_rest,
-            "additivity_ok": rank_total == rank_patch + rank_rest
-                             + report.d - 1,
-        })
-        splits.append(row)
+    covered = set()   # ids of the components of the pieces before
+    for prefix, patch, report in devissage_splits(cfg, order):
+        if report is not None:
+            # every prefix is connected, so each part's rank is its
+            # m_tilde - m - n + 1 and the three add up by
+            # inclusion-exclusion
+            r, s1, s2 = len(prefix), len(report.S1), report.s2
+            m1, m2 = report.m_tilde_1, report.m_tilde_2
+            rank_total = m1 + m2 - r - (s1 + s2 - report.d) + 1
+            rank_patch = m1 - 1 - s1 + 1
+            rank_rest = m2 - (r - 1) - s2 + 1
+            splits.append({
+                "S": list(report.S), "S1": list(report.S1),
+                "S2": [c.id for c in cfg.components if c.id in covered],
+                "d": report.d, "m_tilde_1": m1, "m_tilde_2": m2,
+                "scope": list(prefix),
+                "anchor": prefix[-1],
+                "rank_total": rank_total,
+                "rank_patch": rank_patch,
+                "rank_complement": rank_rest,
+                "additivity_ok": rank_total == rank_patch + rank_rest
+                                 + report.d - 1,
+            })
+        covered.update(c.id for c in patch.components)
     # the rows read last piece first
     return EXIT_OK, {"order": list(order), "splits": splits[::-1]}
 

@@ -360,8 +360,10 @@ class GroupSpec:
         return (self.kind,) + self.params
 
     def __eq__(self, other):
-        return (isinstance(other, GroupSpec)
-                and self.descriptor() == other.descriptor())
+        # the parser shares one GroupSpec per group JSON, so most
+        # comparisons it leads to are of a group with itself
+        return self is other or (isinstance(other, GroupSpec)
+                                 and self.descriptor() == other.descriptor())
 
     def __hash__(self):
         return hash(self.descriptor())

@@ -95,7 +95,8 @@ class IncidenceGraph:
 
     The oracle's functions take a configuration or its graph; ``verify``
     builds the graph once, so the configuration is validated once for
-    all the degrees it compares.
+    all the degrees it compares and for the presentation it compares
+    against.
     """
 
     def __init__(self, cfg):

@@ -73,7 +73,11 @@ def pi1_graph_of_groups(cfg):
     branch ``b`` and generator ``a`` of its group, with ``t_b = 1`` on
     the tree.
     """
-    ensure_valid(cfg)
+    return _graph_of_groups(ensure_valid(cfg))
+
+
+def _graph_of_groups(cfg):
+    """``pi1_graph_of_groups`` of a valid configuration."""
     _, stable = spanning_tree(cfg)
     rank = len(stable)
     assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \

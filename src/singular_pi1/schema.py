@@ -213,6 +213,17 @@ def _hom_to_json(hom):
             zip(hom.source.canonical_presentation.generators, hom.images)}
 
 
+def _field(entry, key, section, i, what="an id string"):
+    """The string ``entry[key]`` of entry ``i`` of a top-level list; its
+    JSON path is written only for an error."""
+    if key not in entry:
+        raise SchemaError(f"$.{section}[{i}]", f"missing required key {key!r}")
+    value = entry[key]
+    if not isinstance(value, str):
+        raise SchemaError(f"$.{section}[{i}].{key}", f"expected {what}")
+    return value
+
+
 def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
     _expect(doc, dict, "$", "a configuration object")
     comps_doc = _expect(_get(doc, "components", "$"), list,
@@ -224,67 +235,72 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
                                 default=[]), list,
                            "$.branches", "a list of branches")
 
-    # Equal group JSON gives one GroupSpec and equal maps one Homo.  The
-    # group key is the exact JSON value, since GroupSpec equality ignores
+    # Equal group JSON gives one GroupSpec, and equal map JSON between
+    # the same two groups one Homo, each parsed and checked once.  The
+    # keys are the exact JSON values, since GroupSpec equality ignores
     # generator names; the groups are held to the end of the parse, so
-    # their ids identify them in the map key.
+    # their ids identify them in the map key.  Only a success is kept:
+    # an error raises at the first occurrence, with its path.
     groups, homs = {}, {}
 
-    def group_at(doc, path):
+    def group_at(entry, section, i):
+        if "group" not in entry:
+            raise SchemaError(f"$.{section}[{i}]",
+                              "missing required key 'group'")
+        doc = entry["group"]
         key = repr(doc)
         group = groups.get(key)
         if group is None:
-            group = groups[key] = parse_group(doc, path, limits)
+            group = groups[key] = parse_group(
+                doc, f"$.{section}[{i}].group", limits)
         return group
 
-    def hom_at(doc, path, source, target):
-        images = _parse_images(doc, path, source, target)
-        key = (id(source), id(target), images)
+    def hom_at(entry, name, i, source, target):
+        doc = entry.get(name)
+        key = (repr(doc), id(source), id(target))
         hom = homs.get(key)
         if hom is None:
+            images = _parse_images(doc, f"$.branches[{i}].{name}", source,
+                                   target)
             # relator-triviality is semantic, not schema: InputError escapes
             hom = homs[key] = Homo(source, target, images)
         return hom
 
     components = []
     for i, c in enumerate(comps_doc):
-        path = f"$.components[{i}]"
-        _expect(c, dict, path, "a component object")
-        cid = _expect(_get(c, "id", path), str, f"{path}.id", "an id string")
-        group = group_at(_get(c, "group", path), f"{path}.group")
-        components.append(Component(cid, group))
+        if not isinstance(c, dict):
+            raise SchemaError(f"$.components[{i}]",
+                              "expected a component object")
+        cid = _field(c, "id", "components", i)
+        components.append(Component(cid, group_at(c, "components", i)))
 
     singulars = []
     for i, s in enumerate(sings_doc):
-        path = f"$.singulars[{i}]"
-        _expect(s, dict, path, "a singular-piece object")
-        sid = _expect(_get(s, "id", path), str, f"{path}.id", "an id string")
-        group = group_at(_get(s, "group", path), f"{path}.group")
-        singulars.append(Singular(sid, group))
+        if not isinstance(s, dict):
+            raise SchemaError(f"$.singulars[{i}]",
+                              "expected a singular-piece object")
+        sid = _field(s, "id", "singulars", i)
+        singulars.append(Singular(sid, group_at(s, "singulars", i)))
 
-    comp_by_id = {c.id: c for c in components}
-    sing_by_id = {s.id: s for s in singulars}
+    comp_group = {c.id: c.group for c in components}
+    sing_group = {s.id: s.group for s in singulars}
 
     branches = []
     for i, b in enumerate(branches_doc):
-        path = f"$.branches[{i}]"
-        _expect(b, dict, path, "a branch object")
-        bid = _expect(_get(b, "id", path), str, f"{path}.id", "an id string")
-        comp = _expect(_get(b, "component", path), str,
-                       f"{path}.component", "a component id")
-        sing = _expect(_get(b, "singular", path), str,
-                       f"{path}.singular", "a singular id")
-        group = group_at(_get(b, "group", path), f"{path}.group")
-        if comp not in comp_by_id:
-            raise SchemaError(f"{path}.component",
+        if not isinstance(b, dict):
+            raise SchemaError(f"$.branches[{i}]", "expected a branch object")
+        bid = _field(b, "id", "branches", i)
+        comp = _field(b, "component", "branches", i, "a component id")
+        sing = _field(b, "singular", "branches", i, "a singular id")
+        group = group_at(b, "branches", i)
+        if comp not in comp_group:
+            raise SchemaError(f"$.branches[{i}].component",
                               f"unknown component id {comp!r}")
-        if sing not in sing_by_id:
-            raise SchemaError(f"{path}.singular",
+        if sing not in sing_group:
+            raise SchemaError(f"$.branches[{i}].singular",
                               f"unknown singular id {sing!r}")
-        psi = hom_at(_get(b, "psi", path, required=False), f"{path}.psi",
-                     group, comp_by_id[comp].group)
-        phi = hom_at(_get(b, "phi", path, required=False), f"{path}.phi",
-                     group, sing_by_id[sing].group)
+        psi = hom_at(b, "psi", i, group, comp_group[comp])
+        phi = hom_at(b, "phi", i, group, sing_group[sing])
         branches.append(Branch(bid, comp, sing, group, psi, phi))
 
     return SchemeConfig(components, singulars, branches)

@@ -14,9 +14,20 @@ vertices and one edge per branch.  Splitting happens along the patches
 ``j`` with the other singular pieces removed.  ``devissage_splits`` is
 the one walk over a dévissage order: first piece first, it gives each
 patch and its overlap with the union of the patches before it, from one
-grouping of the branches by piece and one set of covered components.
-A configuration is validated where it enters (``devissage_order``,
-``check_order``); the walk builds nothing but the patches.
+grouping of the branches by piece and one set of covered components;
+it builds nothing but the patches, and counts the covered components
+without listing them.
+
+A configuration is validated once, where it enters: each public entry
+that takes one (``devissage_order``, ``check_order``, ``free_rank``,
+``pi1.pi1_graph_of_groups``, ``oracle.IncidenceGraph``) calls
+``ensure_valid``, and nothing downstream of an entry validates again.
+On the command line that makes one ``validate`` call per command:
+``validate`` calls it itself, ``present`` in its route's entry
+(``pi1_graph_of_groups``, or ``devissage_order`` inside
+``pi1_devissage``), ``verify`` in ``IncidenceGraph``, whose check also
+covers the presentation it compares against, ``plan`` in
+``devissage_order`` and ``rank`` in ``free_rank``.
 """
 
 from collections import Counter
@@ -144,12 +155,15 @@ def validate(cfg):
 def spanning_tree(cfg):
     """Union-find over the incidence graph, branches in declared order.
 
-    Vertices are ``("c", id)`` for components and ``("s", id)`` for
-    singular pieces.  Returns ``(root, extra)``: each vertex's root, and
-    the branches off the spanning forest, each of which closes a cycle.
+    The vertices are integer slots: ``0..n-1`` the components and
+    ``n..n+m-1`` the singular pieces, each in declaration order.
+    Returns ``(root, extra)``: the list of each slot's root, and the
+    branches off the spanning forest, each of which closes a cycle.
     """
-    parent = {("c", c.id): ("c", c.id) for c in cfg.components}
-    parent.update({("s", s.id): ("s", s.id) for s in cfg.singulars})
+    slot = {c.id: k for k, c in enumerate(cfg.components)}
+    n = len(slot)
+    sing_slot = {s.id: n + k for k, s in enumerate(cfg.singulars)}
+    parent = list(range(n + len(sing_slot)))
 
     def find(x):
         while parent[x] != x:
@@ -159,23 +173,22 @@ def spanning_tree(cfg):
 
     extra = []
     for b in cfg.branches:
-        a = find(("c", b.component))
-        c = find(("s", b.singular))
+        a = find(slot[b.component])
+        c = find(sing_slot[b.singular])
         if a == c:
             extra.append(b)
         else:
             parent[c] = a
-    return {v: find(v) for v in parent}, extra
+    return [find(v) for v in range(len(parent))], extra
 
 
 def _connected(cfg):
     root, _ = spanning_tree(cfg)
-    if len(set(root.values())) <= 1:
+    if len(set(root)) <= 1:
         return True, ()
-    main = root[("c", cfg.components[0].id)]
-    isolated = [f"{kind}:{vid}" for (kind, vid), r in root.items()
-                if r != main]
-    return False, tuple(isolated)
+    names = [f"c:{c.id}" for c in cfg.components] \
+        + [f"s:{s.id}" for s in cfg.singulars]
+    return False, tuple(name for name, r in zip(names, root) if r != root[0])
 
 
 def ensure_valid(cfg):
@@ -260,18 +273,13 @@ def _connected_prefixes(patches, order):
 
 
 class IntersectionReport:
-    def __init__(self, S, S1, S2, m_tilde_1, m_tilde_2, d):
+    def __init__(self, S, S1, s2, m_tilde_1, m_tilde_2, d):
         self.S = S                   # components in both sides
         self.S1 = S1                 # components of the patch
-        self.S2 = S2                 # components of the patches before it
+        self.s2 = s2                 # count of the components before it
         self.m_tilde_1 = m_tilde_1   # branches over the split piece
         self.m_tilde_2 = m_tilde_2   # branches over the pieces before it
         self.d = d                   # number of overlap pieces
-
-    def to_json(self):
-        return {"S": list(self.S), "S1": list(self.S1), "S2": list(self.S2),
-                "d": self.d, "m_tilde_1": self.m_tilde_1,
-                "m_tilde_2": self.m_tilde_2}
 
 
 def devissage_splits(cfg, order):
@@ -293,8 +301,7 @@ def devissage_splits(cfg, order):
         if covered:
             overlap = tuple(c.id for c in comps if c in covered)
             report = IntersectionReport(
-                overlap, tuple(c.id for c in comps),
-                tuple(c.id for c in cfg.components if c in covered),
+                overlap, tuple(c.id for c in comps), len(covered),
                 len(branches), m_tilde, len(overlap))
         yield order[:r], SchemeConfig(comps, [singular[sid]], branches), \
             report

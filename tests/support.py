@@ -723,7 +723,7 @@ def split_unions(cfg, prefix, patch, report):
     alone = build_union(cfg, prefix[-1:])
     assert (patch.components, patch.singulars, patch.branches) \
         == (alone.components, alone.singulars, alone.branches)
-    assert report.S1 == ids(patch) and report.S2 == ids(rest)
+    assert report.S1 == ids(patch) and report.s2 == len(ids(rest))
     assert report.S == tuple(c for c in ids(patch) if c in ids(rest))
     assert report.d == len(report.S)
     assert (report.m_tilde_1, report.m_tilde_2) \

@@ -353,6 +353,30 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("validate",), ("present",), ("present", "--degrees", "2"),
+        ("verify",), ("verify", "--connected"), ("rank",)])
+    def test_every_other_command_validates_once(self, tmp_path, capsys,
+                                                monkeypatch, argv):
+        # the test above counts plan and the devissage route; the CLI
+        # calls ``validate`` by its own name for the validate command,
+        # and through ``scheme`` everywhere else
+        import singular_pi1.scheme as scheme
+        calls, real = [], scheme.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(scheme, "validate", counted)
+        monkeypatch.setattr(cli, "validate", counted)
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(
+            scheme_config_to_json(family_config("theta", 3))))
+        code, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("family", ["chain", "star", "theta"])
     def test_eight_piece_families_pass_to_degree_five(self, tmp_path, capsys,
                                                       family):

@@ -4,11 +4,12 @@ from math import factorial
 
 import pytest
 
-from singular_pi1 import (Component, GroupSpec, Limits, ResourceError,
-                          SchemeConfig, Singular, attach_connected, compare,
-                          count_homs, enumerate_descent_data,
-                          groupoid_cardinality, pi1_devissage,
-                          pi1_graph_of_groups, transitive_counts)
+from singular_pi1 import (Component, GroupSpec, IncidenceGraph, InputError,
+                          Limits, ResourceError, SchemeConfig, Singular,
+                          attach_connected, compare, count_homs,
+                          enumerate_descent_data, groupoid_cardinality,
+                          pi1_devissage, pi1_graph_of_groups,
+                          transitive_counts)
 from support import (brute_connected_count, chain_config, descent_count,
                      family_config, group_actions, iter_descent_data,
                      load_corpus, nodal_config, orbit_groupoid_cardinality,
@@ -32,6 +33,16 @@ def connected_card_times_d_factorial(cfg, report):
                     factorial(d) ** (cfg.n + cfg.m))
     return card * factorial(d)
 
+
+def test_a_raw_invalid_configuration_raises_input_error():
+    # a singular piece without branches
+    cfg = SchemeConfig([Component("A", C2)], [Singular("P", C2)], [])
+    result = pi1_graph_of_groups(SchemeConfig([Component("A", C2)], [], []))
+    for call in (lambda: IncidenceGraph(cfg),
+                 lambda: enumerate_descent_data(cfg, 2),
+                 lambda: compare(cfg, 2, result)):
+        with pytest.raises(InputError, match="singular-incidence"):
+            call()
 
 class TestRigidCounts:
     def test_nodal_two_unconstrained_bijections(self):

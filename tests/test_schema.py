@@ -275,6 +275,109 @@ class TestInterning:
         assert code == 2, out
 
 
+def four_branch_doc():
+    """C2 components A, B and C2 pieces P, Q, joined as a theta by four
+    branches with one group JSON and one map JSON: every entry at index
+    1 repeats the JSON of index 0, so the parser's memos would hit."""
+    c2 = {"kind": "cyclic", "order": 2}
+    ident = {"g": [["g", 1]]}
+    return {
+        "components": [{"id": cid, "group": dict(c2)} for cid in "AB"],
+        "singulars": [{"id": sid, "group": dict(c2)} for sid in "PQ"],
+        "branches": [{"id": f"b{k}", "component": comp, "singular": sing,
+                      "group": dict(c2), "psi": dict(ident),
+                      "phi": dict(ident)}
+                     for k, (comp, sing) in enumerate(
+                         [("A", "P"), ("B", "P"), ("A", "Q"), ("B", "Q")])],
+    }
+
+
+DROP = object()
+# (section, field or None for the whole entry, bad value or DROP, path)
+BAD_FIELDS = [
+    (section, field, value, path.format(section))
+    for section in ("components", "singulars")
+    for field, value, path in [
+        (None, 7, "$.{}[1]"), (None, ["id"], "$.{}[1]"),
+        ("id", DROP, "$.{}[1]"), ("id", 5, "$.{}[1].id"),
+        ("id", True, "$.{}[1].id"), ("id", None, "$.{}[1].id"),
+        ("group", DROP, "$.{}[1]"), ("group", "C2", "$.{}[1].group"),
+        ("group", True, "$.{}[1].group"),
+        ("group", {}, "$.{}[1].group"),
+        ("group", {"kind": "dihedral"}, "$.{}[1].group.kind"),
+        ("group", {"kind": "cyclic", "order": 0}, "$.{}[1].group.order"),
+        ("group", {"kind": "cyclic", "order": True}, "$.{}[1].group.order"),
+    ]
+] + [
+    ("branches", None, 7, "$.branches[1]"),
+    ("branches", "id", DROP, "$.branches[1]"),
+    ("branches", "id", 5, "$.branches[1].id"),
+    ("branches", "component", DROP, "$.branches[1]"),
+    ("branches", "component", 5, "$.branches[1].component"),
+    ("branches", "component", "Z", "$.branches[1].component"),
+    ("branches", "singular", DROP, "$.branches[1]"),
+    ("branches", "singular", ["P"], "$.branches[1].singular"),
+    ("branches", "singular", "Z", "$.branches[1].singular"),
+    ("branches", "group", DROP, "$.branches[1]"),
+    ("branches", "group", 2, "$.branches[1].group"),
+    ("branches", "group", {"kind": "cyclic"}, "$.branches[1].group"),
+    ("branches", "group", {"kind": "symmetric", "degree": -1},
+     "$.branches[1].group.degree"),
+] + [
+    ("branches", name, value, f"$.branches[1].{name}" + suffix)
+    for name in ("psi", "phi")
+    for value, suffix in [
+        (DROP, ""), (None, ""), ([], ""), ("g", ""),
+        ({}, ""), ({"h": []}, ".h"),
+        ({"g": 1}, ".g"), ({"g": [["zz", 1]]}, ".g"),
+        ({"g": [["g", 0]]}, ".g[0][1]"), ({"g": [["g", True]]}, ".g[0][1]"),
+        ({"g": [[1, 1]]}, ".g[0][0]"), ({"g": [["bad name", 1]]}, ".g[0][0]"),
+        ({"g": [["g"]]}, ".g[0]"), ({"g": ["g"]}, ".g[0]"),
+    ]
+]
+
+
+class TestErrorPaths:
+    """A bad value at index 1, after a good entry with the same JSON at
+    index 0, is reported at its own JSON path."""
+
+    def test_the_document_is_valid(self):
+        cfg = parse_scheme_config(four_branch_doc())
+        assert validate(cfg).ok
+
+    @pytest.mark.parametrize("section, field, value, path", BAD_FIELDS)
+    def test_bad_value_at_index_one(self, section, field, value, path):
+        doc = four_branch_doc()
+        if field is None:
+            doc[section][1] = value
+        elif value is DROP:
+            del doc[section][1][field]
+        else:
+            doc[section][1][field] = value
+        with pytest.raises(SchemaError) as err:
+            parse_scheme_config(doc)
+        assert err.value.path == path
+
+    def test_equal_map_json_is_checked_against_each_target(self, tmp_path,
+                                                           capsys):
+        # psi: g -> g is a homomorphism into A's C2 and not into B's C3,
+        # so the second branch's equal map JSON must be checked again
+        doc = {"components": [{"id": "A", "group": {"kind": "cyclic",
+                                                    "order": 2}},
+                              {"id": "B", "group": {"kind": "cyclic",
+                                                    "order": 3}}],
+               "singulars": [{"id": "P", "group": {"kind": "trivial"}}],
+               "branches": [{"id": bid, "component": comp, "singular": "P",
+                             "group": {"kind": "cyclic", "order": 2},
+                             "psi": {"g": [["g", 1]]}, "phi": {"g": []}}
+                            for bid, comp in (("a", "A"), ("b", "B"))]}
+        code, out = main_exit(tmp_path, capsys, doc)
+        assert code == 2, out
+        assert "relator g^2 maps to a non-trivial element" \
+            in out["error"]["message"]
+        doc["components"][1]["group"]["order"] = 2
+        assert main_exit(tmp_path, capsys, doc)[0] == 0
+
 def klein_branch_doc(keys):
     """A C2 component and a C2 piece joined by two branches whose group
     is the Klein group presented on ``p.a`` and ``q.a``; both maps send

@@ -6,8 +6,10 @@ Run from the repository root:
 
 For ``validate``, ``present`` and ``verify --degree-max 3`` on each of
 the 8 bundled configurations, and for ``present`` on the chain, star
-and theta with 16 singular pieces (the non-trivial S3/C2 variant, seed
-1, written by ``perfbench/families.py``), the script starts a fresh
+and theta with 16 singular pieces (the non-trivial S3/C2 variant) and
+with 48 (the all-trivial variant, where reading and checking the
+configuration is nearly all the work), each at seed 1 and written by
+``perfbench/families.py``, the script starts a fresh
 interpreter ``REPEATS`` times.  Each one imports ``singular_pi1.cli``
 and then times ``cli.main(argv)`` alone, with its output captured, so
 the start of the interpreter and the import are left out and the parsing
@@ -19,7 +21,8 @@ the interpreter is started until ``singular_pi1.cli`` is imported, on
 the system-wide monotonic clock.  ``total_ms`` and ``gc_ms`` sum the
 rows, ``gc_share`` is their quotient, and ``import_ms`` is the median
 of the rows.  The labels ``before-argv`` and ``after-argv`` predate the
-family rows and the two collector and import numbers.
+family rows and the two collector and import numbers, and every label
+before ``before-ingest`` the all-trivial rows.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
@@ -45,7 +48,8 @@ import families  # noqa: E402
 CORPUS = ("chain", "nodal", "nontrivial-Z", "nontrivial-Z2", "regular",
           "semistable-C2", "star", "theta")
 CALLS = (("validate",), ("present",), ("verify", "--degree-max", "3"))
-FAMILY_SIZE, SEED = 16, 1
+# (variant, number of singular pieces) of the family rows
+FAMILY_ROWS, SEED = (("nontrivial", 16), ("trivial", 48)), 1
 REPEATS = 5
 CHILD = """
 import time
@@ -94,9 +98,10 @@ def main():
         calls = [(name, ROOT / "src" / "singular_pi1" / "configs"
                   / f"{name}.json", call)
                  for name in CORPUS for call in CALLS]
-        calls += [(f"{family}-nontrivial-{FAMILY_SIZE}",
-                   families.write_config(Path(tmp), family, "nontrivial",
-                                         FAMILY_SIZE, SEED), ("present",))
+        calls += [(f"{family}-{variant}-{n}",
+                   families.write_config(Path(tmp), family, variant, n,
+                                         SEED), ("present",))
+                  for variant, n in FAMILY_ROWS
                   for family in families.FAMILIES]
         for name, path, (command, *flags) in calls:
             runs = [time_call([command, str(path), *flags])
