@@ -8,19 +8,26 @@ at every tested degree.
 
 The presentation is Tietze-simplified first
 (``presentation.tietze_eliminations``), which preserves every count,
-so no relator left determines one of its generators from the others.
-The count is then a sum over assignments of a product of relator
-constraints, computed exactly by bucket elimination over the relator
-graph (R. Dechter, *Bucket elimination*, 1999), whose cost grows with
-the width of that graph rather than with the number of generators
+so no relator left determines one of its generators from the others; a
+presentation that Tietze produced is already simplified and is counted
+as it is.  The count is then a sum over assignments of a product of
+relator constraints, computed exactly by bucket elimination over the
+relator graph (R. Dechter, *Bucket elimination*, 1999), whose cost grows
+with the width of that graph rather than with the number of generators
 (V. Dalmau and P. Jonsson 2004):
 
 * generators appearing in no relator contribute an exact ``d!`` factor;
 * the remaining generators split into components linked by shared
   relators; each is counted independently, and its count is memoised
   on a namespace-independent fingerprint;
-* a relator on a single generator filters that generator's domain, and
-  every other relator is a factor;
+* a relator on a single generator ``x`` says that the order of ``x``
+  divides its exponent, so the relators on ``x`` filter its domain to
+  the elements whose order divides the gcd of their exponents, read off
+  ``PermTable.order``;
+* every other relator is a factor, stored as its shortest root ``w``
+  with ``relator = w^k`` syllable by syllable, and checked as ``k``
+  being a multiple of the order of ``w``'s value: ``(s1 s2)^3`` costs
+  two products, not six;
 * Sym(d) acts on a component's solutions by conjugation, and every
   domain is a union of conjugacy classes, so one generator of each
   component, its hub, ranges over the class representatives in its
@@ -36,7 +43,16 @@ the width of that graph rather than with the number of generators
   cheap bucket whose message is wide makes every later bucket that
   receives it wide), and is compared with the order that eliminates
   every generator in one bucket, a plain forward-checking search of
-  the whole component; the cheaper is used.
+  the whole component; the cheaper is used.  The greedy reads only the
+  domain sizes and the neighbour sets of the generators, so it runs on
+  integers, and buckets are built for the chosen order alone.
+
+The degree-free part of a component's plan, its relator scopes, roots
+and powers, unary exponents and neighbour sets, is built once per
+component fingerprint (``_Skeleton``); each degree adds the domains and
+the elimination order.  Exponents are reduced modulo the exponent of
+Sym(d), ``lcm(1..d)``, when a relator is compiled into a search, so an
+exponent of any size costs at most ``lcm(1..d) / 2`` products.
 
 The estimate gated against the ceiling is the sum, over the buckets of
 every component of the simplified presentation, of the product of the
@@ -46,7 +62,7 @@ is known before any counting starts.
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import itemgetter
 
 from .errors import InputError, ResourceError
@@ -54,6 +70,7 @@ from .limits import DEFAULT_LIMITS
 from .perms import table
 from .presentation import tietze_simplify
 
+_skeletons = {}
 _component_cache = {}
 
 
@@ -95,95 +112,117 @@ def _split_components(n_gens, relators):
     return components, n_gens - len(in_relator)
 
 
-def _value(rel, asg, T):
-    """The product of the letters of ``rel`` under ``asg[slot]``."""
-    mul, inv = T.mul, T.inv
-    acc = T.identity
-    for slot, e in rel:
-        p = asg[slot]
-        if e < 0:
-            p, e = inv[p], -e
-        for _ in range(e):
-            acc = mul[acc][p]
-    return acc
+def _root(rel):
+    """``(w, k)`` with ``rel`` equal to ``w`` repeated ``k`` times, syllable
+    by syllable, and ``w`` the shortest such word."""
+    n = len(rel)
+    for length in range(1, n // 2 + 1):
+        if n % length == 0 and rel[:length] * (n // length) == rel:
+            return rel[:length], n // length
+    return rel, 1
 
 
-def _schedule(free, rels, msgs, domains):
-    """Assignment order of the generators ``free`` of one bucket: the
-    generator in most factors first, the smaller domain first on ties.
-    ``rels`` and ``msgs`` hold ``(scope, relator or index)`` pairs."""
-    weight = Counter()
-    for scope, _ in rels + msgs:
-        weight.update(scope)
-    return tuple(sorted(free, key=lambda v: (-weight[v], len(domains[v]),
-                                             v)))
+class _Skeleton:
+    """The degree-free part of the plan of one component with ``n``
+    generators: ``unary[v]``, the gcd of the exponent sums of the
+    relators on ``v`` alone (0 when there is none); ``factors``, the
+    other relators as ``(scope, root, power)``; ``nbrs[v]``, the
+    generators sharing a factor with ``v``; and ``links[v]``, the number
+    of factors on ``v``."""
+
+    __slots__ = ("n", "unary", "factors", "nbrs", "links")
+
+    def __init__(self, n, relators):
+        self.n = n
+        self.unary = [0] * n
+        self.factors = []
+        for rel in relators:
+            scope = frozenset(s for s, _ in rel)
+            if len(scope) == 1:
+                v, = scope
+                self.unary[v] = gcd(self.unary[v], sum(e for _, e in rel))
+            else:
+                self.factors.append((scope, *_root(rel)))
+        self.nbrs = [set() for _ in range(n)]
+        for scope, _, _ in self.factors:
+            for v in scope:
+                self.nbrs[v] |= scope
+        for v, near in enumerate(self.nbrs):
+            near.discard(v)
+        self.links = Counter(v for scope, _, _ in self.factors
+                             for v in scope)
 
 
 class _Bucket:
-    """One elimination step: the generators ``elim`` are summed out of
-    the factors that contain them, relators ``rels`` and messages
-    ``msgs``, which leaves a message over ``scope``.  ``order`` is the
-    assignment order of the bucket's search over ``elim`` and ``scope``;
-    ``cost`` is the product of the domains it enumerates.
+    """One elimination step and the forward-checking search that
+    enumerates it.
+
+    The generators ``elim`` are summed out of the factors that contain
+    them, relators ``(scope, root, power)`` and messages ``(scope, table
+    index)``, which leaves a message over ``scope``.  ``order`` is the
+    assignment order of the search over ``elim`` and ``scope``, the
+    generator in most of those factors first and the smaller domain
+    first on ties; ``cost`` is the product of the domains it
+    enumerates.
+
+    Slot ``i`` of the search holds ``order[i]``, taken from its domain.
+    At every depth the relators and messages whose last generator was
+    just assigned are checked, a relator ``w^k`` as ``k`` being a
+    multiple of the order of ``w``'s value.  ``w`` is compiled into
+    letters, one per unit of its exponents reduced modulo the exponent
+    of Sym(d): slot ``i`` for the value at ``i`` and ``~i`` for its
+    inverse.  A root whose exponents all reduce to 0 holds at every
+    assignment and is dropped.  ``out`` holds the slots of the scope.
     """
 
-    __slots__ = ("scope", "rels", "msgs", "order", "cost", "search")
+    __slots__ = ("scope", "order", "cost", "cands", "checks", "lookups",
+                 "out")
 
-    def __init__(self, elim, rels, msgs, domains):
+    def __init__(self, elim, rels, msgs, domains, T):
         inside = set(elim)
-        self.rels = [f for f in rels if f[0] & inside]
-        self.msgs = [f for f in msgs if inside.intersection(f[0])]
-        scope = inside.union(*(sc for sc, _ in self.rels),
-                             *(sc for sc, _ in self.msgs))
-        self.scope = tuple(sorted(scope - inside))
-        self.search = None
-        self.order = _schedule(scope, self.rels, self.msgs, domains)
-        self.cost = prod(len(domains[v]) for v in self.order)
+        rels = [f for f in rels if not inside.isdisjoint(f[0])]
+        msgs = [f for f in msgs if not inside.isdisjoint(f[0])]
+        weight = dict.fromkeys(inside, 0)
+        for f in rels + msgs:
+            for v in f[0]:
+                weight[v] = weight.get(v, 0) + 1
+        self.scope = tuple(sorted(weight.keys() - inside))
+        self.order = order = tuple(sorted(
+            weight, key=lambda v: (-weight[v], len(domains[v]), v)))
+        self.cost = prod(len(domains[v]) for v in order)
 
-
-class _Search:
-    """Forward-checking search of one bucket over integer slots.
-
-    Slot ``i`` holds ``order[i]``, taken from its domain.  At every
-    depth the relators and messages whose last generator was just
-    assigned are checked.  ``out`` holds the slots of the bucket's scope.
-    """
-
-    __slots__ = ("cands", "checks", "lookups", "out")
-
-    def __init__(self, bucket, domains):
-        order = bucket.order
         slot = {v: i for i, v in enumerate(order)}
         self.cands = [domains[v] for v in order]
         self.checks = [[] for _ in order]
         self.lookups = [[] for _ in order]
-        for scope, rel in bucket.rels:
-            self.checks[max(slot[s] for s in scope)].append(
-                tuple((slot[s], e) for s, e in rel))
-        for scope, j in bucket.msgs:
+        for scope, root, k in rels:
+            letters = []
+            for s, e in root:
+                e = T.reduce_exponent(e)
+                letters += [slot[s] if e > 0 else ~slot[s]] * abs(e)
+            if letters:
+                self.checks[max(slot[s] for s in scope)].append(
+                    (letters[0], tuple(letters[1:]), k % T.exponent))
+        for scope, j in msgs:
             slots = tuple(slot[v] for v in scope)
             self.lookups[max(slots)].append((slots, j))
-        self.out = tuple(slot[v] for v in bucket.scope)
+        self.out = tuple(slot[v] for v in self.scope)
 
     def run(self, T, tables, asg, leaf):
         """Call ``leaf(weight)`` for every consistent assignment, with
         ``asg`` holding it; ``weight`` is the product of the messages."""
-        mul, inv, ident = T.mul, T.inv, T.identity
+        mul, inv, ident, order = T.mul, T.inv, T.identity, T.order
         n = len(self.cands)
         cands, checks = self.cands, self.checks
         lookups = [[(itemgetter(*slots), tables[j]) for slots, j in looks]
                    for looks in self.lookups]
 
         def ok_at(depth):
-            for rel in checks[depth]:
-                acc = ident
-                for slot, e in rel:
-                    p = asg[slot]
-                    if e < 0:
-                        p, e = inv[p], -e
-                    for _ in range(e):
-                        acc = mul[acc][p]
-                if acc != ident:
+            for first, rest, k in checks[depth]:
+                acc = asg[first] if first >= 0 else inv[asg[~first]]
+                for i in rest:
+                    acc = mul[acc][asg[i] if i >= 0 else inv[asg[~i]]]
+                if acc != ident and k % order[acc]:
                     return False
             return True
 
@@ -208,7 +247,8 @@ class _Search:
 
 
 class _Elimination:
-    """Bucket-elimination schedule for one relator-connected component.
+    """Bucket-elimination schedule for one relator-connected component
+    at one degree, from its ``_Skeleton``.
 
     Sym(d) acts on the component's solutions by conjugating every
     generator at once, and a unary relator holds on all of a conjugacy
@@ -222,60 +262,66 @@ class _Elimination:
 
     __slots__ = ("buckets", "estimate", "count", "weights")
 
-    def __init__(self, n, relators, T):
-        unary = [[] for _ in range(n)]
-        rels = []
-        for rel in relators:
-            scope = frozenset(s for s, _ in rel)
-            if len(scope) == 1:
-                unary[rel[0][0]].append(tuple(e for _, e in rel))
-            else:
-                rels.append((scope, rel))
-        # generators with the same unary relators share one domain
+    def __init__(self, sk, T):
+        n = sk.n
+        # every order divides T.exponent, so gcd(e, T.exponent) keeps
+        # exactly the elements whose order divides e, and 0 keeps all
         filtered, domains = {}, []
-        for exponents in map(tuple, unary):
-            if exponents not in filtered:
-                filtered[exponents] = tuple(
-                    x for x in range(T.size)
-                    if all(_value([(0, e) for e in w], (x,), T)
-                           == T.identity for w in exponents))
-            domains.append(filtered[exponents])
+        for e in sk.unary:
+            e = gcd(e, T.exponent)
+            if e not in filtered:
+                filtered[e] = tuple(range(T.size)) if e == T.exponent \
+                    else tuple([x for x, k in enumerate(T.order) if not e % k])
+            domains.append(filtered[e])
 
-        links = Counter(v for scope, _ in rels for v in scope)
+        links = sk.links
         hub = max(range(n), key=lambda v: (links[v], len(domains[v]), -v))
         inside = set(domains[hub])
         self.weights = {x: size for x, size in T.classes if x in inside}
         domains[hub] = tuple(sorted(self.weights))
-        msgs = [((hub,), 0)]
-        one = _Bucket(tuple(range(n)), rels, msgs, domains)
+
+        # the greedy order on integers: eliminating v enumerates its
+        # domain times those of its neighbours, and leaves a message
+        # over the neighbours, who then neighbour each other
+        sizes = [len(dom) for dom in domains]
+        nbrs = [set(near) for near in sk.nbrs]
 
         def size(v):
-            b = cand[v]
-            return b.cost + prod(len(domains[u]) for u in b.scope), v
+            """The bucket of ``v`` plus its message, and ``v`` on ties."""
+            return (sizes[v] + 1) * prod(sizes[u] for u in nbrs[v]), v
 
-        greedy, cand = [], {}
+        picks, cost, cand = [], 0, {}
         remaining = set(range(n))
         while remaining:
             for v in remaining:
                 if v not in cand:
-                    cand[v] = _Bucket((v,), rels, msgs, domains)
-            x = min(remaining, key=size)
-            b = cand.pop(x)
+                    cand[v] = size(v)
+            x = min(remaining, key=cand.__getitem__)
             remaining.discard(x)
+            del cand[x]
+            near = nbrs[x]
+            cost += sizes[x] * prod(sizes[u] for u in near)
             # only the buckets of the generators next to x change
-            for v in b.scope:
-                cand.pop(v, None)
-            rels = [f for f in rels if x not in f[0]]
-            msgs = [f for f in msgs if x not in f[0]]
-            greedy.append(b)
-            if b.scope:
-                msgs.append((b.scope, len(greedy)))
+            for u in near:
+                cand.pop(u, None)
+                nbrs[u] |= near
+                nbrs[u] -= {u, x}
+            picks.append(x)
 
-        cost = sum(b.cost for b in greedy)
-        self.buckets = [one] if one.cost <= cost else greedy
-        self.estimate = min(one.cost, cost)
-        for b in self.buckets:
-            b.search = _Search(b, domains)
+        rels, msgs = sk.factors, [((hub,), 0)]
+        whole = prod(sizes)
+        self.estimate = min(whole, cost)
+        if whole <= cost:
+            self.buckets = [_Bucket(range(n), rels, msgs, domains, T)]
+        else:
+            self.buckets = []
+            for x in picks:
+                b = _Bucket((x,), rels, msgs, domains, T)
+                rels = [f for f in rels if x not in f[0]]
+                msgs = [f for f in msgs if x not in f[0]]
+                self.buckets.append(b)
+                if b.scope:
+                    msgs.append((b.scope, len(self.buckets)))
         self.count = None
 
     def forward(self, T):
@@ -285,18 +331,17 @@ class _Elimination:
         tables = [self.weights]
         count = 1
         for b in self.buckets:
-            s = b.search
             asg = [0] * len(b.order)
             message = {}
             get = message.get
-            key = itemgetter(*s.out) if s.out else (lambda _: ())
+            key = itemgetter(*b.out) if b.out else (lambda _: ())
 
             def leaf(w):
                 k = key(asg)
                 message[k] = get(k, 0) + w
 
-            s.run(T, tables, asg, leaf)
-            if not s.out:
+            b.run(T, tables, asg, leaf)
+            if not b.out:
                 message = message.get((), 0)
                 count *= message
             tables.append(message)
@@ -326,7 +371,8 @@ def _components(p):
     ``p`` simplified, and the number of its generators in no relator.
     ``present --degrees`` and ``verify`` count one presentation at each
     degree in turn, so the last one is kept."""
-    p = tietze_simplify(p)
+    if not p.simplified:
+        p = tietze_simplify(p)
     components, free = _split_components(len(p.generators), p.relators)
     keys = tuple(_component_key(gens, rels) for gens, rels in components)
     return keys, free
@@ -341,7 +387,10 @@ def _plan(p, d, limits):
     for key in keys:
         plan = _component_cache.get((key, d))
         if plan is None:
-            plan = _component_cache[key, d] = _Elimination(*key, T)
+            sk = _skeletons.get(key)
+            if sk is None:
+                sk = _skeletons[key] = _Skeleton(*key)
+            plan = _component_cache[key, d] = _Elimination(sk, T)
         plans.append(plan)
     cost = sum(plan.estimate for plan in plans)
     if cost > limits.ceiling:
@@ -380,4 +429,3 @@ def transitive_counts(counts):
         t.append(h[d] - sum(comb(d - 1, k - 1) * t[k] * h[d - k]
                             for k in range(1, d)))
     return t[1:]
-

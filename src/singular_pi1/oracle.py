@@ -131,6 +131,7 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
     checks = [[] for _ in pres.generators]
     for word in pres.relators:
         scope = sorted({k for k, _ in word})
+        word = _compiled(T, word)
         if len(scope) == 1:
             unary[scope[0]].append(word)
         else:
@@ -191,7 +192,21 @@ def _action_classes(group, d, limits):
     return classes
 
 
+def _compiled(T, word):
+    """``word`` with each exponent reduced modulo the exponent of Sym(d)
+    (``PermTable.reduce_exponent``), for ``_evaluate``."""
+    out = []
+    for slot, e in word:
+        e = T.reduce_exponent(e)
+        if e:
+            out.append((slot, e))
+    return tuple(out)
+
+
 def _evaluate(T, word, images):
+    """The value of ``word`` with generator ``slot`` at ``images[slot]``.
+    It takes one product per unit of exponent, so callers pass words
+    through ``_compiled`` first."""
     mul, inv = T.mul, T.inv
     acc = T.identity
     for slot, e in word:
@@ -249,6 +264,7 @@ def _canonical_form(gens, d):
 def _restrict(T, words, classes):
     """The canonical form and automorphism count of the branch group's
     action through ``words`` at each class representative."""
+    words = [_compiled(T, w) for w in words]
     return [_canonical_form([T.perms[_evaluate(T, w, rep)] for w in words],
                             T.degree)
             for rep, _ in classes]

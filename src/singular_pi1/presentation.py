@@ -28,7 +28,11 @@ from .words import (check_name, check_tag, cyclic_key, cyclically_reduce,
 
 
 class Presentation:
-    __slots__ = ("generators", "relators")
+    """Generator names and relators.  ``simplified`` is true on the
+    output of ``tietze_eliminations``, to which no Tietze move applies,
+    so a counter need not simplify it again."""
+
+    __slots__ = ("generators", "relators", "simplified")
 
     def __init__(self, generators, relators=()):
         gens = []
@@ -54,14 +58,16 @@ class Presentation:
             rels.append(reduce(r))
         self.generators = tuple(gens)
         self.relators = cyclic_relators(rels)
+        self.simplified = False
 
     @classmethod
-    def _trusted(cls, generators, relators):
+    def _trusted(cls, generators, relators, simplified=False):
         """A presentation of checked parts: distinct checked names, and
         cyclically reduced non-trivial relators over their indices."""
         p = cls.__new__(cls)
         p.generators = tuple(generators)
         p.relators = tuple(relators)
+        p.simplified = simplified
         return p
 
     def key(self):
@@ -258,13 +264,14 @@ def tietze_eliminations(p):
         eliminations.append((target, repl))
     rels = [r for r in relators if r is not None]
     if not eliminations:
-        return Presentation._trusted(p.generators, rels), eliminations
+        return Presentation._trusted(p.generators, rels, True), eliminations
     gone = {g for g, _ in eliminations}
     kept = [g for g in range(len(p.generators)) if g not in gone]
     number = {g: i for i, g in enumerate(kept)}
     return Presentation._trusted(
         [p.generators[g] for g in kept],
-        [tuple((number[g], e) for g, e in r) for r in rels]), eliminations
+        [tuple((number[g], e) for g, e in r) for r in rels],
+        True), eliminations
 
 
 def tietze_simplify(p):

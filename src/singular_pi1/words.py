@@ -58,8 +58,18 @@ def inverse(word):
 
 
 def power(word, n):
+    """``word`` to the ``n``-th power.  A word ``u g^e u^-1`` whose cyclic
+    core is one syllable has the power ``u g^(e n) u^-1``, so its
+    exponent may be of any size; any other word is repeated ``n``
+    times."""
     if n < 0:
         word, n = inverse(word), -n
+    i, j = 0, len(word) - 1
+    while i < j and word[j] == (word[i][0], -word[i][1]):
+        i, j = i + 1, j - 1
+    if i == j:
+        g, e = word[i]
+        return word[:i] + ((g, e * n),) + word[j + 1:] if n else ()
     return reduce(word * n)
 
 

@@ -17,8 +17,10 @@ indexed pass must reproduce exactly; ``power_reference`` and
 ``cyclically_reduced_reference`` are the syllable-by-syllable loops
 that ``words.power`` and ``words.cyclically_reduce`` must reproduce,
 ``cyclic_key_reference`` is the rotation list that ``cyclic_key``
-must reproduce, and ``evaluate_reference`` is the letter-by-letter
-loop that ``GroupSpec.evaluate`` must reproduce.  ``argparse_reference``
+must reproduce, ``evaluate_reference`` is the letter-by-letter
+loop that ``GroupSpec.evaluate`` must reproduce, and ``plan_reference``
+is the greedy loop, with every candidate bucket rebuilt at every step,
+whose buckets and estimate the hom counter's plan must reproduce.  ``argparse_reference``
 is the ``argparse`` parser whose outcomes ``cli.parse_args`` must
 reproduce.  Words are tuples of ``(generator index, exponent)``
 syllables, as in the package.
@@ -27,16 +29,17 @@ syllables, as in the package.
 import argparse
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import factorial
+from math import factorial, prod
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
                           parse_scheme_config, vk_assemble)
 from singular_pi1.groups import _closure
-from singular_pi1.perms import compose, identity, invert
+from singular_pi1.perms import compose, identity, invert, table
 from singular_pi1.vk import FORMS
 from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
                                 reduce, substitute)
@@ -212,6 +215,65 @@ def search_count_homs(p, d):
         return total
 
     return walk(0)
+
+
+def plan_reference(n, relators, d):
+    """The bucket plan of one component that ``homcount._Elimination``
+    must reproduce, by the greedy loop that builds the candidate bucket
+    of every remaining generator at every step: ``(buckets, estimate)``,
+    one ``(order, scope, cost)`` per bucket.  ``n`` and ``relators`` are
+    a component key of ``homcount``; domains are filtered by powering
+    each element letter by letter."""
+    T = table(d)
+
+    def holds(x, e):
+        acc, p = T.identity, x if e > 0 else T.inv[x]
+        for _ in range(abs(e)):
+            acc = T.mul[acc][p]
+        return acc == T.identity
+
+    unary = [[] for _ in range(n)]
+    rels = []
+    for rel in relators:
+        scope = frozenset(s for s, _ in rel)
+        if len(scope) == 1:
+            unary[rel[0][0]].append(sum(e for _, e in rel))
+        else:
+            rels.append(scope)
+    domains = [[x for x in range(T.size) if all(holds(x, e) for e in es)]
+               for es in unary]
+    links = Counter(v for scope in rels for v in scope)
+    hub = max(range(n), key=lambda v: (links[v], len(domains[v]), -v))
+    domains[hub] = sorted(x for x, _ in T.classes if x in domains[hub])
+
+    def bucket(elim, rels, msgs):
+        inside = set(elim)
+        touching = [sc for sc in rels + msgs if inside & set(sc)]
+        weight = Counter(v for sc in touching for v in sc)
+        scope = inside.union(*touching)
+        order = tuple(sorted(scope, key=lambda v: (-weight[v],
+                                                   len(domains[v]), v)))
+        return (order, tuple(sorted(scope - inside)),
+                prod(len(domains[v]) for v in order))
+
+    def size(v, rels, msgs):
+        _, scope, cost = bucket((v,), rels, msgs)
+        return cost + prod(len(domains[u]) for u in scope), v
+
+    msgs = [(hub,)]
+    one = bucket(range(n), rels, msgs)
+    greedy, remaining = [], set(range(n))
+    while remaining:
+        x = min(remaining, key=lambda v: size(v, rels, msgs))
+        b = bucket((x,), rels, msgs)
+        remaining.discard(x)
+        rels = [sc for sc in rels if x not in sc]
+        msgs = [sc for sc in msgs if x not in sc]
+        greedy.append(b)
+        if b[1]:
+            msgs.append(b[1])
+    cost = sum(b[2] for b in greedy)
+    return ([one] if one[2] <= cost else greedy), min(one[2], cost)
 
 
 def count_classes(n_points, edges):

@@ -271,8 +271,8 @@ class TestPresent:
         code, doc = run(capsys, "present", str(path),
                         "--degrees", "2,3,4,5")
         assert code == 0
-        # once for the output, once for the counts
-        assert len(calls) == 2
+        # once for the output; the counts take the simplified one as it is
+        assert len(calls) == 1
         assert doc["hom_counts"] == {str(d): closed_family_homs("chain", 3, d)
                                      for d in (2, 3, 4, 5)}
 
@@ -395,6 +395,51 @@ class TestVerify:
                         "--degree-max", "2", "--connected")
         assert code == 0
         assert doc["reports"][0]["connected"]["verdict"] == "pass"
+
+
+def two_branch_config(exponent, big_first):
+    """A C2 component and a C2 singular piece joined by two branches, one
+    mapping g to g on both sides and one with psi: g -> g^exponent."""
+    def branch(bid, e):
+        return {"id": bid, "component": "A", "singular": "P",
+                "group": {"kind": "cyclic", "order": 2},
+                "psi": {"g": [["g", e]]}, "phi": {"g": [["g", 1]]}}
+    branches = [branch("b1", 1), branch("b2", exponent)]
+    if big_first:
+        branches.reverse()
+    c2 = {"kind": "cyclic", "order": 2}
+    return {"components": [{"id": "A", "group": c2}],
+            "singulars": [{"id": "P", "group": c2}], "branches": branches}
+
+
+class TestLargeExponents:
+    """An exponent of any size in a branch map costs no more than a small
+    one: Tietze powers a one-syllable core by multiplying, and both
+    counters reduce exponents modulo the exponent of Sym(d)."""
+
+    CALLS = [("present", "--degrees", "1,2,3,4,5"),
+             ("present", "--route", "devissage", "--degrees", "3"),
+             ("verify", "--degree-max", "5", "--connected")]
+
+    @pytest.mark.parametrize("exponent", [10 ** 21 + 1, 10 ** 7 + 1])
+    @pytest.mark.parametrize("big_first", [False, True])
+    @pytest.mark.parametrize("argv", CALLS)
+    def test_counts_and_reports_equal_exponent_one(
+            self, tmp_path, capsys, exponent, big_first, argv):
+        docs = []
+        for e in (exponent, 1):
+            path = tmp_path / f"two-{e}.json"
+            path.write_text(json.dumps(two_branch_config(e, big_first)))
+            start = time.perf_counter()
+            code, doc = run(capsys, argv[0], str(path), *argv[1:])
+            assert time.perf_counter() - start < 1
+            assert code == 0, doc
+            docs.append(doc)
+        big, one = docs
+        if argv[0] == "present":
+            assert big["hom_counts"] == one["hom_counts"]
+        else:
+            assert big == one
 
 
 class TestPlan:

@@ -7,10 +7,12 @@ import pytest
 from singular_pi1 import (Limits, Presentation, ResourceError, count_homs,
                           free_presentation, pi1_graph_of_groups,
                           transitive_counts)
+from singular_pi1 import homcount
+from singular_pi1.words import power, reduce
 from support import (brute_count_homs, brute_count_transitive_homs,
                      closed_family_homs, count_order_dividing,
-                     family_config, load_corpus, random_presentation,
-                     search_count_homs)
+                     family_config, load_corpus, plan_reference,
+                     random_presentation, search_count_homs)
 
 A = 0                # the generator of Presentation(["a"], ...)
 
@@ -153,3 +155,97 @@ def test_64_piece_families_match_the_closed_formula(family):
     pres = pi1_graph_of_groups(family_config(family, 64)).presentation
     for d in (3, 4, 5):
         assert count_homs(pres, d) == closed_family_homs(family, 64, d)
+
+
+def _random_root(rng, n, syllables):
+    """A freely reduced word of ``syllables`` syllables over ``n``
+    generators, exponents in -2..2."""
+    word = ()
+    while len(word) < syllables:
+        word = reduce(word + ((rng.randrange(n), rng.choice((-2, -1, 1, 2))),))
+    return word
+
+
+def _power_presentations(seed, count):
+    """Presentations on two or three generators with proper powers
+    ``w^k`` (``k`` = 2..4, roots of 1-3 syllables) among their relators,
+    and one or two unary relators on some generators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        relators = [power(_random_root(rng, n, rng.randint(1, 3)),
+                          rng.randint(2, 4))
+                    for _ in range(rng.randint(1, 3))]
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            relators += [((v, rng.choice((-6, -4, -3, 2, 3, 4, 6))),)
+                         for _ in range(rng.randint(1, 2))]
+        yield Presentation("abc"[:n], relators)
+
+
+def _has_power_factor(p):
+    keys, _ = homcount._components(p)
+    return any(k > 1 for key in keys
+               for _, _, k in homcount._Skeleton(*key).factors)
+
+
+def test_power_relators_match_brute_force():
+    presentations = list(_power_presentations(21, 30))
+    assert sum(map(_has_power_factor, presentations)) >= 10
+    for p in presentations:
+        for d in (2, 3, 4):
+            if d == 4 and len(p.generators) == 3:
+                assert count_homs(p, d) == search_count_homs(p, d), p
+            else:
+                assert count_homs(p, d) == brute_count_homs(p, d), p
+
+
+def test_several_unary_relators_filter_by_the_gcd():
+    # x^4 and x^6: the order of x divides 2
+    a, b = 0, 1
+    p = Presentation(["a"], [((a, 4),), ((a, 6),)])
+    for d in (2, 3, 4):
+        assert count_homs(p, d) == brute_count_homs(p, d) \
+            == count_order_dividing(d, 2)
+    # with a power on two generators: a^4, a^-6, (a b^-1)^3, b^3, b^-9
+    p = Presentation(["a", "b"], [((a, 4),), ((a, -6),),
+                                  ((a, 1), (b, -1)) * 3, ((b, 3),),
+                                  ((b, -9),)])
+    for d in (2, 3, 4):
+        assert count_homs(p, d) == brute_count_homs(p, d)
+
+
+def test_power_relator_checks_its_root_once():
+    # (s1 s2)^3 is stored as its root s1 s2 and the power 3
+    p = Presentation(["s1", "s2"], [((0, 2),), ((1, 2),),
+                                    ((0, 1), (1, 1)) * 3])
+    (key,), _ = homcount._components(p)
+    sk = homcount._Skeleton(*key)
+    assert [(root, k) for _, root, k in sk.factors] \
+        == [(((0, 1), (1, 1)), 3)]
+    assert sk.unary == [2, 2]
+    assert [count_homs(p, d) for d in (2, 3, 4)] \
+        == [brute_count_homs(p, d) for d in (2, 3, 4)]
+
+
+def _plan_presentations():
+    corpus = [pi1_graph_of_groups(cfg).presentation
+              for cfg in load_corpus().values()]
+    families = [pi1_graph_of_groups(family_config(family, n)).presentation
+                for family in ("chain", "star", "theta") for n in (2, 3, 5)]
+    rng = random.Random(13)
+    randoms = [random_presentation(rng, max_gens=5, max_relators=5,
+                                   max_len=6) for _ in range(40)]
+    return corpus + families + randoms + list(_power_presentations(22, 10))
+
+
+def test_plan_matches_the_plain_greedy():
+    unlimited = Limits(ceiling=10 ** 30)
+    for p in _plan_presentations():
+        keys, _ = homcount._components(p)
+        for d in (2, 3, 4, 5):
+            plans, _, _ = homcount._plan(p, d, unlimited)
+            for key, plan in zip(keys, plans):
+                buckets, estimate = plan_reference(*key, d)
+                assert [(b.order, b.scope, b.cost)
+                        for b in plan.buckets] == buckets, (p, d)
+                assert plan.estimate == estimate, (p, d)

@@ -34,3 +34,25 @@ def test_classes_are_the_conjugacy_classes(d):
         assert min(conjugates) == p         # the first in ``perms``
         covered |= conjugates
     assert len(covered) == factorial(d)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_order_matches_powering_to_the_identity(d):
+    T = table(d)
+    for x in range(T.size):
+        k, y = 1, x
+        while y != T.identity:
+            k, y = k + 1, T.mul[y][x]
+        assert T.order[x] == k
+        assert T.exponent % k == 0
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_reduced_exponents_give_the_same_powers(d):
+    T = table(d)
+    for e in (-10 ** 21 - 1, -7, -1, 0, 1, 5, 12, 10 ** 21 + 1):
+        f = T.reduce_exponent(e)
+        assert -T.exponent < 2 * f <= T.exponent
+        for x in range(T.size):
+            # x^e depends on e modulo the order of x
+            assert (e - f) % T.order[x] == 0

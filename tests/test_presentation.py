@@ -179,11 +179,13 @@ class TestTietzeMatchesReference:
         self.check(_devissage_raw())
 
     def test_simplify_is_idempotent(self):
-        # count_homs simplifies again what present already simplified
+        # count_homs counts a presentation flagged simplified as it is
         for p in (_random_presentations(200) + _graph_of_groups_raw()
                   + _devissage_raw()):
+            assert not p.simplified
             once = tietze_simplify(p)
-            assert tietze_simplify(once) == once
+            assert once.simplified
+            assert tietze_eliminations(once) == (once, [])
 
 
 @pytest.mark.parametrize("family", ["chain", "star", "theta"])

@@ -33,6 +33,17 @@ def test_multiplication_and_inverse():
     assert power(u, 0) == ()
 
 
+def test_power_of_a_one_syllable_core_multiplies_the_exponent():
+    # b a^2 b^-1 to the n is b a^(2n) b^-1, for an n of any size
+    u = w((B, 1), (A, 2), (B, -1))
+    n = 10 ** 21 + 1
+    assert power(u, n) == ((B, 1), (A, 2 * n), (B, -1))
+    assert power(u, -n) == ((B, 1), (A, -2 * n), (B, -1))
+    assert power(((A, -3),), n) == ((A, -3 * n),)
+    for k in range(-3, 4):
+        assert power(u, k) == power_reference(u, k)
+
+
 def test_cyclic_reduction_wraps_syllables():
     # a b a  ~  a^2 b after conjugation
     word = w((A, 1), (B, 1), (A, 1))

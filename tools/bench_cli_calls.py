@@ -5,24 +5,35 @@ Run from the repository root:
     python3 tools/bench_cli_calls.py --label after
 
 For ``validate``, ``present`` and ``verify --degree-max 3`` on each of
-the 8 bundled configurations, and for ``present`` on the chain, star
+the 8 bundled configurations, for ``present`` on the chain, star
 and theta with 16 singular pieces (the non-trivial S3/C2 variant) and
 with 48 (the all-trivial variant, where reading and checking the
-configuration is nearly all the work), each at seed 1 and written by
-``perfbench/families.py``, the script starts a fresh
-interpreter ``REPEATS`` times.  Each one imports ``singular_pi1.cli``
-and then times ``cli.main(argv)`` alone, with its output captured, so
-the start of the interpreter and the import are left out and the parsing
-of the command line is counted, as a user pays for it.  A row records
-the exit code and the medians over the repeats of three numbers:
-``ms``, the call; ``gc_ms``, the cyclic collector's pauses inside the
-call, timed from ``gc.callbacks``; and ``import_ms``, from just before
-the interpreter is started until ``singular_pi1.cli`` is imported, on
-the system-wide monotonic clock.  ``total_ms`` and ``gc_ms`` sum the
-rows, ``gc_share`` is their quotient, and ``import_ms`` is the median
-of the rows.  The labels ``before-argv`` and ``after-argv`` predate the
-family rows and the two collector and import numbers, and every label
-before ``before-ingest`` the all-trivial rows.
+configuration is nearly all the work), and for the six ``present
+--degrees`` calls of perfbench's count-families workload (small S3/C2
+families, counted at degrees 2..5 or 2..4 with the ceiling lifted),
+each at seed 1 and written by ``perfbench/families.py``, the script
+starts a fresh interpreter ``REPEATS`` times.  Each one imports
+``singular_pi1.cli`` and then times ``cli.main(argv)`` alone, with its
+output captured, so the start of the interpreter and the import are
+left out and the parsing of the command line is counted, as a user
+pays for it.  A row records the exit code and the medians over the
+repeats of four numbers: ``ms``, the call; ``gc_ms``, the cyclic
+collector's pauses inside the call, timed from ``gc.callbacks``;
+``import_ms``, from just before the interpreter is started until
+``singular_pi1.cli`` is imported, on the system-wide monotonic clock;
+and ``norm``, the call's milliseconds over the mean milliseconds of
+perfbench's reference work (``worker.reference_work``), run
+``EDGE_SAMPLES`` times just before and just after the call in the same
+process.  The speed of a shared machine drifts by more than a small
+change between two recordings, and the call and the reference work
+drift together, so ``norm`` compares across labels where ``ms`` does
+not.  ``total_ms``, ``total_norm`` and ``gc_ms`` sum the rows,
+``gc_share`` is the quotient of the last by the first, and
+``import_ms`` is the median of the rows.  The labels ``before-argv``
+and ``after-argv`` predate the family rows and the two collector and
+import numbers, every label before ``before-ingest`` the all-trivial
+rows, and every label before ``before-order`` the count-families rows
+and ``norm``.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
@@ -50,40 +61,52 @@ CORPUS = ("chain", "nodal", "nontrivial-Z", "nontrivial-Z2", "regular",
 CALLS = (("validate",), ("present",), ("verify", "--degree-max", "3"))
 # (variant, number of singular pieces) of the family rows
 FAMILY_ROWS, SEED = (("nontrivial", 16), ("trivial", 48)), 1
+# perfbench's count-families operations: (family, pieces, degrees)
+COUNT_ROWS = (("chain", 3, "2,3,4,5"), ("star", 3, "2,3,4,5"),
+              ("theta", 2, "2,3,4,5"), ("chain", 5, "2,3,4"),
+              ("star", 5, "2,3,4"), ("theta", 4, "2,3,4"))
+NO_CEILING = ("--ceiling", str(10 ** 16))
 REPEATS = 5
+EDGE_SAMPLES = 3
 CHILD = """
 import time
 from singular_pi1.cli import main
 imported_at = time.monotonic()
-import contextlib, gc, io, json, sys
+import contextlib, gc, io, json, statistics, sys
+from worker import reference_work
 marks = []
 def mark(phase, info):
     marks.append(time.perf_counter())
+samples = [reference_work() for _ in range(EDGE_SAMPLES)]
 gc.callbacks.append(mark)
 with contextlib.redirect_stdout(io.StringIO()):
     start = time.perf_counter()
     code = main(sys.argv[1:])
     seconds = time.perf_counter() - start
 gc.callbacks.remove(mark)
+samples += [reference_work() for _ in range(EDGE_SAMPLES)]
 # the callbacks come in start, stop pairs
 paused = sum(end - begin for begin, end in zip(marks[::2], marks[1::2]))
 print(json.dumps({"exit": code, "ms": seconds * 1e3, "gc_ms": paused * 1e3,
-                  "imported_at": imported_at}))
-"""
+                  "imported_at": imported_at,
+                  "norm": seconds / statistics.fmean(samples)}))
+""".replace("EDGE_SAMPLES", str(EDGE_SAMPLES))
 
 
 def time_call(argv):
     """Exit code, milliseconds of ``cli.main(argv)``, milliseconds of
-    collector pauses inside it, and milliseconds from spawning a fresh
-    interpreter until it has imported ``singular_pi1.cli``."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    collector pauses inside it, milliseconds from spawning a fresh
+    interpreter until it has imported ``singular_pi1.cli``, and the
+    call's time in units of the reference work."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
     spawned = time.monotonic()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
                           capture_output=True, text=True, env=env,
                           check=True)
     result = json.loads(proc.stdout)
     return (result["exit"], result["ms"], result["gc_ms"],
-            (result["imported_at"] - spawned) * 1e3)
+            (result["imported_at"] - spawned) * 1e3, result["norm"])
 
 
 def main():
@@ -103,12 +126,18 @@ def main():
                                          SEED), ("present",))
                   for variant, n in FAMILY_ROWS
                   for family in families.FAMILIES]
+        calls += [(f"{family}-nontrivial-{n}",
+                   families.write_config(Path(tmp), family, "nontrivial", n,
+                                         SEED),
+                   ("present", "--degrees", degrees, *NO_CEILING))
+                  for family, n, degrees in COUNT_ROWS]
         for name, path, (command, *flags) in calls:
             runs = [time_call([command, str(path), *flags])
                     for _ in range(REPEATS)]
             row = {"command": " ".join([command, *flags]), "config": name,
                    "exit": runs[0][0]}
-            for k, key in enumerate(("ms", "gc_ms", "import_ms"), start=1):
+            for k, key in enumerate(("ms", "gc_ms", "import_ms", "norm"),
+                                    start=1):
                 row[key] = round(statistics.median(r[k] for r in runs), 3)
             print(json.dumps(row), flush=True)
             rows.append(row)
@@ -118,13 +147,16 @@ def main():
     doc["calls"] = (f"cli.main(argv) after import, median of {REPEATS} "
                     f"fresh interpreters per row; gc_ms: collector pauses "
                     f"inside the call; import_ms: spawn until "
-                    f"singular_pi1.cli is imported")
+                    f"singular_pi1.cli is imported; norm: ms over the "
+                    f"mean ms of perfbench's reference work, sampled "
+                    f"{EDGE_SAMPLES} times before and after the call")
     total = sum(row["ms"] for row in rows)
     paused = sum(row["gc_ms"] for row in rows)
     doc.setdefault("runs", {})[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"Python {platform.python_version()}",
         "total_ms": round(total, 3),
+        "total_norm": round(sum(row["norm"] for row in rows), 3),
         "gc_ms": round(paused, 3),
         "gc_share": round(paused / total, 3),
         "import_ms": round(statistics.median(
