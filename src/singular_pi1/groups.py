@@ -20,6 +20,8 @@ larger presentations; the generator permutations are what homomorphism
 validation evaluates relators against.
 """
 
+from math import lcm
+
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
 from .perms import compose, identity, invert
@@ -353,6 +355,22 @@ class GroupSpec:
                 if n:
                     g = compose(g, g)
         return acc
+
+    def generator_order(self, i):
+        """The order of canonical generator ``i``: the lcm of the lengths
+        of the cycles of its permutation."""
+        perm = self.generator_elements[i]
+        seen = bytearray(len(perm))
+        out = 1
+        for start in range(len(perm)):
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = 1
+                x = perm[x]
+                length += 1
+            if length:
+                out = lcm(out, length)
+        return out
 
     # -- identity ---------------------------------------------------------
 

@@ -5,7 +5,10 @@ words over the canonical generators of its target ``GroupSpec``:
 ``images[i]`` is the image of source generator ``i``.  It is checked on
 construction: every source generator has exactly one image, every image
 uses declared target generators only, and every source relator
-evaluates to the identity of the target.
+evaluates to the identity of the target.  An image's exponent larger in
+absolute value than the order of its generator is reduced modulo that
+order, keeping its sign, so a map costs what its smallest exponents
+cost: a power of a long word written out by Tietze stays short.
 """
 
 from .errors import InputError
@@ -36,7 +39,8 @@ class Homo:
                 raise InputError(
                     f"image of {name} uses undeclared target generators: "
                     f"{sorted(bad)}")
-        self.images = tuple(map(reduce, images))
+        self.images = tuple(reduce(_within_orders(w, target))
+                            for w in images)
         by_generator = dict(enumerate(self.images))
         for r in source.canonical_presentation.relators:
             value = target.evaluate(substitute(r, by_generator))
@@ -49,3 +53,16 @@ class Homo:
     def trivial(cls, source, target):
         return cls(source, target,
                    ((),) * len(source.canonical_presentation.generators))
+
+
+def _within_orders(word, target):
+    """``word`` with every exponent ``e`` on a generator of order ``k <
+    |e|`` replaced by the one of the same sign and ``|e| mod k``."""
+    out = []
+    for g, e in word:
+        if e > 1 or e < -1:
+            k = target.generator_order(g)
+            if abs(e) > k:
+                e = e % k if e > 0 else -(-e % k)
+        out.append((g, e))
+    return out

@@ -16,15 +16,13 @@ per singular piece.
 Each route validates once at its entry and simplifies once at the end;
 the dévissage's walk validates none of its patches again.
 Results carry the raw lowered presentation, its simplification, the
-expression's node table, the derivation trace, and the location of
-every component group's generators inside the raw presentation: the
-offset of the block they occupy, as the free products that build it
-return.  The dévissage appends to one node table and one derivation
-list as it goes; a part of the result is known by its root node id.
+expression's node table and the derivation trace.  The dévissage
+appends to one node table and one derivation list as it goes; a part
+of the result is known by its root node id.
 """
 
 from .expression import add_node, piece
-from .presentation import (free_presentation, free_product,
+from .presentation import (Presentation, cyclic_relators, free_product,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
                      ensure_valid, spanning_tree)
@@ -45,14 +43,11 @@ class DerivationStep:
 
 class Pi1Result:
     def __init__(self, expression, presentation, raw_presentation,
-                 derivation, component_images=None):
+                 derivation):
         self.expression = expression   # node table, see ``expression``
         self.presentation = presentation   # tietze-simplified lowering
         self.raw_presentation = raw_presentation   # before simplification
         self.derivation = derivation
-        # component id -> offset of its generators in raw_presentation
-        self.component_images = {} if component_images is None \
-            else component_images
 
 
 def _branch_leg_pairs(branch):
@@ -71,7 +66,11 @@ def pi1_graph_of_groups(cfg):
     group, and one stable letter ``t_b`` per branch off a spanning tree;
     the relations are ``psi_b(a) = t_b phi_b(a) t_b^-1`` for every
     branch ``b`` and generator ``a`` of its group, with ``t_b = 1`` on
-    the tree.
+    the tree.  On the tree the group is the colimit of the vertex
+    groups, so a tree leg whose two images are single generators to the
+    same exponent, 1 or -1, identifies those generators: it merges them
+    into the one declared first (a component's before a piece's) and
+    adds no relator.  Every other leg is a relator.
     """
     return _graph_of_groups(ensure_valid(cfg))
 
@@ -84,25 +83,53 @@ def _graph_of_groups(cfg):
         "stable letters disagree with the free rank"
     vertices = [("component", c) for c in cfg.components] \
         + [("singular", s) for s in cfg.singulars]
-    free = free_presentation(rank, prefix="f")
     tags = [f"c{i + 1}" for i in range(cfg.n)] \
-        + [f"s{j + 1}" for j in range(cfg.m)] + ["free"]
-    prod, offsets = free_product(
-        [v.group.canonical_presentation for _, v in vertices] + [free], tags)
-    comp_offsets = {c.id: offsets[i] for i, c in enumerate(cfg.components)}
-    sing_offsets = {s.id: offsets[cfg.n + j]
-                    for j, s in enumerate(cfg.singulars)}
-    stable_letter = {b.id: ((offsets[-1] + k, 1),)
+        + [f"s{j + 1}" for j in range(cfg.m)]
+    # one slot per generator of the free product, in block order
+    names, words, offsets = [], [], []
+    for (_, v), tag in zip(vertices, tags):
+        pres = v.group.canonical_presentation
+        offsets.append(len(names))
+        words.extend(shift(r, len(names)) for r in pres.relators)
+        names.extend(f"{tag}.{g}" for g in pres.generators)
+    comp_offsets = dict(zip((c.id for c in cfg.components), offsets))
+    sing_offsets = dict(zip((s.id for s in cfg.singulars),
+                            offsets[cfg.n:]))
+    stable_letter = {b.id: ((len(names) + k, 1),)
                      for k, b in enumerate(stable)}
+    names.extend(f"free.f{k + 1}" for k in range(rank))
 
-    pairs = []
+    # union-find over the slots; a class is named by its lowest slot
+    parent = list(range(len(names)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    legs = 0
     for b in cfg.branches:
-        t = stable_letter.get(b.id, ())
+        t = stable_letter.get(b.id)
+        c, s = comp_offsets[b.component], sing_offsets[b.singular]
         for psi_word, phi_word in _branch_leg_pairs(b):
-            pairs.append((shift(psi_word, comp_offsets[b.component]),
-                          reduce(t + shift(phi_word, sing_offsets[b.singular])
-                                 + inverse(t))))
-    raw = quotient_by_relations(prod, pairs)
+            legs += 1
+            if t is None and len(psi_word) == len(phi_word) == 1 \
+                    and psi_word[0][1] == phi_word[0][1] in (1, -1):
+                x, y = find(c + psi_word[0][0]), find(s + phi_word[0][0])
+                parent[max(x, y)] = min(x, y)
+                continue
+            rhs = shift(inverse(phi_word), s)
+            if t is not None:
+                rhs = t + rhs + inverse(t)
+            words.append(shift(psi_word, c) + rhs)
+    kept = [g for g in range(len(names)) if find(g) == g]
+    number = dict(zip(kept, range(len(kept))))
+    slot = [number[find(g)] for g in range(len(names))]
+    raw = Presentation._trusted(
+        [names[g] for g in kept],
+        cyclic_relators(reduce([(slot[g], e) for g, e in w])
+                        for w in words))
 
     nodes = []
     children = [add_node(nodes, "atom", **piece(kind, v.id, v.group))
@@ -115,13 +142,13 @@ def _graph_of_groups(cfg):
         root = children[0]
     else:
         root = add_node(nodes, "coproduct", children=children)
-    if pairs:
-        root = add_node(nodes, "quotient", child=root, relations=len(pairs))
+    if legs:
+        root = add_node(nodes, "quotient", child=root, relations=legs)
     steps = [DerivationStep(
         "graph-of-groups", root,
         {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
          "stable_branches": [b.id for b in stable]})]
-    return _simplified(Pi1Result(nodes, None, raw, steps, comp_offsets))
+    return _simplified(Pi1Result(nodes, None, raw, steps))
 
 
 def _connected_singular(cfg, form, nodes, steps):
@@ -185,25 +212,23 @@ def pi1_devissage(cfg, form="i", order=None):
     else:
         ensure_valid(cfg)
     nodes, steps = [], []
-    _, raw, images = _devissage(cfg, form, order, nodes, steps)
-    return _simplified(Pi1Result(nodes, None, raw, steps, images))
+    raw = _devissage(cfg, form, order, nodes, steps)
+    return _simplified(Pi1Result(nodes, None, raw, steps))
 
 
 def _devissage(cfg, form, order, nodes, steps):
-    """``pi1_devissage`` of a valid configuration along a checked order,
-    unsimplified, as ``_connected_singular`` returns it: the first
-    piece's patch, then each later patch glued onto the union of the
-    patches before it.  The derivation thus names the first piece in
+    """The raw presentation of ``pi1_devissage`` of a valid configuration
+    along a checked order: the first piece's patch, then each later
+    patch glued onto the union of the patches before it.  The derivation thus names the first piece in
     its first step and each later one as the anchor of its split."""
     if cfg.m == 0:
         comp = cfg.components[0]
-        raw, (offset,) = free_product([comp.group.canonical_presentation],
-                                      ["c1"])
+        raw, _ = free_product([comp.group.canonical_presentation], ["c1"])
         root = add_node(nodes, "atom",
                         **piece("component", comp.id, comp.group))
         steps.append(DerivationStep("normal-component", root,
                                     {"component": comp.id}))
-        return root, raw, {comp.id: offset}
+        return raw
 
     for prefix, patch, report in devissage_splits(cfg, order):
         left, left_raw, left_images = _connected_singular(patch, form,
@@ -238,4 +263,4 @@ def _devissage(cfg, form, order, nodes, steps):
              "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
              "form": form}))
         raw, images = asm.presentation, glued
-    return root, raw, images
+    return raw

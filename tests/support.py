@@ -37,12 +37,15 @@ from math import factorial, prod
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
-                          parse_scheme_config, vk_assemble)
+                          free_presentation, parse_scheme_config,
+                          quotient_by_relations, vk_assemble)
 from singular_pi1.groups import _closure
 from singular_pi1.perms import compose, identity, invert, table
+from singular_pi1.presentation import free_product
+from singular_pi1.scheme import spanning_tree
 from singular_pi1.vk import FORMS
 from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
-                                reduce, substitute)
+                                reduce, shift, substitute)
 
 
 def _reference_syllable(relator, relators):
@@ -760,6 +763,31 @@ def family_config(family, n, nontrivial=True):
     return SchemeConfig([Component(c, s3) for c in comps],
                         [Singular(f"P{i}", c2) for i in range(1, n + 1)],
                         branches)
+
+
+def unmerged_graph_of_groups(cfg):
+    """The graph-of-groups presentation of ``cfg`` with every leg a
+    relator, tree legs included: the free product of the component and
+    piece groups and one stable letter per branch off the spanning tree,
+    quotiented by ``psi_b(a) = t_b phi_b(a) t_b^-1``, ``t_b = 1`` on the
+    tree.  On a hub-shaped dual graph every piece's generator is tied to
+    its neighbours' by relators that Tietze has to eliminate, where
+    ``pi1_graph_of_groups`` merges the generators instead."""
+    _, stable = spanning_tree(cfg)
+    vertices = list(cfg.components) + list(cfg.singulars)
+    prod, offsets = free_product(
+        [v.group.canonical_presentation for v in vertices]
+        + [free_presentation(len(stable))])
+    offset = dict(zip([v.id for v in vertices], offsets))
+    letter = {b.id: ((offsets[-1] + k, 1),) for k, b in enumerate(stable)}
+    pairs = []
+    for b in cfg.branches:
+        t = letter.get(b.id, ())
+        for psi, phi in zip(b.psi.images, b.phi.images):
+            pairs.append((shift(psi, offset[b.component]),
+                          reduce(t + shift(phi, offset[b.singular])
+                                 + inverse(t))))
+    return quotient_by_relations(prod, pairs)
 
 
 def build_union(cfg, singular_ids):

@@ -412,10 +412,27 @@ def two_branch_config(exponent, big_first):
             "singulars": [{"id": "P", "group": c2}], "branches": branches}
 
 
+def long_image_config(exponent):
+    """An S3 component and a C2 piece joined by two C2 branches: one maps
+    g to s1 s2 s1 and to g, the other to s2 and to g^exponent."""
+    c2 = {"kind": "cyclic", "order": 2}
+
+    def branch(bid, psi, e):
+        return {"id": bid, "component": "A", "singular": "P", "group": c2,
+                "psi": {"g": psi}, "phi": {"g": [["g", e]]}}
+    return {"components": [{"id": "A",
+                            "group": {"kind": "symmetric", "degree": 3}}],
+            "singulars": [{"id": "P", "group": c2}],
+            "branches": [branch("b1", [["s1", 1], ["s2", 1], ["s1", 1]], 1),
+                         branch("b2", [["s2", 1]], exponent)]}
+
+
 class TestLargeExponents:
     """An exponent of any size in a branch map costs no more than a small
-    one: Tietze powers a one-syllable core by multiplying, and both
-    counters reduce exponents modulo the exponent of Sym(d)."""
+    one: a map's exponents are reduced modulo the orders of their
+    generators as it is read, Tietze powers a one-syllable core by
+    multiplying, and both counters reduce exponents modulo the exponent
+    of Sym(d)."""
 
     CALLS = [("present", "--degrees", "1,2,3,4,5"),
              ("present", "--route", "devissage", "--degrees", "3"),
@@ -440,6 +457,20 @@ class TestLargeExponents:
             assert big["hom_counts"] == one["hom_counts"]
         else:
             assert big == one
+
+    @pytest.mark.parametrize("argv", CALLS)
+    def test_power_of_a_long_image_is_read_at_its_order(self, tmp_path,
+                                                         capsys, argv):
+        # Tietze substitutes g = s1 s2 s1 into g^exponent: unreduced, a
+        # word of 3 * 10^21 syllables
+        docs = []
+        for e in (10 ** 21 + 1, 1):
+            path = tmp_path / f"long-{e}.json"
+            path.write_text(json.dumps(long_image_config(e)))
+            code, doc = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0, doc
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestPlan:

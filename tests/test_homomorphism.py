@@ -76,3 +76,28 @@ def test_standard_hom_prefers_non_trivial_images():
     assert t.images == ((),)
     # deterministic pick
     assert standard_hom(c2, s3).images == h.images
+
+
+def test_generator_orders_match_repeated_composition():
+    klein = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    for group in (GroupSpec.trivial(), GroupSpec.cyclic(6),
+                  GroupSpec.symmetric(4), klein,
+                  GroupSpec.permutation(5, [(1, 2, 0, 4, 3)])):
+        for i, g in enumerate(group.generator_elements):
+            assert group.generator_order(i) == element_order(group, g)
+
+
+def test_image_exponents_are_read_modulo_their_generator_orders():
+    c2, c6, s3 = (GroupSpec.cyclic(2), GroupSpec.cyclic(6),
+                  GroupSpec.symmetric(3))
+    big = 10 ** 21 + 1
+    # s1 has order 2: a conjugate of s2, whatever the exponents' size
+    h = Homo(c2, s3, (((0, big), (1, 1), (0, -big)),))
+    assert h.images == (((0, 1), (1, 1), (0, -1)),)
+    # an exponent up to the order is kept as written, signs are kept
+    assert Homo(c6, c6, (((0, 6 * big - 5),),)).images == (((0, 1),),)
+    assert Homo(c6, c6, (((0, -7),),)).images == (((0, -1),),)
+    assert Homo(c6, c6, (((0, 5),),)).images == (((0, 5),),)
+    assert Homo(c6, c6, (((0, -6),),)).images == (((0, -6),),)
+    # a multiple of the order drops its syllable
+    assert Homo(c2, c6, (((0, 12),),)).images == ((),)

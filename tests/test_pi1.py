@@ -7,9 +7,11 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, Presentation,
                           ResourceError, SchemeConfig, Singular,
                           closure_witness, compare, count_homs, free_rank,
                           pi1_devissage, pi1_graph_of_groups)
-from support import (chain_config, family_config, load_corpus, nodal_config,
-                     random_general_config, random_trivial_config,
-                     theta_config, trivial_branch, TRIV)
+from singular_pi1.presentation import tietze_eliminations
+from support import (brute_count_homs, chain_config, family_config,
+                     load_corpus, nodal_config, random_general_config,
+                     random_trivial_config, theta_config, trivial_branch,
+                     unmerged_graph_of_groups, TRIV)
 
 C2 = GroupSpec.cyclic(2)
 
@@ -241,7 +243,6 @@ class TestGraphOfGroups:
         # the component groups' copies c1, c2, ... and the free letters
         assert res.raw_presentation == Presentation(["c1.g", "free.f1"],
                                                     [((0, 2),)])
-        assert res.component_images == {"A": 0, "B": 1}
         assert root_of(res) == {"type": "coproduct", "children": [0, 1]}
 
     def test_quotient_node_passes_class_witness(self):
@@ -253,6 +254,71 @@ class TestGraphOfGroups:
                              "rule": "closure-under-quotients"}
         assert [e["kind"] for e in trace] == \
             ["atom", "atom", "free", "coproduct", "quotient"]
+
+
+C3, S3 = GroupSpec.cyclic(3), GroupSpec.symmetric(3)
+# the Klein four-group on two generators g1, g2
+KLEIN = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+def one_branch_config(comp_group, sing_group, branch_group, psi, phi):
+    """Component ``A`` and piece ``P`` joined by one branch, a tree leg
+    for each generator of its group."""
+    return SchemeConfig(
+        [Component("A", comp_group)], [Singular("P", sing_group)],
+        [Branch("b", "A", "P", branch_group,
+                Homo(branch_group, comp_group, psi),
+                Homo(branch_group, sing_group, phi))])
+
+
+class TestTreeLegMerges:
+    """A tree leg whose images are single generators to the same
+    exponent, 1 or -1, merges them into the one declared first; every
+    other leg stays a relator.  Either way the counts are those of the
+    presentation with every leg a relator."""
+
+    def check_counts(self, cfg):
+        res = pi1_graph_of_groups(cfg)
+        reference = unmerged_graph_of_groups(cfg)
+        for d in (2, 3):
+            expected = brute_count_homs(reference, d)
+            assert brute_count_homs(res.raw_presentation, d) == expected
+            assert count_homs(res.presentation, d) == expected
+        return res.raw_presentation
+
+    def test_opposite_exponents_do_not_merge(self):
+        cfg = one_branch_config(C3, C3, C3, [((0, 1),)], [((0, -1),)])
+        raw = self.check_counts(cfg)
+        assert raw == Presentation(["c1.g", "s1.g"],
+                                   [((0, 3),), ((1, 3),), ((0, 1), (1, 1))])
+
+    def test_longer_image_does_not_merge(self):
+        cfg = one_branch_config(S3, C2, C2, [((0, 1), (1, 1), (0, 1))],
+                                [((0, 1),)])
+        raw = self.check_counts(cfg)
+        assert raw.generators == ("c1.s1", "c1.s2", "s1.g")
+
+    def test_two_legs_merge_two_generators_of_one_component(self):
+        # phi sends both generators of the Klein group to g, so g1 = g = g2
+        cfg = one_branch_config(KLEIN, C2, KLEIN, [((0, 1),), ((1, 1),)],
+                                [((0, 1),), ((0, 1),)])
+        raw = self.check_counts(cfg)
+        assert raw.generators == ("c1.g1",)
+
+    def test_inverse_images_merge_under_the_component_name(self):
+        cfg = one_branch_config(C3, C3, C3, [((0, -1),)], [((0, -1),)])
+        raw = self.check_counts(cfg)
+        # the piece's relator is now a second copy of the component's
+        assert raw == Presentation(["c1.g"], [((0, 3),), ((0, 3),)])
+
+    def test_families_leave_tietze_nothing_to_eliminate(self):
+        for family in ("chain", "star", "theta"):
+            for n in (2, 3, 8, 64):
+                raw = pi1_graph_of_groups(
+                    family_config(family, n)).raw_presentation
+                simplified, eliminated = tietze_eliminations(raw)
+                assert eliminated == []
+                assert len(simplified.generators) == len(raw.generators)
 
 
 class TestClassWitness:

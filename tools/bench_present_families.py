@@ -16,13 +16,17 @@ the non-trivial S3/C2 one unless named):
   2000;
 * ``plan`` on chain, star and theta at N = 256 and 1024.
 
-One CLI call per row runs in a fresh interpreter under the default
-flags, with the runner of ``bench_verify_families.py``.  Each row
-records its command, variant and flags, the wall time of that
-interpreter, the exit code, and the size and SHA-256 digest of what it
-wrote to stdout; a row still running after the runner's timeout is
-recorded with exit null.  (Rows of labels recorded before the command
-and the digest were added ran ``present`` and have no digest.)
+Each row makes ``CALLS`` CLI calls, each in a fresh interpreter under
+the default flags, with the runner of ``bench_verify_families.py``, and
+records the median of their wall times, so that one slow call on a VM
+whose speed drifts does not move the row.  A row records its command,
+variant and flags, that median and every call's wall time, the exit
+code, and the size and SHA-256 digest of what the calls wrote to
+stdout; a call still running after the runner's timeout ends the row,
+which is recorded with exit null.  (Rows of labels recorded before the
+command and the digest were added ran ``present`` and have no digest;
+rows of labels recorded before ``wall_s_calls`` was added are one call
+each.)
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_present_families.json`` at the root), next to the rows of other
@@ -36,8 +40,11 @@ import os
 import platform
 import tempfile
 from pathlib import Path
+from statistics import median
 
 from bench_verify_families import ROOT, SEED, families, run_cli
+
+CALLS = 5          # fresh-interpreter calls per row; a row is their median
 
 ROWS = [("present", "nontrivial", family, n, ())
         for n in (64, 128, 256, 1024) for family in families.FAMILIES] \
@@ -65,11 +72,18 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for command, variant, family, n, flags in ROWS:
             path = families.write_config(Path(tmp), family, variant, n, SEED)
-            run = run_cli(command, path, flags)
-            stdout = run["stdout"].encode()
+            runs = [run_cli(command, path, flags)]
+            while len(runs) < CALLS and runs[-1]["exit"] is not None:
+                runs.append(run_cli(command, path, flags))
+            walls = [run["wall_s"] for run in runs]
+            stdout = runs[0]["stdout"]
+            assert all(run["stdout"] == stdout for run in runs
+                       if run["exit"] is not None), "a row's calls disagree"
+            stdout = stdout.encode()
             row = {"command": command, "variant": variant, "family": family,
-                   "n": n, "flags": list(flags), "exit": run["exit"],
-                   "wall_s": run["wall_s"], "stdout_bytes": len(stdout),
+                   "n": n, "flags": list(flags), "exit": runs[-1]["exit"],
+                   "wall_s": median(walls), "wall_s_calls": walls,
+                   "stdout_bytes": len(stdout),
                    "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
             print(json.dumps(row), flush=True)
             rows.append(row)
