@@ -129,8 +129,7 @@ def _cmd_plan(args, limits):
         raise InputError("regular scheme, nothing to plan")
     order = devissage_order(cfg)
     splits = []
-    covered = set()   # ids of the components of the pieces before
-    for prefix, patch, report in devissage_splits(cfg, order):
+    for prefix, _, report in devissage_splits(cfg, order):
         if report is not None:
             # every prefix is connected, so each part's rank is its
             # m_tilde - m - n + 1 and the three add up by
@@ -141,10 +140,8 @@ def _cmd_plan(args, limits):
             rank_patch = m1 - 1 - s1 + 1
             rank_rest = m2 - (r - 1) - s2 + 1
             splits.append({
-                "S": list(report.S), "S1": list(report.S1),
-                "S2": [c.id for c in cfg.components if c.id in covered],
+                "S": list(report.S), "S1": list(report.S1), "s2": s2,
                 "d": report.d, "m_tilde_1": m1, "m_tilde_2": m2,
-                "scope": list(prefix),
                 "anchor": prefix[-1],
                 "rank_total": rank_total,
                 "rank_patch": rank_patch,
@@ -152,7 +149,6 @@ def _cmd_plan(args, limits):
                 "additivity_ok": rank_total == rank_patch + rank_rest
                                  + report.d - 1,
             })
-        covered.update(c.id for c in patch.components)
     # the rows read last piece first
     return EXIT_OK, {"order": list(order), "splits": splits[::-1]}
 

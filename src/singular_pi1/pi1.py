@@ -10,23 +10,27 @@ against.  It starts from the patch of the first piece of a dévissage
 order, one glued group per component over that piece amalgamated over
 the shared copy of the piece's group, and glues each later patch onto
 the result along their overlap, in one forward walk of
-``scheme.devissage_splits``.  Its expression has one van Kampen node
-per singular piece.
+``scheme.devissage_splits``.  The result is one growing presentation:
+each glue appends the patch of the ``r``-th piece, named under ``p{r}``,
+and leaves what is built where it is (``vk.vk_glue``), so no generator
+is copied or renamed again, except by form iv.  An overlap component
+keeps its generators in the union.  Its expression has one van Kampen
+node per singular piece.
 
 Each route validates once at its entry and simplifies once at the end;
 the dévissage's walk validates none of its patches again.
 Results carry the raw lowered presentation, its simplification, the
 expression's node table and the derivation trace.  The dévissage
-appends to one node table and one derivation list as it goes; a part
-of the result is known by its root node id.
+appends to one node table and one derivation list as it goes, as to
+its presentation; a part of the result is known by its root node id.
 """
 
 from .expression import add_node, piece
-from .presentation import (Presentation, cyclic_relators, free_product,
-                           quotient_by_relations, tietze_simplify)
+from .presentation import (Presentation, append, cyclic_relators,
+                           tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
                      ensure_valid, spanning_tree)
-from .vk import vk_assemble
+from .vk import vk_glue
 from .words import inverse, reduce, shift
 
 
@@ -86,12 +90,9 @@ def _graph_of_groups(cfg):
     tags = [f"c{i + 1}" for i in range(cfg.n)] \
         + [f"s{j + 1}" for j in range(cfg.m)]
     # one slot per generator of the free product, in block order
-    names, words, offsets = [], [], []
-    for (_, v), tag in zip(vertices, tags):
-        pres = v.group.canonical_presentation
-        offsets.append(len(names))
-        words.extend(shift(r, len(names)) for r in pres.relators)
-        names.extend(f"{tag}.{g}" for g in pres.generators)
+    names, words = [], []
+    offsets = [append(names, words, v.group.canonical_presentation, tag)
+               for (_, v), tag in zip(vertices, tags)]
     comp_offsets = dict(zip((c.id for c in cfg.components), offsets))
     sing_offsets = dict(zip((s.id for s in cfg.singulars),
                             offsets[cfg.n:]))
@@ -153,17 +154,23 @@ def _graph_of_groups(cfg):
 
 def _connected_singular(cfg, form, nodes, steps):
     """The patch of the only singular piece of ``cfg``: the root of its
-    expression in ``nodes``, its raw presentation and component images."""
+    expression in ``nodes``, its raw presentation and the offset of each
+    component's generators in it.  Each component ``c{k}`` is appended
+    with the piece glued onto it, and the copies of the piece's group
+    glued onto different components are identified."""
     sing = cfg.singulars[0]
     sing_pres = sing.group.canonical_presentation
-
-    assemblies = []
-    vknodes = []
-    for comp in cfg.components:
+    gens, rels = [], []
+    images, copies, vknodes = {}, [], []
+    for k, comp in enumerate(cfg.components, start=1):
         branches = [b for b in cfg.branches if b.component == comp.id]
-        leg_pairs = [_branch_leg_pairs(b) for b in branches]
-        asm = vk_assemble(comp.group.canonical_presentation, sing_pres,
-                          leg_pairs, form)
+        start = len(gens), len(rels)
+        images[comp.id] = append(
+            gens, rels, comp.group.canonical_presentation, f"c{k}")
+        rights, _ = vk_glue(gens, rels, start, sing_pres,
+                            [_branch_leg_pairs(b) for b in branches], form,
+                            f"c{k}")
+        copies.append(rights[0])
         pi = add_node(nodes, "atom",
                       **piece("component", comp.id, comp.group))
         pi_prime = add_node(nodes, "atom",
@@ -171,7 +178,6 @@ def _connected_singular(cfg, form, nodes, steps):
         node = add_node(nodes, "vk", pi=pi, pi_prime=pi_prime,
                         legs=[piece("branch", b.id, b.group)
                               for b in branches])
-        assemblies.append(asm)
         vknodes.append(node)
         steps.append(DerivationStep(
             "vk-connected-singular", node,
@@ -179,19 +185,11 @@ def _connected_singular(cfg, form, nodes, steps):
              "branches": [b.id for b in branches], "form": form}))
 
     if cfg.n == 1:
-        asm = assemblies[0]
-        raw = asm.presentation
-        images = {cfg.components[0].id: asm.left_offset}
         root = vknodes[0]
     else:
-        prod, offsets = free_product([a.presentation for a in assemblies])
-        rights = [o + a.right_offset for o, a in zip(offsets, assemblies)]
-        pairs = [(((rights[0] + y, 1),), ((rights[i] + y, 1),))
-                 for y in range(len(sing_pres.generators))
-                 for i in range(1, cfg.n)]
-        raw = quotient_by_relations(prod, pairs)
-        images = {comp.id: o + a.left_offset for comp, o, a
-                  in zip(cfg.components, offsets, assemblies)}
+        rels.extend(((copies[0] + y, 1), (o + y, -1))
+                    for y in range(len(sing_pres.generators))
+                    for o in copies[1:])
         root = add_node(nodes, "fibered_coproduct",
                         base=piece("singular", sing.id, sing.group),
                         legs=vknodes)
@@ -199,7 +197,7 @@ def _connected_singular(cfg, form, nodes, steps):
             "amalgamate-singular-copies", root,
             {"singular": sing.id, "copies": cfg.n}))
 
-    return root, raw, images
+    return root, Presentation._trusted(gens, rels), images
 
 
 def pi1_devissage(cfg, form="i", order=None):
@@ -219,48 +217,48 @@ def pi1_devissage(cfg, form="i", order=None):
 def _devissage(cfg, form, order, nodes, steps):
     """The raw presentation of ``pi1_devissage`` of a valid configuration
     along a checked order: the first piece's patch, then each later
-    patch glued onto the union of the patches before it.  The derivation thus names the first piece in
-    its first step and each later one as the anchor of its split."""
+    patch glued onto the union of the patches before it in place, under
+    the tag ``p{r}`` for the ``r``-th piece.  The derivation thus names
+    the first piece in its first step and each later one as the anchor
+    of its split."""
+    gens, rels = [], []
     if cfg.m == 0:
         comp = cfg.components[0]
-        raw, _ = free_product([comp.group.canonical_presentation], ["c1"])
+        append(gens, rels, comp.group.canonical_presentation, "c1")
         root = add_node(nodes, "atom",
                         **piece("component", comp.id, comp.group))
         steps.append(DerivationStep("normal-component", root,
                                     {"component": comp.id}))
-        return raw
+        return Presentation._trusted(gens, rels)
 
+    images = {}   # component id -> offset of its generators in the union
     for prefix, patch, report in devissage_splits(cfg, order):
-        left, left_raw, left_images = _connected_singular(patch, form,
-                                                          nodes, steps)
+        part, pres, part_images = _connected_singular(patch, form, nodes,
+                                                      steps)
+        tag = f"p{len(prefix)}"
         if report is None:
-            root, raw, images = left, left_raw, left_images
-            continue
-        groups = {c.id: c.group for c in patch.components}
-        leg_pairs = []
-        leg_refs = []
-        for cid in report.S:
-            lo = left_images[cid]
-            ro = images[cid]
-            leg_pairs.append([(((lo + g, 1),), ((ro + g, 1),)) for g in
-                              range(len(groups[cid].canonical_presentation
-                                        .generators))])
-            leg_refs.append(piece("component", cid, groups[cid]))
-
-        asm = vk_assemble(left_raw, raw, leg_pairs, form)
-
-        glued = {cid: asm.left_offset + offset
-                 for cid, offset in left_images.items()}
-        for cid, offset in images.items():
-            # overlap components resolve to the accumulated copy, so no
-            # shift letter conjugates them at the next split
-            glued[cid] = asm.right_offset + offset
-
-        root = add_node(nodes, "vk", pi=left, pi_prime=root, legs=leg_refs)
-        steps.append(DerivationStep(
-            "devissage-split", root,
-            {"anchor": prefix[-1], "overlap": list(report.S),
-             "m_tilde_1": report.m_tilde_1, "m_tilde_2": report.m_tilde_2,
-             "form": form}))
-        raw, images = asm.presentation, glued
-    return raw
+            offset = append(gens, rels, pres, tag)
+            root = part
+        else:
+            overlap = [c for c in patch.components if c.id in report.S]
+            leg_pairs = [[(((images[c.id] + g, 1),),
+                           ((part_images[c.id] + g, 1),))
+                          for g in range(len(c.group.canonical_presentation
+                                             .generators))]
+                         for c in overlap]
+            rights, _ = vk_glue(gens, rels, (0, 0), pres, leg_pairs, form,
+                                tag)
+            offset = rights[0]
+            root = add_node(nodes, "vk", pi=root, pi_prime=part,
+                            legs=[piece("component", c.id, c.group)
+                                  for c in overlap])
+            steps.append(DerivationStep(
+                "devissage-split", root,
+                {"anchor": prefix[-1], "overlap": list(report.S),
+                 "m_tilde_1": report.m_tilde_1,
+                 "m_tilde_2": report.m_tilde_2, "form": form}))
+        # an overlap component keeps its generators in the union, so no
+        # shift letter conjugates it at a later split
+        for cid, o in part_images.items():
+            images.setdefault(cid, offset + o)
+    return Presentation._trusted(gens, rels)

@@ -5,13 +5,13 @@ words over the generator indices ``0..n-1`` (see ``words``).  Relators
 are stored cyclically reduced; empty relators are dropped.  A
 presentation with no relators denotes the free group on its generators.
 
-The combination operations (free products, quotients by relations,
-fibred coproducts) are the algebraic backbone of the whole package.
-A free product places each factor's generators in one block and returns
-the offset of each block: generator ``i`` of a factor is generator
-``offset + i`` of the product, named ``tag.name``.  The higher layers
-keep track of where an ingredient ended up inside an assembly by these
-offsets.
+The one way to combine presentations is ``append``: it copies a group
+into the generator and relator lists of a growing presentation and
+returns the offset of its block, so that generator ``i`` of the group
+is generator ``offset + i`` of the lists, named ``tag.name``.  A free
+product is a loop over ``append``; the assemblies of the higher layers
+append to one pair of lists and keep track of where an ingredient ended
+up by these offsets.
 
 Names are checked where they enter: by the public constructor, and by
 the JSON parser.  The constructions here start from checked
@@ -101,6 +101,15 @@ def free_presentation(rank, prefix="x"):
     return Presentation([f"{prefix}{i + 1}" for i in range(rank)], ())
 
 
+def append(gens, rels, p, tag):
+    """Copy ``p`` into the lists ``gens`` and ``rels``, its generators
+    named ``tag.name``; returns the offset of its first generator."""
+    offset = len(gens)
+    gens.extend(f"{tag}.{g}" for g in p.generators)
+    rels.extend(shift(r, offset) for r in p.relators)
+    return offset
+
+
 def free_product(parts, tags=None):
     """Free product of several presentations on disjoint namespaced copies.
 
@@ -110,13 +119,9 @@ def free_product(parts, tags=None):
         tags = [f"c{i + 1}" for i in range(len(parts))]
     if len(tags) != len(parts) or len(set(tags)) != len(tags):
         raise InputError("one distinct namespace tag per factor is required")
-    gens, rels, offsets = [], [], []
-    for p, tag in zip(parts, tags):
-        check_tag(tag)
-        offset = len(gens)
-        offsets.append(offset)
-        gens.extend(f"{tag}.{g}" for g in p.generators)
-        rels.extend(shift(r, offset) for r in p.relators)
+    gens, rels = [], []
+    offsets = [append(gens, rels, p, check_tag(tag))
+               for p, tag in zip(parts, tags)]
     return Presentation._trusted(gens, rels), offsets
 
 
@@ -132,19 +137,6 @@ def quotient_by_relations(p, pairs):
         new_relators.append(reduce(lhs + inverse(rhs)))
     return Presentation._trusted(p.generators,
                                  p.relators + cyclic_relators(new_relators))
-
-
-def fibered_coproduct(p1, p2, amalgam_pairs):
-    """Free product of ``p1`` and ``p2`` glued along a list of word pairs.
-
-    ``amalgam_pairs`` holds ``(word over p1, word over p2)`` images of a
-    generating set of the amalgamating group; imposing the relation on
-    generators suffices to impose it on the subgroup they generate.
-    Returns the result and the offsets of ``p1`` and ``p2`` in it.
-    """
-    prod, (o1, o2) = free_product([p1, p2])
-    pairs = [(shift(w1, o1), shift(w2, o2)) for w1, w2 in amalgam_pairs]
-    return quotient_by_relations(prod, pairs), (o1, o2)
 
 
 def _eliminable_syllable(relator, where):

@@ -15,14 +15,22 @@ iv  the amalgam of all ``s`` leg pushouts over the shared copy of
     ``pi``, joined with the shifts and copy-shift relations on the
     ``pi_prime`` images.
 
+``vk_glue`` builds each form in place: ``pi`` already sits in a growing
+generator list and relator list and stays where it is, and ``pi_prime``
+is appended with its copies, the shift letters and the leg relations.
+So a glue costs the size of ``pi_prime`` (times ``s`` in forms ii and
+iv), except that form iv appends ``s - 1`` more copies of ``pi``.  The
+amalgam of form iii over the first leg imposes ``psi_1(a) = phi_1(a)``,
+which is form i's first-leg relation since ``v_1 = e``, so forms i and
+iii append the same relators.
+
 All four must have equal hom counts at every degree.  The tests check
 that, together with the explicit mutually inverse generator maps
 between forms i and ii (``check_vk_forms`` in ``tests/support.py``).
 """
 
 from .errors import InputError
-from .presentation import (Presentation, fibered_coproduct, free_product,
-                           quotient_by_relations)
+from .presentation import Presentation, append, cyclic_relators
 from .words import inverse, reduce, shift
 
 FORMS = ("i", "ii", "iii", "iv")
@@ -56,17 +64,16 @@ def copy_shift(i, j, s):
 class VKAssembly:
     """An assembled presentation plus the offsets of its ingredients:
     generator ``x`` of ``pi`` is ``left_offset + x``, generator ``y`` of
-    copy 1 of ``pi_prime`` is ``right_offset + y``, and ``v_j`` is
-    ``shift_offset + j - 2``."""
+    copy ``i`` of ``pi_prime`` is ``right_copy_offsets[i - 1] + y``, and
+    ``v_j`` is ``shift_offset + j - 2``."""
 
-    def __init__(self, presentation, left_offset, right_offset,
-                 shift_offset, right_copy_offsets=None):
+    def __init__(self, presentation, left_offset, right_copy_offsets,
+                 shift_offset):
         self.presentation = presentation
         self.left_offset = left_offset
-        self.right_offset = right_offset
+        self.right_copy_offsets = right_copy_offsets
+        self.right_offset = right_copy_offsets[0]
         self.shift_offset = shift_offset
-        self.right_copy_offsets = [] if right_copy_offsets is None \
-            else right_copy_offsets   # form ii
 
     def conjugated_by_shift(self, i, word):
         """``u_1i^-1 * word * u_1i`` inside the assembled presentation."""
@@ -89,66 +96,67 @@ def _copy_relations(s, right, copy_offsets, shift_offset):
     return pairs
 
 
-def vk_assemble(left, right, leg_pairs, form="i"):
-    """Assemble the glued group of two presentations along word-pair legs.
+def vk_glue(gens, rels, start, right, leg_pairs, form, tag):
+    """Glue ``right`` onto ``pi`` in place, in the given form.
 
-    ``leg_pairs[i]`` lists ``(word over left, word over right)`` images
-    of the generators of the ``i``-th gluing group; relations are
-    imposed on those generators only.
+    ``pi`` is the group that ``gens`` and ``rels`` present from
+    ``start = (first generator, first relator)`` on; it stays where it
+    is.  ``leg_pairs[i]`` lists ``(word over pi, word over right)``
+    images of the generators of the ``i``-th gluing group; relations are
+    imposed on those generators only.  Everything appended is named in
+    the namespace ``tag`` (none when it is empty): the copies of
+    ``right`` under ``R`` (``R1 .. Rs`` when there are ``s``), the
+    shifts under ``S`` and, in form iv, copy ``i`` of ``pi`` as
+    ``Li.x1, Li.x2, ...``.  Returns the offsets of the copies of
+    ``right`` and of the shifts.
     """
     if form not in FORMS:
         raise InputError(f"unknown form {form!r}; expected one of {FORMS}")
     s = len(leg_pairs)
-    if s < 1:
-        raise InputError("at least one leg is required")
     shifts = shift_free_group(s)
+    ns = f"{tag}." if tag else ""
+    g0, r0 = start
+    n_left = len(gens) - g0
+    lefts = [g0] * s   # the copy of pi that leg i maps into
+    if form == "iv" and s > 1:
+        left = Presentation._trusted([f"x{k + 1}" for k in range(n_left)],
+                                     [shift(r, -g0) for r in rels[r0:]])
+        lefts[1:] = [append(gens, rels, left, f"{ns}L{i}")
+                     for i in range(2, s + 1)]
+    copies = s if form in ("ii", "iv") else 1
+    rights = [append(gens, rels, right,
+                     f"{ns}R{i}" if copies > 1 else f"{ns}R")
+              for i in range(1, copies + 1)]
+    o_shift = append(gens, rels, shifts, f"{ns}S")
 
     if form in ("i", "iii"):
-        if form == "i":
-            prod, (o_left, o_right, o_shift) = free_product(
-                [left, right, shifts], tags=("L", "R", "S"))
-        else:
-            glued, (g_left, g_right) = fibered_coproduct(
-                left, right, leg_pairs[0])
-            prod, (o_glued, o_shift) = free_product(
-                [glued, shifts], tags=("G", "S"))
-            o_left, o_right = o_glued + g_left, o_glued + g_right
-        asm = VKAssembly(prod, o_left, o_right, o_shift)
-        # form iii imposed the first leg's relations in the amalgam
-        pairs = [(shift(pw, o_left),
-                  asm.conjugated_by_shift(i, shift(fw, o_right)))
-                 for i, pairs_i in enumerate(leg_pairs, start=1)
-                 if form == "i" or i > 1
+        v = [()] + [((o_shift + j, 1),) for j in range(s - 1)]   # v_1 = e
+        pairs = [(shift(pw, g0),
+                  reduce(inverse(v[i]) + shift(fw, rights[0]) + v[i]))
+                 for i, pairs_i in enumerate(leg_pairs)
                  for pw, fw in pairs_i]
-        asm.presentation = quotient_by_relations(prod, pairs)
-        return asm
+    else:
+        # leg i maps into copy i of right, and in form iv into copy i of
+        # pi, which the amalgam identifies with the first
+        pairs = [(shift(pw, lefts[i]), shift(fw, rights[i]))
+                 for i, pairs_i in enumerate(leg_pairs)
+                 for pw, fw in pairs_i]
+        pairs += [(((g0 + x, 1),), ((o + x, 1),))
+                  for o in lefts[1:] if o != g0 for x in range(n_left)]
+        pairs += _copy_relations(s, right, rights, o_shift)
+    rels.extend(cyclic_relators(reduce(lhs + inverse(rhs))
+                                for lhs, rhs in pairs))
+    return rights, o_shift
 
-    if form == "ii":
-        parts = [left] + [right] * s + [shifts]
-        tags = ["L"] + [f"R{i}" for i in range(1, s + 1)] + ["S"]
-        prod, offsets = free_product(parts, tags=tags)
-        o_left, o_copies, o_shift = offsets[0], offsets[1:-1], offsets[-1]
-        pairs = _copy_relations(s, right, o_copies, o_shift)
-        for i, pairs_i in enumerate(leg_pairs, start=1):
-            for pw, fw in pairs_i:
-                pairs.append((shift(pw, o_left), shift(fw, o_copies[i - 1])))
-        return VKAssembly(quotient_by_relations(prod, pairs),
-                          o_left, o_copies[0], o_shift,
-                          right_copy_offsets=list(o_copies))
 
-    # form iv: amalgamate the s leg pushouts over the shared copy of pi
-    pushouts = [fibered_coproduct(left, right, pairs_i)
-                for pairs_i in leg_pairs]
-    parts = [g for g, _ in pushouts] + [shifts]
-    tags = [f"G{i}" for i in range(1, s + 1)] + ["S"]
-    prod, offsets = free_product(parts, tags=tags)
-    o_parts, o_shift = offsets[:-1], offsets[-1]
-    o_lefts = [o + g_left for o, (_, (g_left, _)) in zip(o_parts, pushouts)]
-    o_rights = [o + g_right
-                for o, (_, (_, g_right)) in zip(o_parts, pushouts)]
+def vk_assemble(left, right, leg_pairs, form="i"):
+    """Assemble the glued group of two presentations along word-pair legs:
+    ``left``, named ``L.x``, with ``right`` glued onto it by ``vk_glue``.
 
-    pairs = [(((o_lefts[0] + x, 1),), ((o_lefts[i] + x, 1),))
-             for i in range(1, s) for x in range(len(left.generators))]
-    pairs += _copy_relations(s, right, o_rights, o_shift)
-    return VKAssembly(quotient_by_relations(prod, pairs),
-                      o_lefts[0], o_rights[0], o_shift)
+    ``leg_pairs[i]`` lists ``(word over left, word over right)`` images
+    of the generators of the ``i``-th gluing group.
+    """
+    gens, rels = [], []
+    append(gens, rels, left, "L")
+    rights, o_shift = vk_glue(gens, rels, (0, 0), right, leg_pairs, form, "")
+    return VKAssembly(Presentation._trusted(gens, rels), 0, rights, o_shift)

@@ -19,7 +19,8 @@ import pytest
 import singular_pi1
 from singular_pi1 import cli, scheme_config_to_json
 from singular_pi1.cli import main
-from support import argparse_reference, closed_family_homs, family_config
+from support import (argparse_reference, closed_family_homs, family_config,
+                     load_corpus)
 
 SRC = Path(singular_pi1.__file__).resolve().parent.parent
 
@@ -497,6 +498,26 @@ class TestPlan:
         assert code == 0
         assert len(doc["splits"]) == 2
         assert all(s["additivity_ok"] for s in doc["splits"])
+
+    def test_rows_count_the_union_before_the_anchor(self, capsys):
+        # a row lists what its split adds; the union before it is
+        # counted, not listed, so the output grows linearly
+        code, doc = run(capsys, "plan", config_path("star"))
+        assert code == 0
+        for row in doc["splits"]:
+            assert sorted(row) == sorted([
+                "S", "S1", "s2", "d", "m_tilde_1", "m_tilde_2", "anchor",
+                "rank_total", "rank_patch", "rank_complement",
+                "additivity_ok"])
+        covered = set()
+        expected = []
+        cfg = load_corpus()["star"]
+        for sid in doc["order"]:
+            comps = {b.component for b in cfg.branches if b.singular == sid}
+            if covered:
+                expected.append(len(covered))
+            covered |= comps
+        assert [row["s2"] for row in doc["splits"]] == expected[::-1]
 
     def test_devissage_derivation_spells_the_planned_order(self, capsys):
         for name in ("nodal", "chain", "theta", "star", "semistable-C2",

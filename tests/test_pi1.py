@@ -141,6 +141,22 @@ class TestDevissage:
             assert count_homs(pi1_devissage(cfg).presentation, d) \
                 == count_homs(pi1_graph_of_groups(cfg).presentation, d)
 
+    def test_names_do_not_nest(self):
+        # each patch is appended once under its own tag, and nothing
+        # appended is renamed at a later split
+        for family in ("chain", "theta"):
+            longest = {n: max(map(len, pi1_devissage(family_config(
+                family, n)).raw_presentation.generators)) for n in (16, 64)}
+            assert longest[16] == longest[64], (family, longest)
+
+    def test_form_ii_copies_only_the_patch(self):
+        # the union stays in place and only the patch is copied per
+        # overlap component, so a theta's raw presentation grows by the
+        # same amount per piece instead of doubling
+        size = {n: len(pi1_devissage(family_config("theta", n), form="ii")
+                       .raw_presentation.generators) for n in (4, 8)}
+        assert size[8] <= 3 * size[4], size
+
 
 class TestClosedForm:
     def test_nodal_is_free_of_rank_one(self):

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singular_pi1 import (GroupSpec, InputError, Presentation, count_homs,
+from singular_pi1 import (InputError, Presentation, count_homs,
                           free_presentation, pi1_devissage,
                           pi1_graph_of_groups, quotient_by_relations,
                           tietze_simplify)
-from singular_pi1.presentation import (fibered_coproduct, free_product,
-                                       tietze_eliminations)
+from singular_pi1.presentation import free_product, tietze_eliminations
 from singular_pi1.vk import FORMS
 from support import (brute_count_homs, count_order_dividing, family_config,
                      load_corpus, random_presentation, tietze_reference,
@@ -84,24 +83,6 @@ class TestQuotientByRelations:
     def test_undeclared_generator_rejected(self):
         with pytest.raises(InputError):
             quotient_by_relations(free_presentation(1), [(((1, 1),), ())])
-
-
-class TestFiberedCoproduct:
-    def test_trivial_amalgam_is_plain_free_product(self):
-        p = c2_presentation()
-        out, _ = fibered_coproduct(p, p, [])
-        prod, _ = free_product([p, p])
-        assert count_homs(out, 2) == count_homs(prod, 2)
-
-    def test_identifying_two_copies_of_c2(self):
-        c2 = GroupSpec.cyclic(2)
-        p = c2.canonical_presentation
-        g = ((0, 1),)
-        out, _ = fibered_coproduct(p, p, [(g, g)])
-        # oracle: filter pairs from C2 * C2 by the identification
-        expected = sum(1 for a in range(2) for b in range(2) if a == b)
-        assert expected == 2
-        assert count_homs(out, 2) == expected
 
 
 class TestTietzeSimplify:

@@ -104,6 +104,13 @@ class TestVKBuild:
                             * factorial(d) ** (s - 1))
                 assert count_homs(p, d) == expected
 
+    def test_forms_i_and_iii_append_the_same_relators(self):
+        # v_1 = e, so the amalgam over the first leg imposes form i's
+        # first-leg relations
+        for data in (c2_legs(1), c2_legs(3), trivial_data(S3, C2, 2)):
+            assert vk_assemble(*data, "i").presentation.relators \
+                == vk_assemble(*data, "iii").presentation.relators
+
     def test_invalid_leg_endpoints_rejected(self):
         with pytest.raises(InputError):
             vk_assemble(*trivial_data(C2, TRIV, 0))

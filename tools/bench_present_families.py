@@ -9,9 +9,11 @@ the non-trivial S3/C2 one unless named):
 
 * ``present`` by the default route on chain, star and theta at N = 64,
   128, 256 and 1024;
-* ``present --route devissage --form iv`` on theta at N = 6 and 8;
-* ``present --route devissage`` (form i) on chain at N = 64 and 128, and
-  on theta and star at N = 64, 128 and 256;
+* ``present --route devissage --form iv`` on theta at N = 6 and 8, and
+  ``--form ii`` on theta at N = 6, 8 and 10;
+* ``present --route devissage`` (form i) on chain at N = 64, 128, 256,
+  512 and 1024, and on theta and star at N = 64, 128, 256, 512 and
+  1024;
 * ``present --route devissage`` on the trivial chain at N = 1000 and
   2000;
 * ``plan`` on chain, star and theta at N = 256 and 1024.
@@ -27,6 +29,11 @@ which is recorded with exit null.  (Rows of labels recorded before the
 command and the digest were added ran ``present`` and have no digest;
 rows of labels recorded before ``wall_s_calls`` was added are one call
 each.)
+
+A label runs all its rows minutes before or after another label, and
+the speed of a small VM drifts by more than the change of a row whose
+code did not change, so only ratios of 4x or more, between labels or
+between the sizes of one label, are read from these rows.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_present_families.json`` at the root), next to the rows of other
@@ -50,10 +57,11 @@ ROWS = [("present", "nontrivial", family, n, ())
         for n in (64, 128, 256, 1024) for family in families.FAMILIES] \
     + [("present", "nontrivial", "theta", n,
         ("--route", "devissage", "--form", "iv")) for n in (6, 8)] \
-    + [("present", "nontrivial", "chain", n, ("--route", "devissage"))
-       for n in (64, 128)] \
+    + [("present", "nontrivial", "theta", n,
+        ("--route", "devissage", "--form", "ii")) for n in (6, 8, 10)] \
     + [("present", "nontrivial", family, n, ("--route", "devissage"))
-       for family in ("theta", "star") for n in (64, 128, 256)] \
+       for family in ("chain", "theta", "star")
+       for n in (64, 128, 256, 512, 1024)] \
     + [("present", "trivial", "chain", n, ("--route", "devissage"))
        for n in (1000, 2000)] \
     + [("plan", "nontrivial", family, n, ())
