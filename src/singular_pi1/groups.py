@@ -327,7 +327,15 @@ class GroupSpec:
     @classmethod
     def presented(cls, presentation, limits=DEFAULT_LIMITS):
         """The group acts on its own elements, the cosets of the trivial
-        subgroup that the coset closure numbers."""
+        subgroup that the coset closure numbers.  The closure writes each
+        relator out letter by letter, so their total length is gated
+        against the ceiling first."""
+        length = sum(abs(e) for r in presentation.relators for _, e in r)
+        if length > limits.ceiling:
+            raise ResourceError(
+                f"relator length estimate {length} exceeds ceiling "
+                f"{limits.ceiling}", estimate=length, ceiling=limits.ceiling,
+                layer="groups")
         bound = limits.order_bound
         order, action = _coset_closure(presentation, max(10000, 8 * bound))
         _check_order(order, bound)

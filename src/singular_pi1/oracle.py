@@ -51,7 +51,7 @@ from .errors import ResourceError
 from .homcount import count_homs, transitive_counts
 from .limits import DEFAULT_LIMITS
 from .perms import table
-from .scheme import ensure_valid
+from .scheme import ensure_valid, incidence
 
 
 def _debug(message, *args):
@@ -87,8 +87,9 @@ class OracleReport:
 
 
 class IncidenceGraph:
-    """A validated configuration as the oracle reads it: variables
-    ``0..n-1`` are the components and ``n..n+m-1`` the singular pieces;
+    """A validated configuration as the oracle reads it: its variables
+    are the slots of its ``scheme.Incidence``, ``0..n-1`` the components
+    and ``n..n+m-1`` the singular pieces;
     each branch is ``(component var, singular var, psi words, phi
     words)``, the images of its maps, words over the canonical
     generators of the two pieces' groups.
@@ -101,15 +102,11 @@ class IncidenceGraph:
 
     def __init__(self, cfg):
         ensure_valid(cfg)
-        pieces = list(cfg.components) + list(cfg.singulars)
         self.n, self.m = cfg.n, cfg.m
-        self.groups = [p.group for p in pieces]
-        var = {("c", c.id): k for k, c in enumerate(cfg.components)}
-        var.update({("s", s.id): cfg.n + k
-                    for k, s in enumerate(cfg.singulars)})
-        self.branches = [(var["c", b.component], var["s", b.singular],
-                          b.psi.images, b.phi.images)
-                         for b in cfg.branches]
+        self.groups = [p.group for p in (*cfg.components, *cfg.singulars)]
+        self.branches = [(c, s, b.psi.images, b.phi.images)
+                         for b, (c, s) in zip(cfg.branches,
+                                              incidence(cfg).ends)]
 
 
 def _actions(group, d, limits=DEFAULT_LIMITS):

@@ -29,7 +29,7 @@ from .expression import add_node, piece
 from .presentation import (Presentation, append, cyclic_relators,
                            tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
-                     ensure_valid, spanning_tree)
+                     ensure_valid, incidence)
 from .vk import vk_glue
 from .words import inverse, reduce, shift
 
@@ -80,27 +80,31 @@ def pi1_graph_of_groups(cfg):
 
 
 def _graph_of_groups(cfg):
-    """``pi1_graph_of_groups`` of a valid configuration."""
-    _, stable = spanning_tree(cfg)
-    rank = len(stable)
+    """``pi1_graph_of_groups`` of a valid configuration, read off its
+    ``scheme.Incidence``: a piece is known by its slot and a branch by
+    its position, and the stable letters are the branches off the
+    record's spanning forest.  Only a piece whose presentation has a
+    generator is copied, and a branch whose group has none adds no leg.
+    Equal relators are kept once, the first."""
+    inc = incidence(cfg)
+    rank = len(inc.extra)
     assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \
         "stable letters disagree with the free rank"
-    vertices = [("component", c) for c in cfg.components] \
-        + [("singular", s) for s in cfg.singulars]
-    tags = [f"c{i + 1}" for i in range(cfg.n)] \
-        + [f"s{j + 1}" for j in range(cfg.m)]
-    # one slot per generator of the free product, in block order
+    n = cfg.n
+    vertices = [*cfg.components, *cfg.singulars]   # in slot order
+    # the generators of the free product, block by block
     names, words = [], []
-    offsets = [append(names, words, v.group.canonical_presentation, tag)
-               for (_, v), tag in zip(vertices, tags)]
-    comp_offsets = dict(zip((c.id for c in cfg.components), offsets))
-    sing_offsets = dict(zip((s.id for s in cfg.singulars),
-                            offsets[cfg.n:]))
-    stable_letter = {b.id: ((len(names) + k, 1),)
-                     for k, b in enumerate(stable)}
-    names.extend(f"free.f{k + 1}" for k in range(rank))
+    offsets = []   # piece slot -> offset of its generators
+    for k, v in enumerate(vertices):
+        p = v.group.canonical_presentation
+        offsets.append(len(names))
+        if p.generators:
+            append(names, words, p, f"c{k + 1}" if k < n else f"s{k - n + 1}")
+    stable_letter = {b: ((len(names) + r, 1),)
+                     for r, b in enumerate(inc.extra)}
+    names.extend(f"free.f{r + 1}" for r in range(rank))
 
-    # union-find over the slots; a class is named by its lowest slot
+    # classes of merged generators, each named by its lowest position
     parent = list(range(len(names)))
 
     def find(x):
@@ -110,9 +114,12 @@ def _graph_of_groups(cfg):
         return x
 
     legs = 0
-    for b in cfg.branches:
-        t = stable_letter.get(b.id)
-        c, s = comp_offsets[b.component], sing_offsets[b.singular]
+    for k, b in enumerate(cfg.branches):
+        if not b.psi.images:
+            continue
+        t = stable_letter.get(k)
+        c, s = inc.ends[k]
+        c, s = offsets[c], offsets[s]
         for psi_word, phi_word in _branch_leg_pairs(b):
             legs += 1
             if t is None and len(psi_word) == len(phi_word) == 1 \
@@ -129,12 +136,13 @@ def _graph_of_groups(cfg):
     slot = [number[find(g)] for g in range(len(names))]
     raw = Presentation._trusted(
         [names[g] for g in kept],
-        cyclic_relators(reduce([(slot[g], e) for g, e in w])
-                        for w in words))
+        tuple(dict.fromkeys(cyclic_relators(
+            reduce([(slot[g], e) for g, e in w]) for w in words))))
 
     nodes = []
-    children = [add_node(nodes, "atom", **piece(kind, v.id, v.group))
-                for kind, v in vertices if v.group.order > 1]
+    children = [add_node(nodes, "atom", **piece(
+                    "component" if k < n else "singular", v.id, v.group))
+                for k, v in enumerate(vertices) if v.group.order > 1]
     if rank > 0:
         children.append(add_node(nodes, "free", rank=rank))
     if not children:
@@ -148,7 +156,7 @@ def _graph_of_groups(cfg):
     steps = [DerivationStep(
         "graph-of-groups", root,
         {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
-         "stable_branches": [b.id for b in stable]})]
+         "stable_branches": [cfg.branches[k].id for k in inc.extra]})]
     return _simplified(Pi1Result(nodes, None, raw, steps))
 
 

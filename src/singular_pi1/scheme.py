@@ -18,12 +18,22 @@ grouping of the branches by piece and one set of covered components;
 it builds nothing but the patches, and counts the covered components
 without listing them.
 
-A configuration is validated once, where it enters: each public entry
-that takes one (``devissage_order``, ``check_order``, ``free_rank``,
-``pi1.pi1_graph_of_groups``, ``oracle.IncidenceGraph``) calls
-``ensure_valid``, and nothing downstream of an entry validates again.
-On the command line that makes one ``validate`` call per command:
-``validate`` calls it itself, ``present`` in its route's entry
+A configuration is validated once, where it enters, in one pass over
+integer slots: the components are slots ``0..n-1`` and the singular
+pieces ``n..n+m-1``, each in declaration order.  On success
+``validate`` leaves an ``Incidence`` record on the configuration: each
+branch's two slots, the branches over each piece, and the spanning
+forest of its one union-find, which also decides connectivity.  Every
+reader takes the record through ``incidence(cfg)``, which validates
+only when no record is there: the graph-of-groups assembly
+(``pi1._graph_of_groups``), ``free_rank``, ``spanning_tree``, the
+oracle's ``IncidenceGraph`` and the patches of the dévissage.  Each
+public entry that takes a configuration (``devissage_order``,
+``check_order``, ``free_rank``, ``pi1.pi1_graph_of_groups``,
+``oracle.IncidenceGraph``) calls ``ensure_valid``, and nothing
+downstream of an entry validates again.  On the command line that makes
+one ``validate`` call, and one union-find, per command: ``validate``
+calls it itself, ``present`` in its route's entry
 (``pi1_graph_of_groups``, or ``devissage_order`` inside
 ``pi1_devissage``), ``verify`` in ``IncidenceGraph``, whose check also
 covers the presentation it compares against, ``plan`` in
@@ -57,6 +67,7 @@ class SchemeConfig:
     def __init__(self, components, singulars, branches):
         self.components, self.singulars = components, singulars
         self.branches = branches
+        self._incidence = None   # set by a successful ``validate``
 
     @property
     def n(self):
@@ -93,77 +104,112 @@ def _fail(invariant, message, ids=()):
     return ValidationResult(False, invariant, message, tuple(ids))
 
 
-def validate(cfg):
-    """Check every structural invariant; report the first violation."""
-    comp_ids = [c.id for c in cfg.components]
-    sing_ids = [s.id for s in cfg.singulars]
-    branch_ids = [b.id for b in cfg.branches]
-    for name, ids in (("component", comp_ids), ("singular", sing_ids),
-                      ("branch", branch_ids)):
-        dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
-        if dupes:
-            return _fail("unique-ids", f"duplicate {name} ids", dupes)
+class Incidence:
+    """The incidence graph of a valid configuration over integer slots,
+    as ``validate`` leaves it: the components are slots ``0..n-1`` and
+    the singular pieces ``n..n+m-1``, and a branch is known by its
+    position in ``branches``."""
 
-    if cfg.n < 1:
+    __slots__ = ("ends", "over", "root", "extra")
+
+    def __init__(self, ends, over, root, extra):
+        self.ends = ends     # branch -> (component slot, singular slot)
+        self.over = over     # piece j -> its branches, in declaration order
+        self.root = root     # slot -> root slot of its spanning-forest tree
+        self.extra = extra   # the branches off the forest, in order
+
+
+def validate(cfg):
+    """Check every structural invariant; report the first violation.
+
+    On success the configuration's ``Incidence`` is left on it.
+    """
+    cfg._incidence = None
+    comps, sings, branches = cfg.components, cfg.singulars, cfg.branches
+    n = len(comps)
+    comp_slot = {c.id: k for k, c in enumerate(comps)}
+    sing_slot = {s.id: n + j for j, s in enumerate(sings)}
+    if len(comp_slot) < n or len(sing_slot) < len(sings) \
+            or len({b.id for b in branches}) < len(branches):
+        for name, parts in (("component", comps), ("singular", sings),
+                            ("branch", branches)):
+            dupes = sorted(i for i, k in Counter(p.id for p in parts).items()
+                           if k > 1)
+            if dupes:
+                return _fail("unique-ids", f"duplicate {name} ids", dupes)
+
+    if n < 1:
         return _fail("component-count", "at least one component is required")
 
-    comp_group = {c.id: c.group for c in cfg.components}
-    sing_group = {s.id: s.group for s in cfg.singulars}
-    for b in cfg.branches:
-        if b.component not in comp_group:
+    # every reference resolves before any map is checked, so the first
+    # map mismatch waits for the end of the pass
+    ends, over, touched = [], [[] for _ in sings], bytearray(n)
+    mismatch = None
+    for k, b in enumerate(branches):
+        c = comp_slot.get(b.component)
+        if c is None:
             return _fail("resolve", f"branch {b.id} references unknown "
                          f"component {b.component}", [b.id])
-        if b.singular not in sing_group:
+        s = sing_slot.get(b.singular)
+        if s is None:
             return _fail("resolve", f"branch {b.id} references unknown "
                          f"singular piece {b.singular}", [b.id])
+        ends.append((c, s))
+        over[s - n].append(k)
+        touched[c] = 1
+        # the parser shares one GroupSpec per group JSON, so the maps
+        # of a parsed branch start and land at the very same groups
+        if mismatch is None and not (
+                b.psi.source is b.group and b.phi.source is b.group
+                and b.psi.target is comps[c].group
+                and b.phi.target is sings[s - n].group):
+            mismatch = _map_mismatch(b, comps[c].group, sings[s - n].group)
+    if mismatch is not None:
+        return mismatch
 
-    for b in cfg.branches:
-        if b.psi.source != b.group:
-            return _fail("branch-maps", f"branch {b.id}: psi does not start "
-                         "at the branch group", [b.id])
-        if b.phi.source != b.group:
-            return _fail("branch-maps", f"branch {b.id}: phi does not start "
-                         "at the branch group", [b.id])
-        if b.psi.target != comp_group[b.component]:
-            return _fail("branch-maps", f"branch {b.id}: psi does not land "
-                         "in the component group", [b.id])
-        if b.phi.target != sing_group[b.singular]:
-            return _fail("branch-maps", f"branch {b.id}: phi does not land "
-                         "in the singular group", [b.id])
-
-    touched_sing = {b.singular for b in cfg.branches}
-    for s in cfg.singulars:
-        if s.id not in touched_sing:
+    for s, mine in zip(sings, over):
+        if not mine:
             return _fail("singular-incidence",
                          f"singular piece {s.id} has no branch", [s.id])
 
-    if cfg.n > 1:
-        touched_comp = {b.component for b in cfg.branches}
-        for c in cfg.components:
-            if c.id not in touched_comp:
-                return _fail("component-incidence",
-                             f"component {c.id} has no branch", [c.id])
+    if n > 1 and not all(touched):
+        c = comps[touched.index(0)]
+        return _fail("component-incidence",
+                     f"component {c.id} has no branch", [c.id])
 
-    if not (cfg.n == 1 and cfg.m == 0):
-        ok, isolated = _connected(cfg)
-        if not ok:
-            return _fail("connected", "incidence graph is disconnected",
-                         isolated)
+    size = n + len(sings)
+    root, extra = _forest(size, ends)
+    # a connected graph on size vertices spans a tree of size - 1 edges
+    if len(ends) - len(extra) < size - 1:
+        names = [f"c:{c.id}" for c in comps] + [f"s:{s.id}" for s in sings]
+        return _fail("connected", "incidence graph is disconnected",
+                     [name for name, r in zip(names, root) if r != root[0]])
+    cfg._incidence = Incidence(ends, over, root, extra)
     return ValidationResult(True)
 
 
-def spanning_tree(cfg):
-    """Union-find over the incidence graph, branches in declared order.
+def _map_mismatch(b, comp_group, sing_group):
+    """The ``branch-maps`` failure of the first map of ``b`` that does
+    not start at its group or land in its piece's group, or ``None``;
+    groups compare by identity first, then by ``==``."""
+    for end, group, message in (
+            (b.psi.source, b.group, "psi does not start at the branch group"),
+            (b.phi.source, b.group, "phi does not start at the branch group"),
+            (b.psi.target, comp_group,
+             "psi does not land in the component group"),
+            (b.phi.target, sing_group,
+             "phi does not land in the singular group")):
+        if end is not group and end != group:
+            return _fail("branch-maps", f"branch {b.id}: {message}", [b.id])
+    return None
 
-    The vertices are integer slots: ``0..n-1`` the components and
-    ``n..n+m-1`` the singular pieces, each in declaration order.
-    Returns ``(root, extra)``: the list of each slot's root, and the
-    branches off the spanning forest, each of which closes a cycle.
-    """
-    slot = {c.id: k for k, c in enumerate(cfg.components)}
-    n = len(slot)
-    sing_slot = {s.id: n + k for k, s in enumerate(cfg.singulars)}
-    parent = list(range(n + len(sing_slot)))
+
+def _forest(size, ends):
+    """Union-find over ``size`` slots joining the two ends of each branch
+    in order.  Returns ``(root, extra)``: the list of each slot's root,
+    and the positions of the branches whose ends were joined already,
+    each of which closes a cycle."""
+    parent = list(range(size))
 
     def find(x):
         while parent[x] != x:
@@ -172,23 +218,35 @@ def spanning_tree(cfg):
         return x
 
     extra = []
-    for b in cfg.branches:
-        a = find(slot[b.component])
-        c = find(sing_slot[b.singular])
-        if a == c:
-            extra.append(b)
+    for k, (c, s) in enumerate(ends):
+        x, y = find(c), find(s)
+        if x == y:
+            extra.append(k)
         else:
-            parent[c] = a
-    return [find(v) for v in range(len(parent))], extra
+            parent[y] = x
+    if len(ends) - len(extra) == size - 1:
+        # one tree: every slot has its root
+        return [find(0)] * size, extra
+    return [find(v) for v in range(size)], extra
 
 
-def _connected(cfg):
-    root, _ = spanning_tree(cfg)
-    if len(set(root)) <= 1:
-        return True, ()
-    names = [f"c:{c.id}" for c in cfg.components] \
-        + [f"s:{s.id}" for s in cfg.singulars]
-    return False, tuple(name for name, r in zip(names, root) if r != root[0])
+def incidence(cfg):
+    """The ``Incidence`` of a valid configuration: the record its
+    validation left, or, when there is none, that of ``ensure_valid``."""
+    return cfg._incidence or ensure_valid(cfg)._incidence
+
+
+def spanning_tree(cfg):
+    """The spanning forest of a valid configuration's incidence graph,
+    branches taken in declared order, as its validation found it.
+
+    The vertices are integer slots: ``0..n-1`` the components and
+    ``n..n+m-1`` the singular pieces, each in declaration order.
+    Returns ``(root, extra)``: the list of each slot's root, and the
+    branches off the spanning forest, each of which closes a cycle.
+    """
+    inc = incidence(cfg)
+    return list(inc.root), [cfg.branches[k] for k in inc.extra]
 
 
 def ensure_valid(cfg):
@@ -212,14 +270,11 @@ def build_patch(cfg, singular_id):
 def _patch_components(cfg):
     """Singular id -> the components and the branches of its patch, each
     in declaration order."""
-    position = {c.id: k for k, c in enumerate(cfg.components)}
-    meets = {s.id: set() for s in cfg.singulars}
-    over = {s.id: [] for s in cfg.singulars}
-    for b in cfg.branches:
-        meets[b.singular].add(position[b.component])
-        over[b.singular].append(b)
-    return {sid: ([cfg.components[k] for k in sorted(meets[sid])], over[sid])
-            for sid in meets}
+    inc = incidence(cfg)
+    comps, branches, ends = cfg.components, cfg.branches, inc.ends
+    return {s.id: ([comps[c] for c in sorted({ends[k][0] for k in mine})],
+                   [branches[k] for k in mine])
+            for s, mine in zip(cfg.singulars, inc.over)}
 
 
 def devissage_order(cfg):
@@ -314,6 +369,6 @@ def free_rank(cfg):
     the incidence multigraph."""
     ensure_valid(cfg)
     rank = cfg.m_tilde - cfg.m - cfg.n + 1
-    _, extra = spanning_tree(cfg)
-    assert len(extra) == rank, "rank formula disagrees with cycle rank"
+    assert len(incidence(cfg).extra) == rank, \
+        "rank formula disagrees with cycle rank"
     return rank

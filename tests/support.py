@@ -42,7 +42,6 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
 from singular_pi1.groups import _closure
 from singular_pi1.perms import compose, identity, invert, table
 from singular_pi1.presentation import free_product
-from singular_pi1.scheme import spanning_tree
 from singular_pi1.vk import FORMS
 from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
                                 reduce, shift, substitute)
@@ -773,7 +772,8 @@ def unmerged_graph_of_groups(cfg):
     tree.  On a hub-shaped dual graph every piece's generator is tied to
     its neighbours' by relators that Tietze has to eliminate, where
     ``pi1_graph_of_groups`` merges the generators instead."""
-    _, stable = spanning_tree(cfg)
+    off = set(off_forest_reference(cfg))
+    stable = [b for b in cfg.branches if b.id in off]
     vertices = list(cfg.components) + list(cfg.singulars)
     prod, offsets = free_product(
         [v.group.canonical_presentation for v in vertices]
@@ -788,6 +788,47 @@ def unmerged_graph_of_groups(cfg):
                           reduce(t + shift(phi, offset[b.singular])
                                  + inverse(t))))
     return quotient_by_relations(prod, pairs)
+
+
+def connected_reference(cfg):
+    """Whether the incidence graph of ``cfg`` is connected, by a
+    breadth-first search from its first vertex over ``("c", id)`` and
+    ``("s", id)`` vertices."""
+    vertices = [("c", c.id) for c in cfg.components] \
+        + [("s", s.id) for s in cfg.singulars]
+    adjacent = {v: [] for v in vertices}
+    for b in cfg.branches:
+        adjacent["c", b.component].append(("s", b.singular))
+        adjacent["s", b.singular].append(("c", b.component))
+    seen, queue = set(vertices[:1]), vertices[:1]
+    for v in queue:
+        for w in adjacent[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(vertices)
+
+
+def off_forest_reference(cfg):
+    """The ids of the branches of ``cfg`` whose ends the branches
+    declared before them already join, each of which closes a cycle: a
+    union-find over ``("c", id)`` and ``("s", id)`` vertices, each class
+    led by the last vertex joined to it."""
+    leader = {}
+
+    def find(v):
+        while v in leader:
+            v = leader[v]
+        return v
+
+    out = []
+    for b in cfg.branches:
+        x, y = find(("c", b.component)), find(("s", b.singular))
+        if x == y:
+            out.append(b.id)
+        else:
+            leader[x] = y
+    return out
 
 
 def build_union(cfg, singular_ids):

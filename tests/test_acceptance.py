@@ -15,8 +15,9 @@ from singular_pi1 import (GroupSpec, compare, count_homs, devissage_order,
                           devissage_splits, free_rank, pi1_devissage,
                           tietze_simplify, validate)
 from singular_pi1.cli import main as cli_main
-from support import (brute_count_homs, build_union, check_vk_forms, leg_pairs,
-                     load_corpus, random_presentation, random_trivial_config,
+from support import (brute_count_homs, build_union, check_vk_forms,
+                     connected_reference, leg_pairs, load_corpus,
+                     random_presentation, random_trivial_config,
                      search_count_homs, split_unions, standard_hom)
 
 GRID_GROUPS = [GroupSpec.trivial(), GroupSpec.cyclic(2), GroupSpec.cyclic(3),
@@ -134,16 +135,14 @@ def test_criterion_4_vk_form_equivalences(capsys):
 def test_criterion_5_devissage_robustness(capsys):
     start = time.time()
     corpus = load_corpus()
-    from singular_pi1.scheme import _connected
     order_pairs = 0
     for name, cfg in corpus.items():
         if cfg.m < 1:
             continue
         order = devissage_order(cfg)
         for r in range(1, len(order) + 1):
-            prefix = build_union(cfg, order[:r])
-            ok, _ = _connected(prefix)
-            assert ok, f"{name}: prefix {order[:r]} disconnected"
+            assert connected_reference(build_union(cfg, order[:r])), \
+                f"{name}: prefix {order[:r]} disconnected"
         if cfg.m >= 2:
             from singular_pi1 import InputError, check_order
             alt = tuple(reversed(order))

@@ -342,17 +342,21 @@ class TestVerify:
     def test_one_validation_per_devissage_call(self, tmp_path, capsys,
                                                monkeypatch, argv):
         # the walk reads the checked configuration: no split or part of
-        # it is validated again
+        # it is validated again, and the validation's union-find, which
+        # gives connectivity and the spanning forest, runs once
         import singular_pi1.scheme as scheme
         calls, real = [], scheme.validate
+        forests, forest = [], scheme._forest
         monkeypatch.setattr(scheme, "validate",
                             lambda cfg: calls.append(cfg) or real(cfg))
+        monkeypatch.setattr(scheme, "_forest",
+                            lambda *a: forests.append(a) or forest(*a))
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(
             scheme_config_to_json(family_config("chain", 32))))
         code, _ = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == len(forests) == 1
 
     @pytest.mark.parametrize("argv", [
         ("validate",), ("present",), ("present", "--degrees", "2"),
@@ -364,6 +368,7 @@ class TestVerify:
         # and through ``scheme`` everywhere else
         import singular_pi1.scheme as scheme
         calls, real = [], scheme.validate
+        forests, forest = [], scheme._forest
 
         def counted(cfg):
             calls.append(cfg)
@@ -371,12 +376,14 @@ class TestVerify:
 
         monkeypatch.setattr(scheme, "validate", counted)
         monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(scheme, "_forest",
+                            lambda *a: forests.append(a) or forest(*a))
         path = tmp_path / "theta.json"
         path.write_text(json.dumps(
             scheme_config_to_json(family_config("theta", 3))))
         code, _ = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == len(forests) == 1
 
     @pytest.mark.parametrize("family", ["chain", "star", "theta"])
     def test_eight_piece_families_pass_to_degree_five(self, tmp_path, capsys,
@@ -594,6 +601,23 @@ class TestGlobalBounds:
         assert time.perf_counter() - start < 1.0
         assert (got, out["error"].get("layer")) == (code, layer)
 
+    @pytest.mark.parametrize("command", ["validate", "present"])
+    def test_huge_relator_exponent_is_refused_before_expansion(
+            self, tmp_path, capsys, command):
+        # the coset closure would write a^(10^21) out letter by letter
+        group = {"kind": "presented", "generators": ["a", "b", "c"],
+                 "relators": [[["a", 1], ["b", -1], ["c", -1]],
+                              [["a", 10 ** 21]], [["b", 2]], [["c", 2]]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"components": [{"id": "A",
+                                                    "group": group}]}))
+        code, out = run(capsys, command, str(path))
+        assert code == 4
+        assert out["error"] == {
+            "kind": "resource", "layer": "groups",
+            "estimate": 10 ** 21 + 7, "ceiling": 10 ** 8,
+            "message": f"relator length estimate {10 ** 21 + 7} exceeds "
+                       f"ceiling {10 ** 8}"}
 
 def test_corpus_validates_and_verifies_at_degree_two(capsys):
     for name in ("regular", "nodal", "chain", "theta", "star",

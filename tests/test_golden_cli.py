@@ -3,9 +3,9 @@ of every call in a fixed set, held in ``golden_cli.json``.
 
 The configurations are the bundled corpus, the chain, star and theta of
 ``support.family_config`` with 2 and 3 singular pieces (non-trivial and
-trivial), two valid configurations with dotted generator names, and
+trivial), two valid configurations with dotted generator names,
 hand-made invalid ones that reach each name and word error of the
-parser.  Every call runs ``cli.main`` in this process.
+parser, and a presented group whose relator is too long to write out.  Every call runs ``cli.main`` in this process.
 
 To write the file for an intended change of output:
 
@@ -71,6 +71,9 @@ INVALID = {
     "image-outside-target": _one_branch(C2, C2, {"g": [["z", 1]]}),
     "missing-image": _one_branch(C2, C2, {}),
     "non-homomorphism": _one_branch(C3, C2, {"g": [["g", 1]]}),
+    "huge-relator-exponent": _presented(
+        ["a", "b", "c"], [[["a", 1], ["b", -1], ["c", -1]],
+                          [["a", 10 ** 21]], [["b", 2]], [["c", 2]]]),
 }
 
 VALID_CALLS = (

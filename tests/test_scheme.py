@@ -1,15 +1,18 @@
+import json
 import random
 
 import pytest
 
 import singular_pi1.scheme as scheme
-from singular_pi1 import (Component, GroupSpec, InputError, SchemeConfig,
-                          Singular, build_patch, check_order,
-                          devissage_order, devissage_splits, free_rank,
-                          validate)
-from singular_pi1.scheme import _connected
-from support import (build_union, chain_config, family_config, load_corpus,
-                     nodal_config, random_general_config,
+from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
+                          SchemaError, SchemeConfig, Singular, build_patch,
+                          check_order, devissage_order, devissage_splits,
+                          free_rank, parse_scheme_config,
+                          scheme_config_to_json, validate)
+from singular_pi1.pi1 import _graph_of_groups
+from support import (build_union, chain_config, connected_reference,
+                     family_config, load_corpus, nodal_config,
+                     off_forest_reference, random_general_config,
                      random_trivial_config, split_unions, theta_config,
                      trivial_branch, TRIV)
 
@@ -80,6 +83,244 @@ class TestValidate:
         assert not result.ok and result.invariant == "branch-maps"
 
 
+def _branch(bid, cid, sid, group=None, psi=(None, None), phi=(None, None)):
+    """A branch with trivial attaching maps.  Its group and each map's
+    source and target are fresh trivial groups unless given, so the
+    checks of ``validate`` compare groups that are equal but not the
+    same object."""
+    def fresh(group):
+        return group or GroupSpec.trivial()
+    return Branch(bid, cid, sid, fresh(group),
+                  Homo.trivial(fresh(psi[0]), fresh(psi[1])),
+                  Homo.trivial(fresh(phi[0]), fresh(phi[1])))
+
+
+def _pieces(kind, *ids):
+    return [kind(i, GroupSpec.trivial()) for i in ids]
+
+
+def _nodal_pair():
+    return [_branch("b1", "A", "P"), _branch("b2", "A", "P")]
+
+
+# one configuration per verdict of ``validate``; the "then-" rows break
+# two invariants and pin which verdict is reported
+VERDICT_CONFIGS = {
+    "ok": lambda: SchemeConfig(_pieces(Component, "A"),
+                               _pieces(Singular, "P"), _nodal_pair()),
+    "unique-ids-component": lambda: SchemeConfig(
+        _pieces(Component, "B", "A", "B", "A"), _pieces(Singular, "P"),
+        _nodal_pair()),
+    "unique-ids-singular": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "Q", "P", "Q"),
+        _nodal_pair()),
+    "unique-ids-branch": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b", "A", "P"), _branch("b", "A", "P")]),
+    "component-count": lambda: SchemeConfig([], [], []),
+    "resolve-component": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P"), _branch("b2", "X", "P")]),
+    "resolve-singular": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P"), _branch("b2", "A", "X")]),
+    "branch-maps-psi-source": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P", GroupSpec.cyclic(2),
+                 psi=(GroupSpec.cyclic(3), None),
+                 phi=(GroupSpec.cyclic(2), None)),
+         _branch("b2", "A", "P")]),
+    "branch-maps-phi-source": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P", GroupSpec.cyclic(2),
+                 psi=(GroupSpec.cyclic(2), None),
+                 phi=(GroupSpec.cyclic(3), None)),
+         _branch("b2", "A", "P")]),
+    "branch-maps-psi-target": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P"),
+         _branch("b2", "A", "P", psi=(None, GroupSpec.cyclic(2)))]),
+    "branch-maps-phi-target": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P"),
+         _branch("b2", "A", "P", phi=(None, GroupSpec.cyclic(2)))]),
+    "singular-incidence": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P", "Q", "R"),
+        [_branch("b1", "A", "Q"), _branch("b2", "A", "P")]),
+    "component-incidence": lambda: SchemeConfig(
+        _pieces(Component, "A", "B", "C"), _pieces(Singular, "P"),
+        _nodal_pair()),
+    "connected": lambda: SchemeConfig(
+        _pieces(Component, "A", "B", "C"), _pieces(Singular, "P", "Q"),
+        [_branch("b1", "B", "Q"), _branch("b2", "A", "P"),
+         _branch("b3", "C", "Q")]),
+    "then-resolve-after-an-earlier-map": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P", phi=(None, GroupSpec.cyclic(2))),
+         _branch("b2", "A", "X")]),
+    "then-phi-source-before-psi-target": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b1", "A", "P"),
+         _branch("b2", "A", "P", psi=(None, GroupSpec.cyclic(2)),
+                 phi=(GroupSpec.cyclic(2), None))]),
+    "then-singular-before-component-incidence": lambda: SchemeConfig(
+        _pieces(Component, "A", "B"), _pieces(Singular, "P", "Q"),
+        _nodal_pair()),
+    "then-unique-ids-before-resolve": lambda: SchemeConfig(
+        _pieces(Component, "A"), _pieces(Singular, "P"),
+        [_branch("b", "A", "X"), _branch("b", "A", "P")]),
+}
+
+VERDICTS = {
+    "ok": {"ok": True},
+    "unique-ids-component": {
+        "ok": False, "invariant": "unique-ids",
+        "message": "duplicate component ids", "ids": ["A", "B"]},
+    "unique-ids-singular": {
+        "ok": False, "invariant": "unique-ids",
+        "message": "duplicate singular ids", "ids": ["Q"]},
+    "unique-ids-branch": {
+        "ok": False, "invariant": "unique-ids",
+        "message": "duplicate branch ids", "ids": ["b"]},
+    "component-count": {
+        "ok": False, "invariant": "component-count",
+        "message": "at least one component is required", "ids": []},
+    "resolve-component": {
+        "ok": False, "invariant": "resolve",
+        "message": "branch b2 references unknown component X",
+        "ids": ["b2"]},
+    "resolve-singular": {
+        "ok": False, "invariant": "resolve",
+        "message": "branch b2 references unknown singular piece X",
+        "ids": ["b2"]},
+    "branch-maps-psi-source": {
+        "ok": False, "invariant": "branch-maps",
+        "message": "branch b1: psi does not start at the branch group",
+        "ids": ["b1"]},
+    "branch-maps-phi-source": {
+        "ok": False, "invariant": "branch-maps",
+        "message": "branch b1: phi does not start at the branch group",
+        "ids": ["b1"]},
+    "branch-maps-psi-target": {
+        "ok": False, "invariant": "branch-maps",
+        "message": "branch b2: psi does not land in the component group",
+        "ids": ["b2"]},
+    "branch-maps-phi-target": {
+        "ok": False, "invariant": "branch-maps",
+        "message": "branch b2: phi does not land in the singular group",
+        "ids": ["b2"]},
+    "singular-incidence": {
+        "ok": False, "invariant": "singular-incidence",
+        "message": "singular piece R has no branch", "ids": ["R"]},
+    "component-incidence": {
+        "ok": False, "invariant": "component-incidence",
+        "message": "component B has no branch", "ids": ["B"]},
+    "connected": {
+        "ok": False, "invariant": "connected",
+        "message": "incidence graph is disconnected",
+        "ids": ["c:B", "c:C", "s:Q"]},
+    "then-resolve-after-an-earlier-map": {
+        "ok": False, "invariant": "resolve",
+        "message": "branch b2 references unknown singular piece X",
+        "ids": ["b2"]},
+    "then-phi-source-before-psi-target": {
+        "ok": False, "invariant": "branch-maps",
+        "message": "branch b2: phi does not start at the branch group",
+        "ids": ["b2"]},
+    "then-singular-before-component-incidence": {
+        "ok": False, "invariant": "singular-incidence",
+        "message": "singular piece Q has no branch", "ids": ["Q"]},
+    "then-unique-ids-before-resolve": {
+        "ok": False, "invariant": "unique-ids",
+        "message": "duplicate branch ids", "ids": ["b"]},
+}
+
+# written as JSON and read back, a configuration has one group per group
+# JSON; the parser refuses an unknown id and builds each map between its
+# branch's declared groups, so these rows read differently
+JSON_VERDICTS = {
+    "resolve-component": "$.branches[1].component: unknown component id 'X'",
+    "resolve-singular": "$.branches[1].singular: unknown singular id 'X'",
+    "branch-maps-psi-source": {"ok": True},
+    "branch-maps-phi-source": {"ok": True},
+    "branch-maps-psi-target": {"ok": True},
+    "branch-maps-phi-target": {"ok": True},
+    "then-resolve-after-an-earlier-map":
+        "$.branches[1].singular: unknown singular id 'X'",
+    "then-phi-source-before-psi-target":
+        "$.branches[1].phi.g: unknown branch-group generator 'g'",
+    "then-unique-ids-before-resolve":
+        "$.branches[0].singular: unknown singular id 'X'",
+}
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("name", sorted(VERDICT_CONFIGS))
+    def test_each_verdict_is_pinned_from_both_entries(self, name):
+        cfg = VERDICT_CONFIGS[name]()
+        assert validate(cfg).to_json() == VERDICTS[name]
+        # only a valid configuration carries a record
+        assert (cfg._incidence is not None) == (name == "ok")
+        doc = json.loads(json.dumps(scheme_config_to_json(cfg)))
+        try:
+            got = validate(parse_scheme_config(doc)).to_json()
+        except SchemaError as exc:
+            got = str(exc)
+        assert got == JSON_VERDICTS.get(name, VERDICTS[name])
+
+    def test_a_failed_validation_drops_the_record(self):
+        cfg = nodal_config()
+        assert validate(cfg).ok and cfg._incidence is not None
+        cfg.branches.append(trivial_branch("b3", "A", "X"))
+        assert validate(cfg).invariant == "resolve"
+        assert cfg._incidence is None
+        with pytest.raises(InputError):
+            scheme.spanning_tree(cfg)
+
+
+def _index_configs():
+    rng = random.Random(41)
+    return ([random_trivial_config(rng) for _ in range(40)]
+            + [random_general_config(rng) for _ in range(40)]
+            + [family_config(family, n, nontrivial)
+               for family in ("chain", "star", "theta")
+               for n in (1, 2, 5, 16) for nontrivial in (True, False)]
+            + list(load_corpus().values()))
+
+
+class TestIncidence:
+    def test_record_agrees_with_references(self):
+        for cfg in _index_configs():
+            inc = scheme.incidence(cfg)
+            slot = {("c", c.id): k for k, c in enumerate(cfg.components)}
+            slot.update({("s", s.id): cfg.n + j
+                         for j, s in enumerate(cfg.singulars)})
+            assert inc.ends == [(slot["c", b.component], slot["s", b.singular])
+                                for b in cfg.branches]
+            assert [[cfg.branches[k] for k in mine] for mine in inc.over] \
+                == [[b for b in cfg.branches if b.singular == s.id]
+                    for s in cfg.singulars]
+            assert [cfg.branches[k].id for k in inc.extra] \
+                == off_forest_reference(cfg)
+            assert len(inc.extra) == cfg.m_tilde - cfg.m - cfg.n + 1
+            root, extra = scheme.spanning_tree(cfg)
+            assert len(set(root)) == 1 and len(root) == cfg.n + cfg.m
+            assert extra == [cfg.branches[k] for k in inc.extra]
+
+    def test_readers_take_the_record_of_one_union_find(self, monkeypatch):
+        # the first reader validates, as no record is there yet; the
+        # others read its record
+        calls, real = [], scheme._forest
+        monkeypatch.setattr(scheme, "_forest",
+                            lambda *a: calls.append(a) or real(*a))
+        for cfg in _index_configs():
+            calls.clear()
+            scheme.spanning_tree(cfg)
+            _graph_of_groups(cfg)
+            for s in cfg.singulars:
+                build_patch(cfg, s.id)
+            assert len(calls) == 1
+
 class TestPatches:
     def test_nodal_patch_is_whole_config(self):
         cfg = nodal_config()
@@ -146,9 +387,7 @@ class TestDevissageOrder:
                 continue
             order = devissage_order(cfg)
             for r in range(1, len(order) + 1):
-                prefix = build_union(cfg, order[:r])
-                ok, _ = _connected(prefix)
-                assert ok
+                assert connected_reference(build_union(cfg, order[:r]))
 
     def test_check_order_agrees_with_union_connectivity(self):
         # the linear check against building every prefix union
@@ -159,7 +398,8 @@ class TestDevissageOrder:
             order = [s.id for s in cfg.singulars]
             rng.shuffle(order)
             bad = next((r for r in range(1, len(order) + 1)
-                        if not _connected(build_union(cfg, order[:r]))[0]),
+                        if not connected_reference(
+                            build_union(cfg, order[:r]))),
                        None)
             if bad is None:
                 assert check_order(cfg, order) == tuple(order)

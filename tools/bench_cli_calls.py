@@ -29,7 +29,10 @@ change between two recordings, and the call and the reference work
 drift together, so ``norm`` compares across labels where ``ms`` does
 not.  ``total_ms``, ``total_norm`` and ``gc_ms`` sum the rows,
 ``gc_share`` is the quotient of the last by the first, and
-``import_ms`` is the median of the rows.  The labels ``before-argv``
+``import_ms`` is the median of the rows.  A run records its
+``repeats``; the runs without that key took 5, and a call of about a
+millisecond moved by up to a fifth of its ``norm`` between two of
+them, hence 21.  The labels ``before-argv``
 and ``after-argv`` predate the family rows and the two collector and
 import numbers, every label before ``before-ingest`` the all-trivial
 rows, and every label before ``before-order`` the count-families rows
@@ -66,7 +69,7 @@ COUNT_ROWS = (("chain", 3, "2,3,4,5"), ("star", 3, "2,3,4,5"),
               ("theta", 2, "2,3,4,5"), ("chain", 5, "2,3,4"),
               ("star", 5, "2,3,4"), ("theta", 4, "2,3,4"))
 NO_CEILING = ("--ceiling", str(10 ** 16))
-REPEATS = 5
+REPEATS = 21
 EDGE_SAMPLES = 3
 CHILD = """
 import time
@@ -144,9 +147,9 @@ def main():
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["calls"] = (f"cli.main(argv) after import, median of {REPEATS} "
-                    f"fresh interpreters per row; gc_ms: collector pauses "
-                    f"inside the call; import_ms: spawn until "
+    doc["calls"] = (f"cli.main(argv) after import, median of the run's "
+                    f"repeats, fresh interpreters per row; gc_ms: collector "
+                    f"pauses inside the call; import_ms: spawn until "
                     f"singular_pi1.cli is imported; norm: ms over the "
                     f"mean ms of perfbench's reference work, sampled "
                     f"{EDGE_SAMPLES} times before and after the call")
@@ -155,6 +158,7 @@ def main():
     doc.setdefault("runs", {})[args.label] = {
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"Python {platform.python_version()}",
+        "repeats": REPEATS,
         "total_ms": round(total, 3),
         "total_norm": round(sum(row["norm"] for row in rows), 3),
         "gc_ms": round(paused, 3),
