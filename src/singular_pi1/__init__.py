@@ -30,6 +30,5 @@ from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
 from .schema import (parse_scheme_config, pi1_result_to_json,
                      presentation_to_json, parse_presentation,
                      scheme_config_to_json)
-from .vk import copy_shift, shift_free_group, vk_assemble
 
 __version__ = "0.1.0"

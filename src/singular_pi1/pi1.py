@@ -13,9 +13,9 @@ the result along their overlap, in one forward walk of
 ``scheme.devissage_splits``.  The result is one growing presentation:
 each glue appends the patch of the ``r``-th piece, named under ``p{r}``,
 and leaves what is built where it is (``vk.vk_glue``), so no generator
-is copied or renamed again, except by form iv.  An overlap component
-keeps its generators in the union.  Its expression has one van Kampen
-node per singular piece.
+is copied or renamed again.  An overlap component keeps its generators
+in the union.  Its expression has one van Kampen node per singular
+piece.
 
 Each route validates once at its entry and simplifies once at the end;
 the dévissage's walk validates none of its patches again.
@@ -172,10 +172,9 @@ def _connected_singular(cfg, form, nodes, steps):
     images, copies, vknodes = {}, [], []
     for k, comp in enumerate(cfg.components, start=1):
         branches = [b for b in cfg.branches if b.component == comp.id]
-        start = len(gens), len(rels)
         images[comp.id] = append(
             gens, rels, comp.group.canonical_presentation, f"c{k}")
-        rights, _ = vk_glue(gens, rels, start, sing_pres,
+        rights, _ = vk_glue(gens, rels, images[comp.id], sing_pres,
                             [_branch_leg_pairs(b) for b in branches], form,
                             f"c{k}")
         copies.append(rights[0])
@@ -254,8 +253,7 @@ def _devissage(cfg, form, order, nodes, steps):
                           for g in range(len(c.group.canonical_presentation
                                              .generators))]
                          for c in overlap]
-            rights, _ = vk_glue(gens, rels, (0, 0), pres, leg_pairs, form,
-                                tag)
+            rights, _ = vk_glue(gens, rels, 0, pres, leg_pairs, form, tag)
             offset = rights[0]
             root = add_node(nodes, "vk", pi=root, pi_prime=part,
                             legs=[piece("component", c.id, c.group)

@@ -23,7 +23,7 @@ import heapq
 from collections import Counter, defaultdict
 
 from .errors import InputError
-from .words import (check_name, check_tag, cyclic_key, cyclically_reduce,
+from .words import (check_name, cyclic_key, cyclically_reduce,
                     inverse, reduce, render, shift, substitute)
 
 
@@ -110,21 +110,6 @@ def append(gens, rels, p, tag):
     return offset
 
 
-def free_product(parts, tags=None):
-    """Free product of several presentations on disjoint namespaced copies.
-
-    Returns the product and the offset of each factor's generators.
-    """
-    if tags is None:
-        tags = [f"c{i + 1}" for i in range(len(parts))]
-    if len(tags) != len(parts) or len(set(tags)) != len(tags):
-        raise InputError("one distinct namespace tag per factor is required")
-    gens, rels = [], []
-    offsets = [append(gens, rels, p, check_tag(tag))
-               for p, tag in zip(parts, tags)]
-    return Presentation._trusted(gens, rels), offsets
-
-
 def quotient_by_relations(p, pairs):
     """Impose ``lhs = rhs`` for each pair of words over ``p``'s generators."""
     n = len(p.generators)
@@ -206,6 +191,16 @@ def tietze_eliminations(p):
     Each word is over the generators left at its step, so evaluating the
     words in reverse order extends a map of the surviving generators to
     all of ``p``'s.
+
+    Exponents must be bounded: a step raises the word it substitutes to
+    the exponent of each syllable it replaces, and ``words.power``
+    writes a power of a word of two or more cyclic syllables out in
+    full.  On the CLI every exponent is bounded by work already done: a
+    presented group's relators are gated at ``--ceiling`` before its
+    coset closure writes them out letter by letter, a group's order is
+    gated at ``--bound-order`` before its generators are written as
+    permutations, and a branch map's exponents are reduced modulo their
+    generator's order when the map is built (``homomorphism``).
     """
     relators = list(p.relators)       # None once a relator is dropped
     keys = [None] * len(relators)

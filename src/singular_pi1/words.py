@@ -31,12 +31,6 @@ def check_name(text):
     return text
 
 
-def check_tag(tag):
-    if not _TAG_RE.match(tag):
-        raise InputError(f"malformed namespace tag: {tag!r}")
-    return tag
-
-
 def reduce(syllables):
     """Merge adjacent equal generators and drop zero exponents."""
     out = []
@@ -61,7 +55,8 @@ def power(word, n):
     """``word`` to the ``n``-th power.  A word ``u g^e u^-1`` whose cyclic
     core is one syllable has the power ``u g^(e n) u^-1``, so its
     exponent may be of any size; any other word is repeated ``n``
-    times."""
+    times, so ``|n|`` must be small enough for that word to be written
+    out: a tuple cannot hold ``10^21`` copies (``OverflowError``)."""
     if n < 0:
         word, n = inverse(word), -n
     i, j = 0, len(word) - 1

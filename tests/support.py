@@ -38,11 +38,11 @@ from math import factorial, prod
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
                           free_presentation, parse_scheme_config,
-                          quotient_by_relations, vk_assemble)
+                          quotient_by_relations)
 from singular_pi1.groups import _closure
 from singular_pi1.perms import compose, identity, invert, table
-from singular_pi1.presentation import free_product
-from singular_pi1.vk import FORMS
+from singular_pi1.presentation import append
+from singular_pi1.vk import FORMS, vk_glue
 from singular_pi1.words import (cyclic_key, cyclically_reduce, inverse,
                                 reduce, shift, substitute)
 
@@ -589,46 +589,56 @@ def words_trivial(p, words, degrees):
     return all(count_homs(quotient, d) == count_homs(p, d) for d in degrees)
 
 
+def glue(left, right, legs, form="i"):
+    """``right`` glued onto ``left``, named ``L`` at offset 0, along
+    ``legs`` by ``vk_glue``: the presentation, the offsets of the copies
+    of ``right`` and the offset of the shift letters."""
+    gens, rels = [], []
+    append(gens, rels, left, "L")
+    rights, o_shift = vk_glue(gens, rels, 0, right, legs, form, "")
+    return Presentation._trusted(gens, rels), rights, o_shift
+
+
 def check_vk_forms(left, right, legs, degrees, forms=FORMS):
     """Hom counts ``{form: {d: count}}`` of the van Kampen assembly of
     ``left`` and ``right`` along ``legs`` in each of ``forms``, and a flag:
     the forms agree at every degree, and the explicit generator maps
     between forms i and ii are mutually inverse homomorphisms."""
-    asm = {f: vk_assemble(left, right, legs, f) for f in {*forms, "i", "ii"}}
-    counts = {f: {d: count_homs(asm[f].presentation, d) for d in degrees}
+    asm = {f: glue(left, right, legs, f) for f in {*forms, "i", "ii"}}
+    counts = {f: {d: count_homs(asm[f][0], d) for d in degrees}
               for f in forms}
-    a1, a2 = asm["i"], asm["ii"]
+    (p1, (r1,), v1), (p2, copies, v2) = asm["i"], asm["ii"]
 
     def gen(g):
         return ((g, 1),)
 
-    to_2 = {a1.left_offset + x: gen(a2.left_offset + x)
-            for x in range(len(left.generators))}
-    to_1 = {a2.left_offset + x: gen(a1.left_offset + x)
-            for x in range(len(left.generators))}
+    # left sits at offset 0 in both; copy i of form ii is form i's right
+    # conjugated by v_i, v_1 = e
+    to_2 = {x: gen(x) for x in range(len(left.generators))}
+    to_1 = dict(to_2)
+    shifts = [()] + [gen(v1 + j) for j in range(len(legs) - 1)]
     for y in range(len(right.generators)):
-        to_2[a1.right_offset + y] = gen(a2.right_copy_offsets[0] + y)
-        for i, copy in enumerate(a2.right_copy_offsets, start=1):
-            to_1[copy + y] = a1.conjugated_by_shift(
-                i, gen(a1.right_offset + y))
+        to_2[r1 + y] = gen(copies[0] + y)
+        for copy, v in zip(copies, shifts):
+            to_1[copy + y] = reduce(inverse(v) + gen(r1 + y) + v)
     for j in range(len(legs) - 1):
-        to_2[a1.shift_offset + j] = gen(a2.shift_offset + j)
-        to_1[a2.shift_offset + j] = gen(a1.shift_offset + j)
+        to_2[v1 + j] = gen(v2 + j)
+        to_1[v2 + j] = gen(v1 + j)
 
     def inverse_homs(a, b, there, back):
         """``there`` maps a's relators to b's identity, and ``back``
         undoes it on a's generators."""
         # every generator is mapped: substitute keeps an unmapped one
-        assert sorted(there) == list(range(len(a.presentation.generators)))
-        relators = [substitute(r, there) for r in a.presentation.relators]
+        assert sorted(there) == list(range(len(a.generators)))
+        relators = [substitute(r, there) for r in a.relators]
         round_trip = [reduce(((g, -1),) + substitute(there[g], back))
-                      for g in range(len(a.presentation.generators))]
-        return (words_trivial(b.presentation, relators, degrees)
-                and words_trivial(a.presentation, round_trip, degrees))
+                      for g in range(len(a.generators))]
+        return (words_trivial(b, relators, degrees)
+                and words_trivial(a, round_trip, degrees))
 
     agree = len({tuple(c.values()) for c in counts.values()}) == 1
-    return counts, (agree and inverse_homs(a1, a2, to_2, to_1)
-                    and inverse_homs(a2, a1, to_1, to_2))
+    return counts, (agree and inverse_homs(p1, p2, to_2, to_1)
+                    and inverse_homs(p2, p1, to_1, to_2))
 
 
 # -- explicit orbit enumeration for the groupoid cardinality ------------
@@ -762,6 +772,15 @@ def family_config(family, n, nontrivial=True):
     return SchemeConfig([Component(c, s3) for c in comps],
                         [Singular(f"P{i}", c2) for i in range(1, n + 1)],
                         branches)
+
+
+def free_product(parts):
+    """The free product of ``parts``, the ``i``-th factor named under
+    ``c{i}``, and the offset of each factor's generators."""
+    gens, rels = [], []
+    offsets = [append(gens, rels, p, f"c{i}")
+               for i, p in enumerate(parts, start=1)]
+    return Presentation._trusted(gens, rels), offsets
 
 
 def unmerged_graph_of_groups(cfg):

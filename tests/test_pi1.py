@@ -157,6 +157,15 @@ class TestDevissage:
                        .raw_presentation.generators) for n in (4, 8)}
         assert size[8] <= 3 * size[4], size
 
+    def test_form_iv_appends_no_copy_of_the_union(self):
+        # form iv presents the amalgam over the one copy of the union,
+        # so its raw presentation is form ii's, not doubled per piece
+        cfg = family_config("theta", 8)
+        ii, iv = (pi1_devissage(cfg, form=f).raw_presentation
+                  for f in ("ii", "iv"))
+        assert len(iv.generators) == len(ii.generators) == 97
+        assert len(iv.relators) == len(ii.relators)
+
 
 class TestClosedForm:
     def test_nodal_is_free_of_rank_one(self):

@@ -8,11 +8,11 @@ from singular_pi1 import (InputError, Presentation, count_homs,
                           free_presentation, pi1_devissage,
                           pi1_graph_of_groups, quotient_by_relations,
                           tietze_simplify)
-from singular_pi1.presentation import free_product, tietze_eliminations
+from singular_pi1.presentation import tietze_eliminations
 from singular_pi1.vk import FORMS
 from support import (brute_count_homs, count_order_dividing, family_config,
-                     load_corpus, random_presentation, tietze_reference,
-                     unmerged_graph_of_groups)
+                     free_product, load_corpus, random_presentation,
+                     tietze_reference, unmerged_graph_of_groups)
 
 A, B = 0, 1          # the generators of Presentation(["a", "b"], ...)
 

@@ -1,13 +1,9 @@
-import random
 from math import factorial
 
 import pytest
 
-from singular_pi1 import (GroupSpec, InputError, copy_shift, count_homs,
-                          shift_free_group, vk_assemble)
-from singular_pi1.perms import compose, identity, invert
-from singular_pi1.words import render
-from support import check_vk_forms, leg_pairs, standard_hom
+from singular_pi1 import GroupSpec, InputError, count_homs, free_presentation
+from support import check_vk_forms, glue, leg_pairs, standard_hom
 
 TRIV = GroupSpec.trivial()
 C2 = GroupSpec.cyclic(2)
@@ -32,72 +28,27 @@ def c2_legs(s):
         [leg_pairs(C2, psi, psi)] * s
 
 
-class TestShiftGroup:
-    def test_ranks(self):
-        assert len(shift_free_group(1).generators) == 0
-        p = shift_free_group(3)
-        assert len(p.generators) == 2
-        assert count_homs(p, 2) == 4
-
-    def test_shift_word_lookup(self):
-        w = copy_shift(1, 3, 3)
-        assert render(w, shift_free_group(3).generators) == "v3"
-        assert copy_shift(2, 2, 3) == ()
-        with pytest.raises(InputError):
-            copy_shift(0, 1, 3)
-        with pytest.raises(InputError):
-            shift_free_group(0)
-
-    def test_shift_identities_under_random_assignments(self):
-        # u_ii = e and u_ij u_jk = u_ik hold identically in the free group
-        rng = random.Random(0)
-        s, d = 4, 4
-        perms = []                  # v_j is generator j - 2
-        for j in range(2, s + 1):
-            p = list(range(d))
-            rng.shuffle(p)
-            perms.append(tuple(p))
-
-        def ev(word):
-            acc = identity(d)
-            for g, e in word:
-                p = perms[g]
-                if e < 0:
-                    p, e = invert(p), -e
-                for _ in range(e):
-                    acc = compose(acc, p)
-            return acc
-
-        for i in range(1, s + 1):
-            assert ev(copy_shift(i, i, s)) == identity(d)
-            for j in range(1, s + 1):
-                for k in range(1, s + 1):
-                    lhs = compose(ev(copy_shift(i, j, s)),
-                                  ev(copy_shift(j, k, s)))
-                    assert lhs == ev(copy_shift(i, k, s))
-
-
 class TestVKBuild:
     def test_single_leg_collapses_to_amalgam(self):
         data = trivial_data(TRIV, TRIV, 1)
         for form in ("i", "ii", "iii", "iv"):
-            assert count_homs(vk_assemble(*data, form).presentation, 3) == 1
+            assert count_homs(glue(*data, form)[0], 3) == 1
 
     def test_all_trivial_three_legs_gives_free_two(self):
         data = trivial_data(TRIV, TRIV, 3)
         for form in ("i", "ii", "iii", "iv"):
-            assert count_homs(vk_assemble(*data, form).presentation, 2) == 4
+            assert count_homs(glue(*data, form)[0], 2) == 4
 
     def test_c2_against_trivial(self):
         data = trivial_data(C2, TRIV, 2)
-        p = vk_assemble(*data).presentation
+        p = glue(*data)[0]
         assert count_homs(p, 3) == 4 * 6
 
     def test_trivial_leg_maps_product_formula(self):
         # with trivial legs the count is the plain product with the shifts
         for pi, prime, s in [(C2, C3, 2), (S3, C2, 3), (C3, C3, 1)]:
             data = trivial_data(pi, prime, s)
-            p = vk_assemble(*data).presentation
+            p = glue(*data)[0]
             for d in (2, 3):
                 expected = (count_homs(pi.canonical_presentation, d)
                             * count_homs(prime.canonical_presentation, d)
@@ -108,12 +59,30 @@ class TestVKBuild:
         # v_1 = e, so the amalgam over the first leg imposes form i's
         # first-leg relations
         for data in (c2_legs(1), c2_legs(3), trivial_data(S3, C2, 2)):
-            assert vk_assemble(*data, "i").presentation.relators \
-                == vk_assemble(*data, "iii").presentation.relators
+            assert glue(*data, "i")[0].relators \
+                == glue(*data, "iii")[0].relators
+
+    def test_forms_ii_and_iv_append_the_same_relators(self):
+        # every leg pushout of form iv maps into the one copy of pi, so
+        # its amalgam over pi is presented as form ii
+        for data in (c2_legs(1), c2_legs(3), trivial_data(S3, C2, 2)):
+            assert glue(*data, "ii")[0].relators \
+                == glue(*data, "iv")[0].relators
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_copies_are_identified_from_the_first_only(self, s):
+        # one relation v_j^-1 [y]_1 v_j = [y]_j per further copy j and
+        # generator y of pi'; pi' is free, so its copies add no relator
+        right = free_presentation(2)
+        legs = [[(((0, 1),), ((0, 1),))]] * s
+        i, ii = (len(glue(C2.canonical_presentation, right, legs, f)[0]
+                     .relators) for f in ("i", "ii"))
+        assert ii - i == (s - 1) * len(right.generators)
 
     def test_invalid_leg_endpoints_rejected(self):
-        with pytest.raises(InputError):
-            vk_assemble(*trivial_data(C2, TRIV, 0))
+        for form in ("i", "ii", "iii", "iv"):
+            with pytest.raises(InputError, match="at least 1"):
+                glue(*trivial_data(C2, TRIV, 0), form)
 
 
 class TestVerifyForms:

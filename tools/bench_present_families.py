@@ -9,8 +9,9 @@ the non-trivial S3/C2 one unless named):
 
 * ``present`` by the default route on chain, star and theta at N = 64,
   128, 256 and 1024;
-* ``present --route devissage --form iv`` on theta at N = 6 and 8, and
-  ``--form ii`` on theta at N = 6, 8 and 10;
+* ``present --route devissage --form iv`` on theta at N = 6, 8, 64,
+  256 and 1024, and ``--form ii`` on theta at N = 6, 8, 10, 64, 256 and
+  1024;
 * ``present --route devissage`` (form i) on chain at N = 64, 128, 256,
   512 and 1024, and on theta and star at N = 64, 128, 256, 512 and
   1024;
@@ -28,7 +29,9 @@ stdout; a call still running after the runner's timeout ends the row,
 which is recorded with exit null.  (Rows of labels recorded before the
 command and the digest were added ran ``present`` and have no digest;
 rows of labels recorded before ``wall_s_calls`` was added are one call
-each.)
+each.  The ``before-vk`` label has no form iv row above N = 8: there
+form iv still copied the union once per overlap component, so its raw
+presentation doubled with every piece of the theta.)
 
 A label runs all its rows minutes before or after another label, and
 the speed of a small VM drifts by more than the change of a row whose
@@ -56,9 +59,11 @@ CALLS = 5          # fresh-interpreter calls per row; a row is their median
 ROWS = [("present", "nontrivial", family, n, ())
         for n in (64, 128, 256, 1024) for family in families.FAMILIES] \
     + [("present", "nontrivial", "theta", n,
-        ("--route", "devissage", "--form", "iv")) for n in (6, 8)] \
+        ("--route", "devissage", "--form", "iv"))
+       for n in (6, 8, 64, 256, 1024)] \
     + [("present", "nontrivial", "theta", n,
-        ("--route", "devissage", "--form", "ii")) for n in (6, 8, 10)] \
+        ("--route", "devissage", "--form", "ii"))
+       for n in (6, 8, 10, 64, 256, 1024)] \
     + [("present", "nontrivial", family, n, ("--route", "devissage"))
        for family in ("chain", "theta", "star")
        for n in (64, 128, 256, 512, 1024)] \
