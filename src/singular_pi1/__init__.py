@@ -17,16 +17,15 @@ from .groups import GroupSpec
 from .homcount import count_homs, transitive_counts
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS, Limits
-from .oracle import (IncidenceGraph, OracleReport, attach_connected,
-                     compare, enumerate_descent_data, groupoid_cardinality)
+from .oracle import (OracleReport, attach_connected, compare,
+                     enumerate_descent_data, groupoid_cardinality)
 from .pi1 import (DerivationStep, Pi1Result, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, free_presentation,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
-                     Singular, ValidationResult, build_patch, check_order,
-                     devissage_order, devissage_splits, ensure_valid,
-                     free_rank, spanning_tree, validate)
+                     Singular, ValidationResult, check_order, devissage_order,
+                     devissage_splits, free_rank, validate)
 from .schema import (parse_scheme_config, pi1_result_to_json,
                      presentation_to_json, parse_presentation,
                      scheme_config_to_json)

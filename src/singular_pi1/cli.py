@@ -16,8 +16,8 @@ from types import SimpleNamespace
 from .errors import InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
-from .oracle import IncidenceGraph, attach_connected, compare
-from .pi1 import _graph_of_groups, pi1_devissage, pi1_graph_of_groups
+from .oracle import attach_connected, compare
+from .pi1 import pi1_devissage, pi1_graph_of_groups
 from .scheme import devissage_order, devissage_splits, free_rank, validate
 from .schema import json_text, parse_scheme_config, pi1_result_to_json
 
@@ -96,22 +96,19 @@ def _cmd_verify(args, limits):
         raise InputError(f"--degree-max must be at least 2, "
                          f"got {args.degree_max}")
     cfg = _load(args, limits)
-    # the oracle's graph validates the configuration, for the
-    # presentation too
-    graph = IncidenceGraph(cfg)
-    result = _graph_of_groups(cfg)
+    result = pi1_graph_of_groups(cfg)
     # the connected columns at degree d come from the plain ones at 1..d,
     # so --connected also compares degree 1, without emitting it
     reports, refusals = [], []
     for d in range(1 if args.connected else 2, args.degree_max + 1):
         try:
-            reports.append(compare(graph, d, result, limits=limits))
+            reports.append(compare(cfg, d, result, limits=limits))
         except ResourceError as exc:
             refusals.append({"degree": d, "error": str(exc)})
     # a refusal at one degree is a refusal at every higher one, so the
     # reports cover degrees first..k and the refusals k+1..D
     if args.connected:
-        attach_connected(graph, reports)
+        attach_connected(cfg, reports)
     reports = [r for r in reports if r.degree > 1]
     refusals = [r for r in refusals if r["degree"] > 1]
     all_pass = all(r.verdict and (r.connected is None

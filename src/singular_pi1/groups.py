@@ -20,6 +20,7 @@ larger presentations; the generator permutations are what homomorphism
 validation evaluates relators against.
 """
 
+import sys
 from math import lcm
 
 from .errors import InputError, ResourceError
@@ -117,7 +118,11 @@ def _coset_closure(presentation, cap):
             "presented group has a relator-free generator and is infinite: "
             + ", ".join(missing), layer="groups")
 
-    words = [_expand_relator(r) for r in presentation.relators]
+    try:
+        words = [_expand_relator(r) for r in presentation.relators]
+    except MemoryError:
+        raise ResourceError("the relators written out letter by letter do "
+                            "not fit in memory", layer="groups") from None
     ncols = 2 * n_gens
 
     def col(letter):
@@ -329,12 +334,17 @@ class GroupSpec:
         """The group acts on its own elements, the cosets of the trivial
         subgroup that the coset closure numbers.  The closure writes each
         relator out letter by letter, so their total length is gated
-        against the ceiling first."""
+        against the ceiling, and against the longest list, first."""
         length = sum(abs(e) for r in presentation.relators for _, e in r)
         if length > limits.ceiling:
             raise ResourceError(
                 f"relator length estimate {length} exceeds ceiling "
                 f"{limits.ceiling}", estimate=length, ceiling=limits.ceiling,
+                layer="groups")
+        if length > sys.maxsize:
+            raise ResourceError(
+                f"relator length {length} exceeds the longest list, "
+                f"{sys.maxsize}", estimate=length, ceiling=sys.maxsize,
                 layer="groups")
         bound = limits.order_bound
         order, action = _coset_closure(presentation, max(10000, 8 * bound))

@@ -51,7 +51,7 @@ from .errors import ResourceError
 from .homcount import count_homs, transitive_counts
 from .limits import DEFAULT_LIMITS
 from .perms import table
-from .scheme import ensure_valid, incidence
+from .scheme import incidence
 
 
 def _debug(message, *args):
@@ -84,29 +84,6 @@ class OracleReport:
         if self.connected is not None:
             out["connected"] = dict(self.connected)
         return out
-
-
-class IncidenceGraph:
-    """A validated configuration as the oracle reads it: its variables
-    are the slots of its ``scheme.Incidence``, ``0..n-1`` the components
-    and ``n..n+m-1`` the singular pieces;
-    each branch is ``(component var, singular var, psi words, phi
-    words)``, the images of its maps, words over the canonical
-    generators of the two pieces' groups.
-
-    The oracle's functions take a configuration or its graph; ``verify``
-    builds the graph once, so the configuration is validated once for
-    all the degrees it compares and for the presentation it compares
-    against.
-    """
-
-    def __init__(self, cfg):
-        ensure_valid(cfg)
-        self.n, self.m = cfg.n, cfg.m
-        self.groups = [p.group for p in (*cfg.components, *cfg.singulars)]
-        self.branches = [(c, s, b.psi.images, b.phi.images)
-                         for b, (c, s) in zip(cfg.branches,
-                                              incidence(cfg).ends)]
 
 
 def _actions(group, d, limits=DEFAULT_LIMITS):
@@ -279,12 +256,12 @@ def _branch_table(comp_forms, sing_forms):
             for j, (other, _) in enumerate(sing_forms)}
 
 
-def _elimination_order(graph, domains):
-    """The singular pieces, then the components, each next one the
-    component whose elimination builds the smallest table; and the total
-    size of the tables the steps enumerate."""
+def _elimination_order(n, ends, domains):
+    """The singular pieces, then the components ``0..n-1``, each next one
+    the component whose elimination builds the smallest table; and the
+    total size of the tables the steps enumerate."""
     nbrs = [set() for _ in domains]
-    for c, s, _, _ in graph.branches:
+    for c, s in ends:
         nbrs[c].add(s)
         nbrs[s].add(c)
 
@@ -301,9 +278,9 @@ def _elimination_order(graph, domains):
             nbrs[u] -= {u, v}
         order.append(v)
 
-    for v in range(graph.n, len(domains)):
+    for v in range(n, len(domains)):
         eliminate(v)
-    left = list(range(graph.n))
+    left = list(range(n))
     while left:
         v = min(left, key=size)
         left.remove(v)
@@ -336,9 +313,14 @@ def _contract(domains, factors, order):
 
 
 def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
-    """Exact number of rigidified degree-``d`` descent data of ``cfg``, a
-    configuration or its ``IncidenceGraph``."""
-    graph = cfg if isinstance(cfg, IncidenceGraph) else IncidenceGraph(cfg)
+    """Exact number of rigidified degree-``d`` descent data of ``cfg``.
+
+    Its variables are the slots of the configuration's
+    ``scheme.Incidence``, ``0..n-1`` the components and ``n..n+m-1`` the
+    singular pieces; a branch joins its two slots through the images of
+    its maps, words over the canonical generators of the two pieces'
+    groups."""
+    ends = incidence(cfg).ends
     if d < 1:
         raise ResourceError("cover enumeration needs degree >= 1",
                             layer="oracle")
@@ -347,18 +329,19 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
             f"degree {d} exceeds the configured bound {limits.degree_bound}",
             layer="oracle")
     T = table(d)
+    groups = [p.group for p in (*cfg.components, *cfg.singulars)]
     by_group = {}
-    for g in graph.groups:
+    for g in groups:
         if g.descriptor() not in by_group:
             by_group[g.descriptor()] = _action_classes(g, d, limits)
-    classes = [by_group[g.descriptor()] for g in graph.groups]
+    classes = [by_group[g.descriptor()] for g in groups]
     domains = [len(cl) for cl in classes]
-    order, elimination = _elimination_order(graph, domains)
+    order, elimination = _elimination_order(cfg.n, ends, domains)
     # identical branches share their restrictions and their table
-    keys = [((graph.groups[c].descriptor(), psi_words),
-             (graph.groups[s].descriptor(), phi_words))
-            for c, s, psi_words, phi_words in graph.branches]
-    distinct = dict(zip(keys, graph.branches))
+    keys = [((groups[c].descriptor(), b.psi.images),
+             (groups[s].descriptor(), b.phi.images))
+            for b, (c, s) in zip(cfg.branches, ends)]
+    distinct = dict(zip(keys, ends))
     sides = dict.fromkeys(side for key in distinct for side in key)
     # every action is sorted into its class once, every restriction
     # labels each orbit of each representative from each of its points,
@@ -366,8 +349,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
     # elimination step enumerates its table
     estimate = (sum(size for cl in by_group.values() for _, size in cl)
                 + d * d * sum(len(by_group[g]) for g, _ in sides)
-                + sum(domains[c] * domains[s]
-                      for c, s, _, _ in distinct.values())
+                + sum(domains[c] * domains[s] for c, s in distinct.values())
                 + elimination)
     _debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
            d, domains, estimate, limits.ceiling)
@@ -382,8 +364,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
               for key in distinct}
     factors = [((v,), {(i,): size for i, (_, size) in enumerate(cl)})
                for v, cl in enumerate(classes)]
-    factors += [((c, s), tables[key])
-                for key, (c, s, _, _) in zip(keys, graph.branches)]
+    factors += [((c, s), tables[key]) for key, (c, s) in zip(keys, ends)]
     return _contract(domains, factors, order)
 
 
@@ -395,8 +376,7 @@ def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
 
 
 def compare(cfg, d, result, limits=DEFAULT_LIMITS):
-    """Compare the oracle against a computed presentation at one degree;
-    ``cfg`` is a configuration or its ``IncidenceGraph``."""
+    """Compare the oracle against a computed presentation at one degree."""
     rigid = enumerate_descent_data(cfg, d, limits)
     n_pieces = cfg.n + cfg.m
     card = Fraction(rigid, factorial(d) ** n_pieces)

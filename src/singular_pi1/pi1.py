@@ -17,19 +17,19 @@ is copied or renamed again.  An overlap component keeps its generators
 in the union.  Its expression has one van Kampen node per singular
 piece.
 
-Each route validates once at its entry and simplifies once at the end;
-the dévissage's walk validates none of its patches again.
-Results carry the raw lowered presentation, its simplification, the
-expression's node table and the derivation trace.  The dévissage
-appends to one node table and one derivation list as it goes, as to
-its presentation; a part of the result is known by its root node id.
+Each route reads the configuration's ``scheme.incidence`` and simplifies
+once at the end.  Results carry the raw lowered presentation, its
+simplification, the expression's node table and the derivation trace.
+The dévissage appends to one node table and one derivation list as it
+goes, as to its presentation; a part of the result is known by its
+root node id.
 """
 
 from .expression import add_node, piece
 from .presentation import (Presentation, append, cyclic_relators,
                            tietze_simplify)
 from .scheme import (check_order, devissage_order, devissage_splits,
-                     ensure_valid, incidence)
+                     incidence)
 from .vk import vk_glue
 from .words import inverse, reduce, shift
 
@@ -75,17 +75,14 @@ def pi1_graph_of_groups(cfg):
     same exponent, 1 or -1, identifies those generators: it merges them
     into the one declared first (a component's before a piece's) and
     adds no relator.  Every other leg is a relator.
+
+    It is read off the configuration's ``scheme.Incidence``: a piece is
+    known by its slot and a branch by its position, and the stable
+    letters are the branches off the record's spanning forest.  Only a
+    piece whose presentation has a generator is copied, and a branch
+    whose group has none adds no leg.  Equal relators are kept once, the
+    first.
     """
-    return _graph_of_groups(ensure_valid(cfg))
-
-
-def _graph_of_groups(cfg):
-    """``pi1_graph_of_groups`` of a valid configuration, read off its
-    ``scheme.Incidence``: a piece is known by its slot and a branch by
-    its position, and the stable letters are the branches off the
-    record's spanning forest.  Only a piece whose presentation has a
-    generator is copied, and a branch whose group has none adds no leg.
-    Equal relators are kept once, the first."""
     inc = incidence(cfg)
     rank = len(inc.extra)
     assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \
@@ -210,12 +207,10 @@ def _connected_singular(cfg, form, nodes, steps):
 def pi1_devissage(cfg, form="i", order=None):
     """The fundamental group of any valid configuration by dévissage
     along ``order`` (by default ``devissage_order``)."""
+    incidence(cfg)   # before the order is looked at
     if cfg.m:
-        # both validate the configuration before looking at the order
         order = devissage_order(cfg) if order is None \
             else check_order(cfg, order)
-    else:
-        ensure_valid(cfg)
     nodes, steps = [], []
     raw = _devissage(cfg, form, order, nodes, steps)
     return _simplified(Pi1Result(nodes, None, raw, steps))

@@ -9,35 +9,21 @@ this structure; the geometry it abstracts is the input of record and is
 never recomputed.
 
 The incidence multigraph has the components and singular pieces as
-vertices and one edge per branch.  Splitting happens along the patches
-``build_patch(cfg, j)``: the union of components meeting singular piece
-``j`` with the other singular pieces removed.  ``devissage_splits`` is
-the one walk over a dévissage order: first piece first, it gives each
-patch and its overlap with the union of the patches before it, from one
-grouping of the branches by piece and one set of covered components;
-it builds nothing but the patches, and counts the covered components
-without listing them.
+vertices and one edge per branch.  The patch of singular piece ``j`` is
+the union of the components meeting it, with the other singular pieces
+removed.  ``devissage_splits`` is the one walk over a dévissage order:
+first piece first, it gives each patch and its overlap with the union
+of the patches before it, from one grouping of the branches by piece
+and one set of covered components; it builds nothing but the patches,
+and counts the covered components without listing them.
 
-A configuration is validated once, where it enters, in one pass over
-integer slots: the components are slots ``0..n-1`` and the singular
-pieces ``n..n+m-1``, each in declaration order.  On success
-``validate`` leaves an ``Incidence`` record on the configuration: each
-branch's two slots, the branches over each piece, and the spanning
-forest of its one union-find, which also decides connectivity.  Every
-reader takes the record through ``incidence(cfg)``, which validates
-only when no record is there: the graph-of-groups assembly
-(``pi1._graph_of_groups``), ``free_rank``, ``spanning_tree``, the
-oracle's ``IncidenceGraph`` and the patches of the dévissage.  Each
-public entry that takes a configuration (``devissage_order``,
-``check_order``, ``free_rank``, ``pi1.pi1_graph_of_groups``,
-``oracle.IncidenceGraph``) calls ``ensure_valid``, and nothing
-downstream of an entry validates again.  On the command line that makes
-one ``validate`` call, and one union-find, per command: ``validate``
-calls it itself, ``present`` in its route's entry
-(``pi1_graph_of_groups``, or ``devissage_order`` inside
-``pi1_devissage``), ``verify`` in ``IncidenceGraph``, whose check also
-covers the presentation it compares against, ``plan`` in
-``devissage_order`` and ``rank`` in ``free_rank``.
+A configuration is frozen, and ``incidence`` validates it the first
+time anything reads it.  ``validate`` is one pass over integer slots:
+the components are slots ``0..n-1`` and the singular pieces
+``n..n+m-1``, each in declaration order.  On success it leaves an
+``Incidence`` record on the configuration: each branch's two slots, the
+branches over each piece, and the spanning forest of its one
+union-find, which also decides connectivity.
 """
 
 from collections import Counter
@@ -65,8 +51,8 @@ class Branch:
 
 class SchemeConfig:
     def __init__(self, components, singulars, branches):
-        self.components, self.singulars = components, singulars
-        self.branches = branches
+        self.components, self.singulars = tuple(components), tuple(singulars)
+        self.branches = tuple(branches)
         self._incidence = None   # set by a successful ``validate``
 
     @property
@@ -80,12 +66,6 @@ class SchemeConfig:
     @property
     def m_tilde(self):
         return len(self.branches)
-
-    def singular(self, sid):
-        for s in self.singulars:
-            if s.id == sid:
-                return s
-        raise InputError(f"unknown singular id: {sid!r}")
 
 
 class ValidationResult:
@@ -124,7 +104,6 @@ def validate(cfg):
 
     On success the configuration's ``Incidence`` is left on it.
     """
-    cfg._incidence = None
     comps, sings, branches = cfg.components, cfg.singulars, cfg.branches
     n = len(comps)
     comp_slot = {c.id: k for k, c in enumerate(comps)}
@@ -232,39 +211,14 @@ def _forest(size, ends):
 
 def incidence(cfg):
     """The ``Incidence`` of a valid configuration: the record its
-    validation left, or, when there is none, that of ``ensure_valid``."""
-    return cfg._incidence or ensure_valid(cfg)._incidence
-
-
-def spanning_tree(cfg):
-    """The spanning forest of a valid configuration's incidence graph,
-    branches taken in declared order, as its validation found it.
-
-    The vertices are integer slots: ``0..n-1`` the components and
-    ``n..n+m-1`` the singular pieces, each in declaration order.
-    Returns ``(root, extra)``: the list of each slot's root, and the
-    branches off the spanning forest, each of which closes a cycle.
-    """
-    inc = incidence(cfg)
-    return list(inc.root), [cfg.branches[k] for k in inc.extra]
-
-
-def ensure_valid(cfg):
-    result = validate(cfg)
-    if not result.ok:
-        raise InputError(f"invalid configuration ({result.invariant}): "
-                         f"{result.message}")
-    return cfg
-
-
-def build_patch(cfg, singular_id):
-    """Components meeting the given singular piece, that piece alone, and
-    its branches."""
-    if cfg.m < 1:
-        raise InputError("a regular configuration has no patches")
-    sing = cfg.singular(singular_id)
-    comps, branches = _patch_components(cfg)[singular_id]
-    return SchemeConfig(comps, [sing], branches)
+    validation left, or, when there is none, that of a first
+    ``validate``; raises ``InputError`` on an invalid configuration."""
+    if cfg._incidence is None:
+        result = validate(cfg)
+        if not result.ok:
+            raise InputError(f"invalid configuration ({result.invariant}): "
+                             f"{result.message}")
+    return cfg._incidence
 
 
 def _patch_components(cfg):
@@ -284,10 +238,9 @@ def devissage_order(cfg):
     the earliest declared piece whose patch shares a component with the
     union built so far.
     """
-    ensure_valid(cfg)
+    patches = _patch_components(cfg)
     if cfg.m < 1:
         raise InputError("a regular configuration admits no ordering")
-    patches = _patch_components(cfg)
     remaining = [s.id for s in cfg.singulars]
     order = [remaining.pop(0)]
     covered = set(patches[order[0]][0])
@@ -307,10 +260,10 @@ def devissage_order(cfg):
 
 def check_order(cfg, order):
     """Validate a caller-chosen dévissage order."""
-    ensure_valid(cfg)
+    patches = _patch_components(cfg)
     if sorted(order) != sorted(s.id for s in cfg.singulars):
         raise InputError("order must be a permutation of the singular ids")
-    return _connected_prefixes(_patch_components(cfg), order)
+    return _connected_prefixes(patches, order)
 
 
 def _connected_prefixes(patches, order):
@@ -367,8 +320,7 @@ def devissage_splits(cfg, order):
 def free_rank(cfg):
     """``m_tilde - m - n + 1``, cross-checked against the cycle rank of
     the incidence multigraph."""
-    ensure_valid(cfg)
-    rank = cfg.m_tilde - cfg.m - cfg.n + 1
-    assert len(incidence(cfg).extra) == rank, \
+    rank = len(incidence(cfg).extra)
+    assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \
         "rank formula disagrees with cycle rank"
     return rank

@@ -328,14 +328,14 @@ class TestVerify:
 
     def test_one_validation_by_the_oracle_per_run(self, capsys,
                                                   monkeypatch):
-        import singular_pi1.oracle as oracle
-        calls, real = [], oracle.ensure_valid
-        monkeypatch.setattr(oracle, "ensure_valid",
+        import singular_pi1.scheme as scheme
+        calls, real = [], scheme.validate
+        monkeypatch.setattr(scheme, "validate",
                             lambda cfg: calls.append(cfg) or real(cfg))
         code, _ = run(capsys, "verify", config_path("star"), "--degree-max",
                       "5", "--connected", "--ceiling", str(10 ** 16))
         assert code == 0
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [("plan",),
                                       ("present", "--route", "devissage")])
@@ -618,6 +618,22 @@ class TestGlobalBounds:
             "estimate": 10 ** 21 + 7, "ceiling": 10 ** 8,
             "message": f"relator length estimate {10 ** 21 + 7} exceeds "
                        f"ceiling {10 ** 8}"}
+
+    def test_a_lifted_ceiling_still_refuses_a_relator_no_list_holds(
+            self, tmp_path, capsys):
+        # above the ceiling's reach, a^(10^21) is still longer than any
+        # list: the refusal keeps exit 4 instead of an OverflowError
+        from test_golden_cli import INVALID
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(INVALID["huge-relator-exponent"]))
+        code, out = run(capsys, "present", str(path),
+                        "--ceiling", str(10 ** 22))
+        assert code == 4
+        assert out["error"] == {
+            "kind": "resource", "layer": "groups",
+            "estimate": 10 ** 21 + 7, "ceiling": sys.maxsize,
+            "message": f"relator length {10 ** 21 + 7} exceeds the longest "
+                       f"list, {sys.maxsize}"}
 
 def test_corpus_validates_and_verifies_at_degree_two(capsys):
     for name in ("regular", "nodal", "chain", "theta", "star",

@@ -4,8 +4,8 @@ from math import factorial
 
 import pytest
 
-from singular_pi1 import (Component, GroupSpec, IncidenceGraph, InputError,
-                          Limits, ResourceError, SchemeConfig, Singular,
+from singular_pi1 import (Component, GroupSpec, InputError, Limits,
+                          ResourceError, SchemeConfig, Singular,
                           attach_connected, compare, count_homs,
                           enumerate_descent_data, groupoid_cardinality,
                           pi1_devissage, pi1_graph_of_groups,
@@ -38,8 +38,7 @@ def test_a_raw_invalid_configuration_raises_input_error():
     # a singular piece without branches
     cfg = SchemeConfig([Component("A", C2)], [Singular("P", C2)], [])
     result = pi1_graph_of_groups(SchemeConfig([Component("A", C2)], [], []))
-    for call in (lambda: IncidenceGraph(cfg),
-                 lambda: enumerate_descent_data(cfg, 2),
+    for call in (lambda: enumerate_descent_data(cfg, 2),
                  lambda: compare(cfg, 2, result)):
         with pytest.raises(InputError, match="singular-incidence"):
             call()

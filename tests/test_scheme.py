@@ -5,11 +5,12 @@ import pytest
 
 import singular_pi1.scheme as scheme
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
-                          SchemaError, SchemeConfig, Singular, build_patch,
-                          check_order, devissage_order, devissage_splits,
-                          free_rank, parse_scheme_config,
-                          scheme_config_to_json, validate)
-from singular_pi1.pi1 import _graph_of_groups
+                          SchemaError, SchemeConfig, Singular, check_order,
+                          compare, devissage_order, devissage_splits,
+                          enumerate_descent_data, free_rank,
+                          parse_scheme_config, pi1_devissage,
+                          pi1_graph_of_groups, scheme_config_to_json,
+                          validate)
 from support import (build_union, chain_config, connected_reference,
                      family_config, load_corpus, nodal_config,
                      off_forest_reference, random_general_config,
@@ -268,14 +269,13 @@ class TestVerdicts:
             got = str(exc)
         assert got == JSON_VERDICTS.get(name, VERDICTS[name])
 
-    def test_a_failed_validation_drops_the_record(self):
-        cfg = nodal_config()
-        assert validate(cfg).ok and cfg._incidence is not None
-        cfg.branches.append(trivial_branch("b3", "A", "X"))
-        assert validate(cfg).invariant == "resolve"
-        assert cfg._incidence is None
-        with pytest.raises(InputError):
-            scheme.spanning_tree(cfg)
+    def test_a_configuration_keeps_its_sequences_as_tuples(self):
+        # a record left on a configuration cannot go stale
+        for cfg in (nodal_config(), VERDICT_CONFIGS["ok"](),
+                    parse_scheme_config(scheme_config_to_json(
+                        theta_config()))):
+            assert all(type(seq) is tuple for seq in
+                       (cfg.components, cfg.singulars, cfg.branches))
 
 
 def _index_configs():
@@ -303,9 +303,8 @@ class TestIncidence:
             assert [cfg.branches[k].id for k in inc.extra] \
                 == off_forest_reference(cfg)
             assert len(inc.extra) == cfg.m_tilde - cfg.m - cfg.n + 1
-            root, extra = scheme.spanning_tree(cfg)
-            assert len(set(root)) == 1 and len(root) == cfg.n + cfg.m
-            assert extra == [cfg.branches[k] for k in inc.extra]
+            assert len(set(inc.root)) == 1 \
+                and len(inc.root) == cfg.n + cfg.m
 
     def test_readers_take_the_record_of_one_union_find(self, monkeypatch):
         # the first reader validates, as no record is there yet; the
@@ -315,22 +314,48 @@ class TestIncidence:
                             lambda *a: calls.append(a) or real(*a))
         for cfg in _index_configs():
             calls.clear()
-            scheme.spanning_tree(cfg)
-            _graph_of_groups(cfg)
-            for s in cfg.singulars:
-                build_patch(cfg, s.id)
+            scheme.incidence(cfg)
+            pi1_graph_of_groups(cfg)
+            if cfg.m:
+                list(devissage_splits(cfg, devissage_order(cfg)))
             assert len(calls) == 1
+
+    def test_public_entries_validate_one_object_once(self, monkeypatch):
+        # one parsed object through every public entry that reads it
+        cfg = load_corpus()["theta"]
+        calls, real = [], scheme.validate
+        forests, forest = [], scheme._forest
+        monkeypatch.setattr(scheme, "validate",
+                            lambda c: calls.append(c) or real(c))
+        monkeypatch.setattr(scheme, "_forest",
+                            lambda *a: forests.append(a) or forest(*a))
+        result = pi1_graph_of_groups(cfg)
+        assert compare(cfg, 2, result).verdict
+        assert compare(cfg, 3, result).verdict
+        pi1_devissage(cfg)
+        free_rank(cfg)
+        devissage_order(cfg)
+        enumerate_descent_data(cfg, 2)
+        assert len(calls) == len(forests) == 1
+
+
+def _patch(cfg, sid):
+    """The patch of piece ``sid`` as the dévissage's walk builds it."""
+    return next(patch for prefix, patch, _ in
+                devissage_splits(cfg, devissage_order(cfg))
+                if prefix[-1] == sid)
+
 
 class TestPatches:
     def test_nodal_patch_is_whole_config(self):
         cfg = nodal_config()
-        patch = build_patch(cfg, "P")
+        patch = _patch(cfg, "P")
         assert [c.id for c in patch.components] == ["A"]
         assert len(patch.branches) == 2
 
     def test_chain_patch(self):
         cfg = chain_config()
-        patch = build_patch(cfg, "P")
+        patch = _patch(cfg, "P")
         assert [c.id for c in patch.components] == ["A", "B"]
         assert [s.id for s in patch.singulars] == ["P"]
         assert len(patch.branches) == 2
@@ -360,7 +385,7 @@ class TestPatches:
 
     def test_unknown_id(self):
         with pytest.raises(InputError):
-            build_patch(nodal_config(), "nope")
+            check_order(nodal_config(), ("nope",))
 
 
 class TestDevissageOrder:
