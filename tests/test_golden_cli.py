@@ -3,9 +3,11 @@ of every call in a fixed set, held in ``golden_cli.json``.
 
 The configurations are the bundled corpus, the chain, star and theta of
 ``support.family_config`` with 2 and 3 singular pieces (non-trivial and
-trivial), two valid configurations with dotted generator names,
+trivial), two valid configurations with dotted generator names, a
+4-piece chain whose pieces are declared out of the dévissage order,
 hand-made invalid ones that reach each name and word error of the
-parser, and a presented group whose relator is too long to write out.  Every call runs ``cli.main`` in this process.
+parser, and a presented group whose relator is too long to write out.
+Every call runs ``cli.main`` in this process.
 
 To write the file for an intended change of output:
 
@@ -54,9 +56,24 @@ def _presented(generators, relators):
                         "relators": relators}, TRIVIAL)
 
 
+def _declared(doc, order):
+    """``doc`` with its singular pieces, and the branches over each,
+    declared in ``order``."""
+    return {"components": doc["components"],
+            "singulars": sorted(doc["singulars"],
+                                key=lambda s: order.index(s["id"])),
+            "branches": sorted(doc["branches"],
+                               key=lambda b: order.index(b["singular"]))}
+
+
 VALID_EXTRA = {
     "dotted-component": _one_branch(KLEIN, TRIVIAL),
     "dotted-target": _one_branch(KLEIN, C2, {"g": [["p.a", 1]]}),
+    # the greedy dévissage order P1, P2, P3, P4 passes over the second
+    # declared piece, whose patch does not meet the first
+    "chain-skip-4": _declared(
+        scheme_config_to_json(family_config("chain", 4)),
+        ["P1", "P3", "P2", "P4"]),
 }
 
 INVALID = {
