@@ -23,9 +23,9 @@ from .pi1 import (DerivationStep, Pi1Result, pi1_devissage,
                   pi1_graph_of_groups)
 from .presentation import (Presentation, free_presentation,
                            quotient_by_relations, tietze_simplify)
-from .scheme import (Branch, Component, IntersectionReport, SchemeConfig,
-                     Singular, ValidationResult, check_order, devissage_order,
-                     devissage_splits, free_rank, validate)
+from .scheme import (Branch, Component, SchemeConfig, Singular, Split,
+                     ValidationResult, devissage_order, devissage_splits,
+                     free_rank, validate)
 from .schema import (parse_scheme_config, pi1_result_to_json,
                      presentation_to_json, parse_presentation,
                      scheme_config_to_json)

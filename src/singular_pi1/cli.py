@@ -18,7 +18,7 @@ from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
 from .oracle import attach_connected, compare
 from .pi1 import pi1_devissage, pi1_graph_of_groups
-from .scheme import devissage_order, devissage_splits, free_rank, validate
+from .scheme import devissage_splits, free_rank, validate
 from .schema import json_text, parse_scheme_config, pi1_result_to_json
 
 EXIT_OK = 0
@@ -124,30 +124,33 @@ def _cmd_plan(args, limits):
     cfg = _load(args, limits)
     if cfg.m == 0:
         raise InputError("regular scheme, nothing to plan")
-    order = devissage_order(cfg)
-    splits = []
-    for prefix, _, report in devissage_splits(cfg, order):
-        if report is not None:
+    comp_ids = [c.id for c in cfg.components]
+    order, splits = [], []
+    for split in devissage_splits(cfg):
+        order.append(cfg.singulars[split.piece - cfg.n].id)
+        if split.overlap:
             # every prefix is connected, so each part's rank is its
             # m_tilde - m - n + 1 and the three add up by
             # inclusion-exclusion
-            r, s1, s2 = len(prefix), len(report.S1), report.s2
-            m1, m2 = report.m_tilde_1, report.m_tilde_2
-            rank_total = m1 + m2 - r - (s1 + s2 - report.d) + 1
+            r, s1, s2 = len(order), len(split.comps), split.s2
+            d = len(split.overlap)
+            m1, m2 = len(split.branches), split.m_tilde_2
+            rank_total = m1 + m2 - r - (s1 + s2 - d) + 1
             rank_patch = m1 - 1 - s1 + 1
             rank_rest = m2 - (r - 1) - s2 + 1
             splits.append({
-                "S": list(report.S), "S1": list(report.S1), "s2": s2,
-                "d": report.d, "m_tilde_1": m1, "m_tilde_2": m2,
-                "anchor": prefix[-1],
+                "S": [comp_ids[c] for c in split.overlap],
+                "S1": [comp_ids[c] for c in split.comps], "s2": s2,
+                "d": d, "m_tilde_1": m1, "m_tilde_2": m2,
+                "anchor": order[-1],
                 "rank_total": rank_total,
                 "rank_patch": rank_patch,
                 "rank_complement": rank_rest,
                 "additivity_ok": rank_total == rank_patch + rank_rest
-                                 + report.d - 1,
+                                 + d - 1,
             })
     # the rows read last piece first
-    return EXIT_OK, {"order": list(order), "splits": splits[::-1]}
+    return EXIT_OK, {"order": order, "splits": splits[::-1]}
 
 
 def _cmd_rank(args, limits):

@@ -377,9 +377,8 @@ def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
 
 def compare(cfg, d, result, limits=DEFAULT_LIMITS):
     """Compare the oracle against a computed presentation at one degree."""
-    rigid = enumerate_descent_data(cfg, d, limits)
-    n_pieces = cfg.n + cfg.m
-    card = Fraction(rigid, factorial(d) ** n_pieces)
+    card = groupoid_cardinality(cfg, d, limits)
+    rigid = (card * factorial(d) ** (cfg.n + cfg.m)).numerator
     pres_count = count_homs(result.presentation, d, limits)
     verdict = card * factorial(d) == pres_count
     return OracleReport(d, rigid, card, pres_count, verdict)

@@ -10,7 +10,10 @@ against.  It starts from the patch of the first piece of a dévissage
 order, one glued group per component over that piece amalgamated over
 the shared copy of the piece's group, and glues each later patch onto
 the result along their overlap, in one forward walk of
-``scheme.devissage_splits``.  The result is one growing presentation:
+``scheme.devissage_splits``, which chooses or checks the order as it
+goes.  The walk gives each piece's patch and overlap as slots of the
+configuration's ``scheme.incidence``, and the generators of a component
+are found by its slot.  The result is one growing presentation:
 each glue appends the patch of the ``r``-th piece, named under ``p{r}``,
 and leaves what is built where it is (``vk.vk_glue``), so no generator
 is copied or renamed again.  An overlap component keeps its generators
@@ -28,8 +31,7 @@ root node id.
 from .expression import add_node, piece
 from .presentation import (Presentation, append, cyclic_relators,
                            tietze_simplify)
-from .scheme import (check_order, devissage_order, devissage_splits,
-                     incidence)
+from .scheme import devissage_splits, free_rank, incidence
 from .vk import vk_glue
 from .words import inverse, reduce, shift
 
@@ -83,10 +85,7 @@ def pi1_graph_of_groups(cfg):
     whose group has none adds no leg.  Equal relators are kept once, the
     first.
     """
-    inc = incidence(cfg)
-    rank = len(inc.extra)
-    assert rank == cfg.m_tilde - cfg.m - cfg.n + 1, \
-        "stable letters disagree with the free rank"
+    inc, rank = incidence(cfg), free_rank(cfg)
     n = cfg.n
     vertices = [*cfg.components, *cfg.singulars]   # in slot order
     # the generators of the free product, block by block
@@ -157,21 +156,26 @@ def pi1_graph_of_groups(cfg):
     return _simplified(Pi1Result(nodes, None, raw, steps))
 
 
-def _connected_singular(cfg, form, nodes, steps):
-    """The patch of the only singular piece of ``cfg``: the root of its
+def _connected_singular(cfg, split, form, nodes, steps):
+    """The patch of one piece of a dévissage walk: the root of its
     expression in ``nodes``, its raw presentation and the offset of each
-    component's generators in it.  Each component ``c{k}`` is appended
-    with the piece glued onto it, and the copies of the piece's group
-    glued onto different components are identified."""
-    sing = cfg.singulars[0]
+    component's generators in it, keyed by slot.  Each component
+    ``c{k}`` of the patch is appended with the piece glued onto it, and
+    the copies of the piece's group glued onto different components are
+    identified."""
+    sing = cfg.singulars[split.piece - cfg.n]
     sing_pres = sing.group.canonical_presentation
+    ends = incidence(cfg).ends
+    over = {c: [] for c in split.comps}   # component slot -> its branches
+    for k in split.branches:
+        over[ends[k][0]].append(cfg.branches[k])
     gens, rels = [], []
     images, copies, vknodes = {}, [], []
-    for k, comp in enumerate(cfg.components, start=1):
-        branches = [b for b in cfg.branches if b.component == comp.id]
-        images[comp.id] = append(
-            gens, rels, comp.group.canonical_presentation, f"c{k}")
-        rights, _ = vk_glue(gens, rels, images[comp.id], sing_pres,
+    for k, (c, branches) in enumerate(over.items(), start=1):
+        comp = cfg.components[c]
+        images[c] = append(gens, rels, comp.group.canonical_presentation,
+                           f"c{k}")
+        rights, _ = vk_glue(gens, rels, images[c], sing_pres,
                             [_branch_leg_pairs(b) for b in branches], form,
                             f"c{k}")
         copies.append(rights[0])
@@ -188,7 +192,7 @@ def _connected_singular(cfg, form, nodes, steps):
             {"component": comp.id, "singular": sing.id,
              "branches": [b.id for b in branches], "form": form}))
 
-    if cfg.n == 1:
+    if len(copies) == 1:
         root = vknodes[0]
     else:
         rels.extend(((copies[0] + y, 1), (o + y, -1))
@@ -199,32 +203,28 @@ def _connected_singular(cfg, form, nodes, steps):
                         legs=vknodes)
         steps.append(DerivationStep(
             "amalgamate-singular-copies", root,
-            {"singular": sing.id, "copies": cfg.n}))
+            {"singular": sing.id, "copies": len(copies)}))
 
     return root, Presentation._trusted(gens, rels), images
 
 
 def pi1_devissage(cfg, form="i", order=None):
     """The fundamental group of any valid configuration by dévissage
-    along ``order`` (by default ``devissage_order``)."""
-    incidence(cfg)   # before the order is looked at
-    if cfg.m:
-        order = devissage_order(cfg) if order is None \
-            else check_order(cfg, order)
+    along ``order`` (by default the greedy order of
+    ``scheme.devissage_splits``)."""
     nodes, steps = [], []
     raw = _devissage(cfg, form, order, nodes, steps)
     return _simplified(Pi1Result(nodes, None, raw, steps))
 
 
 def _devissage(cfg, form, order, nodes, steps):
-    """The raw presentation of ``pi1_devissage`` of a valid configuration
-    along a checked order: the first piece's patch, then each later
-    patch glued onto the union of the patches before it in place, under
-    the tag ``p{r}`` for the ``r``-th piece.  The derivation thus names
-    the first piece in its first step and each later one as the anchor
-    of its split."""
+    """The raw presentation of ``pi1_devissage`` of a configuration along
+    ``order``: the first piece's patch, then each later patch glued onto
+    the union of the patches before it in place, under the tag ``p{r}``
+    for the ``r``-th piece.  The derivation thus names the first piece
+    in its first step and each later one as the anchor of its split."""
     gens, rels = [], []
-    if cfg.m == 0:
+    if not incidence(cfg).over:   # a valid regular configuration
         comp = cfg.components[0]
         append(gens, rels, comp.group.canonical_presentation, "c1")
         root = add_node(nodes, "atom",
@@ -233,21 +233,21 @@ def _devissage(cfg, form, order, nodes, steps):
                                     {"component": comp.id}))
         return Presentation._trusted(gens, rels)
 
-    images = {}   # component id -> offset of its generators in the union
-    for prefix, patch, report in devissage_splits(cfg, order):
-        part, pres, part_images = _connected_singular(patch, form, nodes,
-                                                      steps)
-        tag = f"p{len(prefix)}"
-        if report is None:
+    images = {}   # component slot -> offset of its generators in the union
+    for r, split in enumerate(devissage_splits(cfg, order), start=1):
+        part, pres, part_images = _connected_singular(cfg, split, form,
+                                                      nodes, steps)
+        tag = f"p{r}"
+        if r == 1:
             offset = append(gens, rels, pres, tag)
             root = part
         else:
-            overlap = [c for c in patch.components if c.id in report.S]
-            leg_pairs = [[(((images[c.id] + g, 1),),
-                           ((part_images[c.id] + g, 1),))
-                          for g in range(len(c.group.canonical_presentation
+            overlap = [cfg.components[c] for c in split.overlap]
+            leg_pairs = [[(((images[c] + g, 1),),
+                           ((part_images[c] + g, 1),))
+                          for g in range(len(comp.group.canonical_presentation
                                              .generators))]
-                         for c in overlap]
+                         for c, comp in zip(split.overlap, overlap)]
             rights, _ = vk_glue(gens, rels, 0, pres, leg_pairs, form, tag)
             offset = rights[0]
             root = add_node(nodes, "vk", pi=root, pi_prime=part,
@@ -255,11 +255,12 @@ def _devissage(cfg, form, order, nodes, steps):
                                   for c in overlap])
             steps.append(DerivationStep(
                 "devissage-split", root,
-                {"anchor": prefix[-1], "overlap": list(report.S),
-                 "m_tilde_1": report.m_tilde_1,
-                 "m_tilde_2": report.m_tilde_2, "form": form}))
+                {"anchor": cfg.singulars[split.piece - cfg.n].id,
+                 "overlap": [c.id for c in overlap],
+                 "m_tilde_1": len(split.branches),
+                 "m_tilde_2": split.m_tilde_2, "form": form}))
         # an overlap component keeps its generators in the union, so no
         # shift letter conjugates it at a later split
-        for cid, o in part_images.items():
-            images.setdefault(cid, offset + o)
+        for c, o in part_images.items():
+            images.setdefault(c, offset + o)
     return Presentation._trusted(gens, rels)

@@ -195,7 +195,7 @@ def tietze_eliminations(p):
     Exponents must be bounded: a step raises the word it substitutes to
     the exponent of each syllable it replaces, and ``words.power``
     writes a power of a word of two or more cyclic syllables out in
-    full.  On the CLI every exponent is bounded by work already done: a
+    full, or raises ``ResourceError`` when it cannot.  On the CLI every exponent is bounded by work already done: a
     presented group's relators are gated at ``--ceiling`` before its
     coset closure writes them out letter by letter, a group's order is
     gated at ``--bound-order`` before its generators are written as

@@ -12,10 +12,10 @@ The incidence multigraph has the components and singular pieces as
 vertices and one edge per branch.  The patch of singular piece ``j`` is
 the union of the components meeting it, with the other singular pieces
 removed.  ``devissage_splits`` is the one walk over a dévissage order:
-first piece first, it gives each patch and its overlap with the union
-of the patches before it, from one grouping of the branches by piece
-and one set of covered components; it builds nothing but the patches,
-and counts the covered components without listing them.
+in one forward pass over the ``Incidence`` record it chooses the greedy
+order or checks a given one, and gives each piece's patch and its
+overlap with the union of the patches before it as slots; it builds no
+configuration.
 
 A configuration is frozen, and ``incidence`` validates it the first
 time anything reads it.  ``validate`` is one pass over integer slots:
@@ -27,6 +27,7 @@ union-find, which also decides connectivity.
 """
 
 from collections import Counter
+from heapq import heappop, heappush
 
 from .errors import InputError
 
@@ -221,100 +222,71 @@ def incidence(cfg):
     return cfg._incidence
 
 
-def _patch_components(cfg):
-    """Singular id -> the components and the branches of its patch, each
-    in declaration order."""
+class Split:
+    """One piece of a dévissage walk, over the slots of ``incidence``."""
+
+    __slots__ = ("piece", "comps", "branches", "overlap", "s2", "m_tilde_2")
+
+    def __init__(self, piece, comps, branches, overlap, s2, m_tilde_2):
+        self.piece = piece           # the piece's slot
+        self.comps = comps           # its patch's component slots
+        self.branches = branches     # the positions of the branches over it
+        self.overlap = overlap       # the patch's slots among the covered
+        self.s2 = s2                 # count of the components before it
+        self.m_tilde_2 = m_tilde_2   # branches over the pieces before it
+
+
+def devissage_splits(cfg, order=None):
+    """Walk a dévissage of ``cfg``, first piece first, yielding one
+    ``Split`` per piece; slots and positions come in declaration order.
+
+    Without ``order`` the walk takes the greedy order: the first
+    declared piece, then each time the earliest declared piece whose
+    patch meets the union so far.  A given ``order`` of singular ids is
+    checked as it is walked: every patch is a connected star, so a
+    prefix has a connected union exactly when each later patch meets
+    the union before it.
+    """
     inc = incidence(cfg)
-    comps, branches, ends = cfg.components, cfg.branches, inc.ends
-    return {s.id: ([comps[c] for c in sorted({ends[k][0] for k in mine})],
-                   [branches[k] for k in mine])
-            for s, mine in zip(cfg.singulars, inc.over)}
+    n, ends, over = cfg.n, inc.ends, inc.over
+    if order is None:
+        if not over:
+            raise InputError("a regular configuration admits no ordering")
+    else:
+        slot = {s.id: j for j, s in enumerate(cfg.singulars)}
+        given = [slot.get(sid) for sid in order]
+        if len(given) != len(over) or None in given \
+                or len(set(given)) < len(given):
+            raise InputError("order must be a permutation of the singular ids")
+    pieces_at = [[] for _ in range(n)]   # component -> the pieces over it
+    for c, s in ends:
+        pieces_at[c].append(s - n)
+    # the greedy's candidates, the pieces met by the union so far, with
+    # the earliest declared on top
+    ready, queued = [0], {0}
+    covered, s2, m_tilde = bytearray(n), 0, 0
+    for r in range(len(over)):
+        j = heappop(ready) if order is None else given[r]
+        comps = sorted({ends[k][0] for k in over[j]})
+        overlap = tuple(c for c in comps if covered[c])
+        if r and not overlap:
+            raise InputError(f"prefix {list(order[:r + 1])} of the given "
+                             "order is disconnected")
+        yield Split(n + j, comps, over[j], overlap, s2, m_tilde)
+        m_tilde += len(over[j])
+        for c in comps:
+            if not covered[c]:
+                covered[c], s2 = 1, s2 + 1
+                for i in pieces_at[c]:
+                    if i not in queued:
+                        queued.add(i)
+                        heappush(ready, i)
 
 
 def devissage_order(cfg):
-    """A singular-piece order whose patch-union prefixes are connected.
-
-    Greedy: start from the first declared piece, then repeatedly take
-    the earliest declared piece whose patch shares a component with the
-    union built so far.
-    """
-    patches = _patch_components(cfg)
-    if cfg.m < 1:
-        raise InputError("a regular configuration admits no ordering")
-    remaining = [s.id for s in cfg.singulars]
-    order = [remaining.pop(0)]
-    covered = set(patches[order[0]][0])
-    while remaining:
-        pick = None
-        for sid in remaining:
-            if not covered.isdisjoint(patches[sid][0]):
-                pick = sid
-                break
-        if pick is None:
-            raise InputError("incidence graph is disconnected")
-        remaining.remove(pick)
-        order.append(pick)
-        covered.update(patches[pick][0])
-    return _connected_prefixes(patches, order)
-
-
-def check_order(cfg, order):
-    """Validate a caller-chosen dévissage order."""
-    patches = _patch_components(cfg)
-    if sorted(order) != sorted(s.id for s in cfg.singulars):
-        raise InputError("order must be a permutation of the singular ids")
-    return _connected_prefixes(patches, order)
-
-
-def _connected_prefixes(patches, order):
-    """Every patch is a connected star, so a prefix of patches has a
-    connected union exactly when each patch meets a component of the
-    patches before it."""
-    covered = set()
-    for r, sid in enumerate(order, start=1):
-        comps = patches[sid][0]
-        if covered and covered.isdisjoint(comps):
-            raise InputError(
-                f"prefix {list(order[:r])} of the given order is disconnected")
-        covered.update(comps)
-    return tuple(order)
-
-
-class IntersectionReport:
-    def __init__(self, S, S1, s2, m_tilde_1, m_tilde_2, d):
-        self.S = S                   # components in both sides
-        self.S1 = S1                 # components of the patch
-        self.s2 = s2                 # count of the components before it
-        self.m_tilde_1 = m_tilde_1   # branches over the split piece
-        self.m_tilde_2 = m_tilde_2   # branches over the pieces before it
-        self.d = d                   # number of overlap pieces
-
-
-def devissage_splits(cfg, order):
-    """Walk a dévissage of ``cfg`` along ``order``, a checked order of its
-    singular pieces, first piece first.
-
-    Yields one ``(prefix, patch, report)`` per piece: ``patch`` is the
-    patch of the prefix's last piece, and ``report`` its overlap with the
-    union of the patches of the pieces before it, or ``None`` for the
-    first piece.  Component ids come in declaration order.
-    """
-    patches = _patch_components(cfg)
-    singular = {s.id: s for s in cfg.singulars}
-    covered = set()
-    m_tilde = 0   # branches over the pieces before
-    for r, sid in enumerate(order, start=1):
-        comps, branches = patches[sid]
-        report = None
-        if covered:
-            overlap = tuple(c.id for c in comps if c in covered)
-            report = IntersectionReport(
-                overlap, tuple(c.id for c in comps), len(covered),
-                len(branches), m_tilde, len(overlap))
-        yield order[:r], SchemeConfig(comps, [singular[sid]], branches), \
-            report
-        covered.update(comps)
-        m_tilde += len(branches)
+    """The ids of the greedy order of ``devissage_splits``."""
+    return tuple(cfg.singulars[split.piece - cfg.n].id
+                 for split in devissage_splits(cfg))
 
 
 def free_rank(cfg):

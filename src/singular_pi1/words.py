@@ -12,8 +12,9 @@ package (``check_name``), and are only rendered after that.
 """
 
 import re
+import sys
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TAG_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -55,8 +56,8 @@ def power(word, n):
     """``word`` to the ``n``-th power.  A word ``u g^e u^-1`` whose cyclic
     core is one syllable has the power ``u g^(e n) u^-1``, so its
     exponent may be of any size; any other word is repeated ``n``
-    times, so ``|n|`` must be small enough for that word to be written
-    out: a tuple cannot hold ``10^21`` copies (``OverflowError``)."""
+    times, and a power that is longer than a tuple can be, or that does
+    not fit in memory, raises ``ResourceError``."""
     if n < 0:
         word, n = inverse(word), -n
     i, j = 0, len(word) - 1
@@ -65,7 +66,18 @@ def power(word, n):
     if i == j:
         g, e = word[i]
         return word[:i] + ((g, e * n),) + word[j + 1:] if n else ()
-    return reduce(word * n)
+    length = len(word) * n
+    if length > sys.maxsize:
+        raise ResourceError(
+            f"power length {length} exceeds the longest tuple, "
+            f"{sys.maxsize}", estimate=length, ceiling=sys.maxsize,
+            layer="presentation")
+    try:
+        return reduce(word * n)
+    except MemoryError:
+        raise ResourceError(f"power length {length} does not fit in memory",
+                            estimate=length,
+                            layer="presentation") from None
 
 
 def cyclically_reduce(word):

@@ -20,7 +20,11 @@ that ``words.power`` and ``words.cyclically_reduce`` must reproduce,
 must reproduce, ``evaluate_reference`` is the letter-by-letter
 loop that ``GroupSpec.evaluate`` must reproduce, and ``plan_reference``
 is the greedy loop, with every candidate bucket rebuilt at every step,
-whose buckets and estimate the hom counter's plan must reproduce.  ``argparse_reference``
+whose buckets and estimate the hom counter's plan must reproduce.
+``devissage_order_reference`` and ``connected_order_reference`` are the
+id-based greedy dévissage order and prefix check, over patches rebuilt
+as configurations, whose orders and messages the slot walk
+``scheme.devissage_splits`` must reproduce.  ``argparse_reference``
 is the ``argparse`` parser whose outcomes ``cli.parse_args`` must
 reproduce.  Words are tuples of ``(generator index, exponent)``
 syllables, as in the package.
@@ -37,8 +41,8 @@ from math import factorial, prod
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
-                          free_presentation, parse_scheme_config,
-                          quotient_by_relations)
+                          devissage_splits, free_presentation,
+                          parse_scheme_config, quotient_by_relations)
 from singular_pi1.groups import _closure
 from singular_pi1.perms import compose, identity, invert, table
 from singular_pi1.presentation import append
@@ -859,26 +863,77 @@ def build_union(cfg, singular_ids):
                         branches)
 
 
-def split_unions(cfg, prefix, patch, report):
-    """The scope and the complement of one split of
-    ``devissage_splits(cfg, ...)``, built as the unions of the patches of
-    ``prefix`` and of ``prefix[:-1]``, after checking the step's patch
-    and report against them."""
+def _patch_components_reference(cfg):
+    """Singular id -> the ids of the components of its patch, in
+    declaration order."""
+    return {s.id: [c.id for c in build_union(cfg, [s.id]).components]
+            for s in cfg.singulars}
+
+
+def devissage_order_reference(cfg):
+    """The greedy dévissage order by ids: the first declared piece, then
+    repeatedly the earliest declared piece whose patch shares a
+    component with the union built so far, scanning the remaining
+    pieces from the start at every step."""
+    patches = _patch_components_reference(cfg)
+    remaining = [s.id for s in cfg.singulars]
+    order = [remaining.pop(0)]
+    covered = set(patches[order[0]])
+    while remaining:
+        pick = next(sid for sid in remaining
+                    if not covered.isdisjoint(patches[sid]))
+        remaining.remove(pick)
+        order.append(pick)
+        covered.update(patches[pick])
+    return tuple(order)
+
+
+def connected_order_reference(cfg, order):
+    """``order`` as a tuple when it is a permutation of the singular ids
+    whose every prefix has a connected patch union; raises the
+    ``InputError`` of the first failure otherwise."""
+    patches = _patch_components_reference(cfg)
+    if sorted(order) != sorted(s.id for s in cfg.singulars):
+        raise InputError("order must be a permutation of the singular ids")
+    covered = set()
+    for r, sid in enumerate(order, start=1):
+        if covered and covered.isdisjoint(patches[sid]):
+            raise InputError(
+                f"prefix {list(order[:r])} of the given order is disconnected")
+        covered.update(patches[sid])
+    return tuple(order)
+
+
+def walk(cfg, order=None):
+    """``devissage_splits(cfg, order)`` with the id prefix of the order
+    up to each split."""
+    prefix = ()
+    for split in devissage_splits(cfg, order):
+        prefix += (cfg.singulars[split.piece - cfg.n].id,)
+        yield prefix, split
+
+
+def split_unions(cfg, prefix, split):
+    """The scope, the patch and the complement of one split of
+    ``devissage_splits(cfg, ...)``, built as the unions of the patches
+    of ``prefix``, of its last piece and of ``prefix[:-1]``, after
+    checking the split's slots against them."""
     scope = build_union(cfg, prefix)
+    patch = build_union(cfg, prefix[-1:])
     rest = build_union(cfg, prefix[:-1])
 
     def ids(part):
         return tuple(c.id for c in part.components)
 
-    alone = build_union(cfg, prefix[-1:])
-    assert (patch.components, patch.singulars, patch.branches) \
-        == (alone.components, alone.singulars, alone.branches)
-    assert report.S1 == ids(patch) and report.s2 == len(ids(rest))
-    assert report.S == tuple(c for c in ids(patch) if c in ids(rest))
-    assert report.d == len(report.S)
-    assert (report.m_tilde_1, report.m_tilde_2) \
-        == (len(patch.branches), len(rest.branches))
-    return scope, rest
+    comp_ids = [c.id for c in cfg.components]
+    assert (cfg.singulars[split.piece - cfg.n],) == patch.singulars
+    assert tuple(comp_ids[c] for c in split.comps) == ids(patch)
+    assert tuple(cfg.branches[k] for k in split.branches) == patch.branches
+    assert split.s2 == len(ids(rest))
+    assert tuple(comp_ids[c] for c in split.overlap) \
+        == tuple(c for c in ids(patch) if c in ids(rest))
+    assert split.m_tilde_2 == len(rest.branches)
+    return scope, patch, rest
 
 
 def load_corpus():

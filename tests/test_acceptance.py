@@ -11,14 +11,14 @@ import time
 from importlib import resources
 from math import factorial
 
-from singular_pi1 import (GroupSpec, compare, count_homs, devissage_order,
-                          devissage_splits, free_rank, pi1_devissage,
+from singular_pi1 import (GroupSpec, InputError, compare, count_homs,
+                          devissage_order, free_rank, pi1_devissage,
                           tietze_simplify, validate)
 from singular_pi1.cli import main as cli_main
 from support import (brute_count_homs, build_union, check_vk_forms,
                      connected_reference, leg_pairs, load_corpus,
                      random_presentation, random_trivial_config,
-                     search_count_homs, split_unions, standard_hom)
+                     search_count_homs, split_unions, standard_hom, walk)
 
 GRID_GROUPS = [GroupSpec.trivial(), GroupSpec.cyclic(2), GroupSpec.cyclic(3),
                GroupSpec.symmetric(3)]
@@ -144,14 +144,12 @@ def test_criterion_5_devissage_robustness(capsys):
             assert connected_reference(build_union(cfg, order[:r])), \
                 f"{name}: prefix {order[:r]} disconnected"
         if cfg.m >= 2:
-            from singular_pi1 import InputError, check_order
             alt = tuple(reversed(order))
             try:
-                check_order(cfg, alt)
+                b = pi1_devissage(cfg, order=alt)
             except InputError:
                 continue  # this configuration admits only one order
             a = pi1_devissage(cfg, order=order)
-            b = pi1_devissage(cfg, order=alt)
             for d in (2, 3):
                 assert count_homs(a.presentation, d) \
                     == count_homs(b.presentation, d), name
@@ -171,13 +169,13 @@ def test_criterion_6_rank_additivity(capsys):
     for name, cfg in corpus.items():
         if cfg.m < 2:
             continue
-        for prefix, patch, report in \
-                devissage_splits(cfg, devissage_order(cfg)):
-            if report is None:
+        for prefix, split in walk(cfg):
+            if not split.overlap:
                 continue
-            scope, complement = split_unions(cfg, prefix, patch, report)
+            scope, patch, complement = split_unions(cfg, prefix, split)
             assert free_rank(scope) == free_rank(patch) \
-                + free_rank(complement) + report.d - 1, (name, prefix[-1])
+                + free_rank(complement) + len(split.overlap) - 1, \
+                (name, prefix[-1])
             splits += 1
     assert splits >= 4
     elapsed = time.time() - start

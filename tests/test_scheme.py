@@ -5,17 +5,18 @@ import pytest
 
 import singular_pi1.scheme as scheme
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
-                          SchemaError, SchemeConfig, Singular, check_order,
-                          compare, devissage_order, devissage_splits,
+                          SchemaError, SchemeConfig, Singular, compare,
+                          devissage_order, devissage_splits,
                           enumerate_descent_data, free_rank,
                           parse_scheme_config, pi1_devissage,
                           pi1_graph_of_groups, scheme_config_to_json,
                           validate)
-from support import (build_union, chain_config, connected_reference,
+from support import (build_union, chain_config, connected_order_reference,
+                     connected_reference, devissage_order_reference,
                      family_config, load_corpus, nodal_config,
                      off_forest_reference, random_general_config,
                      random_trivial_config, split_unions, theta_config,
-                     trivial_branch, TRIV)
+                     trivial_branch, walk, TRIV)
 
 
 def star_config():
@@ -317,7 +318,7 @@ class TestIncidence:
             scheme.incidence(cfg)
             pi1_graph_of_groups(cfg)
             if cfg.m:
-                list(devissage_splits(cfg, devissage_order(cfg)))
+                list(devissage_splits(cfg))
             assert len(calls) == 1
 
     def test_public_entries_validate_one_object_once(self, monkeypatch):
@@ -339,53 +340,62 @@ class TestIncidence:
         assert len(calls) == len(forests) == 1
 
 
-def _patch(cfg, sid):
-    """The patch of piece ``sid`` as the dévissage's walk builds it."""
-    return next(patch for prefix, patch, _ in
-                devissage_splits(cfg, devissage_order(cfg))
-                if prefix[-1] == sid)
+def _split(cfg, sid):
+    """The split of piece ``sid`` in the dévissage's greedy walk."""
+    return next(split for prefix, split in walk(cfg) if prefix[-1] == sid)
+
+
+def _ids(cfg, slots):
+    return [cfg.components[c].id for c in slots]
+
+
+def _declared(cfg, rng):
+    """``cfg`` with its singular pieces declared in a shuffled order."""
+    sings = list(cfg.singulars)
+    rng.shuffle(sings)
+    return SchemeConfig(cfg.components, sings, cfg.branches)
 
 
 class TestPatches:
     def test_nodal_patch_is_whole_config(self):
         cfg = nodal_config()
-        patch = _patch(cfg, "P")
-        assert [c.id for c in patch.components] == ["A"]
-        assert len(patch.branches) == 2
+        split = _split(cfg, "P")
+        assert _ids(cfg, split.comps) == ["A"]
+        assert len(split.branches) == 2
 
     def test_chain_patch(self):
         cfg = chain_config()
-        patch = _patch(cfg, "P")
-        assert [c.id for c in patch.components] == ["A", "B"]
-        assert [s.id for s in patch.singulars] == ["P"]
-        assert len(patch.branches) == 2
+        split = _split(cfg, "P")
+        assert _ids(cfg, split.comps) == ["A", "B"]
+        assert cfg.singulars[split.piece - cfg.n].id == "P"
+        assert len(split.branches) == 2
 
     def test_walk_patches_partition_branches_and_pieces(self, monkeypatch):
-        # the walk builds one patch per piece and no other configuration
-        built = []
+        # the walk builds no configuration, and its patches share out
+        # the branches and the pieces
+        built, init = [], SchemeConfig.__init__
 
-        class Counted(SchemeConfig):
-            def __init__(self, *parts):
-                built.append(self)
-                super().__init__(*parts)
+        def counted(self, *parts):
+            built.append(self)
+            init(self, *parts)
 
-        monkeypatch.setattr(scheme, "SchemeConfig", Counted)
-        for cfg in (chain_config(), theta_config(), star_config(),
-                    family_config("theta", 5), *load_corpus().values()):
-            if cfg.m < 1:
-                continue
-            built.clear()
-            patches = [patch for _, patch, _ in
-                       devissage_splits(cfg, devissage_order(cfg))]
-            assert built == patches
-            assert sorted(b.id for p in patches for b in p.branches) \
-                == sorted(b.id for b in cfg.branches)
-            assert sorted(s.id for p in patches for s in p.singulars) \
-                == sorted(s.id for s in cfg.singulars)
+        cases = [cfg for cfg in (chain_config(), theta_config(),
+                                 star_config(), family_config("theta", 5),
+                                 *load_corpus().values()) if cfg.m]
+        for cfg in cases:
+            scheme.incidence(cfg)
+        monkeypatch.setattr(SchemeConfig, "__init__", counted)
+        for cfg in cases:
+            splits = list(devissage_splits(cfg))
+            assert sorted(k for s in splits for k in s.branches) \
+                == list(range(cfg.m_tilde))
+            assert sorted(s.piece for s in splits) \
+                == list(range(cfg.n, cfg.n + cfg.m))
+        assert built == []
 
     def test_unknown_id(self):
-        with pytest.raises(InputError):
-            check_order(nodal_config(), ("nope",))
+        with pytest.raises(InputError, match="must be a permutation"):
+            list(devissage_splits(nodal_config(), ("nope",)))
 
 
 class TestDevissageOrder:
@@ -400,9 +410,10 @@ class TestDevissageOrder:
 
     def test_check_order_accepts_valid_permutations(self):
         cfg = theta_config()
-        assert check_order(cfg, ("Q", "P")) == ("Q", "P")
+        assert [prefix for prefix, _ in walk(cfg, ("Q", "P"))][-1] \
+            == ("Q", "P")
         with pytest.raises(InputError):
-            check_order(cfg, ("P",))
+            list(devissage_splits(cfg, ("P",)))
 
     def test_prefix_connectivity_on_random_configs(self):
         rng = random.Random(13)
@@ -413,6 +424,47 @@ class TestDevissageOrder:
             order = devissage_order(cfg)
             for r in range(1, len(order) + 1):
                 assert connected_reference(build_union(cfg, order[:r]))
+
+    def test_greedy_order_agrees_with_reference(self):
+        # shuffled declarations make the greedy pass over pieces whose
+        # patch does not meet the union yet
+        rng = random.Random(29)
+        cases = [random_trivial_config(rng, max_singulars=6, max_branches=10)
+                 for _ in range(120)]
+        cases += [random_general_config(rng) for _ in range(40)]
+        cases += [family_config(rng.choice(("chain", "star", "theta")),
+                                rng.randint(1, 8), rng.random() < 0.5)
+                  for _ in range(80)]
+        checked = skipped = 0
+        for cfg in cases:
+            if cfg.m < 1:
+                continue
+            cfg = _declared(cfg, rng)
+            order = devissage_order(cfg)
+            assert order == devissage_order_reference(cfg)
+            skipped += order != tuple(s.id for s in cfg.singulars)
+            checked += 1
+        assert checked >= 200 and skipped >= 20
+
+    def test_given_orders_agree_with_reference(self):
+        # the walk's check and messages against the id-based check
+        rng = random.Random(31)
+        for _ in range(200):
+            cfg = family_config(rng.choice(("chain", "star", "theta")),
+                                rng.randint(1, 6), rng.random() < 0.5)
+            cfg = _declared(cfg, rng)
+            order = [s.id for s in cfg.singulars]
+            rng.shuffle(order)
+            if rng.random() < 0.1:
+                order[rng.randrange(len(order))] = "nope"
+            try:
+                expected = connected_order_reference(cfg, order)
+            except InputError as err:
+                with pytest.raises(InputError) as got:
+                    list(devissage_splits(cfg, order))
+                assert str(got.value) == str(err)
+            else:
+                assert [p for p, _ in walk(cfg, order)][-1] == expected
 
     def test_check_order_agrees_with_union_connectivity(self):
         # the linear check against building every prefix union
@@ -427,23 +479,17 @@ class TestDevissageOrder:
                             build_union(cfg, order[:r]))),
                        None)
             if bad is None:
-                assert check_order(cfg, order) == tuple(order)
+                assert [p for p, _ in walk(cfg, order)][-1] == tuple(order)
             else:
                 with pytest.raises(InputError) as err:
-                    check_order(cfg, order)
+                    list(devissage_splits(cfg, order))
                 assert str(err.value) == (f"prefix {order[:bad]} of the "
                                           "given order is disconnected")
 
     def test_split_scopes_are_prefix_unions(self):
-        def ids(cfg):
-            return ([c.id for c in cfg.components],
-                    [s.id for s in cfg.singulars],
-                    [b.id for b in cfg.branches])
-
         rng = random.Random(37)
-        cases = [(cfg, devissage_order(cfg))
-                 for cfg in load_corpus().values() if cfg.m]
-        cases += [(cfg, devissage_order(cfg))
+        cases = [(cfg, None) for cfg in load_corpus().values() if cfg.m]
+        cases += [(cfg, None)
                   for cfg in (random_general_config(rng) for _ in range(30))
                   if cfg.m]
         for _ in range(40):
@@ -452,45 +498,43 @@ class TestDevissageOrder:
             order = [s.id for s in cfg.singulars]
             rng.shuffle(order)
             try:
-                cases.append((cfg, check_order(cfg, order)))
+                cases.append((cfg, connected_order_reference(cfg, order)))
             except InputError:
                 pass
         for cfg, order in cases:
-            steps = list(devissage_splits(cfg, order))
+            steps = list(walk(cfg, order))
+            order = order or devissage_order(cfg)
             assert [step[0] for step in steps] \
                 == [order[:r] for r in range(1, len(order) + 1)]
-            for prefix, patch, report in steps:
-                assert ids(patch) == ids(build_union(cfg, prefix[-1:]))
-                assert (report is None) == (len(prefix) == 1)
-                if report is not None:
-                    scope, comp = split_unions(cfg, prefix, patch, report)
+            for prefix, split in steps:
+                scope, patch, comp = split_unions(cfg, prefix, split)
+                assert (not split.overlap) == (len(prefix) == 1)
+                if split.overlap:
                     assert free_rank(scope) == free_rank(patch) \
-                        + free_rank(comp) + report.d - 1
+                        + free_rank(comp) + len(split.overlap) - 1
 
 
 class TestIntersection:
     def test_chain_overlap_is_middle_component(self):
         # the one split of the order (Q, P) is at P
         cfg = chain_config()
-        (_, _, first), (prefix, patch, report) = \
-            devissage_splits(cfg, ("Q", "P"))
-        assert first is None and prefix == ("Q", "P")
-        scope, comp = split_unions(cfg, prefix, patch, report)
-        assert [c.id for c in patch.components] == ["A", "B"]
+        (_, first), (prefix, split) = walk(cfg, ("Q", "P"))
+        assert first.overlap == () and prefix == ("Q", "P")
+        scope, patch, comp = split_unions(cfg, prefix, split)
+        assert _ids(cfg, split.comps) == ["A", "B"]
         assert [c.id for c in comp.components] == ["B", "C"]
-        assert report.S == ("B",)
-        assert report.d == 1
-        assert report.m_tilde_1 == 2 and report.m_tilde_2 == 2
+        assert _ids(cfg, split.overlap) == ["B"]
+        assert len(split.branches) == 2 and split.m_tilde_2 == 2
         assert free_rank(scope) == free_rank(patch) + free_rank(comp) \
-            + report.d - 1
+            + len(split.overlap) - 1
 
     def test_theta_overlap_is_both_components(self):
         cfg = theta_config()
-        _, (prefix, patch, report) = devissage_splits(cfg, ("Q", "P"))
-        scope, comp = split_unions(cfg, prefix, patch, report)
-        assert report.S == ("A", "B") and report.d == 2
+        _, (prefix, split) = walk(cfg, ("Q", "P"))
+        scope, patch, comp = split_unions(cfg, prefix, split)
+        assert _ids(cfg, split.overlap) == ["A", "B"]
         assert free_rank(scope) == free_rank(patch) + free_rank(comp) \
-            + report.d - 1
+            + len(split.overlap) - 1
 
 
 class TestFreeRank:
@@ -510,10 +554,9 @@ class TestFreeRank:
 
     def test_rank_additivity_across_splits(self):
         for cfg in (chain_config(), theta_config(), star_config()):
-            for prefix, patch, report in \
-                    devissage_splits(cfg, devissage_order(cfg)):
-                if report is None:
+            for prefix, split in walk(cfg):
+                if not split.overlap:
                     continue
-                scope, comp = split_unions(cfg, prefix, patch, report)
+                scope, patch, comp = split_unions(cfg, prefix, split)
                 assert free_rank(scope) == free_rank(patch) \
-                    + free_rank(comp) + report.d - 1
+                    + free_rank(comp) + len(split.overlap) - 1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singular_pi1 import InputError
+import singular_pi1.words as words
+from singular_pi1 import (InputError, Presentation, ResourceError,
+                          tietze_simplify)
 from singular_pi1.words import (check_name, cyclic_key, cyclically_reduce,
                                 inverse, power, reduce, substitute)
 from support import (cyclic_key_reference, cyclically_reduced_reference,
@@ -42,6 +44,29 @@ def test_power_of_a_one_syllable_core_multiplies_the_exponent():
     assert power(((A, -3),), n) == ((A, -3 * n),)
     for k in range(-3, 4):
         assert power(u, k) == power_reference(u, k)
+
+
+def test_a_power_too_long_to_write_out_is_refused():
+    # Tietze eliminates a = c b from a^(10^21), which writes c b out
+    # 10^21 times
+    with pytest.raises(ResourceError) as err:
+        power(w((C, 1), (B, 1)), 10 ** 21)
+    assert err.value.layer == "presentation"
+    assert err.value.estimate == 2 * 10 ** 21
+    with pytest.raises(ResourceError):
+        tietze_simplify(Presentation(
+            ["a", "b", "c"], [((A, 1), (B, -1), (C, -1)), ((A, 10 ** 21),),
+                              ((B, 2),), ((C, 2),)]))
+
+
+def test_a_power_out_of_memory_is_refused(monkeypatch):
+    def full(word):
+        raise MemoryError
+
+    monkeypatch.setattr(words, "reduce", full)
+    with pytest.raises(ResourceError) as err:
+        power(((A, 1), (B, 1)), 3)
+    assert err.value.layer == "presentation"
 
 
 def test_cyclic_reduction_wraps_syllables():
