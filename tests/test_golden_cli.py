@@ -6,8 +6,9 @@ The configurations are the bundled corpus, the chain, star and theta of
 trivial), two valid configurations with dotted generator names, a
 4-piece chain whose pieces are declared out of the dévissage order,
 hand-made invalid ones that reach each name and word error of the
-parser, and a presented group whose relator is too long to write out.
-Every call runs ``cli.main`` in this process.
+parser, a presented group whose relator is too long to write out, and
+two with a duplicated id whose map reads only against the last entry of
+that id.  Every call runs ``cli.main`` in this process.
 
 To write the file for an intended change of output:
 
@@ -30,6 +31,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 C2 = {"kind": "cyclic", "order": 2}
 C3 = {"kind": "cyclic", "order": 3}
+S3 = {"kind": "symmetric", "degree": 3}
 TRIVIAL = {"kind": "trivial"}
 KLEIN = {"kind": "presented", "generators": ["p.a", "q.a"],
          "relators": [[["p.a", 2]], [["q.a", 2]],
@@ -49,6 +51,23 @@ def _one_branch(component, branch, psi=None):
             "branches": [first,
                          {"id": "b2", "component": "A", "singular": "P",
                           "group": TRIVIAL}]}
+
+
+def _duplicated(section):
+    """Two entries ``section`` with one id, C2 first and S3 last, and a
+    branch whose map sends ``g`` to ``s1`` there: it reads only where
+    the last entry is the one a reference resolves to."""
+    doc = {"components": [{"id": "A", "group": TRIVIAL}],
+           "singulars": [{"id": "P", "group": TRIVIAL}],
+           "branches": [{"id": "b1", "component": "A", "singular": "P",
+                         "group": C2, "psi": {"g": []}, "phi": {"g": []}},
+                        {"id": "b2", "component": "A", "singular": "P",
+                         "group": TRIVIAL}]}
+    doc[section] = [{**doc[section][0], "group": C2},
+                    {**doc[section][0], "group": S3}]
+    doc["branches"][0]["psi" if section == "components" else "phi"] = \
+        {"g": [["s1", 1]]}
+    return doc
 
 
 def _presented(generators, relators):
@@ -91,6 +110,9 @@ INVALID = {
     "huge-relator-exponent": _presented(
         ["a", "b", "c"], [[["a", 1], ["b", -1], ["c", -1]],
                           [["a", 10 ** 21]], [["b", 2]], [["c", 2]]]),
+    # the last of two entries with one id wins: unique-ids, exit 2
+    "duplicate-component-last-wins": _duplicated("components"),
+    "duplicate-singular-last-wins": _duplicated("singulars"),
 }
 
 VALID_CALLS = (
@@ -102,7 +124,7 @@ VALID_CALLS = (
        ["verify", "--degree-max", "3", "--connected"],
        ["plan"], ["rank"], ["validate"]])
 
-INVALID_CALLS = [["validate"], ["present"]]
+INVALID_CALLS = [["validate"], ["present"], ["verify"]]
 
 
 def configs():

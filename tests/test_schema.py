@@ -307,6 +307,7 @@ BAD_FIELDS = [
         ("group", {"kind": "dihedral"}, "$.{}[1].group.kind"),
         ("group", {"kind": "cyclic", "order": 0}, "$.{}[1].group.order"),
         ("group", {"kind": "cyclic", "order": True}, "$.{}[1].group.order"),
+        ("group", {"kind": "cyclic", "order": 2.0}, "$.{}[1].group.order"),
     ]
 ] + [
     ("branches", None, 7, "$.branches[1]"),
@@ -323,6 +324,8 @@ BAD_FIELDS = [
     ("branches", "group", {"kind": "cyclic"}, "$.branches[1].group"),
     ("branches", "group", {"kind": "symmetric", "degree": -1},
      "$.branches[1].group.degree"),
+    ("branches", "group", {"kind": "cyclic", "order": 2.0},
+     "$.branches[1].group.order"),
 ] + [
     ("branches", name, value, f"$.branches[1].{name}" + suffix)
     for name in ("psi", "phi")
@@ -331,6 +334,7 @@ BAD_FIELDS = [
         ({}, ""), ({"h": []}, ".h"),
         ({"g": 1}, ".g"), ({"g": [["zz", 1]]}, ".g"),
         ({"g": [["g", 0]]}, ".g[0][1]"), ({"g": [["g", True]]}, ".g[0][1]"),
+        ({"g": [["g", 1.0]]}, ".g[0][1]"),
         ({"g": [[1, 1]]}, ".g[0][0]"), ({"g": [["bad name", 1]]}, ".g[0][0]"),
         ({"g": [["g"]]}, ".g[0]"), ({"g": ["g"]}, ".g[0]"),
     ]
