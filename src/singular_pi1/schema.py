@@ -18,6 +18,16 @@ component group, ``phi`` into its singular group, each keyed by the
 full names of the branch group's canonical generators.  Both may be
 omitted when the branch group is trivial.
 
+A configuration is read in one pass.  The components get slots
+``0..n-1`` and the singular pieces ``n..n+m-1``, in declaration order;
+each branch is resolved to its two slots as it is read (of two entries
+with one id, the last one), and its maps are parsed against the groups
+at those slots.  With unique ids and at least one component that
+reading proves the head of ``scheme.validate``, so the parser runs only
+its tail, ``scheme.check_incidence``, which leaves the validated
+``Incidence`` record on the configuration; otherwise it leaves none,
+and the first reader's ``validate`` reports the violation.
+
 Generator names are checked here, once, as they are read; inside the
 package a word is a tuple of ``(generator index, exponent)`` pairs, and
 names are rendered again only when JSON is written.
@@ -34,7 +44,8 @@ from .groups import GroupSpec
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS
 from .presentation import Presentation, cyclic_relators
-from .scheme import Branch, Component, SchemeConfig, Singular
+from .scheme import (Branch, Component, SchemeConfig, Singular,
+                     check_incidence)
 from .words import check_name, reduce
 
 
@@ -235,13 +246,16 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
                                 default=[]), list,
                            "$.branches", "a list of branches")
 
-    # Equal group JSON gives one GroupSpec, and equal map JSON between
-    # the same two groups one Homo, each parsed and checked once.  The
-    # keys are the exact JSON values, since GroupSpec equality ignores
-    # generator names; the groups are held to the end of the parse, so
-    # their ids identify them in the map key.  Only a success is kept:
-    # an error raises at the first occurrence, with its path.
-    groups, homs = {}, {}
+    # Equal group JSON gives one GroupSpec, and one branch shape (its
+    # group JSON, the groups at its two ends, its psi and phi JSON, an
+    # absent map as None) one group and one pair of Homos, each parsed
+    # and checked once.  The keys are exact: repr tells 2 from 2.0 and
+    # True, where == does not, and GroupSpec equality ignores generator
+    # names.  The groups are held to the end of the parse, so their ids
+    # identify them in the shape key.  Only a success is kept: an error
+    # raises at the first occurrence, with its path, in the order of
+    # the fields: the ids, the group, the two references, psi, phi.
+    groups, shapes = {}, {}
 
     def group_at(entry, section, i):
         if "group" not in entry:
@@ -255,55 +269,71 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
                 doc, f"$.{section}[{i}].group", limits)
         return group
 
-    def hom_at(entry, name, i, source, target):
-        doc = entry.get(name)
-        key = (repr(doc), id(source), id(target))
-        hom = homs.get(key)
-        if hom is None:
-            images = _parse_images(doc, f"$.branches[{i}].{name}", source,
-                                   target)
-            # relator-triviality is semantic, not schema: InputError escapes
-            hom = homs[key] = Homo(source, target, images)
-        return hom
+    # components are slots 0..n-1 and singular pieces n..n+m-1, in
+    # declaration order; of two entries with one id the last is the one
+    # a reference resolves to, and validation reports the duplicate
+    def pieces(docs, kind, section, what, first):
+        out, slot = [], {}
+        for i, entry in enumerate(docs):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"$.{section}[{i}]", f"expected {what}")
+            pid = entry.get("id")
+            if type(pid) is not str:
+                pid = _field(entry, "id", section, i)
+            out.append(kind(pid, group_at(entry, section, i)))
+            slot[pid] = first + i
+        return out, slot
 
-    components = []
-    for i, c in enumerate(comps_doc):
-        if not isinstance(c, dict):
-            raise SchemaError(f"$.components[{i}]",
-                              "expected a component object")
-        cid = _field(c, "id", "components", i)
-        components.append(Component(cid, group_at(c, "components", i)))
+    components, comp_slot = pieces(comps_doc, Component, "components",
+                                   "a component object", 0)
+    n = len(components)
+    singulars, sing_slot = pieces(sings_doc, Singular, "singulars",
+                                  "a singular-piece object", n)
 
-    singulars = []
-    for i, s in enumerate(sings_doc):
-        if not isinstance(s, dict):
-            raise SchemaError(f"$.singulars[{i}]",
-                              "expected a singular-piece object")
-        sid = _field(s, "id", "singulars", i)
-        singulars.append(Singular(sid, group_at(s, "singulars", i)))
-
-    comp_group = {c.id: c.group for c in components}
-    sing_group = {s.id: s.group for s in singulars}
-
-    branches = []
+    branches, ends = [], []
     for i, b in enumerate(branches_doc):
         if not isinstance(b, dict):
             raise SchemaError(f"$.branches[{i}]", "expected a branch object")
-        bid = _field(b, "id", "branches", i)
-        comp = _field(b, "component", "branches", i, "a component id")
-        sing = _field(b, "singular", "branches", i, "a singular id")
-        group = group_at(b, "branches", i)
-        if comp not in comp_group:
-            raise SchemaError(f"$.branches[{i}].component",
-                              f"unknown component id {comp!r}")
-        if sing not in sing_group:
+        bid, comp, sing = b.get("id"), b.get("component"), b.get("singular")
+        if not type(bid) is type(comp) is type(sing) is str:
+            # the first missing or ill-typed field raises
+            bid = _field(b, "id", "branches", i)
+            comp = _field(b, "component", "branches", i, "a component id")
+            sing = _field(b, "singular", "branches", i, "a singular id")
+        c, s = comp_slot.get(comp), sing_slot.get(sing)
+        if c is None or s is None:
+            group_at(b, "branches", i)   # a bad group is reported first
+            if c is None:
+                raise SchemaError(f"$.branches[{i}].component",
+                                  f"unknown component id {comp!r}")
             raise SchemaError(f"$.branches[{i}].singular",
                               f"unknown singular id {sing!r}")
-        psi = hom_at(b, "psi", i, group, comp_group[comp])
-        phi = hom_at(b, "phi", i, group, sing_group[sing])
-        branches.append(Branch(bid, comp, sing, group, psi, phi))
+        psi_doc, phi_doc = b.get("psi"), b.get("phi")
+        comp_group, sing_group = components[c].group, singulars[s - n].group
+        key = (repr(b.get("group")), id(comp_group), id(sing_group),
+               None if psi_doc is None else repr(psi_doc),
+               None if phi_doc is None else repr(phi_doc))
+        shape = shapes.get(key)
+        if shape is None:
+            group = group_at(b, "branches", i)
+            # relator-triviality is semantic, not schema: InputError
+            # escapes
+            psi = Homo(group, comp_group, _parse_images(
+                psi_doc, f"$.branches[{i}].psi", group, comp_group))
+            phi = Homo(group, sing_group, _parse_images(
+                phi_doc, f"$.branches[{i}].phi", group, sing_group))
+            shape = shapes[key] = (group, psi, phi)
+        branches.append(Branch(bid, comp, sing, *shape))
+        ends.append((c, s))
 
-    return SchemeConfig(components, singulars, branches)
+    cfg = SchemeConfig(components, singulars, branches)
+    # every reference resolved and every map runs between the groups of
+    # its ends, so with unique ids and a component only the incidence is
+    # left to check; otherwise validation reports the first violation
+    if n and len(comp_slot) == n and len(sing_slot) == len(singulars) \
+            and len({b.id for b in branches}) == len(branches):
+        check_incidence(cfg, ends)
+    return cfg
 
 
 def scheme_config_to_json(cfg):

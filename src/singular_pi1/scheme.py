@@ -17,13 +17,16 @@ order or checks a given one, and gives each piece's patch and its
 overlap with the union of the patches before it as slots; it builds no
 configuration.
 
-A configuration is frozen, and ``incidence`` validates it the first
-time anything reads it.  ``validate`` is one pass over integer slots:
-the components are slots ``0..n-1`` and the singular pieces
-``n..n+m-1``, each in declaration order.  On success it leaves an
-``Incidence`` record on the configuration: each branch's two slots, the
-branches over each piece, and the spanning forest of its one
-union-find, which also decides connectivity.
+A configuration is frozen, and once checked it carries an
+``Incidence`` record over integer slots: the components are slots
+``0..n-1`` and the singular pieces ``n..n+m-1``, each in declaration
+order.  The record holds each branch's two slots, the branches over
+each piece, and the spanning forest of one union-find, which also
+decides connectivity.  The parser resolves every reference into slots
+as it reads and leaves the record through ``check_incidence``, the tail
+of ``validate``; a configuration built in Python gets it from its first
+reader, through ``incidence``, whose ``validate`` resolves the ids
+first.  Every later reader, ``validate`` included, takes the record.
 """
 
 from collections import Counter
@@ -103,8 +106,25 @@ class Incidence:
 def validate(cfg):
     """Check every structural invariant; report the first violation.
 
-    On success the configuration's ``Incidence`` is left on it.
+    A configuration that carries its ``Incidence`` record has been
+    checked and is valid, so nothing is resolved again.  Otherwise
+    ``_resolve`` checks the ids, the component count, the references
+    and the map ends, and ``check_incidence`` the rest; on success the
+    record is left on the configuration.
     """
+    if cfg._incidence is not None:
+        return ValidationResult(True)
+    ends, failure = _resolve(cfg)
+    if failure is not None:
+        return failure
+    return check_incidence(cfg, ends)
+
+
+def _resolve(cfg):
+    """The head of ``validate``: ``(ends, None)``, each branch's
+    ``(component slot, singular slot)``, or ``(None, failure)``.  The
+    parser proves all of it while it reads, so only a configuration
+    built in Python needs it."""
     comps, sings, branches = cfg.components, cfg.singulars, cfg.branches
     n = len(comps)
     comp_slot = {c.id: k for k, c in enumerate(comps)}
@@ -116,36 +136,47 @@ def validate(cfg):
             dupes = sorted(i for i, k in Counter(p.id for p in parts).items()
                            if k > 1)
             if dupes:
-                return _fail("unique-ids", f"duplicate {name} ids", dupes)
+                return None, _fail("unique-ids", f"duplicate {name} ids",
+                                   dupes)
 
     if n < 1:
-        return _fail("component-count", "at least one component is required")
+        return None, _fail("component-count",
+                           "at least one component is required")
 
     # every reference resolves before any map is checked, so the first
     # map mismatch waits for the end of the pass
-    ends, over, touched = [], [[] for _ in sings], bytearray(n)
-    mismatch = None
-    for k, b in enumerate(branches):
+    ends, mismatch = [], None
+    for b in branches:
         c = comp_slot.get(b.component)
         if c is None:
-            return _fail("resolve", f"branch {b.id} references unknown "
-                         f"component {b.component}", [b.id])
+            return None, _fail("resolve", f"branch {b.id} references "
+                               f"unknown component {b.component}", [b.id])
         s = sing_slot.get(b.singular)
         if s is None:
-            return _fail("resolve", f"branch {b.id} references unknown "
-                         f"singular piece {b.singular}", [b.id])
+            return None, _fail("resolve", f"branch {b.id} references "
+                               f"unknown singular piece {b.singular}",
+                               [b.id])
         ends.append((c, s))
-        over[s - n].append(k)
-        touched[c] = 1
-        # the parser shares one GroupSpec per group JSON, so the maps
-        # of a parsed branch start and land at the very same groups
         if mismatch is None and not (
                 b.psi.source is b.group and b.phi.source is b.group
                 and b.psi.target is comps[c].group
                 and b.phi.target is sings[s - n].group):
             mismatch = _map_mismatch(b, comps[c].group, sings[s - n].group)
-    if mismatch is not None:
-        return mismatch
+    return (None, mismatch) if mismatch is not None else (ends, None)
+
+
+def check_incidence(cfg, ends):
+    """The tail of ``validate``, given each branch's ``(component slot,
+    singular slot)`` in ``ends``: every piece has a branch, every
+    component has one when there are two or more, and the incidence
+    graph is connected.  On success the configuration's ``Incidence``
+    is left on it; a failure leaves none."""
+    comps, sings = cfg.components, cfg.singulars
+    n = len(comps)
+    over, touched = [[] for _ in sings], bytearray(n)
+    for k, (c, s) in enumerate(ends):
+        over[s - n].append(k)
+        touched[c] = 1
 
     for s, mine in zip(sings, over):
         if not mine:

@@ -936,6 +936,20 @@ def split_unions(cfg, prefix, split):
     return scope, patch, rest
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap the functions ``names`` of ``module`` to record their calls;
+    returns ``{name: list of argument tuples}``.  A module that imported
+    a function by name keeps calling the unwrapped one."""
+    calls = {}
+    for name in names:
+        real, seen = getattr(module, name), []
+        calls[name] = seen
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, seen=seen:
+                            seen.append(a) or real(*a))
+    return calls
+
+
 def load_corpus():
     """All bundled configurations, keyed by file stem."""
     out = {}

@@ -19,8 +19,8 @@ import pytest
 import singular_pi1
 from singular_pi1 import cli, scheme_config_to_json
 from singular_pi1.cli import main
-from support import (argparse_reference, closed_family_homs, family_config,
-                     load_corpus)
+from support import (argparse_reference, closed_family_homs, count_calls,
+                     family_config, load_corpus)
 
 SRC = Path(singular_pi1.__file__).resolve().parent.parent
 
@@ -328,62 +328,53 @@ class TestVerify:
 
     def test_one_validation_by_the_oracle_per_run(self, capsys,
                                                   monkeypatch):
+        # the parse checks the configuration and leaves its record; the
+        # oracle, at every degree, reads it
         import singular_pi1.scheme as scheme
-        calls, real = [], scheme.validate
-        monkeypatch.setattr(scheme, "validate",
-                            lambda cfg: calls.append(cfg) or real(cfg))
+        calls = count_calls(monkeypatch, scheme, "validate", "_resolve",
+                            "_forest")
         code, _ = run(capsys, "verify", config_path("star"), "--degree-max",
                       "5", "--connected", "--ceiling", str(10 ** 16))
         assert code == 0
-        assert len(calls) == 1
+        assert {name: len(seen) for name, seen in calls.items()} \
+            == {"validate": 0, "_resolve": 0, "_forest": 1}
 
     @pytest.mark.parametrize("argv", [("plan",),
                                       ("present", "--route", "devissage")])
     def test_one_validation_per_devissage_call(self, tmp_path, capsys,
                                                monkeypatch, argv):
         # the walk reads the checked configuration: no split or part of
-        # it is validated again, and the validation's union-find, which
-        # gives connectivity and the spanning forest, runs once
+        # it is validated again, and the parse's union-find, which gives
+        # connectivity and the spanning forest, is the only one
         import singular_pi1.scheme as scheme
-        calls, real = [], scheme.validate
-        forests, forest = [], scheme._forest
-        monkeypatch.setattr(scheme, "validate",
-                            lambda cfg: calls.append(cfg) or real(cfg))
-        monkeypatch.setattr(scheme, "_forest",
-                            lambda *a: forests.append(a) or forest(*a))
+        calls = count_calls(monkeypatch, scheme, "validate", "_resolve",
+                            "_forest")
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(
             scheme_config_to_json(family_config("chain", 32))))
         code, _ = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == len(forests) == 1
+        assert {name: len(seen) for name, seen in calls.items()} \
+            == {"validate": 0, "_resolve": 0, "_forest": 1}
 
     @pytest.mark.parametrize("argv", [
         ("validate",), ("present",), ("present", "--degrees", "2"),
         ("verify",), ("verify", "--connected"), ("rank",)])
     def test_every_other_command_validates_once(self, tmp_path, capsys,
                                                 monkeypatch, argv):
-        # the test above counts plan and the devissage route; the CLI
-        # calls ``validate`` by its own name for the validate command,
-        # and through ``scheme`` everywhere else
+        # the test above counts plan and the devissage route.  The parse
+        # runs the one union-find; the validate command's ``validate``,
+        # which the CLI calls by its own name, takes the record, and no
+        # reader resolves an id again
         import singular_pi1.scheme as scheme
-        calls, real = [], scheme.validate
-        forests, forest = [], scheme._forest
-
-        def counted(cfg):
-            calls.append(cfg)
-            return real(cfg)
-
-        monkeypatch.setattr(scheme, "validate", counted)
-        monkeypatch.setattr(cli, "validate", counted)
-        monkeypatch.setattr(scheme, "_forest",
-                            lambda *a: forests.append(a) or forest(*a))
+        calls = count_calls(monkeypatch, scheme, "_resolve", "_forest")
         path = tmp_path / "theta.json"
         path.write_text(json.dumps(
             scheme_config_to_json(family_config("theta", 3))))
         code, _ = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == len(forests) == 1
+        assert {name: len(seen) for name, seen in calls.items()} \
+            == {"_resolve": 0, "_forest": 1}
 
     @pytest.mark.parametrize("family", ["chain", "star", "theta"])
     def test_eight_piece_families_pass_to_degree_five(self, tmp_path, capsys,

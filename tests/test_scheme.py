@@ -12,11 +12,13 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           pi1_graph_of_groups, scheme_config_to_json,
                           validate)
 from support import (build_union, chain_config, connected_order_reference,
-                     connected_reference, devissage_order_reference,
+                     connected_reference, count_calls,
+                     devissage_order_reference,
                      family_config, load_corpus, nodal_config,
                      off_forest_reference, random_general_config,
                      random_trivial_config, split_unions, theta_config,
                      trivial_branch, walk, TRIV)
+from test_golden_cli import VALID_CALLS, configs
 
 
 def star_config():
@@ -264,11 +266,15 @@ class TestVerdicts:
         # only a valid configuration carries a record
         assert (cfg._incidence is not None) == (name == "ok")
         doc = json.loads(json.dumps(scheme_config_to_json(cfg)))
+        want = JSON_VERDICTS.get(name, VERDICTS[name])
         try:
-            got = validate(parse_scheme_config(doc)).to_json()
+            parsed = parse_scheme_config(doc)
         except SchemaError as exc:
-            got = str(exc)
-        assert got == JSON_VERDICTS.get(name, VERDICTS[name])
+            assert str(exc) == want
+            return
+        # a parse leaves a record exactly on a valid configuration
+        assert (parsed._incidence is not None) == (want == {"ok": True})
+        assert validate(parsed).to_json() == want
 
     def test_a_configuration_keeps_its_sequences_as_tuples(self):
         # a record left on a configuration cannot go stale
@@ -307,37 +313,70 @@ class TestIncidence:
             assert len(set(inc.root)) == 1 \
                 and len(inc.root) == cfg.n + cfg.m
 
+    def test_a_parse_leaves_the_record_validation_computes(self):
+        # the corpus, the golden set's valid configurations and the
+        # families, parsed, against their parts rebuilt in Python
+        docs = [doc for _, doc, calls in configs() if calls is VALID_CALLS]
+        docs += [scheme_config_to_json(family_config(family, n, nontrivial))
+                 for family in ("chain", "star", "theta")
+                 for nontrivial in (True, False) for n in (1, 8)]
+        assert len(docs) == 35
+
+        def record(cfg):
+            inc = cfg._incidence
+            return inc.ends, inc.over, inc.root, inc.extra
+
+        for doc in docs:
+            parsed = parse_scheme_config(json.loads(json.dumps(doc)))
+            built = SchemeConfig(parsed.components, parsed.singulars,
+                                 parsed.branches)
+            assert parsed._incidence is not None
+            assert built._incidence is None and validate(built).ok
+            assert record(parsed) == record(built)
+
     def test_readers_take_the_record_of_one_union_find(self, monkeypatch):
-        # the first reader validates, as no record is there yet; the
-        # others read its record
-        calls, real = [], scheme._forest
-        monkeypatch.setattr(scheme, "_forest",
-                            lambda *a: calls.append(a) or real(*a))
-        for cfg in _index_configs():
-            calls.clear()
-            scheme.incidence(cfg)
-            pi1_graph_of_groups(cfg)
-            if cfg.m:
-                list(devissage_splits(cfg))
-            assert len(calls) == 1
+        # a configuration built in Python is validated by its first
+        # reader, a parsed one by its parse; the others read the record
+        calls = count_calls(monkeypatch, scheme, "validate", "_resolve",
+                            "_forest")
+        for built in _index_configs():
+            doc = json.loads(json.dumps(scheme_config_to_json(built)))
+            for parse in (False, True):
+                for seen in calls.values():
+                    seen.clear()
+                cfg = parse_scheme_config(doc) if parse else SchemeConfig(
+                    built.components, built.singulars, built.branches)
+                scheme.incidence(cfg)
+                pi1_graph_of_groups(cfg)
+                if cfg.m:
+                    list(devissage_splits(cfg))
+                assert {name: len(seen) for name, seen in calls.items()} \
+                    == {"validate": 1 - parse, "_resolve": 1 - parse,
+                        "_forest": 1}
 
     def test_public_entries_validate_one_object_once(self, monkeypatch):
-        # one parsed object through every public entry that reads it
-        cfg = load_corpus()["theta"]
-        calls, real = [], scheme.validate
-        forests, forest = [], scheme._forest
-        monkeypatch.setattr(scheme, "validate",
-                            lambda c: calls.append(c) or real(c))
-        monkeypatch.setattr(scheme, "_forest",
-                            lambda *a: forests.append(a) or forest(*a))
-        result = pi1_graph_of_groups(cfg)
-        assert compare(cfg, 2, result).verdict
-        assert compare(cfg, 3, result).verdict
-        pi1_devissage(cfg)
-        free_rank(cfg)
-        devissage_order(cfg)
-        enumerate_descent_data(cfg, 2)
-        assert len(calls) == len(forests) == 1
+        # one object through every public entry that reads it: a parsed
+        # one is checked by its parse, one built in Python by its first
+        # reader
+        built = load_corpus()["theta"]
+        doc = json.loads(json.dumps(scheme_config_to_json(built)))
+        calls = count_calls(monkeypatch, scheme, "validate", "_resolve",
+                            "_forest")
+        for parse in (False, True):
+            for seen in calls.values():
+                seen.clear()
+            cfg = parse_scheme_config(doc) if parse else SchemeConfig(
+                built.components, built.singulars, built.branches)
+            result = pi1_graph_of_groups(cfg)
+            assert compare(cfg, 2, result).verdict
+            assert compare(cfg, 3, result).verdict
+            pi1_devissage(cfg)
+            free_rank(cfg)
+            devissage_order(cfg)
+            enumerate_descent_data(cfg, 2)
+            assert {name: len(seen) for name, seen in calls.items()} \
+                == {"validate": 1 - parse, "_resolve": 1 - parse,
+                    "_forest": 1}
 
 
 def _split(cfg, sid):

@@ -40,7 +40,18 @@ and ``norm``.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
-already in the file, so one file holds a before/after pair.
+already in the file.  With ``--other-tree DIR --other-label LABEL`` the
+same run also times the package under ``DIR/src``, such as a checkout of
+the parent commit, on the same input files and reference work: each
+repeat of a row runs one call of each tree back to back, the two in
+turn first, so a drift of the machine's speed falls on both labels
+alike, and the rows of ``DIR`` are stored under ``LABEL``.  Two
+recordings of one tree made minutes apart have differed by a fifth of
+their total, more than most changes a before/after pair is meant to
+show.
+
+    python3 tools/bench_cli_calls.py --label after \\
+        --other-tree ../parent --other-label before
 """
 
 import argparse
@@ -96,13 +107,14 @@ print(json.dumps({"exit": code, "ms": seconds * 1e3, "gc_ms": paused * 1e3,
 """.replace("EDGE_SAMPLES", str(EDGE_SAMPLES))
 
 
-def time_call(argv):
-    """Exit code, milliseconds of ``cli.main(argv)``, milliseconds of
-    collector pauses inside it, milliseconds from spawning a fresh
-    interpreter until it has imported ``singular_pi1.cli``, and the
-    call's time in units of the reference work."""
+def time_call(argv, tree=ROOT):
+    """Exit code, milliseconds of ``cli.main(argv)`` with the package of
+    ``tree``, milliseconds of collector pauses inside it, milliseconds
+    from spawning a fresh interpreter until it has imported
+    ``singular_pi1.cli``, and the call's time in units of the reference
+    work."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+        [str(tree / "src"), str(ROOT / "perfbench")]))
     spawned = time.monotonic()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
                           capture_output=True, text=True, env=env,
@@ -117,9 +129,20 @@ def main():
     parser.add_argument("--label", required=True,
                         help="key the rows are stored under")
     parser.add_argument("--output", default=str(ROOT / "BENCH_cli_calls.json"))
+    parser.add_argument("--other-tree", type=Path,
+                        help="a second source tree, timed in alternation")
+    parser.add_argument("--other-label",
+                        help="key the second tree's rows are stored under")
     args = parser.parse_args()
+    if (args.other_tree is None) != (args.other_label is None):
+        parser.error("--other-tree and --other-label go together")
+    trees = {args.label: ROOT}
+    if args.other_tree is not None:
+        if args.other_label == args.label:
+            parser.error("--other-label must differ from --label")
+        trees[args.other_label] = args.other_tree.resolve()
 
-    rows = []
+    rows = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         calls = [(name, ROOT / "src" / "singular_pi1" / "configs"
                   / f"{name}.json", call)
@@ -135,15 +158,22 @@ def main():
                    ("present", "--degrees", degrees, *NO_CEILING))
                   for family, n, degrees in COUNT_ROWS]
         for name, path, (command, *flags) in calls:
-            runs = [time_call([command, str(path), *flags])
-                    for _ in range(REPEATS)]
-            row = {"command": " ".join([command, *flags]), "config": name,
-                   "exit": runs[0][0]}
-            for k, key in enumerate(("ms", "gc_ms", "import_ms", "norm"),
-                                    start=1):
-                row[key] = round(statistics.median(r[k] for r in runs), 3)
-            print(json.dumps(row), flush=True)
-            rows.append(row)
+            argv = [command, str(path), *flags]
+            runs = {label: [] for label in trees}
+            for r in range(REPEATS):
+                # each tree in turn first
+                order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+                for label in order:
+                    runs[label].append(time_call(argv, trees[label]))
+            for label, times in runs.items():
+                row = {"command": " ".join([command, *flags]),
+                       "config": name, "exit": times[0][0]}
+                for k, key in enumerate(("ms", "gc_ms", "import_ms", "norm"),
+                                        start=1):
+                    row[key] = round(statistics.median(t[k] for t in times),
+                                     3)
+                print(json.dumps({"label": label, **row}), flush=True)
+                rows[label].append(row)
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -153,19 +183,24 @@ def main():
                     f"singular_pi1.cli is imported; norm: ms over the "
                     f"mean ms of perfbench's reference work, sampled "
                     f"{EDGE_SAMPLES} times before and after the call")
-    total = sum(row["ms"] for row in rows)
-    paused = sum(row["gc_ms"] for row in rows)
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
-                   f"Python {platform.python_version()}",
-        "repeats": REPEATS,
-        "total_ms": round(total, 3),
-        "total_norm": round(sum(row["norm"] for row in rows), 3),
-        "gc_ms": round(paused, 3),
-        "gc_share": round(paused / total, 3),
-        "import_ms": round(statistics.median(
-            row["import_ms"] for row in rows), 3),
-        "rows": rows}
+    for label, mine in rows.items():
+        total = sum(row["ms"] for row in mine)
+        paused = sum(row["gc_ms"] for row in mine)
+        run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
+                          f"Python {platform.python_version()}",
+               "repeats": REPEATS}
+        if len(trees) > 1:
+            run["alternated_with"] = [other for other in trees
+                                      if other != label]
+        doc.setdefault("runs", {})[label] = {
+            **run,
+            "total_ms": round(total, 3),
+            "total_norm": round(sum(row["norm"] for row in mine), 3),
+            "gc_ms": round(paused, 3),
+            "gc_share": round(paused / total, 3),
+            "import_ms": round(statistics.median(
+                row["import_ms"] for row in mine), 3),
+            "rows": mine}
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
