@@ -309,10 +309,11 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
             raise SchemaError(f"$.branches[{i}].singular",
                               f"unknown singular id {sing!r}")
         psi_doc, phi_doc = b.get("psi"), b.get("phi")
+        psi_key = None if psi_doc is None else repr(psi_doc)
+        phi_key = None if phi_doc is None else repr(phi_doc)
         comp_group, sing_group = components[c].group, singulars[s - n].group
         key = (repr(b.get("group")), id(comp_group), id(sing_group),
-               None if psi_doc is None else repr(psi_doc),
-               None if phi_doc is None else repr(phi_doc))
+               psi_key, phi_key)
         shape = shapes.get(key)
         if shape is None:
             group = group_at(b, "branches", i)
@@ -320,8 +321,10 @@ def parse_scheme_config(doc, limits=DEFAULT_LIMITS):
             # escapes
             psi = Homo(group, comp_group, _parse_images(
                 psi_doc, f"$.branches[{i}].psi", group, comp_group))
-            phi = Homo(group, sing_group, _parse_images(
-                phi_doc, f"$.branches[{i}].phi", group, sing_group))
+            # phi with psi's JSON between the same groups parses to psi
+            phi = psi if phi_key == psi_key and sing_group is comp_group \
+                else Homo(group, sing_group, _parse_images(
+                    phi_doc, f"$.branches[{i}].phi", group, sing_group))
             shape = shapes[key] = (group, psi, phi)
         branches.append(Branch(bid, comp, sing, *shape))
         ends.append((c, s))

@@ -36,7 +36,8 @@ them, hence 21.  The labels ``before-argv``
 and ``after-argv`` predate the family rows and the two collector and
 import numbers, every label before ``before-ingest`` the all-trivial
 rows, and every label before ``before-order`` the count-families rows
-and ``norm``.
+and ``norm``.  ``before-onepass`` and ``after-onepass`` are the first
+pair recorded in one run, in alternation (``alternated_with``).
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
