@@ -90,9 +90,9 @@ def _fail(invariant, message, ids=()):
 
 class Incidence:
     """The incidence graph of a valid configuration over integer slots,
-    as ``validate`` leaves it: the components are slots ``0..n-1`` and
-    the singular pieces ``n..n+m-1``, and a branch is known by its
-    position in ``branches``."""
+    as ``check_incidence`` leaves it: the components are slots
+    ``0..n-1`` and the singular pieces ``n..n+m-1``, and a branch is
+    known by its position in ``branches``."""
 
     __slots__ = ("ends", "over", "root", "extra")
 
