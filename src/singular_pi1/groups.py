@@ -30,59 +30,39 @@ from .presentation import Presentation
 from .words import cyclically_reduce, inverse, power, reduce
 
 
-def _closure(generators, bound):
-    """BFS closure of permutation generators; deterministic order."""
-    d = len(generators[0])
-    start = identity(d)
-    seen = {start: 0}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in generators:
-                t = compose(el, g)
-                if t not in seen:
-                    if len(order) >= bound:
-                        raise ResourceError(
-                            f"group closure exceeds order bound {bound}",
-                            layer="groups")
-                    seen[t] = len(order)
-                    order.append(t)
-                    nxt.append(t)
-        frontier = nxt
-    return tuple(order)
+def _cayley(generators, bound):
+    """The elements of the permutation group on ``generators`` and its
+    spanning-tree relators, in one breadth-first walk of its Cayley
+    graph from the identity.
 
-
-def _cayley_presentation(elements, gen_elements, gen_names):
-    """Spanning-tree presentation of a finite group on given generators."""
-    index = {el: i for i, el in enumerate(elements)}
-    d = len(elements[0]) if elements else 0
-    start = identity(d)
-    words = {index[start]: ()}
-    queue = [index[start]]
-    relators = []
-    seen_rel = set()
-    while queue:
-        nxt = []
-        for i in queue:
-            el = elements[i]
-            for k, g in enumerate(gen_elements):
-                j = index[compose(el, g)]
-                if j not in words:
-                    words[j] = reduce(words[i] + ((k, 1),))
-                    nxt.append(j)
-        queue = nxt
-    for i, el in enumerate(elements):
-        for k, g in enumerate(gen_elements):
-            j = index[compose(el, g)]
-            r = cyclically_reduce(
-                reduce(words[i] + ((k, 1),) + inverse(words[j])))
-            if not r or r in seen_rel:
+    The walk visits the elements in the order it first reaches them and
+    gives each the word of the tree edge it was reached by.  Every other
+    edge ``el -> el g_k`` gives the relator ``word(el) g_k word(el g_k)^-1``,
+    cyclically reduced and kept once, which presents the group on the
+    given generators.  Returns ``(elements, relators)``.
+    """
+    start = identity(len(generators[0]))
+    words = {start: ()}
+    elements = [start]
+    relators, seen = [], set()
+    for el in elements:
+        word = words[el]
+        for k, g in enumerate(generators):
+            t = compose(el, g)
+            target = words.get(t)
+            if target is None:
+                if len(elements) >= bound:
+                    raise ResourceError(
+                        f"group closure exceeds order bound {bound}",
+                        layer="groups")
+                words[t] = reduce(word + ((k, 1),))
+                elements.append(t)
                 continue
-            seen_rel.add(r)
-            relators.append(r)
-    return Presentation._trusted(gen_names, relators)
+            r = cyclically_reduce(reduce(word + ((k, 1),) + inverse(target)))
+            if r and r not in seen:
+                seen.add(r)
+                relators.append(r)
+    return tuple(elements), relators
 
 
 def _expand_relator(word):
@@ -323,11 +303,11 @@ class GroupSpec:
                 raise InputError(f"not a permutation of 0..{degree - 1}: {g}")
         if not gens:
             raise InputError("permutation kind needs at least one generator")
-        closure = _closure(gens, limits.order_bound)
+        elements, relators = _cayley(gens, limits.order_bound)
         names = [f"g{i + 1}" for i in range(len(gens))]
         return cls("permutation", (degree, gens),
-                   _cayley_presentation(closure, gens, names), gens,
-                   degree, len(closure))
+                   Presentation._trusted(names, relators), gens,
+                   degree, len(elements))
 
     @classmethod
     def presented(cls, presentation, limits=DEFAULT_LIMITS):

@@ -18,8 +18,10 @@ with the width of that graph rather than with the number of generators
 
 * generators appearing in no relator contribute an exact ``d!`` factor;
 * the remaining generators split into components linked by shared
-  relators; each is counted independently, and its count is memoised
-  on a namespace-independent fingerprint;
+  relators, each keyed by a namespace-independent fingerprint; each
+  distinct fingerprint is planned and counted once per call, and its
+  count is raised to the number of components that share it.  No count
+  or plan is kept from one call to the next;
 * a relator on a single generator ``x`` says that the order of ``x``
   divides its exponent, so the relators on ``x`` filter its domain to
   the elements whose order divides the gcd of their exponents, read off
@@ -48,16 +50,18 @@ with the width of that graph rather than with the number of generators
   integers, and buckets are built for the chosen order alone.
 
 The degree-free part of a component's plan, its relator scopes, roots
-and powers, unary exponents and neighbour sets, is built once per
-component fingerprint (``_Skeleton``); each degree adds the domains and
-the elimination order.  Exponents are reduced modulo the exponent of
-Sym(d), ``lcm(1..d)``, when a relator is compiled into a search, so an
-exponent of any size costs at most ``lcm(1..d) / 2`` products.
+and powers, unary exponents and neighbour sets (``_Skeleton``), is
+built with the split, which is kept for the last presentation counted;
+each degree adds the domains and the elimination order.  Exponents are
+reduced modulo the exponent of Sym(d), ``lcm(1..d)``, when a relator is
+compiled into a search, so an exponent of any size costs at most
+``lcm(1..d) / 2`` products.
 
 The estimate gated against the ceiling is the sum, over the buckets of
-every component of the simplified presentation, of the product of the
-domain sizes each enumerates, the hub's domain counting its classes.  It
-is known before any counting starts.
+every component of the simplified presentation, a repeated component
+once per copy, of the product of the domain sizes each enumerates, the
+hub's domain counting its classes.  It is known before any counting
+starts.
 """
 
 from collections import Counter
@@ -70,16 +74,14 @@ from .limits import DEFAULT_LIMITS
 from .perms import table
 from .presentation import tietze_simplify
 
-_skeletons = {}
-_component_cache = {}
-
 
 def _split_components(n_gens, relators):
-    """Group generators linked through shared relators.
+    """Group generators linked through shared relators, in one pass.
 
-    Returns ``(components, free)`` where each component is a pair
-    ``(gen index tuple, relator tuple)`` and ``free`` is the number of
-    generators in no relator.
+    Returns ``(keys, free)``: ``keys`` counts each component's key, its
+    number of generators and its relators, sorted, over local slots
+    numbered in generator order; ``free`` is the number of generators
+    in no relator.
     """
     parent = list(range(n_gens))
 
@@ -96,20 +98,18 @@ def _split_components(n_gens, relators):
             if ra != rb:
                 parent[rb] = ra
 
-    in_relator = set()
-    for rel in relators:
-        in_relator.update(s for s, _ in rel)
-
     groups = {}
-    for g in sorted(in_relator):
-        groups.setdefault(find(g), []).append(g)
-    components = []
-    for root in sorted(groups):
-        gens = tuple(groups[root])
-        gen_set = set(gens)
-        rels = tuple(r for r in relators if r and r[0][0] in gen_set)
-        components.append((gens, rels))
-    return components, n_gens - len(in_relator)
+    for rel in relators:
+        if rel:
+            groups.setdefault(find(rel[0][0]), []).append(rel)
+    keys, used = Counter(), 0
+    for rels in groups.values():
+        slot = {g: i for i, g in
+                enumerate(sorted({s for rel in rels for s, _ in rel}))}
+        keys[len(slot), tuple(sorted(
+            tuple((slot[s], e) for s, e in rel) for rel in rels))] += 1
+        used += len(slot)
+    return keys, n_gens - used
 
 
 def _root(rel):
@@ -260,7 +260,7 @@ class _Elimination:
     first on ties, so that fixing it constrains the most.
     """
 
-    __slots__ = ("buckets", "estimate", "count", "weights")
+    __slots__ = ("buckets", "estimate", "weights")
 
     def __init__(self, sk, T):
         n = sk.n
@@ -322,7 +322,6 @@ class _Elimination:
                 self.buckets.append(b)
                 if b.scope:
                     msgs.append((b.scope, len(self.buckets)))
-        self.count = None
 
     def forward(self, T):
         """Tabulate every bucket in elimination order and return the
@@ -350,12 +349,6 @@ class _Elimination:
         return count
 
 
-def _component_key(gens, relators):
-    slot = {g: i for i, g in enumerate(gens)}
-    rels = tuple(sorted(tuple((slot[s], e) for s, e in r) for r in relators))
-    return (len(gens), rels)
-
-
 def _check_degree(d, limits):
     if not isinstance(d, int) or d < 0:
         raise InputError(f"degree must be a non-negative integer, got {d!r}")
@@ -367,49 +360,32 @@ def _check_degree(d, limits):
 
 @lru_cache(maxsize=1)
 def _components(p):
-    """The degree-free part of a count: the keys of the components of
-    ``p`` simplified, and the number of its generators in no relator.
-    ``present --degrees`` and ``verify`` count one presentation at each
-    degree in turn, so the last one is kept."""
+    """The degree-free part of a count: the ``_Skeleton`` of each
+    distinct component of ``p`` simplified, with its multiplicity, and
+    the number of its generators in no relator.  ``present --degrees``
+    and ``verify`` count one presentation at each degree in turn, so the
+    last one is kept."""
     if not p.simplified:
         p = tietze_simplify(p)
-    components, free = _split_components(len(p.generators), p.relators)
-    keys = tuple(_component_key(gens, rels) for gens, rels in components)
-    return keys, free
-
-
-def _plan(p, d, limits):
-    """Simplify ``p``, split it into components, plan each, and gate the
-    estimated work."""
-    keys, free = _components(p)
-    T = table(d)
-    plans = []
-    for key in keys:
-        plan = _component_cache.get((key, d))
-        if plan is None:
-            sk = _skeletons.get(key)
-            if sk is None:
-                sk = _skeletons[key] = _Skeleton(*key)
-            plan = _component_cache[key, d] = _Elimination(sk, T)
-        plans.append(plan)
-    cost = sum(plan.estimate for plan in plans)
-    if cost > limits.ceiling:
-        raise ResourceError(
-            f"hom search space {cost} exceeds ceiling {limits.ceiling}",
-            estimate=cost, ceiling=limits.ceiling, layer="homcount")
-    return plans, free, T
+    keys, free = _split_components(len(p.generators), p.relators)
+    return tuple((_Skeleton(*key), k) for key, k in keys.items()), free
 
 
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(d, limits)
-    plans, free, T = _plan(p, d, limits)
+    parts, free = _components(p)
+    T = table(d)
+    plans = [(_Elimination(sk, T), k) for sk, k in parts]
+    cost = sum(plan.estimate * k for plan, k in plans)
+    if cost > limits.ceiling:
+        raise ResourceError(
+            f"hom search space {cost} exceeds ceiling {limits.ceiling}",
+            estimate=cost, ceiling=limits.ceiling, layer="homcount")
     total = 1
-    for plan in plans:
-        if plan.count is None:
-            plan.count = plan.forward(T)
-        total *= plan.count
+    for plan, k in plans:
+        total *= plan.forward(T) ** k
         if total == 0:
             break
     return total * T.size ** free

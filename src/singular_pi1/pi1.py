@@ -56,15 +56,6 @@ class Pi1Result:
         self.derivation = derivation
 
 
-def _branch_leg_pairs(branch):
-    return list(zip(branch.psi.images, branch.phi.images))
-
-
-def _simplified(result):
-    result.presentation = tietze_simplify(result.raw_presentation)
-    return result
-
-
 def pi1_graph_of_groups(cfg):
     """The fundamental group of the graph of groups on the incidence graph.
 
@@ -116,7 +107,7 @@ def pi1_graph_of_groups(cfg):
         t = stable_letter.get(k)
         c, s = inc.ends[k]
         c, s = offsets[c], offsets[s]
-        for psi_word, phi_word in _branch_leg_pairs(b):
+        for psi_word, phi_word in zip(b.psi.images, b.phi.images):
             legs += 1
             if t is None and len(psi_word) == len(phi_word) == 1 \
                     and psi_word[0][1] == phi_word[0][1] in (1, -1):
@@ -153,7 +144,7 @@ def pi1_graph_of_groups(cfg):
         "graph-of-groups", root,
         {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
          "stable_branches": [cfg.branches[k].id for k in inc.extra]})]
-    return _simplified(Pi1Result(nodes, None, raw, steps))
+    return Pi1Result(nodes, tietze_simplify(raw), raw, steps)
 
 
 def _connected_singular(cfg, split, form, nodes, steps):
@@ -176,7 +167,8 @@ def _connected_singular(cfg, split, form, nodes, steps):
         images[c] = append(gens, rels, comp.group.canonical_presentation,
                            f"c{k}")
         rights, _ = vk_glue(gens, rels, images[c], sing_pres,
-                            [_branch_leg_pairs(b) for b in branches], form,
+                            [list(zip(b.psi.images, b.phi.images))
+                             for b in branches], form,
                             f"c{k}")
         copies.append(rights[0])
         pi = add_node(nodes, "atom",
@@ -214,7 +206,7 @@ def pi1_devissage(cfg, form="i", order=None):
     ``scheme.devissage_splits``)."""
     nodes, steps = [], []
     raw = _devissage(cfg, form, order, nodes, steps)
-    return _simplified(Pi1Result(nodes, None, raw, steps))
+    return Pi1Result(nodes, tietze_simplify(raw), raw, steps)
 
 
 def _devissage(cfg, form, order, nodes, steps):

@@ -21,12 +21,12 @@ A configuration is frozen, and once checked it carries an
 ``Incidence`` record over integer slots: the components are slots
 ``0..n-1`` and the singular pieces ``n..n+m-1``, each in declaration
 order.  The record holds each branch's two slots, the branches over
-each piece, and the spanning forest of one union-find, which also
-decides connectivity.  The parser resolves every reference into slots
-as it reads and leaves the record through ``check_incidence``, the tail
-of ``validate``; a configuration built in Python gets it from its first
-reader, through ``incidence``, whose ``validate`` resolves the ids
-first.  Every later reader, ``validate`` included, takes the record.
+each piece, and the branches off the spanning tree of one union-find,
+which also decides connectivity.  The parser resolves every reference
+into slots as it reads and leaves the record through
+``check_incidence``, the tail of ``validate``; a configuration built in
+Python gets it from its first reader, through ``incidence``, whose
+``validate`` resolves the ids first.  Every later reader, ``validate`` included, takes the record.
 """
 
 from collections import Counter
@@ -94,13 +94,12 @@ class Incidence:
     ``0..n-1`` and the singular pieces ``n..n+m-1``, and a branch is
     known by its position in ``branches``."""
 
-    __slots__ = ("ends", "over", "root", "extra")
+    __slots__ = ("ends", "over", "extra")
 
-    def __init__(self, ends, over, root, extra):
+    def __init__(self, ends, over, extra):
         self.ends = ends     # branch -> (component slot, singular slot)
         self.over = over     # piece j -> its branches, in declaration order
-        self.root = root     # slot -> root slot of its spanning-forest tree
-        self.extra = extra   # the branches off the forest, in order
+        self.extra = extra   # the branches off the spanning tree, in order
 
 
 def validate(cfg):
@@ -189,13 +188,12 @@ def check_incidence(cfg, ends):
                      f"component {c.id} has no branch", [c.id])
 
     size = n + len(sings)
-    root, extra = _forest(size, ends)
-    # a connected graph on size vertices spans a tree of size - 1 edges
-    if len(ends) - len(extra) < size - 1:
+    extra, apart = _forest(size, ends)
+    if apart:
         names = [f"c:{c.id}" for c in comps] + [f"s:{s.id}" for s in sings]
         return _fail("connected", "incidence graph is disconnected",
-                     [name for name, r in zip(names, root) if r != root[0]])
-    cfg._incidence = Incidence(ends, over, root, extra)
+                     [names[v] for v in apart])
+    cfg._incidence = Incidence(ends, over, extra)
     return ValidationResult(True)
 
 
@@ -217,9 +215,10 @@ def _map_mismatch(b, comp_group, sing_group):
 
 def _forest(size, ends):
     """Union-find over ``size`` slots joining the two ends of each branch
-    in order.  Returns ``(root, extra)``: the list of each slot's root,
-    and the positions of the branches whose ends were joined already,
-    each of which closes a cycle."""
+    in order.  Returns ``(extra, apart)``: the positions of the branches
+    whose ends were joined already, each of which closes a cycle, and
+    the slots outside slot 0's tree, in order, which are none exactly
+    when the graph is connected."""
     parent = list(range(size))
 
     def find(x):
@@ -235,10 +234,11 @@ def _forest(size, ends):
             extra.append(k)
         else:
             parent[y] = x
-    if len(ends) - len(extra) == size - 1:
-        # one tree: every slot has its root
-        return [find(0)] * size, extra
-    return [find(v) for v in range(size)], extra
+    # a connected graph on size vertices spans a tree of size - 1 edges
+    if len(ends) - len(extra) >= size - 1:
+        return extra, []
+    top = find(0)
+    return extra, [v for v in range(size) if find(v) != top]
 
 
 def incidence(cfg):

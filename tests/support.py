@@ -43,7 +43,7 @@ from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
                           devissage_splits, free_presentation,
                           parse_scheme_config, quotient_by_relations)
-from singular_pi1.groups import _closure
+from singular_pi1.groups import _cayley
 from singular_pi1.perms import compose, identity, invert, table
 from singular_pi1.presentation import append
 from singular_pi1.vk import FORMS, vk_glue
@@ -515,7 +515,7 @@ def group_elements(group):
     gens = group.generator_elements
     if not gens:
         return (group.identity_element,)
-    return _closure(gens, group.order)
+    return _cayley(gens, group.order)[0]
 
 
 def element_words(group):

@@ -8,6 +8,8 @@ from singular_pi1 import (Limits, Presentation, ResourceError, count_homs,
                           free_presentation, pi1_graph_of_groups,
                           transitive_counts)
 from singular_pi1 import homcount
+from singular_pi1.perms import table
+from singular_pi1.presentation import tietze_simplify
 from singular_pi1.words import power, reduce
 from support import (brute_count_homs, brute_count_transitive_homs,
                      closed_family_homs, count_order_dividing,
@@ -183,9 +185,8 @@ def _power_presentations(seed, count):
 
 
 def _has_power_factor(p):
-    keys, _ = homcount._components(p)
-    return any(k > 1 for key in keys
-               for _, _, k in homcount._Skeleton(*key).factors)
+    parts, _ = homcount._components(p)
+    return any(k > 1 for sk, _ in parts for _, _, k in sk.factors)
 
 
 def test_power_relators_match_brute_force():
@@ -218,8 +219,8 @@ def test_power_relator_checks_its_root_once():
     # (s1 s2)^3 is stored as its root s1 s2 and the power 3
     p = Presentation(["s1", "s2"], [((0, 2),), ((1, 2),),
                                     ((0, 1), (1, 1)) * 3])
-    (key,), _ = homcount._components(p)
-    sk = homcount._Skeleton(*key)
+    ((sk, copies),), _ = homcount._components(p)
+    assert copies == 1
     assert [(root, k) for _, root, k in sk.factors] \
         == [(((0, 1), (1, 1)), 3)]
     assert sk.unary == [2, 2]
@@ -238,14 +239,62 @@ def _plan_presentations():
     return corpus + families + randoms + list(_power_presentations(22, 10))
 
 
+def _component_keys(p):
+    """The component keys of ``p`` as the hom counter simplifies it,
+    with their multiplicities."""
+    if not p.simplified:
+        p = tietze_simplify(p)
+    return homcount._split_components(len(p.generators), p.relators)[0]
+
+
 def test_plan_matches_the_plain_greedy():
-    unlimited = Limits(ceiling=10 ** 30)
     for p in _plan_presentations():
-        keys, _ = homcount._components(p)
+        keys = _component_keys(p)
+        parts, _ = homcount._components(p)
+        assert [k for _, k in parts] == list(keys.values())
         for d in (2, 3, 4, 5):
-            plans, _, _ = homcount._plan(p, d, unlimited)
-            for key, plan in zip(keys, plans):
+            for key, (sk, _) in zip(keys, parts):
+                plan = homcount._Elimination(sk, table(d))
                 buckets, estimate = plan_reference(*key, d)
                 assert [(b.order, b.scope, b.cost)
                         for b in plan.buckets] == buckets, (p, d)
                 assert plan.estimate == estimate, (p, d)
+
+
+def _copies(k):
+    """``k`` disjoint copies of <a, b | a^2, b^3, (ab)^3>, numbered
+    apart, and one <c, e | c^2, (ce)^2>, on ``2k + 2`` generators."""
+    relators = []
+    for i in range(k):
+        a, b = 2 * i, 2 * i + 1
+        relators += [((a, 2),), ((b, 3),), ((a, 1), (b, 1)) * 3]
+    c, e = 2 * k, 2 * k + 1
+    relators += [((c, 2),), ((c, 1), (e, 1)) * 2]
+    names = [f"x{i}" for i in range(2 * k + 2)]
+    return Presentation(names, relators)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_equal_components_are_counted_once_and_gated_per_copy(
+        k, monkeypatch):
+    runs, forward = [], homcount._Elimination.forward
+    monkeypatch.setattr(homcount._Elimination, "forward",
+                        lambda plan, T: runs.append(T) or forward(plan, T))
+    other = _copies(0)
+    (rest,) = _component_keys(other)
+    (single,) = _component_keys(_copies(1)).keys() - {rest}
+    p = _copies(k)
+    assert _component_keys(p) == {single: k, rest: 1}
+    for d in (2, 3, 4):
+        unit = brute_count_homs(Presentation(["a", "b"], single[1]), d)
+        runs.clear()
+        assert count_homs(p, d) == unit ** k * brute_count_homs(other, d)
+        assert len(runs) == 2
+        estimate = (k * plan_reference(*single, d)[1]
+                    + plan_reference(*rest, d)[1])
+        with pytest.raises(ResourceError) as err:
+            count_homs(p, d, Limits(ceiling=estimate - 1))
+        assert err.value.estimate == estimate
+        assert err.value.ceiling == estimate - 1
+        assert count_homs(p, d, Limits(ceiling=estimate)) \
+            == count_homs(p, d)
