@@ -12,15 +12,13 @@ each piece's actions on the fiber with its own search.
 """
 
 from .errors import Error, InputError, ResourceError, SchemaError
-from .expression import closure_witness
 from .groups import GroupSpec
 from .homcount import count_homs, transitive_counts
 from .homomorphism import Homo
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import (OracleReport, attach_connected, compare,
                      enumerate_descent_data, groupoid_cardinality)
-from .pi1 import (DerivationStep, Pi1Result, pi1_devissage,
-                  pi1_graph_of_groups)
+from .pi1 import Pi1Result, pi1_devissage, pi1_graph_of_groups
 from .presentation import (Presentation, free_presentation,
                            quotient_by_relations, tietze_simplify)
 from .scheme import (Branch, Component, SchemeConfig, Singular, Split,

@@ -16,20 +16,11 @@ fields:
   ``legs``, the pieces they share.
 
 These mirror the closure rules of the class of groups reachable by the
-machinery.  Every result the calculator produces carries such a table
-next to the lowered presentation, and ``closure_witness`` replays which
-rule admits each node.
+machinery.  A node that a step of the construction produced also
+carries that step: its ``theorem`` names the step and its ``inputs``
+the pieces and numbers it read.  Every result the calculator produces
+carries such a table next to the lowered presentation.
 """
-
-# per node type: the closure rule that admits it
-_RULES = {
-    "atom": "etale-fundamental-group-of-normal-scheme",
-    "free": "finite-rank-discrete-free-group",
-    "coproduct": "closure-under-coproducts",
-    "fibered_coproduct": "closure-under-fibered-coproducts",
-    "quotient": "closure-under-quotients",
-    "vk": "closure-under-fibered-coproducts-and-quotients",
-}
 
 
 def add_node(nodes, type, **fields):
@@ -42,8 +33,3 @@ def piece(ref, ref_id, group):
     """The fields naming a piece of the configuration and its group."""
     return {"ref": ref, "ref_id": ref_id, "group": group}
 
-
-def closure_witness(nodes):
-    """Per node, the closure rule admitting it into the reachable class."""
-    return [{"node": i, "kind": node["type"], "rule": _RULES[node["type"]]}
-            for i, node in enumerate(nodes)]

@@ -58,10 +58,11 @@ compiled into a search, so an exponent of any size costs at most
 ``lcm(1..d) / 2`` products.
 
 The estimate gated against the ceiling is the sum, over the buckets of
-every component of the simplified presentation, a repeated component
-once per copy, of the product of the domain sizes each enumerates, the
-hub's domain counting its classes.  It is known before any counting
-starts.
+every distinct component of the simplified presentation, of the product
+of the domain sizes each enumerates, the hub's domain counting its
+classes.  A repeated component is counted once and its count raised to
+its multiplicity, so it is charged once too.  The estimate is known
+before any counting starts.
 """
 
 from collections import Counter
@@ -378,7 +379,7 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     parts, free = _components(p)
     T = table(d)
     plans = [(_Elimination(sk, T), k) for sk, k in parts]
-    cost = sum(plan.estimate * k for plan, k in plans)
+    cost = sum(plan.estimate for plan, _ in plans)
     if cost > limits.ceiling:
         raise ResourceError(
             f"hom search space {cost} exceeds ceiling {limits.ceiling}",

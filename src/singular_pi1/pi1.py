@@ -22,10 +22,12 @@ piece.
 
 Each route reads the configuration's ``scheme.incidence`` and simplifies
 once at the end.  Results carry the raw lowered presentation, its
-simplification, the expression's node table and the derivation trace.
-The dévissage appends to one node table and one derivation list as it
-goes, as to its presentation; a part of the result is known by its
-root node id.
+simplification and the expression's node table.  A node that a step of
+the construction produced records that step in its ``theorem`` and
+``inputs`` fields: the default route's root, and on the dévissage each
+van Kampen and fibered-coproduct node, or the one atom of a regular
+configuration.  The dévissage appends to one node table as it goes, as
+to its presentation; a part of the result is known by its root node id.
 """
 
 from .expression import add_node, piece
@@ -36,24 +38,11 @@ from .vk import vk_glue
 from .words import inverse, reduce, shift
 
 
-class DerivationStep:
-    def __init__(self, rule, node, inputs):
-        self.rule = rule
-        self.node = node         # id of the expression node this step produced
-        self.inputs = inputs
-
-    def to_json(self):
-        return {"theorem": self.rule, "node": self.node,
-                "inputs": self.inputs}
-
-
 class Pi1Result:
-    def __init__(self, expression, presentation, raw_presentation,
-                 derivation):
+    def __init__(self, expression, presentation, raw_presentation):
         self.expression = expression   # node table, see ``expression``
         self.presentation = presentation   # tietze-simplified lowering
         self.raw_presentation = raw_presentation   # before simplification
-        self.derivation = derivation
 
 
 def pi1_graph_of_groups(cfg):
@@ -140,14 +129,14 @@ def pi1_graph_of_groups(cfg):
         root = add_node(nodes, "coproduct", children=children)
     if legs:
         root = add_node(nodes, "quotient", child=root, relations=legs)
-    steps = [DerivationStep(
-        "graph-of-groups", root,
-        {"n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
-         "stable_branches": [cfg.branches[k].id for k in inc.extra]})]
-    return Pi1Result(nodes, tietze_simplify(raw), raw, steps)
+    # the root may be an existing child, so the step is set on it
+    nodes[root].update(theorem="graph-of-groups", inputs={
+        "n": cfg.n, "m": cfg.m, "m_tilde": cfg.m_tilde, "rank": rank,
+        "stable_branches": [cfg.branches[k].id for k in inc.extra]})
+    return Pi1Result(nodes, tietze_simplify(raw), raw)
 
 
-def _connected_singular(cfg, split, form, nodes, steps):
+def _connected_singular(cfg, split, form, nodes):
     """The patch of one piece of a dévissage walk: the root of its
     expression in ``nodes``, its raw presentation and the offset of each
     component's generators in it, keyed by slot.  Each component
@@ -175,14 +164,12 @@ def _connected_singular(cfg, split, form, nodes, steps):
                       **piece("component", comp.id, comp.group))
         pi_prime = add_node(nodes, "atom",
                             **piece("singular", sing.id, sing.group))
-        node = add_node(nodes, "vk", pi=pi, pi_prime=pi_prime,
-                        legs=[piece("branch", b.id, b.group)
-                              for b in branches])
-        vknodes.append(node)
-        steps.append(DerivationStep(
-            "vk-connected-singular", node,
-            {"component": comp.id, "singular": sing.id,
-             "branches": [b.id for b in branches], "form": form}))
+        vknodes.append(add_node(
+            nodes, "vk", pi=pi, pi_prime=pi_prime,
+            legs=[piece("branch", b.id, b.group) for b in branches],
+            theorem="vk-connected-singular",
+            inputs={"component": comp.id, "singular": sing.id,
+                    "branches": [b.id for b in branches], "form": form}))
 
     if len(copies) == 1:
         root = vknodes[0]
@@ -192,10 +179,8 @@ def _connected_singular(cfg, split, form, nodes, steps):
                     for o in copies[1:])
         root = add_node(nodes, "fibered_coproduct",
                         base=piece("singular", sing.id, sing.group),
-                        legs=vknodes)
-        steps.append(DerivationStep(
-            "amalgamate-singular-copies", root,
-            {"singular": sing.id, "copies": len(copies)}))
+                        legs=vknodes, theorem="amalgamate-singular-copies",
+                        inputs={"singular": sing.id, "copies": len(copies)})
 
     return root, Presentation._trusted(gens, rels), images
 
@@ -204,31 +189,29 @@ def pi1_devissage(cfg, form="i", order=None):
     """The fundamental group of any valid configuration by dévissage
     along ``order`` (by default the greedy order of
     ``scheme.devissage_splits``)."""
-    nodes, steps = [], []
-    raw = _devissage(cfg, form, order, nodes, steps)
-    return Pi1Result(nodes, tietze_simplify(raw), raw, steps)
+    nodes = []
+    raw = _devissage(cfg, form, order, nodes)
+    return Pi1Result(nodes, tietze_simplify(raw), raw)
 
 
-def _devissage(cfg, form, order, nodes, steps):
+def _devissage(cfg, form, order, nodes):
     """The raw presentation of ``pi1_devissage`` of a configuration along
     ``order``: the first piece's patch, then each later patch glued onto
     the union of the patches before it in place, under the tag ``p{r}``
-    for the ``r``-th piece.  The derivation thus names the first piece
+    for the ``r``-th piece.  The node table thus names the first piece
     in its first step and each later one as the anchor of its split."""
     gens, rels = [], []
     if not incidence(cfg).over:   # a valid regular configuration
         comp = cfg.components[0]
         append(gens, rels, comp.group.canonical_presentation, "c1")
-        root = add_node(nodes, "atom",
-                        **piece("component", comp.id, comp.group))
-        steps.append(DerivationStep("normal-component", root,
-                                    {"component": comp.id}))
+        add_node(nodes, "atom", **piece("component", comp.id, comp.group),
+                 theorem="normal-component", inputs={"component": comp.id})
         return Presentation._trusted(gens, rels)
 
     images = {}   # component slot -> offset of its generators in the union
     for r, split in enumerate(devissage_splits(cfg, order), start=1):
         part, pres, part_images = _connected_singular(cfg, split, form,
-                                                      nodes, steps)
+                                                      nodes)
         tag = f"p{r}"
         if r == 1:
             offset = append(gens, rels, pres, tag)
@@ -242,15 +225,14 @@ def _devissage(cfg, form, order, nodes, steps):
                          for c, comp in zip(split.overlap, overlap)]
             rights, _ = vk_glue(gens, rels, 0, pres, leg_pairs, form, tag)
             offset = rights[0]
-            root = add_node(nodes, "vk", pi=root, pi_prime=part,
-                            legs=[piece("component", c.id, c.group)
-                                  for c in overlap])
-            steps.append(DerivationStep(
-                "devissage-split", root,
-                {"anchor": cfg.singulars[split.piece - cfg.n].id,
-                 "overlap": [c.id for c in overlap],
-                 "m_tilde_1": len(split.branches),
-                 "m_tilde_2": split.m_tilde_2, "form": form}))
+            root = add_node(
+                nodes, "vk", pi=root, pi_prime=part,
+                legs=[piece("component", c.id, c.group) for c in overlap],
+                theorem="devissage-split",
+                inputs={"anchor": cfg.singulars[split.piece - cfg.n].id,
+                        "overlap": [c.id for c in overlap],
+                        "m_tilde_1": len(split.branches),
+                        "m_tilde_2": split.m_tilde_2, "form": form})
         # an overlap component keeps its generators in the union, so no
         # shift letter conjugates it at a later split
         for c, o in part_images.items():

@@ -378,7 +378,6 @@ def pi1_result_to_json(result, simplified=True):
     return {
         "expression": expression_to_json(result.expression),
         "presentation": presentation_to_json(pres),
-        "derivation": [step.to_json() for step in result.derivation],
     }
 
 

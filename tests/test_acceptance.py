@@ -40,8 +40,10 @@ def test_criterion_1_nodal_curve(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     expression = out["expression"]
-    assert expression["nodes"][expression["root"]] \
-        == {"type": "free", "rank": 1}
+    assert expression["nodes"][expression["root"]] == {
+        "type": "free", "rank": 1, "theorem": "graph-of-groups",
+        "inputs": {"n": 1, "m": 1, "m_tilde": 2, "rank": 1,
+                   "stable_branches": ["b2"]}}
 
     corpus = load_corpus()
     result = pi1_devissage(corpus["nodal"])

@@ -130,7 +130,10 @@ class TestPresent:
         code, doc = run(capsys, "present", config_path("nodal"),
                         "--degrees", "2,3,4")
         assert code == 0
-        assert root_of(doc) == {"type": "free", "rank": 1}
+        assert root_of(doc) == {
+            "type": "free", "rank": 1, "theorem": "graph-of-groups",
+            "inputs": {"n": 1, "m": 1, "m_tilde": 2, "rank": 1,
+                       "stable_branches": ["b2"]}}
         assert doc["hom_counts"] == {"2": 2, "3": 6, "4": 24}
 
     def test_regular_is_single_atom(self, capsys):
@@ -167,10 +170,13 @@ class TestPresent:
     def test_default_route_is_graph_of_groups(self, capsys):
         code, doc = run(capsys, "present", config_path("nontrivial-Z2"))
         assert code == 0
-        assert [s["theorem"] for s in doc["derivation"]] \
-            == ["graph-of-groups"]
-        assert doc["derivation"][0]["inputs"]["stable_branches"] == ["bq"]
-        assert root_of(doc)["type"] == "quotient"
+        assert [i for i, node in enumerate(doc["expression"]["nodes"])
+                if "theorem" in node] == [doc["expression"]["root"]]
+        assert root_of(doc) == {
+            "type": "quotient", "child": 4, "relations": 2,
+            "theorem": "graph-of-groups",
+            "inputs": {"n": 2, "m": 2, "m_tilde": 4, "rank": 1,
+                       "stable_branches": ["bq"]}}
 
     def test_deep_devissage_needs_no_recursion_and_prints_linear_output(
             self, tmp_path, capsys):
@@ -525,7 +531,8 @@ class TestPlan:
                              "--route", "devissage")
             assert code == code2 == 0
             # the first patch's piece, then the anchor of each split
-            steps = doc["derivation"]
+            steps = [node for node in doc["expression"]["nodes"]
+                     if "theorem" in node]
             order = [steps[0]["inputs"]["singular"]] \
                 + [s["inputs"]["anchor"] for s in steps
                    if s["theorem"] == "devissage-split"]

@@ -121,6 +121,7 @@ VALID_CALLS = (
                           for form in ("i", "ii", "iii", "iv")]
      for simplify in ("true", "false")]
     + [["present", "--degrees", "2,3,4"],
+       ["present", "--degrees", "2,3,4,5", "--ceiling", "3"],
        ["verify", "--degree-max", "3", "--connected"],
        ["plan"], ["rank"], ["validate"]])
 

@@ -290,11 +290,22 @@ def test_equal_components_are_counted_once_and_gated_per_copy(
         runs.clear()
         assert count_homs(p, d) == unit ** k * brute_count_homs(other, d)
         assert len(runs) == 2
-        estimate = (k * plan_reference(*single, d)[1]
-                    + plan_reference(*rest, d)[1])
+        # each distinct component is counted once, so charged once
+        estimate = plan_reference(*single, d)[1] + plan_reference(*rest, d)[1]
         with pytest.raises(ResourceError) as err:
             count_homs(p, d, Limits(ceiling=estimate - 1))
         assert err.value.estimate == estimate
         assert err.value.ceiling == estimate - 1
         assert count_homs(p, d, Limits(ceiling=estimate)) \
             == count_homs(p, d)
+
+
+def test_a_repeated_component_is_charged_once():
+    # semistable-C2 presents C2 * C2, two equal one-generator components:
+    # each costs 2 at d = 2, 3 and 3 at d = 4, 5, so one copy fits
+    # under a ceiling of 3 where both would not
+    p = pi1_graph_of_groups(load_corpus()["semistable-C2"]).presentation
+    assert list(_component_keys(p).values()) == [2]
+    for d in (2, 3, 4, 5):
+        assert count_homs(p, d, Limits(ceiling=3)) \
+            == count_order_dividing(d, 2) ** 2

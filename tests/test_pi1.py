@@ -4,9 +4,9 @@ import sys
 from math import factorial
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, Presentation,
-                          ResourceError, SchemeConfig, Singular,
-                          closure_witness, compare, count_homs, free_rank,
-                          pi1_devissage, pi1_graph_of_groups)
+                          ResourceError, SchemeConfig, Singular, compare,
+                          count_homs, free_rank, pi1_devissage,
+                          pi1_graph_of_groups)
 from singular_pi1.presentation import tietze_eliminations
 from support import (brute_count_homs, chain_config, family_config,
                      load_corpus, nodal_config, random_general_config,
@@ -19,6 +19,12 @@ C2 = GroupSpec.cyclic(2)
 def root_of(res):
     """The root node of a result's expression: the table's last node."""
     return res.expression[-1]
+
+
+def theorems(res):
+    """The ``theorem`` of each node of a result that a step produced, in
+    node order."""
+    return [node["theorem"] for node in res.expression if "theorem" in node]
 
 
 def ident_hom(spec):
@@ -71,14 +77,16 @@ class TestDevissage:
         cfg = SchemeConfig([Component("A", C2)], [], [])
         res = pi1_devissage(cfg)
         assert res.expression == [{"type": "atom", "ref": "component",
-                                   "ref_id": "A", "group": C2}]
+                                   "ref_id": "A", "group": C2,
+                                   "theorem": "normal-component",
+                                   "inputs": {"component": "A"}}]
         for d in (2, 3):
             assert count_homs(res.presentation, d) \
                 == count_homs(C2.canonical_presentation, d)
 
     def test_single_singular_delegates(self):
         a = pi1_devissage(nodal_config())
-        assert [s.rule for s in a.derivation] == ["vk-connected-singular"]
+        assert theorems(a) == ["vk-connected-singular"]
         b = pi1_graph_of_groups(nodal_config())
         for d in (2, 3):
             assert count_homs(a.presentation, d) \
@@ -111,7 +119,7 @@ class TestDevissage:
 
     def test_derivation_records_split(self):
         res = pi1_devissage(theta_config())
-        rules = [s.rule for s in res.derivation]
+        rules = theorems(res)
         assert "devissage-split" in rules
         # each half of the split has two components, so four glue steps
         assert rules.count("vk-connected-singular") == 4
@@ -126,8 +134,7 @@ class TestDevissage:
             res = pi1_devissage(cfg)
         finally:
             sys.setrecursionlimit(limit)
-        assert [s.rule for s in res.derivation].count("devissage-split") \
-            == n - 1
+        assert theorems(res).count("devissage-split") == n - 1
         assert not res.presentation.generators
 
     def test_theta_relators_stay_short(self):
@@ -170,7 +177,10 @@ class TestDevissage:
 class TestClosedForm:
     def test_nodal_is_free_of_rank_one(self):
         res = pi1_graph_of_groups(nodal_config())
-        assert res.expression == [{"type": "free", "rank": 1}]
+        assert res.expression == [{
+            "type": "free", "rank": 1, "theorem": "graph-of-groups",
+            "inputs": {"n": 1, "m": 1, "m_tilde": 2, "rank": 1,
+                       "stable_branches": ["b2"]}}]
 
     def test_regular_scheme_is_single_atom(self):
         cfg = SchemeConfig([Component("A", C2)], [], [])
@@ -251,11 +261,11 @@ class TestGraphOfGroups:
 
     def test_stable_letters_sit_off_the_spanning_tree(self):
         res = pi1_graph_of_groups(theta_config())
-        step, = res.derivation
-        assert step.rule == "graph-of-groups"
+        assert theorems(res) == ["graph-of-groups"]
         # p1, p2, q1 span the incidence graph; q2 closes the cycle
-        assert step.inputs == {"n": 2, "m": 2, "m_tilde": 4, "rank": 1,
-                               "stable_branches": ["q2"]}
+        assert root_of(res)["inputs"] == {"n": 2, "m": 2, "m_tilde": 4,
+                                          "rank": 1,
+                                          "stable_branches": ["q2"]}
 
     def test_all_trivial_config_is_the_closed_form_presentation(self):
         cfg = SchemeConfig(
@@ -268,16 +278,20 @@ class TestGraphOfGroups:
         # the component groups' copies c1, c2, ... and the free letters
         assert res.raw_presentation == Presentation(["c1.g", "free.f1"],
                                                     [((0, 2),)])
-        assert root_of(res) == {"type": "coproduct", "children": [0, 1]}
+        assert root_of(res) == {
+            "type": "coproduct", "children": [0, 1],
+            "theorem": "graph-of-groups",
+            "inputs": {"n": 2, "m": 1, "m_tilde": 3, "rank": 1,
+                       "stable_branches": ["b2"]}}
 
     def test_quotient_node_passes_class_witness(self):
         res = pi1_graph_of_groups(nontrivial_Z_config())
-        assert root_of(res) == {"type": "quotient", "child": 3,
-                                "relations": 2}
-        trace = closure_witness(res.expression)
-        assert trace[-1] == {"node": 4, "kind": "quotient",
-                             "rule": "closure-under-quotients"}
-        assert [e["kind"] for e in trace] == \
+        assert root_of(res) == {
+            "type": "quotient", "child": 3, "relations": 2,
+            "theorem": "graph-of-groups",
+            "inputs": {"n": 1, "m": 1, "m_tilde": 2, "rank": 1,
+                       "stable_branches": ["b2"]}}
+        assert [node["type"] for node in res.expression] == \
             ["atom", "atom", "free", "coproduct", "quotient"]
 
 
@@ -344,22 +358,3 @@ class TestTreeLegMerges:
                 simplified, eliminated = tietze_eliminations(raw)
                 assert eliminated == []
                 assert len(simplified.generators) == len(raw.generators)
-
-
-class TestClassWitness:
-    def test_atom_rule(self):
-        cfg = SchemeConfig([Component("A", C2)], [], [])
-        trace = closure_witness(pi1_devissage(cfg).expression)
-        assert trace == [{"node": 0, "kind": "atom",
-                          "rule": "etale-fundamental-group-of-normal-scheme"}]
-
-    def test_nodal_closed_form_is_free_rule(self):
-        trace = closure_witness(
-            pi1_graph_of_groups(nodal_config()).expression)
-        assert trace[0]["rule"] == "finite-rank-discrete-free-group"
-
-    def test_devissage_trace_nests_closure_steps(self):
-        trace = closure_witness(pi1_devissage(theta_config()).expression)
-        rules = {entry["rule"] for entry in trace}
-        assert "closure-under-fibered-coproducts-and-quotients" in rules
-        assert len(trace) >= 3

@@ -434,10 +434,14 @@ class TestDottedBranchGenerators:
             == "unknown branch-group generator 'a'"
 
 
-def check_node_table(doc):
+def check_node_table(doc, devissage):
     """The expression of a ``present`` output is a table whose nodes name
     only earlier nodes, whose root is its last node and whose every other
-    node is some node's child; derivation steps name nodes of it."""
+    node is some node's child.  The nodes a step produced carry its
+    ``theorem`` and ``inputs``: the root on the default route, and every
+    ``vk`` and ``fibered_coproduct`` node on the dévissage, or its one
+    atom for a regular configuration."""
+    assert set(doc) - {"hom_counts"} == {"expression", "presentation"}
     nodes, root = doc["expression"]["nodes"], doc["expression"]["root"]
     assert root == len(nodes) - 1
     used = set()
@@ -450,8 +454,11 @@ def check_node_table(doc):
             (i, node)
         used.update(children)
     assert used == set(range(root))
-    for step in doc["derivation"]:
-        assert 0 <= step["node"] < len(nodes)
+    stepped = {i for i, node in enumerate(nodes) if "theorem" in node}
+    assert stepped == {i for i, node in enumerate(nodes) if "inputs" in node}
+    glued = {i for i, node in enumerate(nodes)
+             if node["type"] in ("vk", "fibered_coproduct")}
+    assert stepped == (glued if devissage and glued else {root})
 
 
 class TestResultSerialization:
@@ -459,13 +466,20 @@ class TestResultSerialization:
         cfg = parse_scheme_config(minimal_doc())
         result = pi1_devissage(cfg)
         doc = pi1_result_to_json(result)
-        assert set(doc) == {"expression", "presentation", "derivation"}
+        trivial = {"kind": "trivial"}
+        assert doc["expression"]["nodes"][-1] == {
+            "type": "vk", "pi": 0, "pi_prime": 1,
+            "legs": [{"ref": "branch", "ref_id": b, "group": trivial}
+                     for b in ("b1", "b2")],
+            "theorem": "vk-connected-singular",
+            "inputs": {"component": "A", "singular": "P",
+                       "branches": ["b1", "b2"], "form": "i"}}
         text = json.dumps(doc)
         assert json.loads(text) == doc
         # presentation block re-parses to the same presentation
         assert parse_presentation(doc["presentation"], "$") \
             == result.presentation
-        check_node_table(doc)
+        check_node_table(doc, devissage=True)
 
     @pytest.mark.parametrize("route", [
         [], *(["--route", "devissage", "--form", form]
@@ -478,7 +492,7 @@ class TestResultSerialization:
             code = main(["present", str(path)] + route)
             doc = json.loads(capsys.readouterr().out)
             assert code == 0, (name, doc)
-            check_node_table(doc)
+            check_node_table(doc, devissage=bool(route))
 
 
 # quotes, backslashes, control characters, non-ASCII text, an astral
