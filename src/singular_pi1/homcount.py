@@ -24,8 +24,9 @@ with the width of that graph rather than with the number of generators
   or plan is kept from one call to the next;
 * a relator on a single generator ``x`` says that the order of ``x``
   divides its exponent, so the relators on ``x`` filter its domain to
-  the elements whose order divides the gcd of their exponents, read off
-  ``PermTable.order``;
+  the elements whose order divides the gcd of their exponents
+  (``PermTable.dividing``), and a presentation with no relator left
+  builds no table of Sym(d) at all;
 * every other relator is a factor, stored as its shortest root ``w``
   with ``relator = w^k`` syllable by syllable, and checked as ``k``
   being a multiple of the order of ``w``'s value: ``(s1 s2)^3`` costs
@@ -67,7 +68,7 @@ before any counting starts.
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 from operator import itemgetter
 
 from .errors import InputError, ResourceError
@@ -265,15 +266,7 @@ class _Elimination:
 
     def __init__(self, sk, T):
         n = sk.n
-        # every order divides T.exponent, so gcd(e, T.exponent) keeps
-        # exactly the elements whose order divides e, and 0 keeps all
-        filtered, domains = {}, []
-        for e in sk.unary:
-            e = gcd(e, T.exponent)
-            if e not in filtered:
-                filtered[e] = tuple(range(T.size)) if e == T.exponent \
-                    else tuple([x for x, k in enumerate(T.order) if not e % k])
-            domains.append(filtered[e])
+        domains = [T.dividing(e) for e in sk.unary]
 
         links = sk.links
         hub = max(range(n), key=lambda v: (links[v], len(domains[v]), -v))
@@ -377,7 +370,8 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     every relator."""
     _check_degree(d, limits)
     parts, free = _components(p)
-    T = table(d)
+    # a presentation without relators needs no table of Sym(d)
+    T = table(d) if parts else None
     plans = [(_Elimination(sk, T), k) for sk, k in parts]
     cost = sum(plan.estimate for plan, _ in plans)
     if cost > limits.ceiling:
@@ -389,7 +383,7 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
         total *= plan.forward(T) ** k
         if total == 0:
             break
-    return total * T.size ** free
+    return total * factorial(d) ** free
 
 
 def transitive_counts(counts):

@@ -23,13 +23,20 @@ of either action when their canonical forms agree and 0 otherwise
 same groups and maps share one table.  The sum is then a factor graph on
 the incidence graph, pieces as variables and branches as pairwise
 factors, contracted by variable elimination (Dechter 1999): the singular
-pieces first, then the components in a greedy order.  The ``--ceiling``
-gate estimates that work: the actions sorted into classes, ``d * d``
-labelling steps per representative of every distinct restriction, the
-comparisons of every distinct table, and the table of every elimination
-step.  The actions themselves come from the oracle's own search over the
-group's canonical presentation (``_actions``), gated by the candidates
-it tries.  ``perms`` supplies only the arithmetic of Sym(d).
+pieces first, then the components in a greedy order, which a heap
+keeps and each step updates at the eliminated variable's neighbours
+only, so a chain, star or theta of ``N`` pieces is contracted in time
+linear in ``N``.  The ``--ceiling`` gate estimates that work: the
+actions sorted into classes, ``d * d`` labelling steps per
+representative of every distinct restriction, the comparisons of every
+distinct table, and the table of every elimination step.  The actions
+themselves come from the oracle's own search over the group's canonical
+presentation (``_actions``), gated by the candidates it tries: the
+relators on one generator bound its order, which picks its candidates
+from the elements of those orders, and every other relator is evaluated.
+``perms`` supplies only the arithmetic of Sym(d), and its table is built
+only at a piece or branch group with generators, so a configuration of
+trivial groups never builds one.
 
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
@@ -43,8 +50,9 @@ Hall's formula to its own numbers.
 
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import groupby, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import itemgetter
 
 from .errors import ResourceError
@@ -92,8 +100,11 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
     every relator is the identity.
 
     The generators are assigned in order and the partial actions kept
-    level by level.  A relator on one generator filters that generator's
-    candidates once; every other relator is checked as soon as its last
+    level by level.  A relator on one generator ``x`` is ``x`` to the
+    sum of its exponents, so the relators on ``x`` together say that the
+    order of ``x`` divides the gcd of those sums, and its candidates are
+    the elements of such orders (``PermTable.dividing``), with no word
+    evaluated.  Every other relator is checked as soon as its last
     generator is assigned, and its verdict memoised on the images of the
     generators it contains (most relators contain two).  Each level's
     candidates, the partial actions times the domain, count towards the
@@ -101,15 +112,15 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
     """
     T = table(d)
     pres = group.canonical_presentation
-    unary = [[] for _ in pres.generators]
+    unary = [0] * len(pres.generators)
     checks = [[] for _ in pres.generators]
     for word in pres.relators:
         scope = sorted({k for k, _ in word})
-        word = _compiled(T, word)
         if len(scope) == 1:
-            unary[scope[0]].append(word)
+            unary[scope[0]] = gcd(unary[scope[0]], sum(e for _, e in word))
         else:
-            checks[scope[-1]].append((itemgetter(*scope), word, {}))
+            checks[scope[-1]].append((itemgetter(*scope), _compiled(T, word),
+                                      {}))
     ident = T.identity
 
     def holds(check, a):
@@ -121,8 +132,7 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
 
     partial, work = [()], 0
     for k in range(len(pres.generators)):
-        domain = [x for x in range(T.size)
-                  if all(_evaluate(T, w, {k: x}) == ident for w in unary[k])]
+        domain = T.dividing(unary[k])
         work += len(partial) * len(domain)
         if work > limits.ceiling:
             raise ResourceError(
@@ -142,8 +152,11 @@ def _action_classes(group, d, limits):
 
     The classes are the orbits of ``_actions`` under conjugation, each
     walked with two generators of Sym(d), a transposition and a d-cycle,
-    so every action is visited a bounded number of times.
+    so every action is visited a bounded number of times.  A group
+    without generators has the one empty action, and no table is built.
     """
+    if not group.canonical_presentation.generators:
+        return [((), 1)]
     T = table(d)
     actions = _actions(group, d, limits)
     movers = [T.index[tuple(range(1, d)) + (0,)],
@@ -235,9 +248,13 @@ def _canonical_form(gens, d):
     return tuple(form for form, _ in orbits), aut
 
 
-def _restrict(T, words, classes):
+def _restrict(d, words, classes):
     """The canonical form and automorphism count of the branch group's
-    action through ``words`` at each class representative."""
+    action through ``words`` at each class representative.  A branch
+    group without generators fixes every point, with no table built."""
+    if not words:
+        return [_canonical_form((), d)] * len(classes)
+    T = table(d)
     words = [_compiled(T, w) for w in words]
     return [_canonical_form([T.perms[_evaluate(T, w, rep)] for w in words],
                             T.degree)
@@ -258,58 +275,105 @@ def _branch_table(comp_forms, sing_forms):
 
 def _elimination_order(n, ends, domains):
     """The singular pieces, then the components ``0..n-1``, each next one
-    the component whose elimination builds the smallest table; and the
-    total size of the tables the steps enumerate."""
+    the component whose elimination builds the smallest table, the least
+    slot on ties; and the total size of the tables the steps enumerate.
+
+    A step's table is the variable's domain times those of its
+    neighbours, and eliminating it changes only its neighbours' tables:
+    each loses the variable and gains the others.  So every variable
+    keeps the product of its neighbours' domains, updated by those
+    factors alone, and the components wait in a heap keyed by (size,
+    slot); a neighbour's new size is pushed as a new entry, and entries
+    that no longer match are skipped when popped.
+    """
     nbrs = [set() for _ in domains]
     for c, s in ends:
         nbrs[c].add(s)
         nbrs[s].add(c)
-
-    def size(v):
-        return domains[v] * prod(domains[u] for u in nbrs[v])
-
+    around = [prod(domains[u] for u in near) for near in nbrs]
+    gone = [False] * len(domains)
     order, work = [], 0
 
     def eliminate(v):
         nonlocal work
-        work += size(v)
-        for u in nbrs[v]:
-            nbrs[u] |= nbrs[v]
-            nbrs[u] -= {u, v}
+        near = nbrs[v]
+        work += domains[v] * around[v]
+        for u in near:
+            mine = nbrs[u]
+            mine.discard(v)
+            around[u] //= domains[v]
+            new = near - mine
+            new.discard(u)
+            if new:
+                around[u] *= prod(domains[w] for w in new)
+                mine |= new
+        gone[v] = True
         order.append(v)
 
     for v in range(n, len(domains)):
         eliminate(v)
-    left = list(range(n))
-    while left:
-        v = min(left, key=size)
-        left.remove(v)
+    heap = [(domains[v] * around[v], v) for v in range(n)]
+    heapify(heap)
+    while heap:
+        size, v = heappop(heap)
+        if gone[v] or size != domains[v] * around[v]:
+            continue
         eliminate(v)
+        for u in nbrs[v]:
+            heappush(heap, (domains[u] * around[u], u))
     return order, work
 
 
 def _contract(domains, factors, order):
     """Sum over all assignments of the product of the factors, each a
-    ``(scope, table)`` pair, eliminating the variables in ``order``."""
+    ``(scope, table)`` pair, eliminating the variables in ``order``.
+
+    A table is read at the values of its scope's variables: a tuple of
+    them, or the one value when the scope has one variable.  Each
+    variable lists the factors on it, so a step takes only those, and
+    marks them used.  It enumerates the assignments of their other
+    variables with the eliminated one appended, and reads each factor's
+    key from that tuple with one ``itemgetter``; its message is a table
+    of the same kind, or a number once no variable is left.
+    """
+    live, on, done = [], [[] for _ in domains], []
+
+    def add(scope, f_table):
+        for u in scope:
+            on[u].append(len(live))
+        live.append((scope, f_table))
+
+    for scope, f_table in factors:
+        add(scope, f_table)
     for v in order:
-        touching = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
+        touching = [live[i] for i in on[v] if live[i]]
+        for i in on[v]:
+            live[i] = None
         scope = sorted({u for f_scope, _ in touching for u in f_scope} - {v})
-        out = {}
-        for asg in product(*(range(domains[u]) for u in scope)):
-            env = dict(zip(scope, asg))
+        at = {u: k for k, u in enumerate(scope)}
+        at[v] = len(scope)
+        reads = [(itemgetter(*(at[u] for u in f_scope)), f_table)
+                 for f_scope, f_table in touching]
+        values = range(domains[v])
+        cells = list(product(*(range(domains[u]) for u in scope)))
+        totals = []
+        for asg in cells:
             total = 0
-            for x in range(domains[v]):
-                env[v] = x
+            for x in values:
+                full = asg + (x,)
                 term = 1
-                for f_scope, f_table in touching:
-                    term *= f_table[tuple(env[u] for u in f_scope)]
+                for key, f_table in reads:
+                    term *= f_table[key(full)]
                     if not term:
                         break
                 total += term
-            out[asg] = total
-        factors.append((tuple(scope), out))
-    return prod(f_table[()] for _, f_table in factors)
+            totals.append(total)
+        if not scope:
+            done.append(totals[0])
+        else:
+            add(tuple(scope), totals if len(scope) == 1
+                else dict(zip(cells, totals)))
+    return prod(done)
 
 
 def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
@@ -328,7 +392,6 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
         raise ResourceError(
             f"degree {d} exceeds the configured bound {limits.degree_bound}",
             layer="oracle")
-    T = table(d)
     groups = [p.group for p in (*cfg.components, *cfg.singulars)]
     by_group = {}
     for g in groups:
@@ -358,12 +421,11 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
             f"cover contraction estimate {estimate} exceeds ceiling "
             f"{limits.ceiling}", estimate=estimate,
             ceiling=limits.ceiling, layer="oracle")
-    forms = {(g, words): _restrict(T, words, by_group[g])
+    forms = {(g, words): _restrict(d, words, by_group[g])
              for g, words in sides}
     tables = {key: _branch_table(forms[key[0]], forms[key[1]])
               for key in distinct}
-    factors = [((v,), {(i,): size for i, (_, size) in enumerate(cl)})
-               for v, cl in enumerate(classes)]
+    factors = [((v,), [size for _, size in cl]) for v, cl in enumerate(classes)]
     factors += [((c, s), tables[key]) for key, (c, s) in zip(keys, ends)]
     return _contract(domains, factors, order)
 

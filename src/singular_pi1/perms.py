@@ -20,7 +20,8 @@ is listed with its least element and its size in closed form, with no
 pass over the group.  An element's order is the length of its walk of
 powers back to the identity.  Every order divides ``exponent``, the
 least common multiple of ``1..d``, so ``x^e`` depends only on ``e``
-modulo it (``reduce_exponent``).
+modulo it (``reduce_exponent``), and the solutions of ``x^e = 1`` are
+the elements whose order divides ``gcd(e, exponent)`` (``dividing``).
 """
 
 import itertools
@@ -80,6 +81,7 @@ class PermTable:
         self.size = len(self.perms)
         self.identity = self.index[identity(d)]
         self.exponent = lcm(*range(1, d + 1))
+        self._dividing = {}
         if d < 2:
             self.mul = ((self.identity,),)
             self.inv = (self.identity,)
@@ -151,6 +153,17 @@ class PermTable:
             for j, y in enumerate(powers, start=1):
                 order[y] = k // gcd(j, k)
         return tuple(order)
+
+    def dividing(self, e):
+        """The elements ``x`` with ``x^e`` the identity, in index order:
+        those whose order divides ``gcd(e, exponent)``, so ``e = 0``
+        keeps them all.  Each list is built once per table."""
+        e = gcd(e, self.exponent)
+        if e not in self._dividing:
+            self._dividing[e] = tuple(range(self.size)) \
+                if e == self.exponent \
+                else tuple([x for x, k in enumerate(self.order) if not e % k])
+        return self._dividing[e]
 
     def reduce_exponent(self, e):
         """The exponent ``f`` with ``x^f == x^e`` for every ``x`` and

@@ -9,7 +9,10 @@ for the descent-data reference (``iter_descent_data``,
 ``descent_count``): it visits every tuple of piece actions, where the
 library's oracle sums over conjugacy classes and eliminates variables,
 and ``branch_table_scan`` counts a branch's intertwiners by scanning
-Sym(d), where the oracle compares canonical forms.
+Sym(d), where the oracle compares canonical forms, and
+``elimination_order_reference`` is the greedy scan, with every
+candidate's size recomputed at every step, whose order and work the
+oracle's heap must reproduce.
 The van Kampen forms check (``check_vk_forms``) tests the assembly, not
 the counter, and counts with ``count_homs``.  ``tietze_reference`` is
 the plain restart-from-the-first-relator Tietze loop that the library's
@@ -467,6 +470,40 @@ def branch_table_scan(T, psi_words, phi_words, comp_classes, sing_classes):
                             if all(compose(p, lam) == compose(lam, q)
                                    for p, q in zip(ps, qs)))
     return out
+
+
+def elimination_order_reference(n, ends, domains):
+    """The oracle's elimination order by the plain greedy scan: the
+    singular pieces ``n..`` in turn, then at each step the first of the
+    remaining components whose table, its domain times its neighbours',
+    is smallest, every size recomputed; and the total size of the
+    tables."""
+    nbrs = [set() for _ in domains]
+    for c, s in ends:
+        nbrs[c].add(s)
+        nbrs[s].add(c)
+
+    def size(v):
+        return domains[v] * prod(domains[u] for u in nbrs[v])
+
+    order, work = [], 0
+
+    def eliminate(v):
+        nonlocal work
+        work += size(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+        order.append(v)
+
+    for v in range(n, len(domains)):
+        eliminate(v)
+    left = list(range(n))
+    while left:
+        v = min(left, key=size)
+        left.remove(v)
+        eliminate(v)
+    return order, work
 
 
 def iter_descent_data(cfg, d):

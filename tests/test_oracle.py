@@ -11,8 +11,9 @@ from singular_pi1 import (Component, GroupSpec, InputError, Limits,
                           pi1_devissage, pi1_graph_of_groups,
                           transitive_counts)
 from support import (brute_connected_count, chain_config, descent_count,
-                     family_config, group_actions, iter_descent_data,
-                     load_corpus, nodal_config, orbit_groupoid_cardinality,
+                     elimination_order_reference, family_config,
+                     group_actions, iter_descent_data, load_corpus,
+                     nodal_config, orbit_groupoid_cardinality,
                      random_general_config, theta_config, trivial_branch,
                      TRIV)
 
@@ -102,19 +103,25 @@ class TestContractionMatchesProductLoop:
 KLEIN = GroupSpec.permutation(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
 
 
-def presented_s3():
+def presented_s3(a_relators=((0, 2),)):
     from singular_pi1 import Presentation
     return GroupSpec.presented(Presentation(
-        ["a", "b"], [((0, 2),), ((1, 3),), ((0, 1), (1, 1)) * 2]))
+        ["a", "b"], [*((r,) for r in a_relators), ((1, 3),),
+                     ((0, 1), (1, 1)) * 2]))
 
 
 @pytest.mark.parametrize("group", [
     TRIV, C2, GroupSpec.cyclic(3), GroupSpec.symmetric(3), KLEIN,
-    presented_s3()], ids=["trivial", "C2", "C3", "S3", "Klein", "presented"])
+    presented_s3(), GroupSpec.cyclic(4), GroupSpec.cyclic(6),
+    # a^4 and a^6 on one generator: its candidates are the elements whose
+    # order divides gcd(4, 6) = 2
+    presented_s3(((0, 4), (0, 6)))],
+    ids=["trivial", "C2", "C3", "S3", "Klein", "presented", "C4", "C6",
+         "presented-gcd"])
 def test_action_search_finds_exactly_the_actions(group):
     from singular_pi1.oracle import _actions
     from singular_pi1.perms import table
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3, 4, 5):
         perms = table(d).perms
         found = _actions(group, d)
         assert len(set(found)) == len(found)
@@ -173,11 +180,97 @@ def test_branch_tables_match_the_intertwiner_scan(group):
                   for _ in range(rng.randint(0, 3)))
             for _ in range(n))
         for psi, phi in ((ident, ident), (words, ident), (ident, words)):
-            got = _branch_table(_restrict(T, psi, comp),
-                                _restrict(T, phi, sing))
+            got = _branch_table(_restrict(d, psi, comp),
+                                _restrict(d, phi, sing))
             assert got == branch_table_scan(T, psi, phi, comp, sing), d
             nonzero += sum(1 for v in got.values() if v)
     assert nonzero >= 8
+
+
+def test_elimination_order_matches_the_plain_greedy():
+    # few domain sizes, so that many candidates tie on size, and repeated
+    # branches between one component and one singular piece
+    from singular_pi1.oracle import _elimination_order
+    rng = random.Random(41)
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(0, 9)
+        ends = [(rng.randrange(n), s) for s in range(n, n + m)]
+        ends += [(rng.randrange(n), rng.randrange(n, n + m))
+                 for _ in range(rng.randint(0, 2 * m) if m else 0)]
+        rng.shuffle(ends)
+        domains = [rng.choice((1, 2, 2, 3)) for _ in range(n + m)]
+        assert _elimination_order(n, ends, domains) \
+            == elimination_order_reference(n, ends, domains), \
+            (n, ends, domains)
+
+
+@pytest.mark.parametrize("family", ["chain", "star", "theta"])
+def test_elimination_multiplies_linearly_many_factors(family, monkeypatch):
+    """Eliminating a variable changes only its neighbours' sizes, so the
+    factors the greedy order multiplies grow with the number of pieces,
+    and a star's hub is not re-multiplied at every step."""
+    import singular_pi1.oracle as oracle
+
+    factors = 0
+    real = oracle.prod
+
+    def counting(items):
+        nonlocal factors
+        items = list(items)
+        factors += len(items)
+        return real(items)
+
+    monkeypatch.setattr(oracle, "prod", counting)
+    multiplied = {}
+    for n in (64, 128):
+        cfg = family_config(family, n)
+        factors = 0
+        enumerate_descent_data(cfg, 2)
+        multiplied[n] = factors
+    assert multiplied[128] <= 2.2 * multiplied[64], multiplied
+
+
+def test_trivial_groups_build_no_table_of_sym_d():
+    # the corpus chain has only trivial groups, and its presentation is
+    # free, so neither counter needs Sym(d); nontrivial-Z2 still does
+    import contextlib
+    import hashlib
+    import io
+    import json
+    from importlib import resources
+    from pathlib import Path
+
+    from singular_pi1 import perms
+    from singular_pi1.cli import main
+
+    golden = json.loads(Path(__file__).with_name("golden_cli.json")
+                        .read_text(encoding="utf-8"))
+    corpus = resources.files("singular_pi1") / "configs"
+
+    def verify(name, *flags):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["verify", str(corpus / f"{name}.json"), *flags])
+        return code, buf.getvalue()
+
+    def pinned(name, *flags):
+        code, out = verify(name, *flags)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert [code, digest] == golden[" ".join(
+            [f"corpus/{name}", "verify", *flags])]
+
+    perms.table.cache_clear()
+    code, out = verify("chain", "--degree-max", "5", "--connected")
+    assert perms.table.cache_info().currsize == 0
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["degree"] for r in reports] == [2, 3, 4, 5]
+    assert {r["verdict"] for r in reports} \
+        | {r["connected"]["verdict"] for r in reports} == {"pass"}
+    pinned("chain", "--degree-max", "3", "--connected")
+    assert perms.table.cache_info().currsize == 0
+    pinned("nontrivial-Z2", "--degree-max", "3", "--connected")
+    assert perms.table.cache_info().currsize == 3
 
 
 class TestGroupoidCardinality:

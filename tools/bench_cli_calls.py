@@ -4,14 +4,18 @@ Run from the repository root:
 
     python3 tools/bench_cli_calls.py --label after
 
-For ``validate``, ``present`` and ``verify --degree-max 3`` on each of
-the 8 bundled configurations, for ``present`` on the chain, star
-and theta with 16 singular pieces (the non-trivial S3/C2 variant) and
-with 48 (the all-trivial variant, where reading and checking the
-configuration is nearly all the work), and for the six ``present
---degrees`` calls of perfbench's count-families workload (small S3/C2
-families, counted at degrees 2..5 or 2..4 with the ceiling lifted),
-each at seed 1 and written by ``perfbench/families.py``, the script
+For ``validate``, ``present``, ``verify --degree-max 3`` and the two
+``verify`` calls of perfbench's verify-corpus workload (``--degree-max
+5`` with the ceiling lifted, and ``--degree-max 3 --connected``) on
+each of the 8 bundled configurations, for ``present`` on the chain,
+star and theta with 16 singular pieces (the non-trivial S3/C2 variant)
+and with 48 (the all-trivial variant, where reading and checking the
+configuration is nearly all the work), for ``verify --degree-max 3
+--connected`` on the chain, star and theta with 2 pieces (S3/C2, as in
+verify-corpus), and for the six ``present --degrees`` calls of
+perfbench's count-families workload (small S3/C2 families, counted at
+degrees 2..5 or 2..4 with the ceiling lifted), each at seed 1 and
+written by ``perfbench/families.py``, the script
 starts a fresh interpreter ``REPEATS`` times.  Each one imports
 ``singular_pi1.cli`` and then times ``cli.main(argv)`` alone, with its
 output captured, so the start of the interpreter and the import are
@@ -37,7 +41,8 @@ and ``after-argv`` predate the family rows and the two collector and
 import numbers, every label before ``before-ingest`` the all-trivial
 rows, and every label before ``before-order`` the count-families rows
 and ``norm``.  ``before-onepass`` and ``after-onepass`` are the first
-pair recorded in one run, in alternation (``alternated_with``).
+pair recorded in one run, in alternation (``alternated_with``), and
+every label before ``before-orders`` lacks the verify-corpus rows.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
@@ -73,14 +78,19 @@ import families  # noqa: E402
 
 CORPUS = ("chain", "nodal", "nontrivial-Z", "nontrivial-Z2", "regular",
           "semistable-C2", "star", "theta")
-CALLS = (("validate",), ("present",), ("verify", "--degree-max", "3"))
+NO_CEILING = ("--ceiling", str(10 ** 16))
+# perfbench's verify-corpus calls of verify
+CONNECTED = ("verify", "--degree-max", "3", "--connected")
+CALLS = (("validate",), ("present",), ("verify", "--degree-max", "3"),
+         ("verify", "--degree-max", "5", *NO_CEILING), CONNECTED)
 # (variant, number of singular pieces) of the family rows
 FAMILY_ROWS, SEED = (("nontrivial", 16), ("trivial", 48)), 1
+# the small families of verify-corpus, verified with CONNECTED
+SMALL = 2
 # perfbench's count-families operations: (family, pieces, degrees)
 COUNT_ROWS = (("chain", 3, "2,3,4,5"), ("star", 3, "2,3,4,5"),
               ("theta", 2, "2,3,4,5"), ("chain", 5, "2,3,4"),
               ("star", 5, "2,3,4"), ("theta", 4, "2,3,4"))
-NO_CEILING = ("--ceiling", str(10 ** 16))
 REPEATS = 21
 EDGE_SAMPLES = 3
 CHILD = """
@@ -158,6 +168,10 @@ def main():
                                          SEED),
                    ("present", "--degrees", degrees, *NO_CEILING))
                   for family, n, degrees in COUNT_ROWS]
+        calls += [(f"{family}-nontrivial-{SMALL}",
+                   families.write_config(Path(tmp), family, "nontrivial",
+                                         SMALL, SEED), CONNECTED)
+                  for family in families.FAMILIES]
         for name, path, (command, *flags) in calls:
             argv = [command, str(path), *flags]
             runs = {label: [] for label in trees}
