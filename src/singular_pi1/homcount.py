@@ -38,6 +38,14 @@ with the width of that graph rather than with the number of generators
 * eliminating a generator enumerates its bucket, the assignments of
   every generator that shares a factor with it, and passes the sums
   over its values on as a table (a message) over the others;
+* twins, generators with equal unary exponents whose factors are equal
+  once each is written with the generator itself as a placeholder, such
+  as the leaves around the hub of a chain or a star or the stable
+  letters of a theta, are summed out first, each class by the bucket
+  of one representative whose message is raised to the class size
+  (lifted variable elimination: R. de Salvo Braz, E. Amir and D. Roth,
+  *Lifted first-order probabilistic inference*, 2005), so ``N``
+  identical pieces cost one bucket, not ``N``;
 * each bucket is enumerated by a forward-checking search over integer
   slots that checks every relator and looks up every incoming message
   as soon as its generators are bound;
@@ -45,25 +53,28 @@ with the width of that graph rather than with the number of generators
   each step would enumerate plus the most its message could hold (a
   cheap bucket whose message is wide makes every later bucket that
   receives it wide), and is compared with the order that eliminates
-  every generator in one bucket, a plain forward-checking search of
-  the whole component; the cheaper is used.  The greedy reads only the
-  domain sizes and the neighbour sets of the generators, so it runs on
-  integers, and buckets are built for the chosen order alone.
+  every generator left after the twins in one bucket, a plain
+  forward-checking search; the cheaper is used.  The greedy reads only the domain sizes and the neighbour sets
+  of the generators, so it runs on integers, and buckets are built for
+  the chosen order alone;
+* at degree 0 and 1 Sym(d) is trivial, so the count is 1, with no table
+  and no plan.
 
 The degree-free part of a component's plan, its relator scopes, roots
-and powers, unary exponents and neighbour sets (``_Skeleton``), is
-built with the split, which is kept for the last presentation counted;
-each degree adds the domains and the elimination order.  Exponents are
-reduced modulo the exponent of Sym(d), ``lcm(1..d)``, when a relator is
-compiled into a search, so an exponent of any size costs at most
-``lcm(1..d) / 2`` products.
+and powers, unary exponents, neighbour sets and twin classes
+(``_Skeleton``), is built with the split, which is kept for the last
+presentation counted; each degree adds the domains and the elimination
+order.  Exponents are reduced modulo the exponent of Sym(d),
+``lcm(1..d)``, when a relator is compiled into a search, so an exponent
+of any size costs at most ``lcm(1..d) / 2`` products.
 
 The estimate gated against the ceiling is the sum, over the buckets of
 every distinct component of the simplified presentation, of the product
 of the domain sizes each enumerates, the hub's domain counting its
 classes.  A repeated component is counted once and its count raised to
-its multiplicity, so it is charged once too.  The estimate is known
-before any counting starts.
+its multiplicity, so it is charged once too, and so is the bucket that
+sums out a class of twins.  The estimate is known before any counting
+starts.
 """
 
 from collections import Counter
@@ -129,10 +140,16 @@ class _Skeleton:
     generators: ``unary[v]``, the gcd of the exponent sums of the
     relators on ``v`` alone (0 when there is none); ``factors``, the
     other relators as ``(scope, root, power)``; ``nbrs[v]``, the
-    generators sharing a factor with ``v``; and ``links[v]``, the number
-    of factors on ``v``."""
+    generators sharing a factor with ``v``; ``links[v]``, the number
+    of factors on ``v``; and ``twins``, the classes of two or more
+    twin generators in slot order, each in slot order.
 
-    __slots__ = ("n", "unary", "factors", "nbrs", "links")
+    Generators are twins when their ``unary`` is equal and so are their
+    factors once each is written with the generator itself as a
+    placeholder (-1), so twins share no factor and have the same
+    neighbours."""
+
+    __slots__ = ("n", "unary", "factors", "nbrs", "links", "twins")
 
     def __init__(self, n, relators):
         self.n = n
@@ -146,13 +163,20 @@ class _Skeleton:
             else:
                 self.factors.append((scope, *_root(rel)))
         self.nbrs = [set() for _ in range(n)]
-        for scope, _, _ in self.factors:
+        own = [[] for _ in range(n)]
+        for scope, root, k in self.factors:
             for v in scope:
                 self.nbrs[v] |= scope
+                own[v].append((tuple((-1 if s == v else s, e)
+                                     for s, e in root), k))
         for v, near in enumerate(self.nbrs):
             near.discard(v)
-        self.links = Counter(v for scope, _, _ in self.factors
-                             for v in scope)
+        self.links = [len(mine) for mine in own]
+        classes = {}
+        for v, mine in enumerate(own):
+            mine.sort()
+            classes.setdefault((self.unary[v], tuple(mine)), []).append(v)
+        self.twins = [tuple(c) for c in classes.values() if len(c) > 1]
 
 
 class _Bucket:
@@ -174,13 +198,15 @@ class _Bucket:
     letters, one per unit of its exponents reduced modulo the exponent
     of Sym(d): slot ``i`` for the value at ``i`` and ``~i`` for its
     inverse.  A root whose exponents all reduce to 0 holds at every
-    assignment and is dropped.  ``out`` holds the slots of the scope.
+    assignment and is dropped.  ``out`` holds the slots of the scope,
+    and the message is raised to ``power``, the number of twins the
+    bucket sums out.
     """
 
-    __slots__ = ("scope", "order", "cost", "cands", "checks", "lookups",
-                 "out")
+    __slots__ = ("scope", "order", "cost", "power", "cands", "checks",
+                 "lookups", "out")
 
-    def __init__(self, elim, rels, msgs, domains, T):
+    def __init__(self, elim, rels, msgs, domains, T, power=1):
         inside = set(elim)
         rels = [f for f in rels if not inside.isdisjoint(f[0])]
         msgs = [f for f in msgs if not inside.isdisjoint(f[0])]
@@ -192,6 +218,7 @@ class _Bucket:
         self.order = order = tuple(sorted(
             weight, key=lambda v: (-weight[v], len(domains[v]), v)))
         self.cost = prod(len(domains[v]) for v in order)
+        self.power = power
 
         slot = {v: i for i, v in enumerate(order)}
         self.cands = [domains[v] for v in order]
@@ -260,6 +287,17 @@ class _Elimination:
     each representative by its class size.  The hub is the generator in
     the most relators on two or more generators, the larger domain
     first on ties, so that fixing it constrains the most.
+
+    Twins (``_Skeleton.twins``) are summed out first, one bucket per
+    class: given their neighbours, the sums over ``k`` twins are equal
+    and independent, so the bucket of one representative, which holds
+    only its own relators, has its message raised to ``k``, and the
+    other twins' relators are dropped (lifted variable elimination:
+    R. de Salvo Braz, E. Amir and D. Roth, 2005).  The hub leaves its
+    class, since its domain is weighted representatives.  A class next
+    to one already summed out, in slot order, is left to the rest of the
+    plan: both buckets would need the relators that join them, and
+    each keeps only one representative's.
     """
 
     __slots__ = ("buckets", "estimate", "weights")
@@ -274,18 +312,36 @@ class _Elimination:
         self.weights = {x: size for x, size in T.classes if x in inside}
         domains[hub] = tuple(sorted(self.weights))
 
-        # the greedy order on integers: eliminating v enumerates its
-        # domain times those of its neighbours, and leaves a message
-        # over the neighbours, who then neighbour each other
+        # the plan on integers: eliminating v enumerates its domain
+        # times those of its neighbours, and leaves a message over the
+        # neighbours, who then neighbour each other
         sizes = [len(dom) for dom in domains]
         nbrs = [set(near) for near in sk.nbrs]
 
+        # the twin classes summed out first, each by its lowest member
+        twins, taken = [], set()
+        for members in sk.twins:
+            members = [v for v in members if v != hub]
+            if len(members) > 1 and taken.isdisjoint(nbrs[members[0]]):
+                twins.append(members)
+                taken.update(members)
+        cost = 0
+        for members in twins:
+            near = nbrs[members[0]]
+            cost += sizes[members[0]] * prod(sizes[u] for u in near)
+            for u in near:
+                nbrs[u].difference_update(members)
+                nbrs[u] |= near
+                nbrs[u].discard(u)
+
+        # then the greedy order of the rest
         def size(v):
             """The bucket of ``v`` plus its message, and ``v`` on ties."""
             return (sizes[v] + 1) * prod(sizes[u] for u in nbrs[v]), v
 
-        picks, cost, cand = [], 0, {}
-        remaining = set(range(n))
+        picks, greedy, cand = [], 0, {}
+        remaining = set(range(n)) - taken
+        rest = sorted(remaining)
         while remaining:
             for v in remaining:
                 if v not in cand:
@@ -294,7 +350,7 @@ class _Elimination:
             remaining.discard(x)
             del cand[x]
             near = nbrs[x]
-            cost += sizes[x] * prod(sizes[u] for u in near)
+            greedy += sizes[x] * prod(sizes[u] for u in near)
             # only the buckets of the generators next to x change
             for u in near:
                 cand.pop(u, None)
@@ -302,13 +358,27 @@ class _Elimination:
                 nbrs[u] -= {u, x}
             picks.append(x)
 
-        rels, msgs = sk.factors, [((hub,), 0)]
-        whole = prod(sizes)
-        self.estimate = min(whole, cost)
-        if whole <= cost:
-            self.buckets = [_Bucket(range(n), rels, msgs, domains, T)]
+        # each representative's bucket holds its own relators alone
+        mine = {members[0]: [] for members in twins}
+        rels = []
+        for f in sk.factors:
+            for v in f[0]:
+                if v in mine:
+                    mine[v].append(f)
+            if taken.isdisjoint(f[0]):
+                rels.append(f)
+        msgs, self.buckets = [((hub,), 0)], []
+        for members in twins:
+            b = _Bucket(members[:1], mine[members[0]], [], domains, T,
+                        len(members))
+            self.buckets.append(b)
+            msgs.append((b.scope, len(self.buckets)))
+
+        whole = prod(sizes[v] for v in rest)
+        self.estimate = cost + min(whole, greedy)
+        if whole <= greedy:
+            self.buckets.append(_Bucket(rest, rels, msgs, domains, T))
         else:
-            self.buckets = []
             for x in picks:
                 b = _Bucket((x,), rels, msgs, domains, T)
                 rels = [f for f in rels if x not in f[0]]
@@ -335,8 +405,10 @@ class _Elimination:
 
             b.run(T, tables, asg, leaf)
             if not b.out:
-                message = message.get((), 0)
+                message = message.get((), 0) ** b.power
                 count *= message
+            elif b.power > 1:
+                message = {k: w ** b.power for k, w in message.items()}
             tables.append(message)
             if not message:
                 return 0
@@ -369,6 +441,9 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
     _check_degree(d, limits)
+    if d <= 1:
+        # Sym(0) and Sym(1) are trivial: one map, which kills everything
+        return 1
     parts, free = _components(p)
     # a presentation without relators needs no table of Sym(d)
     T = table(d) if parts else None

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from singular_pi1 import (Branch, Component, GroupSpec, Homo, InputError,
                           Presentation, SchemeConfig, Singular, count_homs,
@@ -230,9 +230,18 @@ def plan_reference(n, relators, d):
     """The bucket plan of one component that ``homcount._Elimination``
     must reproduce, by the greedy loop that builds the candidate bucket
     of every remaining generator at every step: ``(buckets, estimate)``,
-    one ``(order, scope, cost)`` per bucket.  ``n`` and ``relators`` are
-    a component key of ``homcount``; domains are filtered by powering
-    each element letter by letter."""
+    one ``(order, scope, cost, power)`` per bucket.  ``n`` and
+    ``relators`` are a component key of ``homcount``; domains are
+    filtered by powering each element letter by letter.
+
+    Twins are compared pair by pair: ``u`` and ``v`` are twins when the
+    gcds of the exponent sums of their one-generator relators are equal
+    and so are their other relators, each written with ``u``
+    (respectively ``v``) as -1.  A class of twins, less the hub and
+    unless a relator joins it to a class already summed out, is summed
+    out first by one bucket on its lowest generator, whose power is the
+    class size; the others' relators are dropped, and the rest is
+    planned as a component without twins."""
     T = table(d)
 
     def holds(x, e):
@@ -242,18 +251,35 @@ def plan_reference(n, relators, d):
         return acc == T.identity
 
     unary = [[] for _ in range(n)]
-    rels = []
+    rels, wide = [], []
     for rel in relators:
         scope = frozenset(s for s, _ in rel)
         if len(scope) == 1:
             unary[rel[0][0]].append(sum(e for _, e in rel))
         else:
             rels.append(scope)
+            wide.append(rel)
     domains = [[x for x in range(T.size) if all(holds(x, e) for e in es)]
                for es in unary]
     links = Counter(v for scope in rels for v in scope)
     hub = max(range(n), key=lambda v: (links[v], len(domains[v]), -v))
     domains[hub] = sorted(x for x, _ in T.classes if x in domains[hub])
+
+    def written(v):
+        return sorted(tuple((-1 if s == v else s, e) for s, e in rel)
+                      for rel in wide if any(s == v for s, _ in rel))
+
+    def twins(u, v):
+        return gcd(*unary[u]) == gcd(*unary[v]) and written(u) == written(v)
+
+    classes = []
+    for v in range(n):
+        for cls in classes:
+            if twins(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
 
     def bucket(elim, rels, msgs):
         inside = set(elim)
@@ -263,15 +289,31 @@ def plan_reference(n, relators, d):
         order = tuple(sorted(scope, key=lambda v: (-weight[v],
                                                    len(domains[v]), v)))
         return (order, tuple(sorted(scope - inside)),
-                prod(len(domains[v]) for v in order))
+                prod(len(domains[v]) for v in order), 1)
 
     def size(v, rels, msgs):
-        _, scope, cost = bucket((v,), rels, msgs)
+        _, scope, cost, _ = bucket((v,), rels, msgs)
         return cost + prod(len(domains[u]) for u in scope), v
 
-    msgs = [(hub,)]
-    one = bucket(range(n), rels, msgs)
-    greedy, remaining = [], set(range(n))
+    summed, taken = [], set()
+    for cls in classes:
+        members = [v for v in cls if v != hub]
+        if len(members) > 1 and not any(sc & taken and sc & set(members)
+                                         for sc in rels):
+            summed.append(members)
+            taken |= set(members)
+    rels = [sc for sc in rels
+            if not any(sc & set(members[1:]) for members in summed)]
+    msgs, first = [(hub,)], []
+    for members in summed:
+        order, scope, cost, _ = bucket(members[:1], rels, [])
+        first.append((order, scope, cost, len(members)))
+        rels = [sc for sc in rels if members[0] not in sc]
+        msgs.append(scope)
+
+    remaining = set(range(n)) - taken
+    one = bucket(remaining, rels, msgs)
+    greedy = []
     while remaining:
         x = min(remaining, key=lambda v: size(v, rels, msgs))
         b = bucket((x,), rels, msgs)
@@ -282,7 +324,8 @@ def plan_reference(n, relators, d):
         if b[1]:
             msgs.append(b[1])
     cost = sum(b[2] for b in greedy)
-    return ([one] if one[2] <= cost else greedy), min(one[2], cost)
+    return first + ([one] if one[2] <= cost else greedy), \
+        sum(b[2] for b in first) + min(one[2], cost)
 
 
 def count_classes(n_points, edges):

@@ -236,7 +236,10 @@ def _plan_presentations():
     rng = random.Random(13)
     randoms = [random_presentation(rng, max_gens=5, max_relators=5,
                                    max_len=6) for _ in range(40)]
-    return corpus + families + randoms + list(_power_presentations(22, 10))
+    twins = list(_twin_presentations(33, 10)) + [
+        _bipartite(k, j, 2, 3, _braid) for k, j in ((2, 2), (3, 3), (4, 2))]
+    return corpus + families + randoms + list(_power_presentations(22, 10)) \
+        + twins
 
 
 def _component_keys(p):
@@ -256,7 +259,7 @@ def test_plan_matches_the_plain_greedy():
             for key, (sk, _) in zip(keys, parts):
                 plan = homcount._Elimination(sk, table(d))
                 buckets, estimate = plan_reference(*key, d)
-                assert [(b.order, b.scope, b.cost)
+                assert [(b.order, b.scope, b.cost, b.power)
                         for b in plan.buckets] == buckets, (p, d)
                 assert plan.estimate == estimate, (p, d)
 
@@ -309,3 +312,152 @@ def test_a_repeated_component_is_charged_once():
     for d in (2, 3, 4, 5):
         assert count_homs(p, d, Limits(ceiling=3)) \
             == count_order_dividing(d, 2) ** 2
+
+
+def _collapsed(p, d):
+    """The powers of the buckets that sum out twin classes in the plans
+    of ``p`` at degree ``d``."""
+    parts, _ = homcount._components(p)
+    return [b.power for sk, _ in parts
+            for b in homcount._Elimination(sk, table(d)).buckets
+            if b.power > 1]
+
+
+def _twin_presentations(seed, count):
+    """A random core on one or two generators, with a random relator on
+    them or none, and ``k`` = 2..4 copies of a twin ``t``: each copy
+    has ``t``'s unary relator, if any, and its one or two relators on
+    ``t`` and the core, which may be powers.  The core comes first."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, k = rng.choice((1, 2)), rng.randint(2, 4)
+        relators = [((v, rng.choice((2, 3))),) for v in range(m)
+                    if rng.random() < 0.8]
+        if m == 2 and rng.random() < 0.5:
+            relators.append(power(_random_root(rng, 2, 2), rng.randint(1, 2)))
+        twin = rng.choice(((), ((m, 2),), ((m, 3),), ((m, 4),)))
+        words, want = [], rng.randint(1, 2)
+        while len(words) < want:
+            word = _random_root(rng, m + 1, rng.randint(2, 3))
+            if any(s == m for s, _ in word) and any(s < m for s, _ in word):
+                words.append(power(word, rng.randint(1, 3)))
+        for t in range(m, m + k):
+            relators += [tuple((t if s == m else s, e) for s, e in w)
+                         for w in (twin, *words) if w]
+        yield Presentation([f"x{i}" for i in range(m + k)], relators)
+
+
+def _bipartite(k, j, a_order, b_order, word):
+    """``k`` generators ``a`` of order dividing ``a_order`` and ``j``
+    generators ``b`` of order dividing ``b_order``, with ``word(a, b)``
+    as a relator for every pair: the ``a`` and the ``b`` are two
+    adjacent twin classes, and the hub is the lowest of the class with
+    the most relators, the ``a`` on a tie."""
+    relators = [((v, a_order),) for v in range(k)]
+    relators += [((k + v, b_order),) for v in range(j)]
+    relators += [word(a, k + b) for a in range(k) for b in range(j)]
+    return Presentation([f"x{i}" for i in range(k + j)], relators)
+
+
+def _commute(a, b):
+    return ((a, 1), (b, 1), (a, -1), (b, -1))
+
+
+def _braid(a, b):
+    return ((a, 1), (b, 1)) * 3
+
+
+def test_twins_are_summed_out_once_and_match_brute_force():
+    presentations = list(_twin_presentations(31, 24))
+    assert sum(bool(_collapsed(p, 3)) for p in presentations) >= 16
+    for p in presentations:
+        for d in (2, 3):
+            assert count_homs(p, d) == brute_count_homs(p, d), (p, d)
+        assert count_homs(p, 4) == search_count_homs(p, 4), p
+
+
+@pytest.mark.parametrize("k, j", [(2, 2), (2, 3), (3, 3), (3, 2)])
+@pytest.mark.parametrize("word", [_commute, _braid])
+def test_adjacent_twin_classes_and_a_hub_in_a_class(k, j, word):
+    p = _bipartite(k, j, 2, 2, word)
+    parts, _ = homcount._components(p)
+    ((sk, _),) = parts
+    assert sk.twins == [tuple(range(k)), tuple(range(k, k + j))]
+    for d in (2, 3):
+        assert count_homs(p, d) == brute_count_homs(p, d), (p, d)
+    q = _bipartite(k, j, 2, 3, word)
+    for d in (2, 3, 4):
+        assert count_homs(q, d) == search_count_homs(q, d), (q, d)
+    # the hub leaves its class; the b are summed out only when the a,
+    # their neighbours and first in slot order, are not
+    a, b = (k - 1, j) if j >= k else (k, j - 1)
+    assert _collapsed(p, 3) == ([a] if a > 1 else [b] if b > 1 else [])
+
+
+def _twins_around_a_hub(k):
+    """<h, t1..tk | h^2, ti^2, (h ti)^3>: S3s amalgamated along <h>."""
+    relators = [((0, 2),)]
+    for t in range(1, k + 1):
+        relators += [((t, 2),), ((0, 1), (t, 1)) * 3]
+    return Presentation([f"x{i}" for i in range(k + 1)], relators)
+
+
+def test_twins_are_counted_once_and_charged_once(monkeypatch):
+    runs, run = [], homcount._Bucket.run
+    monkeypatch.setattr(homcount._Bucket, "run",
+                        lambda b, *args: runs.append(b) or run(b, *args))
+    for d in (2, 3, 4):
+        estimates = set()
+        for k in (2, 3, 4):
+            p = _twins_around_a_hub(k)
+            ((sk, _),), _ = homcount._components(p)
+            assert sk.twins == [tuple(range(1, k + 1))]
+            runs.clear()
+            expected = closed_family_homs("star", k - 1, d)
+            assert count_homs(p, d) == expected
+            # one bucket sums out the k twins, one the hub
+            assert [b.power for b in runs] == [k, 1]
+            (key,) = _component_keys(p)
+            estimate = plan_reference(*key, d)[1]
+            with pytest.raises(ResourceError) as err:
+                count_homs(p, d, Limits(ceiling=estimate - 1))
+            assert err.value.estimate == estimate
+            assert count_homs(p, d, Limits(ceiling=estimate)) == expected
+            estimates.add(estimate)
+        # charged once: the estimate does not grow with k
+        assert len(estimates) == 1
+    for k in (2, 3):
+        p = _twins_around_a_hub(k)
+        for d in (2, 3):
+            assert count_homs(p, d) == brute_count_homs(p, d)
+
+
+def test_degrees_below_two_count_one_without_a_plan(monkeypatch):
+    # a path of 1500 generators, no two of them twins
+    n = 1500
+    relators = [((v, 2),) for v in range(n)]
+    relators += [_commute(v, v + 1) for v in range(n - 1)]
+    p = Presentation([f"x{i}" for i in range(n)], relators)
+    ((sk, _),), _ = homcount._components(p)
+    assert sk.n == n and sk.twins == []
+
+    def fail(*args):
+        raise AssertionError("built a table or a plan")
+    monkeypatch.setattr(homcount, "table", fail)
+    monkeypatch.setattr(homcount, "_Elimination", fail)
+    for d in (0, 1):
+        assert count_homs(p, d, Limits(ceiling=0)) == 1
+
+
+@pytest.mark.parametrize("family", ["chain", "star", "theta"])
+def test_1024_piece_families_are_counted_in_as_many_buckets_as_64(family):
+    def buckets(n, d):
+        pres = pi1_graph_of_groups(family_config(family, n)).presentation
+        parts, _ = homcount._components(pres)
+        return [len(homcount._Elimination(sk, table(d)).buckets)
+                for sk, _ in parts]
+
+    for d in (2, 3, 4, 5):
+        assert buckets(64, d) == buckets(1024, d)
+    pres = pi1_graph_of_groups(family_config(family, 1024)).presentation
+    assert count_homs(pres, 5) == closed_family_homs(family, 1024, 5)

@@ -3,6 +3,8 @@
 Run from the repository root:
 
     python3 tools/bench_present_families.py --label after
+    python3 tools/bench_present_families.py --label after \
+        --other-tree ../parent --other-label before
 
 Rows (seed 1, written by ``perfbench/families.py``; the variant is
 the non-trivial S3/C2 one unless named):
@@ -17,7 +19,9 @@ the non-trivial S3/C2 one unless named):
   1024;
 * ``present --route devissage`` on the trivial chain at N = 1000 and
   2000;
-* ``plan`` on chain, star and theta at N = 256 and 1024.
+* ``plan`` on chain, star and theta at N = 256 and 1024;
+* ``present --degrees 2,3,4,5`` (the default route, counted under the
+  default ceiling) on chain, star and theta at N = 256 and 1024.
 
 Each row makes ``CALLS`` CLI calls, each in a fresh interpreter under
 the default flags, with the runner of ``bench_verify_families.py``, and
@@ -33,14 +37,19 @@ each.  The ``before-vk`` label has no form iv row above N = 8: there
 form iv still copied the union once per overlap component, so its raw
 presentation doubled with every piece of the theta.)
 
-A label runs all its rows minutes before or after another label, and
-the speed of a small VM drifts by more than the change of a row whose
-code did not change, so only ratios of 4x or more, between labels or
-between the sizes of one label, are read from these rows.
-
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_present_families.json`` at the root), next to the rows of other
 labels already in the file, so one file holds a before/after pair.
+With ``--other-tree DIR --other-label LABEL`` the same run also calls
+the package under ``DIR/src``, such as a checkout of the parent commit,
+on the same input files: each call of one tree is followed by a call of
+the other, the two in turn first, so a drift of the machine's speed
+falls on both labels alike, and the rows of ``DIR`` are stored under
+``LABEL``.  A label recorded alone runs all its rows minutes before or
+after another label, and the speed of a small VM drifts by more than
+the change of a row whose code did not change, so only ratios of 4x or
+more are read between such labels (rows of labels recorded before
+``before-twins`` and ``after-twins`` were recorded so).
 """
 
 import argparse
@@ -70,6 +79,8 @@ ROWS = [("present", "nontrivial", family, n, ())
     + [("present", "trivial", "chain", n, ("--route", "devissage"))
        for n in (1000, 2000)] \
     + [("plan", "nontrivial", family, n, ())
+       for n in (256, 1024) for family in families.FAMILIES] \
+    + [("present", "nontrivial", family, n, ("--degrees", "2,3,4,5"))
        for n in (256, 1024) for family in families.FAMILIES]
 
 
@@ -79,37 +90,61 @@ def main():
                         help="key the rows are stored under")
     parser.add_argument("--output", default=str(ROOT /
                                                 "BENCH_present_families.json"))
+    parser.add_argument("--other-tree", type=Path,
+                        help="a second source tree, called in alternation")
+    parser.add_argument("--other-label",
+                        help="key the second tree's rows are stored under")
     args = parser.parse_args()
+    if (args.other_tree is None) != (args.other_label is None):
+        parser.error("--other-tree and --other-label go together")
+    trees = {args.label: ROOT}
+    if args.other_tree is not None:
+        if args.other_label == args.label:
+            parser.error("--other-label must differ from --label")
+        trees[args.other_label] = args.other_tree.resolve()
 
-    rows = []
+    rows = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
+        turn = 0
         for command, variant, family, n, flags in ROWS:
             path = families.write_config(Path(tmp), family, variant, n, SEED)
-            runs = [run_cli(command, path, flags)]
-            while len(runs) < CALLS and runs[-1]["exit"] is not None:
-                runs.append(run_cli(command, path, flags))
-            walls = [run["wall_s"] for run in runs]
-            stdout = runs[0]["stdout"]
-            assert all(run["stdout"] == stdout for run in runs
-                       if run["exit"] is not None), "a row's calls disagree"
-            stdout = stdout.encode()
-            row = {"command": command, "variant": variant, "family": family,
-                   "n": n, "flags": list(flags), "exit": runs[-1]["exit"],
-                   "wall_s": median(walls), "wall_s_calls": walls,
-                   "stdout_bytes": len(stdout),
-                   "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
-            print(json.dumps(row), flush=True)
-            rows.append(row)
+            runs = {label: [] for label in trees}
+            for _ in range(CALLS):
+                # each tree in turn first
+                order = list(trees) if turn % 2 == 0 else list(trees)[::-1]
+                turn += 1
+                for label in order:
+                    mine = runs[label]
+                    if not mine or mine[-1]["exit"] is not None:
+                        mine.append(run_cli((command,), path, flags,
+                                            trees[label]))
+            for label, mine in runs.items():
+                walls = [run["wall_s"] for run in mine]
+                stdout = mine[0]["stdout"]
+                assert all(run["stdout"] == stdout for run in mine
+                           if run["exit"] is not None), \
+                    "a row's calls disagree"
+                stdout = stdout.encode()
+                row = {"command": command, "variant": variant,
+                       "family": family, "n": n, "flags": list(flags),
+                       "exit": mine[-1]["exit"], "wall_s": median(walls),
+                       "wall_s_calls": walls, "stdout_bytes": len(stdout),
+                       "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
+                print(json.dumps({"label": label, **row}), flush=True)
+                rows[label].append(row)
 
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["command"] = ["COMMAND", "CONFIG", "FLAGS"]
     doc["configs"] = f"perfbench/families.py, seed {SEED}, the row's " \
         "variant (nontrivial where a row names none)"
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
-                   f"Python {platform.python_version()}",
-        "rows": rows}
+    for label, mine in rows.items():
+        run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
+                          f"Python {platform.python_version()}"}
+        if len(trees) > 1:
+            run["alternated_with"] = [other for other in trees
+                                      if other != label]
+        doc.setdefault("runs", {})[label] = {**run, "rows": mine}
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
