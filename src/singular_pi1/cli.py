@@ -99,18 +99,21 @@ def _cmd_verify(args, limits):
     result = pi1_graph_of_groups(cfg)
     # the connected columns at degree d come from the plain ones at 1..d,
     # so --connected also compares degree 1, without emitting it
+    # a refusal at one degree is a refusal at every higher one, so the run
+    # stops at the first refused degree k above 1 (degree 1 is compared
+    # but never emitted): the reports cover degrees 2..k-1, and the one
+    # refusal is k's
     reports, refusals = [], []
     for d in range(1 if args.connected else 2, args.degree_max + 1):
         try:
             reports.append(compare(cfg, d, result, limits=limits))
         except ResourceError as exc:
-            refusals.append({"degree": d, "error": str(exc)})
-    # a refusal at one degree is a refusal at every higher one, so the
-    # reports cover degrees first..k and the refusals k+1..D
+            if d > 1:
+                refusals.append({"degree": d, "error": str(exc)})
+                break
     if args.connected:
         attach_connected(cfg, reports)
     reports = [r for r in reports if r.degree > 1]
-    refusals = [r for r in refusals if r["degree"] > 1]
     all_pass = all(r.verdict and (r.connected is None
                                   or r.connected["verdict"] == "pass")
                    for r in reports)

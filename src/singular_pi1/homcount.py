@@ -26,7 +26,8 @@ with the width of that graph rather than with the number of generators
   divides its exponent, so the relators on ``x`` filter its domain to
   the elements whose order divides the gcd of their exponents
   (``PermTable.dividing``), and a presentation with no relator left
-  builds no table of Sym(d) at all;
+  builds no table of Sym(d) at all.  A component on one generator is
+  that domain alone, so its count is the domain's size, with no plan;
 * every other relator is a factor, stored as its shortest root ``w``
   with ``relator = w^k`` syllable by syllable, and checked as ``k``
   being a multiple of the order of ``w``'s value: ``(s1 s2)^3`` costs
@@ -48,15 +49,19 @@ with the width of that graph rather than with the number of generators
   identical pieces cost one bucket, not ``N``;
 * each bucket is enumerated by a forward-checking search over integer
   slots that checks every relator and looks up every incoming message
-  as soon as its generators are bound;
+  as soon as its generators are bound.  A generator whose domain is the
+  identity alone, its order dividing an exponent prime to
+  ``lcm(1..d)``, is set before the search starts and drops out of every
+  relator, so the search goes only as deep as the generators with a
+  choice;
 * the elimination order is chosen greedily, by the size of the bucket
   each step would enumerate plus the most its message could hold (a
   cheap bucket whose message is wide makes every later bucket that
   receives it wide), and is compared with the order that eliminates
   every generator left after the twins in one bucket, a plain
-  forward-checking search; the cheaper is used.  The greedy reads only the domain sizes and the neighbour sets
-  of the generators, so it runs on integers, and buckets are built for
-  the chosen order alone;
+  forward-checking search; the cheaper is used.  The greedy reads only
+  the domain sizes and the neighbour sets of the generators, so it runs
+  on integers, and buckets are built for the chosen order alone;
 * at degree 0 and 1 Sym(d) is trivial, so the count is 1, with no table
   and no plan.
 
@@ -71,7 +76,8 @@ of any size costs at most ``lcm(1..d) / 2`` products.
 The estimate gated against the ceiling is the sum, over the buckets of
 every distinct component of the simplified presentation, of the product
 of the domain sizes each enumerates, the hub's domain counting its
-classes.  A repeated component is counted once and its count raised to
+classes, so a component on one generator is charged the classes in its
+domain.  A repeated component is counted once and its count raised to
 its multiplicity, so it is charged once too, and so is the bucket that
 sums out a class of twins.  The estimate is known before any counting
 starts.
@@ -191,20 +197,22 @@ class _Bucket:
     first on ties; ``cost`` is the product of the domains it
     enumerates.
 
-    Slot ``i`` of the search holds ``order[i]``, taken from its domain.
-    At every depth the relators and messages whose last generator was
-    just assigned are checked, a relator ``w^k`` as ``k`` being a
-    multiple of the order of ``w``'s value.  ``w`` is compiled into
-    letters, one per unit of its exponents reduced modulo the exponent
-    of Sym(d): slot ``i`` for the value at ``i`` and ``~i`` for its
-    inverse.  A root whose exponents all reduce to 0 holds at every
-    assignment and is dropped.  ``out`` holds the slots of the scope,
-    and the message is raised to ``power``, the number of twins the
-    bucket sums out.
+    The search's slots hold the generators of ``order``, those whose
+    domain is the identity alone first: the first ``fixed`` slots are
+    set once, before the search, which then goes only as deep as the
+    generators with a choice.  At every depth the relators and messages
+    whose last generator was just assigned are checked, a relator
+    ``w^k`` as ``k`` being a multiple of the order of ``w``'s value.
+    ``w`` is compiled into letters, one per unit of its exponents
+    reduced modulo the exponent of Sym(d), a fixed generator having
+    none: slot ``i`` for the value at ``i`` and ``~i`` for its inverse.
+    A root without letters holds at every assignment and is dropped.
+    ``out`` holds the slots of the scope, and the message is raised to
+    ``power``, the number of twins the bucket sums out.
     """
 
-    __slots__ = ("scope", "order", "cost", "power", "cands", "checks",
-                 "lookups", "out")
+    __slots__ = ("scope", "order", "cost", "power", "fixed", "cands",
+                 "checks", "lookups", "out")
 
     def __init__(self, elim, rels, msgs, domains, T, power=1):
         inside = set(elim)
@@ -220,15 +228,22 @@ class _Bucket:
         self.cost = prod(len(domains[v]) for v in order)
         self.power = power
 
-        slot = {v: i for i, v in enumerate(order)}
-        self.cands = [domains[v] for v in order]
+        layout, one = order, (T.identity,)
+        self.cands = [domains[v] for v in layout]
+        self.fixed = fixed = self.cands.count(one)
+        if fixed:
+            layout = sorted(order, key=lambda v: domains[v] != one)
+            self.cands = [domains[v] for v in layout]
+        slot = {v: i for i, v in enumerate(layout)}
         self.checks = [[] for _ in order]
         self.lookups = [[] for _ in order]
         for scope, root, k in rels:
             letters = []
             for s, e in root:
-                e = T.reduce_exponent(e)
-                letters += [slot[s] if e > 0 else ~slot[s]] * abs(e)
+                i = slot[s]
+                if i >= fixed:
+                    e = T.reduce_exponent(e)
+                    letters += [i if e > 0 else ~i] * abs(e)
             if letters:
                 self.checks[max(slot[s] for s in scope)].append(
                     (letters[0], tuple(letters[1:]), k % T.exponent))
@@ -272,7 +287,13 @@ class _Bucket:
                 else:
                     dfs(depth + 1, v)
 
-        dfs(0, 1)
+        w = 1
+        for depth in range(self.fixed):
+            asg[depth] = ident
+            for key, tab in lookups[depth]:
+                w *= tab.get(key(asg), 0)
+        if w:
+            dfs(self.fixed, w)
 
 
 class _Elimination:
@@ -415,6 +436,23 @@ class _Elimination:
         return count
 
 
+class _Cyclic:
+    """A component on one generator ``x``: its relators say that the
+    order of ``x`` divides the gcd ``e`` of their exponent sums, so it
+    counts the elements of those orders, and it is charged the classes
+    among them, as the bucket of a hub over its representatives is."""
+
+    __slots__ = ("estimate", "count")
+
+    def __init__(self, e, T):
+        e = gcd(e, T.exponent)
+        self.count = len(T.dividing(e))
+        self.estimate = sum(1 for x, _ in T.classes if not e % T.order[x])
+
+    def forward(self, T):
+        return self.count
+
+
 def _check_degree(d, limits):
     if not isinstance(d, int) or d < 0:
         raise InputError(f"degree must be a non-negative integer, got {d!r}")
@@ -447,7 +485,8 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     parts, free = _components(p)
     # a presentation without relators needs no table of Sym(d)
     T = table(d) if parts else None
-    plans = [(_Elimination(sk, T), k) for sk, k in parts]
+    plans = [(_Cyclic(sk.unary[0], T) if sk.n == 1 else _Elimination(sk, T),
+              k) for sk, k in parts]
     cost = sum(plan.estimate for plan, _ in plans)
     if cost > limits.ceiling:
         raise ResourceError(

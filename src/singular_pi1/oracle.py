@@ -22,27 +22,35 @@ of either action when their canonical forms agree and 0 otherwise
 (``_canonical_form``); no bijection is ever tried.  Branches with the
 same groups and maps share one table.  The sum is then a factor graph on
 the incidence graph, pieces as variables and branches as pairwise
-factors, contracted by variable elimination (Dechter 1999): the singular
-pieces first, then the components in a greedy order, which a heap
-keeps and each step updates at the eliminated variable's neighbours
-only, so a chain, star or theta of ``N`` pieces is contracted in time
-linear in ``N``.  The ``--ceiling`` gate estimates that work: the
-actions sorted into classes, ``d * d`` labelling steps per
-representative of every distinct restriction, the comparisons of every
-distinct table, and the table of every elimination step.  The actions
-themselves come from the oracle's own search over the group's canonical
-presentation (``_actions``), gated by the candidates it tries: the
-relators on one generator bound its order, which picks its candidates
-from the elements of those orders, and every other relator is evaluated.
-``perms`` supplies only the arithmetic of Sym(d), and its table is built
-only at a piece or branch group with generators, so a configuration of
-trivial groups never builds one.
+factors.  A piece with one class, a trivial group or any piece at
+``d = 1``, is evidence: it is fixed at its class before anything is
+planned, and its weight and its branches' entries there fold into a
+constant or into the weights of the other end, so a configuration of
+trivial groups is a product of table entries.  The other pieces are
+contracted by variable elimination (Dechter 1999): the singular pieces
+first, then the components in a greedy order, which a heap keeps and
+each step updates at the eliminated variable's neighbours only, so a
+chain, star or theta of ``N`` pieces is contracted in time linear in
+``N``.  The ``--ceiling`` gate estimates that work: the actions sorted
+into classes, ``d * d`` labelling steps per representative of every
+distinct restriction, the comparisons of every distinct table, one step
+of size 1 per fixed piece, and the table of every elimination step.
+The actions themselves come from the oracle's own search over the
+group's canonical presentation (``_actions``), gated by the candidates
+it tries: the relators on one generator bound its order, which picks
+its candidates from the elements of those orders, and every other
+relator is evaluated.  A group with one generator needs no search: it
+acts through one element, and its classes are the cycle types of the
+orders its relators allow.  ``perms`` supplies only the arithmetic of
+Sym(d), and its table is built only at a piece or branch group with
+generators, so a configuration of trivial groups never builds one.
 
 The master comparison: groupoid cardinality times ``d!`` must equal the
 number of homomorphisms of the computed fundamental-group presentation
-into Sym(d), exactly, as rationals.  The two sides are independent: the
-left side never sees a presentation of the result and shares no
-counting code with the right side, which counts the result's
+into Sym(d), exactly; it is decided on integers, as the rigid count
+against the hom count times ``d!^(n+m-1)``.  The two sides are
+independent: the left side never sees a presentation of the result and
+shares no counting code with the right side, which counts the result's
 presentation with ``homcount.count_homs``.  The connected columns
 follow from the plain ones at degrees ``1..d``: each side applies
 Hall's formula to its own numbers.
@@ -154,10 +162,19 @@ def _action_classes(group, d, limits):
     walked with two generators of Sym(d), a transposition and a d-cycle,
     so every action is visited a bounded number of times.  A group
     without generators has the one empty action, and no table is built.
+    A group with one generator acts through one element, whose order
+    divides the gcd of its relators' exponent sums: its classes are the
+    cycle types of those orders (``PermTable.classes``), with no search.
     """
-    if not group.canonical_presentation.generators:
+    pres = group.canonical_presentation
+    if not pres.generators:
         return [((), 1)]
     T = table(d)
+    if len(pres.generators) == 1:
+        e = gcd(T.exponent, *(sum(e for _, e in word)
+                              for word in pres.relators))
+        return [((x,), size) for x, size in T.classes
+                if not e % T.order[x]]
     actions = _actions(group, d, limits)
     movers = [T.index[tuple(range(1, d)) + (0,)],
               T.index[(1, 0) + tuple(range(2, d)) if d > 1 else (0,)]]
@@ -399,7 +416,16 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
             by_group[g.descriptor()] = _action_classes(g, d, limits)
     classes = [by_group[g.descriptor()] for g in groups]
     domains = [len(cl) for cl in classes]
-    order, elimination = _elimination_order(cfg.n, ends, domains)
+    # a piece with one class is fixed at it, and charged one step of
+    # size 1; the others, renumbered in slot order, are eliminated
+    live = [v for v, size in enumerate(domains) if size > 1]
+    slot = dict(zip(live, range(len(live))))
+    sizes = [domains[v] for v in live]
+    pairs = [(slot[c], slot[s]) for c, s in ends
+             if c in slot and s in slot]
+    order, elimination = _elimination_order(
+        sum(1 for v in live if v < cfg.n), pairs, sizes)
+    elimination += len(domains) - len(live)
     # identical branches share their restrictions and their table
     keys = [((groups[c].descriptor(), b.psi.images),
              (groups[s].descriptor(), b.phi.images))
@@ -409,7 +435,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
     # every action is sorted into its class once, every restriction
     # labels each orbit of each representative from each of its points,
     # every distinct table compares each pair of forms once, and every
-    # elimination step enumerates its table
+    # elimination step enumerates its table, a fixed piece's of size 1
     estimate = (sum(size for cl in by_group.values() for _, size in cl)
                 + d * d * sum(len(by_group[g]) for g, _ in sides)
                 + sum(domains[c] * domains[s] for c, s in distinct.values())
@@ -425,9 +451,30 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
              for g, words in sides}
     tables = {key: _branch_table(forms[key[0]], forms[key[1]])
               for key in distinct}
-    factors = [((v,), [size for _, size in cl]) for v, cl in enumerate(classes)]
-    factors += [((c, s), tables[key]) for key, (c, s) in zip(keys, ends)]
-    return _contract(domains, factors, order)
+    # a fixed piece's branches' entries at its class fold into a
+    # constant, or into the weights of the other end; its own weight is
+    # 1, as its one class is the trivial action's
+    constant = 1
+    weights = [[size for _, size in classes[v]] for v in live]
+    factors = []
+    for key, (c, s) in zip(keys, ends):
+        t = tables[key]
+        if c in slot and s in slot:
+            factors.append(((slot[c], slot[s]), t))
+        elif c in slot:
+            w = weights[slot[c]]
+            for i in range(len(w)):
+                w[i] *= t[i, 0]
+        elif s in slot:
+            w = weights[slot[s]]
+            for j in range(len(w)):
+                w[j] *= t[0, j]
+        else:
+            constant *= t[0, 0]
+    if not (constant and live):
+        return constant
+    factors += [((i,), w) for i, w in enumerate(weights)]
+    return constant * _contract(sizes, factors, order)
 
 
 def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
@@ -438,12 +485,14 @@ def groupoid_cardinality(cfg, d, limits=DEFAULT_LIMITS):
 
 
 def compare(cfg, d, result, limits=DEFAULT_LIMITS):
-    """Compare the oracle against a computed presentation at one degree."""
-    card = groupoid_cardinality(cfg, d, limits)
-    rigid = (card * factorial(d) ** (cfg.n + cfg.m)).numerator
+    """Compare the oracle against a computed presentation at one degree:
+    groupoid cardinality times ``d!`` equals the hom count exactly when
+    the rigid count equals the hom count times ``d!^(n+m-1)``."""
+    rigid = enumerate_descent_data(cfg, d, limits)
     pres_count = count_homs(result.presentation, d, limits)
-    verdict = card * factorial(d) == pres_count
-    return OracleReport(d, rigid, card, pres_count, verdict)
+    relabel = factorial(d) ** (cfg.n + cfg.m - 1)
+    return OracleReport(d, rigid, Fraction(rigid, relabel * factorial(d)),
+                        pres_count, rigid == pres_count * relabel)
 
 
 def attach_connected(cfg, reports):

@@ -332,6 +332,20 @@ class TestVerify:
         assert reports[0]["verdict"] == "pass"      # degree 2 fits
         assert "error" in reports[1]                # degree 3 does not
 
+    @pytest.mark.parametrize("flags", [(), ("--connected",)])
+    def test_a_huge_degree_max_stops_at_the_first_refusal(self, capsys,
+                                                          flags):
+        # the degree bound refuses degree 6, and so every higher one: the
+        # run emits that one refusal and stops
+        code, doc = run(capsys, "verify", config_path("regular"),
+                        "--degree-max", str(10 ** 9), *flags)
+        assert code == 4
+        reports = doc["reports"]
+        assert [r["degree"] for r in reports] == [2, 3, 4, 5, 6]
+        assert all(r["verdict"] == "pass" for r in reports[:4])
+        assert reports[4] == {"degree": 6, "error": "degree 6 exceeds the "
+                                                    "configured bound 5"}
+
     def test_one_validation_by_the_oracle_per_run(self, capsys,
                                                   monkeypatch):
         # the parse checks the configuration and leaves its record; the

@@ -461,3 +461,42 @@ def test_1024_piece_families_are_counted_in_as_many_buckets_as_64(family):
         assert buckets(64, d) == buckets(1024, d)
     pres = pi1_graph_of_groups(family_config(family, 1024)).presentation
     assert count_homs(pres, 5) == closed_family_homs(family, 1024, 5)
+
+
+def test_generators_of_order_one_are_fixed_before_the_search():
+    # x_i^7 leaves each x_i the identity alone at every d <= 6, as 7 is
+    # prime to lcm(1..d): the one-bucket plan over the 1500 generators is
+    # the cheapest, and its search sets them all before it starts
+    n = 1500
+    relators = [((v, 7),) for v in range(n)]
+    relators += [_commute(v, v + 1) for v in range(n - 1)]
+    p = Presentation([f"x{i}" for i in range(n)], relators)
+    for d in (2, 3, 4, 5):
+        assert count_homs(p, d) == 1
+    # some fixed and some free generators in one bucket: <a, b, c | a^5,
+    # b^2, c^3, (a b)^2, (b c)^2, [a, c]> at degrees where a, or a and c,
+    # have the identity alone
+    a, b, c = 0, 1, 2
+    p = Presentation(["a", "b", "c"], [
+        ((a, 5),), ((b, 2),), ((c, 3),), ((a, 1), (b, 1)) * 2,
+        ((b, 1), (c, 1)) * 2, _commute(a, c)])
+    for d in (2, 3, 4):
+        assert count_homs(p, d) == brute_count_homs(p, d), d
+
+
+def test_one_generator_components_are_counted_without_a_plan(monkeypatch):
+    # <a, b | a^4, a^6, b^3>: two components of one generator each, the
+    # elements whose order divides 2, and 3
+    def fail(*args):
+        raise AssertionError("built a plan")
+    monkeypatch.setattr(homcount, "_Elimination", fail)
+    p = Presentation(["a", "b"], [((0, 4),), ((0, 6),), ((1, 3),)])
+    for d in (2, 3, 4, 5):
+        assert count_homs(p, d) \
+            == count_order_dividing(d, 2) * count_order_dividing(d, 3)
+        # each is charged the classes in its domain
+        classes = sum(1 for k in (2, 3) for x, _ in table(d).classes
+                      if not k % table(d).order[x])
+        with pytest.raises(ResourceError) as err:
+            count_homs(p, d, Limits(ceiling=classes - 1))
+        assert err.value.estimate == classes

@@ -148,6 +148,71 @@ def test_action_classes_are_the_g_set_classes():
         assert sum(size for _, size in found) == homs
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_one_generator_classes_are_the_orbits_of_the_actions(order):
+    # the closed form lists the conjugation orbits of the action search,
+    # each conjugated here by all of Sym(d), with the same
+    # representatives, the same sizes and in the same order
+    from singular_pi1.oracle import _action_classes, _actions
+    from singular_pi1.perms import table
+    group = GroupSpec.cyclic(order)
+    for d in (1, 2, 3, 4, 5):
+        T = table(d)
+        mul, inv = T.mul, T.inv
+        seen, orbits = set(), []
+        for a in _actions(group, d):
+            if a not in seen:
+                orbit = {tuple(mul[mul[inv[g]][x]][g] for x in a)
+                         for g in range(T.size)}
+                seen |= orbit
+                orbits.append((a, len(orbit)))
+        assert _action_classes(group, d, Limits()) == orbits, d
+
+
+def test_single_class_pieces_are_fixed_without_elimination(monkeypatch):
+    # a piece with one class is fixed at it: a configuration of trivial
+    # groups, at any degree, and every configuration at degree 1 are a
+    # product of table entries, d!^(branches) and 1
+    import singular_pi1.oracle as oracle
+
+    contracted = []
+    contract = oracle._contract
+    monkeypatch.setattr(oracle, "_contract",
+                        lambda *args: contracted.append(args)
+                        or contract(*args))
+    configs = load_corpus()
+    trivial = {name for name, cfg in configs.items()
+               if not any(p.group.canonical_presentation.generators
+                          for p in (*cfg.components, *cfg.singulars))}
+    assert trivial == {"chain", "nodal", "star", "theta"}
+    for family in ("chain", "star", "theta"):
+        configs[f"{family}-trivial-8"] = family_config(family, 8, False)
+        trivial.add(f"{family}-trivial-8")
+    for name, cfg in configs.items():
+        for d in (1, 2, 3, 4, 5) if name in trivial else (1,):
+            assert enumerate_descent_data(cfg, d) \
+                == factorial(d) ** cfg.m_tilde, (name, d)
+    assert not contracted
+    # a nontrivial-Z2 piece at degree 2 still has two classes
+    enumerate_descent_data(configs["nontrivial-Z2"], 2)
+    assert contracted
+
+
+@pytest.mark.parametrize("name, estimate", [("nontrivial-Z2", 44),
+                                            ("semistable-C2", 22)])
+def test_a_fixed_piece_is_charged_one_step(name, estimate):
+    # at degree 2, nontrivial-Z2 charges its actions 3, its restrictions
+    # 4 * 5, its tables 4 + 2 and its elimination 8 + 4 + 2 for P, A
+    # and B and 1 for the trivial piece Q, which joins A and B through
+    # no table; semistable-C2 charges 3 + 4 * 3 + 2 + (1 + 2 + 2)
+    cfg = load_corpus()[name]
+    with pytest.raises(ResourceError) as err:
+        enumerate_descent_data(cfg, 2, Limits(ceiling=estimate - 1))
+    assert err.value.estimate == estimate
+    assert enumerate_descent_data(cfg, 2, Limits(ceiling=estimate)) \
+        == descent_count(cfg, 2)
+
+
 @pytest.mark.parametrize("group", [
     TRIV, C2, GroupSpec.cyclic(3), KLEIN, GroupSpec.symmetric(3)],
     ids=["trivial", "C2", "C3", "Klein", "S3"])
