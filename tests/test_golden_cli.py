@@ -4,7 +4,9 @@ of every call in a fixed set, held in ``golden_cli.json``.
 The configurations are the bundled corpus, the chain, star and theta of
 ``support.family_config`` with 2 and 3 singular pieces (non-trivial and
 trivial), two valid configurations with dotted generator names, a
-4-piece chain whose pieces are declared out of the dévissage order,
+presented Q8 and a presented trivial group that the coset closure
+reaches only by merging cosets, a 4-piece chain whose pieces are
+declared out of the dévissage order,
 hand-made invalid ones that reach each name and word error of the
 parser, a presented group whose relator is too long to write out, and
 two with a duplicated id whose map reads only against the last entry of
@@ -88,6 +90,13 @@ def _declared(doc, order):
 VALID_EXTRA = {
     "dotted-component": _one_branch(KLEIN, TRIVIAL),
     "dotted-target": _one_branch(KLEIN, C2, {"g": [["p.a", 1]]}),
+    "presented-q8": _presented(["i", "j"], [[["i", 4]], [["i", 2], ["j", -2]],
+                                            [["j", -1], ["i", 1], ["j", 1],
+                                             ["i", 1]]]),
+    # trivial, but the coset closure only finds it by merging cosets
+    "presented-trivial-coincidence": _presented(
+        ["a", "b"], [[["a", 1], ["b", 1], ["a", -1], ["b", -2]],
+                     [["b", 1], ["a", 1], ["b", -1], ["a", -2]]]),
     # the greedy dévissage order P1, P2, P3, P4 passes over the second
     # declared piece, whose patch does not meet the first
     "chain-skip-4": _declared(
