@@ -13,7 +13,8 @@ permutation:
   Cayley graph, which presents the group on the given generators;
 * a presented group keeps the user's presentation and acts on its own
   elements, the cosets of the trivial subgroup, by the table of a
-  bounded coset-table closure (Todd–Coxeter).
+  bounded Todd–Coxeter enumeration in the Hasse–Littlewood–Trotter
+  (HLT) strategy, which is complete after one pass over the cosets.
 
 The canonical presentation is what the assembly layer splices into
 larger presentations; the generator permutations are what homomorphism
@@ -54,7 +55,7 @@ def _cayley(generators, bound):
                 if len(elements) >= bound:
                     raise ResourceError(
                         f"group closure exceeds order bound {bound}",
-                        layer="groups")
+                        estimate=bound + 1, ceiling=bound, layer="groups")
                 words[t] = reduce(word + ((k, 1),))
                 elements.append(t)
                 continue
@@ -65,31 +66,28 @@ def _cayley(generators, bound):
     return tuple(elements), relators
 
 
-def _expand_relator(word):
-    """Relator as a flat sequence of signed 1-based generator numbers."""
-    out = []
-    for g, e in word:
-        step = g + 1 if e > 0 else -g - 1
-        out.extend([step] * abs(e))
-    return tuple(out)
-
-
 def _coset_closure(presentation, cap):
-    """Exhaustive closure of a finitely presented group.
+    """Exhaustive closure of a finitely presented group by the
+    Hasse–Littlewood–Trotter (HLT) strategy (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, ch. 5).
 
     Builds the action of the group on the cosets of the trivial
-    subgroup (its regular action) by scan-and-fill over the relators
-    with coincidence merging.  Raises ``ResourceError`` when more than
-    ``cap`` cosets get defined, which is the only way the closure of an
-    infinite group can end.
+    subgroup (its regular action).  Each live coset in turn, in the
+    order of definition, scans every relator and fills the gaps it
+    meets, merging the cosets a scan proves equal, and then defines the
+    entries its row still lacks.  One pass over the cosets suffices: a
+    coset the pass leaves has a complete row at which every relator
+    closes, and merging keeps both for the coset that survives, the one
+    defined first.  Raises ``ResourceError`` when more than ``cap``
+    cosets get defined, which is the only way the closure of an infinite
+    group can end.
 
-    Returns ``(order, action)`` where ``action[c][g]`` is the coset
-    reached from ``c`` by generator ``g`` (columns ``2g`` forward,
-    ``2g + 1`` inverse).
+    Returns ``(order, action)`` where ``action[c][k]`` is the coset
+    reached from ``c`` by column ``k``: column ``2g`` is generator ``g``
+    and ``2g + 1`` its inverse.
     """
     gens = presentation.generators
-    n_gens = len(gens)
-    if n_gens == 0:
+    if not gens:
         return 1, [[]]
     used = {g for r in presentation.relators for g, _ in r}
     missing = [name for g, name in enumerate(gens) if g not in used]
@@ -99,18 +97,16 @@ def _coset_closure(presentation, cap):
             + ", ".join(missing), layer="groups")
 
     try:
-        words = [_expand_relator(r) for r in presentation.relators]
+        # each relator as the columns it follows, letter by letter
+        words = [[k for g, e in r for k in [2 * g + (e < 0)] * abs(e)]
+                 for r in presentation.relators]
     except MemoryError:
         raise ResourceError("the relators written out letter by letter do "
                             "not fit in memory", layer="groups") from None
-    ncols = 2 * n_gens
-
-    def col(letter):
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+    ncols = 2 * len(gens)
 
     table = [[None] * ncols]
     rep = [0]
-    pending = []
 
     def find(c):
         while rep[c] != c:
@@ -123,116 +119,92 @@ def _coset_closure(presentation, cap):
             raise ResourceError(
                 f"coset closure exceeded {cap} cosets; "
                 "the presented group is too large or infinite",
-                layer="groups")
+                estimate=cap + 1, ceiling=cap, layer="groups")
         table.append([None] * ncols)
         rep.append(len(table) - 1)
         return len(table) - 1
 
-    def set_entry(c, cc, d):
-        """Record c --col cc--> d (both representatives)."""
-        e = table[c][cc]
-        if e is not None:
-            e = find(e)
-            if e != d:
-                pending.append((e, d))
-            return
+    def define(c, cc, d):
+        """Record c --col cc--> d and its inverse, both still empty."""
         table[c][cc] = d
-        back = table[d][cc ^ 1]
-        if back is None:
-            table[d][cc ^ 1] = c
-        else:
-            back = find(back)
-            if back != c:
-                pending.append((back, c))
+        table[d][cc ^ 1] = c
 
-    def merge_all():
-        while pending:
-            a, b = pending.pop()
+    def coincide(a, b):
+        """Merge cosets ``a`` and ``b``, and every pair that the merge
+        proves equal; the coset defined first survives."""
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
             a, b = find(a), find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
             rep[b] = a
-            row = table[b]
-            for cc in range(ncols):
-                e = row[cc]
-                if e is not None:
-                    set_entry(find(a), cc, find(e))
+            for cc, e in enumerate(table[b]):
+                if e is None:
+                    continue
+                e, x = find(e), table[a][cc]
+                if x is not None:
+                    queue.append((x, e))
+                elif table[e][cc ^ 1] is None:
+                    define(a, cc, e)
+                else:
+                    table[a][cc] = e
+                    queue.append((table[e][cc ^ 1], a))
 
     def scan_and_fill(c, word):
+        """Trace ``word`` from ``c`` forward to ``f`` and backward to
+        ``b``, defining a new coset after ``f`` while more than one entry
+        is missing between them; a new coset has only the entry back to
+        ``f``, so both scans go on from where they stopped."""
+        n = len(word)
+        f, i, b, j = c, 0, c, n
         while True:
-            c = find(c)
-            f, i = c, 0
-            n = len(word)
             while i < n:
-                nxt = table[f][col(word[i])]
+                nxt = table[f][word[i]]
                 if nxt is None:
                     break
                 f = find(nxt)
                 i += 1
             if i == n:
-                if f != c:
-                    pending.append((f, c))
-                    merge_all()
+                coincide(f, c)
                 return
-            b, j = c, n
             while j > i:
-                nxt = table[b][col(word[j - 1]) ^ 1]
+                nxt = table[b][word[j - 1] ^ 1]
                 if nxt is None:
                     break
                 b = find(nxt)
                 j -= 1
             if j == i:
-                if f != b:
-                    pending.append((f, b))
-                    merge_all()
+                coincide(f, b)
                 return
             if j == i + 1:
-                set_entry(f, col(word[i]), b)
-                merge_all()
+                define(f, word[i], b)
                 return
-            d = new_coset()
-            set_entry(f, col(word[i]), d)
-            merge_all()
+            define(f, word[i], new_coset())
 
-    changed = True
-    while changed:
-        changed = False
-        before_defs = len(table)
-        before_live = sum(1 for c in range(len(table)) if find(c) == c)
-        c = 0
-        while c < len(table):
+    c = 0
+    while c < len(table):
+        for w in words:
             if find(c) != c:
-                c += 1
-                continue
-            for w in words:
-                if find(c) != c:
-                    break
-                scan_and_fill(c, w)
-            if find(c) == c:
-                for cc in range(ncols):
-                    if find(c) != c:
-                        break
-                    if table[c][cc] is None:
-                        d = new_coset()
-                        set_entry(c, cc, d)
-                        merge_all()
-            c += 1
-        after_live = sum(1 for c2 in range(len(table)) if find(c2) == c2)
-        if len(table) != before_defs or after_live != before_live:
-            changed = True
+                break
+            scan_and_fill(c, w)
+        if find(c) == c:
+            for cc in range(ncols):
+                if table[c][cc] is None:
+                    define(c, cc, new_coset())
+        c += 1
 
     live = [c for c in range(len(table)) if find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
-    action = [[renum[find(table[c][cc])] for cc in range(ncols)] for c in live]
-    return len(live), action
+    return len(live), [[renum[find(e)] for e in table[c]] for c in live]
 
 
 def _check_order(order, bound):
     if order > bound:
         raise ResourceError(f"group order {order} exceeds bound {bound}",
-                            layer="groups")
+                            estimate=order, ceiling=bound, layer="groups")
 
 
 _REPR = {"trivial": "1", "cyclic": "C{0}", "symmetric": "S{0}",
@@ -284,6 +256,7 @@ class GroupSpec:
             if order > bound:
                 # a large degree would never finish multiplying
                 raise ResourceError(f"group order {k}! exceeds bound {bound}",
+                                    estimate=order, ceiling=bound,
                                     layer="groups")
         n = max(k - 1, 0)
         rels = [((i, 2),) for i in range(n)]

@@ -459,7 +459,7 @@ def _check_degree(d, limits):
     if d > limits.degree_bound:
         raise ResourceError(
             f"degree {d} exceeds the configured bound {limits.degree_bound}",
-            layer="homcount")
+            estimate=d, ceiling=limits.degree_bound, layer="homcount")
 
 
 @lru_cache(maxsize=1)

@@ -408,7 +408,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
     if d > limits.degree_bound:
         raise ResourceError(
             f"degree {d} exceeds the configured bound {limits.degree_bound}",
-            layer="oracle")
+            estimate=d, ceiling=limits.degree_bound, layer="oracle")
     groups = [p.group for p in (*cfg.components, *cfg.singulars)]
     by_group = {}
     for g in groups:

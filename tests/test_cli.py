@@ -596,6 +596,26 @@ class TestGlobalBounds:
         assert code == 4
         assert out["error"]["kind"] == "resource"
 
+    def test_order_and_degree_refusals_name_their_numbers(self, tmp_path,
+                                                          capsys):
+        c7 = {"kind": "presented", "generators": ["a"],
+              "relators": [[["a", 7]]]}
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps({"components": [{"id": "A",
+                                                    "group": c7}]}))
+        code, out = run(capsys, "present", str(path), "--bound-order", "6")
+        assert code == 4
+        assert out["error"] == {"kind": "resource", "layer": "groups",
+                                "estimate": 7, "ceiling": 6,
+                                "message": "group order 7 exceeds bound 6"}
+        code, out = run(capsys, "present", config_path("nodal"),
+                        "--degrees", "6")
+        assert code == 4
+        assert out["error"] == {
+            "kind": "resource", "layer": "homcount", "estimate": 6,
+            "ceiling": 5,
+            "message": "degree 6 exceeds the configured bound 5"}
+
     @pytest.mark.parametrize("group, code, layer", [
         # 1800! has more digits than an int may print
         ({"kind": "symmetric", "degree": 1800}, 4, "groups"),

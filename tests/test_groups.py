@@ -1,10 +1,12 @@
 import itertools
 import random
+from math import factorial
 
 import pytest
 
-from singular_pi1 import (GroupSpec, Homo, InputError, Presentation,
+from singular_pi1 import (GroupSpec, Homo, InputError, Limits, Presentation,
                           ResourceError, count_homs)
+from singular_pi1.groups import _coset_closure
 from singular_pi1.perms import compose, identity, invert
 from support import (element_order, element_words, evaluate_reference,
                      group_elements)
@@ -71,11 +73,98 @@ def test_infinite_presented_groups_rejected():
 
 
 def test_order_bound_enforced():
-    from singular_pi1 import Limits
-    with pytest.raises(ResourceError):
-        GroupSpec.symmetric(8)  # 40320 > 5040
-    with pytest.raises(ResourceError):
-        GroupSpec.cyclic(10, limits=Limits(order_bound=9))
+    # each refusal names the number that was too large and its bound
+    cases = [
+        (lambda: GroupSpec.symmetric(8), 40320, 5040,
+         "group order 8! exceeds bound 5040"),
+        (lambda: GroupSpec.cyclic(10, limits=Limits(order_bound=9)), 10, 9,
+         "group order 10 exceeds bound 9"),
+        # the partial product 2 * 3 * 4 = 24 is the first past 20
+        (lambda: GroupSpec.symmetric(6, limits=Limits(order_bound=20)), 24,
+         20, "group order 6! exceeds bound 20"),
+        (lambda: GroupSpec.permutation(5, [(1, 2, 3, 4, 0)],
+                                       limits=Limits(order_bound=4)), 5, 4,
+         "group closure exceeds order bound 4"),
+        (lambda: GroupSpec.presented(Presentation(["a", "b"], [AB])), 40321,
+         40320, "coset closure exceeded 40320 cosets; "
+         "the presented group is too large or infinite")]
+    for build, estimate, ceiling, message in cases:
+        with pytest.raises(ResourceError) as err:
+            build()
+        assert (err.value.estimate, err.value.ceiling, err.value.layer) \
+            == (estimate, ceiling, "groups")
+        assert str(err.value) == message
+
+
+def dihedral(n):
+    return Presentation(["a", "b"], [((A, n),), ((B, 2),), AB * 2])
+
+
+def cyclic_product(m, n):
+    return Presentation(["a", "b"], [((A, m),), ((B, n),),
+                                     ((A, 1), (B, 1), (A, -1), (B, -1))])
+
+
+def coxeter(n):
+    """Sym(n) on the adjacent transpositions s1 .. s(n-1)."""
+    k = n - 1
+    return Presentation(
+        [f"s{i + 1}" for i in range(k)],
+        [((i, 2),) for i in range(k)]
+        + [((i, 1), (i + 1, 1)) * 3 for i in range(k - 1)]
+        + [((i, 1), (j, 1)) * 2 for i in range(k) for j in range(i + 2, k)])
+
+
+# trivial, but no relator scan closes at a single coset: the closure
+# defines cosets and then merges them all
+TRIVIAL_BY_COINCIDENCE = Presentation(
+    ["a", "b"], [((A, 1), (B, 1), (A, -1), (B, -2)),
+                 ((B, 1), (A, 1), (B, -1), (A, -2))])
+
+
+def known_orders():
+    return [(dihedral(n), 2 * n) for n in range(3, 41)] \
+        + [(cyclic_product(m, n), m * n)
+           for m, n in ((2, 3), (4, 6), (5, 7), (12, 10))] \
+        + [(coxeter(n), factorial(n)) for n in range(3, 7)] \
+        + [(TRIVIAL_BY_COINCIDENCE, 1)]
+
+
+def test_coset_closure_finds_known_orders():
+    for pres, order in known_orders():
+        spec = GroupSpec.presented(pres)
+        assert spec.order == order, pres
+        assert len(group_elements(spec)) == order, pres
+        for r in pres.relators:
+            assert spec.evaluate(r) == spec.identity_element, (pres, r)
+
+
+def random_presentation(rng):
+    """One to three generators, a power of each and up to three words."""
+    n = rng.randint(1, 3)
+    relators = [((g, rng.randint(1, 8)),) for g in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        word = [(rng.randrange(n), rng.choice((-2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(2, 6))]
+        relators.append(word)
+    return Presentation([f"x{g + 1}" for g in range(n)], relators)
+
+
+def test_order_does_not_depend_on_the_order_or_rotation_of_relators():
+    rng = random.Random(35)
+    closed = 0
+    while closed < 60:
+        pres = random_presentation(rng)
+        try:
+            order, _ = _coset_closure(pres, 2000)
+        except ResourceError:
+            continue
+        closed += 1
+        relators = [r[k:] + r[:k] for r in pres.relators
+                    for k in [rng.randrange(len(r))]]
+        rng.shuffle(relators)
+        moved = Presentation(pres.generators, relators)
+        assert _coset_closure(moved, 2000)[0] == order, (pres, moved)
 
 
 def presented_cases():

@@ -496,8 +496,10 @@ class TestResourceGuards:
         assert f"estimate {err.value.estimate} " in str(err.value)
 
     def test_degree_bound(self):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as err:
             enumerate_descent_data(nodal_config(), 7)
+        assert (err.value.estimate, err.value.ceiling) == (7, 5)
+        assert str(err.value) == "degree 7 exceeds the configured bound 5"
 
 
 def test_master_identity_on_random_general_configs():

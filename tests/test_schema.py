@@ -2,7 +2,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 
@@ -530,10 +529,20 @@ class TestJsonText:
             value = random_value(rng)
             assert json_text(value) == json.dumps(value, indent=2)
 
-    def test_a_refusal_with_a_null_estimate(self, capsys):
-        # degree 6 is over the default degree bound: no estimate is made
-        path = resources.files("singular_pi1") / "configs" / "chain.json"
-        code = main(["present", str(path), "--degrees", "6"])
+    def test_a_refusal_with_a_null_estimate(self, capsys, tmp_path):
+        # a presented group with a relator-free generator is refused
+        # before any work is estimated
+        trivial = {"kind": "trivial"}
+        doc = {"components": [{"id": "A", "group": {
+                   "kind": "presented", "generators": ["a", "b"],
+                   "relators": [[["a", 2]]]}}],
+               "singulars": [{"id": "P", "group": trivial}],
+               "branches": [{"id": f"b{i}", "component": "A",
+                             "singular": "P", "group": trivial}
+                            for i in (1, 2)]}
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["present", str(path)])
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert code == 4

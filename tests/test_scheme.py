@@ -318,7 +318,7 @@ class TestIncidence:
         docs += [scheme_config_to_json(family_config(family, n, nontrivial))
                  for family in ("chain", "star", "theta")
                  for nontrivial in (True, False) for n in (1, 8)]
-        assert len(docs) == 35
+        assert len(docs) == 37
 
         def record(cfg):
             inc = cfg._incidence

@@ -21,7 +21,14 @@ the non-trivial S3/C2 one unless named):
   2000;
 * ``plan`` on chain, star and theta at N = 256 and 1024;
 * ``present --degrees 2,3,4,5`` (the default route, counted under the
-  default ceiling) on chain, star and theta at N = 256 and 1024.
+  default ceiling) on chain, star and theta at N = 256 and 1024;
+* ``present`` on a nodal curve whose component group is presented:
+  one component, one trivial piece and two trivial branches, like the
+  corpus's ``nodal``, with the component group ⟨a | a^k⟩ for k = 720,
+  2520 and 5040 (variants ``C720``, ``C2520``, ``C5040``), or the
+  Coxeter presentation of Sym(7) (variant ``S7``).  The script writes
+  these configurations itself; their family is ``nodal`` and their N is
+  1.  Nearly all of such a call is the coset closure of the group.
 
 Each row makes ``CALLS`` CLI calls, each in a fresh interpreter under
 the default flags, with the runner of ``bench_verify_families.py``, and
@@ -81,7 +88,36 @@ ROWS = [("present", "nontrivial", family, n, ())
     + [("plan", "nontrivial", family, n, ())
        for n in (256, 1024) for family in families.FAMILIES] \
     + [("present", "nontrivial", family, n, ("--degrees", "2,3,4,5"))
-       for n in (256, 1024) for family in families.FAMILIES]
+       for n in (256, 1024) for family in families.FAMILIES] \
+    + [("present", variant, "nodal", 1, ())
+       for variant in ("C720", "C2520", "C5040", "S7")]
+
+
+def presented_group(variant):
+    """The presented group of a nodal row: ``C<k>`` is ⟨a | a^k⟩ and
+    ``S7`` the Coxeter presentation of Sym(7) on s1 .. s6."""
+    if variant == "S7":
+        names = [f"s{i}" for i in range(1, 7)]
+        relators = [[[s, 2]] for s in names]
+        relators += [[[s, 1], [t, 1]] * 3 for s, t in zip(names, names[1:])]
+        relators += [[[s, 1], [t, 1]] * 2 for i, s in enumerate(names)
+                     for t in names[i + 2:]]
+        return {"kind": "presented", "generators": names,
+                "relators": relators}
+    return {"kind": "presented", "generators": ["a"],
+            "relators": [[["a", int(variant[1:])]]]}
+
+
+def write_nodal(directory, variant):
+    """A nodal curve whose component has the group of ``variant``."""
+    trivial = {"kind": "trivial"}
+    doc = {"components": [{"id": "A", "group": presented_group(variant)}],
+           "singulars": [{"id": "P", "group": trivial}],
+           "branches": [{"id": f"b{i}", "component": "A", "singular": "P",
+                         "group": trivial} for i in (1, 2)]}
+    path = directory / f"nodal-{variant}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 def main():
@@ -107,7 +143,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         turn = 0
         for command, variant, family, n, flags in ROWS:
-            path = families.write_config(Path(tmp), family, variant, n, SEED)
+            path = write_nodal(Path(tmp), variant) if family == "nodal" \
+                else families.write_config(Path(tmp), family, variant, n,
+                                           SEED)
             runs = {label: [] for label in trees}
             for _ in range(CALLS):
                 # each tree in turn first
@@ -137,7 +175,8 @@ def main():
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["command"] = ["COMMAND", "CONFIG", "FLAGS"]
     doc["configs"] = f"perfbench/families.py, seed {SEED}, the row's " \
-        "variant (nontrivial where a row names none)"
+        "variant (nontrivial where a row names none); family nodal: " \
+        "written by this script, with the variant's presented group"
     for label, mine in rows.items():
         run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                           f"Python {platform.python_version()}"}
