@@ -22,19 +22,20 @@ of either action when their canonical forms agree and 0 otherwise
 (``_canonical_form``); no bijection is ever tried.  Branches with the
 same groups and maps share one table.  The sum is then a factor graph on
 the incidence graph, pieces as variables and branches as pairwise
-factors.  A piece with one class, a trivial group or any piece at
-``d = 1``, is evidence: it is fixed at its class before anything is
-planned, and its weight and its branches' entries there fold into a
-constant or into the weights of the other end, so a configuration of
-trivial groups is a product of table entries.  The other pieces are
-contracted by variable elimination (Dechter 1999): the singular pieces
-first, then the components in a greedy order, which a heap keeps and
-each step updates at the eliminated variable's neighbours only, so a
-chain, star or theta of ``N`` pieces is contracted in time linear in
-``N``.  The ``--ceiling`` gate estimates that work: the actions sorted
-into classes, ``d * d`` labelling steps per representative of every
-distinct restriction, the comparisons of every distinct table, one step
-of size 1 per fixed piece, and the table of every elimination step.
+factors.  At ``d = 1`` there is one datum, counted with no table.  A
+piece with one class, such as a trivial group, is evidence: it is fixed
+at its class before anything is planned, and its weight and its
+branches' entries there fold into a constant or into the weights of the
+other end, so a configuration of trivial groups is a product of table
+entries.  The other pieces are contracted by variable elimination
+(Dechter 1999): the singular pieces first, then the components in a
+greedy order, which a heap keeps and each step updates at the
+eliminated variable's neighbours only, so a chain, star or theta of
+``N`` pieces is contracted in time linear in ``N``.  The ``--ceiling``
+gate estimates that work: the actions sorted into classes, ``d * d``
+labelling steps per representative of every distinct restriction, the
+comparisons of every distinct table, one step of size 1 per fixed
+piece, and the table of every elimination step.
 The actions themselves come from the oracle's own search over the
 group's canonical presentation (``_actions``), gated by the candidates
 it tries: the relators on one generator bound its order, which picks
@@ -159,9 +160,10 @@ def _action_classes(group, d, limits):
     indices into ``table(d)``.
 
     The classes are the orbits of ``_actions`` under conjugation, each
-    walked with two generators of Sym(d), a transposition and a d-cycle,
-    so every action is visited a bounded number of times.  A group
-    without generators has the one empty action, and no table is built.
+    walked with the conjugations by two generators of Sym(d), a d-cycle
+    and a transposition (``PermTable.conjugations``), so every action is
+    visited a bounded number of times.  A group without generators has
+    the one empty action, and no table is built.
     A group with one generator acts through one element, whose order
     divides the gcd of its relators' exponent sums: its classes are the
     cycle types of those orders (``PermTable.classes``), with no search.
@@ -176,9 +178,6 @@ def _action_classes(group, d, limits):
         return [((x,), size) for x, size in T.classes
                 if not e % T.order[x]]
     actions = _actions(group, d, limits)
-    movers = [T.index[tuple(range(1, d)) + (0,)],
-              T.index[(1, 0) + tuple(range(2, d)) if d > 1 else (0,)]]
-    mul, inv = T.mul, T.inv
     seen, classes = set(), []
     for rep in actions:
         if rep in seen:
@@ -186,8 +185,8 @@ def _action_classes(group, d, limits):
         orbit, frontier = {rep}, [rep]
         while frontier:
             x = frontier.pop()
-            for g in movers:
-                y = tuple(mul[mul[inv[g]][p]][g] for p in x)
+            for conj in T.conjugations:
+                y = tuple(conj[p] for p in x)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)
@@ -409,6 +408,9 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
         raise ResourceError(
             f"degree {d} exceeds the configured bound {limits.degree_bound}",
             estimate=d, ceiling=limits.degree_bound, layer="oracle")
+    if d == 1:
+        # Sym(1) is trivial: every action and bijection is the identity
+        return 1
     groups = [p.group for p in (*cfg.components, *cfg.singulars)]
     by_group = {}
     for g in groups:

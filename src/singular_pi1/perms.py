@@ -4,29 +4,34 @@ A permutation is a tuple mapping position to image.  Composition is read
 left to right: ``compose(p, q)`` applies ``p`` first, then ``q``.  The
 hot loops of hom counting never touch tuples; they work with indices
 into a cached ``PermTable`` whose multiplication, inverse and order
-tables turn word evaluation into plain list lookups.
+tables turn word evaluation into plain lookups.
 
-The multiplication table is built a row at a time.  Row ``g`` lists the
-products ``g h`` over all ``h``, and since ``(a g) h = a (g h)``, the
-row of ``a g`` is the row of ``a`` read at the positions the row of
-``g`` lists: one C-level ``itemgetter`` call per row.  Two rows, of a
-d-cycle and of a transposition, are composed directly; every other row
-is reached from them along a breadth-first walk of the Cayley graph.
-The same walk gives the inverses, since ``(a g)^-1 = g^-1 a^-1`` is the
-row of ``g^-1`` read at ``a^-1``.
+The table is built in one breadth-first walk of the Cayley graph of two
+generators, a d-cycle and a transposition, whose rows are the only ones
+composed directly.  Row ``g`` lists the products ``g h`` over all ``h``,
+and since ``(a g) h = a (g h)``, the row of ``a g`` is the row of ``a``
+read at the positions the row of ``g`` lists.  While Sym(d) has at most
+256 elements (``d <= 5``) a row is ``bytes``, and that read is one
+``translate`` of the row of ``g`` through the row of ``a``; past that an
+index no longer fits a byte, and a row is a tuple read by one C-level
+``itemgetter`` call.  The walk gives the inverses too, since
+``(a g)^-1 = g^-1 a^-1`` is the row of ``g^-1`` read at ``a^-1``, and the
+row of ``g^-1`` is the row of ``g`` inverted as a bijection.
 
-The conjugacy classes are the cycle types, the partitions of ``d``; each
-is listed with its least element and its size in closed form, with no
-pass over the group.  An element's order is the length of its walk of
-powers back to the identity.  Every order divides ``exponent``, the
-least common multiple of ``1..d``, so ``x^e`` depends only on ``e``
-modulo it (``reduce_exponent``), and the solutions of ``x^e = 1`` are
-the elements whose order divides ``gcd(e, exponent)`` (``dividing``).
+Conjugation by a generator, ``x -> g^-1 x g``, is the row of ``g^-1``
+read through the column of ``g``: one more read per generator.  One pass
+labels the orbits of those two maps, the conjugacy classes, each listed
+with its least element and its size, and gives every element the order
+of its class's least element, the lcm of its cycle lengths.  Every order
+divides ``exponent``, the least common multiple of ``1..d``, so ``x^e``
+depends only on ``e`` modulo it (``reduce_exponent``), and the solutions
+of ``x^e = 1`` are the elements whose order divides ``gcd(e, exponent)``
+(``dividing``).
 """
 
 import itertools
-from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm
 from operator import itemgetter
 
 
@@ -46,113 +51,96 @@ def identity(d):
     return tuple(range(d))
 
 
-def _partitions(d, most=None):
-    """The partitions of ``d`` into parts of at most ``most``, largest
-    part first, each as a tuple of parts in decreasing order."""
-    if d == 0:
-        yield ()
-        return
-    for k in range(min(d, most or d), 0, -1):
-        for rest in _partitions(d - k, k):
-            yield (k,) + rest
-
-
-def _least_of_type(parts):
-    """The least permutation, as a tuple, of cycle type ``parts``: the
-    cycles, shortest first, on consecutive points, each sending a point
-    to the next.  Greedily, position ``i`` takes the least image that
-    still leaves the rest completable, which closes the current cycle
-    as soon as a cycle of its length is left."""
-    out, start = [], 0
-    for k in sorted(parts):
-        out += range(start + 1, start + k)
-        out.append(start)
-        start += k
-    return tuple(out)
+def _order(p):
+    """The order of the permutation ``p``: the lcm of its cycle lengths."""
+    seen, out = set(), 1
+    for x in p:
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            out = lcm(out, length)
+    return out
 
 
 class PermTable:
-    """Full multiplication/inverse tables for Sym(d)."""
+    """Sym(d) as indices into ``perms``, which lists it in lexicographic
+    order.  ``mul[a][b]`` is the index of ``a b`` and ``inv[a]`` that of
+    ``a^-1``; ``conjugations`` holds the maps ``x -> g^-1 x g`` for the
+    walk's two generators, as rows like those of ``mul``; ``classes``
+    lists the conjugacy classes as ``(least element, class size)`` pairs
+    in index order; ``order[x]`` is the order of ``x``."""
 
     def __init__(self, d):
         self.degree = d
         self.perms = tuple(itertools.permutations(range(d)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self.size = len(self.perms)
-        self.identity = self.index[identity(d)]
+        self.index = at = {p: i for i, p in enumerate(self.perms)}
+        self.size = n = len(self.perms)
+        self.identity = ident = at[identity(d)]
         self.exponent = lcm(*range(1, d + 1))
         self._dividing = {}
-        if d < 2:
-            self.mul = ((self.identity,),)
-            self.inv = (self.identity,)
-            return
-        # compose(p, q) == itemgetter(*p)(q) once d >= 2
-        at = self.index.__getitem__
+        # reader(positions)(row + pad) lists row[positions[h]] over h
+        if n <= 256:
+            kind, pad = bytes, bytes(256 - n)
 
-        def composed(p):
-            return tuple(map(at, map(itemgetter(*p), self.perms)))
+            def reader(positions):
+                return positions.translate
+        else:
+            kind, pad = tuple, ()
 
-        cycle = tuple(range(1, d)) + (0,)
-        swap = (1, 0) + tuple(range(2, d))
-        # (step to the row of a g, row of g^-1) for the two generators g
+            def reader(positions):
+                return itemgetter(*positions)
+        # (g, step to the row of a g, row of g^-1) for the generators g,
+        # a d-cycle and a transposition; compose(p, q) == itemgetter(*p)(q)
+        # once d >= 2
+        gens = (tuple(range(1, d)) + (0,), (1, 0) + tuple(range(2, d)))
         steps = []
-        for g, g_inv in ((cycle, invert(cycle)), (swap, swap)):
-            steps.append((self.index[g], itemgetter(*composed(g)),
-                          composed(g_inv)))
-        rows = [None] * self.size
-        inv = [None] * self.size
-        rows[self.identity] = tuple(range(self.size))
-        inv[self.identity] = self.identity
-        frontier = [self.identity]
+        for p in gens if d >= 2 else ():
+            row = kind(map(at.__getitem__, map(itemgetter(*p), self.perms)))
+            steps.append((at[p], reader(row), kind(invert(row))))
+        rows = [None] * n
+        inv = [None] * n
+        rows[ident] = kind(range(n))
+        inv[ident] = ident
+        frontier = [ident]
         while frontier:
             nxt = []
             for a in frontier:
                 row = rows[a]
+                padded = row + pad
                 for g, step, row_g_inv in steps:
                     ag = row[g]
                     if rows[ag] is None:
-                        rows[ag] = step(row)
+                        rows[ag] = step(padded)
                         inv[ag] = row_g_inv[inv[a]]
                         nxt.append(ag)
             frontier = nxt
         self.mul = tuple(rows)
         self.inv = tuple(inv)
-
-    @cached_property
-    def classes(self):
-        """The conjugacy classes, one per cycle type, as ``(representative,
-        class size)`` pairs in order of first occurrence; a representative
-        is the class's first element in ``perms``.  A class of cycle type
-        with ``m_k`` cycles of length ``k`` has ``d! / prod(k^m_k m_k!)``
-        elements."""
-        d = self.degree
-        out = []
-        for parts in _partitions(d):
-            centralizer = 1
-            for k, same in itertools.groupby(parts):
-                m = len(tuple(same))
-                centralizer *= k ** m * factorial(m)
-            out.append((self.index[_least_of_type(parts)],
-                        factorial(d) // centralizer))
-        return tuple(sorted(out))
-
-    @cached_property
-    def order(self):
-        """The order of each element.  The walk of the powers of ``x``
-        also gives the order of each power, ``x^j`` having order
-        ``k / gcd(j, k)`` when ``x`` has order ``k``."""
-        order = [0] * self.size
-        ident = self.identity
-        for x, row in enumerate(self.mul):
-            if order[x]:
+        # x -> g^-1 x g: the row of g^-1 read through the column of g
+        self.conjugations = tuple(
+            reader(row_g_inv)(kind(map(itemgetter(g), rows)) + pad)
+            for g, _, row_g_inv in steps)
+        # the classes are the orbits of the conjugations, each met first
+        # at its least element
+        label = [None] * n
+        classes, orders = [], []
+        for x in range(n):
+            if label[x] is not None:
                 continue
-            powers = [x]
-            while powers[-1] != ident:
-                powers.append(row[powers[-1]])
-            k = len(powers)
-            for j, y in enumerate(powers, start=1):
-                order[y] = k // gcd(j, k)
-        return tuple(order)
+            label[x] = k = len(classes)
+            orbit = [x]
+            for y in orbit:
+                for conj in self.conjugations:
+                    z = conj[y]
+                    if label[z] is None:
+                        label[z] = k
+                        orbit.append(z)
+            classes.append((x, len(orbit)))
+            orders.append(_order(self.perms[x]))
+        self.classes = tuple(classes)
+        self.order = tuple(map(orders.__getitem__, label))
 
     def dividing(self, e):
         """The elements ``x`` with ``x^e`` the identity, in index order:

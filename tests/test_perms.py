@@ -37,6 +37,17 @@ def test_classes_are_the_conjugacy_classes(d):
 
 
 @pytest.mark.parametrize("d", range(7))
+def test_conjugations_are_by_a_cycle_and_a_transposition(d):
+    T = table(d)
+    gens = [tuple(range(1, d)) + (0,), (1, 0) + tuple(range(2, d))] \
+        if d >= 2 else []
+    assert len(T.conjugations) == len(gens)
+    for g, conj in zip(gens, T.conjugations):
+        assert [T.perms[y] for y in conj] \
+            == [compose(compose(invert(g), p), g) for p in T.perms]
+
+
+@pytest.mark.parametrize("d", range(7))
 def test_order_matches_powering_to_the_identity(d):
     T = table(d)
     for x in range(T.size):
@@ -56,3 +67,23 @@ def test_reduced_exponents_give_the_same_powers(d):
         for x in range(T.size):
             # x^e depends on e modulo the order of x
             assert (e - f) % T.order[x] == 0
+
+
+def _power(T, x, e):
+    """``x^e`` by repeated squaring, with no use of element orders."""
+    if e < 0:
+        x, e = T.inv[x], -e
+    acc = T.identity
+    while e:
+        if e & 1:
+            acc = T.mul[acc][x]
+        x, e = T.mul[x][x], e >> 1
+    return acc
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_dividing_matches_powering_to_the_identity(d):
+    T = table(d)
+    for e in (0, 1, -1, 2, 3, 4, 6, 12, 60, 10 ** 21 + 1):
+        assert T.dividing(e) == tuple(
+            x for x in range(T.size) if _power(T, x, e) == T.identity)
