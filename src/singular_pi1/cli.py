@@ -13,7 +13,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .errors import InputError, ResourceError, SchemaError
+from .errors import Error, InputError, ResourceError, SchemaError
 from .homcount import count_homs
 from .limits import DEFAULT_LIMITS
 from .oracle import attach_connected, compare
@@ -26,6 +26,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SCHEMA = 3
 EXIT_RESOURCE = 4
+# the exit code of each kind of error
+_EXIT = {"input": EXIT_INPUT, "schema": EXIT_SCHEMA,
+         "resource": EXIT_RESOURCE}
 
 
 def _limits_from(args):
@@ -109,7 +112,7 @@ def _cmd_verify(args, limits):
             reports.append(compare(cfg, d, result, limits=limits))
         except ResourceError as exc:
             if d > 1:
-                refusals.append({"degree": d, "error": str(exc)})
+                refusals.append({"degree": d, "error": exc.to_json()})
                 break
     if args.connected:
         attach_connected(cfg, reports)
@@ -277,23 +280,12 @@ def _run(args):
     try:
         code, payload = _COMMANDS[args.command][0](args, _limits_from(args))
         return code, json_text(payload)
-    except SchemaError as exc:
-        code, payload = EXIT_SCHEMA, {"error": {
-            "kind": "schema", "path": exc.path, "message": exc.message}}
-    except InputError as exc:
-        code, payload = EXIT_INPUT, {"error": {"kind": "input",
-                                               "message": str(exc)}}
-    except ResourceError as exc:
-        code, payload = EXIT_RESOURCE, {"error": {
-            "kind": "resource", "layer": exc.layer,
-            "estimate": exc.estimate, "ceiling": exc.ceiling,
-            "message": str(exc)}}
+    except Error as exc:
+        error = exc
     except RecursionError:
-        code, payload = EXIT_RESOURCE, {"error": {
-            "kind": "resource", "layer": "pi1", "estimate": None,
-            "ceiling": None, "message": "Python's recursion limit was "
-            "exceeded"}}
-    return code, json_text(payload)
+        error = ResourceError("Python's recursion limit was exceeded",
+                              layer="pi1")
+    return _EXIT[error.kind], json_text({"error": error.to_json()})
 
 
 def main(argv=None):
@@ -328,9 +320,8 @@ def _main(argv):
                 return code
         except OSError as exc:
             # the error object goes to stdout: the output file is unusable
-            code, text = EXIT_SCHEMA, json_text({"error": {
-                "kind": "schema", "path": "--output",
-                "message": f"cannot write {args.output}: {exc}"}})
+            code, text = EXIT_SCHEMA, json_text({"error": SchemaError(
+                "--output", f"cannot write {args.output}: {exc}").to_json()})
     try:
         print(text, file=stream, flush=True)
     except BrokenPipeError:

@@ -3,9 +3,11 @@
 A ``GroupSpec`` is one of five kinds: trivial, cyclic, symmetric,
 permutation (given generating permutations) or presented (given a
 finite presentation).  Each constructor certifies the order, capped by
-``Limits.order_bound``, and computes once a canonical presentation and
-one permutation per canonical generator, so every group element is a
-permutation:
+``Limits.order_bound`` (``Limits.check_order``), and computes once a
+canonical presentation and one permutation per canonical generator, so
+every group element is a permutation, and a word's value and a
+generator's order are permutation arithmetic (``perms.evaluate``,
+``perms.order_of``):
 
 * trivial/cyclic/symmetric carry the obvious presentations and act by
   the k-cycle and the adjacent transpositions;
@@ -22,11 +24,10 @@ validation evaluates relators against.
 """
 
 import sys
-from math import lcm
 
 from .errors import InputError, ResourceError
 from .limits import DEFAULT_LIMITS
-from .perms import compose, identity, invert
+from .perms import compose, evaluate, identity, order_of
 from .presentation import Presentation
 from .words import cyclically_reduce, inverse, power, reduce
 
@@ -201,12 +202,6 @@ def _coset_closure(presentation, cap):
     return len(live), [[renum[find(e)] for e in table[c]] for c in live]
 
 
-def _check_order(order, bound):
-    if order > bound:
-        raise ResourceError(f"group order {order} exceeds bound {bound}",
-                            estimate=order, ceiling=bound, layer="groups")
-
-
 _REPR = {"trivial": "1", "cyclic": "C{0}", "symmetric": "S{0}",
          "permutation": "Perm(deg={0}, order={order})",
          "presented": "Presented(order={order})"}
@@ -241,7 +236,7 @@ class GroupSpec:
     def cyclic(cls, k, limits=DEFAULT_LIMITS):
         if k < 1:
             raise InputError("cyclic group order must be >= 1")
-        _check_order(k, limits.order_bound)
+        limits.check_order(k)
         return cls("cyclic", (k,), Presentation._trusted(("g",), (((0, k),),)),
                    [tuple((i + 1) % k for i in range(k))], k, k)
 
@@ -289,19 +284,15 @@ class GroupSpec:
         relator out letter by letter, so their total length is gated
         against the ceiling, and against the longest list, first."""
         length = sum(abs(e) for r in presentation.relators for _, e in r)
-        if length > limits.ceiling:
-            raise ResourceError(
-                f"relator length estimate {length} exceeds ceiling "
-                f"{limits.ceiling}", estimate=length, ceiling=limits.ceiling,
-                layer="groups")
+        limits.charge(length, "relator length estimate", "groups")
         if length > sys.maxsize:
             raise ResourceError(
                 f"relator length {length} exceeds the longest list, "
                 f"{sys.maxsize}", estimate=length, ceiling=sys.maxsize,
                 layer="groups")
-        bound = limits.order_bound
-        order, action = _coset_closure(presentation, max(10000, 8 * bound))
-        _check_order(order, bound)
+        order, action = _coset_closure(presentation,
+                                       max(10000, 8 * limits.order_bound))
+        limits.check_order(order)
         gens = [tuple(row[2 * i] for row in action)
                 for i in range(len(presentation.generators))]
         return cls("presented", (presentation.key(),), presentation, gens,
@@ -312,36 +303,14 @@ class GroupSpec:
     def evaluate(self, word):
         """Evaluate a word over canonical generators to a group element."""
         images = self.generator_elements
-        acc = self.identity_element
-        for s, e in word:
+        for s, _ in word:
             if not 0 <= s < len(images):
                 raise InputError(f"unknown generator {s} for {self}")
-            g = images[s] if e > 0 else invert(images[s])
-            # acc g^|e| by repeated squaring: the powers of g commute
-            n = abs(e)
-            while n:
-                if n & 1:
-                    acc = compose(acc, g)
-                n >>= 1
-                if n:
-                    g = compose(g, g)
-        return acc
+        return evaluate(word, images, self.identity_element)
 
     def generator_order(self, i):
-        """The order of canonical generator ``i``: the lcm of the lengths
-        of the cycles of its permutation."""
-        perm = self.generator_elements[i]
-        seen = bytearray(len(perm))
-        out = 1
-        for start in range(len(perm)):
-            length, x = 0, start
-            while not seen[x]:
-                seen[x] = 1
-                x = perm[x]
-                length += 1
-            if length:
-                out = lcm(out, length)
-        return out
+        """The order of canonical generator ``i``."""
+        return order_of(self.generator_elements[i])
 
     # -- identity ---------------------------------------------------------
 

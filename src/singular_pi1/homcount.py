@@ -73,22 +73,23 @@ order.  Exponents are reduced modulo the exponent of Sym(d),
 ``lcm(1..d)``, when a relator is compiled into a search, so an exponent
 of any size costs at most ``lcm(1..d) / 2`` products.
 
-The estimate gated against the ceiling is the sum, over the buckets of
-every distinct component of the simplified presentation, of the product
-of the domain sizes each enumerates, the hub's domain counting its
-classes, so a component on one generator is charged the classes in its
-domain.  A repeated component is counted once and its count raised to
-its multiplicity, so it is charged once too, and so is the bucket that
-sums out a class of twins.  The estimate is known before any counting
-starts.
+The estimate gated against the ceiling (``Limits.charge``) is the sum,
+over the buckets of every distinct component of the simplified
+presentation, of the product of the domain sizes each enumerates, the
+hub's domain counting its classes, so a component on one generator is
+charged the classes in its domain.  A repeated component is counted once
+and its count raised to its multiplicity, so it is charged once too, and
+so is the bucket that sums out a class of twins.  The estimate is known
+before any counting starts.
 """
 
 from collections import Counter
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb, factorial, gcd, prod
 from operator import itemgetter
 
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .limits import DEFAULT_LIMITS
 from .perms import table
 from .presentation import tietze_simplify
@@ -360,23 +361,26 @@ class _Elimination:
             """The bucket of ``v`` plus its message, and ``v`` on ties."""
             return (sizes[v] + 1) * prod(sizes[u] for u in nbrs[v]), v
 
-        picks, greedy, cand = [], 0, {}
-        remaining = set(range(n)) - taken
-        rest = sorted(remaining)
-        while remaining:
-            for v in remaining:
-                if v not in cand:
-                    cand[v] = size(v)
-            x = min(remaining, key=cand.__getitem__)
-            remaining.discard(x)
-            del cand[x]
+        # each generator waits in a heap under its latest size, and an
+        # entry that no longer matches is skipped when popped
+        rest = sorted(set(range(n)) - taken)
+        latest = {v: size(v) for v in rest}
+        heap = sorted(latest.values())
+        picks, greedy = [], 0
+        while heap:
+            entry = heappop(heap)
+            x = entry[1]
+            if latest.get(x) != entry:
+                continue
+            del latest[x]
             near = nbrs[x]
             greedy += sizes[x] * prod(sizes[u] for u in near)
             # only the buckets of the generators next to x change
             for u in near:
-                cand.pop(u, None)
                 nbrs[u] |= near
                 nbrs[u] -= {u, x}
+                latest[u] = size(u)
+                heappush(heap, latest[u])
             picks.append(x)
 
         # each representative's bucket holds its own relators alone
@@ -453,15 +457,6 @@ class _Cyclic:
         return self.count
 
 
-def _check_degree(d, limits):
-    if not isinstance(d, int) or d < 0:
-        raise InputError(f"degree must be a non-negative integer, got {d!r}")
-    if d > limits.degree_bound:
-        raise ResourceError(
-            f"degree {d} exceeds the configured bound {limits.degree_bound}",
-            estimate=d, ceiling=limits.degree_bound, layer="homcount")
-
-
 @lru_cache(maxsize=1)
 def _components(p):
     """The degree-free part of a count: the ``_Skeleton`` of each
@@ -478,7 +473,9 @@ def _components(p):
 def count_homs(p, d, limits=DEFAULT_LIMITS):
     """Exact number of maps of ``p``'s generators into Sym(d) killing
     every relator."""
-    _check_degree(d, limits)
+    if not isinstance(d, int) or d < 0:
+        raise InputError(f"degree must be a non-negative integer, got {d!r}")
+    limits.check_degree(d, "homcount")
     if d <= 1:
         # Sym(0) and Sym(1) are trivial: one map, which kills everything
         return 1
@@ -488,10 +485,7 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     plans = [(_Cyclic(sk.unary[0], T) if sk.n == 1 else _Elimination(sk, T),
               k) for sk, k in parts]
     cost = sum(plan.estimate for plan, _ in plans)
-    if cost > limits.ceiling:
-        raise ResourceError(
-            f"hom search space {cost} exceeds ceiling {limits.ceiling}",
-            estimate=cost, ceiling=limits.ceiling, layer="homcount")
+    limits.charge(cost, "hom search space", "homcount")
     total = 1
     for plan, k in plans:
         total *= plan.forward(T) ** k

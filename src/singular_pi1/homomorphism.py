@@ -5,15 +5,18 @@ words over the canonical generators of its target ``GroupSpec``:
 ``images[i]`` is the image of source generator ``i``.  It is checked on
 construction: every source generator has exactly one image, every image
 uses declared target generators only, and every source relator
-evaluates to the identity of the target.  An image's exponent larger in
-absolute value than the order of its generator is reduced modulo that
-order, keeping its sign, so a map costs what its smallest exponents
-cost: a power of a long word written out by Tietze stays short.
+evaluates to the identity of the target, over the permutations the
+images evaluate to, each image once (``perms.evaluate``).  An image's
+exponent larger in absolute value than the order of its generator is
+reduced modulo that order, keeping its sign, so a map costs what its
+smallest exponents cost: a power of a long word written out by Tietze
+stays short.
 """
 
 from .errors import InputError
 from .groups import GroupSpec
-from .words import reduce, render, substitute
+from .perms import evaluate
+from .words import reduce, render
 
 
 class Homo:
@@ -41,10 +44,10 @@ class Homo:
                     f"{sorted(bad)}")
         self.images = tuple(reduce(_within_orders(w, target))
                             for w in images)
-        by_generator = dict(enumerate(self.images))
+        values = [target.evaluate(w) for w in self.images]
+        one = target.identity_element
         for r in source.canonical_presentation.relators:
-            value = target.evaluate(substitute(r, by_generator))
-            if value != target.identity_element:
+            if evaluate(r, values, one) != one:
                 raise InputError(
                     f"invalid homomorphism: relator {render(r, names)} "
                     f"maps to a non-trivial element")

@@ -32,17 +32,18 @@ entries.  The other pieces are contracted by variable elimination
 greedy order, which a heap keeps and each step updates at the
 eliminated variable's neighbours only, so a chain, star or theta of
 ``N`` pieces is contracted in time linear in ``N``.  The ``--ceiling``
-gate estimates that work: the actions sorted into classes, ``d * d``
-labelling steps per representative of every distinct restriction, the
-comparisons of every distinct table, one step of size 1 per fixed
-piece, and the table of every elimination step.
+gate (``Limits.charge``) estimates that work: the actions sorted into
+classes, ``d * d`` labelling steps per representative of every distinct
+restriction, the comparisons of every distinct table, one step of size
+1 per fixed piece, and the table of every elimination step.
 The actions themselves come from the oracle's own search over the
 group's canonical presentation (``_actions``), gated by the candidates
-it tries: the relators on one generator bound its order, which picks
-its candidates from the elements of those orders, and every other
-relator is evaluated.  A group with one generator needs no search: it
-acts through one element, and its classes are the cycle types of the
-orders its relators allow.  ``perms`` supplies only the arithmetic of
+it tries: each generator's order in the group, read off its permutation,
+picks its candidates from the elements whose order divides it, and
+every relator on two or more generators is evaluated.  A group with one
+generator needs no search: it is cyclic and acts through one element,
+and its classes are the cycle types of the orders that divide the
+group's order.  ``perms`` supplies only the arithmetic of
 Sym(d), and its table is built only at a piece or branch group with
 generators, so a configuration of trivial groups never builds one.
 
@@ -61,7 +62,7 @@ import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import groupby, product
-from math import factorial, gcd, prod
+from math import factorial, prod
 from operator import itemgetter
 
 from .errors import ResourceError
@@ -109,25 +110,23 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
     every relator is the identity.
 
     The generators are assigned in order and the partial actions kept
-    level by level.  A relator on one generator ``x`` is ``x`` to the
-    sum of its exponents, so the relators on ``x`` together say that the
-    order of ``x`` divides the gcd of those sums, and its candidates are
-    the elements of such orders (``PermTable.dividing``), with no word
-    evaluated.  Every other relator is checked as soon as its last
-    generator is assigned, and its verdict memoised on the images of the
-    generators it contains (most relators contain two).  Each level's
-    candidates, the partial actions times the domain, count towards the
-    work gated against the ceiling.
+    level by level.  An action sends generator ``k`` to an element whose
+    order divides the order of ``k`` in the group, so its candidates are
+    those elements (``PermTable.dividing``), and a relator on ``k``
+    alone, ``k^e`` with that order dividing ``e``, holds on every one of
+    them.
+    Every other relator is checked as soon as its last generator is
+    assigned, and its verdict memoised on the images of the generators
+    it contains (most relators contain two).  Each level's candidates,
+    the partial actions times the domain, count towards the work gated
+    against the ceiling.
     """
     T = table(d)
     pres = group.canonical_presentation
-    unary = [0] * len(pres.generators)
     checks = [[] for _ in pres.generators]
     for word in pres.relators:
         scope = sorted({k for k, _ in word})
-        if len(scope) == 1:
-            unary[scope[0]] = gcd(unary[scope[0]], sum(e for _, e in word))
-        else:
+        if len(scope) > 1:
             checks[scope[-1]].append((itemgetter(*scope), _compiled(T, word),
                                       {}))
     ident = T.identity
@@ -141,13 +140,9 @@ def _actions(group, d, limits=DEFAULT_LIMITS):
 
     partial, work = [()], 0
     for k in range(len(pres.generators)):
-        domain = T.dividing(unary[k])
+        domain = T.dividing(group.generator_order(k))
         work += len(partial) * len(domain)
-        if work > limits.ceiling:
-            raise ResourceError(
-                f"action search estimate {work} exceeds ceiling "
-                f"{limits.ceiling}", estimate=work, ceiling=limits.ceiling,
-                layer="oracle")
+        limits.charge(work, "action search estimate", "oracle")
         partial = [a for a in (b + (x,) for b in partial for x in domain)
                    if all(holds(check, a) for check in checks[k])]
     return partial
@@ -164,19 +159,17 @@ def _action_classes(group, d, limits):
     and a transposition (``PermTable.conjugations``), so every action is
     visited a bounded number of times.  A group without generators has
     the one empty action, and no table is built.
-    A group with one generator acts through one element, whose order
-    divides the gcd of its relators' exponent sums: its classes are the
-    cycle types of those orders (``PermTable.classes``), with no search.
+    A group with one generator is cyclic and acts through one element,
+    whose order divides the group's order: its classes are the cycle
+    types of those orders (``PermTable.classes``), with no search.
     """
     pres = group.canonical_presentation
     if not pres.generators:
         return [((), 1)]
     T = table(d)
     if len(pres.generators) == 1:
-        e = gcd(T.exponent, *(sum(e for _, e in word)
-                              for word in pres.relators))
         return [((x,), size) for x, size in T.classes
-                if not e % T.order[x]]
+                if not group.order % T.order[x]]
     actions = _actions(group, d, limits)
     seen, classes = set(), []
     for rep in actions:
@@ -404,10 +397,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
     if d < 1:
         raise ResourceError("cover enumeration needs degree >= 1",
                             layer="oracle")
-    if d > limits.degree_bound:
-        raise ResourceError(
-            f"degree {d} exceeds the configured bound {limits.degree_bound}",
-            estimate=d, ceiling=limits.degree_bound, layer="oracle")
+    limits.check_degree(d, "oracle")
     if d == 1:
         # Sym(1) is trivial: every action and bijection is the identity
         return 1
@@ -444,11 +434,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
                 + elimination)
     _debug("oracle degree %d: classes %s, estimate %d, ceiling %d",
            d, domains, estimate, limits.ceiling)
-    if estimate > limits.ceiling:
-        raise ResourceError(
-            f"cover contraction estimate {estimate} exceeds ceiling "
-            f"{limits.ceiling}", estimate=estimate,
-            ceiling=limits.ceiling, layer="oracle")
+    limits.charge(estimate, "cover contraction estimate", "oracle")
     forms = {(g, words): _restrict(d, words, by_group[g])
              for g, words in sides}
     tables = {key: _branch_table(forms[key[0]], forms[key[1]])

@@ -1,10 +1,14 @@
-"""Integer-indexed arithmetic for the symmetric group Sym({0..d-1}).
+"""Permutation arithmetic, and integer-indexed arithmetic for the
+symmetric group Sym({0..d-1}).
 
 A permutation is a tuple mapping position to image.  Composition is read
-left to right: ``compose(p, q)`` applies ``p`` first, then ``q``.  The
-hot loops of hom counting never touch tuples; they work with indices
-into a cached ``PermTable`` whose multiplication, inverse and order
-tables turn word evaluation into plain lookups.
+left to right: ``compose(p, q)`` applies ``p`` first, then ``q``.
+``order_of`` gives a permutation's order, the lcm of its cycle lengths,
+and ``evaluate`` the value of a word at given permutations, each
+syllable by repeated squaring; ``GroupSpec`` and ``Homo`` call both.
+The hot loops of hom counting never touch tuples; they work with
+indices into a cached ``PermTable`` whose multiplication, inverse and
+order tables turn word evaluation into plain lookups.
 
 The table is built in one breadth-first walk of the Cayley graph of two
 generators, a d-cycle and a transposition, whose rows are the only ones
@@ -51,17 +55,36 @@ def identity(d):
     return tuple(range(d))
 
 
-def _order(p):
+def order_of(p):
     """The order of the permutation ``p``: the lcm of its cycle lengths."""
-    seen, out = set(), 1
+    seen, out = bytearray(len(p)), 1
     for x in p:
         length = 0
-        while x not in seen:
-            seen.add(x)
+        while not seen[x]:
+            seen[x] = 1
             x, length = p[x], length + 1
         if length:
             out = lcm(out, length)
     return out
+
+
+def evaluate(word, images, ident):
+    """The permutation ``word`` evaluates to with generator ``s`` at the
+    permutation ``images[s]``; ``ident`` is the identity.  Each syllable
+    ``g^e`` is multiplied in by repeated squaring, since the powers of
+    ``g`` commute, so an exponent of any size costs ``O(log |e|)``
+    products."""
+    acc = ident
+    for s, e in word:
+        g = images[s] if e > 0 else invert(images[s])
+        n = abs(e)
+        while n:
+            if n & 1:
+                acc = compose(acc, g)
+            n >>= 1
+            if n:
+                g = compose(g, g)
+    return acc
 
 
 class PermTable:
@@ -138,7 +161,7 @@ class PermTable:
                         label[z] = k
                         orbit.append(z)
             classes.append((x, len(orbit)))
-            orders.append(_order(self.perms[x]))
+            orders.append(order_of(self.perms[x]))
         self.classes = tuple(classes)
         self.order = tuple(map(orders.__getitem__, label))
 

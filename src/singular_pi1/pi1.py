@@ -22,15 +22,32 @@ piece.
 
 Each route reads the configuration's ``scheme.incidence`` and simplifies
 once at the end.  Results carry the raw lowered presentation, its
-simplification and the expression's node table.  A node that a step of
-the construction produced records that step in its ``theorem`` and
-``inputs`` fields: the default route's root, and on the dévissage each
+simplification and the expression's node table.
+
+An expression records how the group was built, as an append-only table
+of nodes.  A node's id is its position in the table, the nodes it is
+built from come before it, and the root is the last node.  A node is a
+dict with its ``type`` and its fields:
+
+* ``atom``: the group of a normal piece, with the piece's ``ref`` kind
+  (``"component"`` or ``"singular"``), ``ref_id`` and ``group``;
+* ``free``: a free group of ``rank``;
+* ``coproduct``: the free product of ``children``;
+* ``fibered_coproduct``: the ``legs`` amalgamated over the group of the
+  piece ``base``;
+* ``quotient``: ``child`` modulo ``relations`` relations;
+* ``vk``: the van Kampen gluing of ``pi`` and ``pi_prime`` along
+  ``legs``, the pieces they share.
+
+These mirror the closure rules of the class of groups reachable by the
+machinery.  A node that a step of the construction produced records
+that step in its ``theorem`` and ``inputs`` fields, the pieces and
+numbers it read: the default route's root, and on the dévissage each
 van Kampen and fibered-coproduct node, or the one atom of a regular
 configuration.  The dévissage appends to one node table as it goes, as
 to its presentation; a part of the result is known by its root node id.
 """
 
-from .expression import add_node, piece
 from .presentation import (Presentation, append, cyclic_relators,
                            tietze_simplify)
 from .scheme import devissage_splits, free_rank, incidence
@@ -38,9 +55,20 @@ from .vk import vk_glue
 from .words import inverse, reduce, shift
 
 
+def add_node(nodes, type, **fields):
+    """Append a node to the table ``nodes`` and return its id."""
+    nodes.append({"type": type, **fields})
+    return len(nodes) - 1
+
+
+def piece(ref, ref_id, group):
+    """The fields naming a piece of the configuration and its group."""
+    return {"ref": ref, "ref_id": ref_id, "group": group}
+
+
 class Pi1Result:
     def __init__(self, expression, presentation, raw_presentation):
-        self.expression = expression   # node table, see ``expression``
+        self.expression = expression   # node table, see above
         self.presentation = presentation   # tietze-simplified lowering
         self.raw_presentation = raw_presentation   # before simplification
 

@@ -343,8 +343,11 @@ class TestVerify:
         reports = doc["reports"]
         assert [r["degree"] for r in reports] == [2, 3, 4, 5, 6]
         assert all(r["verdict"] == "pass" for r in reports[:4])
-        assert reports[4] == {"degree": 6, "error": "degree 6 exceeds the "
-                                                    "configured bound 5"}
+        # the refusal is the whole error object the layer raised
+        assert reports[4] == {"degree": 6, "error": {
+            "kind": "resource", "layer": "oracle", "estimate": 6,
+            "ceiling": 5, "message": "degree 6 exceeds the configured "
+                                     "bound 5"}}
 
     def test_one_validation_by_the_oracle_per_run(self, capsys,
                                                   monkeypatch):
@@ -615,6 +618,65 @@ class TestGlobalBounds:
             "kind": "resource", "layer": "homcount", "estimate": 6,
             "ceiling": 5,
             "message": "degree 6 exceeds the configured bound 5"}
+
+    @pytest.mark.parametrize("config, argv, gate", [
+        ("regular", ("present", "--degrees", "3", "--ceiling", "0"),
+         ("charge", "hom search space")),
+        ("s3-chain", ("verify", "--degree-max", "2", "--ceiling", "1"),
+         ("charge", "action search estimate")),
+        ("star", ("verify", "--degree-max", "3", "--ceiling", "15"),
+         ("charge", "cover contraction estimate")),
+        ("q8", ("validate", "--ceiling", "5"),
+         ("charge", "relator length estimate")),
+        ("nodal", ("present", "--degrees", "6"), ("check_degree",)),
+        ("nodal", ("verify", "--degree-max", "6"), ("check_degree",)),
+        ("regular", ("validate", "--bound-order", "1"), ("check_order",)),
+        ("q8", ("present", "--bound-order", "7"), ("check_order",)),
+    ], ids=["homcount-search", "oracle-actions", "oracle-contraction",
+            "relator-length", "homcount-degree", "oracle-degree",
+            "cyclic-order", "presented-order"])
+    def test_each_refusal_reports_the_numbers_of_its_gate(
+            self, tmp_path, capsys, monkeypatch, config, argv, gate):
+        # every bound is checked by a method of Limits: the one refusing
+        # call's arguments are the layer, estimate and ceiling printed
+        from singular_pi1 import Limits, ResourceError
+        from test_golden_cli import VALID_EXTRA
+        refused = []
+
+        def spy(name, check):
+            def checked(limits, *args):
+                try:
+                    return check(limits, *args)
+                except ResourceError:
+                    refused.append((name, limits, args))
+                    raise
+            return checked
+
+        for name in ("charge", "check_degree", "check_order"):
+            monkeypatch.setattr(Limits, name, spy(name, getattr(Limits, name)))
+        docs = {"s3-chain": scheme_config_to_json(family_config("chain", 2)),
+                "q8": VALID_EXTRA["presented-q8"]}
+        path = config_path(config)
+        if config in docs:
+            path = tmp_path / f"{config}.json"
+            path.write_text(json.dumps(docs[config]))
+        code, doc = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 4
+        error = doc["error"] if "error" in doc else doc["reports"][-1]["error"]
+        (name, limits, args), = refused
+        if name == "charge":
+            work, what, layer = args
+            assert (name, what) == gate
+            numbers = layer, work, limits.ceiling
+        elif name == "check_degree":
+            d, layer = args
+            numbers = layer, d, limits.degree_bound
+        else:
+            numbers = "groups", args[0], limits.order_bound
+        assert name == gate[0]
+        assert error["kind"] == "resource"
+        assert (error["layer"], error["estimate"], error["ceiling"]) \
+            == numbers
 
     @pytest.mark.parametrize("group, code, layer", [
         # 1800! has more digits than an int may print

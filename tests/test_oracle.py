@@ -11,7 +11,7 @@ from singular_pi1 import (Component, GroupSpec, InputError, Limits,
                           pi1_devissage, pi1_graph_of_groups,
                           transitive_counts)
 from support import (brute_connected_count, chain_config, descent_count,
-                     elimination_order_reference, family_config,
+                     elimination_order_reference, element_order, family_config,
                      group_actions, iter_descent_data, load_corpus,
                      nodal_config, orbit_groupoid_cardinality,
                      random_general_config, theta_config, trivial_branch,
@@ -110,22 +110,48 @@ def presented_s3(a_relators=((0, 2),)):
                      ((0, 1), (1, 1)) * 2]))
 
 
+def presented(generators, relators):
+    from singular_pi1 import Presentation
+    return GroupSpec.presented(Presentation(generators, relators))
+
+
 @pytest.mark.parametrize("group", [
     TRIV, C2, GroupSpec.cyclic(3), GroupSpec.symmetric(3), KLEIN,
     presented_s3(), GroupSpec.cyclic(4), GroupSpec.cyclic(6),
-    # a^4 and a^6 on one generator: its candidates are the elements whose
-    # order divides gcd(4, 6) = 2
-    presented_s3(((0, 4), (0, 6)))],
+    # a^4 and a^6 on one generator: a has order 2
+    presented_s3(((0, 4), (0, 6))),
+    # Q8: j has no relator of its own, and order 4
+    presented(["i", "j"], [((0, 4),), ((0, 2), (1, -2)),
+                           ((1, -1), (0, 1), (1, 1), (0, 1))]),
+    # trivial, with no relator on one generator alone
+    presented(["a", "b"], [((0, 1), (1, 1), (0, -1), (1, -2)),
+                           ((1, 1), (0, 1), (1, -1), (0, -2))])],
     ids=["trivial", "C2", "C3", "S3", "Klein", "presented", "C4", "C6",
-         "presented-gcd"])
-def test_action_search_finds_exactly_the_actions(group):
+         "presented-gcd", "presented-q8", "presented-trivial-coincidence"])
+def test_action_search_finds_exactly_the_actions(group, monkeypatch):
+    # an action sends each generator to an element whose order divides
+    # the generator's order in the group, and the search offers it
+    # exactly those elements
     from singular_pi1.oracle import _actions
-    from singular_pi1.perms import table
+    from singular_pi1.perms import PermTable, table
+    orders = [element_order(group, g) for g in group.generator_elements]
+    assert orders == [group.generator_order(k) for k in range(len(orders))]
+    offered = []
+    dividing = PermTable.dividing
+
+    def spy(T, e):
+        offered.append(dividing(T, e))
+        return offered[-1]
+
+    monkeypatch.setattr(PermTable, "dividing", spy)
     for d in (1, 2, 3, 4, 5):
-        perms = table(d).perms
+        T = table(d)
+        offered.clear()
         found = _actions(group, d)
+        assert offered == [tuple(x for x in range(T.size)
+                                 if not k % T.order[x]) for k in orders]
         assert len(set(found)) == len(found)
-        assert {tuple(perms[x] for x in a) for a in found} \
+        assert {tuple(T.perms[x] for x in a) for a in found} \
             == set(group_actions(group, d)), d
 
 

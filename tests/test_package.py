@@ -37,7 +37,7 @@ def imported_modules(name):
 
 def test_the_data_model_and_assembly_do_not_import_the_hom_counter():
     for name in ("words", "presentation", "groups", "homomorphism", "scheme",
-                 "schema", "expression", "vk"):
+                 "schema", "vk"):
         assert "homcount" not in imported_modules(name), name
     assert "homomorphism" not in imported_modules("vk")
 

@@ -60,10 +60,8 @@ show.
         --other-tree ../parent --other-label before
 """
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -71,10 +69,8 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import families  # noqa: E402
+from bench_verify_families import (ROOT, families, in_turn, parse_trees,
+                                   run_record, tree_parser)
 
 CORPUS = ("chain", "nodal", "nontrivial-Z", "nontrivial-Z2", "regular",
           "semistable-C2", "star", "theta")
@@ -136,22 +132,7 @@ def time_call(argv, tree=ROOT):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="key the rows are stored under")
-    parser.add_argument("--output", default=str(ROOT / "BENCH_cli_calls.json"))
-    parser.add_argument("--other-tree", type=Path,
-                        help="a second source tree, timed in alternation")
-    parser.add_argument("--other-label",
-                        help="key the second tree's rows are stored under")
-    args = parser.parse_args()
-    if (args.other_tree is None) != (args.other_label is None):
-        parser.error("--other-tree and --other-label go together")
-    trees = {args.label: ROOT}
-    if args.other_tree is not None:
-        if args.other_label == args.label:
-            parser.error("--other-label must differ from --label")
-        trees[args.other_label] = args.other_tree.resolve()
+    args, trees = parse_trees(tree_parser(__doc__, "BENCH_cli_calls.json"))
 
     rows = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,9 +157,7 @@ def main():
             argv = [command, str(path), *flags]
             runs = {label: [] for label in trees}
             for r in range(REPEATS):
-                # each tree in turn first
-                order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-                for label in order:
+                for label in in_turn(trees, r):
                     runs[label].append(time_call(argv, trees[label]))
             for label, times in runs.items():
                 row = {"command": " ".join([command, *flags]),
@@ -201,14 +180,8 @@ def main():
     for label, mine in rows.items():
         total = sum(row["ms"] for row in mine)
         paused = sum(row["gc_ms"] for row in mine)
-        run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
-                          f"Python {platform.python_version()}",
-               "repeats": REPEATS}
-        if len(trees) > 1:
-            run["alternated_with"] = [other for other in trees
-                                      if other != label]
         doc.setdefault("runs", {})[label] = {
-            **run,
+            **run_record(trees, label), "repeats": REPEATS,
             "total_ms": round(total, 3),
             "total_norm": round(sum(row["norm"] for row in mine), 3),
             "gc_ms": round(paused, 3),

@@ -59,16 +59,14 @@ more are read between such labels (rows of labels recorded before
 ``before-twins`` and ``after-twins`` were recorded so).
 """
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import tempfile
 from pathlib import Path
 from statistics import median
 
-from bench_verify_families import ROOT, SEED, families, run_cli
+from bench_verify_families import (SEED, families, in_turn, parse_trees,
+                                   run_cli, run_record, tree_parser)
 
 CALLS = 5          # fresh-interpreter calls per row; a row is their median
 
@@ -121,23 +119,8 @@ def write_nodal(directory, variant):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="key the rows are stored under")
-    parser.add_argument("--output", default=str(ROOT /
-                                                "BENCH_present_families.json"))
-    parser.add_argument("--other-tree", type=Path,
-                        help="a second source tree, called in alternation")
-    parser.add_argument("--other-label",
-                        help="key the second tree's rows are stored under")
-    args = parser.parse_args()
-    if (args.other_tree is None) != (args.other_label is None):
-        parser.error("--other-tree and --other-label go together")
-    trees = {args.label: ROOT}
-    if args.other_tree is not None:
-        if args.other_label == args.label:
-            parser.error("--other-label must differ from --label")
-        trees[args.other_label] = args.other_tree.resolve()
+    args, trees = parse_trees(tree_parser(__doc__,
+                                          "BENCH_present_families.json"))
 
     rows = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,8 +131,7 @@ def main():
                                            SEED)
             runs = {label: [] for label in trees}
             for _ in range(CALLS):
-                # each tree in turn first
-                order = list(trees) if turn % 2 == 0 else list(trees)[::-1]
+                order = in_turn(trees, turn)
                 turn += 1
                 for label in order:
                     mine = runs[label]
@@ -178,12 +160,8 @@ def main():
         "variant (nontrivial where a row names none); family nodal: " \
         "written by this script, with the variant's presented group"
     for label, mine in rows.items():
-        run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
-                          f"Python {platform.python_version()}"}
-        if len(trees) > 1:
-            run["alternated_with"] = [other for other in trees
-                                      if other != label]
-        doc.setdefault("runs", {})[label] = {**run, "rows": mine}
+        doc.setdefault("runs", {})[label] = {**run_record(trees, label),
+                                             "rows": mine}
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

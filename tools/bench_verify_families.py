@@ -14,8 +14,8 @@ default degree bound, and runs under the default ceiling; above 5 the
 call also passes ``--bound-degree D --ceiling 10^11``.  Each row
 records the wall time of that interpreter, the exit code, the verdicts
 and the cover oracle's estimate at the highest degree.  The estimate is
-read from a refusal's message, or else from the oracle's debug log line,
-which the child interpreter routes to its standard error.
+read from a refusal's error object, or else from the oracle's debug log
+line, which the child interpreter routes to its standard error.
 
 With ``--oracle`` a row times the cover oracle alone instead:
 ``enumerate_descent_data`` at ``--degree-max`` with the ceiling lifted
@@ -36,6 +36,10 @@ each tree back to back, the two in turn first, so a drift of the
 machine's speed falls on both labels alike, and the rows of ``DIR`` are
 stored under ``LABEL``.  Two labels recorded minutes apart have moved by
 more than the changes they were meant to show.
+
+``tree_parser``, ``parse_trees``, ``in_turn`` and ``run_record`` are the
+flags, the alternation and the run record that the other ``bench_*``
+tools share with this one.
 """
 
 import argparse
@@ -78,8 +82,53 @@ for _ in range(3):
     times.append(time.perf_counter() - start)
 print(statistics.median(times))
 """
-ESTIMATE = re.compile(r"estimate (\d+)")
 LOGGED = re.compile(r"oracle degree (\d+):.* estimate (\d+)")
+
+
+def tree_parser(doc, output):
+    """The parser of a tool whose docstring is ``doc``: ``--label``,
+    ``--output`` (default ``output`` at the root), and ``--other-tree``
+    with ``--other-label``.  Add the tool's own flags, then read the
+    arguments with ``parse_trees``."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--label", required=True,
+                        help="key the rows are stored under")
+    parser.add_argument("--output", default=str(ROOT / output))
+    parser.add_argument("--other-tree", type=Path,
+                        help="a second source tree, called in alternation")
+    parser.add_argument("--other-label",
+                        help="key the second tree's rows are stored under")
+    return parser
+
+
+def parse_trees(parser):
+    """The parsed arguments, and ``{label: source tree}``: this tree under
+    ``--label`` and ``--other-tree`` under ``--other-label``."""
+    args = parser.parse_args()
+    if (args.other_tree is None) != (args.other_label is None):
+        parser.error("--other-tree and --other-label go together")
+    trees = {args.label: ROOT}
+    if args.other_tree is not None:
+        if args.other_label == args.label:
+            parser.error("--other-label must differ from --label")
+        trees[args.other_label] = args.other_tree.resolve()
+    return args, trees
+
+
+def in_turn(trees, turn):
+    """The labels of ``trees`` in the order of ``turn``: each tree in
+    turn first, so a drift of the machine's speed falls on all alike."""
+    return list(trees) if turn % 2 == 0 else list(trees)[::-1]
+
+
+def run_record(trees, label):
+    """What a run of ``label`` records besides its rows: the machine, and
+    the labels it was called in alternation with."""
+    run = {"machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
+                      f"Python {platform.python_version()}"}
+    if len(trees) > 1:
+        run["alternated_with"] = [other for other in trees if other != label]
+    return run
 
 
 def run_cli(command, path, flags, tree=ROOT, child=CHILD):
@@ -124,9 +173,8 @@ def run_row(path, flags, tree=ROOT):
     for r in reports:
         if "error" in r:
             refused.append(int(r["degree"]))
-            found = ESTIMATE.search(r["error"])
-            if found:
-                estimates[int(r["degree"])] = int(found.group(1))
+            if r["error"]["estimate"] is not None:
+                estimates[int(r["degree"])] = int(r["error"]["estimate"])
         else:
             verdicts.append(r["verdict"])
             if "connected" in r:
@@ -148,27 +196,12 @@ def oracle_row(path, degree, tree=ROOT):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="key the rows are stored under")
-    parser.add_argument("--output", default=str(ROOT /
-                                                "BENCH_verify_families.json"))
+    parser = tree_parser(__doc__, "BENCH_verify_families.json")
     parser.add_argument("--degree-max", type=int, default=5,
                         help="highest degree verified (default 5)")
     parser.add_argument("--oracle", action="store_true",
                         help="time enumerate_descent_data alone")
-    parser.add_argument("--other-tree", type=Path,
-                        help="a second source tree, called in alternation")
-    parser.add_argument("--other-label",
-                        help="key the second tree's rows are stored under")
-    args = parser.parse_args()
-    if (args.other_tree is None) != (args.other_label is None):
-        parser.error("--other-tree and --other-label go together")
-    trees = {args.label: ROOT}
-    if args.other_tree is not None:
-        if args.other_label == args.label:
-            parser.error("--other-label must differ from --label")
-        trees[args.other_label] = args.other_tree.resolve()
+    args, trees = parse_trees(parser)
     argv = flags(args.degree_max)
 
     rows = {label: [] for label in trees}
@@ -177,9 +210,7 @@ def main():
         for r, (n, family) in enumerate(members):
             path = families.write_config(Path(tmp), family, "nontrivial",
                                          n, SEED)
-            # each tree in turn first
-            order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for label in order:
+            for label in in_turn(trees, r):
                 row = {"family": family, "n": n,
                        **(oracle_row(path, args.degree_max, trees[label])
                           if args.oracle
@@ -190,17 +221,12 @@ def main():
     out = Path(args.output)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["configs"] = f"perfbench/families.py, nontrivial, seed {SEED}"
+    command = ["enumerate_descent_data", "CONFIG", args.degree_max,
+               "ceiling 10^16"] if args.oracle \
+        else ["verify", "CONFIG", *argv]
     for label, mine in rows.items():
-        command = ["enumerate_descent_data", "CONFIG", args.degree_max,
-                   "ceiling 10^16"] if args.oracle \
-            else ["verify", "CONFIG", *argv]
-        run = {"command": command,
-               "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
-                          f"Python {platform.python_version()}"}
-        if len(trees) > 1:
-            run["alternated_with"] = [other for other in trees
-                                      if other != label]
-        doc.setdefault("runs", {})[label] = {**run, "rows": mine}
+        doc.setdefault("runs", {})[label] = {
+            "command": command, **run_record(trees, label), "rows": mine}
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
