@@ -136,8 +136,9 @@ def cyclic_key(word):
     """
     word = cyclically_reduce(word)
     if len(word) == 1:
-        # about half the keys Tietze builds on the S3/C2 families' raw
-        # presentations; the general path costs six times as much here
+        # about two keys in five that Tietze builds on the S3/C2
+        # families' dévissage raw presentations; the general path costs
+        # six times as much here
         (g, e), = word
         return ((g, -abs(e)),)
     if not word:

@@ -1,9 +1,12 @@
 import contextlib
+import copy
+import functools
 import gc
 import inspect
 import io
 import json
 import logging
+import operator
 import os
 import random
 import re
@@ -738,6 +741,97 @@ def test_corpus_validates_and_verifies_at_degree_two(capsys):
                         "--degree-max", "2")
         assert code == 0, name
         assert all(r["verdict"] == "pass" for r in doc["reports"]), name
+
+
+# -- mutated documents -----------------------------------------------------
+
+# what a mutation may write in place of a node, besides another node of
+# the same document: wrong types, edge integers, names the corpus uses,
+# and groups of every kind
+FUZZ_VALUES = [
+    None, True, 0, 1, -1, 2, 3, 6, 10 ** 30, 2.5, "", "A", "P", "g", "b1",
+    "cyclic", [], {}, [["g", 1]], ["g", 2], {"g": [["g", 3]]},
+    {"kind": "symmetric", "degree": 3}, {"kind": "symmetric", "degree": 8},
+    {"kind": "cyclic", "order": 10 ** 30},
+    {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0]]},
+    {"kind": "presented", "generators": ["g"], "relators": [[["g", 4]]]},
+]
+FUZZ_ARGVS = [
+    ["validate"], ["present"], ["present", "--route", "devissage"],
+    ["present", "--degrees", "2,3"],
+    ["verify", "--degree-max", "3", "--connected"], ["plan"], ["rank"],
+    # a refusal partway through verify's reports
+    ["verify", "--degree-max", "3", "--ceiling", "10"],
+]
+
+
+def nodes_of(doc, path=()):
+    """The path of every node of ``doc``, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from nodes_of(value, path + (key,))
+
+
+def mutate(doc, rng):
+    """A copy of ``doc`` with one to three nodes replaced, deleted or
+    duplicated.  A replacement is a node of the document or one of
+    ``FUZZ_VALUES``, half the time one of the replaced node's type."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        paths = list(nodes_of(doc))
+        nodes = [functools.reduce(operator.getitem, p, doc) for p in paths]
+        if len(paths) == 1:
+            break
+        *path, key = rng.choice(paths[1:])
+        parent = functools.reduce(operator.getitem, path, doc)
+        move = rng.choice(("replace", "delete", "duplicate"))
+        if move == "replace":
+            pool = nodes + FUZZ_VALUES
+            if rng.random() < 0.5:
+                pool = [v for v in pool if type(v) is type(parent[key])]
+            parent[key] = copy.deepcopy(rng.choice(pool))
+        elif move == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[rng.choice(list(parent))] = copy.deepcopy(parent[key])
+    return doc
+
+
+def test_mutated_corpus_documents_keep_the_exit_code_contract(tmp_path,
+                                                               capsys):
+    """Every command on a mutated corpus document exits 0 to 4 and
+    prints one JSON object; on exits 2 to 4 that is an error object of
+    the exit's kind, ``validate``'s failed report or ``verify``'s
+    reports with a refusal."""
+    rng = random.Random(38)
+    docs = [json.loads(Path(config_path(name)).read_text())
+            for name in sorted(load_corpus())]
+    path = str(tmp_path / "mutated.json")
+    kinds = {"input": 2, "schema": 3, "resource": 4}
+    codes = set()
+    for _ in range(400):
+        doc = mutate(rng.choice(docs), rng)
+        Path(path).write_text(json.dumps(doc))
+        for command, *flags in FUZZ_ARGVS:
+            code = main([command, path, *flags])
+            payload = json.loads(capsys.readouterr().out)
+            where = (command, flags, doc)
+            assert 0 <= code <= 4 and isinstance(payload, dict), where
+            if code >= 2 and "error" in payload:
+                assert len(payload) == 1, where
+                assert kinds[payload["error"]["kind"]] == code, where
+            elif code >= 2:
+                assert (command, code) in (("validate", 2), ("verify", 4)), \
+                    where
+                assert ("ok" if command == "validate" else "reports") \
+                    in payload, where
+            codes.add(code)
+    # the documents reach success and the three error exits
+    assert {0, 2, 3, 4} <= codes
 
 
 # -- argv ------------------------------------------------------------------

@@ -8,11 +8,12 @@ from singular_pi1 import (InputError, Presentation, count_homs,
                           free_presentation, pi1_devissage,
                           pi1_graph_of_groups, quotient_by_relations,
                           tietze_simplify)
-from singular_pi1.presentation import tietze_eliminations
+from singular_pi1.presentation import _is_fixed_point, tietze_eliminations
 from singular_pi1.vk import FORMS
-from support import (brute_count_homs, count_order_dividing, family_config,
-                     free_product, load_corpus, random_presentation,
-                     tietze_reference, unmerged_graph_of_groups)
+from support import (brute_count_homs, count_calls, count_order_dividing,
+                     family_config, free_product, load_corpus,
+                     random_presentation, tietze_reference,
+                     unmerged_graph_of_groups)
 
 A, B = 0, 1          # the generators of Presentation(["a", "b"], ...)
 
@@ -172,6 +173,86 @@ class TestTietzeMatchesReference:
             once = tietze_simplify(p)
             assert once.simplified
             assert tietze_eliminations(once) == (once, [])
+
+
+def _fixed_point_candidates(count):
+    """Presentations whose relators mostly have no eliminable syllable:
+    each relator has every exponent at least 2 in absolute value, or
+    every generator repeated.  Reduction can still leave a syllable of
+    exponent ±1 alone, and relators of one shape are common."""
+    rng = random.Random(38)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        relators = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                relators.append([(rng.randrange(n), rng.choice((-3, -2, 2, 3)))
+                                 for _ in range(rng.randint(1, 4))])
+            else:
+                half = [(rng.randrange(n), rng.choice((-1, 1)))
+                        for _ in range(rng.randint(1, 3))]
+                relators.append(half + rng.sample(half, len(half)))
+        out.append(Presentation("abcd"[:n], relators))
+    return out
+
+
+class TestFixedPointExit:
+    """A presentation that one scan proves a fixed point is returned as
+    it is; every other one takes the indexed pass."""
+
+    def test_fixed_points_match_the_reference(self):
+        presentations = _fixed_point_candidates(1000)
+        exits = sum(_is_fixed_point(p.relators) for p in presentations)
+        # both sides of the scan are exercised
+        assert 300 <= exits <= 900, exits
+        for p in presentations:
+            assert tietze_eliminations(p) == tietze_reference(p), p
+
+    def test_a_fixed_point_is_returned_as_it_is(self):
+        p = Presentation(["a", "b"], [((A, 2), (B, 3)), ((B, 2),)])
+        assert _is_fixed_point(p.relators)
+        out, eliminations = tietze_eliminations(p)
+        assert (out, eliminations) == (p, [])
+        assert out.simplified and not p.simplified
+
+    @pytest.mark.parametrize("relators, kept", [
+        # an empty relator is dropped
+        [[(), ((A, 2),)], [((A, 2),)]],
+        # a relator that is not cyclically reduced keeps its cyclic
+        # reduction's key, so the later b^2 duplicates it
+        [[((A, 1), (B, 2), (A, -1)), ((B, 2),)],
+         [((A, 1), (B, 2), (A, -1))]],
+        # one shape, not duplicates
+        [[((A, 2), (B, 2)), ((A, 2), (B, -2))],
+         [((A, 2), (B, 2)), ((A, 2), (B, -2))]],
+        # a rotation, and an inverse
+        [[((A, 2), (B, 3)), ((B, 3), (A, 2))], [((A, 2), (B, 3))]],
+        [[((A, 2), (B, 3)), ((B, -3), (A, -2))], [((A, 2), (B, 3))]],
+    ])
+    def test_each_guard_sends_its_case_to_the_indexed_pass(self, relators,
+                                                          kept):
+        p = Presentation._trusted(["a", "b"], relators)
+        assert not _is_fixed_point(p.relators)
+        out, eliminations = tietze_eliminations(p)
+        assert out.relators == tuple(kept)
+        assert out.generators == p.generators and eliminations == []
+        assert out.simplified
+
+
+def test_the_default_route_is_simplified_without_cyclic_keys(monkeypatch):
+    """The default route's raw presentations on the corpus and the S3/C2
+    families are fixed points, so Tietze builds no cyclic key on them."""
+    import singular_pi1.presentation as presentation
+
+    keys = count_calls(monkeypatch, presentation, "cyclic_key")["cyclic_key"]
+    for cfg in list(load_corpus().values()) + _family_configs(range(2, 65)):
+        result = pi1_graph_of_groups(cfg)
+        assert result.presentation == result.raw_presentation
+    assert keys == []
+    # the counter sees the indexed pass
+    tietze_eliminations(unmerged_graph_of_groups(family_config("chain", 2)))
+    assert keys
 
 
 @pytest.mark.parametrize("family", ["chain", "star", "theta"])

@@ -8,9 +8,10 @@ For ``validate``, ``present``, ``verify --degree-max 3`` and the two
 ``verify`` calls of perfbench's verify-corpus workload (``--degree-max
 5`` with the ceiling lifted, and ``--degree-max 3 --connected``) on
 each of the 8 bundled configurations, for ``present`` on the chain,
-star and theta with 16 singular pieces (the non-trivial S3/C2 variant)
-and with 48 (the all-trivial variant, where reading and checking the
-configuration is nearly all the work), for ``verify --degree-max 3
+star and theta with 8 and 16 singular pieces (the non-trivial S3/C2
+variant, as in perfbench's present-nontrivial workload) and with 48
+(the all-trivial variant, where reading and checking the configuration
+is nearly all the work), for ``verify --degree-max 3
 --connected`` on the chain, star and theta with 2 pieces (S3/C2, as in
 verify-corpus), and for the six ``present --degrees`` calls of
 perfbench's count-families workload (small S3/C2 families, counted at
@@ -42,7 +43,8 @@ import numbers, every label before ``before-ingest`` the all-trivial
 rows, and every label before ``before-order`` the count-families rows
 and ``norm``.  ``before-onepass`` and ``after-onepass`` are the first
 pair recorded in one run, in alternation (``alternated_with``), and
-every label before ``before-orders`` lacks the verify-corpus rows.
+every label before ``before-orders`` lacks the verify-corpus rows,
+and every label before ``before-scan`` the S3/C2 rows with 8 pieces.
 
 The rows are stored under ``--label`` in ``--output`` (default
 ``BENCH_cli_calls.json`` at the root), next to the rows of other labels
@@ -80,7 +82,8 @@ CONNECTED = ("verify", "--degree-max", "3", "--connected")
 CALLS = (("validate",), ("present",), ("verify", "--degree-max", "3"),
          ("verify", "--degree-max", "5", *NO_CEILING), CONNECTED)
 # (variant, number of singular pieces) of the family rows
-FAMILY_ROWS, SEED = (("nontrivial", 16), ("trivial", 48)), 1
+FAMILY_ROWS, SEED = (("nontrivial", 8), ("nontrivial", 16),
+                     ("trivial", 48)), 1
 # the small families of verify-corpus, verified with CONNECTED
 SMALL = 2
 # perfbench's count-families operations: (family, pieces, degrees)

@@ -10,7 +10,7 @@ Rows (seed 1, written by ``perfbench/families.py``; the variant is
 the non-trivial S3/C2 one unless named):
 
 * ``present`` by the default route on chain, star and theta at N = 64,
-  128, 256 and 1024;
+  128, 256, 1024 and 4096;
 * ``present --route devissage --form iv`` on theta at N = 6, 8, 64,
   256 and 1024, and ``--form ii`` on theta at N = 6, 8, 10, 64, 256 and
   1024;
@@ -71,7 +71,7 @@ from bench_verify_families import (SEED, families, in_turn, parse_trees,
 CALLS = 5          # fresh-interpreter calls per row; a row is their median
 
 ROWS = [("present", "nontrivial", family, n, ())
-        for n in (64, 128, 256, 1024) for family in families.FAMILIES] \
+        for n in (64, 128, 256, 1024, 4096) for family in families.FAMILIES] \
     + [("present", "nontrivial", "theta", n,
         ("--route", "devissage", "--form", "iv"))
        for n in (6, 8, 64, 256, 1024)] \
