@@ -435,8 +435,6 @@ class _Elimination:
             elif b.power > 1:
                 message = {k: w ** b.power for k, w in message.items()}
             tables.append(message)
-            if not message:
-                return 0
         return count
 
 
@@ -489,8 +487,6 @@ def count_homs(p, d, limits=DEFAULT_LIMITS):
     total = 1
     for plan, k in plans:
         total *= plan.forward(T) ** k
-        if total == 0:
-            break
     return total * factorial(d) ** free
 
 

@@ -459,7 +459,7 @@ def enumerate_descent_data(cfg, d, limits=DEFAULT_LIMITS):
                 w[j] *= t[0, j]
         else:
             constant *= t[0, 0]
-    if not (constant and live):
+    if not live:
         return constant
     factors += [((i,), w) for i, w in enumerate(weights)]
     return constant * _contract(sizes, factors, order)

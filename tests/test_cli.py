@@ -567,6 +567,18 @@ class TestRank:
 
 
 class TestGlobalBounds:
+    def test_a_recursion_error_exits_4_from_the_pi1_layer(self, capsys,
+                                                          monkeypatch):
+        def deep(cfg):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "pi1_graph_of_groups", deep)
+        code, doc = run(capsys, "present", config_path("nodal"))
+        assert code == 4
+        assert list(doc) == ["error"]
+        assert (doc["error"]["kind"], doc["error"]["layer"]) \
+            == ("resource", "pi1")
+
     def test_degree_bound_flag(self, capsys):
         code, doc = run(capsys, "present", config_path("nodal"),
                         "--degrees", "3", "--bound-degree", "2")

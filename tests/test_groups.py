@@ -121,13 +121,18 @@ TRIVIAL_BY_COINCIDENCE = Presentation(
     ["a", "b"], [((A, 1), (B, 1), (A, -1), (B, -2)),
                  ((B, 1), (A, 1), (B, -1), (A, -2))])
 
+# of order 2; its closure merges a coset into one that lacks an entry of
+# the merged one, so the merge defines it (found by a seeded search)
+MERGE_DEFINES_AN_ENTRY = Presentation(
+    ["a", "b"], [((A, 2), (B, -2)), ((B, 2), (A, 1), (B, 1), (A, -3))])
+
 
 def known_orders():
     return [(dihedral(n), 2 * n) for n in range(3, 41)] \
         + [(cyclic_product(m, n), m * n)
            for m, n in ((2, 3), (4, 6), (5, 7), (12, 10))] \
         + [(coxeter(n), factorial(n)) for n in range(3, 7)] \
-        + [(TRIVIAL_BY_COINCIDENCE, 1)]
+        + [(TRIVIAL_BY_COINCIDENCE, 1), (MERGE_DEFINES_AN_ENTRY, 2)]
 
 
 def test_coset_closure_finds_known_orders():
@@ -223,6 +228,13 @@ def test_descriptor_is_kind_and_params():
     assert GroupSpec.permutation(2, [(1, 0)]).descriptor() \
         == ("permutation", 2, ((1, 0),))
     assert GroupSpec.presented(s3).descriptor() == ("presented", s3.key())
+
+
+def test_equal_specs_hash_alike():
+    # built apart, so equal by descriptor and not by identity
+    a, b = GroupSpec.symmetric(3), GroupSpec.symmetric(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, GroupSpec.cyclic(3)}) == 2
 
 
 def test_element_words_evaluate_back():

@@ -15,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from singular_pi1 import DEFAULT_LIMITS, Limits
+from singular_pi1 import (DEFAULT_LIMITS, GroupSpec, InputError, Limits,
+                          ResourceError, count_homs, devissage_splits,
+                          enumerate_descent_data, free_presentation)
+from singular_pi1.vk import vk_glue
+from support import load_corpus
 
 PACKAGE = Path(resources.files("singular_pi1"))
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -115,3 +119,28 @@ def test_readme_library_entry_points_run():
         assert repr(eval(source, namespace)) == comment.group(1).strip()
         checked.append(comment.group(1).strip())
     assert checked == ["6", "True", "6"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GroupSpec.symmetric(-1), InputError,
+     "symmetric group degree must be >= 0"),
+    (lambda: GroupSpec.cyclic(3).evaluate(((1, 1),)), InputError,
+     "unknown generator 1 for C3"),
+    (lambda: count_homs(free_presentation(1), -1), InputError,
+     "degree must be a non-negative integer, got -1"),
+    (lambda: count_homs(free_presentation(1), 2.0), InputError,
+     "degree must be a non-negative integer, got 2.0"),
+    (lambda: enumerate_descent_data(load_corpus()["nodal"], 0),
+     ResourceError, "cover enumeration needs degree >= 1"),
+    (lambda: free_presentation(-1), InputError,
+     "rank must be non-negative"),
+    (lambda: next(devissage_splits(load_corpus()["regular"])), InputError,
+     "a regular configuration admits no ordering"),
+    (lambda: vk_glue([], [], 0, free_presentation(1), [], "v", ""),
+     InputError, "unknown form 'v'; expected one of"),
+], ids=["symmetric", "evaluate", "count-negative", "count-float",
+        "oracle-degree-0", "free-rank", "regular-splits", "vk-form"])
+def test_each_precondition_refuses_its_bad_value(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value).startswith(message)

@@ -69,6 +69,17 @@ class TestGroups:
             parse_group({"kind": "dihedral"}, "$.g")
         assert err.value.path == "$.g.kind"
 
+    def test_permutation_without_generators_exits_3_at_its_group(
+            self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["components"][0]["group"] = {"kind": "permutation", "degree": 3,
+                                         "generators": []}
+        code, out = main_exit(tmp_path, capsys, doc)
+        assert code == 3
+        assert out["error"]["path"] == "$.components[0].group"
+        assert out["error"]["message"] \
+            == "permutation kind needs at least one generator"
+
     def test_bad_permutation(self):
         with pytest.raises(SchemaError):
             parse_group({"kind": "permutation", "degree": 2,

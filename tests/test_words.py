@@ -140,6 +140,11 @@ def test_cyclic_key_identifies_rotations_and_inverses():
     assert cyclic_key(u) == cyclic_key(inverse(u))
 
 
+def test_render_spells_the_identity_e():
+    assert words.render((), ("a",)) == "e"
+    assert words.render(((0, 1), (0, -2)), ("a",)) == "a*a^-2"
+
+
 def test_substitute_replaces_with_powers():
     mapping = {A: w((B, 1), (C, 1))}
     assert substitute(w((A, -1)), mapping) == ((C, -1), (B, -1))
